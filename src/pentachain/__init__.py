@@ -3,8 +3,9 @@
 The pipeline: glue tetrahedra into a closed oriented pseudo-manifold, place
 its vertex classes at generic rational points of the plane, assemble the
 six-term complex of differentials built on edge values and curvatures,
-check acyclicity by exact rank counting, and normalize the torsion of the
-complex into a number that bistellar moves do not change.
+certify acyclicity exactly while choosing the torsion's basis partition,
+and normalize the torsion of the complex into a number that bistellar
+moves do not change.
 """
 
 from .chain import (

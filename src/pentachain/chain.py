@@ -22,7 +22,9 @@ vertex coordinates:
 
 Each composition of consecutive maps is exactly zero; ``build_chain``
 asserts this by default.  Acyclicity is equivalent to the rank pattern
-(6, 3V-6, E-3V+6, 3V-6, 6) once the chain property holds.
+(6, 3V-6, E-3V+6, 3V-6, 6) once the chain property holds.  The invariant
+decides it with ``torsion.select_partition``, whose one greedy pass is an
+exact certificate; ``check_acyclic`` is the reference rank test.
 """
 
 from __future__ import annotations

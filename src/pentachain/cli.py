@@ -150,8 +150,9 @@ def cmd_verify(args) -> tuple[dict, int]:
         ok, witness = verify_chain(c)
         if not ok:
             raise InvarianceError(f"chain property failed at geometry seed {i}: {witness}")
-        if not check_acyclic(c).acyclic:
-            raise NotAcyclicError(check_acyclic(c).ranks, check_acyclic(c).expected)
+        acyclicity = check_acyclic(c)
+        if not acyclicity.acyclic:
+            raise NotAcyclicError(acyclicity.ranks, acyclicity.expected)
     checks["chain"] = f"pass ({args.chain_seeds} geometry seeds)"
     checks["acyclic"] = f"pass ({args.chain_seeds} geometry seeds)"
 

@@ -86,11 +86,6 @@ def edge_values(tri: Triangulation, g: GeometryAssignment) -> EdgeValues:
     return EdgeValues(tuple(lambda_of(tri, g, e.id) for e in tri.edges))
 
 
-def directed_lambda(tri: Triangulation, lam: EdgeValues, tet: int, tail: int, head: int) -> Fraction:
-    eid, sign = tri.edge_class(tet, tail, head)
-    return sign * lam.values[eid]
-
-
 class LinForm:
     """Affine form in the edge-value variables: exact value plus integer
     incidence coefficients per variable key."""

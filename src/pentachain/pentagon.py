@@ -45,6 +45,7 @@ PAIRS = tuple(
 TETRAHEDRA = (("A", "B", "E", "D"), ("B", "C", "E", "D"), ("C", "A", "E", "D"))
 
 ED_PAIR = ("D", "E")  # canonical storage key of the edge the move creates
+SAMPLE_DRAWS = 32  # draws FivePointConfig.random makes before giving up
 
 
 def _key(a: str, b: str) -> tuple[tuple[str, str], int]:
@@ -80,16 +81,25 @@ class FivePointConfig:
     @classmethod
     def random(cls, seed: int, bound: int = 30) -> "FivePointConfig":
         """Seeded random values on the nine pairs other than D-E, with the
-        tenth solved to make the configuration flat."""
+        tenth solved to make the configuration flat.
+
+        A degenerate draw is redrawn from the same stream, up to
+        SAMPLE_DRAWS draws, so a seed whose first draw is usable keeps it.
+        """
         rng = random.Random(seed)
 
         def draw():
             return Fraction(rng.randint(-bound, bound), rng.randint(1, 9))
 
-        lam = {p: draw() for p in PAIRS if p != ED_PAIR}
-        lam[ED_PAIR] = Fraction(0)
-        cfg = cls(lam)
-        return cfg.with_lambda_ed(solve_flat_lambda(cfg))
+        for attempt in range(SAMPLE_DRAWS):
+            lam = {p: draw() for p in PAIRS if p != ED_PAIR}
+            lam[ED_PAIR] = Fraction(0)
+            cfg = cls(lam)
+            try:
+                return cfg.with_lambda_ed(solve_flat_lambda(cfg))
+            except DegenerateGeometryError:
+                if attempt == SAMPLE_DRAWS - 1:
+                    raise
 
     def value(self, a: str, b: str) -> Fraction:
         key, sign = _key(a, b)

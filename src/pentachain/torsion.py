@@ -7,12 +7,24 @@ for the map on its right, and
     tau = (minor f1 * minor f3 * minor f5) / (minor f2 * minor f4).
 
 For an acyclic complex any partition with nonzero minors yields the same
-value up to sign.  Partitions are chosen greedily left to right: pivot rows
-of f1 become C1's left rows, the complementary labels become f2's columns,
-pivot rows of the restricted f2 become C2's left rows, and so on; each
-stage is guaranteed full rank by acyclicity, but the selection still
-verifies nonvanishing and retries with reshuffled pivot orders if a later
-minor degenerates.
+value up to sign.  Partitions are chosen greedily left to right in one
+pass: pivot rows of f1 become C1's left rows, the complementary labels
+become f2's columns, pivot rows of the restricted f2 become C2's left rows,
+and so on, closing with the minor of f5.
+
+Given the chain property (which ``build_chain`` checks exactly), this pass
+is also the acyclicity certificate, whatever order it scans rows in:
+
+- if it succeeds, every restricted f_k has full column rank and the f5
+  minor is nonzero, so rank f_k is at least the split size; f_{k+1} f_k = 0
+  caps it from above, so the ranks are exactly (6, 3V-6, E-3V+6, 3V-6, 6)
+  and the complex is exact everywhere;
+- if the complex is acyclic, the columns left for f_{k+1} span a complement
+  of the image of f_k, on which f_{k+1} is injective, so every stage reaches
+  full column rank for any row order.
+
+So the pass never needs a retry, and the rank test ``check_acyclic`` runs
+only after a stage falls short, to report the exact ranks.
 
 The manifold invariant normalizes the torsion by the product of all face
 circulations and a power of two:
@@ -29,9 +41,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chain import ChainComplex, build_chain, check_acyclic
+from .chain import ChainComplex, build_chain, check_acyclic, expected_ranks
 from .errors import NotAcyclicError, TorsionError
-from .exact import RatMatrix, det, independent_rows
+from .exact import det, independent_rows
 from .geometry import (
     GeometryAssignment,
     assign_geometry,
@@ -41,8 +53,6 @@ from .geometry import (
     subseed,
 )
 from .triangulation import Triangulation
-
-SELECTION_ATTEMPTS = 64
 
 
 @dataclass(frozen=True)
@@ -69,18 +79,12 @@ class BasisPartition:
         return tuple(out)
 
 
-def _expected_split_sizes(c: ChainComplex) -> tuple[int, int, int, int]:
-    v3 = 3 * c.vertex_count
-    e = c.edge_count
-    return (6, v3 - 6, e - v3 + 6, v3 - 6)
-
-
 def minors(c: ChainComplex, p: BasisPartition) -> tuple[Fraction, ...]:
     """The five compatible minors (m1..m5) of a partition.
 
     Raises TorsionError if sizes are inconsistent or any minor vanishes.
     """
-    sizes = _expected_split_sizes(c)
+    sizes = expected_ranks(c.vertex_count, c.edge_count)
     rows = (p.c1_rows, p.c2_rows, p.c3_rows, p.c4_rows)
     for k, (want, have) in enumerate(zip(sizes, rows), start=1):
         if len(set(have)) != want:
@@ -117,55 +121,34 @@ def tau(c: ChainComplex, p: BasisPartition) -> Fraction:
     return m1 * m3 * m5 / (m2 * m4)
 
 
-def select_partition(c: ChainComplex, seed: int = 0) -> BasisPartition:
-    """Greedy left-to-right pivot propagation with seeded retries.
+def select_partition(c: ChainComplex, seed: int | None = None) -> BasisPartition:
+    """Greedy left-to-right pivot propagation in a single pass.
 
-    For an acyclic complex the greedy pass always succeeds (each stage's
-    restricted matrix has full column rank exactly because the previous
-    minor is nonzero); reshuffling covers hypothetical degeneracies and
-    supplies partition variety for independence tests.
+    With ``seed=None`` every stage scans its rows in label order; an integer
+    seed shuffles each stage's order, which picks a different (equally
+    valid) partition.  Given the chain property the pass succeeds exactly
+    when the complex is acyclic (see the module docstring), so a stage that
+    falls short raises NotAcyclicError with the ranks from ``check_acyclic``.
     """
-    rng = random.Random(seed)
-    sizes = _expected_split_sizes(c)
-
-    def stage_orders(shuffle: bool):
-        orders = []
-        for m in (c.f1, c.f2, c.f3, c.f4):
-            order = list(m.row_labels)
-            if shuffle:
-                rng.shuffle(order)
-            orders.append(order)
-        return orders
-
-    last_error = None
-    for attempt in range(SELECTION_ATTEMPTS):
-        orders = stage_orders(shuffle=attempt > 0)
-        try:
-            c1 = independent_rows(c.f1, orders[0])
-            if len(c1) != sizes[0]:
-                raise TorsionError("f1 is not injective")
-            k1 = tuple(lab for lab in c.f1.row_labels if lab not in set(c1))
-            c2 = independent_rows(c.f2.submatrix(c.f2.row_labels, k1), orders[1])
-            if len(c2) != sizes[1]:
-                raise TorsionError("restricted f2 is column-rank deficient")
-            k2 = tuple(lab for lab in c.f2.row_labels if lab not in set(c2))
-            c3 = independent_rows(c.f3.submatrix(c.f3.row_labels, k2), orders[2])
-            if len(c3) != sizes[2]:
-                raise TorsionError("restricted f3 is column-rank deficient")
-            k3 = tuple(lab for lab in c.f3.row_labels if lab not in set(c3))
-            c4 = independent_rows(c.f4.submatrix(c.f4.row_labels, k3), orders[3])
-            if len(c4) != sizes[3]:
-                raise TorsionError("restricted f4 is column-rank deficient")
-            k4 = tuple(lab for lab in c.f4.row_labels if lab not in set(c4))
-            if det(c.f5.submatrix(c.f5.row_labels, k4)) == 0:
-                raise TorsionError("closing minor of f5 vanishes")
-            return BasisPartition(tuple(c1), tuple(c2), tuple(c3), tuple(c4))
-        except TorsionError as exc:
-            last_error = exc
-    raise TorsionError(
-        f"no valid basis partition found in {SELECTION_ATTEMPTS} attempts; "
-        f"last failure: {last_error}"
-    )
+    rng = None if seed is None else random.Random(seed)
+    picked = []
+    cols = c.f1.col_labels
+    for m, want in zip((c.f1, c.f2, c.f3, c.f4), expected_ranks(c.vertex_count, c.edge_count)):
+        order = list(m.row_labels)
+        if rng is not None:
+            rng.shuffle(order)
+        rows = independent_rows(m.submatrix(m.row_labels, cols), order)
+        if len(rows) != want:
+            break
+        picked.append(tuple(rows))
+        chosen = set(rows)
+        cols = tuple(lab for lab in m.row_labels if lab not in chosen)
+    else:
+        if det(c.f5.submatrix(c.f5.row_labels, cols)) != 0:
+            return BasisPartition(*picked)
+    # a stage fell short, so the complex is not acyclic: report exact ranks
+    report = check_acyclic(c)
+    raise NotAcyclicError(report.ranks, report.expected)
 
 
 @dataclass(frozen=True)
@@ -189,7 +172,9 @@ def invariant(
 ) -> InvariantResult:
     """Full pipeline: geometry, chain, acyclicity, torsion, normalization.
 
-    The absolute value of the result is independent of the seed, of the
+    Acyclicity is certified by the partition search itself; with
+    ``verify=False`` the chain property it rests on is not checked.  The
+    absolute value of the result is independent of the seed, of the
     sampled geometry and of the partition; the sign is gauge.
     """
     if geometry is None:
@@ -198,10 +183,7 @@ def invariant(
     else:
         lam = ensure_nondegenerate(tri, geometry)
     c = build_chain(tri, geometry, lam=lam, verify=verify)
-    report = check_acyclic(c)
-    if not report.acyclic:
-        raise NotAcyclicError(report.ranks, report.expected)
-    partition = select_partition(c, subseed(seed, "partition"))
+    partition = select_partition(c)
     t = tau(c, partition)
     face_product = Fraction(1)
     for s in face_circulations(tri, lam):
@@ -213,7 +195,7 @@ def invariant(
         vertex_count=len(tri.vertices),
         invariant=value,
         abs_invariant=abs(value),
-        ranks=report.ranks,
+        ranks=expected_ranks(c.vertex_count, c.edge_count),
         f_vector=tri.f_vector(),
         seed=seed,
     )

@@ -3,11 +3,13 @@ from fractions import Fraction
 import pytest
 
 from pentachain import (
+    NotAcyclicError,
     RatMatrix,
     assign_geometry,
     build_chain,
     check_acyclic,
     dump_chain,
+    select_partition,
     verify_chain,
 )
 from pentachain.chain import C0_LABELS, C5_LABELS, expected_ranks
@@ -92,7 +94,12 @@ def test_zeroed_f3_breaks_acyclicity(rp3, rp3_geometry):
         f1=c.f1, f2=c.f2, f3=zero, f4=c.f4, f5=c.f5,
         vertex_count=c.vertex_count, edge_count=c.edge_count,
     )
-    assert not check_acyclic(broken).acyclic
+    report = check_acyclic(broken)
+    assert not report.acyclic
+    with pytest.raises(NotAcyclicError) as caught:
+        select_partition(broken)
+    assert caught.value.ranks == report.ranks
+    assert caught.value.expected == report.expected
 
 
 def test_f4_endpoint_triples_cancel(rp3, rp3_geometry):

@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from pentachain import MoveSite, NotAcyclicError, apply_move, load_builtin
-from pentachain import cli
+from pentachain import MoveSite, NotAcyclicError, RatMatrix, apply_move, load_builtin
+from pentachain import cli, torsion
 
 
 def run(capsys, argv):
@@ -97,6 +98,21 @@ def test_not_acyclic_exit_code(capsys, monkeypatch):
     assert "not acyclic" in err
 
 
+def test_broken_complex_exits_not_acyclic(capsys, monkeypatch):
+    real_build_chain = torsion.build_chain
+
+    def zeroed_f3(*args, **kwargs):
+        c = real_build_chain(*args, **kwargs)
+        zero = RatMatrix([[0] * len(c.f3.col_labels) for _ in c.f3.row_labels],
+                         c.f3.row_labels, c.f3.col_labels)
+        return replace(c, f3=zero)
+
+    monkeypatch.setattr(torsion, "build_chain", zeroed_f3)
+    code, _, err = run(capsys, ["invariant", "--builtin", "rp3"])
+    assert code == 5
+    assert "complex is not acyclic: ranks (6, 6, 0, 6, 6), expected (6, 6, 6, 6, 6)" in err
+
+
 def test_invariance_violation_exit_code(capsys, monkeypatch):
     def fake_verify_pentagon(cfg):
         return 0, 1, False
@@ -150,6 +166,13 @@ def test_verify_requires_input_unless_pentagon_only(capsys):
 
 def test_pentagon_command(capsys):
     code, out, _ = run(capsys, ["pentagon", "--samples", "15", "--json"])
+    assert code == 0
+    assert json.loads(out)["pentagon_identity"] == "pass"
+
+
+def test_pentagon_redraws_degenerate_sample(capsys):
+    # the first draw of one of seed 3's samples has a degenerate flatness relation
+    code, out, _ = run(capsys, ["pentagon", "--seed", "3", "--json"])
     assert code == 0
     assert json.loads(out)["pentagon_identity"] == "pass"
 

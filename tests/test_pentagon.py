@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from pentachain import DegenerateGeometryError, FivePointConfig, solve_flat_lambda, verify_pentagon, verify_vector_identities
+from pentachain import pentagon
 from pentachain.pentagon import ED_PAIR, LABELS, PAIRS, bilinear_relation, omega_ed
 
 F = Fraction
@@ -23,6 +24,20 @@ def test_pentagon_identity_on_seeded_configs():
         assert equal, (seed, lhs, rhs)
         assert bilinear_relation(cfg) == 0
         assert omega_ed(cfg) == 0
+
+
+def test_random_redraws_then_gives_up(monkeypatch):
+    draws = []
+
+    def always_degenerate(cfg):
+        draws.append(cfg)
+        raise DegenerateGeometryError("degenerate draw")
+
+    monkeypatch.setattr(pentagon, "solve_flat_lambda", always_degenerate)
+    with pytest.raises(DegenerateGeometryError):
+        FivePointConfig.random(0)
+    assert len(draws) == pentagon.SAMPLE_DRAWS
+    assert len(set(tuple(sorted(d.lam.items())) for d in draws)) == pentagon.SAMPLE_DRAWS
 
 
 def test_planar_configuration_is_flat():

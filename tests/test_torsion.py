@@ -19,6 +19,7 @@ from pentachain import (
     tau,
     tet0_edges,
 )
+from pentachain.exact import independent_rows
 from pentachain.library import SPHERE_C1_ROWS
 
 F = Fraction
@@ -84,7 +85,9 @@ def test_projective_paper_partition(rp3, rp3_geometry):
 
 def test_partition_independence(rp3, rp3_geometry):
     c = build_chain(rp3, rp3_geometry)
-    values = {abs(tau(c, select_partition(c, seed=s))) for s in range(10)}
+    partitions = [select_partition(c, seed=s) for s in range(10)]
+    assert len(set(partitions)) >= 2
+    values = {abs(tau(c, p)) for p in partitions}
     assert len(values) == 1
 
 
@@ -104,6 +107,8 @@ def test_kappa_rerandomization_preserves_invariant(s3):
 def test_selection_determinism(rp3, rp3_geometry):
     c = build_chain(rp3, rp3_geometry)
     assert select_partition(c, seed=4) == select_partition(c, seed=4)
+    # without a seed the rows are scanned in label order
+    assert select_partition(c).c1_rows == tuple(independent_rows(c.f1))
 
 
 def test_invalid_partition_rejected(s3, sphere_geometry):
