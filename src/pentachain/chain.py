@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .errors import PentachainError
 from .exact import RatMatrix, format_rational, rank
-from .geometry import EdgeValues, GeometryAssignment, edge_values, omega_row
+from .geometry import EdgeValues, GeometryAssignment, edge_values, holonomy_generator, omega_row
 from .triangulation import Triangulation
 
 C0_LABELS = ("dt1", "dt2", "dt3", "dx", "dy", "dk")
@@ -118,23 +118,19 @@ def build_chain(
         row[3 * b + 2] += 1
 
     f3 = [[Fraction(0)] * ne for _ in range(ne)]
-    flat = []
     for e in range(ne):
         value, row = omega_row(tri, lam, e)
-        flat.append(value)
+        if verify and value != 0:
+            raise PentachainError(
+                f"internal error: curvature of edge class {e} is nonzero at the flat point"
+            )
         for b, dv in row.items():
             f3[e][b] = dv
-    if verify and any(v != 0 for v in flat):
-        bad = next(e for e, v in enumerate(flat) if v != 0)
-        raise PentachainError(
-            f"internal error: curvature of edge class {bad} is nonzero at the flat point"
-        )
 
     f4 = [[Fraction(0)] * ne for _ in range(3 * nv)]
     for e in tri.edges:
         p, q = e.tail, e.head
-        vx, vy = g.x[q] - g.x[p], g.y[q] - g.y[p]
-        triple = (vx * vx / 2, vx * vy / 2, vy * vy / 2)
+        triple = holonomy_generator((g.x[q] - g.x[p], g.y[q] - g.y[p]), 1).column
         for r in range(3):
             f4[3 * p + r][e.id] += triple[r]
             f4[3 * q + r][e.id] -= triple[r]

@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .exact import format_rational
-from .geometry import assign_geometry, edge_values, parse_geometry, subseed
+from .geometry import assign_geometry, ensure_nondegenerate, parse_geometry, subseed
 from .library import load_builtin
 from .pachner import random_walk, walk_states
 from .pentagon import FivePointConfig, solve_flat_lambda, verify_pentagon, verify_vector_identities
@@ -113,21 +113,22 @@ def cmd_invariant(args) -> tuple[dict, int]:
     return _invariant_report(name, result), 0
 
 
+def _check_pentagon_samples(seed: int, samples: int) -> None:
+    """Check the two-to-three identity on seeded samples, naming a failing one."""
+    for i in range(samples):
+        cfg = FivePointConfig.random(subseed(seed, "pentagon", i))
+        lhs, rhs, equal = verify_pentagon(cfg)
+        if not equal:
+            raise InvarianceError(f"pentagon identity failed at sample {i}: {lhs} != {rhs}")
+
+
 def cmd_verify(args) -> tuple[dict, int]:
     report: dict = {"command": "verify", "version": __version__, "seed": args.seed}
     checks: dict = {}
     report["checks"] = checks
 
-    pentagon_total = 0
-    for i in range(args.samples):
-        cfg = FivePointConfig.random(subseed(args.seed, "pentagon", i))
-        lhs, rhs, equal = verify_pentagon(cfg)
-        if not equal:
-            raise InvarianceError(
-                f"pentagon identity failed at sample {i}: {lhs} != {rhs}"
-            )
-        pentagon_total += 1
-    checks["pentagon"] = f"pass ({pentagon_total} samples)"
+    _check_pentagon_samples(args.seed, args.samples)
+    checks["pentagon"] = f"pass ({args.samples} samples)"
 
     if args.pentagon_only:
         report["input"] = None
@@ -216,15 +217,10 @@ def cmd_pachner(args) -> tuple[dict, int]:
 def cmd_pentagon(args) -> tuple[dict, int]:
     import random as _random
 
-    failures = 0
-    for i in range(args.samples):
-        cfg = FivePointConfig.random(subseed(args.seed, "pentagon", i))
-        _, _, equal = verify_pentagon(cfg)
-        if not equal:
-            failures += 1
+    _check_pentagon_samples(args.seed, args.samples)
     rng = _random.Random(subseed(args.seed, "points"))
     point_checks = 0
-    for _ in range(args.samples):
+    for j in range(args.samples):
         pts = {
             lab: (Fraction(rng.randint(-20, 20), rng.randint(1, 7)),
                   Fraction(rng.randint(-20, 20), rng.randint(1, 7)))
@@ -232,12 +228,10 @@ def cmd_pentagon(args) -> tuple[dict, int]:
         }
         try:
             if not verify_vector_identities(pts):
-                failures += 1
+                raise InvarianceError(f"vector identities failed at point configuration {j}")
             point_checks += 1
         except DegenerateGeometryError:
             continue
-    if failures:
-        raise InvarianceError(f"{failures} pentagon checks failed")
     report = {
         "command": "pentagon",
         "version": __version__,
@@ -255,7 +249,7 @@ def cmd_dump_chain(args) -> tuple[dict, int]:
     if geometry is None:
         geometry = assign_geometry(tri, subseed(args.seed, "geometry"), args.retries)
     else:
-        edge_values(tri, geometry)
+        ensure_nondegenerate(tri, geometry)
     c = build_chain(tri, geometry)
     sys.stdout.write(dump_chain(c))
     return {}, 0

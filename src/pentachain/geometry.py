@@ -17,11 +17,12 @@ its star.  Coordinates induced this way are flat: every curvature vanishes
 identically, which is what makes the derivative matrix of the curvatures a
 chain map downstream.
 
-Derivatives of curvatures with respect to edge values treat each edge
-class's lambda as an independent variable; every circulation is affine in
-those variables with incidence coefficients in {-1, 0, +1}, so the quotient
-rule gives exact partial derivatives.  The same machinery is reused by the
-pentagon verifier on five-point configurations.
+One routine serves triangulations and the five-point verifier alike.
+``circulation`` sums values around a triangle through an edge lookup
+``(tail, head) -> (key, sign)``; the sum is affine in the values, with an
+incidence coefficient in {-1, 0, +1} per key.  ``curvature`` sums angle
+values built from four such circulations and, on request, their exact
+partial derivatives by the quotient rule, each key an independent variable.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Sequence
+from functools import partial
+from typing import Callable, Iterable
 
 from .errors import DegenerateGeometryError, ParseError
 from .exact import parse_rational
@@ -86,42 +88,34 @@ def edge_values(tri: Triangulation, g: GeometryAssignment) -> EdgeValues:
     return EdgeValues(tuple(lambda_of(tri, g, e.id) for e in tri.edges))
 
 
+@dataclass(slots=True)
 class LinForm:
     """Affine form in the edge-value variables: exact value plus integer
     incidence coefficients per variable key."""
 
-    __slots__ = ("value", "coeffs")
-
-    def __init__(self, value: Fraction, coeffs: dict):
-        self.value = value
-        self.coeffs = coeffs
-
-    def coeff(self, var) -> int:
-        return self.coeffs.get(var, 0)
-
-    def __add__(self, other: "LinForm") -> "LinForm":
-        coeffs = dict(self.coeffs)
-        for var, c in other.coeffs.items():
-            coeffs[var] = coeffs.get(var, 0) + c
-        return LinForm(self.value + other.value, coeffs)
+    value: Fraction
+    coeffs: dict
 
 
-def face_form(tri: Triangulation, lam: EdgeValues, tet: int, slots: Sequence[int]) -> LinForm:
-    """Circulation of lambda around the ordered slot triple, as a LinForm."""
-    a, b, c = slots
+def circulation(edge: Callable, values, a, b, c) -> LinForm:
+    """Circulation of the edge values around the triangle a -> b -> c.
+
+    ``edge(tail, head)`` gives the (key, sign) of a directed edge against
+    its stored direction, and ``values[key]`` the stored value.
+    """
     value = Fraction(0)
     coeffs: dict = {}
     for tail, head in ((a, b), (b, c), (c, a)):
-        eid, sign = tri.edge_class(tet, tail, head)
-        value += sign * lam.values[eid]
-        coeffs[eid] = coeffs.get(eid, 0) + sign
+        key, sign = edge(tail, head)
+        value += sign * values[key]
+        coeffs[key] = coeffs.get(key, 0) + sign
     return LinForm(value, coeffs)
 
 
 def s_of_face(tri: Triangulation, lam: EdgeValues, face_id: int, reverse: bool = False) -> Fraction:
     """Face circulation, evaluated on the class's stored boundary order."""
     tet, slots = tri.faces[face_id].boundary
-    value = face_form(tri, lam, tet, slots).value
+    value = circulation(partial(tri.edge_class, tet), lam.values, *slots).value
     return -value if reverse else value
 
 
@@ -183,20 +177,58 @@ def ensure_nondegenerate(tri: Triangulation, g: GeometryAssignment) -> EdgeValue
 # -- angle values and curvature ---------------------------------------
 
 
-def _angle_forms(tri, lam, tet, pq, ed):
-    p, q = pq
-    e, d = ed
-    n1 = face_form(tri, lam, tet, (p, d, q))
-    n2 = face_form(tri, lam, tet, (p, e, q))
-    d1 = face_form(tri, lam, tet, (p, d, e))
-    d2 = face_form(tri, lam, tet, (q, d, e))
-    if d1.value == 0 or d2.value == 0:
-        bad = tri.face_class(tet, q if d1.value == 0 else p)
-        raise DegenerateGeometryError(
-            f"zero face circulation on face class {bad} while evaluating the "
-            f"angle at edge slots {ed} of tetrahedron {tet}"
-        )
-    return n1, n2, d1, d2
+def curvature(values, angles: Iterable, wrt: Iterable | None = ()) -> tuple[Fraction, dict]:
+    """Sum of angle values over ``angles`` and its exact partial derivatives
+    by the value keys ``wrt`` (None: every key; the default: none).
+
+    Each angle is (edge lookup, (P, Q), (tail, head), where), and
+    ``where(opposite)`` names the face missing vertex ``opposite`` when its
+    circulation, a denominator, is zero.
+    """
+    total = Fraction(0)
+    row: dict = {}
+    for edge, (p, q), (e, d), where in angles:
+        n1 = circulation(edge, values, p, d, q)
+        n2 = circulation(edge, values, p, e, q)
+        d1 = circulation(edge, values, p, d, e)
+        d2 = circulation(edge, values, q, d, e)
+        if d1.value == 0 or d2.value == 0:
+            raise DegenerateGeometryError(
+                f"zero circulation in an angle denominator at {where(q if d1.value == 0 else p)}"
+            )
+        term, grad = quotient_rule_terms(n1, n2, d1, d2, wrt)
+        total += term
+        for var, dv in grad.items():
+            row[var] = row[var] + dv if var in row else dv
+    return total, row
+
+
+def quotient_rule_terms(n1: LinForm, n2: LinForm, d1: LinForm, d2: LinForm, wrt: Iterable | None = None):
+    """Value and exact gradient of (n1 + n2) / (2 * d1 * d2), by the keys
+    ``wrt`` (None: every key the forms involve)."""
+    numerator = n1.value + n2.value
+    dd = d1.value * d2.value
+    value = numerator / (2 * dd)
+    grad: dict = {}
+    if wrt is None:
+        wrt = set(n1.coeffs) | set(n2.coeffs) | set(d1.coeffs) | set(d2.coeffs)
+    for var in wrt:
+        dn = n1.coeffs.get(var, 0) + n2.coeffs.get(var, 0)
+        ddv = d1.coeffs.get(var, 0) * d2.value + d1.value * d2.coeffs.get(var, 0)
+        grad[var] = Fraction(dn * dd - numerator * ddv) / (2 * dd * dd)
+    return value, grad
+
+
+def _face_at(tri: Triangulation, tet: int, ed, opposite: int) -> str:
+    return f"face class {tri.face_class(tet, opposite)} (edge slots {ed} of tetrahedron {tet})"
+
+
+def _angles(tri: Triangulation, contributions):
+    """``curvature`` angles of (tet, (P, Q), (tail, head)) slot incidences."""
+    return (
+        (partial(tri.edge_class, tet), pq, ed, partial(_face_at, tri, tet, ed))
+        for tet, pq, ed in contributions
+    )
 
 
 def angle(
@@ -213,52 +245,25 @@ def angle(
     edge direction is signed against the edge class's canonical
     orientation, so the value also flips under a reversal of the edge.
     """
-    n1, n2, d1, d2 = _angle_forms(tri, lam, tet, pq, ed)
     _, direction = tri.edge_class(tet, ed[0], ed[1])
-    return direction * (n1.value + n2.value) / (2 * d1.value * d2.value)
-
-
-def quotient_rule_terms(n1: LinForm, n2: LinForm, d1: LinForm, d2: LinForm):
-    """Value and exact gradient of (n1 + n2) / (2 * d1 * d2)."""
-    numerator = n1.value + n2.value
-    dd = d1.value * d2.value
-    value = numerator / (2 * dd)
-    grad: dict = {}
-    for var in set(n1.coeffs) | set(n2.coeffs) | set(d1.coeffs) | set(d2.coeffs):
-        dn = n1.coeff(var) + n2.coeff(var)
-        ddv = d1.coeff(var) * d2.value + d1.value * d2.coeff(var)
-        grad[var] = Fraction(dn * dd - numerator * ddv) / (2 * dd * dd)
-    return value, grad
+    return direction * curvature(lam.values, _angles(tri, ((tet, pq, ed),)))[0]
 
 
 def omega(tri: Triangulation, lam: EdgeValues, star: EdgeStar | int) -> Fraction:
     """Curvature around an edge class: sum of angle values over its star."""
     if isinstance(star, int):
         star = tri.edge_star(star)
-    total = Fraction(0)
-    for tet, pq, ed in star.contributions:
-        n1, n2, d1, d2 = _angle_forms(tri, lam, tet, pq, ed)
-        total += (n1.value + n2.value) / (2 * d1.value * d2.value)
-    return total
+    return curvature(lam.values, _angles(tri, star.contributions))[0]
 
 
 def omega_row(tri: Triangulation, lam: EdgeValues, edge_id: int) -> tuple[Fraction, dict]:
     """Curvature of an edge and its gradient over all edge values."""
-    value = Fraction(0)
-    row: dict = {}
-    for tet, pq, ed in tri.edge_star(edge_id).contributions:
-        forms = _angle_forms(tri, lam, tet, pq, ed)
-        term, grad = quotient_rule_terms(*forms)
-        value += term
-        for var, dv in grad.items():
-            row[var] = row.get(var, Fraction(0)) + dv
-    return value, row
+    return curvature(lam.values, _angles(tri, tri.edge_star(edge_id).contributions), wrt=None)
 
 
 def domega_dlambda(tri: Triangulation, lam: EdgeValues, edge_a: int, edge_b: int) -> Fraction:
     """Exact partial derivative of curvature a with respect to edge value b."""
-    _, row = omega_row(tri, lam, edge_a)
-    return row.get(edge_b, Fraction(0))
+    return omega_row(tri, lam, edge_a)[1].get(edge_b, Fraction(0))
 
 
 # -- holonomy ----------------------------------------------------------

@@ -20,9 +20,9 @@ values.  The checks here are exact:
   their composition closes up to EA + omega * S_EDA * ED, a basis change
   that depends only on the vector ED and omega.
 
-The derivative in the second item is computed by the same quotient-rule
-engine that builds the curvature derivative matrix for triangulations, so
-these checks exercise the production code path.
+Circulations, the curvature and its derivative come from the routine that
+builds the curvature derivative matrix for triangulations, ``geometry.curvature``
+with edges looked up by label pair, so these checks exercise the production path.
 """
 
 from __future__ import annotations
@@ -30,10 +30,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Mapping
 
 from .errors import DegenerateGeometryError
-from .geometry import LinForm, holonomy_generator, quotient_rule_terms, triangle_area
+from .geometry import LinForm, circulation, curvature, holonomy_generator, triangle_area
 
 LABELS = ("A", "B", "C", "D", "E")
 
@@ -50,6 +51,14 @@ SAMPLE_DRAWS = 32  # draws FivePointConfig.random makes before giving up
 
 def _key(a: str, b: str) -> tuple[tuple[str, str], int]:
     return ((a, b), 1) if a < b else ((b, a), -1)
+
+
+def _where(tet, opposite: str) -> str:
+    return f"face {''.join(v for v in tet if v != opposite)} of tetrahedron {''.join(tet)}"
+
+
+# the angles of the local complex at E->D, as geometry.curvature reads them
+ANGLES = tuple((_key, (p, q), (e, d), partial(_where, (p, q, e, d))) for p, q, e, d in TETRAHEDRA)
 
 
 @dataclass(frozen=True)
@@ -114,13 +123,7 @@ class FivePointConfig:
         return self.value(a, b) + self.value(b, c) + self.value(c, a)
 
     def s_form(self, a: str, b: str, c: str) -> LinForm:
-        value = Fraction(0)
-        coeffs: dict = {}
-        for x, y in ((a, b), (b, c), (c, a)):
-            key, sign = _key(x, y)
-            value += sign * self.lam[key]
-            coeffs[key] = coeffs.get(key, 0) + sign
-        return LinForm(value, coeffs)
+        return circulation(_key, self.lam, a, b, c)
 
 
 def bilinear_relation(cfg: FivePointConfig) -> Fraction:
@@ -153,34 +156,16 @@ def solve_flat_lambda(cfg: FivePointConfig) -> Fraction:
     return solution
 
 
-def _angle_forms(cfg: FivePointConfig, tet) -> tuple[LinForm, LinForm, LinForm, LinForm]:
-    p, q, e, d = tet
-    n1 = cfg.s_form(p, d, q)
-    n2 = cfg.s_form(p, e, q)
-    d1 = cfg.s_form(p, d, e)
-    d2 = cfg.s_form(q, d, e)
-    if d1.value == 0 or d2.value == 0:
-        raise DegenerateGeometryError(f"zero circulation in the denominator at tetrahedron {tet}")
-    return n1, n2, d1, d2
-
-
 def omega_ed(cfg: FivePointConfig) -> Fraction:
     """Curvature around E->D of the three-tetrahedron local complex."""
-    total = Fraction(0)
-    for tet in TETRAHEDRA:
-        n1, n2, d1, d2 = _angle_forms(cfg, tet)
-        total += (n1.value + n2.value) / (2 * d1.value * d2.value)
-    return total
+    return curvature(cfg.lam, ANGLES)[0]
 
 
 def domega_ed_dlambda_ed(cfg: FivePointConfig) -> Fraction:
     """Exact d(omega_ED)/d(lambda_ED) via the shared quotient-rule engine."""
-    total = Fraction(0)
-    for tet in TETRAHEDRA:
-        _, grad = quotient_rule_terms(*_angle_forms(cfg, tet))
-        total += grad.get(ED_PAIR, Fraction(0))
+    _, grad = curvature(cfg.lam, ANGLES, wrt=(ED_PAIR,))
     # storage holds lambda_DE; differentiating by lambda_ED flips the sign
-    return -total
+    return -grad[ED_PAIR]
 
 
 def verify_pentagon(cfg: FivePointConfig) -> tuple[Fraction, Fraction, bool]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -113,14 +114,19 @@ def test_broken_complex_exits_not_acyclic(capsys, monkeypatch):
     assert "complex is not acyclic: ranks (6, 6, 0, 6, 6), expected (6, 6, 6, 6, 6)" in err
 
 
-def test_invariance_violation_exit_code(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--pentagon-only", "--samples", "1"], ["pentagon", "--samples", "1"]],
+    ids=["verify", "pentagon"],
+)
+def test_invariance_violation_exit_code(capsys, monkeypatch, argv):
     def fake_verify_pentagon(cfg):
         return 0, 1, False
 
     monkeypatch.setattr(cli, "verify_pentagon", fake_verify_pentagon)
-    code, _, err = run(capsys, ["verify", "--pentagon-only", "--samples", "1"])
+    code, _, err = run(capsys, argv)
     assert code == 6
-    assert "pentagon" in err
+    assert "pentagon identity failed at sample 0" in err
 
 
 def test_geometry_override(tmp_path, capsys):
@@ -189,12 +195,29 @@ def test_pachner_command(tmp_path, capsys):
     assert report["f_vector_after"] == list(walked.f_vector())
 
 
+# every exact entry of f1..f5 for rp3 at geometry seed 1
+RP3_SEED1_DUMP_SHA256 = "63c128778c595c2095e52e26fbd189bbaa43313304439f83c201df3fb914c899"
+
+
 def test_dump_chain_command(capsys):
     code, out, _ = run(capsys, ["dump-chain", "--builtin", "s3", "--seed", "1"])
     assert code == 0
     first = out.splitlines()[0].split()
     assert first[0] in {"f1", "f2", "f4", "f5"}
     assert len(first) == 4
+    code, out, _ = run(capsys, ["dump-chain", "--builtin", "rp3", "--seed", "1"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RP3_SEED1_DUMP_SHA256
+
+
+def test_zero_circulation_geometry_exit_code(tmp_path, capsys):
+    # vertex classes 0, 1, 2 on a line
+    path = tmp_path / "collinear.txt"
+    path.write_text("vertex 0 0 0 0\nvertex 1 1 0 0\nvertex 2 2 0 0\nvertex 3 0 1 0\n")
+    for command in ("invariant", "dump-chain"):
+        code, _, err = run(capsys, [command, "--builtin", "s3", "--geometry", str(path)])
+        assert code == 4
+        assert "face class 3 (vertices (0, 1, 2)) has zero circulation" in err
 
 
 def test_usage_error_exit_code():

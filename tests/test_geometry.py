@@ -227,6 +227,19 @@ def test_structurally_degenerate_input_fails_with_hint(s3):
         assign_geometry(degenerate, seed=0, max_retries=20)
 
 
+def test_omega_names_zero_circulation_face(s3):
+    # vertex classes 0, 1, 2 on a line: face class 3 has zero circulation,
+    # a denominator of every angle at an edge of that face
+    g = GeometryAssignment(x=(F(0), F(1), F(2), F(0)), y=(F(0), F(0), F(0), F(1)), kappa=(F(0),) * 4)
+    lam = edge_values(s3, g)
+    assert s_of_face(s3, lam, 3) == 0
+    on_face = [e for e in s3.edges if {e.tail, e.head} <= {0, 1, 2}]
+    assert len(on_face) == 3
+    for e in on_face:
+        with pytest.raises(DegenerateGeometryError, match=r"zero circulation .* face class 3 "):
+            omega(s3, lam, e.id)
+
+
 def test_geometry_file_parsing(s3, sphere_geometry):
     text = "".join(
         f"vertex {v} {x} {y} {k}\n"

@@ -113,6 +113,17 @@ def test_degenerate_leading_coefficient_raises():
         solve_flat_lambda(cfg)
 
 
+def test_omega_ed_names_degenerate_tetrahedron():
+    rng = random.Random(2)
+    values = {p: F(rng.randint(-9, 9), rng.randint(1, 5)) for p in PAIRS}
+    # S_ADE = lambda_AD + lambda_DE - lambda_AE vanishes, a denominator in ABED
+    values[("A", "E")] = values[("A", "D")] + values[("D", "E")]
+    cfg = FivePointConfig.from_lambdas(values)
+    assert cfg.s("A", "D", "E") == 0
+    with pytest.raises(DegenerateGeometryError, match="zero circulation .* face AED of tetrahedron ABED"):
+        omega_ed(cfg)
+
+
 def test_missing_pair_rejected():
     with pytest.raises(ValueError, match="missing"):
         FivePointConfig.from_lambdas({("A", "B"): F(1)})
