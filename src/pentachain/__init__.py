@@ -26,7 +26,7 @@ from .errors import (
     TorsionError,
     ValidationError,
 )
-from .exact import RatMatrix, Rational, det, format_rational, minor, parse_rational, rank, row_reduce
+from .exact import RatMatrix, Rational, det, format_rational, minor, parse_rational, rank
 from .geometry import (
     EdgeValues,
     GeometryAssignment,

@@ -161,7 +161,7 @@ def cmd_verify(args) -> tuple[dict, int]:
     g = assign_geometry(tri, subseed(args.seed, "partition-geom"), args.retries)
     c = build_chain(tri, g, verify=False)
     for i in range(args.partition_seeds):
-        p = select_partition(c, subseed(args.seed, "partition", i))
+        p, _ = select_partition(c, subseed(args.seed, "partition", i))
         taus.add(abs(tau(c, p)))
     if len(taus) != 1:
         raise InvarianceError(f"|tau| depends on the partition: {sorted(taus)}")

@@ -7,13 +7,17 @@ torsion bookkeeping never depends on positional conventions.
 
 Rank, determinant and pivot selection run fraction-free (Bareiss) over
 integer-scaled rows: intermediate entries are minors of the scaled input,
-which keeps their size polynomially bounded.
+which keeps their size polynomially bounded.  ``independent_rows`` returns
+the greedy pivot rows together with their minor, the last pivot of that
+same elimination, so the torsion's partition pass needs no second
+elimination; ``det`` and ``minor`` evaluate an arbitrary block from scratch
+and serve as the reference.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Hashable, Iterable, Sequence
 
 Rational = Fraction
@@ -103,30 +107,30 @@ class RatMatrix:
         return f"RatMatrix({self.nrows}x{self.ncols})"
 
 
-def _int_rows(entries: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], Fraction]:
-    """Scale each row to integers; return rows and the product of multipliers."""
+def _int_rows(entries: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Scale each row to integers; return the rows and their multipliers."""
     out = []
-    scale = 1
+    mults = []
     for row in entries:
         mult = lcm(*(e.denominator for e in row)) if row else 1
-        scale *= mult
+        mults.append(mult)
         out.append([int(e * mult) for e in row])
-    return out, Fraction(scale)
+    return out, mults
 
 
-def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], list[int], int, int]:
+def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
     """Fraction-free row echelon, destructive on ``rows``.
 
     Pivot rule: scan columns left to right, within a column take the first
     remaining row with a nonzero entry.  Returns original positions of pivot
-    rows, pivot column positions, the row-swap sign and the last pivot
-    (which for a full elimination of a square matrix equals its determinant
-    up to the swap sign).
+    rows (in pivot order), the row-swap sign and the last pivot.  When every
+    column has a pivot, the pivot rows sit in positions 0..ncols-1 after the
+    swaps, so the last pivot is the determinant of those (scaled) rows
+    taken in pivot order.
     """
     m = len(rows)
     where = list(range(m))
     piv_rows: list[int] = []
-    piv_cols: list[int] = []
     sign = 1
     prev = 1
     r = 0
@@ -150,50 +154,29 @@ def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], list[int], i
             elif prev != piv:
                 # Bareiss update applies to every remaining row, not only
                 # those with a nonzero entry in the pivot column.
-                row_r = rows[r]
                 for j in range(c + 1, ncols):
                     row_i[j] = (piv * row_i[j]) // prev
         piv_rows.append(where[r])
-        piv_cols.append(c)
         prev = piv
         r += 1
         if r == m:
             break
-    return piv_rows, piv_cols, sign, prev
+    return piv_rows, sign, prev
 
 
 def rank(m: RatMatrix) -> int:
-    rows, _ = _int_rows(m.entries)
-    piv_rows, _, _, _ = _echelon(rows, m.ncols)
-    return len(piv_rows)
-
-
-def row_reduce(m: RatMatrix) -> tuple[int, frozenset, frozenset]:
-    """Exact rank plus one valid pivot row/column label set.
-
-    Deterministic for a given matrix: pivots are found scanning columns in
-    order and rows top to bottom within each column.
-    """
-    rows, _ = _int_rows(m.entries)
-    piv_rows, piv_cols, _, _ = _echelon(rows, m.ncols)
-    return (
-        len(piv_rows),
-        frozenset(m.row_labels[i] for i in piv_rows),
-        frozenset(m.col_labels[j] for j in piv_cols),
-    )
+    return len(independent_rows(m)[0])
 
 
 def det(m: RatMatrix) -> Fraction:
     """Exact determinant; the empty matrix has determinant 1."""
     if m.nrows != m.ncols:
         raise ValueError(f"determinant of non-square {m.nrows}x{m.ncols} matrix")
-    if m.nrows == 0:
-        return Fraction(1)
-    rows, scale = _int_rows(m.entries)
-    piv_rows, _, sign, last = _echelon(rows, m.ncols)
+    rows, mults = _int_rows(m.entries)
+    piv_rows, sign, last = _echelon(rows, m.ncols)
     if len(piv_rows) < m.nrows:
         return Fraction(0)
-    return Fraction(sign * last) / scale
+    return Fraction(sign * last, prod(mults))
 
 
 def minor(m: RatMatrix, row_labels: Iterable[Label], col_labels: Iterable[Label]) -> Fraction:
@@ -217,14 +200,21 @@ def minor(m: RatMatrix, row_labels: Iterable[Label], col_labels: Iterable[Label]
     return det(m.submatrix(rows, cols))
 
 
-def independent_rows(m: RatMatrix, row_order: Sequence[Label] | None = None) -> list[Label]:
-    """Greedy maximal independent set of rows, scanned in the given order.
+def independent_rows(
+    m: RatMatrix, row_order: Sequence[Label] | None = None
+) -> tuple[list[Label], Fraction]:
+    """Greedy maximal independent set of rows, scanned in the given order,
+    and the minor they give on all columns.
 
-    The selected rows form a full-rank submatrix on the pivot columns; when
-    ``len(result) == m.ncols`` they form an invertible square block.
+    The rows come in pivot order and form a full-rank submatrix on the pivot
+    columns.  The minor is ``det(m.submatrix(rows, m.col_labels))``, the last
+    pivot of the same elimination; it is 0 when fewer than ``m.ncols`` rows
+    are independent (and 1 for a matrix with no columns).
     """
     order = list(row_order) if row_order is not None else list(m.row_labels)
-    positions = [m._rindex[lab] for lab in order]
-    rows, _ = _int_rows([m.entries[i] for i in positions])
-    piv_rows, _, _, _ = _echelon(rows, m.ncols)
-    return [order[i] for i in piv_rows]
+    rows, mults = _int_rows([m.entries[m._rindex[lab]] for lab in order])
+    piv_rows, _, last = _echelon(rows, m.ncols)
+    picked = [order[i] for i in piv_rows]
+    if len(picked) < m.ncols:
+        return picked, Fraction(0)
+    return picked, Fraction(last, prod(mults[i] for i in piv_rows))

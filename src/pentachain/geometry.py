@@ -132,8 +132,17 @@ def assign_geometry(
 
     Numerators are uniform in [-64, 64] and denominators in [1, 16]; a draw
     is accepted once every face circulation is nonzero.  The retry sequence
-    is a deterministic function of the seed.
+    is a deterministic function of the seed.  An edge class joining a vertex
+    class to itself gives every face containing it zero circulation for any
+    geometry, so such input fails before the first draw.
     """
+    for e in tri.edges:
+        if e.tail == e.head:
+            raise DegenerateGeometryError(
+                f"edge class {e.id} joins vertex class {e.tail} to itself, so every "
+                "face containing it has zero circulation for any geometry; 2->3 and "
+                "1->4 moves cannot remove this edge"
+            )
     rng = random.Random(seed)
     nv = len(tri.vertices)
 
@@ -153,14 +162,7 @@ def assign_geometry(
         lam = edge_values(tri, g)
         if all(s != 0 for s in face_circulations(tri, lam)):
             return g
-    message = f"no nondegenerate geometry found after {max_retries} attempts"
-    if any(e.tail == e.head for e in tri.edges):
-        message += (
-            "; the triangulation has an edge class with identified endpoints, "
-            "so every face containing it has zero circulation. Subdivide with "
-            "1->4 moves before computing."
-        )
-    raise DegenerateGeometryError(message)
+    raise DegenerateGeometryError(f"no nondegenerate geometry found after {max_retries} attempts")
 
 
 def ensure_nondegenerate(tri: Triangulation, g: GeometryAssignment) -> EdgeValues:

@@ -81,7 +81,7 @@ def sphere_paper_partition(c: ChainComplex) -> BasisPartition:
     c2_rows = c.f2.row_labels  # all six edge rows
     c3_rows = ()
     k3 = c.f3.row_labels  # all six curvature columns feed f4
-    c4_rows = tuple(independent_rows(c.f4.submatrix(c.f4.row_labels, k3)))
+    c4_rows = tuple(independent_rows(c.f4.submatrix(c.f4.row_labels, k3))[0])
     return BasisPartition(SPHERE_C1_ROWS, c2_rows, c3_rows, c4_rows)
 
 
@@ -117,5 +117,5 @@ def projective_paper_partition(c: ChainComplex, tri: Triangulation) -> BasisPart
     c2_rows = tuple(f"dl_e{e.id}" for e in tri.edges if e.id not in unprimed)
     c3_rows = tuple(f"dw_e{e.id}" for e in tri.edges if e.id in unprimed)
     k3 = tuple(f"dw_e{e.id}" for e in tri.edges if e.id not in unprimed)
-    c4_rows = tuple(independent_rows(c.f4.submatrix(c.f4.row_labels, k3)))
+    c4_rows = tuple(independent_rows(c.f4.submatrix(c.f4.row_labels, k3))[0])
     return BasisPartition(SPHERE_C1_ROWS, c2_rows, c3_rows, c4_rows)

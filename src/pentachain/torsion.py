@@ -26,6 +26,13 @@ is also the acyclicity certificate, whatever order it scans rows in:
 So the pass never needs a retry, and the rank test ``check_acyclic`` runs
 only after a stage falls short, to report the exact ranks.
 
+The pass also yields the torsion: each stage's elimination returns its
+minor with its pivot rows, and the closing f5 determinant is m5, so an
+invariant costs five eliminations in all.  ``minors``, ``tau`` and
+``partition_valid`` evaluate an arbitrary partition from scratch; they are
+the reference that the library's paper partitions, the tests and
+``verify``'s partition-independence check use.
+
 The manifold invariant normalizes the torsion by the product of all face
 circulations and a power of two:
 
@@ -115,37 +122,49 @@ def partition_valid(c: ChainComplex, p: BasisPartition) -> bool:
     return True
 
 
-def tau(c: ChainComplex, p: BasisPartition) -> Fraction:
-    """Torsion: alternating product of the five minors."""
-    m1, m2, m3, m4, m5 = minors(c, p)
+def _alternating(m1, m2, m3, m4, m5) -> Fraction:
     return m1 * m3 * m5 / (m2 * m4)
 
 
-def select_partition(c: ChainComplex, seed: int | None = None) -> BasisPartition:
-    """Greedy left-to-right pivot propagation in a single pass.
+def tau(c: ChainComplex, p: BasisPartition) -> Fraction:
+    """Torsion of a given partition: alternating product of its minors."""
+    return _alternating(*minors(c, p))
+
+
+def select_partition(
+    c: ChainComplex, seed: int | None = None
+) -> tuple[BasisPartition, tuple[Fraction, ...]]:
+    """Greedy left-to-right pivot propagation in a single pass; returns the
+    partition and its five minors (m1..m5).
 
     With ``seed=None`` every stage scans its rows in label order; an integer
     seed shuffles each stage's order, which picks a different (equally
-    valid) partition.  Given the chain property the pass succeeds exactly
-    when the complex is acyclic (see the module docstring), so a stage that
-    falls short raises NotAcyclicError with the ranks from ``check_acyclic``.
+    valid) partition.  Each stage's elimination yields its minor with its
+    pivot rows, and the closing f5 determinant certifies the last stage, so
+    the minors equal ``minors(c, partition)`` without a second elimination.
+    Given the chain property the pass succeeds exactly when the complex is
+    acyclic (see the module docstring), so a stage that falls short raises
+    NotAcyclicError with the ranks from ``check_acyclic``.
     """
     rng = None if seed is None else random.Random(seed)
     picked = []
+    values = []
     cols = c.f1.col_labels
     for m, want in zip((c.f1, c.f2, c.f3, c.f4), expected_ranks(c.vertex_count, c.edge_count)):
         order = list(m.row_labels)
         if rng is not None:
             rng.shuffle(order)
-        rows = independent_rows(m.submatrix(m.row_labels, cols), order)
+        rows, value = independent_rows(m.submatrix(m.row_labels, cols), order)
         if len(rows) != want:
             break
         picked.append(tuple(rows))
+        values.append(value)
         chosen = set(rows)
         cols = tuple(lab for lab in m.row_labels if lab not in chosen)
     else:
-        if det(c.f5.submatrix(c.f5.row_labels, cols)) != 0:
-            return BasisPartition(*picked)
+        value = det(c.f5.submatrix(c.f5.row_labels, cols))
+        if value != 0:
+            return BasisPartition(*picked), (*values, value)
     # a stage fell short, so the complex is not acyclic: report exact ranks
     report = check_acyclic(c)
     raise NotAcyclicError(report.ranks, report.expected)
@@ -183,8 +202,7 @@ def invariant(
     else:
         lam = ensure_nondegenerate(tri, geometry)
     c = build_chain(tri, geometry, lam=lam, verify=verify)
-    partition = select_partition(c)
-    t = tau(c, partition)
+    t = _alternating(*select_partition(c)[1])
     face_product = Fraction(1)
     for s in face_circulations(tri, lam):
         face_product *= s

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from pentachain import MoveSite, NotAcyclicError, RatMatrix, apply_move, load_builtin
-from pentachain import cli, torsion
+from pentachain import cli, geometry, torsion
 
 
 def run(capsys, argv):
@@ -80,13 +80,19 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert "orientable" in err
 
 
-def test_degenerate_geometry_exit_code(tmp_path, capsys):
+def test_degenerate_geometry_exit_code(tmp_path, capsys, monkeypatch):
     degenerate = apply_move(load_builtin("s3"), MoveSite("2->3", (0, 0)))
     path = tmp_path / "degenerate.tri"
     path.write_text(degenerate.to_text())
+    draws = []
+    real_edge_values = geometry.edge_values
+    monkeypatch.setattr(geometry, "edge_values", lambda *a: draws.append(a) or real_edge_values(*a))
     code, _, err = run(capsys, ["invariant", "--file", str(path), "--retries", "10"])
     assert code == 4
-    assert "1->4" in err
+    assert "edge class 3 joins vertex class 2 to itself" in err
+    assert "zero circulation for any geometry" in err
+    assert "2->3 and 1->4 moves cannot remove this edge" in err
+    assert draws == []
 
 
 def test_not_acyclic_exit_code(capsys, monkeypatch):

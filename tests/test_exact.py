@@ -12,7 +12,6 @@ from pentachain.exact import (
     minor,
     parse_rational,
     rank,
-    row_reduce,
 )
 
 F = Fraction
@@ -35,22 +34,6 @@ def cofactor_det(rows):
 
 def random_matrix(rng, n, m):
     return [[F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(m)] for _ in range(n)]
-
-
-def test_row_reduce_identity():
-    m = RatMatrix([[1, 0], [0, 1]])
-    assert row_reduce(m) == (2, frozenset({"r0", "r1"}), frozenset({"c0", "c1"}))
-
-
-def test_row_reduce_zero_matrix():
-    m = RatMatrix([[0] * 4 for _ in range(3)])
-    assert row_reduce(m) == (0, frozenset(), frozenset())
-
-
-def test_row_reduce_rank_one():
-    m = RatMatrix([[1, 2], [2, 4]])
-    assert cofactor_det([[F(1), F(2)], [F(2), F(4)]]) == 0
-    assert row_reduce(m)[0] == 1
 
 
 def test_minor_conventions():
@@ -98,6 +81,10 @@ def test_det_equals_full_minor():
 def test_rank_is_largest_nonvanishing_minor():
     import random
 
+    assert rank(RatMatrix([[1, 0], [0, 1]])) == 2
+    assert rank(RatMatrix([[0] * 4 for _ in range(3)])) == 0
+    assert cofactor_det([[F(1), F(2)], [F(2), F(4)]]) == 0
+    assert rank(RatMatrix([[1, 2], [2, 4]])) == 1
     rng = random.Random(7)
     for _ in range(12):
         n = rng.randint(1, 4)
@@ -121,19 +108,32 @@ def test_independent_rows_selects_invertible_block():
     import random
 
     rng = random.Random(8)
-    rows = random_matrix(rng, 7, 3)
-    m = RatMatrix(rows)
-    picked = independent_rows(m)
-    assert len(picked) == rank(m)
-    if len(picked) == 3:
-        assert minor(m, picked, m.col_labels) != 0
+    for trial in range(24):
+        ncols = rng.randint(0, 4)
+        rows = random_matrix(rng, rng.randint(0, 7), ncols)
+        if rows and trial % 3 == 0:
+            # force rank deficiency: every row a multiple of the first
+            rows = [[F(rng.randint(-3, 3), rng.randint(1, 4)) * v for v in rows[0]] for _ in rows]
+        m = RatMatrix(rows, col_labels=[f"c{j}" for j in range(ncols)])
+        order = list(m.row_labels)
+        for _ in range(3):
+            picked, value = independent_rows(m, order)
+            assert len(picked) == rank(m)
+            if len(picked) == ncols:
+                assert value == det(m.submatrix(picked, m.col_labels)) != 0
+                assert value == cofactor_det([[m.entry(r, c) for c in m.col_labels] for r in picked])
+            else:
+                assert value == 0
+            rng.shuffle(order)
+    # no columns: the empty minor is 1
+    assert independent_rows(RatMatrix([[], []], col_labels=())) == ([], 1)
 
 
 def test_row_order_changes_selection_deterministically():
     rows = [[1, 0], [1, 0], [0, 1]]
     m = RatMatrix(rows)
-    assert independent_rows(m, ("r1", "r0", "r2")) == ["r1", "r2"]
-    assert independent_rows(m) == ["r0", "r2"]
+    assert independent_rows(m, ("r1", "r0", "r2"))[0] == ["r1", "r2"]
+    assert independent_rows(m)[0] == ["r0", "r2"]
 
 
 def test_duplicate_labels_rejected():

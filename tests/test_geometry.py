@@ -18,6 +18,7 @@ from pentachain import (
     parse_geometry,
     s_of_face,
 )
+from pentachain import geometry
 from pentachain.geometry import triangle_area
 from pentachain.errors import ParseError
 
@@ -219,12 +220,21 @@ def test_holonomy_generator():
     assert trace == 0 and det == 0
 
 
-def test_structurally_degenerate_input_fails_with_hint(s3):
+def test_structurally_degenerate_input_fails_with_hint(s3, monkeypatch):
     # a 2->3 across any face of the sphere joins the two copies of the
     # apex vertex class: the new edge has identified endpoints
     degenerate = apply_move(s3, MoveSite("2->3", (0, 0)))
-    with pytest.raises(DegenerateGeometryError, match="1->4"):
+    loops = [e for e in degenerate.edges if e.tail == e.head]
+    assert [(e.id, e.tail) for e in loops] == [(3, 2)]
+    draws = []
+    monkeypatch.setattr(geometry, "edge_values", lambda *a: draws.append(a) or edge_values(*a))
+    message = (
+        r"edge class 3 joins vertex class 2 to itself, so every face containing it has zero "
+        r"circulation for any geometry; 2->3 and 1->4 moves cannot remove this edge"
+    )
+    with pytest.raises(DegenerateGeometryError, match=message):
         assign_geometry(degenerate, seed=0, max_retries=20)
+    assert draws == []
 
 
 def test_omega_names_zero_circulation_face(s3):

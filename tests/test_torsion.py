@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,11 @@ from pentachain import (
     BasisPartition,
     GeometryAssignment,
     TorsionError,
+    apply_move,
     assign_geometry,
     build_chain,
     edge_values,
+    enumerate_sites,
     face_circulations,
     invariant,
     minors,
@@ -19,6 +22,7 @@ from pentachain import (
     tau,
     tet0_edges,
 )
+from pentachain import torsion
 from pentachain.exact import independent_rows
 from pentachain.library import SPHERE_C1_ROWS
 
@@ -52,7 +56,7 @@ def test_sphere_paper_partition_ratios(s3, sphere_geometry):
 
 def test_sphere_split_sizes_are_forced(s3, sphere_geometry):
     c = build_chain(s3, sphere_geometry)
-    p = select_partition(c, seed=0)
+    p, _ = select_partition(c, seed=0)
     assert len(p.c2_rows) == 6 and len(p.c3_rows) == 0
     k1, k2, k3, k4 = p.cols(c)
     assert len(k2) == 0 and len(k3) == 6
@@ -80,15 +84,56 @@ def test_projective_paper_partition(rp3, rp3_geometry):
         s_cubed *= abs(face_circulations(rp3, lam)[face]) ** 3
     assert abs(m[2]) == 64 / s_cubed
     # the partition reproduces the same torsion magnitude as any other
-    assert abs(tau(c, p)) == abs(tau(c, select_partition(c, seed=5)))
+    assert abs(tau(c, p)) == abs(tau(c, select_partition(c, seed=5)[0]))
 
 
 def test_partition_independence(rp3, rp3_geometry):
     c = build_chain(rp3, rp3_geometry)
-    partitions = [select_partition(c, seed=s) for s in range(10)]
+    partitions = [select_partition(c, seed=s)[0] for s in range(10)]
     assert len(set(partitions)) >= 2
     values = {abs(tau(c, p)) for p in partitions}
     assert len(values) == 1
+
+
+def grown(tri, size, seed):
+    """Grow by seeded 1->4 and 2->3 moves, skipping results with a loop edge."""
+    rng = random.Random(seed)
+    while tri.size < size:
+        kind = rng.choice(("1->4", "2->3") if size - tri.size >= 3 else ("2->3",))
+        candidate = apply_move(tri, rng.choice(enumerate_sites(tri, kind)))
+        if all(e.tail != e.head for e in candidate.edges):
+            tri = candidate
+    return tri
+
+
+def test_pass_minors_match_reference(s3, rp3):
+    big = grown(rp3, 20, seed=3)
+    assert big.size == 20
+    for tri in (s3, rp3, big):
+        c = build_chain(tri, assign_geometry(tri, seed=11))
+        for seed in (None, *range(10)):
+            p, m = select_partition(c, seed)
+            assert m == minors(c, p)
+
+
+def test_invariant_runs_five_eliminations(rp3, monkeypatch):
+    calls = {"independent_rows": 0, "det": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def no_minors(*args, **kwargs):
+        raise AssertionError("invariant() recomputed the minors")
+
+    monkeypatch.setattr(torsion, "independent_rows", counting("independent_rows", torsion.independent_rows))
+    monkeypatch.setattr(torsion, "det", counting("det", torsion.det))
+    monkeypatch.setattr(torsion, "minors", no_minors)
+    assert invariant(rp3, seed=1).abs_invariant == 64
+    assert calls == {"independent_rows": 4, "det": 1}
 
 
 def test_geometry_independence(s3, rp3):
@@ -108,12 +153,12 @@ def test_selection_determinism(rp3, rp3_geometry):
     c = build_chain(rp3, rp3_geometry)
     assert select_partition(c, seed=4) == select_partition(c, seed=4)
     # without a seed the rows are scanned in label order
-    assert select_partition(c).c1_rows == tuple(independent_rows(c.f1))
+    assert select_partition(c)[0].c1_rows == tuple(independent_rows(c.f1)[0])
 
 
 def test_invalid_partition_rejected(s3, sphere_geometry):
     c = build_chain(s3, sphere_geometry)
-    good = select_partition(c, seed=0)
+    good, _ = select_partition(c, seed=0)
     # a C1 split that misses the kappa directions cannot be completed:
     # dk columns of f1 are only supported on the dk rows
     bad_rows = ("dx_v0", "dy_v0", "dx_v1", "dy_v1", "dx_v2", "dy_v2")
