@@ -36,6 +36,25 @@ def random_matrix(rng, n, m):
     return [[F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(m)] for _ in range(n)]
 
 
+def test_row_reduce_identity():
+    m = RatMatrix([[1, 0], [0, 1]])
+    assert rank(m) == 2
+    assert independent_rows(m) == (["r0", "r1"], 1)
+
+
+def test_row_reduce_zero_matrix():
+    m = RatMatrix([[0] * 4 for _ in range(3)])
+    assert rank(m) == 0
+    assert independent_rows(m) == ([], 0)
+
+
+def test_row_reduce_rank_one():
+    m = RatMatrix([[1, 2], [2, 4]])
+    assert cofactor_det([[F(1), F(2)], [F(2), F(4)]]) == 0
+    assert rank(m) == 1
+    assert independent_rows(m) == (["r0"], 0)
+
+
 def test_minor_conventions():
     m = RatMatrix([[F(1), F(2)], [F(3), F(4)]], ("r0", "r1"), ("c0", "c1"))
     assert minor(m, (), ()) == 1
@@ -81,10 +100,6 @@ def test_det_equals_full_minor():
 def test_rank_is_largest_nonvanishing_minor():
     import random
 
-    assert rank(RatMatrix([[1, 0], [0, 1]])) == 2
-    assert rank(RatMatrix([[0] * 4 for _ in range(3)])) == 0
-    assert cofactor_det([[F(1), F(2)], [F(2), F(4)]]) == 0
-    assert rank(RatMatrix([[1, 2], [2, 4]])) == 1
     rng = random.Random(7)
     for _ in range(12):
         n = rng.randint(1, 4)
