@@ -5,18 +5,35 @@ Every numeric quantity in the pipeline is an arbitrary-precision rational
 carry opaque basis labels on both axes; minors are addressed by label so
 torsion bookkeeping never depends on positional conventions.
 
-Rank, determinant and pivot selection run fraction-free (Bareiss) over
-integer-scaled rows: intermediate entries are minors of the scaled input,
-which keeps their size polynomially bounded.  ``independent_rows`` returns
-the greedy pivot rows together with their minor, the last pivot of that
-same elimination, so the torsion's partition pass needs no second
-elimination; ``det`` and ``minor`` evaluate an arbitrary block from scratch
-and serve as the reference.
+Rank and pivot selection run fraction-free (Bareiss) over integer-scaled
+rows: intermediate entries are minors of the scaled input, which keeps
+their size polynomially bounded.  ``independent_rows`` returns the greedy
+pivot rows together with their minor, the last pivot of that same
+elimination.
+
+The same kernel ``_echelon`` also runs over GF(p) when given a modulus: a
+row is then replaced by ``piv * row - ric * pivot_row`` mod p, with no
+Bareiss division.  Multiplying a row by a pivot that is nonzero mod p does
+not change its zero pattern, so the column scan and the row swaps are the
+exact ones, and the rows chosen mod p differ from the exact choice only
+where a reduced pivot candidate is divisible by p.  Rows chosen mod p
+span a block whose minor is nonzero mod p, hence nonzero over Q; but a
+matrix can lose rank mod p, which is why the torsion's partition pass
+(``torsion.select_partition``) takes the modular rows only as a proposal,
+decides with exact minors and falls back to the exact kernel.
+
+``det`` (and ``minor``, which calls it) eliminates sparse rows
+``{column: Fraction}`` with Markowitz pivoting: each step takes the pivot
+minimizing (row nonzeros - 1) * (column nonzeros - 1), which keeps the
+fill-in of the sparse maps small, and the sign comes from the
+row-to-column pivot permutation.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import lcm, prod
 from typing import Hashable, Iterable, Sequence
 
@@ -46,7 +63,7 @@ class RatMatrix:
     __slots__ = ("entries", "row_labels", "col_labels", "_rindex", "_cindex")
 
     def __init__(self, entries, row_labels=None, col_labels=None):
-        rows = tuple(tuple(Fraction(e) for e in row) for row in entries)
+        rows = tuple(tuple(e if type(e) is Fraction else Fraction(e) for e in row) for row in entries)
         if row_labels is None:
             row_labels = tuple(f"r{i}" for i in range(len(rows)))
         row_labels = tuple(row_labels)
@@ -107,31 +124,22 @@ class RatMatrix:
         return f"RatMatrix({self.nrows}x{self.ncols})"
 
 
-def _int_rows(entries: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
-    """Scale each row to integers; return the rows and their multipliers."""
-    out = []
-    mults = []
-    for row in entries:
-        mult = lcm(*(e.denominator for e in row)) if row else 1
-        mults.append(mult)
-        out.append([int(e * mult) for e in row])
-    return out, mults
-
-
-def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
-    """Fraction-free row echelon, destructive on ``rows``.
+def _echelon(
+    rows: list[list[int]], ncols: int, modulus: int | None = None
+) -> tuple[list[int], int]:
+    """Fraction-free row echelon, destructive on ``rows``; over GF(modulus)
+    when a modulus is given (entries reduced to 0..modulus-1).
 
     Pivot rule: scan columns left to right, within a column take the first
     remaining row with a nonzero entry.  Returns original positions of pivot
-    rows (in pivot order), the row-swap sign and the last pivot.  When every
-    column has a pivot, the pivot rows sit in positions 0..ncols-1 after the
-    swaps, so the last pivot is the determinant of those (scaled) rows
-    taken in pivot order.
+    rows (in pivot order) and the last pivot.  When every column has a
+    pivot, the pivot rows sit in positions 0..ncols-1 after the swaps, so
+    without a modulus the last pivot is the determinant of those (scaled)
+    rows taken in pivot order.
     """
     m = len(rows)
     where = list(range(m))
     piv_rows: list[int] = []
-    sign = 1
     prev = 1
     r = 0
     for c in range(ncols):
@@ -141,17 +149,20 @@ def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
             where[r], where[pr] = where[pr], where[r]
-            sign = -sign
         piv = rows[r][c]
+        row_r = rows[r]
         for i in range(r + 1, m):
             row_i = rows[i]
             ric = row_i[c]
-            if ric:
-                row_r = rows[r]
+            if ric and modulus:
+                for j in range(c + 1, ncols):
+                    row_i[j] = (piv * row_i[j] - ric * row_r[j]) % modulus
+                row_i[c] = 0
+            elif ric:
                 for j in range(c + 1, ncols):
                     row_i[j] = (piv * row_i[j] - ric * row_r[j]) // prev
                 row_i[c] = 0
-            elif prev != piv:
+            elif prev != piv and not modulus:
                 # Bareiss update applies to every remaining row, not only
                 # those with a nonzero entry in the pivot column.
                 for j in range(c + 1, ncols):
@@ -161,7 +172,7 @@ def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
         r += 1
         if r == m:
             break
-    return piv_rows, sign, prev
+    return piv_rows, prev
 
 
 def rank(m: RatMatrix) -> int:
@@ -169,14 +180,45 @@ def rank(m: RatMatrix) -> int:
 
 
 def det(m: RatMatrix) -> Fraction:
-    """Exact determinant; the empty matrix has determinant 1."""
+    """Exact determinant by sparse Markowitz elimination; the empty matrix
+    has determinant 1."""
     if m.nrows != m.ncols:
         raise ValueError(f"determinant of non-square {m.nrows}x{m.ncols} matrix")
-    rows, mults = _int_rows(m.entries)
-    piv_rows, sign, last = _echelon(rows, m.ncols)
-    if len(piv_rows) < m.nrows:
-        return Fraction(0)
-    return Fraction(sign * last, prod(mults))
+    rows = {i: {j: e for j, e in enumerate(row) if e} for i, row in enumerate(m.entries)}
+    counts = Counter(j for row in rows.values() for j in row)
+    perm = [0] * m.nrows
+    value = Fraction(1)
+    while rows:
+        best = None
+        for i, row in rows.items():
+            if not row:
+                return Fraction(0)
+            others = len(row) - 1
+            for j in row:
+                cost = others * (counts[j] - 1)
+                if best is None or cost < best[0]:
+                    best = (cost, i, j)
+            if best[0] == 0:
+                break
+        _, i, j = best
+        pivot_row = rows.pop(i)
+        counts.subtract(pivot_row.keys())
+        piv = pivot_row.pop(j)
+        perm[i] = j
+        value *= piv
+        for row in rows.values():
+            if j in row:
+                factor = row.pop(j) / piv
+                for k, v in pivot_row.items():
+                    new = row.get(k, 0) - factor * v
+                    if new:
+                        counts[k] += k not in row
+                        row[k] = new
+                    else:
+                        counts[k] -= 1
+                        del row[k]
+    # sign of the row -> column pivot permutation
+    return (-1) ** sum(perm[a] > perm[b] for a, b in combinations(range(m.nrows), 2)) * value
 
 
 def minor(m: RatMatrix, row_labels: Iterable[Label], col_labels: Iterable[Label]) -> Fraction:
@@ -212,8 +254,10 @@ def independent_rows(
     are independent (and 1 for a matrix with no columns).
     """
     order = list(row_order) if row_order is not None else list(m.row_labels)
-    rows, mults = _int_rows([m.entries[m._rindex[lab]] for lab in order])
-    piv_rows, _, last = _echelon(rows, m.ncols)
+    entries = [m.entries[m._rindex[lab]] for lab in order]
+    # scale each row to integers by the lcm of its denominators
+    mults = [lcm(*(e.denominator for e in row)) for row in entries]
+    piv_rows, last = _echelon([[int(e * k) for e in row] for row, k in zip(entries, mults)], m.ncols)
     picked = [order[i] for i in piv_rows]
     if len(picked) < m.ncols:
         return picked, Fraction(0)

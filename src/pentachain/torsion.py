@@ -23,15 +23,29 @@ is also the acyclicity certificate, whatever order it scans rows in:
   of the image of f_k, on which f_{k+1} is injective, so every stage reaches
   full column rank for any row order.
 
-So the pass never needs a retry, and the rank test ``check_acyclic`` runs
-only after a stage falls short, to report the exact ranks.
+So the rank test ``check_acyclic`` runs only after the exact pass falls
+short, to report the exact ranks.
 
-The pass also yields the torsion: each stage's elimination returns its
-minor with its pivot rows, and the closing f5 determinant is m5, so an
-invariant costs five eliminations in all.  ``minors``, ``tau`` and
-``partition_valid`` evaluate an arbitrary partition from scratch; they are
-the reference that the library's paper partitions, the tests and
-``verify``'s partition-independence check use.
+The pass chooses rows over GF(p), p = ``PRIME`` = 2^61 - 1, and takes the
+five minors of the chosen blocks exactly (``exact.det``).  The modular
+choice is only a proposal; the exact minors decide:
+
+- every block chosen mod p has a minor that is nonzero mod p, hence
+  nonzero over Q, and when all five exact minors are nonzero the first
+  bullet above certifies acyclicity exactly as it stands;
+- a stage that falls short mod p (its rank drops mod p, or p divides one
+  of its denominators) or a vanishing exact minor (f5's block is not
+  chosen mod p) sends the pass round again with exact Bareiss row choice;
+  that pass is the certificate of the second bullet, and only its failure
+  raises NotAcyclicError.
+
+For a fixed p the modular rows are a deterministic function of the input,
+and they differ from the exact pass's rows only where a reduced pivot
+candidate is divisible by p, so reports stay reproducible.  An invariant
+costs four modular eliminations and five exact sparse determinants.
+``minors``, ``tau`` and ``partition_valid`` evaluate an arbitrary
+partition from scratch; they are the reference that the library's paper
+partitions, the tests and ``verify``'s partition-independence check use.
 
 The manifold invariant normalizes the torsion by the product of all face
 circulations and a power of two:
@@ -50,7 +64,7 @@ from fractions import Fraction
 
 from .chain import ChainComplex, build_chain, check_acyclic, expected_ranks
 from .errors import NotAcyclicError, TorsionError
-from .exact import det, independent_rows
+from .exact import _echelon, det, independent_rows
 from .geometry import (
     GeometryAssignment,
     assign_geometry,
@@ -60,6 +74,9 @@ from .geometry import (
     subseed,
 )
 from .triangulation import Triangulation
+
+# the partition pass chooses rows over GF(PRIME) before the exact minors
+PRIME = 2**61 - 1
 
 
 @dataclass(frozen=True)
@@ -74,16 +91,16 @@ class BasisPartition:
 
     def cols(self, c: ChainComplex) -> tuple[tuple[str, ...], ...]:
         """Column label sets (K1..K4) in ambient label order."""
-        splits = (
-            (c.f1.row_labels, set(self.c1_rows)),
-            (c.f2.row_labels, set(self.c2_rows)),
-            (c.f3.row_labels, set(self.c3_rows)),
-            (c.f4.row_labels, set(self.c4_rows)),
+        return tuple(
+            _complement(m, rows)
+            for m, rows in zip(c.maps[:4], (self.c1_rows, self.c2_rows, self.c3_rows, self.c4_rows))
         )
-        out = []
-        for labels, rows in splits:
-            out.append(tuple(lab for lab in labels if lab not in rows))
-        return tuple(out)
+
+
+def _complement(m, rows) -> tuple[str, ...]:
+    """Row labels of ``m`` not in ``rows``, in label order."""
+    chosen = set(rows)
+    return tuple(lab for lab in m.row_labels if lab not in chosen)
 
 
 def minors(c: ChainComplex, p: BasisPartition) -> tuple[Fraction, ...]:
@@ -131,6 +148,24 @@ def tau(c: ChainComplex, p: BasisPartition) -> Fraction:
     return _alternating(*minors(c, p))
 
 
+def _pivot_rows(m, cols, order, modulus: int | None) -> list[str]:
+    """Greedy pivot rows of ``m`` restricted to ``cols``, scanned in
+    ``order``: over GF(modulus), or exactly when ``modulus`` is None.  A
+    denominator divisible by the modulus gives no rows."""
+    if modulus is None:
+        return independent_rows(m.submatrix(m.row_labels, cols), order)[0]
+    ci = [m.col_position(lab) for lab in cols]
+    entries = [m.entries[m.row_position(lab)] for lab in order]
+    try:
+        rows = [
+            [e.numerator * pow(e.denominator, -1, modulus) % modulus if e else 0 for e in map(row.__getitem__, ci)]
+            for row in entries
+        ]
+    except ValueError:  # the modulus divides a denominator
+        return []
+    return [order[i] for i in _echelon(rows, len(ci), modulus)[0]]
+
+
 def select_partition(
     c: ChainComplex, seed: int | None = None
 ) -> tuple[BasisPartition, tuple[Fraction, ...]]:
@@ -139,33 +174,33 @@ def select_partition(
 
     With ``seed=None`` every stage scans its rows in label order; an integer
     seed shuffles each stage's order, which picks a different (equally
-    valid) partition.  Each stage's elimination yields its minor with its
-    pivot rows, and the closing f5 determinant certifies the last stage, so
-    the minors equal ``minors(c, partition)`` without a second elimination.
-    Given the chain property the pass succeeds exactly when the complex is
-    acyclic (see the module docstring), so a stage that falls short raises
-    NotAcyclicError with the ranks from ``check_acyclic``.
+    valid) partition.  Rows are chosen over GF(PRIME) and each chosen block
+    (closing with the f5 block) gets its exact minor from ``det``, so the
+    minors equal ``minors(c, partition)``.  If a stage falls short mod
+    PRIME or a minor is 0, the same pass runs again with exact row choice.
+    Given the chain property that pass succeeds exactly when the complex
+    is acyclic (see the module docstring), so a stage that falls short
+    there raises NotAcyclicError with the ranks from ``check_acyclic``.
     """
-    rng = None if seed is None else random.Random(seed)
-    picked = []
-    values = []
-    cols = c.f1.col_labels
-    for m, want in zip((c.f1, c.f2, c.f3, c.f4), expected_ranks(c.vertex_count, c.edge_count)):
-        order = list(m.row_labels)
-        if rng is not None:
-            rng.shuffle(order)
-        rows, value = independent_rows(m.submatrix(m.row_labels, cols), order)
-        if len(rows) != want:
-            break
-        picked.append(tuple(rows))
-        values.append(value)
-        chosen = set(rows)
-        cols = tuple(lab for lab in m.row_labels if lab not in chosen)
-    else:
-        value = det(c.f5.submatrix(c.f5.row_labels, cols))
-        if value != 0:
-            return BasisPartition(*picked), (*values, value)
-    # a stage fell short, so the complex is not acyclic: report exact ranks
+    for modulus in (PRIME, None):
+        rng = None if seed is None else random.Random(seed)
+        picked, values = [], []
+        cols = c.f1.col_labels
+        for m, want in zip((c.f1, c.f2, c.f3, c.f4), expected_ranks(c.vertex_count, c.edge_count)):
+            order = list(m.row_labels)
+            if rng is not None:
+                rng.shuffle(order)
+            rows = _pivot_rows(m, cols, order, modulus)
+            if len(rows) != want:
+                break
+            picked.append(tuple(rows))
+            values.append(det(m.submatrix(rows, cols)))
+            cols = _complement(m, rows)
+        else:
+            values.append(det(c.f5.submatrix(c.f5.row_labels, cols)))
+            if all(values):
+                return BasisPartition(*picked), tuple(values)
+    # the exact pass fell short, so the complex is not acyclic: report ranks
     report = check_acyclic(c)
     raise NotAcyclicError(report.ranks, report.expected)
 

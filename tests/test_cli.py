@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from pentachain import MoveSite, NotAcyclicError, RatMatrix, apply_move, load_builtin
+import pentachain
 from pentachain import cli, geometry, torsion
 
 
@@ -26,6 +31,20 @@ def test_invariant_projective_space(capsys):
     report = json.loads(out)
     assert report["abs_invariant"] == "64"
     assert report["ranks"] == [6, 6, 6, 6, 6]
+
+
+def test_module_entry_point():
+    src = str(Path(pentachain.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-m", "pentachain", "invariant", "--builtin", "s3", "--json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["abs_invariant"] == "1"
 
 
 def test_seed_changes_tau_not_invariant(capsys):

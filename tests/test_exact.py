@@ -73,6 +73,9 @@ def test_minor_errors():
 
 def test_det_identity_and_repeated_row():
     assert det(RatMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 1
+    # pivots off the diagonal: a transposition and a 3-cycle
+    assert det(RatMatrix([[0, F(1, 2)], [3, 0]])) == F(-3, 2)
+    assert det(RatMatrix([[0, 0, 2], [3, 0, 0], [0, 5, 0]])) == 30
     assert det(RatMatrix([[1, 2, 3], [4, 5, 6], [1, 2, 3]])) == 0
     with pytest.raises(ValueError):
         det(RatMatrix([[1, 2]]))
@@ -131,14 +134,24 @@ def test_independent_rows_selects_invertible_block():
             rows = [[F(rng.randint(-3, 3), rng.randint(1, 4)) * v for v in rows[0]] for _ in rows]
         m = RatMatrix(rows, col_labels=[f"c{j}" for j in range(ncols)])
         order = list(m.row_labels)
+        sparse_rng = random.Random(trial)
         for _ in range(3):
             picked, value = independent_rows(m, order)
             assert len(picked) == rank(m)
             if len(picked) == ncols:
+                # the sparse det of the picked block is the Bareiss last pivot
                 assert value == det(m.submatrix(picked, m.col_labels)) != 0
                 assert value == cofactor_det([[m.entry(r, c) for c in m.col_labels] for r in picked])
             else:
                 assert value == 0
+            # the first ncols rows in scan order: singular when rank-deficient
+            # (result 0), and a sparsified copy that moves pivots off the
+            # diagonal, so the sign comes from the pivot permutation
+            block = [[m.entry(r, c) for c in m.col_labels] for r in order[:ncols]]
+            if len(block) == ncols:
+                holes = [[v if sparse_rng.random() < 0.4 else F(0) for v in row] for row in block]
+                for square in (block, holes):
+                    assert det(RatMatrix(square, col_labels=m.col_labels)) == cofactor_det(square)
             rng.shuffle(order)
     # no columns: the empty minor is 1
     assert independent_rows(RatMatrix([[], []], col_labels=())) == ([], 1)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -106,6 +107,27 @@ def grown(tri, size, seed):
     return tri
 
 
+def exact_pass(c, seed):
+    """The greedy pass with exact row choice, stage by stage: the partition
+    and the Bareiss minors of ``independent_rows`` (m5 from the f5 block's
+    own rows, signed back to label order)."""
+    rng = None if seed is None else random.Random(seed)
+    picked, values = [], []
+    cols = c.f1.col_labels
+    for m in (c.f1, c.f2, c.f3, c.f4):
+        order = list(m.row_labels)
+        if rng is not None:
+            rng.shuffle(order)
+        rows, value = independent_rows(m.submatrix(m.row_labels, cols), order)
+        picked.append(tuple(rows))
+        values.append(value)
+        cols = tuple(lab for lab in m.row_labels if lab not in rows)
+    rows, value = independent_rows(c.f5.submatrix(c.f5.row_labels, cols))
+    positions = [c.f5.row_labels.index(lab) for lab in rows]
+    inversions = sum(a > b for a, b in combinations(positions, 2))
+    return BasisPartition(*picked), (*values, (-1) ** inversions * value)
+
+
 def test_pass_minors_match_reference(s3, rp3):
     big = grown(rp3, 20, seed=3)
     assert big.size == 20
@@ -114,26 +136,66 @@ def test_pass_minors_match_reference(s3, rp3):
         for seed in (None, *range(10)):
             p, m = select_partition(c, seed)
             assert m == minors(c, p)
+            # rows chosen mod PRIME are the exact pass's rows, and the sparse
+            # minors are its Bareiss minors
+            assert (p, m) == exact_pass(c, seed)
 
 
-def test_invariant_runs_five_eliminations(rp3, monkeypatch):
-    calls = {"independent_rows": 0, "det": 0}
+def count_calls(monkeypatch, name):
+    """Count the calls of ``torsion.<name>`` through a pass-through wrapper."""
+    calls = []
+    original = getattr(torsion, name)
 
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
 
-        return wrapper
+    monkeypatch.setattr(torsion, name, wrapper)
+    return calls
 
+
+@pytest.mark.parametrize("prime", [3, 5])
+def test_small_prime_falls_back_to_exact_pass(s3, rp3, prime, monkeypatch):
+    # with the seed-1 geometry, 3 divides an f1 denominator; mod 5 s3's f4
+    # stage loses rank and 5 divides an rp3 f3 denominator
+    monkeypatch.setattr(torsion, "PRIME", prime)
+    calls = count_calls(monkeypatch, "independent_rows")
+    assert invariant(s3, seed=1).abs_invariant == 1
+    assert invariant(rp3, seed=1).abs_invariant == 64
+    assert len(calls) == 8
+
+
+@pytest.mark.parametrize("prime, falls_back", [(11, False), (17, True), (6089, True)])
+def test_modular_rows_are_certified_by_exact_minors(rp3, prime, falls_back, monkeypatch):
+    """With this geometry, rows chosen mod 11 differ from the exact pass but
+    their exact minors are nonzero, so they stand; mod 17 a stage loses rank,
+    and 6089 divides an f3 denominator but none of f1 or f2, so the f3 stage
+    is short.  Both rerun the exact pass."""
+    c = build_chain(rp3, assign_geometry(rp3, seed=11))
+
+    def divides(m):
+        return any(e.denominator % 6089 == 0 for row in m.entries for e in row)
+
+    assert divides(c.f3) and not divides(c.f1) and not divides(c.f2)
+    monkeypatch.setattr(torsion, "PRIME", prime)
+    calls = count_calls(monkeypatch, "independent_rows")
+    p, m = select_partition(c)
+    assert len(calls) == (4 if falls_back else 0)
+    assert ((p, m) == exact_pass(c, None)) == falls_back
+    assert m == minors(c, p)
+    assert abs(tau(c, p)) == abs(tau(c, exact_pass(c, None)[0]))
+
+
+def test_invariant_runs_five_exact_dets(rp3, monkeypatch):
     def no_minors(*args, **kwargs):
         raise AssertionError("invariant() recomputed the minors")
 
-    monkeypatch.setattr(torsion, "independent_rows", counting("independent_rows", torsion.independent_rows))
-    monkeypatch.setattr(torsion, "det", counting("det", torsion.det))
+    rows = count_calls(monkeypatch, "independent_rows")
+    dets = count_calls(monkeypatch, "det")
     monkeypatch.setattr(torsion, "minors", no_minors)
     assert invariant(rp3, seed=1).abs_invariant == 64
-    assert calls == {"independent_rows": 4, "det": 1}
+    # rows are chosen mod PRIME, so the exact fallback never runs here
+    assert (len(rows), len(dets)) == (0, 5)
 
 
 def test_geometry_independence(s3, rp3):
