@@ -20,6 +20,11 @@ vertex coordinates:
         block and their negatives into the head block,
     f5  the six closing sums over vertex blocks.
 
+Each map is built by its nonzeros, one ``{column: Fraction}`` row at a
+time (f3's rows are the curvature gradients themselves), and everything
+here walks nonzeros only: ``verify_chain`` multiplies nonzeros by nonzeros
+and ``dump_chain`` lists the stored entries in column order.
+
 Each composition of consecutive maps is exactly zero; ``build_chain``
 asserts this by default.  Acyclicity is equivalent to the rank pattern
 (6, 3V-6, E-3V+6, 3V-6, 6) once the chain property holds.  The invariant
@@ -96,58 +101,46 @@ def build_chain(
     vlabels = vertex_labels(nv)
     glabels = gamma_labels(nv)
 
-    f1 = [[Fraction(0)] * 6 for _ in range(3 * nv)]
+    f1 = []
     for v in range(nv):
         xa, ya = g.x[v], g.y[v]
-        row = f1[3 * v]
-        row[0], row[2], row[3] = ya, xa, Fraction(1)
-        row = f1[3 * v + 1]
-        row[1], row[2], row[4] = xa, -ya, Fraction(1)
-        row = f1[3 * v + 2]
-        row[3], row[4], row[5] = -ya / 2, xa / 2, Fraction(1)
+        f1 += [{0: ya, 2: xa, 3: 1}, {1: xa, 2: -ya, 4: 1}, {3: -ya / 2, 4: xa / 2, 5: 1}]
 
-    f2 = [[Fraction(0)] * (3 * nv) for _ in range(ne)]
+    f2 = []
     for e in tri.edges:
         a, b = e.tail, e.head
-        row = f2[e.id]
-        row[3 * a] += g.y[b] / 2
-        row[3 * a + 1] += -g.x[b] / 2
-        row[3 * a + 2] += -1
-        row[3 * b] += -g.y[a] / 2
-        row[3 * b + 1] += g.x[a] / 2
-        row[3 * b + 2] += 1
+        row: dict[int, Fraction] = {}
+        for j, dv in (
+            (3 * a, g.y[b] / 2), (3 * a + 1, -g.x[b] / 2), (3 * a + 2, -1),
+            (3 * b, -g.y[a] / 2), (3 * b + 1, g.x[a] / 2), (3 * b + 2, 1),
+        ):
+            row[j] = row.get(j, 0) + dv
+        f2.append(row)
 
-    f3 = [[Fraction(0)] * ne for _ in range(ne)]
+    f3 = []
     for e in range(ne):
         value, row = omega_row(tri, lam, e)
         if verify and value != 0:
             raise PentachainError(
                 f"internal error: curvature of edge class {e} is nonzero at the flat point"
             )
-        for b, dv in row.items():
-            f3[e][b] = dv
+        f3.append(row)
 
-    f4 = [[Fraction(0)] * ne for _ in range(3 * nv)]
+    f4 = [{} for _ in range(3 * nv)]
     for e in tri.edges:
         p, q = e.tail, e.head
         triple = holonomy_generator((g.x[q] - g.x[p], g.y[q] - g.y[p]), 1).column
         for r in range(3):
-            f4[3 * p + r][e.id] += triple[r]
-            f4[3 * q + r][e.id] -= triple[r]
+            f4[3 * p + r][e.id] = f4[3 * p + r].get(e.id, 0) + triple[r]
+            f4[3 * q + r][e.id] = f4[3 * q + r].get(e.id, 0) - triple[r]
 
-    f5 = [[Fraction(0)] * (3 * nv) for _ in range(6)]
+    f5 = [{} for _ in range(6)]
     for v in range(nv):
         xa, ya = g.x[v], g.y[v]
-        f5[0][3 * v] = Fraction(1)
-        f5[1][3 * v + 1] = Fraction(1)
-        f5[2][3 * v + 2] = Fraction(1)
-        f5[3][3 * v] = ya
-        f5[3][3 * v + 1] = -xa
-        f5[4][3 * v + 1] = ya
-        f5[4][3 * v + 2] = -xa
-        f5[5][3 * v] = ya * ya
-        f5[5][3 * v + 1] = -2 * xa * ya
-        f5[5][3 * v + 2] = xa * xa
+        f5[0][3 * v] = f5[1][3 * v + 1] = f5[2][3 * v + 2] = 1
+        f5[3][3 * v], f5[3][3 * v + 1] = ya, -xa
+        f5[4][3 * v + 1], f5[4][3 * v + 2] = ya, -xa
+        f5[5][3 * v], f5[5][3 * v + 1], f5[5][3 * v + 2] = ya * ya, -2 * xa * ya, xa * xa
 
     c = ChainComplex(
         f1=RatMatrix(f1, vlabels, C0_LABELS),
@@ -169,18 +162,16 @@ def build_chain(
 
 
 def _composition_witness(left: RatMatrix, right: RatMatrix):
-    """First nonzero entry of left*right, iterating sparsely; None if zero."""
-    # rows of the product, built from nonzero entries only
-    right_rows = right.entries
-    for i, arow in enumerate(left.entries):
+    """First nonzero entry of left*right, multiplying nonzeros by nonzeros;
+    None if the product is zero."""
+    right_rows = right.rows
+    for i, arow in enumerate(left.rows):
         acc: dict[int, Fraction] = {}
-        for j, a in enumerate(arow):
-            if a:
-                for k, b in enumerate(right_rows[j]):
-                    if b:
-                        acc[k] = acc.get(k, Fraction(0)) + a * b
+        for j, a in arow.items():
+            for k, b in right_rows[j].items():
+                acc[k] = acc.get(k, 0) + a * b
         for k in sorted(acc):
-            if acc[k] != 0:
+            if acc[k]:
                 return (left.row_labels[i], right.col_labels[k])
     return None
 
@@ -223,10 +214,7 @@ def dump_chain(c: ChainComplex) -> str:
     """Diffable text dump: one line per nonzero entry, `f<k> <row> <col> <p/q>`."""
     lines = []
     for k, m in enumerate(c.maps, start=1):
-        for i, row in enumerate(m.entries):
-            for j, v in enumerate(row):
-                if v:
-                    lines.append(
-                        f"f{k} {m.row_labels[i]} {m.col_labels[j]} {format_rational(v)}"
-                    )
+        for i, row in enumerate(m.rows):
+            for j, v in sorted(row.items()):
+                lines.append(f"f{k} {m.row_labels[i]} {m.col_labels[j]} {format_rational(v)}")
     return "\n".join(lines) + "\n"

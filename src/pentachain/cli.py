@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .exact import format_rational
-from .geometry import assign_geometry, ensure_nondegenerate, parse_geometry, subseed
+from .geometry import DEFAULT_MAX_RETRIES, assign_geometry, ensure_nondegenerate, parse_geometry, subseed
 from .library import load_builtin
 from .pachner import random_walk, walk_states
 from .pentagon import FivePointConfig, solve_flat_lambda, verify_pentagon, verify_vector_identities
@@ -81,10 +81,6 @@ def _render(report: dict, as_json: bool, elapsed: float) -> str:
     return "\n".join(lines)
 
 
-def _fr(value: Fraction) -> str:
-    return format_rational(value)
-
-
 def _invariant_report(name: str, result) -> dict:
     return {
         "command": "invariant",
@@ -94,11 +90,11 @@ def _invariant_report(name: str, result) -> dict:
         "f_vector": list(result.f_vector),
         "ranks": list(result.ranks),
         "acyclic": True,
-        "tau": _fr(result.tau),
-        "face_product": _fr(result.face_product),
+        "tau": format_rational(result.tau),
+        "face_product": format_rational(result.face_product),
         "vertex_count": result.vertex_count,
-        "invariant": _fr(result.invariant),
-        "abs_invariant": _fr(result.abs_invariant),
+        "invariant": format_rational(result.invariant),
+        "abs_invariant": format_rational(result.abs_invariant),
     }
 
 
@@ -142,8 +138,8 @@ def cmd_verify(args) -> tuple[dict, int]:
     base = invariant(tri, seed=args.seed, max_retries=args.retries, geometry=geometry)
     report["ranks"] = list(base.ranks)
     report["acyclic"] = True
-    report["tau"] = _fr(base.tau)
-    report["abs_invariant"] = _fr(base.abs_invariant)
+    report["tau"] = format_rational(base.tau)
+    report["abs_invariant"] = format_rational(base.abs_invariant)
 
     for i in range(args.chain_seeds):
         g = assign_geometry(tri, subseed(args.seed, "chain", i), args.retries)
@@ -272,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariant", help="compute the manifold invariant")
     _add_input_flags(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--retries", type=int, default=100)
+    p.add_argument("--retries", type=int, default=DEFAULT_MAX_RETRIES)
     p.add_argument("--geometry", help="explicit geometry file (overrides sampling)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_invariant)
@@ -280,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification suites")
     _add_input_flags(p, required=False)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--retries", type=int, default=100)
+    p.add_argument("--retries", type=int, default=DEFAULT_MAX_RETRIES)
     p.add_argument("--geometry", help="explicit geometry file")
     p.add_argument("--walks", type=int, default=5)
     p.add_argument("--steps", type=int, default=20)
@@ -313,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dump-chain", help="dump the five matrices, one entry per line")
     _add_input_flags(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--retries", type=int, default=100)
+    p.add_argument("--retries", type=int, default=DEFAULT_MAX_RETRIES)
     p.add_argument("--geometry", help="explicit geometry file")
     p.set_defaults(func=cmd_dump_chain)
     return parser
@@ -332,12 +328,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except PentachainError as exc:
-        for klass, code in _EXIT_CODES:
-            if isinstance(exc, klass):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next((code for klass, code in _EXIT_CODES if isinstance(exc, klass)), 1)
     if report:
         print(_render(report, getattr(args, "json", False), time.perf_counter() - started))
     return code

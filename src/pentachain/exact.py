@@ -1,37 +1,43 @@
-"""Exact rational scalars and dense labeled matrices.
+"""Exact rational scalars and sparse labeled matrices.
 
 Every numeric quantity in the pipeline is an arbitrary-precision rational
 (``fractions.Fraction``), so all downstream equalities are exact.  Matrices
 carry opaque basis labels on both axes; minors are addressed by label so
-torsion bookkeeping never depends on positional conventions.
+torsion bookkeeping never depends on positional conventions.  A matrix
+stores only its nonzeros, one ``{column position: Fraction}`` mapping per
+row; this module is the only one that knows that layout, the others build
+from such rows and read ``rows``, ``entry``, ``submatrix`` and ``minor``.
 
 Rank and pivot selection run fraction-free (Bareiss) over integer-scaled
-rows: intermediate entries are minors of the scaled input, which keeps
-their size polynomially bounded.  ``independent_rows`` returns the greedy
-pivot rows together with their minor, the last pivot of that same
+sparse rows: intermediate entries are minors of the scaled input, which
+keeps their size polynomially bounded.  ``independent_rows`` returns the
+greedy pivot rows together with their minor, the last pivot of that same
 elimination.
 
-The same kernel ``_echelon`` also runs over GF(p) when given a modulus: a
-row is then replaced by ``piv * row - ric * pivot_row`` mod p, with no
-Bareiss division.  Multiplying a row by a pivot that is nonzero mod p does
-not change its zero pattern, so the column scan and the row swaps are the
-exact ones, and the rows chosen mod p differ from the exact choice only
-where a reduced pivot candidate is divisible by p.  Rows chosen mod p
-span a block whose minor is nonzero mod p, hence nonzero over Q; but a
-matrix can lose rank mod p, which is why the torsion's partition pass
-(``torsion.select_partition``) takes the modular rows only as a proposal,
-decides with exact minors and falls back to the exact kernel.
+The same kernel ``_echelon`` also runs over GF(p) when given a modulus:
+only the rows with a nonzero ``ric`` in the pivot column change, to
+``row - ric * inverse(piv) * pivot_row`` mod p, with no Bareiss division.
+Each row then differs from the exact kernel's row, reduced mod p, only by
+a factor made of pivots; while those are units mod p, the zero patterns,
+hence the column scan and the row swaps, are the exact ones, and the rows
+chosen mod p differ from the exact choice only where a reduced pivot
+candidate is divisible by p.  Rows chosen mod p span a block whose minor
+is nonzero mod p, hence nonzero over Q; but a matrix can lose rank mod p,
+which is why the torsion's partition pass (``torsion.select_partition``)
+takes the modular rows only as a proposal, decides with exact minors and
+falls back to the exact kernel.
 
-``det`` (and ``minor``, which calls it) eliminates sparse rows
-``{column: Fraction}`` with Markowitz pivoting: each step takes the pivot
-minimizing (row nonzeros - 1) * (column nonzeros - 1), which keeps the
-fill-in of the sparse maps small, and the sign comes from the
-row-to-column pivot permutation.
+``det`` (and ``minor``, which calls it) eliminates copies of the sparse
+rows with Markowitz pivoting: each step takes the pivot minimizing (row
+nonzeros - 1) * (column nonzeros - 1), which keeps the fill-in of the
+sparse maps small, and the sign comes from the row-to-column pivot
+permutation.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
@@ -58,29 +64,28 @@ def format_rational(value: Fraction) -> str:
 
 
 class RatMatrix:
-    """Immutable dense matrix of rationals with labeled rows and columns."""
+    """Immutable sparse matrix of rationals with labeled rows and columns.
 
-    __slots__ = ("entries", "row_labels", "col_labels", "_rindex", "_cindex")
+    ``rows`` holds one ``{column position: nonzero Fraction}`` mapping per
+    row, keys in ascending order.  A constructor row may be such a mapping
+    or a dense sequence of length ``ncols``; zeros are dropped either way.
+    ``entries`` is the dense view.
+    """
 
-    def __init__(self, entries, row_labels=None, col_labels=None):
-        rows = tuple(tuple(e if type(e) is Fraction else Fraction(e) for e in row) for row in entries)
+    __slots__ = ("rows", "row_labels", "col_labels", "_rindex", "_cindex")
+
+    def __init__(self, rows, row_labels=None, col_labels=None):
+        rows = list(rows)
         if row_labels is None:
             row_labels = tuple(f"r{i}" for i in range(len(rows)))
         row_labels = tuple(row_labels)
         if len(row_labels) != len(rows):
             raise ValueError("row label count does not match row count")
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged matrix")
-        else:
-            width = 0 if col_labels is None else len(tuple(col_labels))
         if col_labels is None:
+            width = next((len(r) for r in rows if not isinstance(r, Mapping)), 0)
             col_labels = tuple(f"c{j}" for j in range(width))
         col_labels = tuple(col_labels)
-        if rows and len(col_labels) != len(rows[0]):
-            raise ValueError("column label count does not match column count")
-        self.entries = rows
+        self.rows = tuple(_sparse_row(row, len(col_labels)) for row in rows)
         self.row_labels = row_labels
         self.col_labels = col_labels
         self._rindex = {lab: i for i, lab in enumerate(row_labels)}
@@ -96,26 +101,27 @@ class RatMatrix:
     def ncols(self) -> int:
         return len(self.col_labels)
 
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        zero = Fraction(0)
+        return tuple(tuple(row.get(j, zero) for j in range(self.ncols)) for row in self.rows)
+
     def entry(self, row_label: Label, col_label: Label) -> Fraction:
-        return self.entries[self._rindex[row_label]][self._cindex[col_label]]
-
-    def row_position(self, label: Label) -> int:
-        return self._rindex[label]
-
-    def col_position(self, label: Label) -> int:
-        return self._cindex[label]
+        return self.rows[self._rindex[row_label]].get(self._cindex[col_label], Fraction(0))
 
     def submatrix(self, row_labels: Sequence[Label], col_labels: Sequence[Label]) -> "RatMatrix":
         """Submatrix with rows/columns in the order given."""
-        ri = [self._rindex[r] for r in row_labels]
-        ci = [self._cindex[c] for c in col_labels]
-        ents = [[self.entries[i][j] for j in ci] for i in ri]
-        return RatMatrix(ents, tuple(row_labels), tuple(col_labels))
+        ci = {self._cindex[c]: k for k, c in enumerate(col_labels)}
+        rows = [
+            {ci[j]: v for j, v in self.rows[self._rindex[r]].items() if j in ci}
+            for r in row_labels
+        ]
+        return RatMatrix(rows, tuple(row_labels), tuple(col_labels))
 
     def __eq__(self, other):
         return (
             isinstance(other, RatMatrix)
-            and self.entries == other.entries
+            and self.rows == other.rows
             and self.row_labels == other.row_labels
             and self.col_labels == other.col_labels
         )
@@ -124,18 +130,32 @@ class RatMatrix:
         return f"RatMatrix({self.nrows}x{self.ncols})"
 
 
+def _sparse_row(row, width: int) -> dict[int, Fraction]:
+    """``{column: nonzero Fraction}`` in column order from a mapping or a
+    dense row of length ``width``."""
+    if isinstance(row, Mapping):
+        items = sorted(row.items())
+        if items and not (0 <= items[0][0] and items[-1][0] < width):
+            raise ValueError(f"column key outside 0..{width - 1}")
+    elif len(row) != width:
+        raise ValueError(f"dense row of length {len(row)} in a matrix with {width} columns")
+    else:
+        items = enumerate(row)
+    return {j: v if type(v) is Fraction else Fraction(v) for j, v in items if v}
+
+
 def _echelon(
-    rows: list[list[int]], ncols: int, modulus: int | None = None
+    rows: list[dict[int, int]], ncols: int, modulus: int | None = None
 ) -> tuple[list[int], int]:
-    """Fraction-free row echelon, destructive on ``rows``; over GF(modulus)
-    when a modulus is given (entries reduced to 0..modulus-1).
+    """Fraction-free row echelon of sparse integer rows, destructive on
+    ``rows``; over GF(modulus) when a modulus is given (values in
+    1..modulus-1, zeros absent).
 
     Pivot rule: scan columns left to right, within a column take the first
     remaining row with a nonzero entry.  Returns original positions of pivot
-    rows (in pivot order) and the last pivot.  When every column has a
-    pivot, the pivot rows sit in positions 0..ncols-1 after the swaps, so
-    without a modulus the last pivot is the determinant of those (scaled)
-    rows taken in pivot order.
+    rows (in pivot order) and the last pivot.  Without a modulus, when every
+    column has a pivot, the last pivot is the determinant of the (scaled)
+    pivot rows taken in pivot order.
     """
     m = len(rows)
     where = list(range(m))
@@ -143,30 +163,36 @@ def _echelon(
     prev = 1
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, m) if rows[i][c]), None)
+        pr = next((i for i in range(r, m) if c in rows[i]), None)
         if pr is None:
             continue
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
             where[r], where[pr] = where[pr], where[r]
-        piv = rows[r][c]
         row_r = rows[r]
+        piv = row_r.pop(c)
+        inv = pow(piv, -1, modulus) if modulus else None
         for i in range(r + 1, m):
             row_i = rows[i]
-            ric = row_i[c]
+            ric = row_i.pop(c, 0)
             if ric and modulus:
-                for j in range(c + 1, ncols):
-                    row_i[j] = (piv * row_i[j] - ric * row_r[j]) % modulus
-                row_i[c] = 0
+                f = ric * inv % modulus
+                for j, v in row_r.items():
+                    if x := (row_i.get(j, 0) - f * v) % modulus:
+                        row_i[j] = x
+                    else:
+                        del row_i[j]
             elif ric:
-                for j in range(c + 1, ncols):
-                    row_i[j] = (piv * row_i[j] - ric * row_r[j]) // prev
-                row_i[c] = 0
+                get_i, get_r = row_i.get, row_r.get
+                rows[i] = {
+                    j: x
+                    for j in row_i.keys() | row_r.keys()
+                    if (x := (piv * get_i(j, 0) - ric * get_r(j, 0)) // prev)
+                }
             elif prev != piv and not modulus:
                 # Bareiss update applies to every remaining row, not only
                 # those with a nonzero entry in the pivot column.
-                for j in range(c + 1, ncols):
-                    row_i[j] = (piv * row_i[j]) // prev
+                rows[i] = {j: piv * v // prev for j, v in row_i.items()}
         piv_rows.append(where[r])
         prev = piv
         r += 1
@@ -184,7 +210,7 @@ def det(m: RatMatrix) -> Fraction:
     has determinant 1."""
     if m.nrows != m.ncols:
         raise ValueError(f"determinant of non-square {m.nrows}x{m.ncols} matrix")
-    rows = {i: {j: e for j, e in enumerate(row) if e} for i, row in enumerate(m.entries)}
+    rows = {i: dict(row) for i, row in enumerate(m.rows)}
     counts = Counter(j for row in rows.values() for j in row)
     perm = [0] * m.nrows
     value = Fraction(1)
@@ -254,10 +280,11 @@ def independent_rows(
     are independent (and 1 for a matrix with no columns).
     """
     order = list(row_order) if row_order is not None else list(m.row_labels)
-    entries = [m.entries[m._rindex[lab]] for lab in order]
+    rows = [m.rows[m._rindex[lab]] for lab in order]
     # scale each row to integers by the lcm of its denominators
-    mults = [lcm(*(e.denominator for e in row)) for row in entries]
-    piv_rows, last = _echelon([[int(e * k) for e in row] for row, k in zip(entries, mults)], m.ncols)
+    mults = [lcm(*(e.denominator for e in row.values())) for row in rows]
+    ints = [{j: int(e * k) for j, e in row.items()} for row, k in zip(rows, mults)]
+    piv_rows, last = _echelon(ints, m.ncols)
     picked = [order[i] for i in piv_rows]
     if len(picked) < m.ncols:
         return picked, Fraction(0)

@@ -34,7 +34,7 @@ from functools import partial
 from typing import Mapping
 
 from .errors import DegenerateGeometryError
-from .geometry import LinForm, circulation, curvature, holonomy_generator, triangle_area
+from .geometry import curvature, holonomy_generator, triangle_area
 
 LABELS = ("A", "B", "C", "D", "E")
 
@@ -121,9 +121,6 @@ class FivePointConfig:
 
     def s(self, a: str, b: str, c: str) -> Fraction:
         return self.value(a, b) + self.value(b, c) + self.value(c, a)
-
-    def s_form(self, a: str, b: str, c: str) -> LinForm:
-        return circulation(_key, self.lam, a, b, c)
 
 
 def bilinear_relation(cfg: FivePointConfig) -> Fraction:

@@ -66,6 +66,7 @@ from .chain import ChainComplex, build_chain, check_acyclic, expected_ranks
 from .errors import NotAcyclicError, TorsionError
 from .exact import _echelon, det, independent_rows
 from .geometry import (
+    DEFAULT_MAX_RETRIES,
     GeometryAssignment,
     assign_geometry,
     edge_values,
@@ -150,20 +151,23 @@ def tau(c: ChainComplex, p: BasisPartition) -> Fraction:
 
 def _pivot_rows(m, cols, order, modulus: int | None) -> list[str]:
     """Greedy pivot rows of ``m`` restricted to ``cols``, scanned in
-    ``order``: over GF(modulus), or exactly when ``modulus`` is None.  A
-    denominator divisible by the modulus gives no rows."""
+    ``order``: over GF(modulus), or exactly when ``modulus`` is None.
+    Entries that vanish mod the modulus are dropped, and a denominator it
+    divides gives no rows."""
     if modulus is None:
         return independent_rows(m.submatrix(m.row_labels, cols), order)[0]
-    ci = [m.col_position(lab) for lab in cols]
-    entries = [m.entries[m.row_position(lab)] for lab in order]
     try:
         rows = [
-            [e.numerator * pow(e.denominator, -1, modulus) % modulus if e else 0 for e in map(row.__getitem__, ci)]
-            for row in entries
+            {
+                j: x
+                for j, e in row.items()
+                if (x := e.numerator * pow(e.denominator, -1, modulus) % modulus)
+            }
+            for row in m.submatrix(order, cols).rows
         ]
     except ValueError:  # the modulus divides a denominator
         return []
-    return [order[i] for i in _echelon(rows, len(ci), modulus)[0]]
+    return [order[i] for i in _echelon(rows, len(cols), modulus)[0]]
 
 
 def select_partition(
@@ -220,7 +224,7 @@ class InvariantResult:
 def invariant(
     tri: Triangulation,
     seed: int = 0,
-    max_retries: int = 100,
+    max_retries: int = DEFAULT_MAX_RETRIES,
     geometry: GeometryAssignment | None = None,
     verify: bool = True,
 ) -> InvariantResult:

@@ -137,6 +137,25 @@ class _UnionFind:
             self.parent[ra] = rb
 
 
+def _number_classes(glued, ports):
+    """Union each glued pair of ports (tetrahedron slots or faces), then
+    number the classes in the scan order of ``ports``.  Returns the class id
+    of every port and the members of every class, in scan order."""
+    uf = _UnionFind()
+    for a, b in glued:
+        uf.union(a, b)
+    class_of: dict = {}
+    members: list[list] = []
+    root_id: dict = {}
+    for port in ports:
+        cid = root_id.setdefault(uf.find(port), len(members))
+        if cid == len(members):
+            members.append([])
+        class_of[port] = cid
+        members[cid].append(port)
+    return class_of, members
+
+
 _SLOT_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
@@ -204,29 +223,16 @@ class Triangulation:
     # -- quotient classes ---------------------------------------------
 
     def _build_vertex_classes(self):
-        uf = _UnionFind()
-        for t, row in enumerate(self.tets):
-            for k, g in enumerate(row):
-                for s in range(4):
-                    if s != k:
-                        uf.union((t, s), (g.neighbor, g.perm[s]))
-        class_of: dict[tuple[int, int], int] = {}
-        members: list[list[tuple[int, int]]] = []
-        root_id: dict = {}
-        for t in range(len(self.tets)):
-            for s in range(4):
-                root = uf.find((t, s))
-                cid = root_id.get(root)
-                if cid is None:
-                    cid = len(members)
-                    root_id[root] = cid
-                    members.append([])
-                class_of[(t, s)] = cid
-                members[cid].append((t, s))
-        self._vertex_of = class_of
-        self.vertices = tuple(
-            VertexClass(i, tuple(m)) for i, m in enumerate(members)
+        glued = (
+            ((t, s), (g.neighbor, g.perm[s]))
+            for t, row in enumerate(self.tets)
+            for k, g in enumerate(row)
+            for s in range(4)
+            if s != k
         )
+        slots = ((t, s) for t in range(len(self.tets)) for s in range(4))
+        self._vertex_of, members = _number_classes(glued, slots)
+        self.vertices = tuple(VertexClass(i, tuple(m)) for i, m in enumerate(members))
 
     def _build_edge_classes(self):
         uf = _UnionFind()
@@ -275,24 +281,11 @@ class Triangulation:
         self.edges = tuple(edges)
 
     def _build_face_classes(self):
-        uf = _UnionFind()
-        for t, row in enumerate(self.tets):
-            for k, g in enumerate(row):
-                uf.union((t, k), (g.neighbor, g.perm[k]))
-        face_of: dict[tuple[int, int], int] = {}
-        members: list[list[tuple[int, int]]] = []
-        root_id: dict = {}
-        for t in range(len(self.tets)):
-            for k in range(4):
-                root = uf.find((t, k))
-                cid = root_id.get(root)
-                if cid is None:
-                    cid = len(members)
-                    root_id[root] = cid
-                    members.append([])
-                face_of[(t, k)] = cid
-                members[cid].append((t, k))
-        self._face_of = face_of
+        glued = (
+            ((t, k), (g.neighbor, g.perm[k])) for t, row in enumerate(self.tets) for k, g in enumerate(row)
+        )
+        ports = ((t, k) for t in range(len(self.tets)) for k in range(4))
+        self._face_of, members = _number_classes(glued, ports)
         faces = []
         for fid, occ in enumerate(members):
             t0, k0 = occ[0]

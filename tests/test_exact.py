@@ -167,6 +167,38 @@ def test_row_order_changes_selection_deterministically():
 def test_duplicate_labels_rejected():
     with pytest.raises(ValueError):
         RatMatrix([[1], [2]], ("a", "a"), ("c",))
+    with pytest.raises(ValueError):
+        RatMatrix([[1, 2]], ("a",), ("c", "c"))
+
+
+def test_mapping_rows_and_dense_view():
+    dense = [[1, 0, F(1, 2)], [0, 0, 0]]
+    m = RatMatrix(dense)
+    # the dense view round-trips the literal, zeros included
+    assert m.entries == ((1, 0, F(1, 2)), (0, 0, 0))
+    assert all(type(v) is Fraction for row in m.entries for v in row)
+    # a mapping row and its dense twin compare equal; the zero is dropped
+    sparse = RatMatrix([{2: F(1, 2), 0: 1, 1: 0}, {}], col_labels=m.col_labels)
+    assert sparse == m
+    assert sparse.rows == ({0: 1, 2: F(1, 2)}, {})
+    assert list(sparse.rows[0]) == [0, 2]
+    assert sparse.entry("r0", "c1") == 0
+    assert sparse.submatrix(("r0",), ("c2", "c0")).entries == ((F(1, 2), 1),)
+
+
+@pytest.mark.parametrize(
+    "rows, cols",
+    [
+        ([{3: 1}], ("c0", "c1", "c2")),
+        ([{-1: 1}], ("c0", "c1", "c2")),
+        ([[1, 2], [3]], None),
+        ([[1, 2]], ("c0", "c1", "c2")),
+    ],
+    ids=["key-past-last-column", "negative-key", "ragged-dense-rows", "dense-row-shorter-than-labels"],
+)
+def test_malformed_rows_rejected(rows, cols):
+    with pytest.raises(ValueError):
+        RatMatrix(rows, col_labels=cols)
 
 
 @given(st.fractions())
