@@ -24,6 +24,9 @@ Each map is built by its nonzeros, one ``{column: Fraction}`` row at a
 time (f3's rows are the curvature gradients themselves), and everything
 here walks nonzeros only: ``verify_chain`` multiplies nonzeros by nonzeros
 and ``dump_chain`` lists the stored entries in column order.
+``verify_chain`` does so in Python ints: it scales each row of the left
+factor and each column of the right one to integers by the lcm of their
+denominators, which changes no zero pattern of the product.
 
 Each composition of consecutive maps is exactly zero; ``build_chain``
 asserts this by default.  Acyclicity is equivalent to the rank pattern
@@ -36,9 +39,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import PentachainError
-from .exact import RatMatrix, format_rational, rank
+from .exact import RatMatrix, clear_denominators, format_rational, rank
 from .geometry import EdgeValues, GeometryAssignment, edge_values, holonomy_generator, omega_row
 from .triangulation import Triangulation
 
@@ -162,12 +166,24 @@ def build_chain(
 
 
 def _composition_witness(left: RatMatrix, right: RatMatrix):
-    """First nonzero entry of left*right, multiplying nonzeros by nonzeros;
-    None if the product is zero."""
-    right_rows = right.rows
-    for i, arow in enumerate(left.rows):
-        acc: dict[int, Fraction] = {}
-        for j, a in arow.items():
+    """First nonzero entry of left*right, in row then column order; None if
+    the product is zero.
+
+    Each row of ``left`` is scaled to integers by the lcm of its
+    denominators and each column of ``right`` by the lcm of that column's.
+    The factors are positive, so an entry of the integer product is zero
+    exactly when the rational one is; nonzeros are multiplied by nonzeros.
+    """
+    scale: dict[int, int] = {}
+    for row in right.rows:
+        for k, b in row.items():
+            scale[k] = lcm(scale.get(k, 1), b.denominator)
+    right_rows = [
+        {k: b.numerator * (scale[k] // b.denominator) for k, b in row.items()} for row in right.rows
+    ]
+    for i, row in enumerate(left.rows):
+        acc: dict[int, int] = {}
+        for j, a in clear_denominators(row)[1].items():
             for k, b in right_rows[j].items():
                 acc[k] = acc.get(k, 0) + a * b
         for k in sorted(acc):

@@ -251,6 +251,21 @@ def cmd_dump_chain(args) -> tuple[dict, int]:
     return {}, 0
 
 
+def _count(minimum: int):
+    """argparse type for an integer count of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_input_flags(parser, required=True):
     group = parser.add_mutually_exclusive_group(required=required)
     group.add_argument("--builtin", choices=("s3", "rp3"), help="built-in triangulation")
@@ -268,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariant", help="compute the manifold invariant")
     _add_input_flags(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--retries", type=int, default=DEFAULT_MAX_RETRIES)
+    p.add_argument("--retries", type=_count(1), default=DEFAULT_MAX_RETRIES)
     p.add_argument("--geometry", help="explicit geometry file (overrides sampling)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_invariant)
@@ -276,16 +291,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification suites")
     _add_input_flags(p, required=False)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--retries", type=int, default=DEFAULT_MAX_RETRIES)
+    p.add_argument("--retries", type=_count(1), default=DEFAULT_MAX_RETRIES)
     p.add_argument("--geometry", help="explicit geometry file")
-    p.add_argument("--walks", type=int, default=5)
-    p.add_argument("--steps", type=int, default=20)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--chain-seeds", type=int, default=8)
-    p.add_argument("--partition-seeds", type=int, default=10)
-    p.add_argument("--geometry-seeds", type=int, default=10)
+    p.add_argument("--walks", type=_count(0), default=5)
+    p.add_argument("--steps", type=_count(0), default=20)
+    p.add_argument("--samples", type=_count(0), default=100)
+    p.add_argument("--chain-seeds", type=_count(0), default=8)
+    p.add_argument("--partition-seeds", type=_count(1), default=10)
+    p.add_argument("--geometry-seeds", type=_count(1), default=10)
     p.add_argument("--max-tets", type=int, default=12)
-    p.add_argument("--check-every", type=int, default=5,
+    p.add_argument("--check-every", type=_count(1), default=5,
                    help="verify the invariant every N walk steps (and at the end)")
     p.add_argument("--pentagon-only", action="store_true")
     p.add_argument("--json", action="store_true")
@@ -294,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pachner", help="run a random bistellar walk")
     _add_input_flags(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=20)
+    p.add_argument("--steps", type=_count(0), default=20)
     p.add_argument("--max-tets", type=int, default=12)
     p.add_argument("--out", help="write the resulting triangulation here")
     p.add_argument("--json", action="store_true")
@@ -302,14 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pentagon", help="five-point identity suites")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_count(0), default=100)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_pentagon)
 
     p = sub.add_parser("dump-chain", help="dump the five matrices, one entry per line")
     _add_input_flags(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--retries", type=int, default=DEFAULT_MAX_RETRIES)
+    p.add_argument("--retries", type=_count(1), default=DEFAULT_MAX_RETRIES)
     p.add_argument("--geometry", help="explicit geometry file")
     p.set_defaults(func=cmd_dump_chain)
     return parser

@@ -130,6 +130,13 @@ class RatMatrix:
         return f"RatMatrix({self.nrows}x{self.ncols})"
 
 
+def clear_denominators(values: Mapping) -> tuple[int, dict]:
+    """Integer form of a mapping of rationals: ``(D, numerators)`` with D
+    the lcm of the denominators and ``values[k] == numerators[k] / D``."""
+    d = lcm(*(v.denominator for v in values.values()))
+    return d, {k: v.numerator * (d // v.denominator) for k, v in values.items()}
+
+
 def _sparse_row(row, width: int) -> dict[int, Fraction]:
     """``{column: nonzero Fraction}`` in column order from a mapping or a
     dense row of length ``width``."""
@@ -281,11 +288,9 @@ def independent_rows(
     """
     order = list(row_order) if row_order is not None else list(m.row_labels)
     rows = [m.rows[m._rindex[lab]] for lab in order]
-    # scale each row to integers by the lcm of its denominators
-    mults = [lcm(*(e.denominator for e in row.values())) for row in rows]
-    ints = [{j: int(e * k) for j, e in row.items()} for row, k in zip(rows, mults)]
-    piv_rows, last = _echelon(ints, m.ncols)
+    scaled = [clear_denominators(row) for row in rows]
+    piv_rows, last = _echelon([ints for _, ints in scaled], m.ncols)
     picked = [order[i] for i in piv_rows]
     if len(picked) < m.ncols:
         return picked, Fraction(0)
-    return picked, Fraction(last, prod(mults[i] for i in piv_rows))
+    return picked, Fraction(last, prod(scaled[i][0] for i in piv_rows))

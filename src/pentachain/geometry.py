@@ -17,12 +17,23 @@ its star.  Coordinates induced this way are flat: every curvature vanishes
 identically, which is what makes the derivative matrix of the curvatures a
 chain map downstream.
 
-One routine serves triangulations and the five-point verifier alike.
-``circulation`` sums values around a triangle through an edge lookup
-``(tail, head) -> (key, sign)``; the sum is affine in the values, with an
-incidence coefficient in {-1, 0, +1} per key.  ``curvature`` sums angle
-values built from four such circulations and, on request, their exact
-partial derivatives by the quotient rule, each key an independent variable.
+One routine serves triangulations and the five-point verifier alike.  It
+works on an integer value table: the denominators of the edge values are
+cleared once, to a common denominator D (the lcm of the denominators) and
+one integer numerator per key.  ``EdgeValues.table`` holds it once per
+geometry; the five-point verifier's ten values are scaled per call.  For
+sampled geometry D divides 2 lcm(1..16)^2, about 40 bits, whatever the
+size of the triangulation; explicit geometry may have any denominators.
+
+``circulation`` sums integer numerators around a triangle through an edge
+lookup ``(tail, head) -> (key, sign)``; the sum is affine in the values,
+with an incidence coefficient in {-1, 0, +1} per key.  ``curvature`` sums
+angle values built from four such circulations and, on request, their
+exact partial derivatives by the quotient rule, each key an independent
+variable.  Everything stays in Python ints until the end: each face
+circulation (``s_of_face``) is ``Fraction(n, D)``, and a curvature and each
+of its partials are one Fraction apiece, their terms summed over the lcm
+of the angle denominators.
 """
 
 from __future__ import annotations
@@ -30,11 +41,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
+from math import lcm
 from typing import Callable, Iterable
 
 from .errors import DegenerateGeometryError, ParseError
-from .exact import parse_rational
+from .exact import clear_denominators, parse_rational
 from .triangulation import EdgeStar, Triangulation
 
 SAMPLE_NUMERATOR_BOUND = 64
@@ -66,6 +78,12 @@ class EdgeValues:
 
     values: tuple[Fraction, ...]
 
+    @cached_property
+    def table(self) -> tuple[int, dict[int, int]]:
+        """Integer value table ``(D, numerators)``: D is the lcm of the
+        denominators and ``values[e] == numerators[e] / D``."""
+        return clear_denominators(dict(enumerate(self.values)))
+
     def of(self, edge_id: int, reverse: bool = False) -> Fraction:
         v = self.values[edge_id]
         return -v if reverse else v
@@ -90,24 +108,26 @@ def edge_values(tri: Triangulation, g: GeometryAssignment) -> EdgeValues:
 
 @dataclass(slots=True)
 class LinForm:
-    """Affine form in the edge-value variables: exact value plus integer
-    incidence coefficients per variable key."""
+    """Affine form in the edge-value variables: its value as an integer
+    over the value table's common denominator D, plus integer incidence
+    coefficients per variable key."""
 
-    value: Fraction
+    value: int
     coeffs: dict
 
 
-def circulation(edge: Callable, values, a, b, c) -> LinForm:
+def circulation(edge: Callable, numerators, a, b, c) -> LinForm:
     """Circulation of the edge values around the triangle a -> b -> c.
 
     ``edge(tail, head)`` gives the (key, sign) of a directed edge against
-    its stored direction, and ``values[key]`` the stored value.
+    its stored direction, and ``numerators[key]`` the stored value times
+    the table's common denominator.
     """
-    value = Fraction(0)
+    value = 0
     coeffs: dict = {}
     for tail, head in ((a, b), (b, c), (c, a)):
         key, sign = edge(tail, head)
-        value += sign * values[key]
+        value += sign * numerators[key]
         coeffs[key] = coeffs.get(key, 0) + sign
     return LinForm(value, coeffs)
 
@@ -115,8 +135,9 @@ def circulation(edge: Callable, values, a, b, c) -> LinForm:
 def s_of_face(tri: Triangulation, lam: EdgeValues, face_id: int, reverse: bool = False) -> Fraction:
     """Face circulation, evaluated on the class's stored boundary order."""
     tet, slots = tri.faces[face_id].boundary
-    value = circulation(partial(tri.edge_class, tet), lam.values, *slots).value
-    return -value if reverse else value
+    d, numerators = lam.table
+    value = circulation(partial(tri.edge_class, tet), numerators, *slots).value
+    return Fraction(-value if reverse else value, d)
 
 
 def face_circulations(tri: Triangulation, lam: EdgeValues) -> tuple[Fraction, ...]:
@@ -183,42 +204,59 @@ def curvature(values, angles: Iterable, wrt: Iterable | None = ()) -> tuple[Frac
     """Sum of angle values over ``angles`` and its exact partial derivatives
     by the value keys ``wrt`` (None: every key; the default: none).
 
+    ``values`` is an ``EdgeValues``, whose integer table is kept, or any
+    mapping of rationals, whose denominators are cleared here.
     Each angle is (edge lookup, (P, Q), (tail, head), where), and
     ``where(opposite)`` names the face missing vertex ``opposite`` when its
-    circulation, a denominator, is zero.
+    circulation, a denominator, is zero.  The angle terms are summed as
+    integers over the lcm of their denominators, so the sum and each
+    partial are one Fraction apiece.
     """
-    total = Fraction(0)
-    row: dict = {}
-    for edge, (p, q), (e, d), where in angles:
-        n1 = circulation(edge, values, p, d, q)
-        n2 = circulation(edge, values, p, e, q)
-        d1 = circulation(edge, values, p, d, e)
-        d2 = circulation(edge, values, q, d, e)
-        if d1.value == 0 or d2.value == 0:
+    d, numerators = values.table if isinstance(values, EdgeValues) else clear_denominators(values)
+    terms = []
+    for edge, (p, q), (e, h), where in angles:
+        b1 = circulation(edge, numerators, p, h, e)
+        b2 = circulation(edge, numerators, q, h, e)
+        if b1.value == 0 or b2.value == 0:
             raise DegenerateGeometryError(
-                f"zero circulation in an angle denominator at {where(q if d1.value == 0 else p)}"
+                f"zero circulation in an angle denominator at {where(q if b1.value == 0 else p)}"
             )
-        term, grad = quotient_rule_terms(n1, n2, d1, d2, wrt)
-        total += term
+        n1 = circulation(edge, numerators, p, h, q)
+        n2 = circulation(edge, numerators, p, e, q)
+        terms.append(quotient_rule_terms(n1, n2, b1, b2, wrt))
+    common = lcm(*(denominator for denominator, _, _ in terms))
+    total = 0
+    row: dict = {}
+    for denominator, value, grad in terms:
+        scale = common // denominator
+        total += value * scale
         for var, dv in grad.items():
-            row[var] = row[var] + dv if var in row else dv
-    return total, row
+            row[var] = row.get(var, 0) + dv * scale
+    dd = d * d
+    return Fraction(d * total, common), {var: Fraction(dd * dv, common) for var, dv in row.items()}
 
 
-def quotient_rule_terms(n1: LinForm, n2: LinForm, d1: LinForm, d2: LinForm, wrt: Iterable | None = None):
-    """Value and exact gradient of (n1 + n2) / (2 * d1 * d2), by the keys
-    ``wrt`` (None: every key the forms involve)."""
+def quotient_rule_terms(n1: LinForm, n2: LinForm, b1: LinForm, b2: LinForm, wrt: Iterable | None = None):
+    """The angle (N1 + N2) / (2 B1 B2) and its gradient by the keys ``wrt``
+    (None: every key the forms involve), in integers.
+
+    The circulations are integers over the value table's common
+    denominator D (N1 = n1.value / D, ...).  Returns ``(q, v, grad)`` with
+    q = 2 (b1 b2)^2: the angle is D v / q and its partial by a key
+    D^2 grad[key] / q, where v = (n1 + n2) b1 b2 and
+    grad[key] = dn b1 b2 - (n1 + n2) d(b1 b2), dn and d(b1 b2) the integer
+    derivatives of n1 + n2 and of b1 b2 / D.
+    """
     numerator = n1.value + n2.value
-    dd = d1.value * d2.value
-    value = numerator / (2 * dd)
-    grad: dict = {}
+    bb = b1.value * b2.value
     if wrt is None:
-        wrt = set(n1.coeffs) | set(n2.coeffs) | set(d1.coeffs) | set(d2.coeffs)
+        wrt = n1.coeffs.keys() | n2.coeffs.keys() | b1.coeffs.keys() | b2.coeffs.keys()
+    grad = {}
     for var in wrt:
         dn = n1.coeffs.get(var, 0) + n2.coeffs.get(var, 0)
-        ddv = d1.coeffs.get(var, 0) * d2.value + d1.value * d2.coeffs.get(var, 0)
-        grad[var] = Fraction(dn * dd - numerator * ddv) / (2 * dd * dd)
-    return value, grad
+        dbb = b1.coeffs.get(var, 0) * b2.value + b1.value * b2.coeffs.get(var, 0)
+        grad[var] = dn * bb - numerator * dbb
+    return 2 * bb * bb, numerator * bb, grad
 
 
 def _face_at(tri: Triangulation, tet: int, ed, opposite: int) -> str:
@@ -248,19 +286,19 @@ def angle(
     orientation, so the value also flips under a reversal of the edge.
     """
     _, direction = tri.edge_class(tet, ed[0], ed[1])
-    return direction * curvature(lam.values, _angles(tri, ((tet, pq, ed),)))[0]
+    return direction * curvature(lam, _angles(tri, ((tet, pq, ed),)))[0]
 
 
 def omega(tri: Triangulation, lam: EdgeValues, star: EdgeStar | int) -> Fraction:
     """Curvature around an edge class: sum of angle values over its star."""
     if isinstance(star, int):
         star = tri.edge_star(star)
-    return curvature(lam.values, _angles(tri, star.contributions))[0]
+    return curvature(lam, _angles(tri, star.contributions))[0]
 
 
 def omega_row(tri: Triangulation, lam: EdgeValues, edge_id: int) -> tuple[Fraction, dict]:
     """Curvature of an edge and its gradient over all edge values."""
-    return curvature(lam.values, _angles(tri, tri.edge_star(edge_id).contributions), wrt=None)
+    return curvature(lam, _angles(tri, tri.edge_star(edge_id).contributions), wrt=None)
 
 
 def domega_dlambda(tri: Triangulation, lam: EdgeValues, edge_a: int, edge_b: int) -> Fraction:

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from pentachain import (
     select_partition,
     verify_chain,
 )
-from pentachain.chain import C0_LABELS, C5_LABELS, expected_ranks
+from pentachain.chain import C0_LABELS, C5_LABELS, ChainComplex, expected_ranks
 
 F = Fraction
 
@@ -126,3 +127,45 @@ def test_dump_format(s3, sphere_geometry):
         assert "/" in value or value.lstrip("-").isdigit()
     assert not any(line.startswith("f3") for line in lines)  # f3 is zero here
     assert dump == dump_chain(build_chain(s3, sphere_geometry))
+
+
+def fraction_witness_oracle(c):
+    """First nonzero entry of some f_{k+1} * f_k by dense Fraction products."""
+    pairs = ((c.f2, c.f1), (c.f3, c.f2), (c.f4, c.f3), (c.f5, c.f4))
+    for k, (left, right) in enumerate(pairs, start=1):
+        a, b = left.entries, right.entries
+        for i in range(left.nrows):
+            for col in range(right.ncols):
+                if sum(a[i][j] * b[j][col] for j in range(right.nrows)) != 0:
+                    return False, (k, left.row_labels[i], right.col_labels[col])
+    return True, None
+
+
+def perturbed(c, name, i, j, delta):
+    m = getattr(c, name)
+    rows = [list(r) for r in m.entries]
+    rows[i][j] += delta
+    return replace(c, **{name: RatMatrix(rows, m.row_labels, m.col_labels)})
+
+
+@pytest.mark.parametrize("name, stage", [("f3", 2), ("f4", 3)])
+def test_perturbed_entry_gives_oracle_witness(rp3, name, stage):
+    c = build_chain(rp3, assign_geometry(rp3, 1))
+    m = getattr(c, name)
+    for i, j in ((0, 0), (m.nrows // 2, m.ncols - 1), (m.nrows - 1, 3)):
+        broken = perturbed(c, name, i, j, F(1, 7919))
+        ok, witness = verify_chain(broken)
+        assert not ok and witness[0] == stage
+        assert (ok, witness) == fraction_witness_oracle(broken)
+
+
+def test_cancellation_across_denominators_passes():
+    # 1/3 + 1/6 - 1/2 = 0 and 1/15 + 1/42 - 19/210 = 0: each product entry
+    # cancels only once its terms are brought over a common denominator
+    f1 = RatMatrix([[1, F(1, 5)], [1, F(1, 7)], [1, F(19, 105)]])
+    f2 = RatMatrix([[F(1, 3), F(1, 6), F(-1, 2)]])
+    zero = RatMatrix([[0]])
+    planted = ChainComplex(f1, f2, zero, zero, zero, vertex_count=0, edge_count=0)
+    assert verify_chain(planted) == fraction_witness_oracle(planted) == (True, None)
+    off = replace(planted, f1=RatMatrix([[1, F(1, 5)], [1, F(1, 7)], [1, F(19, 104)]]))
+    assert verify_chain(off) == fraction_witness_oracle(off) == (False, (1, "r0", "c1"))

@@ -235,6 +235,37 @@ def test_dump_chain_command(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == RP3_SEED1_DUMP_SHA256
 
 
+# the 100-bit f3 of the T=80 rp3 ladder fixture at geometry seed 0
+RP3_T80_SEED0_DUMP_SHA256 = "c07cba0a1386f78e5d31923fff41fe103738b7919c70bb6458c97274c1fbd171"
+RP3_T80 = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures" / "rp3_t80.tri"
+
+
+def test_dump_chain_large_fixture(capsys):
+    code, out, _ = run(capsys, ["dump-chain", "--file", str(RP3_T80), "--seed", "0"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RP3_T80_SEED0_DUMP_SHA256
+
+
+@pytest.mark.parametrize(
+    "flag, value, minimum",
+    [
+        ("--check-every", "0", 1),
+        ("--partition-seeds", "0", 1),
+        ("--geometry-seeds", "0", 1),
+        ("--retries", "0", 1),
+        ("--samples", "-3", 0),
+        ("--walks", "-1", 0),
+        ("--steps", "-1", 0),
+        ("--chain-seeds", "-1", 0),
+    ],
+)
+def test_verify_rejects_out_of_range_counts(capsys, flag, value, minimum):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--builtin", "s3", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be at least {minimum}, got {value}" in capsys.readouterr().err
+
+
 def test_zero_circulation_geometry_exit_code(tmp_path, capsys):
     # vertex classes 0, 1, 2 on a line
     path = tmp_path / "collinear.txt"

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -10,7 +12,10 @@ from pentachain import (
     apply_move,
     assign_geometry,
     domega_dlambda,
+    EdgeValues,
+    FivePointConfig,
     edge_values,
+    enumerate_sites,
     face_circulations,
     holonomy_generator,
     lambda_of,
@@ -18,8 +23,8 @@ from pentachain import (
     parse_geometry,
     s_of_face,
 )
-from pentachain import geometry
-from pentachain.geometry import triangle_area
+from pentachain import geometry, pentagon
+from pentachain.geometry import curvature, omega_row, triangle_area
 from pentachain.errors import ParseError
 
 F = Fraction
@@ -277,3 +282,91 @@ def test_omega_invariant_under_unimodular_affine_map(rp3, rp3_geometry):
     # lambda shifts by a coboundary; curvature stays identically zero
     for e in rp3.edges:
         assert omega(rp3, lam1, e.id) == 0
+
+
+def fraction_curvature_oracle(values, angles):
+    """Textbook quotient rule in Fractions: the sum of (n1 + n2) / (2 d1 d2)
+    over ``angles`` (as ``geometry.curvature`` reads them) and its gradient
+    by every key, with each circulation a Fraction sum of signed values."""
+
+    def form(edge, a, b, c):
+        value, coeffs = Fraction(0), {}
+        for tail, head in ((a, b), (b, c), (c, a)):
+            key, sign = edge(tail, head)
+            value += sign * Fraction(values[key])
+            coeffs[key] = coeffs.get(key, 0) + sign
+        return value, coeffs
+
+    total, row = Fraction(0), {}
+    for edge, (p, q), (e, h), _ in angles:
+        (n1, dn1), (n2, dn2) = form(edge, p, h, q), form(edge, p, e, q)
+        (d1, dd1), (d2, dd2) = form(edge, p, h, e), form(edge, q, h, e)
+        num, den = n1 + n2, 2 * d1 * d2
+        total += num / den
+        for key in dn1.keys() | dn2.keys() | dd1.keys() | dd2.keys():
+            dnum = dn1.get(key, 0) + dn2.get(key, 0)
+            dden = 2 * (dd1.get(key, 0) * d2 + d1 * dd2.get(key, 0))
+            row[key] = row.get(key, 0) + (dnum * den - num * dden) / (den * den)
+    return total, {k: v for k, v in row.items() if v}
+
+
+def assert_rows_match_oracle(tri, lam):
+    for e in tri.edges:
+        angles = [
+            (partial(tri.edge_class, tet), pq, ed, None)
+            for tet, pq, ed in tri.edge_star(e.id).contributions
+        ]
+        value, row = omega_row(tri, lam, e.id)
+        assert (value, {k: v for k, v in row.items() if v}) == fraction_curvature_oracle(lam.values, angles)
+
+
+def grown_rp3(rp3, size, seed):
+    """rp3 grown by seeded 1->4 and 2->3 moves, skipping loop-edge results."""
+    rng = random.Random(seed)
+    tri = rp3
+    while tri.size < size:
+        grown = apply_move(tri, rng.choice(enumerate_sites(tri, rng.choice(("1->4", "2->3")))))
+        if all(e.tail != e.head for e in grown.edges):
+            tri = grown
+    return tri
+
+
+def test_integer_quotient_rule_matches_fraction_oracle(s3, rp3):
+    grown = grown_rp3(rp3, 14, seed=3)
+    assert grown.size >= 14
+    for tri, seeds in ((s3, (0, 1)), (rp3, (0, 1, 2)), (grown, (0,))):
+        for seed in seeds:
+            assert_rows_match_oracle(tri, edge_values(tri, assign_geometry(tri, seed)))
+    # away from the flat point the curvatures themselves are nonzero
+    lam = edge_values(rp3, assign_geometry(rp3, 5))
+    bent = EdgeValues((lam.values[0] + F(1, 10007),) + lam.values[1:])
+    assert any(omega(rp3, bent, e.id) for e in rp3.edges)
+    assert_rows_match_oracle(rp3, bent)
+
+
+def test_integer_quotient_rule_exact_for_large_denominators(s3, rp3):
+    # coordinates over 10007 and 65537, far from the sampled denominators;
+    # the sphere's gradients vanish at a flat point, rp3's do not
+    text = (
+        "vertex 0 1/10007 3/65537 5/7\n"
+        "vertex 1 -2/65537 7/10007 1/3\n"
+        "vertex 2 11/10007 -13/65537 2/9\n"
+        "vertex 3 17/65537 19/10007 -1/5\n"
+    )
+    for tri in (s3, rp3):
+        lam = edge_values(tri, parse_geometry(text, tri))
+        d, _ = lam.table
+        assert d % 10007 == 0 and d % 65537 == 0
+        assert_rows_match_oracle(tri, lam)
+    assert any(any(omega_row(rp3, lam, e.id)[1].values()) for e in rp3.edges)
+
+
+def test_five_point_curvature_matches_fraction_oracle():
+    for seed in range(12):
+        cfg = FivePointConfig.random(seed)
+        value, row = curvature(cfg.lam, pentagon.ANGLES, wrt=None)
+        assert value == 0
+        assert (value, {k: v for k, v in row.items() if v}) == fraction_curvature_oracle(cfg.lam, pentagon.ANGLES)
+        bent = cfg.with_lambda_ed(-cfg.lam[pentagon.ED_PAIR] + F(1, 3))
+        value, row = curvature(bent.lam, pentagon.ANGLES, wrt=None)
+        assert (value, {k: v for k, v in row.items() if v}) == fraction_curvature_oracle(bent.lam, pentagon.ANGLES)
