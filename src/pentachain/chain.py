@@ -43,7 +43,7 @@ from math import lcm
 
 from .errors import PentachainError
 from .exact import RatMatrix, clear_denominators, format_rational, rank
-from .geometry import EdgeValues, GeometryAssignment, edge_values, holonomy_generator, omega_row
+from .geometry import EdgeValues, GeometryAssignment, edge_values, omega_row
 from .triangulation import Triangulation
 
 C0_LABELS = ("dt1", "dt2", "dt3", "dx", "dy", "dk")
@@ -133,7 +133,8 @@ def build_chain(
     f4 = [{} for _ in range(3 * nv)]
     for e in tri.edges:
         p, q = e.tail, e.head
-        triple = holonomy_generator((g.x[q] - g.x[p], g.y[q] - g.y[p]), 1).column
+        x, y = g.x[q] - g.x[p], g.y[q] - g.y[p]
+        triple = (x * x / 2, x * y / 2, y * y / 2)
         for r in range(3):
             f4[3 * p + r][e.id] = f4[3 * p + r].get(e.id, 0) + triple[r]
             f4[3 * q + r][e.id] = f4[3 * q + r].get(e.id, 0) - triple[r]

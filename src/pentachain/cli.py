@@ -183,7 +183,8 @@ def cmd_verify(args) -> tuple[dict, int]:
             if r.abs_invariant != expected:
                 raise InvarianceError(
                     f"invariant changed along walk {w} (seed {walk_seed}) at step "
-                    f"{step} ({site.kind}): {r.abs_invariant} != {expected}"
+                    f"{step} ({site.kind}): {r.abs_invariant} != {expected}",
+                    state=state.to_text(),
                 )
     checks["pachner_walks"] = f"pass ({args.walks} walks x {args.steps} steps)"
     return report, 0

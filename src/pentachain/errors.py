@@ -41,4 +41,15 @@ class TorsionError(PentachainError):
 
 
 class InvarianceError(PentachainError):
-    """A verification walk observed a change of the invariant."""
+    """A verification walk observed a change of the invariant.
+
+    ``state`` is the offending triangulation's ``to_text()`` when the change
+    was seen on a walk state; the message then ends with it, so the state
+    can be saved and rerun with ``--file``.
+    """
+
+    def __init__(self, message, state=None):
+        if state is not None:
+            message = f"{message}\noffending state (save it and rerun with --file):\n{state.rstrip()}"
+        super().__init__(message)
+        self.state = state

@@ -159,9 +159,9 @@ def _move_2_3(tri: Triangulation, t: int, a: int) -> Triangulation:
 def _edge_cycle(tri: Triangulation, edge_id: int):
     """The cyclic order of three distinct tetrahedra around a degree-3 edge,
     or None when the star is not the standard one."""
-    star = tri.edge_star(edge_id)
-    if len(star.contributions) != 3:
+    if len(tri.edges[edge_id].members) != 3:
         return None
+    star = tri.edge_star(edge_id)
     tets = [c[0] for c in star.contributions]
     if len(set(tets)) != 3:
         return None

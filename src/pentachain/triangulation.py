@@ -5,6 +5,17 @@ in pairs.  Vertices, edges and faces of the quotient pseudo-manifold are
 orbits of local simplices under the gluing maps, so two distinct edge
 classes may well join the same pair of vertex classes.
 
+The orbits are traversed over integer ports kept in flat lists: ``4t+s``
+for vertex slot s of tetrahedron t, ``16t+4i+j`` for its directed edge
+(i, j) and ``4t+k`` for its face k.  A gluing of face k joins each port of
+t not involving slot k to the port it is carried to.  Classes are numbered
+in port scan order, each filled from its first unassigned port: tetrahedra
+in order, their slots or faces in order, their edges in the order
+``(0,1), (0,2), (0,3), (1,2), (1,3), (2,3)``.  The mirror ports (j, i) of an
+edge orbit form the reverse orbit and get the same class with sign -1; an
+orbit that contains its own mirror is rejected.  A face class is the two
+ports of one gluing.
+
 Conventions fixed here and relied on everywhere downstream:
 
 * Each tetrahedron has vertex slots 0..3; "face k" is the face opposite
@@ -118,51 +129,17 @@ class EdgeStar:
     contributions: tuple[tuple[int, tuple[int, int], tuple[int, int]], ...]
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        parent = self.parent
-        root = x
-        while parent.setdefault(root, root) != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
-def _number_classes(glued, ports):
-    """Union each glued pair of ports (tetrahedron slots or faces), then
-    number the classes in the scan order of ``ports``.  Returns the class id
-    of every port and the members of every class, in scan order."""
-    uf = _UnionFind()
-    for a, b in glued:
-        uf.union(a, b)
-    class_of: dict = {}
-    members: list[list] = []
-    root_id: dict = {}
-    for port in ports:
-        cid = root_id.setdefault(uf.find(port), len(members))
-        if cid == len(members):
-            members.append([])
-        class_of[port] = cid
-        members[cid].append(port)
-    return class_of, members
-
-
 _SLOT_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 class Triangulation:
     """Validated closed oriented glued triangulation with quotient classes.
 
-    Immutable after construction; bistellar moves build new instances.
+    Vertex, edge and face classes are orbits of integer ports (see the
+    module docstring), derived from scratch by orbit traversal each time,
+    after the gluings are checked to be involutive and coherently
+    oriented.  Immutable after construction; bistellar moves build new
+    instances.
     """
 
     def __init__(self, tets: Sequence[Sequence[Gluing]]):
@@ -223,75 +200,92 @@ class Triangulation:
     # -- quotient classes ---------------------------------------------
 
     def _build_vertex_classes(self):
-        glued = (
-            ((t, s), (g.neighbor, g.perm[s]))
-            for t, row in enumerate(self.tets)
-            for k, g in enumerate(row)
-            for s in range(4)
-            if s != k
-        )
-        slots = ((t, s) for t in range(len(self.tets)) for s in range(4))
-        self._vertex_of, members = _number_classes(glued, slots)
+        n = len(self.tets)
+        vertex_of = [-1] * (4 * n)  # class id per port 4t+s
+        count = 0
+        for port in range(4 * n):
+            if vertex_of[port] >= 0:
+                continue
+            vertex_of[port] = count
+            stack = [port]
+            while stack:
+                t, s = divmod(stack.pop(), 4)
+                for k, g in enumerate(self.tets[t]):
+                    if k != s:
+                        q = 4 * g.neighbor + g.perm[s]
+                        if vertex_of[q] < 0:
+                            vertex_of[q] = count
+                            stack.append(q)
+            count += 1
+        members: list[list[tuple[int, int]]] = [[] for _ in range(count)]
+        for port, vid in enumerate(vertex_of):
+            members[vid].append(divmod(port, 4))
+        self._vertex_of = vertex_of
         self.vertices = tuple(VertexClass(i, tuple(m)) for i, m in enumerate(members))
 
     def _build_edge_classes(self):
-        uf = _UnionFind()
-        for t, row in enumerate(self.tets):
-            for k, g in enumerate(row):
-                for i in range(4):
-                    if i == k:
-                        continue
-                    for j in range(4):
-                        if j != k and j != i:
-                            uf.union((t, i, j), (g.neighbor, g.perm[i], g.perm[j]))
-        canonical_root: dict = {}
-        order: list = []
-        for t in range(len(self.tets)):
+        n = len(self.tets)
+        # class id and sign vs. the canonical direction per directed port
+        # 16t+4i+j; the diagonal ports i == j stay at (-1, 0)
+        edge_of = [-1] * (16 * n)
+        sign_of = [0] * (16 * n)
+        count = 0
+        for t in range(n):
             for i, j in _SLOT_PAIRS:
-                root = uf.find((t, i, j))
-                mirror = uf.find((t, j, i))
-                if root == mirror:
-                    raise ValidationError(
-                        f"edge ({t},{i},{j}) is identified with its own reverse; "
-                        "the quotient is not an oriented manifold along this edge"
-                    )
-                if root not in canonical_root and mirror not in canonical_root:
-                    canonical_root[root] = len(order)
-                    order.append(root)
-        edge_of: dict[tuple[int, int, int], tuple[int, int]] = {}
-        members: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in order]
-        for t in range(len(self.tets)):
-            for i, j in _SLOT_PAIRS:
-                root = uf.find((t, i, j))
-                if root in canonical_root:
-                    eid, direction = canonical_root[root], (i, j)
-                else:
-                    eid, direction = canonical_root[uf.find((t, j, i))], (j, i)
-                edge_of[(t, i, j)] = (eid, 1 if direction == (i, j) else -1)
-                edge_of[(t, j, i)] = (eid, 1 if direction == (j, i) else -1)
-                members[eid].append((t, direction))
+                port = 16 * t + 4 * i + j
+                if edge_of[port] >= 0:
+                    continue
+                edge_of[port], sign_of[port] = count, 1
+                orbit = [port]
+                for q in orbit:
+                    u, a, b = q >> 4, (q >> 2) & 3, q & 3
+                    for k, g in enumerate(self.tets[u]):
+                        if k != a and k != b:
+                            r = 16 * g.neighbor + 4 * g.perm[a] + g.perm[b]
+                            if edge_of[r] < 0:
+                                edge_of[r], sign_of[r] = count, 1
+                                orbit.append(r)
+                for q in orbit:
+                    mirror = (q & ~15) | ((q & 3) << 2) | ((q >> 2) & 3)
+                    if edge_of[mirror] >= 0:
+                        raise ValidationError(
+                            f"edge ({t},{i},{j}) is identified with its own reverse; "
+                            "the quotient is not an oriented manifold along this edge"
+                        )
+                    edge_of[mirror], sign_of[mirror] = count, -1
+                count += 1
+        # ascending ports list each class's canonical directions sorted
+        members: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(count)]
+        for port, sign in enumerate(sign_of):
+            if sign == 1:
+                t, rest = divmod(port, 16)
+                members[edge_of[port]].append((t, divmod(rest, 4)))
         self._edge_of = edge_of
+        self._edge_sign = sign_of
+        vertex_of = self._vertex_of
         edges = []
         for eid, occ in enumerate(members):
-            occ.sort()
             t0, (i0, j0) = occ[0]
-            edges.append(
-                EdgeClass(eid, tuple(occ), self._vertex_of[(t0, i0)], self._vertex_of[(t0, j0)])
-            )
+            edges.append(EdgeClass(eid, tuple(occ), vertex_of[4 * t0 + i0], vertex_of[4 * t0 + j0]))
         self.edges = tuple(edges)
 
     def _build_face_classes(self):
-        glued = (
-            ((t, k), (g.neighbor, g.perm[k])) for t, row in enumerate(self.tets) for k, g in enumerate(row)
-        )
-        ports = ((t, k) for t in range(len(self.tets)) for k in range(4))
-        self._face_of, members = _number_classes(glued, ports)
+        n = len(self.tets)
+        face_of = [-1] * (4 * n)  # class id per port 4t+k
+        vertex_of = self._vertex_of
         faces = []
-        for fid, occ in enumerate(members):
-            t0, k0 = occ[0]
-            slots = tuple(s for s in range(4) if s != k0)
-            verts = tuple(self._vertex_of[(t0, s)] for s in slots)
-            faces.append(FaceClass(fid, tuple(occ), (t0, slots), verts))
+        for port in range(4 * n):
+            if face_of[port] >= 0:
+                continue
+            # a face glued to itself would fold an edge onto its reverse,
+            # which the edge classes reject, so every class has two ports
+            t, k = divmod(port, 4)
+            g = self.tets[t][k]
+            face_of[port] = face_of[4 * g.neighbor + g.perm[k]] = len(faces)
+            slots = tuple(s for s in range(4) if s != k)
+            verts = tuple(vertex_of[4 * t + s] for s in slots)
+            faces.append(FaceClass(len(faces), ((t, k), (g.neighbor, g.perm[k])), (t, slots), verts))
+        self._face_of = face_of
         self.faces = tuple(faces)
 
     # -- queries -------------------------------------------------------
@@ -301,14 +295,15 @@ class Triangulation:
         return len(self.tets)
 
     def vertex_class(self, tet: int, slot: int) -> int:
-        return self._vertex_of[(tet, slot)]
+        return self._vertex_of[4 * tet + slot]
 
     def edge_class(self, tet: int, tail_slot: int, head_slot: int) -> tuple[int, int]:
         """Edge class id plus +1/-1 sign of this direction vs. canonical."""
-        return self._edge_of[(tet, tail_slot, head_slot)]
+        port = 16 * tet + 4 * tail_slot + head_slot
+        return self._edge_of[port], self._edge_sign[port]
 
     def face_class(self, tet: int, opposite_slot: int) -> int:
-        return self._face_of[(tet, opposite_slot)]
+        return self._face_of[4 * tet + opposite_slot]
 
     def f_vector(self) -> tuple[int, int, int, int]:
         return (len(self.vertices), len(self.edges), len(self.faces), len(self.tets))

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from pentachain import MoveSite, NotAcyclicError, RatMatrix, apply_move, load_builtin
+from pentachain import MoveSite, NotAcyclicError, RatMatrix, Triangulation, apply_move, load_builtin
 import pentachain
 from pentachain import cli, geometry, torsion
+from pentachain.triangulation import FILE_MAGIC
 
 
 def run(capsys, argv):
@@ -280,3 +281,45 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["invariant"])
     assert exc.value.code == 2
+
+
+# the whole report of a 60-step rp3 walk, taken before the quotient classes
+# were built by orbit traversal
+RP3_SEED7_WALK_SHA256 = "b2c6c9edc758b02c6846ad1c91af129d412526ab2f5526e82f43a30ae4ba5f65"
+
+
+def test_pachner_walk_report_pinned(capsys):
+    code, out, _ = run(
+        capsys,
+        ["pachner", "--builtin", "rp3", "--seed", "7", "--steps", "60", "--max-tets", "20", "--json"],
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RP3_SEED7_WALK_SHA256
+
+
+def test_walk_invariance_failure_carries_replayable_state(capsys, monkeypatch):
+    real = cli.invariant
+    inputs, states = [], []
+
+    def wrong_on_second_walk_state(tri, **kwargs):
+        result = real(tri, **kwargs)
+        if not inputs:
+            inputs.append(tri)
+        elif tri is not inputs[0]:
+            states.append(tri)
+            if len(states) == 2:
+                return replace(result, abs_invariant=result.abs_invariant + 1)
+        return result
+
+    monkeypatch.setattr(cli, "invariant", wrong_on_second_walk_state)
+    code, _, err = run(
+        capsys,
+        ["verify", "--builtin", "s3", "--samples", "0", "--chain-seeds", "0",
+         "--partition-seeds", "1", "--geometry-seeds", "1", "--walks", "1",
+         "--steps", "4", "--check-every", "1"],
+    )
+    assert code == 6
+    assert "invariant changed along walk 0" in err and "at step 2" in err
+    replayed = Triangulation.from_text(err[err.index(FILE_MAGIC):])
+    assert replayed.f_vector() == states[-1].f_vector()
+    assert replayed.tets == states[-1].tets

@@ -1,8 +1,12 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from pentachain import (
     MoveError,
     MoveSite,
+    Triangulation,
     apply_move,
     canonical_form,
     enumerate_sites,
@@ -11,6 +15,8 @@ from pentachain import (
     random_walk,
     walk_states,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def euler(tri):
@@ -106,3 +112,60 @@ def test_walk_states_yield_valid_triangulations(s3):
     for site, state in walk_states(s3, 8, seed=3):
         assert site.kind in {"1->4", "2->3", "3->2", "4->1"}
         assert euler(state) == 0
+
+
+def _edge_cycle_from_full_star(tri, edge_id):
+    """3->2 site test that builds the whole star, parity included, first."""
+    star = tri.edge_star(edge_id)
+    if len(star.contributions) != 3:
+        return None
+    tets = [c[0] for c in star.contributions]
+    if len(set(tets)) != 3:
+        return None
+    t0, (p0, q0), (e0, d0) = star.contributions[0]
+    cycle, cur = [], (t0, p0, q0, e0, d0)
+    for _ in range(3):
+        cycle.append(cur)
+        t, p, q, e, d = cur
+        g = tri.tets[t][p]
+        cur = (g.neighbor, g.perm[q], g.perm[p], g.perm[e], g.perm[d])
+    if cur != cycle[0] or sorted(c[0] for c in cycle) != sorted(tets):
+        return None
+    return cycle
+
+
+# one tetrahedron, one vertex, two edge classes of degree 3 that each meet
+# the tetrahedron three times
+ONE_TET = "pentachain-tri v1\ntetrahedra 1\ntet 0: 0:1230 0:3012 0:2031 0:1302\n"
+
+
+def test_three_two_sites_match_full_star_filter(s3, rp3):
+    repeated = distinct = 0
+    starts = [s3, rp3, Triangulation.from_text(ONE_TET)]
+    for start in starts:
+        for seed in range(4):
+            for _, state in walk_states(start, 12, seed, max_tets=10):
+                expected = [
+                    MoveSite("3->2", e.id)
+                    for e in state.edges
+                    if _edge_cycle_from_full_star(state, e.id) is not None
+                ]
+                assert enumerate_sites(state, "3->2") == expected
+                for e in state.edges:
+                    if e.degree == 3:
+                        if len({t for t, _ in e.members}) < 3:
+                            repeated += 1
+                        else:
+                            distinct += 1
+    # both kinds of degree-3 edge were seen
+    assert repeated and distinct
+
+
+def test_ladder_fixtures_regenerate_byte_identical():
+    spec = importlib.util.spec_from_file_location("pentachain_bench_ladder", ROOT / "benchmarks" / "ladder.py")
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    texts = ladder.ladder_texts()
+    committed = {path.name: path.read_text() for path in (ROOT / "benchmarks" / "fixtures").glob("*.tri")}
+    assert texts == committed
+    assert ladder.stale_files(texts) == []

@@ -1,9 +1,30 @@
-import random
+from itertools import permutations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pentachain import Gluing, ParseError, Triangulation, ValidationError, build, canonical_form, isomorphic
-from pentachain.triangulation import IDENTITY, compose, inverse, parity, transposition
+from pentachain import (
+    Gluing,
+    ParseError,
+    Triangulation,
+    ValidationError,
+    build,
+    canonical_form,
+    isomorphic,
+    load_builtin,
+    walk_states,
+)
+from pentachain.triangulation import (
+    IDENTITY,
+    EdgeClass,
+    FaceClass,
+    VertexClass,
+    compose,
+    inverse,
+    parity,
+    transposition,
+)
 
 
 def test_perm_helpers():
@@ -158,3 +179,202 @@ def test_vertex_edge_face_lookup_consistency(rp3):
     for f in rp3.faces:
         for t, k in f.members:
             assert rp3.face_class(t, k) == f.id
+
+
+# -- the quotient classes against a union-find oracle -----------------------
+
+
+SLOT_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+class _UnionFind:
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x):
+        parent = self.parent
+        root = x
+        while parent.setdefault(root, root) != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+
+def _number_classes(glued, ports):
+    uf = _UnionFind()
+    for a, b in glued:
+        uf.union(a, b)
+    class_of, members, root_id = {}, [], {}
+    for port in ports:
+        cid = root_id.setdefault(uf.find(port), len(members))
+        if cid == len(members):
+            members.append([])
+        class_of[port] = cid
+        members[cid].append(port)
+    return class_of, members
+
+
+def union_find_classes(tets):
+    """Vertex, edge and face classes of a gluing table by tuple-keyed
+    union-find, numbered in the scan order ``(t, slot)``, ``(t, SLOT_PAIRS)``
+    and ``(t, face)``: the construction the orbit traversal replaced.
+
+    Returns (vertices, edges, faces, vertex_of, edge_of, face_of) with the
+    maps keyed by (t, s), (t, i, j) and (t, k)."""
+    n = len(tets)
+    vertex_of, members = _number_classes(
+        (
+            ((t, s), (g.neighbor, g.perm[s]))
+            for t, row in enumerate(tets)
+            for k, g in enumerate(row)
+            for s in range(4)
+            if s != k
+        ),
+        ((t, s) for t in range(n) for s in range(4)),
+    )
+    vertices = tuple(VertexClass(i, tuple(m)) for i, m in enumerate(members))
+
+    uf = _UnionFind()
+    for t, row in enumerate(tets):
+        for k, g in enumerate(row):
+            for i in range(4):
+                for j in range(4):
+                    if k not in (i, j) and i != j:
+                        uf.union((t, i, j), (g.neighbor, g.perm[i], g.perm[j]))
+    canonical_root, order = {}, []
+    for t in range(n):
+        for i, j in SLOT_PAIRS:
+            root, mirror = uf.find((t, i, j)), uf.find((t, j, i))
+            if root == mirror:
+                raise ValidationError(
+                    f"edge ({t},{i},{j}) is identified with its own reverse; "
+                    "the quotient is not an oriented manifold along this edge"
+                )
+            if root not in canonical_root and mirror not in canonical_root:
+                canonical_root[root] = len(order)
+                order.append(root)
+    edge_of = {}
+    occurrences = [[] for _ in order]
+    for t in range(n):
+        for i, j in SLOT_PAIRS:
+            root = uf.find((t, i, j))
+            if root in canonical_root:
+                eid, direction = canonical_root[root], (i, j)
+            else:
+                eid, direction = canonical_root[uf.find((t, j, i))], (j, i)
+            edge_of[(t, i, j)] = (eid, 1 if direction == (i, j) else -1)
+            edge_of[(t, j, i)] = (eid, 1 if direction == (j, i) else -1)
+            occurrences[eid].append((t, direction))
+    edges = []
+    for eid, occ in enumerate(occurrences):
+        occ.sort()
+        t0, (i0, j0) = occ[0]
+        edges.append(EdgeClass(eid, tuple(occ), vertex_of[(t0, i0)], vertex_of[(t0, j0)]))
+
+    face_of, members = _number_classes(
+        (((t, k), (g.neighbor, g.perm[k])) for t, row in enumerate(tets) for k, g in enumerate(row)),
+        ((t, k) for t in range(n) for k in range(4)),
+    )
+    faces = []
+    for fid, occ in enumerate(members):
+        t0, k0 = occ[0]
+        slots = tuple(s for s in range(4) if s != k0)
+        faces.append(FaceClass(fid, tuple(occ), (t0, slots), tuple(vertex_of[(t0, s)] for s in slots)))
+    return vertices, tuple(edges), tuple(faces), vertex_of, edge_of, face_of
+
+
+def assert_classes_match_oracle(tri):
+    vertices, edges, faces, vertex_of, edge_of, face_of = union_find_classes(tri.tets)
+    assert tri.vertices == vertices
+    assert tri.edges == edges
+    assert tri.faces == faces
+    for t in range(tri.size):
+        for s in range(4):
+            assert tri.vertex_class(t, s) == vertex_of[(t, s)]
+            assert tri.face_class(t, s) == face_of[(t, s)]
+        for i in range(4):
+            for j in range(4):
+                if i != j:
+                    assert tri.edge_class(t, i, j) == edge_of[(t, i, j)]
+
+
+FIXTURES = sorted((Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures").glob("*.tri"))
+
+
+def test_fixture_set_is_complete():
+    assert len(FIXTURES) == 8
+
+
+@pytest.mark.parametrize("source", ["s3", "rp3"] + [path.name for path in FIXTURES])
+def test_classes_match_union_find_oracle(source):
+    if source in ("s3", "rp3"):
+        tri = load_builtin(source)
+    else:
+        tri = Triangulation.from_file(FIXTURES[0].parent / source)
+    assert_classes_match_oracle(tri)
+
+
+@settings(max_examples=25, deadline=None)
+@given(base=st.sampled_from(["s3", "rp3"]), seed=st.integers(0, 2**32 - 1))
+def test_walk_state_classes_match_union_find_oracle(base, seed):
+    for _, state in walk_states(load_builtin(base), 12, seed, max_tets=12):
+        assert_classes_match_oracle(state)
+
+
+def random_orientable_table(rng, n):
+    """A closed involutive gluing table on ``n`` tetrahedra, coherently
+    oriented by construction; faces may be folded onto themselves, which
+    identifies an edge with its own reverse."""
+    perms = list(permutations(range(4)))
+    signs = [rng.choice((1, -1)) for _ in range(n)]
+    ports = [(t, k) for t in range(n) for k in range(4)]
+    rng.shuffle(ports)
+    table = [[None] * 4 for _ in range(n)]
+    while ports:
+        t, k = ports.pop()
+        if not ports or rng.random() < 0.1:
+            # fold face k onto itself by swapping two of its slots (odd)
+            a, b = rng.sample([s for s in range(4) if s != k], 2)
+            table[t][k] = Gluing(t, transposition(a, b))
+            continue
+        u, l = ports.pop()
+        odd = signs[t] == signs[u]
+        p = rng.choice([q for q in perms if q[k] == l and parity(q) == odd])
+        table[t][k] = Gluing(u, p)
+        table[u][l] = Gluing(t, inverse(p))
+    return table
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 4), rng=st.randoms(use_true_random=False))
+def test_random_table_classes_match_union_find_oracle(n, rng):
+    table = random_orientable_table(rng, n)
+    try:
+        union_find_classes(table)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            build(table)
+        assert str(got.value) == str(exc)
+    else:
+        assert_classes_match_oracle(build(table))
+
+
+def test_self_reverse_edge_names_first_scanned_port():
+    # tet 0 is glued to tet 1 and to itself without folding an edge; tet
+    # 1's edge (2, 3) is the first one scanned that meets its own reverse
+    rows = [
+        [Gluing(1, (3, 0, 1, 2)), Gluing(0, (0, 3, 2, 1)), Gluing(1, (0, 3, 2, 1)), Gluing(0, (0, 3, 2, 1))],
+        [Gluing(1, (0, 1, 3, 2)), Gluing(1, (0, 1, 3, 2)), Gluing(0, (0, 3, 2, 1)), Gluing(0, (1, 2, 3, 0))],
+    ]
+    with pytest.raises(ValidationError) as exc:
+        union_find_classes(rows)
+    assert str(exc.value).startswith("edge (1,2,3) is identified with its own reverse")
+    with pytest.raises(ValidationError) as got:
+        build(rows)
+    assert str(got.value) == str(exc.value)
