@@ -6,8 +6,8 @@ Subcommands: ``invariant`` (full pipeline on one triangulation),
 ``pentagon`` (five-point identity suites alone) and ``dump-chain``
 (diffable matrix dump).
 
-Exit codes are stable: 0 success, 2 parse error (also argparse usage
-errors), 3 gluing validation error, 4 degenerate geometry after retries,
+Exit codes are stable: 0 success, 2 parse error (also unreadable input
+files and argparse usage errors), 3 gluing validation error, 4 degenerate geometry after retries,
 5 non-acyclic complex, 6 invariance violation during verification.
 
 Reports are reproducible byte for byte for fixed (input, seed, version):
@@ -28,7 +28,6 @@ from .chain import build_chain, check_acyclic, dump_chain, verify_chain
 from .errors import (
     DegenerateGeometryError,
     InvarianceError,
-    MoveError,
     NotAcyclicError,
     ParseError,
     PentachainError,
@@ -40,7 +39,7 @@ from .library import load_builtin
 from .pachner import random_walk, walk_states
 from .pentagon import FivePointConfig, solve_flat_lambda, verify_pentagon, verify_vector_identities
 from .torsion import invariant, select_partition, tau
-from .triangulation import Triangulation
+from .triangulation import Triangulation, read_text
 
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
@@ -50,7 +49,6 @@ EXIT_INVARIANCE = 6
 
 _EXIT_CODES = (
     (ParseError, EXIT_PARSE),
-    (MoveError, EXIT_VALIDATION),
     (ValidationError, EXIT_VALIDATION),
     (DegenerateGeometryError, EXIT_DEGENERATE),
     (NotAcyclicError, EXIT_NOT_ACYCLIC),
@@ -66,8 +64,7 @@ def _load_input(args) -> tuple[str, Triangulation]:
 
 def _geometry_override(args, tri):
     if getattr(args, "geometry", None):
-        with open(args.geometry, "r", encoding="utf-8") as handle:
-            return parse_geometry(handle.read(), tri)
+        return parse_geometry(read_text(args.geometry), tri)
     return None
 
 
@@ -340,7 +337,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         report, code = args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except PentachainError as exc:

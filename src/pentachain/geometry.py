@@ -21,7 +21,8 @@ One routine serves triangulations and the five-point verifier alike.  It
 works on an integer value table: the denominators of the edge values are
 cleared once, to a common denominator D (the lcm of the denominators) and
 one integer numerator per key.  ``EdgeValues.table`` holds it once per
-geometry; the five-point verifier's ten values are scaled per call.  For
+geometry and ``pentagon.FivePointConfig.table`` once per five-point
+configuration.  For
 sampled geometry D divides 2 lcm(1..16)^2, about 40 bits, whatever the
 size of the triangulation; explicit geometry may have any denominators.
 
@@ -200,19 +201,19 @@ def ensure_nondegenerate(tri: Triangulation, g: GeometryAssignment) -> EdgeValue
 # -- angle values and curvature ---------------------------------------
 
 
-def curvature(values, angles: Iterable, wrt: Iterable | None = ()) -> tuple[Fraction, dict]:
+def curvature(table, angles: Iterable, wrt: Iterable | None = ()) -> tuple[Fraction, dict]:
     """Sum of angle values over ``angles`` and its exact partial derivatives
     by the value keys ``wrt`` (None: every key; the default: none).
 
-    ``values`` is an ``EdgeValues``, whose integer table is kept, or any
-    mapping of rationals, whose denominators are cleared here.
+    ``table`` is an integer value table ``(D, numerators)``, as
+    ``EdgeValues.table`` or ``FivePointConfig.table`` holds it.
     Each angle is (edge lookup, (P, Q), (tail, head), where), and
     ``where(opposite)`` names the face missing vertex ``opposite`` when its
     circulation, a denominator, is zero.  The angle terms are summed as
     integers over the lcm of their denominators, so the sum and each
     partial are one Fraction apiece.
     """
-    d, numerators = values.table if isinstance(values, EdgeValues) else clear_denominators(values)
+    d, numerators = table
     terms = []
     for edge, (p, q), (e, h), where in angles:
         b1 = circulation(edge, numerators, p, h, e)
@@ -286,19 +287,19 @@ def angle(
     orientation, so the value also flips under a reversal of the edge.
     """
     _, direction = tri.edge_class(tet, ed[0], ed[1])
-    return direction * curvature(lam, _angles(tri, ((tet, pq, ed),)))[0]
+    return direction * curvature(lam.table, _angles(tri, ((tet, pq, ed),)))[0]
 
 
 def omega(tri: Triangulation, lam: EdgeValues, star: EdgeStar | int) -> Fraction:
     """Curvature around an edge class: sum of angle values over its star."""
     if isinstance(star, int):
         star = tri.edge_star(star)
-    return curvature(lam, _angles(tri, star.contributions))[0]
+    return curvature(lam.table, _angles(tri, star.contributions))[0]
 
 
 def omega_row(tri: Triangulation, lam: EdgeValues, edge_id: int) -> tuple[Fraction, dict]:
     """Curvature of an edge and its gradient over all edge values."""
-    return curvature(lam, _angles(tri, tri.edge_star(edge_id).contributions), wrt=None)
+    return curvature(lam.table, _angles(tri, tri.edge_star(edge_id).contributions), wrt=None)
 
 
 def domega_dlambda(tri: Triangulation, lam: EdgeValues, edge_a: int, edge_b: int) -> Fraction:

@@ -41,7 +41,7 @@ from .triangulation import (
 )
 
 KINDS = ("2->3", "3->2", "1->4", "4->1")
-_GROWING = {"2->3": (0, 1, 2, 1), "1->4": (1, 4, 6, 3)}
+_GROWING = {"2->3", "1->4"}
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,16 @@ values.  The checks here are exact:
   their composition closes up to EA + omega * S_EDA * ED, a basis change
   that depends only on the vector ED and omega.
 
-Circulations, the curvature and its derivative come from the routine that
-builds the curvature derivative matrix for triangulations, ``geometry.curvature``
-with edges looked up by label pair, so these checks exercise the production path.
+The checks run on the integer path that builds the curvature derivative
+matrix for triangulations.  A configuration clears its ten values once to
+an integer table ``(D, numerators)``, the shape of ``EdgeValues.table``;
+every circulation is ``geometry.circulation`` on that table, with edges
+looked up by label pair, and the curvature and its derivative are
+``geometry.curvature`` on the same table.  The vector identities use one
+Cramer step, E->b from E->D and E->a, read off a configuration's
+circulations: for plane points (kappa zero) a circulation is the oriented
+area, and the closure runs the same step on the perturbed values.  The
+holonomy generator is checked by its action on E->D and on E->A, E->B.
 """
 
 from __future__ import annotations
@@ -30,11 +37,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import Mapping
 
 from .errors import DegenerateGeometryError
-from .geometry import curvature, holonomy_generator, triangle_area
+from .exact import clear_denominators
+from .geometry import circulation, curvature, holonomy_generator
 
 LABELS = ("A", "B", "C", "D", "E")
 
@@ -47,6 +55,9 @@ TETRAHEDRA = (("A", "B", "E", "D"), ("B", "C", "E", "D"), ("C", "A", "E", "D"))
 
 ED_PAIR = ("D", "E")  # canonical storage key of the edge the move creates
 SAMPLE_DRAWS = 32  # draws FivePointConfig.random makes before giving up
+SAMPLE_BOUND = 30  # FivePointConfig.random draws numerators in [-SAMPLE_BOUND, SAMPLE_BOUND]
+# curvatures at which verify_vector_identities checks the holonomy generator
+OMEGA_SAMPLES = (Fraction(0), Fraction(2), Fraction(-5, 3))
 
 
 def _key(a: str, b: str) -> tuple[tuple[str, str], int]:
@@ -88,7 +99,7 @@ class FivePointConfig:
         return cls(lam)
 
     @classmethod
-    def random(cls, seed: int, bound: int = 30) -> "FivePointConfig":
+    def random(cls, seed: int) -> "FivePointConfig":
         """Seeded random values on the nine pairs other than D-E, with the
         tenth solved to make the configuration flat.
 
@@ -98,7 +109,7 @@ class FivePointConfig:
         rng = random.Random(seed)
 
         def draw():
-            return Fraction(rng.randint(-bound, bound), rng.randint(1, 9))
+            return Fraction(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND), rng.randint(1, 9))
 
         for attempt in range(SAMPLE_DRAWS):
             lam = {p: draw() for p in PAIRS if p != ED_PAIR}
@@ -110,9 +121,10 @@ class FivePointConfig:
                 if attempt == SAMPLE_DRAWS - 1:
                     raise
 
-    def value(self, a: str, b: str) -> Fraction:
-        key, sign = _key(a, b)
-        return sign * self.lam[key]
+    @cached_property
+    def table(self) -> tuple[int, dict]:
+        """Integer value table ``(D, numerators)``, as ``EdgeValues.table``."""
+        return clear_denominators(self.lam)
 
     def with_lambda_ed(self, lambda_ed: Fraction) -> "FivePointConfig":
         lam = dict(self.lam)
@@ -120,7 +132,9 @@ class FivePointConfig:
         return FivePointConfig(lam)
 
     def s(self, a: str, b: str, c: str) -> Fraction:
-        return self.value(a, b) + self.value(b, c) + self.value(c, a)
+        """Circulation of the values around the triangle a -> b -> c."""
+        d, numerators = self.table
+        return Fraction(circulation(_key, numerators, a, b, c).value, d)
 
 
 def bilinear_relation(cfg: FivePointConfig) -> Fraction:
@@ -155,12 +169,12 @@ def solve_flat_lambda(cfg: FivePointConfig) -> Fraction:
 
 def omega_ed(cfg: FivePointConfig) -> Fraction:
     """Curvature around E->D of the three-tetrahedron local complex."""
-    return curvature(cfg.lam, ANGLES)[0]
+    return curvature(cfg.table, ANGLES)[0]
 
 
 def domega_ed_dlambda_ed(cfg: FivePointConfig) -> Fraction:
     """Exact d(omega_ED)/d(lambda_ED) via the shared quotient-rule engine."""
-    _, grad = curvature(cfg.lam, ANGLES, wrt=(ED_PAIR,))
+    _, grad = curvature(cfg.table, ANGLES, wrt=(ED_PAIR,))
     # storage holds lambda_DE; differentiating by lambda_ED flips the sign
     return -grad[ED_PAIR]
 
@@ -181,90 +195,56 @@ def verify_pentagon(cfg: FivePointConfig) -> tuple[Fraction, Fraction, bool]:
 # -- plane-vector identities --------------------------------------------
 
 
-def _vec(points, a: str, b: str) -> tuple[Fraction, Fraction]:
-    (ax, ay), (bx, by) = points[a], points[b]
-    return (Fraction(bx) - ax, Fraction(by) - ay)
+def cramer_step(s, ed, ea, a: str, b: str) -> tuple[Fraction, Fraction]:
+    """E->b from E->D and E->a: (S_Eba ED + S_EDb Ea) / S_EDa, with the
+    circulations read from ``s``."""
+    s_eda = s("E", "D", a)
+    if s_eda == 0:
+        raise DegenerateGeometryError(f"S_ED{a} vanishes: E->D and E->{a} are not a basis")
+    s_eba, s_edb = s("E", b, a), s("E", "D", b)
+    return tuple((s_eba * ed[i] + s_edb * ea[i]) / s_eda for i in range(2))
 
 
-def _area(points, a: str, b: str, c: str) -> Fraction:
-    return triangle_area(*points[a], *points[b], *points[c])
-
-
-def _basis_map(ed, ea, ed_img, ea_img):
-    """2x2 matrix sending ed -> ed_img and ea -> ea_img (standard basis)."""
-    det = ed[0] * ea[1] - ed[1] * ea[0]
-    if det == 0:
-        raise DegenerateGeometryError("E, D, A are collinear; basis is singular")
-    # inverse of the column matrix [ed ea], then compose with images
-    inv = ((ea[1] / det, -ea[0] / det), (-ed[1] / det, ed[0] / det))
-    cols = (ed_img, ea_img)
-    return tuple(
-        tuple(cols[0][r] * inv[0][c] + cols[1][r] * inv[1][c] for c in range(2))
-        for r in range(2)
-    )
-
-
-def verify_vector_identities(
-    points: Mapping[str, tuple[Fraction, Fraction]],
-    omega_samples=(Fraction(0), Fraction(2), Fraction(-5, 3)),
-) -> bool:
+def verify_vector_identities(points: Mapping[str, tuple[Fraction, Fraction]]) -> bool:
     """Exact checks of the plane-vector identities on five generic points.
 
-    Checks, in order: the Cramer identity expressing EB through ED and EA;
-    the closure formula after injecting a perturbation of lambda_ED into
-    the composed identities; and independence of the resulting basis map
-    from the auxiliary point, including agreement with the holonomy
-    generator.  Raises on collinear degeneracies, returns True otherwise.
+    Checks, in order: the Cramer step expressing EB through ED and EA and
+    its two relabelings; the closure formula after injecting a
+    perturbation of lambda_ED into the three composed steps; and, for each
+    of OMEGA_SAMPLES, that I + the holonomy generator fixes ED and sends
+    each of EA, EB to itself plus omega S_ED(aux) ED.  Raises on collinear
+    degeneracies, returns True otherwise.
     """
-    points = {k: (Fraction(v[0]), Fraction(v[1])) for k, v in points.items()}
+    points = {k: (Fraction(x), Fraction(y)) for k, (x, y) in points.items()}
+    ex, ey = points["E"]
+    vec = {k: (x - ex, y - ey) for k, (x, y) in points.items()}  # E -> k
+    ed, ea = vec["D"], vec["A"]
 
-    def cramer(a: str, b: str) -> bool:
-        s_eda = _area(points, "E", "D", a)
-        if s_eda == 0:
-            raise DegenerateGeometryError(f"E, D, {a} are collinear")
-        eb = _vec(points, "E", b)
-        ed = _vec(points, "E", "D")
-        ea = _vec(points, "E", a)
-        s_eba = _area(points, "E", b, a)
-        s_edb = _area(points, "E", "D", b)
-        return all(
-            eb[i] == (s_eba * ed[i] + s_edb * ea[i]) / s_eda for i in range(2)
-        )
-
-    # the identity and its two relabelings used around the edge
-    if not (cramer("A", "B") and cramer("B", "C") and cramer("C", "A")):
+    # kappa is zero, so a flat circulation is an oriented area
+    flat = FivePointConfig.from_points(points)
+    if any(cramer_step(flat.s, ed, vec[a], a, b) != vec[b] for a, b in (("A", "B"), ("B", "C"), ("C", "A"))):
         return False
 
     # closure: perturb lambda_ED away from the flat (planar) value and run
-    # EB, EC, EA_new through the composed relations
-    flat = FivePointConfig.from_points(points)
-    ed = _vec(points, "E", "D")
-    ea = _vec(points, "E", "A")
+    # EB, EC, EA_new through the composed steps
     for delta in (Fraction(1), Fraction(-3, 7)):
         cfg = flat.with_lambda_ed(-flat.lam[ED_PAIR] + delta)
-        s = cfg.s
-        if s("E", "D", "A") == 0 or s("E", "D", "B") == 0 or s("E", "D", "C") == 0:
-            raise DegenerateGeometryError("perturbed configuration is degenerate")
-        eb = tuple((s("E", "B", "A") * ed[i] + s("E", "D", "B") * ea[i]) / s("E", "D", "A") for i in range(2))
-        ec = tuple((s("E", "C", "B") * ed[i] + s("E", "D", "C") * eb[i]) / s("E", "D", "B") for i in range(2))
-        ea_new = tuple((s("E", "A", "C") * ed[i] + s("E", "D", "A") * ec[i]) / s("E", "D", "C") for i in range(2))
+        eb = cramer_step(cfg.s, ed, ea, "A", "B")
+        ec = cramer_step(cfg.s, ed, eb, "B", "C")
+        ea_new = cramer_step(cfg.s, ed, ec, "C", "A")
         w = omega_ed(cfg)
-        expected = tuple(ea[i] + w * s("E", "D", "A") * ed[i] for i in range(2))
-        if ea_new != expected:
+        s_eda = cfg.s("E", "D", "A")
+        if ea_new != tuple(ea[i] + w * s_eda * ed[i] for i in range(2)):
             return False
 
-    # the induced basis map depends only on the vector ED and omega
-    for w in omega_samples:
-        maps = []
-        for aux in ("A", "B"):
-            vec_aux = _vec(points, "E", aux)
-            s_eda = _area(points, "E", "D", aux)
-            image = tuple(vec_aux[i] + w * s_eda * ed[i] for i in range(2))
-            maps.append(_basis_map(ed, vec_aux, ed, image))
-        if maps[0] != maps[1]:
-            return False
-        gen = holonomy_generator(ed, w).matrix
-        identity_plus = ((1 + gen[0][0], gen[0][1]), (gen[1][0], 1 + gen[1][1]))
-        if maps[0] != identity_plus:
+    # the basis change depends only on the vector ED and omega: (ED, E->aux)
+    # is a basis for aux A and B, so I + the generator is fixed by its images
+    s_ed = {aux: flat.s("E", "D", aux) for aux in ("A", "B")}
+    for w in OMEGA_SAMPLES:
+        (m00, m01), (m10, m11) = holonomy_generator(ed, w).matrix
+        images = [(ed, ed)] + [
+            (vec[aux], tuple(vec[aux][i] + w * s_ed[aux] * ed[i] for i in range(2))) for aux in ("A", "B")
+        ]
+        if any((x + m00 * x + m01 * y, y + m10 * x + m11 * y) != image for (x, y), image in images):
             return False
     return True

@@ -226,21 +226,20 @@ def invariant(
     seed: int = 0,
     max_retries: int = DEFAULT_MAX_RETRIES,
     geometry: GeometryAssignment | None = None,
-    verify: bool = True,
 ) -> InvariantResult:
     """Full pipeline: geometry, chain, acyclicity, torsion, normalization.
 
-    Acyclicity is certified by the partition search itself; with
-    ``verify=False`` the chain property it rests on is not checked.  The
-    absolute value of the result is independent of the seed, of the
-    sampled geometry and of the partition; the sign is gauge.
+    The chain property is always checked, and acyclicity is certified by
+    the partition search itself, which rests on it.  The absolute value
+    of the result is independent of the seed, of the sampled geometry and
+    of the partition; the sign is gauge.
     """
     if geometry is None:
         geometry = assign_geometry(tri, subseed(seed, "geometry"), max_retries)
         lam = edge_values(tri, geometry)
     else:
         lam = ensure_nondegenerate(tri, geometry)
-    c = build_chain(tri, geometry, lam=lam, verify=verify)
+    c = build_chain(tri, geometry, lam=lam)
     t = _alternating(*select_partition(c)[1])
     face_product = Fraction(1)
     for s in face_circulations(tri, lam):

@@ -308,13 +308,10 @@ class Triangulation:
     def f_vector(self) -> tuple[int, int, int, int]:
         return (len(self.vertices), len(self.edges), len(self.faces), len(self.tets))
 
-    def positive_order(self, tet: int) -> tuple[int, int, int, int]:
-        return IDENTITY if self.orientation_signs[tet] == 1 else (1, 0, 2, 3)
-
     def sequence_parity(self, tet: int, seq: Sequence[int]) -> int:
-        """Parity of a slot sequence relative to the positive ordering."""
-        pos = self.positive_order(tet)
-        return parity([pos.index(s) for s in seq])
+        """Parity of a slot sequence relative to the positive ordering, which
+        is (0, 1, 2, 3) for sign +1 and one transposition away for -1."""
+        return parity(seq) ^ (self.orientation_signs[tet] < 0)
 
     def edge_star(self, edge: EdgeClass | int) -> EdgeStar:
         e = self.edges[edge] if isinstance(edge, int) else edge
@@ -380,8 +377,16 @@ class Triangulation:
 
     @classmethod
     def from_file(cls, path) -> "Triangulation":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_text(handle.read())
+        return cls.from_text(read_text(path))
+
+
+def read_text(path) -> str:
+    """Contents of a UTF-8 input file; other bytes are a ParseError."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def build(gluings: Sequence[Sequence[Gluing]]) -> Triangulation:

@@ -88,6 +88,25 @@ def test_missing_file_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flag, content",
+    [("--file", None), ("--file", b"pentachain-tri v1\n\xff\xfe\n"),
+     ("--geometry", None), ("--geometry", b"vertex 0 \xe9 0 0\n")],
+    ids=["file-directory", "file-not-utf8", "geometry-directory", "geometry-not-utf8"],
+)
+def test_unreadable_input_exit_code(tmp_path, capsys, flag, content):
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    argv = ["invariant", "--builtin", "s3", flag, str(path)] if flag == "--geometry" else ["invariant", flag, str(path)]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(path) in err
+
+
 def test_validation_error_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.tri"
     path.write_text(
@@ -200,6 +219,25 @@ def test_pentagon_command(capsys):
     code, out, _ = run(capsys, ["pentagon", "--samples", "15", "--json"])
     assert code == 0
     assert json.loads(out)["pentagon_identity"] == "pass"
+
+
+# the vector-identity counts of ``pentagon --seed N --json`` for N = 0..9;
+# the configurations missing from 100 are degenerate draws
+PENTAGON_POINT_CHECKS = (100, 100, 99, 99, 100, 99, 100, 99, 98, 100)
+
+
+def test_pentagon_reports_pinned(capsys):
+    for seed, checks in enumerate(PENTAGON_POINT_CHECKS):
+        code, out, _ = run(capsys, ["pentagon", "--seed", str(seed), "--json"])
+        assert code == 0
+        assert json.loads(out) == {
+            "command": "pentagon",
+            "version": pentachain.__version__,
+            "seed": seed,
+            "samples": 100,
+            "pentagon_identity": "pass",
+            "vector_identities": f"pass ({checks} nondegenerate configurations)",
+        }
 
 
 def test_pentagon_redraws_degenerate_sample(capsys):

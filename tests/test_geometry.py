@@ -364,9 +364,9 @@ def test_integer_quotient_rule_exact_for_large_denominators(s3, rp3):
 def test_five_point_curvature_matches_fraction_oracle():
     for seed in range(12):
         cfg = FivePointConfig.random(seed)
-        value, row = curvature(cfg.lam, pentagon.ANGLES, wrt=None)
+        value, row = curvature(cfg.table, pentagon.ANGLES, wrt=None)
         assert value == 0
         assert (value, {k: v for k, v in row.items() if v}) == fraction_curvature_oracle(cfg.lam, pentagon.ANGLES)
         bent = cfg.with_lambda_ed(-cfg.lam[pentagon.ED_PAIR] + F(1, 3))
-        value, row = curvature(bent.lam, pentagon.ANGLES, wrt=None)
+        value, row = curvature(bent.table, pentagon.ANGLES, wrt=None)
         assert (value, {k: v for k, v in row.items() if v}) == fraction_curvature_oracle(bent.lam, pentagon.ANGLES)

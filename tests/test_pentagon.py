@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from pentachain import DegenerateGeometryError, FivePointConfig, solve_flat_lambda, verify_pentagon, verify_vector_identities
-from pentachain import pentagon
+from pentachain import geometry, pentagon
 from pentachain.pentagon import ED_PAIR, LABELS, PAIRS, bilinear_relation, omega_ed
 
 F = Fraction
@@ -139,6 +139,53 @@ def test_vector_identities_on_random_points():
         except DegenerateGeometryError:
             continue
         passed += 1
+
+
+def nondegenerate_points(seed):
+    rng = random.Random(seed)
+    while True:
+        pts = random_points(rng)
+        try:
+            assert verify_vector_identities(pts)
+        except DegenerateGeometryError:
+            continue
+        return pts
+
+
+def test_vector_identities_reject_transposed_holonomy(monkeypatch):
+    pts = nondegenerate_points(8)
+    real = geometry.holonomy_generator
+
+    def transposed(edge_vector, domega):
+        gen = real(edge_vector, domega)
+        (a, b), (c, d) = gen.matrix
+        return geometry.HolonomyGenerator(((a, c), (b, d)), gen.column)
+
+    monkeypatch.setattr(pentagon, "holonomy_generator", transposed)
+    assert verify_vector_identities(pts) is False
+
+
+def test_vector_identities_reject_wrong_curvature(monkeypatch):
+    pts = nondegenerate_points(9)
+    real = pentagon.omega_ed
+    monkeypatch.setattr(pentagon, "omega_ed", lambda cfg: real(cfg) + 1)
+    assert verify_vector_identities(pts) is False
+
+
+def test_vector_identities_reject_wrong_cramer_step(monkeypatch):
+    pts = nondegenerate_points(10)
+    real = pentagon.cramer_step
+    monkeypatch.setattr(pentagon, "cramer_step", lambda s, ed, ea, a, b: tuple(-v for v in real(s, ed, ea, a, b)))
+    assert verify_vector_identities(pts) is False
+
+
+def test_cramer_step_needs_a_basis():
+    pts = {"A": (F(2), F(2)), "B": (F(1), F(3)), "C": (F(-1), F(2)), "D": (F(1), F(1)), "E": (F(0), F(0))}
+    flat = FivePointConfig.from_points(pts)
+    with pytest.raises(DegenerateGeometryError, match="S_EDA vanishes"):
+        pentagon.cramer_step(flat.s, pts["D"], pts["A"], "A", "B")
+    with pytest.raises(DegenerateGeometryError, match="S_EDA vanishes"):
+        verify_vector_identities(pts)
 
 
 def test_zero_curvature_closure_is_identity():
