@@ -72,4 +72,4 @@ from .triangulation import (
     isomorphic,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

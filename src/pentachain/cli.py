@@ -8,7 +8,10 @@ Subcommands: ``invariant`` (full pipeline on one triangulation),
 
 Exit codes are stable: 0 success, 2 parse error (also unreadable input
 files and argparse usage errors), 3 gluing validation error, 4 degenerate geometry after retries,
-5 non-acyclic complex, 6 invariance violation during verification.
+5 non-acyclic complex, 6 invariance violation during verification, 141
+(128 + SIGPIPE, as a shell reports a process that SIGPIPE ended) when the
+reader of standard output goes away first, as in ``... | head -1``; that
+exit prints nothing.
 
 Reports are reproducible byte for byte for fixed (input, seed, version):
 ``--json`` output carries no timing; the human format prints wall time on
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -46,6 +50,7 @@ EXIT_VALIDATION = 3
 EXIT_DEGENERATE = 4
 EXIT_NOT_ACYCLIC = 5
 EXIT_INVARIANCE = 6
+EXIT_BROKEN_PIPE = 141
 
 _EXIT_CODES = (
     (ParseError, EXIT_PARSE),
@@ -155,9 +160,9 @@ def cmd_verify(args) -> tuple[dict, int]:
     c = build_chain(tri, g, verify=False)
     for i in range(args.partition_seeds):
         p, _ = select_partition(c, subseed(args.seed, "partition", i))
-        taus.add(abs(tau(c, p)))
+        taus.add(tau(c, p))
     if len(taus) != 1:
-        raise InvarianceError(f"|tau| depends on the partition: {sorted(taus)}")
+        raise InvarianceError(f"tau depends on the partition: {sorted(taus)}")
     checks["partition_independence"] = f"pass ({args.partition_seeds} partitions)"
 
     values = set()
@@ -337,14 +342,22 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         report, code = args.func(args)
+        if report:
+            print(_render(report, getattr(args, "json", False), time.perf_counter() - started))
+        # a closed pipe shows up here rather than at the flush on exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again on exit; send what is left
+        # to devnull so that flush cannot raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except PentachainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for klass, code in _EXIT_CODES if isinstance(exc, klass)), 1)
-    if report:
-        print(_render(report, getattr(args, "json", False), time.perf_counter() - started))
     return code
 
 

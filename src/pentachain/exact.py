@@ -14,24 +14,21 @@ keeps their size polynomially bounded.  ``independent_rows`` returns the
 greedy pivot rows together with their minor, the last pivot of that same
 elimination.
 
-The same kernel ``_echelon`` also runs over GF(p) when given a modulus:
-only the rows with a nonzero ``ric`` in the pivot column change, to
-``row - ric * inverse(piv) * pivot_row`` mod p, with no Bareiss division.
-Each row then differs from the exact kernel's row, reduced mod p, only by
-a factor made of pivots; while those are units mod p, the zero patterns,
-hence the column scan and the row swaps, are the exact ones, and the rows
-chosen mod p differ from the exact choice only where a reduced pivot
-candidate is divisible by p.  Rows chosen mod p span a block whose minor
-is nonzero mod p, hence nonzero over Q; but a matrix can lose rank mod p,
-which is why the torsion's partition pass (``torsion.select_partition``)
-takes the modular rows only as a proposal, decides with exact minors and
-falls back to the exact kernel.
+Over GF(p), ``modular_row_basis`` picks a row basis by sparse Markowitz
+elimination: each step pivots the shortest remaining row on its sparsest
+column and updates only the rows that hold that column.  Short rows and
+sparse columns keep the fill-in small, and the rows it picks are not
+those of the column scan.  Rows chosen mod p span a block whose minor is nonzero mod p,
+hence nonzero over Q; but a matrix can lose rank mod p, which is why the
+torsion's partition pass (``torsion.select_partition``) takes the modular
+rows only as a proposal, decides with exact minors and falls back to the
+exact column scan.
 
 ``det`` (and ``minor``, which calls it) eliminates copies of the sparse
 rows with Markowitz pivoting: each step takes the pivot minimizing (row
 nonzeros - 1) * (column nonzeros - 1), which keeps the fill-in of the
 sparse maps small, and the sign comes from the row-to-column pivot
-permutation.
+permutation, counted by cycles (``permutation_sign``).
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import combinations
+from heapq import heapify, heappop, heappush
 from math import lcm, prod
 from typing import Hashable, Iterable, Sequence
 
@@ -151,18 +148,15 @@ def _sparse_row(row, width: int) -> dict[int, Fraction]:
     return {j: v if type(v) is Fraction else Fraction(v) for j, v in items if v}
 
 
-def _echelon(
-    rows: list[dict[int, int]], ncols: int, modulus: int | None = None
-) -> tuple[list[int], int]:
+def _echelon(rows: list[dict[int, int]], ncols: int) -> tuple[list[int], int]:
     """Fraction-free row echelon of sparse integer rows, destructive on
-    ``rows``; over GF(modulus) when a modulus is given (values in
-    1..modulus-1, zeros absent).
+    ``rows``.
 
     Pivot rule: scan columns left to right, within a column take the first
     remaining row with a nonzero entry.  Returns original positions of pivot
-    rows (in pivot order) and the last pivot.  Without a modulus, when every
-    column has a pivot, the last pivot is the determinant of the (scaled)
-    pivot rows taken in pivot order.
+    rows (in pivot order) and the last pivot.  When every column has a
+    pivot, the last pivot is the determinant of the (scaled) pivot rows
+    taken in pivot order.
     """
     m = len(rows)
     where = list(range(m))
@@ -178,25 +172,17 @@ def _echelon(
             where[r], where[pr] = where[pr], where[r]
         row_r = rows[r]
         piv = row_r.pop(c)
-        inv = pow(piv, -1, modulus) if modulus else None
         for i in range(r + 1, m):
             row_i = rows[i]
             ric = row_i.pop(c, 0)
-            if ric and modulus:
-                f = ric * inv % modulus
-                for j, v in row_r.items():
-                    if x := (row_i.get(j, 0) - f * v) % modulus:
-                        row_i[j] = x
-                    else:
-                        del row_i[j]
-            elif ric:
+            if ric:
                 get_i, get_r = row_i.get, row_r.get
                 rows[i] = {
                     j: x
                     for j in row_i.keys() | row_r.keys()
                     if (x := (piv * get_i(j, 0) - ric * get_r(j, 0)) // prev)
                 }
-            elif prev != piv and not modulus:
+            elif prev != piv:
                 # Bareiss update applies to every remaining row, not only
                 # those with a nonzero entry in the pivot column.
                 rows[i] = {j: piv * v // prev for j, v in row_i.items()}
@@ -206,6 +192,76 @@ def _echelon(
         if r == m:
             break
     return piv_rows, prev
+
+
+def modular_row_basis(m: RatMatrix, modulus: int) -> list[Label]:
+    """Labels of rows of ``m`` that form a basis of its row space over
+    GF(modulus), a prime, in pivot order; no rows when the modulus divides
+    a denominator.
+
+    Sparse Markowitz elimination: take the shortest remaining row and pivot
+    on its sparsest column, then update only the rows holding that column,
+    found through a column -> rows index.  Ties go to the earlier row of
+    ``m`` and the lower column, so the rows depend only on ``m``'s row
+    order.  Rows that reduce to zero are dependent and dropped.
+    """
+    rows = []
+    for row in m.rows:
+        # clearing denominators scales the row by a unit mod p, which
+        # changes none of the elimination's choices
+        d, ints = clear_denominators(row)
+        if not d % modulus:  # the modulus divides a denominator
+            return []
+        rows.append({j: x for j, v in ints.items() if (x := v % modulus)})
+    holders: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+    # (length, position) of every row; entries left stale by an update or
+    # a pivot are skipped when they come up
+    queue = [(len(row), i) for i, row in enumerate(rows)]
+    heapify(queue)
+    picked: list[int] = []
+    while queue and len(picked) < m.ncols:
+        length, r = heappop(queue)
+        pivot_row = rows[r]
+        if pivot_row is None or len(pivot_row) != length or not length:
+            continue
+        j = min(pivot_row, key=lambda k: (len(holders[k]), k))
+        rows[r] = None
+        for k in pivot_row:
+            holders[k].discard(r)
+        inv = pow(pivot_row.pop(j), -1, modulus)
+        for i in holders.pop(j):
+            row_i = rows[i]
+            f = row_i.pop(j) * inv % modulus
+            for k, v in pivot_row.items():
+                if x := (row_i.get(k, 0) - f * v) % modulus:
+                    if k not in row_i:
+                        holders[k].add(i)
+                    row_i[k] = x
+                else:
+                    del row_i[k]
+                    holders[k].discard(i)
+            heappush(queue, (len(row_i), i))
+        picked.append(r)
+    return [m.row_labels[i] for i in picked]
+
+
+def permutation_sign(perm: Sequence[int]) -> int:
+    """Sign of a permutation of 0..n-1, from its cycles: (-1)^(n - cycles)."""
+    seen = [False] * len(perm)
+    transpositions = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            # a cycle of length L is a product of L - 1 transpositions
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+                transpositions += 1
+            transpositions -= 1
+    return -1 if transpositions & 1 else 1
 
 
 def rank(m: RatMatrix) -> int:
@@ -251,7 +307,7 @@ def det(m: RatMatrix) -> Fraction:
                         counts[k] -= 1
                         del row[k]
     # sign of the row -> column pivot permutation
-    return (-1) ** sum(perm[a] > perm[b] for a, b in combinations(range(m.nrows), 2)) * value
+    return permutation_sign(perm) * value
 
 
 def minor(m: RatMatrix, row_labels: Iterable[Label], col_labels: Iterable[Label]) -> Fraction:

@@ -4,16 +4,29 @@ The torsion is an alternating product of five compatible minors: every
 middle space's basis splits into rows for the map on its left and columns
 for the map on its right, and
 
-    tau = (minor f1 * minor f3 * minor f5) / (minor f2 * minor f4).
+    tau = eps * (minor f1 * minor f3 * minor f5) / (minor f2 * minor f4).
 
-For an acyclic complex any partition with nonzero minors yields the same
-value up to sign.  Partitions are chosen greedily left to right in one
-pass: pivot rows of f1 become C1's left rows, the complementary labels
-become f2's columns, pivot rows of the restricted f2 become C2's left rows,
+Each minor is the determinant of its block with the chosen rows R_k in
+the partition's (pivot) order and the columns in label order.  The sign
+eps is the product over the middle spaces C1..C4 of the sign of the
+permutation that lists R_k, then its complement K_k in label order,
+against C_k's label order.  This is the standard sign of a based torsion:
+reordering R_k changes its minor and its permutation by the same sign,
+and for an acyclic complex every partition with nonzero minors gives the
+same signed value.  So tau, and with it the invariant, is a function of
+the based complex (the triangulation, its labels and the geometry) and
+not of the partition.  No claim is made that the sign survives Pachner
+moves or a change of geometry; that would take a homology orientation
+and an Euler structure (Turaev's sign-refined torsion), which this
+package does not implement.
+
+Partitions are chosen greedily left to right in one pass: rows of f1 that
+span its row space become C1's left rows, the complementary labels become
+f2's columns, spanning rows of the restricted f2 become C2's left rows,
 and so on, closing with the minor of f5.
 
 Given the chain property (which ``build_chain`` checks exactly), this pass
-is also the acyclicity certificate, whatever order it scans rows in:
+is also the acyclicity certificate, whatever rows it picks:
 
 - if it succeeds, every restricted f_k has full column rank and the f5
   minor is nonzero, so rank f_k is at least the split size; f_{k+1} f_k = 0
@@ -21,28 +34,32 @@ is also the acyclicity certificate, whatever order it scans rows in:
   and the complex is exact everywhere;
 - if the complex is acyclic, the columns left for f_{k+1} span a complement
   of the image of f_k, on which f_{k+1} is injective, so every stage reaches
-  full column rank for any row order.
+  full column rank for any choice of spanning rows.
 
 So the rank test ``check_acyclic`` runs only after the exact pass falls
 short, to report the exact ranks.
 
-The pass chooses rows over GF(p), p = ``PRIME`` = 2^61 - 1, and takes the
-five minors of the chosen blocks exactly (``exact.det``).  The modular
-choice is only a proposal; the exact minors decide:
+The pass chooses rows over GF(p), p = ``PRIME`` = 2^61 - 1, with the sparse
+Markowitz row basis ``exact.modular_row_basis``, and takes the five minors
+of the chosen blocks exactly (``exact.det``).  The modular choice is only a
+proposal; the exact minors decide:
 
 - every block chosen mod p has a minor that is nonzero mod p, hence
   nonzero over Q, and when all five exact minors are nonzero the first
   bullet above certifies acyclicity exactly as it stands;
 - a stage that falls short mod p (its rank drops mod p, or p divides one
   of its denominators) or a vanishing exact minor (f5's block is not
-  chosen mod p) sends the pass round again with exact Bareiss row choice;
-  that pass is the certificate of the second bullet, and only its failure
-  raises NotAcyclicError.
+  chosen mod p) sends the pass round again with exact Bareiss row choice
+  (``exact.independent_rows``, a column scan); that pass is the
+  certificate of the second bullet, and only its failure raises
+  NotAcyclicError.
 
-For a fixed p the modular rows are a deterministic function of the input,
-and they differ from the exact pass's rows only where a reduced pivot
-candidate is divisible by p, so reports stay reproducible.  An invariant
-costs four modular eliminations and five exact sparse determinants.
+The modular rows need not be the exact pass's rows: Markowitz pivoting
+picks short rows and sparse columns, which keeps the fill-in and the exact
+minors small.  For a fixed p they are a deterministic function of the
+input and the scan order, so reports stay reproducible, and the signed
+torsion does not depend on which rows were picked.  An invariant costs
+four modular eliminations and five exact sparse determinants.
 ``minors``, ``tau`` and ``partition_valid`` evaluate an arbitrary
 partition from scratch; they are the reference that the library's paper
 partitions, the tests and ``verify``'s partition-independence check use.
@@ -52,8 +69,10 @@ circulations and a power of two:
 
     invariant = tau * (product of S over face classes) * 2^(-V-1),
 
-reported also as an absolute value since both the torsion and the face
-orientations are only defined up to sign.
+reported also as an absolute value.  The absolute value is the quantity
+checked to be independent of the geometry and of Pachner moves; the sign
+is fixed per geometry (every partition gives it) but is not claimed to be
+invariant.
 """
 
 from __future__ import annotations
@@ -64,7 +83,7 @@ from fractions import Fraction
 
 from .chain import ChainComplex, build_chain, check_acyclic, expected_ranks
 from .errors import NotAcyclicError, TorsionError
-from .exact import _echelon, det, independent_rows
+from .exact import det, independent_rows, modular_row_basis, permutation_sign
 from .geometry import (
     DEFAULT_MAX_RETRIES,
     GeometryAssignment,
@@ -94,8 +113,21 @@ class BasisPartition:
         """Column label sets (K1..K4) in ambient label order."""
         return tuple(
             _complement(m, rows)
-            for m, rows in zip(c.maps[:4], (self.c1_rows, self.c2_rows, self.c3_rows, self.c4_rows))
+            for m, rows in zip(c.maps[:4], self.rows())
         )
+
+    def rows(self) -> tuple[tuple[str, ...], ...]:
+        """Row label sets (R1..R4) in the partition's order."""
+        return (self.c1_rows, self.c2_rows, self.c3_rows, self.c4_rows)
+
+    def sign(self, c: ChainComplex) -> int:
+        """eps: over C1..C4, the product of the signs of the permutations
+        that list R_k, then K_k, against C_k's label order."""
+        eps = 1
+        for m, rows, cols in zip(c.maps[:4], self.rows(), self.cols(c)):
+            index = {lab: i for i, lab in enumerate(m.row_labels)}
+            eps *= permutation_sign([index[lab] for lab in (*rows, *cols)])
+        return eps
 
 
 def _complement(m, rows) -> tuple[str, ...]:
@@ -110,8 +142,7 @@ def minors(c: ChainComplex, p: BasisPartition) -> tuple[Fraction, ...]:
     Raises TorsionError if sizes are inconsistent or any minor vanishes.
     """
     sizes = expected_ranks(c.vertex_count, c.edge_count)
-    rows = (p.c1_rows, p.c2_rows, p.c3_rows, p.c4_rows)
-    for k, (want, have) in enumerate(zip(sizes, rows), start=1):
+    for k, (want, have) in enumerate(zip(sizes, p.rows()), start=1):
         if len(set(have)) != want:
             raise TorsionError(
                 f"C{k} split must pick {want} rows, got {len(set(have))}"
@@ -145,29 +176,19 @@ def _alternating(m1, m2, m3, m4, m5) -> Fraction:
 
 
 def tau(c: ChainComplex, p: BasisPartition) -> Fraction:
-    """Torsion of a given partition: alternating product of its minors."""
-    return _alternating(*minors(c, p))
+    """Signed torsion of a given partition: eps times the alternating
+    product of its minors; the same for every valid partition."""
+    return p.sign(c) * _alternating(*minors(c, p))
 
 
 def _pivot_rows(m, cols, order, modulus: int | None) -> list[str]:
-    """Greedy pivot rows of ``m`` restricted to ``cols``, scanned in
-    ``order``: over GF(modulus), or exactly when ``modulus`` is None.
-    Entries that vanish mod the modulus are dropped, and a denominator it
-    divides gives no rows."""
+    """Spanning rows of ``m`` restricted to ``cols``, in pivot order: the
+    Markowitz row basis over GF(modulus), ties going to the earlier row of
+    ``order``, or the exact greedy scan in ``order`` when ``modulus`` is
+    None.  A denominator the modulus divides gives no rows."""
     if modulus is None:
         return independent_rows(m.submatrix(m.row_labels, cols), order)[0]
-    try:
-        rows = [
-            {
-                j: x
-                for j, e in row.items()
-                if (x := e.numerator * pow(e.denominator, -1, modulus) % modulus)
-            }
-            for row in m.submatrix(order, cols).rows
-        ]
-    except ValueError:  # the modulus divides a denominator
-        return []
-    return [order[i] for i in _echelon(rows, len(cols), modulus)[0]]
+    return modular_row_basis(m.submatrix(order, cols), modulus)
 
 
 def select_partition(
@@ -177,8 +198,9 @@ def select_partition(
     partition and its five minors (m1..m5).
 
     With ``seed=None`` every stage scans its rows in label order; an integer
-    seed shuffles each stage's order, which picks a different (equally
-    valid) partition.  Rows are chosen over GF(PRIME) and each chosen block
+    seed shuffles each stage's order, which breaks the row choice's ties
+    differently and so picks a different (equally valid) partition.  Rows
+    are chosen over GF(PRIME) by ``modular_row_basis`` and each chosen block
     (closing with the f5 block) gets its exact minor from ``det``, so the
     minors equal ``minors(c, partition)``.  If a stage falls short mod
     PRIME or a minor is 0, the same pass runs again with exact row choice.
@@ -230,9 +252,11 @@ def invariant(
     """Full pipeline: geometry, chain, acyclicity, torsion, normalization.
 
     The chain property is always checked, and acyclicity is certified by
-    the partition search itself, which rests on it.  The absolute value
-    of the result is independent of the seed, of the sampled geometry and
-    of the partition; the sign is gauge.
+    the partition search itself, which rests on it.  ``tau`` is the signed
+    torsion, which does not depend on the partition (see the module
+    docstring).  The absolute value of the result is independent of the
+    seed and of the sampled geometry; its sign is fixed by the geometry
+    but is not claimed to be a manifold invariant.
     """
     if geometry is None:
         geometry = assign_geometry(tri, subseed(seed, "geometry"), max_retries)
@@ -240,7 +264,8 @@ def invariant(
     else:
         lam = ensure_nondegenerate(tri, geometry)
     c = build_chain(tri, geometry, lam=lam)
-    t = _alternating(*select_partition(c)[1])
+    partition, values = select_partition(c)
+    t = partition.sign(c) * _alternating(*values)
     face_product = Fraction(1)
     for s in face_circulations(tri, lam):
         face_product *= s

@@ -39,6 +39,7 @@ Conventions fixed here and relied on everywhere downstream:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Iterable, Sequence
 
 from .errors import ParseError, ValidationError
@@ -70,6 +71,12 @@ def parity(seq: Sequence[int]) -> int:
             if seq[i] > seq[j]:
                 inv += 1
     return inv & 1
+
+
+# the 24 slot permutations with their inverses and parities, so that
+# validating a gluing table looks each gluing's permutation up once
+_INVERSE: dict[Perm, Perm] = {p: inverse(p) for p in permutations(range(4))}
+_PARITY: dict[Perm, int] = {p: parity(p) for p in _INVERSE}
 
 
 def transposition(a: int, b: int) -> Perm:
@@ -166,10 +173,14 @@ class Triangulation:
                     raise ValidationError(f"tetrahedron {t} face {k} is not glued")
                 if not 0 <= g.neighbor < n:
                     raise ValidationError(f"tetrahedron {t} face {k} glues to missing tetrahedron {g.neighbor}")
-                if sorted(g.perm) != [0, 1, 2, 3]:
-                    raise ValidationError(f"tetrahedron {t} face {k} has invalid permutation {g.perm}")
+                inv = _INVERSE.get(g.perm) if isinstance(g.perm, tuple) else None
+                if inv is None:
+                    if sorted(g.perm) != [0, 1, 2, 3]:
+                        raise ValidationError(f"tetrahedron {t} face {k} has invalid permutation {g.perm}")
+                    # a list holding a permutation: its partner's check fails
+                    inv = inverse(g.perm)
                 partner = self.tets[g.neighbor][g.perm[k]]
-                if not isinstance(partner, Gluing) or partner.neighbor != t or partner.perm != inverse(g.perm):
+                if not isinstance(partner, Gluing) or partner.neighbor != t or partner.perm != inv:
                     raise ValidationError(
                         f"gluing of tetrahedron {t} face {k} is not involutive"
                     )
@@ -186,7 +197,7 @@ class Triangulation:
                 t = stack.pop()
                 for g in self.tets[t]:
                     # coherence: s_t * s_n * (-1)^parity(perm) == -1
-                    needed = -signs[t] * (-1 if parity(g.perm) else 1)
+                    needed = -signs[t] * (-1 if _PARITY[g.perm] else 1)
                     if signs[g.neighbor] == 0:
                         signs[g.neighbor] = needed
                         stack.append(g.neighbor)
@@ -402,12 +413,10 @@ def canonical_form(tri: Triangulation) -> tuple:
     triangulations are combinatorially isomorphic iff their canonical forms
     are equal.  Intended for modest sizes; the search is O(T^2 * 24).
     """
-    from itertools import permutations
-
     n = len(tri.tets)
     best = None
     for start in range(n):
-        for frame in permutations(range(4)):
+        for frame in _INVERSE:
             table = _bfs_relabel(tri, start, frame)
             if best is None or table < best:
                 best = table

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +10,9 @@ from pentachain.exact import (
     format_rational,
     independent_rows,
     minor,
+    modular_row_basis,
     parse_rational,
+    permutation_sign,
     rank,
 )
 
@@ -162,6 +164,45 @@ def test_row_order_changes_selection_deterministically():
     m = RatMatrix(rows)
     assert independent_rows(m, ("r1", "r0", "r2"))[0] == ["r1", "r2"]
     assert independent_rows(m)[0] == ["r0", "r2"]
+
+
+def test_modular_row_basis_spans():
+    import random
+
+    rng = random.Random(9)
+    for trial in range(40):
+        ncols = rng.randint(0, 5)
+        rows = random_matrix(rng, rng.randint(0, 8), ncols)
+        sparse = random.Random(trial)
+        rows = [[v if sparse.random() < 0.5 else F(0) for v in row] for row in rows]
+        if rows and trial % 4 == 0:
+            rows.append([2 * v for v in rows[0]])
+        m = RatMatrix(rows, col_labels=[f"c{j}" for j in range(ncols)])
+        # denominators are at most 5, so this prime keeps every rank
+        picked = modular_row_basis(m, 2**61 - 1)
+        assert len(picked) == len(set(picked)) == rank(m)
+        assert rank(m.submatrix(picked, m.col_labels)) == rank(m)
+        assert modular_row_basis(m, 2**61 - 1) == picked
+
+
+def test_modular_row_basis_pivot_rule():
+    # the shortest row goes first and eliminates its column from the
+    # others; ties go to the earlier row, so the scan order picks among
+    # equally short rows
+    m = RatMatrix([[1, 1, 1], [1, 0, 2], [0, 2, 0], [0, 3, 0]])
+    assert modular_row_basis(m, 7) == ["r2", "r0", "r1"]
+    assert modular_row_basis(m.submatrix(("r3", "r2", "r1", "r0"), m.col_labels), 7) == ["r3", "r1", "r0"]
+    # rank drops mod 3: r1 = r0 + 3 (0, 1, 0) vanishes against r0
+    assert modular_row_basis(RatMatrix([[1, 1], [1, 4]]), 3) == ["r0"]
+    # 3 divides a denominator
+    assert modular_row_basis(RatMatrix([[1, F(1, 6)]]), 3) == []
+
+
+def test_permutation_sign_counts_inversions():
+    for n in range(7):
+        for perm in permutations(range(n)):
+            inversions = sum(perm[a] > perm[b] for a, b in combinations(range(n), 2))
+            assert permutation_sign(perm) == (-1) ** inversions
 
 
 def test_duplicate_labels_rejected():

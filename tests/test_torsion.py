@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pentachain import (
     BasisPartition,
@@ -15,16 +16,18 @@ from pentachain import (
     enumerate_sites,
     face_circulations,
     invariant,
+    load_builtin,
     minors,
     partition_valid,
     projective_paper_partition,
+    random_walk,
     select_partition,
     sphere_paper_partition,
     tau,
     tet0_edges,
 )
 from pentachain import torsion
-from pentachain.exact import independent_rows
+from pentachain.exact import independent_rows, rank
 from pentachain.library import SPHERE_C1_ROWS
 
 F = Fraction
@@ -136,9 +139,12 @@ def test_pass_minors_match_reference(s3, rp3):
         for seed in (None, *range(10)):
             p, m = select_partition(c, seed)
             assert m == minors(c, p)
-            # rows chosen mod PRIME are the exact pass's rows, and the sparse
-            # minors are its Bareiss minors
-            assert (p, m) == exact_pass(c, seed)
+            # the Markowitz rows chosen mod PRIME need not be the exact
+            # pass's rows, but the signed torsion is the same, and the
+            # exact pass's Bareiss minors are the sparse minors of its rows
+            q, mq = exact_pass(c, seed)
+            assert mq == minors(c, q)
+            assert tau(c, p) == tau(c, q)
 
 
 def count_calls(monkeypatch, name):
@@ -198,6 +204,30 @@ def test_invariant_runs_five_exact_dets(rp3, monkeypatch):
     assert (len(rows), len(dets)) == (0, 5)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(("s3", "rp3")),
+    walk_seed=st.integers(0, 2**32),
+    steps=st.integers(0, 10),
+)
+def test_signed_tau_is_partition_independent_on_walk_states(name, walk_seed, steps):
+    tri = random_walk(load_builtin(name), steps, walk_seed, 12)
+    c = build_chain(tri, assign_geometry(tri, seed=walk_seed))
+    partitions = [select_partition(c, seed)[0] for seed in (None, *range(10))]
+    partitions.append(exact_pass(c, None)[0])
+    assert len({tau(c, p) for p in partitions}) == 1
+
+
+def test_sign_removes_partition_dependence(rp3, rp3_geometry):
+    c = build_chain(rp3, rp3_geometry)
+    picked = [select_partition(c, seed) for seed in range(10)]
+    # the bare alternating product of the minors takes both signs, eps
+    # makes it one value, and the invariant reports that value
+    assert {torsion._alternating(*m) > 0 for _, m in picked} == {True, False}
+    assert len({tau(c, p) for p, _ in picked}) == 1
+    assert invariant(rp3, geometry=rp3_geometry).tau == tau(c, picked[0][0])
+
+
 def test_geometry_independence(s3, rp3):
     for tri, expect in ((s3, 1), (rp3, 64)):
         for seed in range(10):
@@ -213,9 +243,12 @@ def test_kappa_rerandomization_preserves_invariant(s3):
 
 def test_selection_determinism(rp3, rp3_geometry):
     c = build_chain(rp3, rp3_geometry)
-    assert select_partition(c, seed=4) == select_partition(c, seed=4)
-    # without a seed the rows are scanned in label order
-    assert select_partition(c)[0].c1_rows == tuple(independent_rows(c.f1)[0])
+    for seed in (None, 4):
+        assert select_partition(c, seed) == select_partition(c, seed)
+        # each stage's rows span the row space of its restricted map
+        p, _ = select_partition(c, seed)
+        for m, rows, cols in zip(c.maps, p.rows(), (c.f1.col_labels, *p.cols(c))):
+            assert rank(m.submatrix(rows, cols)) == len(rows) == rank(m.submatrix(m.row_labels, cols))
 
 
 def test_invalid_partition_rejected(s3, sphere_geometry):

@@ -378,3 +378,30 @@ def test_self_reverse_edge_names_first_scanned_port():
     with pytest.raises(ValidationError) as got:
         build(rows)
     assert str(got.value) == str(exc.value)
+
+
+def with_gluing(tri, t, k, perm):
+    """The gluing table of ``tri`` with face k of tetrahedron t glued by
+    ``perm`` instead, to the same neighbor."""
+    rows = [list(row) for row in tri.tets]
+    rows[t][k] = Gluing(rows[t][k].neighbor, perm)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "perm", [(0, 1, 2, 4), (0, 1, 2), (0, 0, 1, 2), [0, 1, 2, 4], (1, 0, 2, 3, 4)]
+)
+def test_non_permutation_gluing_is_named(perm):
+    rows = with_gluing(load_builtin("rp3"), 0, 0, perm)
+    with pytest.raises(ValidationError) as exc:
+        build(rows)
+    assert str(exc.value) == f"tetrahedron 0 face 0 has invalid permutation {perm}"
+
+
+def test_list_permutation_gluing_is_not_involutive():
+    # a list never equals the tuple inverse its partner checks it against
+    rp3 = load_builtin("rp3")
+    g = rp3.tets[0][0]
+    with pytest.raises(ValidationError) as exc:
+        build(with_gluing(rp3, 0, 0, list(g.perm)))
+    assert str(exc.value) == f"gluing of tetrahedron {g.neighbor} face {g.perm[0]} is not involutive"
