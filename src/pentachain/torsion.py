@@ -171,14 +171,17 @@ def partition_valid(c: ChainComplex, p: BasisPartition) -> bool:
     return True
 
 
-def _alternating(m1, m2, m3, m4, m5) -> Fraction:
-    return m1 * m3 * m5 / (m2 * m4)
+def _signed_tau(c: ChainComplex, p: BasisPartition, values) -> Fraction:
+    """eps times the alternating product m1 * m3 * m5 / (m2 * m4) of the
+    partition's minors ``values``."""
+    m1, m2, m3, m4, m5 = values
+    return p.sign(c) * m1 * m3 * m5 / (m2 * m4)
 
 
 def tau(c: ChainComplex, p: BasisPartition) -> Fraction:
     """Signed torsion of a given partition: eps times the alternating
     product of its minors; the same for every valid partition."""
-    return p.sign(c) * _alternating(*minors(c, p))
+    return _signed_tau(c, p, minors(c, p))
 
 
 def _pivot_rows(m, cols, order, modulus: int | None) -> list[str]:
@@ -265,7 +268,7 @@ def invariant(
         lam = ensure_nondegenerate(tri, geometry)
     c = build_chain(tri, geometry, lam=lam)
     partition, values = select_partition(c)
-    t = partition.sign(c) * _alternating(*values)
+    t = _signed_tau(c, partition, values)
     face_product = Fraction(1)
     for s in face_circulations(tri, lam):
         face_product *= s

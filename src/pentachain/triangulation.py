@@ -43,6 +43,7 @@ from itertools import permutations
 from typing import Iterable, Sequence
 
 from .errors import ParseError, ValidationError
+from .exact import permutation_sign
 
 Perm = tuple[int, int, int, int]
 
@@ -63,20 +64,10 @@ def inverse(p: Perm) -> Perm:
     return tuple(out)
 
 
-def parity(seq: Sequence[int]) -> int:
-    """0 for even permutations, 1 for odd."""
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return inv & 1
-
-
-# the 24 slot permutations with their inverses and parities, so that
+# the 24 slot permutations with their inverses and signs, so that
 # validating a gluing table looks each gluing's permutation up once
 _INVERSE: dict[Perm, Perm] = {p: inverse(p) for p in permutations(range(4))}
-_PARITY: dict[Perm, int] = {p: parity(p) for p in _INVERSE}
+_SIGN: dict[Perm, int] = {p: permutation_sign(p) for p in permutations(range(4))}
 
 
 def transposition(a: int, b: int) -> Perm:
@@ -173,12 +164,9 @@ class Triangulation:
                     raise ValidationError(f"tetrahedron {t} face {k} is not glued")
                 if not 0 <= g.neighbor < n:
                     raise ValidationError(f"tetrahedron {t} face {k} glues to missing tetrahedron {g.neighbor}")
-                inv = _INVERSE.get(g.perm) if isinstance(g.perm, tuple) else None
+                inv = _INVERSE.get(tuple(g.perm))
                 if inv is None:
-                    if sorted(g.perm) != [0, 1, 2, 3]:
-                        raise ValidationError(f"tetrahedron {t} face {k} has invalid permutation {g.perm}")
-                    # a list holding a permutation: its partner's check fails
-                    inv = inverse(g.perm)
+                    raise ValidationError(f"tetrahedron {t} face {k} has invalid permutation {g.perm}")
                 partner = self.tets[g.neighbor][g.perm[k]]
                 if not isinstance(partner, Gluing) or partner.neighbor != t or partner.perm != inv:
                     raise ValidationError(
@@ -196,8 +184,8 @@ class Triangulation:
             while stack:
                 t = stack.pop()
                 for g in self.tets[t]:
-                    # coherence: s_t * s_n * (-1)^parity(perm) == -1
-                    needed = -signs[t] * (-1 if _PARITY[g.perm] else 1)
+                    # coherence: s_t * s_n * sign(perm) == -1
+                    needed = -signs[t] * _SIGN[g.perm]
                     if signs[g.neighbor] == 0:
                         signs[g.neighbor] = needed
                         stack.append(g.neighbor)
@@ -322,7 +310,7 @@ class Triangulation:
     def sequence_parity(self, tet: int, seq: Sequence[int]) -> int:
         """Parity of a slot sequence relative to the positive ordering, which
         is (0, 1, 2, 3) for sign +1 and one transposition away for -1."""
-        return parity(seq) ^ (self.orientation_signs[tet] < 0)
+        return int(permutation_sign(seq) != self.orientation_signs[tet])
 
     def edge_star(self, edge: EdgeClass | int) -> EdgeStar:
         e = self.edges[edge] if isinstance(edge, int) else edge
@@ -416,7 +404,7 @@ def canonical_form(tri: Triangulation) -> tuple:
     n = len(tri.tets)
     best = None
     for start in range(n):
-        for frame in _INVERSE:
+        for frame in permutations(range(4)):
             table = _bfs_relabel(tri, start, frame)
             if best is None or table < best:
                 best = table

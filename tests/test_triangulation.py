@@ -15,6 +15,7 @@ from pentachain import (
     load_builtin,
     walk_states,
 )
+from pentachain.exact import permutation_sign
 from pentachain.triangulation import (
     IDENTITY,
     EdgeClass,
@@ -22,7 +23,6 @@ from pentachain.triangulation import (
     VertexClass,
     compose,
     inverse,
-    parity,
     transposition,
 )
 
@@ -30,8 +30,8 @@ from pentachain.triangulation import (
 def test_perm_helpers():
     p = (2, 0, 3, 1)
     assert compose(inverse(p), p) == IDENTITY
-    assert parity(IDENTITY) == 0
-    assert parity(transposition(1, 3)) == 1
+    assert permutation_sign(IDENTITY) == 1
+    assert permutation_sign(transposition(1, 3)) == -1
 
 
 def test_sphere_build(s3):
@@ -100,9 +100,8 @@ def test_orientation_coherence_relation(s3, rp3):
     for tri in (s3, rp3):
         for t, row in enumerate(tri.tets):
             for g in row:
-                p = parity(g.perm)
                 s1, s2 = tri.orientation_signs[t], tri.orientation_signs[g.neighbor]
-                assert s1 * s2 * (-1 if p else 1) == -1
+                assert s1 * s2 * permutation_sign(g.perm) == -1
 
 
 def test_gluings_are_involutive_on_slots(s3, rp3):
@@ -345,7 +344,7 @@ def random_orientable_table(rng, n):
             continue
         u, l = ports.pop()
         odd = signs[t] == signs[u]
-        p = rng.choice([q for q in perms if q[k] == l and parity(q) == odd])
+        p = rng.choice([q for q in perms if q[k] == l and (permutation_sign(q) < 0) == odd])
         table[t][k] = Gluing(u, p)
         table[u][l] = Gluing(t, inverse(p))
     return table
