@@ -31,8 +31,10 @@ denominators, which changes no zero pattern of the product.
 Each composition of consecutive maps is exactly zero; ``build_chain``
 asserts this by default.  Acyclicity is equivalent to the rank pattern
 (6, 3V-6, E-3V+6, 3V-6, 6) once the chain property holds.  The invariant
-decides it with ``torsion.select_partition``, whose one greedy pass is an
-exact certificate; ``check_acyclic`` is the reference rank test.
+decides it with ``torsion.select_partition``, whose one exact greedy pass
+both certifies it and yields the torsion's minors; ``check_acyclic`` is the
+reference rank test, run on the same sparse elimination as every other
+rank in the package, and it reports the ranks when that pass falls short.
 """
 
 from __future__ import annotations

@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chain-seeds", type=_count(0), default=8)
     p.add_argument("--partition-seeds", type=_count(1), default=10)
     p.add_argument("--geometry-seeds", type=_count(1), default=10)
-    p.add_argument("--max-tets", type=int, default=12)
+    p.add_argument("--max-tets", type=_count(1), default=12)
     p.add_argument("--check-every", type=_count(1), default=5,
                    help="verify the invariant every N walk steps (and at the end)")
     p.add_argument("--pentagon-only", action="store_true")
@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps", type=_count(0), default=20)
-    p.add_argument("--max-tets", type=int, default=12)
+    p.add_argument("--max-tets", type=_count(1), default=12)
     p.add_argument("--out", help="write the resulting triangulation here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_pachner)

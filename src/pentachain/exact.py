@@ -8,32 +8,27 @@ stores only its nonzeros, one ``{column position: Fraction}`` mapping per
 row; this module is the only one that knows that layout, the others build
 from such rows and read ``rows``, ``entry``, ``submatrix`` and ``minor``.
 
-Rank and pivot selection run fraction-free (Bareiss) over integer-scaled
-sparse rows: intermediate entries are minors of the scaled input, which
-keeps their size polynomially bounded.  ``independent_rows`` returns the
-greedy pivot rows together with their minor, the last pivot of that same
-elimination.
+One elimination serves every rank, row basis and determinant: a sparse
+Markowitz elimination over Q (``_eliminate``).  Each step pivots the
+shortest remaining row on its sparsest column, ties going to the earlier
+row and then the lower column, and updates only the rows that hold that
+column, found through a column -> rows index.  Short rows and sparse
+columns keep the fill-in of the sparse maps small.  A step records the
+pivot row, the pivot column and the pivot; rows that reduce to zero are
+dependent and never pivot.
 
-Over GF(p), ``modular_row_basis`` picks a row basis by sparse Markowitz
-elimination: each step pivots the shortest remaining row on its sparsest
-column and updates only the rows that hold that column.  Short rows and
-sparse columns keep the fill-in small, and the rows it picks are not
-those of the column scan.  Rows chosen mod p span a block whose minor is nonzero mod p,
-hence nonzero over Q; but a matrix can lose rank mod p, which is why the
-torsion's partition pass (``torsion.select_partition``) takes the modular
-rows only as a proposal, decides with exact minors and falls back to the
-exact column scan.
-
-``det`` (and ``minor``, which calls it) eliminates copies of the sparse
-rows with Markowitz pivoting: each step takes the pivot minimizing (row
-nonzeros - 1) * (column nonzeros - 1), which keeps the fill-in of the
-sparse maps small, and the sign comes from the row-to-column pivot
-permutation, counted by cycles (``permutation_sign``).
+The pivot rows, listed in pivot order, form a block whose columns the
+pivots cover; after the updates (each adds multiples of earlier pivot
+rows) it is triangular up to the order of its columns.  So its minor on
+the pivot columns in column order is the sign of the pivot permutation,
+counted by cycles (``permutation_sign``), times the product of the
+pivots.  ``rank`` counts the steps, ``independent_rows`` returns the pivot
+rows and that minor, and ``det`` (with ``minor``, which calls it) takes
+the same product with the rows in the matrix's own order.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -148,71 +143,20 @@ def _sparse_row(row, width: int) -> dict[int, Fraction]:
     return {j: v if type(v) is Fraction else Fraction(v) for j, v in items if v}
 
 
-def _echelon(rows: list[dict[int, int]], ncols: int) -> tuple[list[int], int]:
-    """Fraction-free row echelon of sparse integer rows, destructive on
-    ``rows``.
+Step = tuple[int, int, Fraction]  # (row position, column, pivot)
 
-    Pivot rule: scan columns left to right, within a column take the first
-    remaining row with a nonzero entry.  Returns original positions of pivot
-    rows (in pivot order) and the last pivot.  When every column has a
-    pivot, the last pivot is the determinant of the (scaled) pivot rows
-    taken in pivot order.
+
+def _eliminate(rows: Sequence[Mapping[int, Fraction]], ncols: int) -> list[Step]:
+    """Sparse Markowitz elimination on copies of ``rows``: one (row
+    position, column, pivot) per step, in pivot order, stopping when
+    every column has a pivot or no nonzero row is left.
+
+    Each step takes the shortest remaining row and pivots on its sparsest
+    column, then updates only the rows holding that column.  Ties go to
+    the earlier row and the lower column, so the steps depend only on the
+    rows and their order.
     """
-    m = len(rows)
-    where = list(range(m))
-    piv_rows: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, m) if c in rows[i]), None)
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-            where[r], where[pr] = where[pr], where[r]
-        row_r = rows[r]
-        piv = row_r.pop(c)
-        for i in range(r + 1, m):
-            row_i = rows[i]
-            ric = row_i.pop(c, 0)
-            if ric:
-                get_i, get_r = row_i.get, row_r.get
-                rows[i] = {
-                    j: x
-                    for j in row_i.keys() | row_r.keys()
-                    if (x := (piv * get_i(j, 0) - ric * get_r(j, 0)) // prev)
-                }
-            elif prev != piv:
-                # Bareiss update applies to every remaining row, not only
-                # those with a nonzero entry in the pivot column.
-                rows[i] = {j: piv * v // prev for j, v in row_i.items()}
-        piv_rows.append(where[r])
-        prev = piv
-        r += 1
-        if r == m:
-            break
-    return piv_rows, prev
-
-
-def modular_row_basis(m: RatMatrix, modulus: int) -> list[Label]:
-    """Labels of rows of ``m`` that form a basis of its row space over
-    GF(modulus), a prime, in pivot order; no rows when the modulus divides
-    a denominator.
-
-    Sparse Markowitz elimination: take the shortest remaining row and pivot
-    on its sparsest column, then update only the rows holding that column,
-    found through a column -> rows index.  Ties go to the earlier row of
-    ``m`` and the lower column, so the rows depend only on ``m``'s row
-    order.  Rows that reduce to zero are dependent and dropped.
-    """
-    rows = []
-    for row in m.rows:
-        # clearing denominators scales the row by a unit mod p, which
-        # changes none of the elimination's choices
-        d, ints = clear_denominators(row)
-        if not d % modulus:  # the modulus divides a denominator
-            return []
-        rows.append({j: x for j, v in ints.items() if (x := v % modulus)})
+    rows = [dict(row) for row in rows]
     holders: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for j in row:
@@ -221,8 +165,8 @@ def modular_row_basis(m: RatMatrix, modulus: int) -> list[Label]:
     # a pivot are skipped when they come up
     queue = [(len(row), i) for i, row in enumerate(rows)]
     heapify(queue)
-    picked: list[int] = []
-    while queue and len(picked) < m.ncols:
+    steps: list[Step] = []
+    while queue and len(steps) < ncols:
         length, r = heappop(queue)
         pivot_row = rows[r]
         if pivot_row is None or len(pivot_row) != length or not length:
@@ -231,12 +175,14 @@ def modular_row_basis(m: RatMatrix, modulus: int) -> list[Label]:
         rows[r] = None
         for k in pivot_row:
             holders[k].discard(r)
-        inv = pow(pivot_row.pop(j), -1, modulus)
+        piv = pivot_row.pop(j)
         for i in holders.pop(j):
             row_i = rows[i]
-            f = row_i.pop(j) * inv % modulus
+            f = row_i.pop(j)
+            if pivot_row:  # a pivot alone in its row only clears its column
+                f /= piv
             for k, v in pivot_row.items():
-                if x := (row_i.get(k, 0) - f * v) % modulus:
+                if x := row_i.get(k, 0) - f * v:
                     if k not in row_i:
                         holders[k].add(i)
                     row_i[k] = x
@@ -244,8 +190,16 @@ def modular_row_basis(m: RatMatrix, modulus: int) -> list[Label]:
                     del row_i[k]
                     holders[k].discard(i)
             heappush(queue, (len(row_i), i))
-        picked.append(r)
-    return [m.row_labels[i] for i in picked]
+        steps.append((r, j, piv))
+    return steps
+
+
+def _minor(steps: Sequence[Step]) -> Fraction:
+    """Minor of a full set of steps: the sign of their column permutation
+    times the product of their pivots, the rows taken in the order of
+    ``steps`` and the columns in column order."""
+    sign = permutation_sign([j for _, j, _ in steps])
+    return sign * prod((p for _, _, p in steps), start=Fraction(1))
 
 
 def permutation_sign(perm: Sequence[int]) -> int:
@@ -265,49 +219,16 @@ def permutation_sign(perm: Sequence[int]) -> int:
 
 
 def rank(m: RatMatrix) -> int:
-    return len(independent_rows(m)[0])
+    return len(_eliminate(m.rows, m.ncols))
 
 
 def det(m: RatMatrix) -> Fraction:
-    """Exact determinant by sparse Markowitz elimination; the empty matrix
-    has determinant 1."""
+    """Exact determinant; the empty matrix has determinant 1."""
     if m.nrows != m.ncols:
         raise ValueError(f"determinant of non-square {m.nrows}x{m.ncols} matrix")
-    rows = {i: dict(row) for i, row in enumerate(m.rows)}
-    counts = Counter(j for row in rows.values() for j in row)
-    perm = [0] * m.nrows
-    value = Fraction(1)
-    while rows:
-        best = None
-        for i, row in rows.items():
-            if not row:
-                return Fraction(0)
-            others = len(row) - 1
-            for j in row:
-                cost = others * (counts[j] - 1)
-                if best is None or cost < best[0]:
-                    best = (cost, i, j)
-            if best[0] == 0:
-                break
-        _, i, j = best
-        pivot_row = rows.pop(i)
-        counts.subtract(pivot_row.keys())
-        piv = pivot_row.pop(j)
-        perm[i] = j
-        value *= piv
-        for row in rows.values():
-            if j in row:
-                factor = row.pop(j) / piv
-                for k, v in pivot_row.items():
-                    new = row.get(k, 0) - factor * v
-                    if new:
-                        counts[k] += k not in row
-                        row[k] = new
-                    else:
-                        counts[k] -= 1
-                        del row[k]
-    # sign of the row -> column pivot permutation
-    return permutation_sign(perm) * value
+    steps = _eliminate(m.rows, m.ncols)
+    # a row left without a pivot reduced to zero
+    return _minor(sorted(steps)) if len(steps) == m.nrows else Fraction(0)
 
 
 def minor(m: RatMatrix, row_labels: Iterable[Label], col_labels: Iterable[Label]) -> Fraction:
@@ -331,22 +252,16 @@ def minor(m: RatMatrix, row_labels: Iterable[Label], col_labels: Iterable[Label]
     return det(m.submatrix(rows, cols))
 
 
-def independent_rows(
-    m: RatMatrix, row_order: Sequence[Label] | None = None
-) -> tuple[list[Label], Fraction]:
-    """Greedy maximal independent set of rows, scanned in the given order,
-    and the minor they give on all columns.
+def independent_rows(m: RatMatrix) -> tuple[list[Label], Fraction]:
+    """A maximal independent set of rows and the minor they give on all
+    columns; ties of the pivot rule go to the earlier row of ``m``, so
+    reordering the rows (``submatrix``) can pick a different set.
 
     The rows come in pivot order and form a full-rank submatrix on the pivot
-    columns.  The minor is ``det(m.submatrix(rows, m.col_labels))``, the last
-    pivot of the same elimination; it is 0 when fewer than ``m.ncols`` rows
-    are independent (and 1 for a matrix with no columns).
+    columns.  The minor is ``det(m.submatrix(rows, m.col_labels))``, read
+    off the same elimination; it is 0 when fewer than ``m.ncols`` rows are
+    independent (and 1 for a matrix with no columns).
     """
-    order = list(row_order) if row_order is not None else list(m.row_labels)
-    rows = [m.rows[m._rindex[lab]] for lab in order]
-    scaled = [clear_denominators(row) for row in rows]
-    piv_rows, last = _echelon([ints for _, ints in scaled], m.ncols)
-    picked = [order[i] for i in piv_rows]
-    if len(picked) < m.ncols:
-        return picked, Fraction(0)
-    return picked, Fraction(last, prod(scaled[i][0] for i in piv_rows))
+    steps = _eliminate(m.rows, m.ncols)
+    picked = [m.row_labels[i] for i, _, _ in steps]
+    return picked, _minor(steps) if len(steps) == m.ncols else Fraction(0)

@@ -20,13 +20,17 @@ moves or a change of geometry; that would take a homology orientation
 and an Euler structure (Turaev's sign-refined torsion), which this
 package does not implement.
 
-Partitions are chosen greedily left to right in one pass: rows of f1 that
-span its row space become C1's left rows, the complementary labels become
-f2's columns, spanning rows of the restricted f2 become C2's left rows,
-and so on, closing with the minor of f5.
+Partitions are chosen greedily left to right in one exact pass: rows of
+f1 that span its row space become C1's left rows, the complementary labels
+become f2's columns, spanning rows of the restricted f2 become C2's left
+rows, and so on, closing with the minor of f5.  Each stage is one sparse
+Markowitz elimination (``exact.independent_rows``), which returns the
+spanning rows in pivot order together with their minor, so the pass
+yields the partition and its five minors at once: four row bases and the
+``det`` of the f5 block.
 
 Given the chain property (which ``build_chain`` checks exactly), this pass
-is also the acyclicity certificate, whatever rows it picks:
+is also the acyclicity certificate, whatever spanning rows it picks:
 
 - if it succeeds, every restricted f_k has full column rank and the f5
   minor is nonzero, so rank f_k is at least the split size; f_{k+1} f_k = 0
@@ -36,30 +40,12 @@ is also the acyclicity certificate, whatever rows it picks:
   of the image of f_k, on which f_{k+1} is injective, so every stage reaches
   full column rank for any choice of spanning rows.
 
-So the rank test ``check_acyclic`` runs only after the exact pass falls
-short, to report the exact ranks.
-
-The pass chooses rows over GF(p), p = ``PRIME`` = 2^61 - 1, with the sparse
-Markowitz row basis ``exact.modular_row_basis``, and takes the five minors
-of the chosen blocks exactly (``exact.det``).  The modular choice is only a
-proposal; the exact minors decide:
-
-- every block chosen mod p has a minor that is nonzero mod p, hence
-  nonzero over Q, and when all five exact minors are nonzero the first
-  bullet above certifies acyclicity exactly as it stands;
-- a stage that falls short mod p (its rank drops mod p, or p divides one
-  of its denominators) or a vanishing exact minor (f5's block is not
-  chosen mod p) sends the pass round again with exact Bareiss row choice
-  (``exact.independent_rows``, a column scan); that pass is the
-  certificate of the second bullet, and only its failure raises
-  NotAcyclicError.
-
-The modular rows need not be the exact pass's rows: Markowitz pivoting
-picks short rows and sparse columns, which keeps the fill-in and the exact
-minors small.  For a fixed p they are a deterministic function of the
-input and the scan order, so reports stay reproducible, and the signed
-torsion does not depend on which rows were picked.  An invariant costs
-four modular eliminations and five exact sparse determinants.
+So a stage that falls short proves the complex is not acyclic, and the
+rank test ``check_acyclic`` runs only then, to report the exact ranks.
+The Markowitz rule picks short rows and sparse columns, which keeps the
+fill-in and the minors small; the rows are a deterministic function of
+the input and the scan order, so reports stay reproducible, and the
+signed torsion does not depend on which rows were picked.
 ``minors``, ``tau`` and ``partition_valid`` evaluate an arbitrary
 partition from scratch; they are the reference that the library's paper
 partitions, the tests and ``verify``'s partition-independence check use.
@@ -83,7 +69,7 @@ from fractions import Fraction
 
 from .chain import ChainComplex, build_chain, check_acyclic, expected_ranks
 from .errors import NotAcyclicError, TorsionError
-from .exact import det, independent_rows, modular_row_basis, permutation_sign
+from .exact import det, independent_rows, permutation_sign
 from .geometry import (
     DEFAULT_MAX_RETRIES,
     GeometryAssignment,
@@ -94,10 +80,6 @@ from .geometry import (
     subseed,
 )
 from .triangulation import Triangulation
-
-# the partition pass chooses rows over GF(PRIME) before the exact minors
-PRIME = 2**61 - 1
-
 
 @dataclass(frozen=True)
 class BasisPartition:
@@ -184,16 +166,6 @@ def tau(c: ChainComplex, p: BasisPartition) -> Fraction:
     return _signed_tau(c, p, minors(c, p))
 
 
-def _pivot_rows(m, cols, order, modulus: int | None) -> list[str]:
-    """Spanning rows of ``m`` restricted to ``cols``, in pivot order: the
-    Markowitz row basis over GF(modulus), ties going to the earlier row of
-    ``order``, or the exact greedy scan in ``order`` when ``modulus`` is
-    None.  A denominator the modulus divides gives no rows."""
-    if modulus is None:
-        return independent_rows(m.submatrix(m.row_labels, cols), order)[0]
-    return modular_row_basis(m.submatrix(order, cols), modulus)
-
-
 def select_partition(
     c: ChainComplex, seed: int | None = None
 ) -> tuple[BasisPartition, tuple[Fraction, ...]]:
@@ -202,34 +174,32 @@ def select_partition(
 
     With ``seed=None`` every stage scans its rows in label order; an integer
     seed shuffles each stage's order, which breaks the row choice's ties
-    differently and so picks a different (equally valid) partition.  Rows
-    are chosen over GF(PRIME) by ``modular_row_basis`` and each chosen block
-    (closing with the f5 block) gets its exact minor from ``det``, so the
-    minors equal ``minors(c, partition)``.  If a stage falls short mod
-    PRIME or a minor is 0, the same pass runs again with exact row choice.
-    Given the chain property that pass succeeds exactly when the complex
-    is acyclic (see the module docstring), so a stage that falls short
-    there raises NotAcyclicError with the ranks from ``check_acyclic``.
+    differently and so picks a different (equally valid) partition.  Each
+    stage's rows and minor come from one ``independent_rows`` elimination
+    and the f5 minor from ``det``, so the minors equal ``minors(c,
+    partition)``.  Given the chain property the pass succeeds exactly when
+    the complex is acyclic (see the module docstring), so a stage that
+    falls short raises NotAcyclicError with the ranks from
+    ``check_acyclic``.
     """
-    for modulus in (PRIME, None):
-        rng = None if seed is None else random.Random(seed)
-        picked, values = [], []
-        cols = c.f1.col_labels
-        for m, want in zip((c.f1, c.f2, c.f3, c.f4), expected_ranks(c.vertex_count, c.edge_count)):
-            order = list(m.row_labels)
-            if rng is not None:
-                rng.shuffle(order)
-            rows = _pivot_rows(m, cols, order, modulus)
-            if len(rows) != want:
-                break
-            picked.append(tuple(rows))
-            values.append(det(m.submatrix(rows, cols)))
-            cols = _complement(m, rows)
-        else:
-            values.append(det(c.f5.submatrix(c.f5.row_labels, cols)))
-            if all(values):
-                return BasisPartition(*picked), tuple(values)
-    # the exact pass fell short, so the complex is not acyclic: report ranks
+    rng = None if seed is None else random.Random(seed)
+    picked, values = [], []
+    cols = c.f1.col_labels
+    for m in (c.f1, c.f2, c.f3, c.f4):
+        order = list(m.row_labels)
+        if rng is not None:
+            rng.shuffle(order)
+        rows, value = independent_rows(m.submatrix(order, cols))
+        if not value:
+            break
+        picked.append(tuple(rows))
+        values.append(value)
+        cols = _complement(m, rows)
+    else:
+        values.append(det(c.f5.submatrix(c.f5.row_labels, cols)))
+        if values[-1]:
+            return BasisPartition(*picked), tuple(values)
+    # a stage fell short, so the complex is not acyclic: report the ranks
     report = check_acyclic(c)
     raise NotAcyclicError(report.ranks, report.expected)
 

@@ -196,6 +196,37 @@ def test_broken_complex_exits_not_acyclic(capsys, monkeypatch):
     assert "complex is not acyclic: ranks (6, 6, 0, 6, 6), expected (6, 6, 6, 6, 6)" in err
 
 
+def test_short_stage_exits_not_acyclic(capsys, monkeypatch):
+    # f3 keeps only its first 5 rows: unlike a zeroed f3 its stage of the
+    # pass does find rows, but 5 independent ones where 6 are needed
+    real_build_chain = torsion.build_chain
+
+    def truncated_f3(*args, **kwargs):
+        c = real_build_chain(*args, **kwargs)
+        rows = [row if i < 5 else {} for i, row in enumerate(c.f3.rows)]
+        return replace(c, f3=RatMatrix(rows, c.f3.row_labels, c.f3.col_labels))
+
+    monkeypatch.setattr(torsion, "build_chain", truncated_f3)
+    code, _, err = run(capsys, ["invariant", "--builtin", "rp3"])
+    assert code == 5
+    assert "complex is not acyclic: ranks (6, 6, 5, 6, 6), expected (6, 6, 6, 6, 6)" in err
+
+
+def test_vanishing_f5_minor_exits_not_acyclic(capsys, monkeypatch):
+    # a zero f5 keeps the chain property; the pass's four row stages
+    # succeed and its closing det is 0
+    real_build_chain = torsion.build_chain
+
+    def zeroed_f5(*args, **kwargs):
+        c = real_build_chain(*args, **kwargs)
+        return replace(c, f5=RatMatrix([{} for _ in c.f5.row_labels], c.f5.row_labels, c.f5.col_labels))
+
+    monkeypatch.setattr(torsion, "build_chain", zeroed_f5)
+    code, _, err = run(capsys, ["invariant", "--builtin", "s3"])
+    assert code == 5
+    assert "complex is not acyclic: ranks (6, 6, 0, 6, 0), expected (6, 6, 0, 6, 6)" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["verify", "--pentagon-only", "--samples", "1"], ["pentagon", "--samples", "1"]],
@@ -322,6 +353,23 @@ def test_dump_chain_large_fixture(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == RP3_T80_SEED0_DUMP_SHA256
 
 
+# whole reports, signed tau of 700-900 bits included, taken at version
+# 0.2.0 before the partition pass became one exact elimination per stage
+T80_SEED0_INVARIANT_SHA256 = {
+    "rp3": "676ad5a9a545a40e62d6e88e866bd8a3bbac20cd7e9b00dfa0a35132bda142d5",
+    "s3": "e5353262c9d31e8f18d1c4c14e7f3c87c7eab724a5dd6e4ff14c043deac62bf2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(T80_SEED0_INVARIANT_SHA256))
+def test_invariant_large_fixture_report_pinned(capsys, monkeypatch, name):
+    # the report names its input as given, so run from the repository root
+    monkeypatch.chdir(RP3_T80.parents[2])
+    code, out, _ = run(capsys, ["invariant", "--file", f"benchmarks/fixtures/{name}_t80.tri", "--seed", "0", "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == T80_SEED0_INVARIANT_SHA256[name]
+
+
 @pytest.mark.parametrize(
     "flag, value, minimum",
     [
@@ -333,6 +381,8 @@ def test_dump_chain_large_fixture(capsys):
         ("--walks", "-1", 0),
         ("--steps", "-1", 0),
         ("--chain-seeds", "-1", 0),
+        ("--max-tets", "0", 1),
+        ("--max-tets", "-5", 1),
     ],
 )
 def test_verify_rejects_out_of_range_counts(capsys, flag, value, minimum):
@@ -340,6 +390,14 @@ def test_verify_rejects_out_of_range_counts(capsys, flag, value, minimum):
         cli.main(["verify", "--builtin", "s3", flag, value])
     assert exc.value.code == 2
     assert f"argument {flag}: must be at least {minimum}, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_pachner_rejects_out_of_range_max_tets(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["pachner", "--builtin", "rp3", "--max-tets", value])
+    assert exc.value.code == 2
+    assert f"argument --max-tets: must be at least 1, got {value}" in capsys.readouterr().err
 
 
 def test_zero_circulation_geometry_exit_code(tmp_path, capsys):

@@ -10,7 +10,6 @@ from pentachain.exact import (
     format_rational,
     independent_rows,
     minor,
-    modular_row_basis,
     parse_rational,
     permutation_sign,
     rank,
@@ -138,10 +137,10 @@ def test_independent_rows_selects_invertible_block():
         order = list(m.row_labels)
         sparse_rng = random.Random(trial)
         for _ in range(3):
-            picked, value = independent_rows(m, order)
+            picked, value = independent_rows(m.submatrix(order, m.col_labels))
             assert len(picked) == rank(m)
             if len(picked) == ncols:
-                # the sparse det of the picked block is the Bareiss last pivot
+                # the minor read off the row choice is the det of the picked block
                 assert value == det(m.submatrix(picked, m.col_labels)) != 0
                 assert value == cofactor_det([[m.entry(r, c) for c in m.col_labels] for r in picked])
             else:
@@ -162,40 +161,26 @@ def test_independent_rows_selects_invertible_block():
 def test_row_order_changes_selection_deterministically():
     rows = [[1, 0], [1, 0], [0, 1]]
     m = RatMatrix(rows)
-    assert independent_rows(m, ("r1", "r0", "r2"))[0] == ["r1", "r2"]
+    assert independent_rows(m.submatrix(("r1", "r0", "r2"), m.col_labels))[0] == ["r1", "r2"]
     assert independent_rows(m)[0] == ["r0", "r2"]
 
 
-def test_modular_row_basis_spans():
-    import random
-
-    rng = random.Random(9)
-    for trial in range(40):
-        ncols = rng.randint(0, 5)
-        rows = random_matrix(rng, rng.randint(0, 8), ncols)
-        sparse = random.Random(trial)
-        rows = [[v if sparse.random() < 0.5 else F(0) for v in row] for row in rows]
-        if rows and trial % 4 == 0:
-            rows.append([2 * v for v in rows[0]])
-        m = RatMatrix(rows, col_labels=[f"c{j}" for j in range(ncols)])
-        # denominators are at most 5, so this prime keeps every rank
-        picked = modular_row_basis(m, 2**61 - 1)
-        assert len(picked) == len(set(picked)) == rank(m)
-        assert rank(m.submatrix(picked, m.col_labels)) == rank(m)
-        assert modular_row_basis(m, 2**61 - 1) == picked
-
-
-def test_modular_row_basis_pivot_rule():
+def test_independent_rows_pivot_rule():
     # the shortest row goes first and eliminates its column from the
     # others; ties go to the earlier row, so the scan order picks among
-    # equally short rows
+    # equally short rows, and then to the lower of equally sparse columns
     m = RatMatrix([[1, 1, 1], [1, 0, 2], [0, 2, 0], [0, 3, 0]])
-    assert modular_row_basis(m, 7) == ["r2", "r0", "r1"]
-    assert modular_row_basis(m.submatrix(("r3", "r2", "r1", "r0"), m.col_labels), 7) == ["r3", "r1", "r0"]
-    # rank drops mod 3: r1 = r0 + 3 (0, 1, 0) vanishes against r0
-    assert modular_row_basis(RatMatrix([[1, 1], [1, 4]]), 3) == ["r0"]
-    # 3 divides a denominator
-    assert modular_row_basis(RatMatrix([[1, F(1, 6)]]), 3) == []
+    assert independent_rows(m)[0] == ["r2", "r0", "r1"]
+    assert independent_rows(m.submatrix(("r3", "r2", "r1", "r0"), m.col_labels))[0] == ["r3", "r1", "r0"]
+    # r0 ties on all three columns and pivots on the lowest, c0, which
+    # leaves r2 = (0, 0, 1) shorter than r1 = (0, 3, 3)
+    assert independent_rows(RatMatrix([[1, 2, 1], [-1, 1, 2], [1, 2, 2]]))[0] == ["r0", "r2", "r1"]
+    # exact arithmetic keeps a rank that a small prime would drop
+    # (r1 = r0 + 3 (0, 1)) and takes any denominator
+    assert independent_rows(RatMatrix([[1, 1], [1, 4]])) == (["r0", "r1"], 3)
+    # the shorter r1 pivots first, so the minor is that of the rows in
+    # pivot order: det [[0, 1/3], [1, 1/6]] = -1/3
+    assert independent_rows(RatMatrix([[1, F(1, 6)], [0, F(1, 3)]])) == (["r1", "r0"], F(-1, 3))
 
 
 def test_permutation_sign_counts_inversions():

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +26,7 @@ from pentachain import (
     tet0_edges,
 )
 from pentachain import torsion
-from pentachain.exact import independent_rows, rank
+from pentachain.exact import rank
 from pentachain.library import SPHERE_C1_ROWS
 
 F = Fraction
@@ -110,41 +109,20 @@ def grown(tri, size, seed):
     return tri
 
 
-def exact_pass(c, seed):
-    """The greedy pass with exact row choice, stage by stage: the partition
-    and the Bareiss minors of ``independent_rows`` (m5 from the f5 block's
-    own rows, signed back to label order)."""
-    rng = None if seed is None else random.Random(seed)
-    picked, values = [], []
-    cols = c.f1.col_labels
-    for m in (c.f1, c.f2, c.f3, c.f4):
-        order = list(m.row_labels)
-        if rng is not None:
-            rng.shuffle(order)
-        rows, value = independent_rows(m.submatrix(m.row_labels, cols), order)
-        picked.append(tuple(rows))
-        values.append(value)
-        cols = tuple(lab for lab in m.row_labels if lab not in rows)
-    rows, value = independent_rows(c.f5.submatrix(c.f5.row_labels, cols))
-    positions = [c.f5.row_labels.index(lab) for lab in rows]
-    inversions = sum(a > b for a, b in combinations(positions, 2))
-    return BasisPartition(*picked), (*values, (-1) ** inversions * value)
-
-
 def test_pass_minors_match_reference(s3, rp3):
     big = grown(rp3, 20, seed=3)
     assert big.size == 20
     for tri in (s3, rp3, big):
         c = build_chain(tri, assign_geometry(tri, seed=11))
+        taus = set()
         for seed in (None, *range(10)):
             p, m = select_partition(c, seed)
+            # the minors read off the pass's eliminations are the
+            # reference minors of its partition
             assert m == minors(c, p)
-            # the Markowitz rows chosen mod PRIME need not be the exact
-            # pass's rows, but the signed torsion is the same, and the
-            # exact pass's Bareiss minors are the sparse minors of its rows
-            q, mq = exact_pass(c, seed)
-            assert mq == minors(c, q)
-            assert tau(c, p) == tau(c, q)
+            taus.add(tau(c, p))
+        # every partition the pass picks gives the same signed torsion
+        assert len(taus) == 1
 
 
 def count_calls(monkeypatch, name):
@@ -160,39 +138,10 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("prime", [3, 5])
-def test_small_prime_falls_back_to_exact_pass(s3, rp3, prime, monkeypatch):
-    # with the seed-1 geometry, 3 divides an f1 denominator; mod 5 s3's f4
-    # stage loses rank and 5 divides an rp3 f3 denominator
-    monkeypatch.setattr(torsion, "PRIME", prime)
-    calls = count_calls(monkeypatch, "independent_rows")
-    assert invariant(s3, seed=1).abs_invariant == 1
-    assert invariant(rp3, seed=1).abs_invariant == 64
-    assert len(calls) == 8
-
-
-@pytest.mark.parametrize("prime, falls_back", [(11, False), (17, True), (6089, True)])
-def test_modular_rows_are_certified_by_exact_minors(rp3, prime, falls_back, monkeypatch):
-    """With this geometry, rows chosen mod 11 differ from the exact pass but
-    their exact minors are nonzero, so they stand; mod 17 a stage loses rank,
-    and 6089 divides an f3 denominator but none of f1 or f2, so the f3 stage
-    is short.  Both rerun the exact pass."""
-    c = build_chain(rp3, assign_geometry(rp3, seed=11))
-
-    def divides(m):
-        return any(e.denominator % 6089 == 0 for row in m.entries for e in row)
-
-    assert divides(c.f3) and not divides(c.f1) and not divides(c.f2)
-    monkeypatch.setattr(torsion, "PRIME", prime)
-    calls = count_calls(monkeypatch, "independent_rows")
-    p, m = select_partition(c)
-    assert len(calls) == (4 if falls_back else 0)
-    assert ((p, m) == exact_pass(c, None)) == falls_back
-    assert m == minors(c, p)
-    assert abs(tau(c, p)) == abs(tau(c, exact_pass(c, None)[0]))
-
-
 def test_invariant_runs_five_exact_dets(rp3, monkeypatch):
+    """One exact pass: four row-basis eliminations that also give m1..m4,
+    and the det of the f5 block; the minors are never recomputed."""
+
     def no_minors(*args, **kwargs):
         raise AssertionError("invariant() recomputed the minors")
 
@@ -200,8 +149,7 @@ def test_invariant_runs_five_exact_dets(rp3, monkeypatch):
     dets = count_calls(monkeypatch, "det")
     monkeypatch.setattr(torsion, "minors", no_minors)
     assert invariant(rp3, seed=1).abs_invariant == 64
-    # rows are chosen mod PRIME, so the exact fallback never runs here
-    assert (len(rows), len(dets)) == (0, 5)
+    assert (len(rows), len(dets)) == (4, 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -213,9 +161,9 @@ def test_invariant_runs_five_exact_dets(rp3, monkeypatch):
 def test_signed_tau_is_partition_independent_on_walk_states(name, walk_seed, steps):
     tri = random_walk(load_builtin(name), steps, walk_seed, 12)
     c = build_chain(tri, assign_geometry(tri, seed=walk_seed))
-    partitions = [select_partition(c, seed)[0] for seed in (None, *range(10))]
-    partitions.append(exact_pass(c, None)[0])
-    assert len({tau(c, p) for p in partitions}) == 1
+    picked = [select_partition(c, seed) for seed in (None, *range(10))]
+    assert all(m == minors(c, p) for p, m in picked)
+    assert len({tau(c, p) for p, _ in picked}) == 1
 
 
 def test_sign_removes_partition_dependence(rp3, rp3_geometry):
