@@ -30,7 +30,6 @@ from .exact import RatMatrix, Rational, det, format_rational, minor, parse_ratio
 from .geometry import (
     EdgeValues,
     GeometryAssignment,
-    HolonomyGenerator,
     angle,
     assign_geometry,
     domega_dlambda,

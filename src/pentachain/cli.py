@@ -41,7 +41,7 @@ from .exact import format_rational
 from .geometry import DEFAULT_MAX_RETRIES, assign_geometry, ensure_nondegenerate, parse_geometry, subseed
 from .library import load_builtin
 from .pachner import random_walk, walk_states
-from .pentagon import FivePointConfig, solve_flat_lambda, verify_pentagon, verify_vector_identities
+from .pentagon import FivePointConfig, verify_pentagon, verify_vector_identities
 from .torsion import invariant, select_partition, tau
 from .triangulation import Triangulation, read_text
 

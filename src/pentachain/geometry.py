@@ -22,19 +22,21 @@ works on an integer value table: the denominators of the edge values are
 cleared once, to a common denominator D (the lcm of the denominators) and
 one integer numerator per key.  ``EdgeValues.table`` holds it once per
 geometry and ``pentagon.FivePointConfig.table`` once per five-point
-configuration.  For
-sampled geometry D divides 2 lcm(1..16)^2, about 40 bits, whatever the
-size of the triangulation; explicit geometry may have any denominators.
+configuration.  For sampled geometry D divides 2 lcm(1..16)^2, about 40
+bits, whatever the size of the triangulation; explicit geometry may have
+any denominators.
 
-``circulation`` sums integer numerators around a triangle through an edge
-lookup ``(tail, head) -> (key, sign)``; the sum is affine in the values,
-with an incidence coefficient in {-1, 0, +1} per key.  ``curvature`` sums
-angle values built from four such circulations and, on request, their
-exact partial derivatives by the quotient rule, each key an independent
-variable.  Everything stays in Python ints until the end: each face
-circulation (``s_of_face``) is ``Fraction(n, D)``, and a curvature and each
-of its partials are one Fraction apiece, their terms summed over the lcm
-of the angle denominators.
+A circulation is a plain integer: ``circulation`` sums the signed
+numerators of a triangle's three sides, each side a ``(key, sign)`` pair
+that an edge lookup ``(tail, head)`` returns, so the circulation is that
+integer over D.  ``curvature`` sums angle values built from four such
+circulations and, on request, their exact partial derivatives by the
+quotient rule, each key an independent variable: a side's partial is its
+sign times the weight of its triangle in the angle's numerator.
+Everything stays in Python ints until the end: each face circulation
+(``s_of_face``) is ``Fraction(n, D)``, and a curvature and each of its
+partials are one Fraction apiece, their terms summed over the lcm of the
+angle denominators.
 """
 
 from __future__ import annotations
@@ -85,60 +87,39 @@ class EdgeValues:
         denominators and ``values[e] == numerators[e] / D``."""
         return clear_denominators(dict(enumerate(self.values)))
 
-    def of(self, edge_id: int, reverse: bool = False) -> Fraction:
-        v = self.values[edge_id]
-        return -v if reverse else v
-
 
 def triangle_area(ax, ay, bx, by, cx, cy) -> Fraction:
     """Oriented area of a plane triangle (half the cross product)."""
     return ((bx - ax) * (cy - ay) - (cx - ax) * (by - ay)) / 2
 
 
-def lambda_of(tri: Triangulation, g: GeometryAssignment, edge_id: int, reverse: bool = False) -> Fraction:
-    """Edge value of a canonically oriented edge class (negated if reversed)."""
+def lambda_of(tri: Triangulation, g: GeometryAssignment, edge_id: int) -> Fraction:
+    """Edge value of a canonically oriented edge class."""
     e = tri.edges[edge_id]
-    a, b = (e.head, e.tail) if reverse else (e.tail, e.head)
-    value = (g.x[a] * g.y[b] - g.x[b] * g.y[a]) / 2 + g.kappa[b] - g.kappa[a]
-    return value
+    a, b = e.tail, e.head
+    return (g.x[a] * g.y[b] - g.x[b] * g.y[a]) / 2 + g.kappa[b] - g.kappa[a]
 
 
 def edge_values(tri: Triangulation, g: GeometryAssignment) -> EdgeValues:
     return EdgeValues(tuple(lambda_of(tri, g, e.id) for e in tri.edges))
 
 
-@dataclass(slots=True)
-class LinForm:
-    """Affine form in the edge-value variables: its value as an integer
-    over the value table's common denominator D, plus integer incidence
-    coefficients per variable key."""
-
-    value: int
-    coeffs: dict
-
-
-def circulation(edge: Callable, numerators, a, b, c) -> LinForm:
-    """Circulation of the edge values around the triangle a -> b -> c.
+def circulation(edge: Callable, numerators, a, b, c) -> int:
+    """Circulation of the edge values around the triangle a -> b -> c,
+    times the table's common denominator.
 
     ``edge(tail, head)`` gives the (key, sign) of a directed edge against
     its stored direction, and ``numerators[key]`` the stored value times
     the table's common denominator.
     """
-    value = 0
-    coeffs: dict = {}
-    for tail, head in ((a, b), (b, c), (c, a)):
-        key, sign = edge(tail, head)
-        value += sign * numerators[key]
-        coeffs[key] = coeffs.get(key, 0) + sign
-    return LinForm(value, coeffs)
+    return sum(sign * numerators[key] for key, sign in (edge(a, b), edge(b, c), edge(c, a)))
 
 
-def s_of_face(tri: Triangulation, lam: EdgeValues, face_id: int, reverse: bool = False) -> Fraction:
+def s_of_face(tri: Triangulation, lam: EdgeValues, face_id: int) -> Fraction:
     """Face circulation, evaluated on the class's stored boundary order."""
     tet, slots = tri.faces[face_id].boundary
     d, numerators = lam.table
-    value = circulation(partial(tri.edge_class, tet), numerators, *slots).value
-    return Fraction(-value if reverse else value, d)
+    return Fraction(circulation(partial(tri.edge_class, tet), numerators, *slots), d)
 
 
 def face_circulations(tri: Triangulation, lam: EdgeValues) -> tuple[Fraction, ...]:
@@ -203,61 +184,50 @@ def ensure_nondegenerate(tri: Triangulation, g: GeometryAssignment) -> EdgeValue
 
 def curvature(table, angles: Iterable, wrt: Iterable | None = ()) -> tuple[Fraction, dict]:
     """Sum of angle values over ``angles`` and its exact partial derivatives
-    by the value keys ``wrt`` (None: every key; the default: none).
+    by the value keys ``wrt`` (None: every key the angles touch; the
+    default: none).
 
     ``table`` is an integer value table ``(D, numerators)``, as
     ``EdgeValues.table`` or ``FivePointConfig.table`` holds it.
     Each angle is (edge lookup, (P, Q), (tail, head), where), and
     ``where(opposite)`` names the face missing vertex ``opposite`` when its
-    circulation, a denominator, is zero.  The angle terms are summed as
-    integers over the lcm of their denominators, so the sum and each
-    partial are one Fraction apiece.
+    circulation, a denominator, is zero.
+
+    With E the tail, H the head and n1, n2, b1, b2 the integer circulations
+    of the triangles N1 = PHQ, N2 = PEQ, B1 = PHE and B2 = QHE, the angle (N1 + N2) / (2 B1 B2) is
+    D v / q with v = (n1 + n2) b1 b2 and q = 2 (b1 b2)^2, and its partial
+    by a key is D^2 / q times the sum, over the sides carrying that key,
+    of the side's sign times its triangle's weight: b1 b2 for N1 and N2,
+    -(n1 + n2) b2 for B1 and -(n1 + n2) b1 for B2.  The terms are summed as
+    integers over the lcm of the q, so the sum and each partial are one
+    Fraction apiece.
     """
     d, numerators = table
     terms = []
     for edge, (p, q), (e, h), where in angles:
-        b1 = circulation(edge, numerators, p, h, e)
-        b2 = circulation(edge, numerators, q, h, e)
-        if b1.value == 0 or b2.value == 0:
+        triangles = ((p, h, q), (p, e, q), (p, h, e), (q, h, e))
+        sides = [(edge(a, b), edge(b, c), edge(c, a)) for a, b, c in triangles]
+        n1, n2, b1, b2 = (sum(sign * numerators[key] for key, sign in triangle) for triangle in sides)
+        if b1 == 0 or b2 == 0:
             raise DegenerateGeometryError(
-                f"zero circulation in an angle denominator at {where(q if b1.value == 0 else p)}"
+                f"zero circulation in an angle denominator at {where(q if b1 == 0 else p)}"
             )
-        n1 = circulation(edge, numerators, p, h, q)
-        n2 = circulation(edge, numerators, p, e, q)
-        terms.append(quotient_rule_terms(n1, n2, b1, b2, wrt))
-    common = lcm(*(denominator for denominator, _, _ in terms))
-    total = 0
-    row: dict = {}
-    for denominator, value, grad in terms:
-        scale = common // denominator
-        total += value * scale
-        for var, dv in grad.items():
-            row[var] = row.get(var, 0) + dv * scale
+        numerator, bb = n1 + n2, b1 * b2
+        terms.append((2 * bb * bb, numerator * bb, sides, (bb, bb, -numerator * b2, -numerator * b1)))
+    common = lcm(*(denominator for denominator, *_ in terms))
+    total = sum(value * (common // denominator) for denominator, value, *_ in terms)
+    every = wrt is None
+    row: dict = {} if every else dict.fromkeys(wrt, 0)
+    if every or row:
+        for denominator, _, sides, weights in terms:
+            scale = common // denominator
+            for triangle, weight in zip(sides, weights):
+                weight *= scale
+                for key, sign in triangle:
+                    if every or key in row:
+                        row[key] = row.get(key, 0) + sign * weight
     dd = d * d
-    return Fraction(d * total, common), {var: Fraction(dd * dv, common) for var, dv in row.items()}
-
-
-def quotient_rule_terms(n1: LinForm, n2: LinForm, b1: LinForm, b2: LinForm, wrt: Iterable | None = None):
-    """The angle (N1 + N2) / (2 B1 B2) and its gradient by the keys ``wrt``
-    (None: every key the forms involve), in integers.
-
-    The circulations are integers over the value table's common
-    denominator D (N1 = n1.value / D, ...).  Returns ``(q, v, grad)`` with
-    q = 2 (b1 b2)^2: the angle is D v / q and its partial by a key
-    D^2 grad[key] / q, where v = (n1 + n2) b1 b2 and
-    grad[key] = dn b1 b2 - (n1 + n2) d(b1 b2), dn and d(b1 b2) the integer
-    derivatives of n1 + n2 and of b1 b2 / D.
-    """
-    numerator = n1.value + n2.value
-    bb = b1.value * b2.value
-    if wrt is None:
-        wrt = n1.coeffs.keys() | n2.coeffs.keys() | b1.coeffs.keys() | b2.coeffs.keys()
-    grad = {}
-    for var in wrt:
-        dn = n1.coeffs.get(var, 0) + n2.coeffs.get(var, 0)
-        dbb = b1.coeffs.get(var, 0) * b2.value + b1.value * b2.coeffs.get(var, 0)
-        grad[var] = dn * bb - numerator * dbb
-    return 2 * bb * bb, numerator * bb, grad
+    return Fraction(d * total, common), {key: Fraction(dd * dv, common) for key, dv in row.items()}
 
 
 def _face_at(tri: Triangulation, tet: int, ed, opposite: int) -> str:
@@ -310,21 +280,17 @@ def domega_dlambda(tri: Triangulation, lam: EdgeValues, edge_a: int, edge_b: int
 # -- holonomy ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HolonomyGenerator:
-    """Traceless 2x2 generator of the basis change around an edge, with its
-    equivalent column form (x^2, xy, y^2) * domega / 2."""
-
-    matrix: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
-    column: tuple[Fraction, Fraction, Fraction]
-
-
-def holonomy_generator(edge_vector: tuple[Fraction, Fraction], domega: Fraction) -> HolonomyGenerator:
+def holonomy_generator(
+    edge_vector: tuple[Fraction, Fraction], domega: Fraction
+) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+    """Traceless 2x2 generator of the basis change around an edge with
+    vector (x, y) and curvature derivative ``domega``: domega / 2 times
+    ((-xy, x^2), (-y^2, xy)).  ``chain.build_chain`` writes its entries
+    (m01, m11, -m10) at domega = 1, (x^2, xy, y^2) / 2, as the edge's f4
+    column."""
     x, y = Fraction(edge_vector[0]), Fraction(edge_vector[1])
     half = Fraction(domega) / 2
-    matrix = ((-x * y * half, x * x * half), (-y * y * half, x * y * half))
-    column = (x * x * half, x * y * half, y * y * half)
-    return HolonomyGenerator(matrix, column)
+    return (-x * y * half, x * x * half), (-y * y * half, x * y * half)
 
 
 # -- explicit geometry files -------------------------------------------

@@ -23,13 +23,14 @@ values.  The checks here are exact:
 The checks run on the integer path that builds the curvature derivative
 matrix for triangulations.  A configuration clears its ten values once to
 an integer table ``(D, numerators)``, the shape of ``EdgeValues.table``;
-every circulation is ``geometry.circulation`` on that table, with edges
-looked up by label pair, and the curvature and its derivative are
-``geometry.curvature`` on the same table.  The vector identities use one
-Cramer step, E->b from E->D and E->a, read off a configuration's
-circulations: for plane points (kappa zero) a circulation is the oriented
-area, and the closure runs the same step on the perturbed values.  The
-holonomy generator is checked by its action on E->D and on E->A, E->B.
+every circulation is an integer over D, ``geometry.circulation`` on that
+table with edges looked up by label pair, and the curvature and its
+derivative are ``geometry.curvature`` on the same table.  The vector
+identities use one Cramer step, E->b from E->D and E->a, read off a
+configuration's circulations: for plane points (kappa zero) a circulation
+is the oriented area, and the closure runs the same step on the perturbed
+values.  The holonomy generator, a 2x2 matrix, is checked by its action on
+E->D and on E->A, E->B.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from typing import Mapping
 
-from .errors import DegenerateGeometryError
+from .errors import DegenerateGeometryError, PentachainError
 from .exact import clear_denominators
 from .geometry import circulation, curvature, holonomy_generator
 
@@ -134,7 +135,7 @@ class FivePointConfig:
     def s(self, a: str, b: str, c: str) -> Fraction:
         """Circulation of the values around the triangle a -> b -> c."""
         d, numerators = self.table
-        return Fraction(circulation(_key, numerators, a, b, c).value, d)
+        return Fraction(circulation(_key, numerators, a, b, c), d)
 
 
 def bilinear_relation(cfg: FivePointConfig) -> Fraction:
@@ -162,8 +163,8 @@ def solve_flat_lambda(cfg: FivePointConfig) -> Fraction:
         )
     solution = -at0 / lead
     solved = cfg.with_lambda_ed(solution)
-    assert bilinear_relation(solved) == 0
-    assert omega_ed(solved) == 0
+    if bilinear_relation(solved) != 0 or omega_ed(solved) != 0:
+        raise PentachainError("internal error: the solved lambda_ED leaves a nonzero curvature at E->D")
     return solution
 
 
@@ -241,7 +242,7 @@ def verify_vector_identities(points: Mapping[str, tuple[Fraction, Fraction]]) ->
     # is a basis for aux A and B, so I + the generator is fixed by its images
     s_ed = {aux: flat.s("E", "D", aux) for aux in ("A", "B")}
     for w in OMEGA_SAMPLES:
-        (m00, m01), (m10, m11) = holonomy_generator(ed, w).matrix
+        (m00, m01), (m10, m11) = holonomy_generator(ed, w)
         images = [(ed, ed)] + [
             (vec[aux], tuple(vec[aux][i] + w * s_ed[aux] * ed[i] for i in range(2))) for aux in ("A", "B")
         ]

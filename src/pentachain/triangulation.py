@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ParseError, ValidationError
 from .exact import permutation_sign

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,10 +11,12 @@ from pentachain import (
     build_chain,
     check_acyclic,
     dump_chain,
+    holonomy_generator,
     select_partition,
     verify_chain,
 )
 from pentachain.chain import C0_LABELS, C5_LABELS, ChainComplex, expected_ranks
+from pentachain.triangulation import Triangulation
 
 F = Fraction
 
@@ -114,6 +117,24 @@ def test_f4_endpoint_triples_cancel(rp3, rp3_geometry):
                 for k in range(len(c.f4.row_labels))
             )
             assert total == 0
+
+
+@pytest.mark.parametrize("source", ["rp3", "rp3_t20.tri"])
+def test_f4_columns_are_holonomy_generators(source, rp3):
+    # each edge's f4 column is (m01, m11, -m10) of the holonomy generator of
+    # its vector head - tail at domega = 1 in the tail block, negated in the
+    # head block
+    fixtures = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures"
+    tri = rp3 if source == "rp3" else Triangulation.from_file(fixtures / source)
+    g = assign_geometry(tri, 1)
+    c = build_chain(tri, g)
+    for e in tri.edges:
+        p, q = e.tail, e.head
+        (_, m01), (m10, m11) = holonomy_generator((g.x[q] - g.x[p], g.y[q] - g.y[p]), F(1))
+        expected = [0] * len(c.f4.row_labels)
+        expected[3 * p: 3 * p + 3] = m01, m11, -m10
+        expected[3 * q: 3 * q + 3] = -m01, -m11, m10
+        assert [row[e.id] for row in c.f4.entries] == expected
 
 
 def test_dump_format(s3, sphere_geometry):

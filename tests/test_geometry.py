@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import partial
+from itertools import combinations
 
 import pytest
 
@@ -41,9 +42,6 @@ def test_fixed_sphere_lambdas(s3, sphere_geometry):
     # vertex classes in slot order: A, B, C, D
     assert lambda_of(s3, g, edge_id(s3, 0, 1)) == 0  # O, A, B collinear
     assert lambda_of(s3, g, edge_id(s3, 1, 2)) == F(1, 2)
-    assert lambda_of(s3, g, edge_id(s3, 0, 1), reverse=True) == 0
-    lam = edge_values(s3, g)
-    assert lam.of(edge_id(s3, 1, 2), reverse=True) == F(-1, 2)
 
 
 def test_fixed_sphere_circulations(s3, sphere_geometry):
@@ -55,7 +53,6 @@ def test_fixed_sphere_circulations(s3, sphere_geometry):
     acd = s3.face_class(0, 1)
     assert s_of_face(s3, lam, abc) == F(1, 2)
     assert s_of_face(s3, lam, acd) == F(-1, 2)
-    assert s_of_face(s3, lam, acd, reverse=True) == F(1, 2)
 
 
 def test_circulation_equals_area_oracle(s3, rp3):
@@ -214,15 +211,12 @@ def test_derivative_against_interpolation_oracle(rp3, rp3_geometry):
 
 
 def test_holonomy_generator():
-    zero = holonomy_generator((F(3), F(4)), F(0))
-    assert zero.matrix == ((0, 0), (0, 0)) and zero.column == (0, 0, 0)
-    gen = holonomy_generator((F(1), F(0)), F(2))
-    assert gen.matrix == ((0, 1), (0, 0))
-    assert gen.column == (1, 0, 0)
-    g = holonomy_generator((F(2, 3), F(-5)), F(7, 2))
-    trace = g.matrix[0][0] + g.matrix[1][1]
-    det = g.matrix[0][0] * g.matrix[1][1] - g.matrix[0][1] * g.matrix[1][0]
-    assert trace == 0 and det == 0
+    assert holonomy_generator((F(3), F(4)), F(0)) == ((0, 0), (0, 0))
+    assert holonomy_generator((F(1), F(0)), F(2)) == ((0, 1), (0, 0))
+    (m00, m01), (m10, m11) = holonomy_generator((F(2, 3), F(-5)), F(7, 2))
+    assert m00 + m11 == 0 and m00 * m11 - m01 * m10 == 0
+    # domega / 2 times ((-xy, x^2), (-y^2, xy))
+    assert (m00, m01, m10, m11) == (F(35, 6), F(7, 9), F(-175, 4), F(-35, 6))
 
 
 def test_structurally_degenerate_input_fails_with_hint(s3, monkeypatch):
@@ -310,6 +304,19 @@ def fraction_curvature_oracle(values, angles):
     return total, {k: v for k, v in row.items() if v}
 
 
+def assert_wrt_modes_match_oracle(table, values, angles, touched, absent):
+    """All three ``wrt`` modes of ``curvature`` against the oracle: the full
+    row (None), exactly the keys asked for, and no gradient (the default).
+    ``touched`` are the keys the angles touch, ``absent`` a key they do not."""
+    total, row = fraction_curvature_oracle(values, angles)
+    value, full = curvature(table, angles, wrt=None)
+    assert (value, {k: v for k, v in full.items() if v}) == (total, row)
+    keys = sorted(touched)[::2] + [absent]
+    assert curvature(table, angles, wrt=keys) == (total, {k: row.get(k, 0) for k in keys})
+    assert curvature(table, angles) == (total, {})
+    assert curvature(table, angles, wrt=()) == (total, {})
+
+
 def assert_rows_match_oracle(tri, lam):
     for e in tri.edges:
         angles = [
@@ -318,6 +325,9 @@ def assert_rows_match_oracle(tri, lam):
         ]
         value, row = omega_row(tri, lam, e.id)
         assert (value, {k: v for k, v in row.items() if v}) == fraction_curvature_oracle(lam.values, angles)
+        touched = {edge(a, b)[0] for edge, pq, ed, _ in angles for a, b in combinations(pq + ed, 2)}
+        absent = min(set(range(len(tri.edges))) - touched, default=len(tri.edges))
+        assert_wrt_modes_match_oracle(lam.table, lam.values, angles, touched, absent)
 
 
 def grown_rp3(rp3, size, seed):
@@ -370,3 +380,7 @@ def test_five_point_curvature_matches_fraction_oracle():
         bent = cfg.with_lambda_ed(-cfg.lam[pentagon.ED_PAIR] + F(1, 3))
         value, row = curvature(bent.table, pentagon.ANGLES, wrt=None)
         assert (value, {k: v for k, v in row.items() if v}) == fraction_curvature_oracle(bent.lam, pentagon.ANGLES)
+        for c in (cfg, bent):
+            # the local complex touches all ten pairs, so the key no angle
+            # touches is one outside the table
+            assert_wrt_modes_match_oracle(c.table, c.lam, pentagon.ANGLES, pentagon.PAIRS, ("E", "F"))

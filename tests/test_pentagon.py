@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from pentachain import DegenerateGeometryError, FivePointConfig, solve_flat_lambda, verify_pentagon, verify_vector_identities
+from pentachain import (
+    DegenerateGeometryError,
+    FivePointConfig,
+    PentachainError,
+    solve_flat_lambda,
+    verify_pentagon,
+    verify_vector_identities,
+)
 from pentachain import geometry, pentagon
 from pentachain.pentagon import ED_PAIR, LABELS, PAIRS, bilinear_relation, omega_ed
 
@@ -157,12 +164,19 @@ def test_vector_identities_reject_transposed_holonomy(monkeypatch):
     real = geometry.holonomy_generator
 
     def transposed(edge_vector, domega):
-        gen = real(edge_vector, domega)
-        (a, b), (c, d) = gen.matrix
-        return geometry.HolonomyGenerator(((a, c), (b, d)), gen.column)
+        (a, b), (c, d) = real(edge_vector, domega)
+        return (a, c), (b, d)
 
     monkeypatch.setattr(pentagon, "holonomy_generator", transposed)
     assert verify_vector_identities(pts) is False
+
+
+def test_solve_flat_lambda_checks_its_result_without_asserts(monkeypatch):
+    # the result check must survive python -O, so it raises, not asserts
+    cfg = FivePointConfig.random(0)
+    monkeypatch.setattr(pentagon, "omega_ed", lambda cfg: F(1))
+    with pytest.raises(PentachainError, match="internal error: the solved lambda_ED"):
+        solve_flat_lambda(cfg)
 
 
 def test_vector_identities_reject_wrong_curvature(monkeypatch):
