@@ -20,16 +20,22 @@ vertex coordinates:
         block and their negatives into the head block,
     f5  the six closing sums over vertex blocks.
 
-Each map is built by its nonzeros, one ``{column: Fraction}`` row at a
-time (f3's rows are the curvature gradients themselves), and everything
-here walks nonzeros only: ``verify_chain`` multiplies nonzeros by nonzeros
-and ``dump_chain`` lists the stored entries in column order.
-``verify_chain`` does so in Python ints: it scales each row of the left
-factor and each column of the right one to integers by the lcm of their
-denominators, which changes no zero pattern of the product.
+Each map is assembled in Python ints, by its nonzeros, one integer row
+at a time.  The x and y coordinates are cleared once to integers over a
+common denominator D, so before reduction the rows of f1 are over D or
+2D, those of f2 over 2D, those of f4 over 2D^2 and those of f5 over 1, D
+or D^2.  Each f3 row is the integer gradient table
+``(den, {edge: int})`` that ``geometry.curvature`` returns, and
+``RatMatrix.from_int_rows`` reduces every row, so the stored matrices
+are exactly those the same formulas give in Fractions.  ``verify_chain``
+multiplies nonzeros by nonzeros, also in ints: a row of the left factor
+is taken over its own (positive) denominator, and each column of the
+right factor is scaled by the lcm of the reduced denominators of its
+entries, which changes no zero pattern of the product.  ``dump_chain``
+lists the stored entries in column order.
 
 Each composition of consecutive maps is exactly zero; ``build_chain``
-asserts this by default.  Acyclicity is equivalent to the rank pattern
+checks this by default.  Acyclicity is equivalent to the rank pattern
 (6, 3V-6, E-3V+6, 3V-6, 6) once the chain property holds.  The invariant
 decides it with ``torsion.select_partition``, whose one exact greedy pass
 both certifies it and yields the torsion's minors; ``check_acyclic`` is the
@@ -40,8 +46,7 @@ rank in the package, and it reports the ranks when that pass falls short.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import PentachainError
 from .exact import RatMatrix, clear_denominators, format_rational, rank
@@ -106,55 +111,57 @@ def build_chain(
         lam = edge_values(tri, g)
     vlabels = vertex_labels(nv)
     glabels = gamma_labels(nv)
+    # every x and y is an integer over one common denominator d
+    d, coords = clear_denominators(dict(enumerate((*g.x, *g.y))))
+    xs = [coords[v] for v in range(nv)]
+    ys = [coords[nv + v] for v in range(nv)]
 
     f1 = []
-    for v in range(nv):
-        xa, ya = g.x[v], g.y[v]
-        f1 += [{0: ya, 2: xa, 3: 1}, {1: xa, 2: -ya, 4: 1}, {3: -ya / 2, 4: xa / 2, 5: 1}]
+    for xa, ya in zip(xs, ys):
+        f1 += [{0: ya, 2: xa, 3: d}, {1: xa, 2: -ya, 4: d}, {3: -ya, 4: xa, 5: 2 * d}]
 
     f2 = []
     for e in tri.edges:
         a, b = e.tail, e.head
-        row: dict[int, Fraction] = {}
+        row: dict[int, int] = {}
         for j, dv in (
-            (3 * a, g.y[b] / 2), (3 * a + 1, -g.x[b] / 2), (3 * a + 2, -1),
-            (3 * b, -g.y[a] / 2), (3 * b + 1, g.x[a] / 2), (3 * b + 2, 1),
+            (3 * a, ys[b]), (3 * a + 1, -xs[b]), (3 * a + 2, -2 * d),
+            (3 * b, -ys[a]), (3 * b + 1, xs[a]), (3 * b + 2, 2 * d),
         ):
             row[j] = row.get(j, 0) + dv
         f2.append(row)
 
-    f3 = []
+    f3, f3_dens = [], []
     for e in range(ne):
-        value, row = omega_row(tri, lam, e)
+        value, (den, row) = omega_row(tri, lam, e)
         if verify and value != 0:
             raise PentachainError(
                 f"internal error: curvature of edge class {e} is nonzero at the flat point"
             )
         f3.append(row)
+        f3_dens.append(den)
 
     f4 = [{} for _ in range(3 * nv)]
     for e in tri.edges:
         p, q = e.tail, e.head
-        x, y = g.x[q] - g.x[p], g.y[q] - g.y[p]
-        triple = (x * x / 2, x * y / 2, y * y / 2)
-        for r in range(3):
-            f4[3 * p + r][e.id] = f4[3 * p + r].get(e.id, 0) + triple[r]
-            f4[3 * q + r][e.id] = f4[3 * q + r].get(e.id, 0) - triple[r]
+        x, y = xs[q] - xs[p], ys[q] - ys[p]
+        for r, t in enumerate((x * x, x * y, y * y)):
+            f4[3 * p + r][e.id] = f4[3 * p + r].get(e.id, 0) + t
+            f4[3 * q + r][e.id] = f4[3 * q + r].get(e.id, 0) - t
 
     f5 = [{} for _ in range(6)]
-    for v in range(nv):
-        xa, ya = g.x[v], g.y[v]
+    for v, (xa, ya) in enumerate(zip(xs, ys)):
         f5[0][3 * v] = f5[1][3 * v + 1] = f5[2][3 * v + 2] = 1
         f5[3][3 * v], f5[3][3 * v + 1] = ya, -xa
         f5[4][3 * v + 1], f5[4][3 * v + 2] = ya, -xa
         f5[5][3 * v], f5[5][3 * v + 1], f5[5][3 * v + 2] = ya * ya, -2 * xa * ya, xa * xa
 
     c = ChainComplex(
-        f1=RatMatrix(f1, vlabels, C0_LABELS),
-        f2=RatMatrix(f2, edge_labels(ne, "dl"), vlabels),
-        f3=RatMatrix(f3, edge_labels(ne, "dw"), edge_labels(ne, "dl")),
-        f4=RatMatrix(f4, glabels, edge_labels(ne, "dw")),
-        f5=RatMatrix(f5, C5_LABELS, glabels),
+        f1=RatMatrix.from_int_rows(f1, (d, d, 2 * d) * nv, vlabels, C0_LABELS),
+        f2=RatMatrix.from_int_rows(f2, (2 * d,) * ne, edge_labels(ne, "dl"), vlabels),
+        f3=RatMatrix.from_int_rows(f3, f3_dens, edge_labels(ne, "dw"), edge_labels(ne, "dl")),
+        f4=RatMatrix.from_int_rows(f4, (2 * d * d,) * (3 * nv), glabels, edge_labels(ne, "dw")),
+        f5=RatMatrix.from_int_rows(f5, (1, 1, 1, d, d, d * d), C5_LABELS, glabels),
         vertex_count=nv,
         edge_count=ne,
     )
@@ -172,26 +179,33 @@ def _composition_witness(left: RatMatrix, right: RatMatrix):
     """First nonzero entry of left*right, in row then column order; None if
     the product is zero.
 
-    Each row of ``left`` is scaled to integers by the lcm of its
-    denominators and each column of ``right`` by the lcm of that column's.
-    The factors are positive, so an entry of the integer product is zero
-    exactly when the rational one is; nonzeros are multiplied by nonzeros.
+    Each row of ``left`` is taken over its own denominator, which is
+    positive and so cannot make an entry of the product zero or nonzero.
+    Each column of ``right`` is scaled to integers by the lcm of the
+    reduced denominators of its entries, ``den // gcd(n, den)`` for an
+    entry ``n / den``.  The factors are positive, so an entry of the
+    integer product is zero exactly when the rational one is; nonzeros are
+    multiplied by nonzeros.
     """
     scale: dict[int, int] = {}
-    for row in right.rows:
+    reduced = []
+    for row, d in zip(right.numerators, right.denominators):
+        entries = {}
         for k, b in row.items():
-            scale[k] = lcm(scale.get(k, 1), b.denominator)
-    right_rows = [
-        {k: b.numerator * (scale[k] // b.denominator) for k, b in row.items()} for row in right.rows
-    ]
-    for i, row in enumerate(left.rows):
+            g = gcd(b, d)
+            entries[k] = (b // g, d // g)
+            scale[k] = lcm(scale.get(k, 1), d // g)
+        reduced.append(entries)
+    right_rows = [{k: n * (scale[k] // dk) for k, (n, dk) in row.items()} for row in reduced]
+    for i, row in enumerate(left.numerators):
         acc: dict[int, int] = {}
-        for j, a in clear_denominators(row)[1].items():
+        get = acc.get
+        for j, a in row.items():
             for k, b in right_rows[j].items():
-                acc[k] = acc.get(k, 0) + a * b
-        for k in sorted(acc):
-            if acc[k]:
-                return (left.row_labels[i], right.col_labels[k])
+                acc[k] = get(k, 0) + a * b
+        if any(acc.values()):
+            k = min(k for k, v in acc.items() if v)
+            return (left.row_labels[i], right.col_labels[k])
     return None
 
 

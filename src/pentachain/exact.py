@@ -1,30 +1,48 @@
 """Exact rational scalars and sparse labeled matrices.
 
-Every numeric quantity in the pipeline is an arbitrary-precision rational
-(``fractions.Fraction``), so all downstream equalities are exact.  Matrices
-carry opaque basis labels on both axes; minors are addressed by label so
-torsion bookkeeping never depends on positional conventions.  A matrix
-stores only its nonzeros, one ``{column position: Fraction}`` mapping per
-row; this module is the only one that knows that layout, the others build
-from such rows and read ``rows``, ``entry``, ``submatrix`` and ``minor``.
+Every numeric quantity in the pipeline is an exact rational, so all
+downstream equalities are exact.  Matrices carry opaque basis labels on
+both axes; minors are addressed by label so torsion bookkeeping never
+depends on positional conventions.
+
+A matrix stores each row as integer numerators over one positive row
+denominator: ``numerators[i]`` maps column positions, in ascending order,
+to nonzero ints, and row i is that mapping divided by
+``denominators[i]``.  Every row is reduced, gcd(denominator, numerators)
+= 1, so the stored pair is unique and equal matrices store equal pairs.
+This module is the only one that builds that layout from rationals: the
+constructor takes ``int`` and ``Fraction`` rows, ``from_int_rows`` takes
+integer rows as ``chain.build_chain`` assembles them, and ``rows``,
+``entries`` and ``entry`` are derived ``Fraction`` views.
 
 One elimination serves every rank, row basis and determinant: a sparse
-Markowitz elimination over Q (``_eliminate``).  Each step pivots the
-shortest remaining row on its sparsest column, ties going to the earlier
-row and then the lower column, and updates only the rows that hold that
-column, found through a column -> rows index.  Short rows and sparse
-columns keep the fill-in of the sparse maps small.  A step records the
-pivot row, the pivot column and the pivot; rows that reduce to zero are
-dependent and never pivot.
+Markowitz elimination over the integers (``_eliminate``).  Each step
+pivots the shortest remaining row on its sparsest column, ties going to
+the earlier row and then the lower column, and updates only the rows that
+hold that column, found through a column -> rows index.  Short rows and
+sparse columns keep the fill-in of the sparse maps small.  The update is
+fraction-free: with piv the pivot row's numerator in the pivot column and
+f row i's,
+
+    row_i <- piv * row_i - f * pivot_row,    den_i <- piv * den_i,
+
+with the sign of piv moved onto f so that den_i stays positive.  This
+leaves row i's rational values what the update over Q would leave (the
+pivot row's own denominator cancels), and then row i's gcd content is
+divided out.  Equal values give equal zero patterns, so the steps are
+those of the same pivot rule over Q.  A step records the pivot row, the
+pivot column, piv and the pivot row's denominator; rows that reduce to
+zero are dependent and never pivot.
 
 The pivot rows, listed in pivot order, form a block whose columns the
 pivots cover; after the updates (each adds multiples of earlier pivot
 rows) it is triangular up to the order of its columns.  So its minor on
 the pivot columns in column order is the sign of the pivot permutation,
 counted by cycles (``permutation_sign``), times the product of the
-pivots.  ``rank`` counts the steps, ``independent_rows`` returns the pivot
-rows and that minor, and ``det`` (with ``minor``, which calls it) takes
-the same product with the rows in the matrix's own order.
+pivots: one ``Fraction(sign * prod(piv), prod(den))``.  ``rank`` counts
+the steps, ``independent_rows`` returns the pivot rows and that minor,
+and ``det`` (with ``minor``, which calls it) takes the same product with
+the rows in the matrix's own order.
 """
 
 from __future__ import annotations
@@ -32,8 +50,10 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Hashable, Iterable, Sequence
+
+from .errors import PentachainError
 
 Rational = Fraction
 Label = Hashable
@@ -58,13 +78,16 @@ def format_rational(value: Fraction) -> str:
 class RatMatrix:
     """Immutable sparse matrix of rationals with labeled rows and columns.
 
-    ``rows`` holds one ``{column position: nonzero Fraction}`` mapping per
-    row, keys in ascending order.  A constructor row may be such a mapping
-    or a dense sequence of length ``ncols``; zeros are dropped either way.
-    ``entries`` is the dense view.
+    Row i is ``numerators[i]``, a ``{column position: nonzero int}``
+    mapping with keys in ascending order, over ``denominators[i] > 0``,
+    reduced so that the two share no factor.  A constructor row may be a
+    mapping from column positions or a dense sequence of length ``ncols``,
+    its entries ``int`` or ``Fraction``; zeros are dropped either way.
+    ``rows`` (one ``{column: Fraction}`` per row), ``entries`` (dense) and
+    ``entry`` are ``Fraction`` views.
     """
 
-    __slots__ = ("rows", "row_labels", "col_labels", "_rindex", "_cindex")
+    __slots__ = ("numerators", "denominators", "row_labels", "col_labels", "_rindex", "_cindex")
 
     def __init__(self, rows, row_labels=None, col_labels=None):
         rows = list(rows)
@@ -77,7 +100,45 @@ class RatMatrix:
             width = next((len(r) for r in rows if not isinstance(r, Mapping)), 0)
             col_labels = tuple(f"c{j}" for j in range(width))
         col_labels = tuple(col_labels)
-        self.rows = tuple(_sparse_row(row, len(col_labels)) for row in rows)
+        numerators, denominators = [], []
+        for label, row in zip(row_labels, rows):
+            items = _row_items(row, len(col_labels))
+            for j, v in items:
+                if not isinstance(v, (int, Fraction)):
+                    raise TypeError(
+                        f"entry at row {label!r}, column {col_labels[j]!r} is "
+                        f"{type(v).__name__} {v!r}; entries must be int or Fraction"
+                    )
+            d, row = clear_denominators(dict(items))
+            numerators.append(row)
+            denominators.append(d)
+        self._store(numerators, denominators, row_labels, col_labels)
+
+    @classmethod
+    def from_int_rows(cls, numerators, denominators, row_labels, col_labels) -> "RatMatrix":
+        """Matrix whose row i is ``numerators[i] / denominators[i]``: a
+        ``{column position: int}`` mapping, in any key order and zeros
+        allowed, over a nonzero int.  Each row is stored reduced."""
+        m = cls.__new__(cls)
+        m._store(numerators, denominators, tuple(row_labels), tuple(col_labels))
+        return m
+
+    def _store(self, numerators, denominators, row_labels, col_labels) -> None:
+        """Keep each integer row reduced over a positive denominator."""
+        rows, dens = [], []
+        for label, row, d in zip(row_labels, numerators, denominators, strict=True):
+            if not d:
+                raise ValueError(f"row {label!r} has denominator zero")
+            try:
+                g = gcd(d, *row.values())
+            except TypeError as exc:  # gcd takes integers only
+                raise TypeError(f"row {label!r} of an integer matrix holds a non-integer: {exc}") from None
+            if d < 0:
+                g = -g
+            rows.append({j: v // g for j, v in _row_items(row, len(col_labels)) if v})
+            dens.append(d // g)
+        self.numerators = tuple(rows)
+        self.denominators = tuple(dens)
         self.row_labels = row_labels
         self.col_labels = col_labels
         self._rindex = {lab: i for i, lab in enumerate(row_labels)}
@@ -94,26 +155,37 @@ class RatMatrix:
         return len(self.col_labels)
 
     @property
+    def rows(self) -> tuple[dict[int, Fraction], ...]:
+        return tuple(
+            {j: Fraction(v, d) for j, v in row.items()}
+            for row, d in zip(self.numerators, self.denominators)
+        )
+
+    @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         zero = Fraction(0)
         return tuple(tuple(row.get(j, zero) for j in range(self.ncols)) for row in self.rows)
 
     def entry(self, row_label: Label, col_label: Label) -> Fraction:
-        return self.rows[self._rindex[row_label]].get(self._cindex[col_label], Fraction(0))
+        i = self._rindex[row_label]
+        return Fraction(self.numerators[i].get(self._cindex[col_label], 0), self.denominators[i])
 
     def submatrix(self, row_labels: Sequence[Label], col_labels: Sequence[Label]) -> "RatMatrix":
         """Submatrix with rows/columns in the order given."""
         ci = {self._cindex[c]: k for k, c in enumerate(col_labels)}
-        rows = [
-            {ci[j]: v for j, v in self.rows[self._rindex[r]].items() if j in ci}
-            for r in row_labels
-        ]
-        return RatMatrix(rows, tuple(row_labels), tuple(col_labels))
+        positions = [self._rindex[r] for r in row_labels]
+        return RatMatrix.from_int_rows(
+            [{ci[j]: v for j, v in self.numerators[i].items() if j in ci} for i in positions],
+            [self.denominators[i] for i in positions],
+            row_labels,
+            col_labels,
+        )
 
     def __eq__(self, other):
         return (
             isinstance(other, RatMatrix)
-            and self.rows == other.rows
+            and self.numerators == other.numerators
+            and self.denominators == other.denominators
             and self.row_labels == other.row_labels
             and self.col_labels == other.col_labels
         )
@@ -129,34 +201,37 @@ def clear_denominators(values: Mapping) -> tuple[int, dict]:
     return d, {k: v.numerator * (d // v.denominator) for k, v in values.items()}
 
 
-def _sparse_row(row, width: int) -> dict[int, Fraction]:
-    """``{column: nonzero Fraction}`` in column order from a mapping or a
-    dense row of length ``width``."""
+def _row_items(row, width: int) -> list:
+    """(column, value) pairs in column order from a mapping or a dense row
+    of length ``width``."""
     if isinstance(row, Mapping):
         items = sorted(row.items())
         if items and not (0 <= items[0][0] and items[-1][0] < width):
             raise ValueError(f"column key outside 0..{width - 1}")
-    elif len(row) != width:
+        return items
+    if len(row) != width:
         raise ValueError(f"dense row of length {len(row)} in a matrix with {width} columns")
-    else:
-        items = enumerate(row)
-    return {j: v if type(v) is Fraction else Fraction(v) for j, v in items if v}
+    return list(enumerate(row))
 
 
-Step = tuple[int, int, Fraction]  # (row position, column, pivot)
+Step = tuple[int, int, int, int]  # (row position, column, pivot numerator, pivot row's denominator)
 
 
-def _eliminate(rows: Sequence[Mapping[int, Fraction]], ncols: int) -> list[Step]:
-    """Sparse Markowitz elimination on copies of ``rows``: one (row
-    position, column, pivot) per step, in pivot order, stopping when
-    every column has a pivot or no nonzero row is left.
+def _eliminate(numerators: Sequence[Mapping[int, int]], denominators: Sequence[int], ncols: int) -> list[Step]:
+    """Fraction-free sparse Markowitz elimination on copies of the rows
+    ``numerators[i] / denominators[i]``: one (row position, column, pivot
+    numerator, pivot row denominator) per step, in pivot order, stopping
+    when every column has a pivot or no nonzero row is left.
 
     Each step takes the shortest remaining row and pivots on its sparsest
     column, then updates only the rows holding that column.  Ties go to
     the earlier row and the lower column, so the steps depend only on the
-    rows and their order.
+    rows and their order.  The denominators must be positive.
     """
-    rows = [dict(row) for row in rows]
+    rows = [dict(row) for row in numerators]
+    dens = list(denominators)
+    if any(d <= 0 for d in dens):
+        raise PentachainError("internal error: elimination needs positive row denominators")
     holders: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for j in row:
@@ -176,21 +251,31 @@ def _eliminate(rows: Sequence[Mapping[int, Fraction]], ncols: int) -> list[Step]
         for k in pivot_row:
             holders[k].discard(r)
         piv = pivot_row.pop(j)
+        # row_i <- |piv| row_i - sgn(piv) f pivot_row keeps den_i positive
+        scale, sign = (piv, 1) if piv > 0 else (-piv, -1)
         for i in holders.pop(j):
             row_i = rows[i]
-            f = row_i.pop(j)
+            f = sign * row_i.pop(j)
             if pivot_row:  # a pivot alone in its row only clears its column
-                f /= piv
-            for k, v in pivot_row.items():
-                if x := row_i.get(k, 0) - f * v:
-                    if k not in row_i:
-                        holders[k].add(i)
-                    row_i[k] = x
-                else:
-                    del row_i[k]
-                    holders[k].discard(i)
+                if scale != 1:
+                    for k in row_i:
+                        row_i[k] *= scale
+                    dens[i] *= scale
+                for k, v in pivot_row.items():
+                    if x := row_i.get(k, 0) - f * v:
+                        if k not in row_i:
+                            holders[k].add(i)
+                        row_i[k] = x
+                    else:
+                        del row_i[k]
+                        holders[k].discard(i)
+            g = gcd(dens[i], *row_i.values())
+            if g != 1:
+                for k in row_i:
+                    row_i[k] //= g
+                dens[i] //= g
             heappush(queue, (len(row_i), i))
-        steps.append((r, j, piv))
+        steps.append((r, j, piv, dens[r]))
     return steps
 
 
@@ -198,8 +283,8 @@ def _minor(steps: Sequence[Step]) -> Fraction:
     """Minor of a full set of steps: the sign of their column permutation
     times the product of their pivots, the rows taken in the order of
     ``steps`` and the columns in column order."""
-    sign = permutation_sign([j for _, j, _ in steps])
-    return sign * prod((p for _, _, p in steps), start=Fraction(1))
+    sign = permutation_sign([j for _, j, _, _ in steps])
+    return Fraction(sign * prod(p for _, _, p, _ in steps), prod(d for *_, d in steps))
 
 
 def permutation_sign(perm: Sequence[int]) -> int:
@@ -219,14 +304,14 @@ def permutation_sign(perm: Sequence[int]) -> int:
 
 
 def rank(m: RatMatrix) -> int:
-    return len(_eliminate(m.rows, m.ncols))
+    return len(_eliminate(m.numerators, m.denominators, m.ncols))
 
 
 def det(m: RatMatrix) -> Fraction:
     """Exact determinant; the empty matrix has determinant 1."""
     if m.nrows != m.ncols:
         raise ValueError(f"determinant of non-square {m.nrows}x{m.ncols} matrix")
-    steps = _eliminate(m.rows, m.ncols)
+    steps = _eliminate(m.numerators, m.denominators, m.ncols)
     # a row left without a pivot reduced to zero
     return _minor(sorted(steps)) if len(steps) == m.nrows else Fraction(0)
 
@@ -262,6 +347,6 @@ def independent_rows(m: RatMatrix) -> tuple[list[Label], Fraction]:
     off the same elimination; it is 0 when fewer than ``m.ncols`` rows are
     independent (and 1 for a matrix with no columns).
     """
-    steps = _eliminate(m.rows, m.ncols)
-    picked = [m.row_labels[i] for i, _, _ in steps]
+    steps = _eliminate(m.numerators, m.denominators, m.ncols)
+    picked = [m.row_labels[i] for i, *_ in steps]
     return picked, _minor(steps) if len(steps) == m.ncols else Fraction(0)

@@ -31,12 +31,16 @@ numerators of a triangle's three sides, each side a ``(key, sign)`` pair
 that an edge lookup ``(tail, head)`` returns, so the circulation is that
 integer over D.  ``curvature`` sums angle values built from four such
 circulations and, on request, their exact partial derivatives by the
-quotient rule, each key an independent variable: a side's partial is its
-sign times the weight of its triangle in the angle's numerator.
-Everything stays in Python ints until the end: each face circulation
-(``s_of_face``) is ``Fraction(n, D)``, and a curvature and each of its
-partials are one Fraction apiece, their terms summed over the lcm of the
-angle denominators.
+quotient rule, each key an independent variable.  A tetrahedron's four
+circulations share its six edges, so each edge is looked up once and its
+partial is its sign times the summed weights of the triangles it bounds.
+Everything stays in Python ints: each face circulation (``s_of_face``) is
+``Fraction(n, D)`` and a curvature is one Fraction, its terms summed over
+the lcm L of the angle denominators.  The gradient stays an integer
+table ``(den, {key: int})``, the shape of ``EdgeValues.table``, with den
+dividing L; ``omega_row`` hands it to ``chain.build_chain`` as an f3 row,
+and a single partial (``domega_dlambda``,
+``pentagon.domega_ed_dlambda_ed``) is one Fraction.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable
 
 from .errors import DegenerateGeometryError, ParseError
@@ -182,10 +186,11 @@ def ensure_nondegenerate(tri: Triangulation, g: GeometryAssignment) -> EdgeValue
 # -- angle values and curvature ---------------------------------------
 
 
-def curvature(table, angles: Iterable, wrt: Iterable | None = ()) -> tuple[Fraction, dict]:
+def curvature(table, angles: Iterable, wrt: Iterable | None = ()) -> tuple[Fraction, tuple[int, dict]]:
     """Sum of angle values over ``angles`` and its exact partial derivatives
     by the value keys ``wrt`` (None: every key the angles touch; the
-    default: none).
+    default: none), the latter as an integer table ``(den, {key: int})``
+    with each partial ``numerator / den``.
 
     ``table`` is an integer value table ``(D, numerators)``, as
     ``EdgeValues.table`` or ``FivePointConfig.table`` holds it.
@@ -193,27 +198,38 @@ def curvature(table, angles: Iterable, wrt: Iterable | None = ()) -> tuple[Fract
     ``where(opposite)`` names the face missing vertex ``opposite`` when its
     circulation, a denominator, is zero.
 
-    With E the tail, H the head and n1, n2, b1, b2 the integer circulations
-    of the triangles N1 = PHQ, N2 = PEQ, B1 = PHE and B2 = QHE, the angle (N1 + N2) / (2 B1 B2) is
-    D v / q with v = (n1 + n2) b1 b2 and q = 2 (b1 b2)^2, and its partial
-    by a key is D^2 / q times the sum, over the sides carrying that key,
-    of the side's sign times its triangle's weight: b1 b2 for N1 and N2,
-    -(n1 + n2) b2 for B1 and -(n1 + n2) b1 for B2.  The terms are summed as
-    integers over the lcm of the q, so the sum and each partial are one
-    Fraction apiece.
+    With E the tail and H the head, the six edges of the tetrahedron
+    carry the integer values ph, hq, qp, pe, eq and he, each the signed
+    numerator of its directed edge (P -> H, and so on).  The circulations
+    of the triangles N1 = PHQ, N2 = PEQ, B1 = PHE and B2 = QHE are
+
+        n1 = ph + hq + qp,  n2 = pe + eq + qp,
+        b1 = ph + he - pe,  b2 = he + eq - hq,
+
+    and the angle (N1 + N2) / (2 B1 B2) is D v / q with v = (n1 + n2) b1 b2
+    and q = 2 (b1 b2)^2.  Its partial by a key is D^2 / q times the sum,
+    over the edges carrying that key, of the edge's sign times its weight:
+    the sum of the weights of the triangles it bounds, signed by the
+    direction it is crossed in, with b1 b2 for N1 and N2, -(n1 + n2) b2 for
+    B1 and -(n1 + n2) b1 for B2.  The terms are summed as integers over the
+    lcm L of the q, so the sum is one Fraction and the partials are
+    integers over the one denominator L / gcd(L, D^2); dividing that gcd
+    out once keeps the gradient small when D is large.
     """
     d, numerators = table
     terms = []
     for edge, (p, q), (e, h), where in angles:
-        triangles = ((p, h, q), (p, e, q), (p, h, e), (q, h, e))
-        sides = [(edge(a, b), edge(b, c), edge(c, a)) for a, b, c in triangles]
-        n1, n2, b1, b2 = (sum(sign * numerators[key] for key, sign in triangle) for triangle in sides)
+        sides = (edge(p, h), edge(h, q), edge(q, p), edge(p, e), edge(e, q), edge(h, e))
+        ph, hq, qp, pe, eq, he = (sign * numerators[key] for key, sign in sides)
+        b1, b2 = ph + he - pe, he + eq - hq
         if b1 == 0 or b2 == 0:
             raise DegenerateGeometryError(
                 f"zero circulation in an angle denominator at {where(q if b1 == 0 else p)}"
             )
-        numerator, bb = n1 + n2, b1 * b2
-        terms.append((2 * bb * bb, numerator * bb, sides, (bb, bb, -numerator * b2, -numerator * b1)))
+        numerator, bb = ph + hq + pe + eq + 2 * qp, b1 * b2
+        w1, w2 = -numerator * b2, -numerator * b1  # the weights of B1 and B2
+        weights = (bb + w1, bb - w2, 2 * bb, bb - w1, bb + w2, w1 + w2)
+        terms.append((2 * bb * bb, numerator * bb, sides, weights))
     common = lcm(*(denominator for denominator, *_ in terms))
     total = sum(value * (common // denominator) for denominator, value, *_ in terms)
     every = wrt is None
@@ -221,13 +237,12 @@ def curvature(table, angles: Iterable, wrt: Iterable | None = ()) -> tuple[Fract
     if every or row:
         for denominator, _, sides, weights in terms:
             scale = common // denominator
-            for triangle, weight in zip(sides, weights):
-                weight *= scale
-                for key, sign in triangle:
-                    if every or key in row:
-                        row[key] = row.get(key, 0) + sign * weight
-    dd = d * d
-    return Fraction(d * total, common), {key: Fraction(dd * dv, common) for key, dv in row.items()}
+            for (key, sign), weight in zip(sides, weights):
+                if every or key in row:
+                    row[key] = row.get(key, 0) + sign * scale * weight
+    g = gcd(d * d, common)
+    dd = d * d // g
+    return Fraction(d * total, common), (common // g, {key: dd * dv for key, dv in row.items()})
 
 
 def _face_at(tri: Triangulation, tet: int, ed, opposite: int) -> str:
@@ -267,14 +282,17 @@ def omega(tri: Triangulation, lam: EdgeValues, star: EdgeStar | int) -> Fraction
     return curvature(lam.table, _angles(tri, star.contributions))[0]
 
 
-def omega_row(tri: Triangulation, lam: EdgeValues, edge_id: int) -> tuple[Fraction, dict]:
-    """Curvature of an edge and its gradient over all edge values."""
+def omega_row(tri: Triangulation, lam: EdgeValues, edge_id: int) -> tuple[Fraction, tuple[int, dict]]:
+    """Curvature of an edge and its gradient over all edge values, the
+    gradient as an integer table ``(den, {edge: int})``."""
     return curvature(lam.table, _angles(tri, tri.edge_star(edge_id).contributions), wrt=None)
 
 
 def domega_dlambda(tri: Triangulation, lam: EdgeValues, edge_a: int, edge_b: int) -> Fraction:
     """Exact partial derivative of curvature a with respect to edge value b."""
-    return omega_row(tri, lam, edge_a)[1].get(edge_b, Fraction(0))
+    star = tri.edge_star(edge_a).contributions
+    _, (den, row) = curvature(lam.table, _angles(tri, star), wrt=(edge_b,))
+    return Fraction(row[edge_b], den)
 
 
 # -- holonomy ----------------------------------------------------------

@@ -175,9 +175,9 @@ def omega_ed(cfg: FivePointConfig) -> Fraction:
 
 def domega_ed_dlambda_ed(cfg: FivePointConfig) -> Fraction:
     """Exact d(omega_ED)/d(lambda_ED) via the shared quotient-rule engine."""
-    _, grad = curvature(cfg.table, ANGLES, wrt=(ED_PAIR,))
+    _, (den, grad) = curvature(cfg.table, ANGLES, wrt=(ED_PAIR,))
     # storage holds lambda_DE; differentiating by lambda_ED flips the sign
-    return -grad[ED_PAIR]
+    return Fraction(-grad[ED_PAIR], den)
 
 
 def verify_pentagon(cfg: FivePointConfig) -> tuple[Fraction, Fraction, bool]:

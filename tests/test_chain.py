@@ -1,5 +1,7 @@
+import math
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -12,11 +14,14 @@ from pentachain import (
     check_acyclic,
     dump_chain,
     holonomy_generator,
+    parse_geometry,
     select_partition,
     verify_chain,
 )
+from pentachain.geometry import ensure_nondegenerate
 from pentachain.chain import C0_LABELS, C5_LABELS, ChainComplex, expected_ranks
 from pentachain.triangulation import Triangulation
+from test_geometry import fraction_curvature_oracle
 
 F = Fraction
 
@@ -190,3 +195,71 @@ def test_cancellation_across_denominators_passes():
     assert verify_chain(planted) == fraction_witness_oracle(planted) == (True, None)
     off = replace(planted, f1=RatMatrix([[1, F(1, 5)], [1, F(1, 7)], [1, F(19, 104)]]))
     assert verify_chain(off) == fraction_witness_oracle(off) == (False, (1, "r0", "c1"))
+
+
+# distinct primes of about 40 bits, one per denominator of the explicit geometry
+PRIMES_40 = (
+    614743280507, 621327802651, 655136624683, 691288291777, 703873773913, 773193308659,
+    821626242989, 878441541157, 978865039241, 1042989857233, 1078914568211, 1098959389361,
+)
+
+
+def fraction_maps(tri, g, lam):
+    """f1..f5 as {column: nonzero Fraction} rows, from the formulas of the
+    ``chain`` module docstring, with f3 from the textbook quotient rule."""
+    nv = len(tri.vertices)
+    f1, f2, f3 = [], [], []
+    for x, y in zip(g.x, g.y):
+        f1 += [{0: y, 2: x, 3: 1}, {1: x, 2: -y, 4: 1}, {3: -y / 2, 4: x / 2, 5: 1}]
+    for e in tri.edges:
+        a, b = e.tail, e.head
+        row = {}
+        for j, v in ((3 * a, g.y[b] / 2), (3 * a + 1, -g.x[b] / 2), (3 * a + 2, -1),
+                     (3 * b, -g.y[a] / 2), (3 * b + 1, g.x[a] / 2), (3 * b + 2, 1)):
+            row[j] = row.get(j, 0) + v
+        f2.append(row)
+        angles = [(partial(tri.edge_class, tet), pq, ed, None) for tet, pq, ed in tri.edge_star(e.id).contributions]
+        value, gradient = fraction_curvature_oracle(lam.values, angles)
+        assert value == 0
+        f3.append(gradient)
+    f4 = [{} for _ in range(3 * nv)]
+    for e in tri.edges:
+        p, q = e.tail, e.head
+        x, y = g.x[q] - g.x[p], g.y[q] - g.y[p]
+        for r, v in enumerate((x * x / 2, x * y / 2, y * y / 2)):
+            f4[3 * p + r][e.id] = f4[3 * p + r].get(e.id, 0) + v
+            f4[3 * q + r][e.id] = f4[3 * q + r].get(e.id, 0) - v
+    f5 = [{} for _ in range(6)]
+    for v, (x, y) in enumerate(zip(g.x, g.y)):
+        f5[0][3 * v] = f5[1][3 * v + 1] = f5[2][3 * v + 2] = F(1)
+        f5[3][3 * v], f5[3][3 * v + 1] = y, -x
+        f5[4][3 * v + 1], f5[4][3 * v + 2] = y, -x
+        f5[5][3 * v], f5[5][3 * v + 1], f5[5][3 * v + 2] = y * y, -2 * x * y, x * x
+    return [[{j: F(v) for j, v in row.items() if v} for row in m] for m in (f1, f2, f3, f4, f5)]
+
+
+def explicit_prime_geometry(tri):
+    """Coordinates over distinct 40-bit primes, with nonzero numerators."""
+    primes = iter(PRIMES_40)
+    text = "".join(
+        f"vertex {v} {7 * v + 3}/{next(primes)} {-5 * v - 2}/{next(primes)} {v + 1}/{next(primes)}\n"
+        for v in range(len(tri.vertices))
+    )
+    return parse_geometry(text, tri)
+
+
+@pytest.mark.parametrize("source", ["s3", "rp3", "rp3_t40.tri", "rp3-prime-denominators"])
+def test_integer_assembly_matches_fraction_formulas(source, s3, rp3):
+    if source.endswith(".tri"):
+        tri = Triangulation.from_file(Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures" / source)
+    else:
+        tri = s3 if source == "s3" else rp3
+    g = explicit_prime_geometry(tri) if source.endswith("denominators") else assign_geometry(tri, 2)
+    lam = ensure_nondegenerate(tri, g)
+    c = build_chain(tri, g, lam=lam)
+    for m, expected in zip(c.maps, fraction_maps(tri, g, lam)):
+        assert list(m.rows) == expected
+        for row, den in zip(m.numerators, m.denominators):
+            assert den > 0 and math.gcd(den, *row.values()) == 1
+            assert list(row) == sorted(row)
+        assert RatMatrix(m.rows, m.row_labels, m.col_labels) == m

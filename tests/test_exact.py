@@ -1,11 +1,15 @@
+import math
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from pentachain.errors import PentachainError
 from pentachain.exact import (
     RatMatrix,
+    _eliminate,
     det,
     format_rational,
     independent_rows,
@@ -237,3 +241,131 @@ def test_parse_canonical_form(num, den):
     q = parse_rational(f"{num}/{den}")
     assert q == F(num, den)
     assert format_rational(q) == format_rational(F(num, den))
+
+
+def test_non_rational_entries_rejected():
+    # a float or a string is no exact rational; the error names the entry
+    with pytest.raises(TypeError, match=r"row 'r0', column 'c0' is float 0\.1"):
+        RatMatrix([[0.1, 1], [2, "1/3"]])
+    with pytest.raises(TypeError, match=r"row 'r1', column 'c1' is str '1/3'"):
+        RatMatrix([[F(1, 10), 1], [2, "1/3"]])
+    with pytest.raises(TypeError, match=r"row 'a', column 'y' is float 0\.0"):
+        RatMatrix([{1: 0.0}], ("a",), ("x", "y"))
+
+
+def test_integer_rows_are_stored_reduced():
+    m = RatMatrix.from_int_rows([{2: 6, 0: -4, 1: 0}, {}, {1: 3}], [-10, 7, 3], ("a", "b", "c"), ("x", "y", "z"))
+    assert m.numerators == ({0: 2, 2: -3}, {}, {1: 1})
+    assert m.denominators == (5, 1, 1)
+    assert list(m.numerators[0]) == [0, 2]
+    assert m == RatMatrix([[F(2, 5), 0, F(-3, 5)], [0, 0, 0], [0, 1, 0]], ("a", "b", "c"), ("x", "y", "z"))
+    with pytest.raises(TypeError, match="row 'a'"):
+        RatMatrix.from_int_rows([{0: F(1, 2)}], [1], ("a",), ("x",))
+    with pytest.raises(ValueError, match="row 'a' has denominator zero"):
+        RatMatrix.from_int_rows([{0: 1}], [0], ("a",), ("x",))
+    with pytest.raises(ValueError):
+        RatMatrix.from_int_rows([{1: 1}], [1], ("a",), ("x",))
+
+
+def test_submatrix_reduces_sliced_rows():
+    # 3/6 and 1/6 share the row denominator 6; alone, 3/6 is 1/2
+    m = RatMatrix([[F(1, 2), F(1, 6)]])
+    sub = m.submatrix(("r0",), ("c0",))
+    assert (sub.numerators, sub.denominators) == (({0: 1},), (2,))
+    assert sub == RatMatrix([[F(1, 2)]], ("r0",), ("c0",))
+
+
+def test_elimination_needs_positive_denominators():
+    with pytest.raises(PentachainError, match="positive row denominators"):
+        _eliminate([{0: 1}], [-1], 1)
+
+
+def fraction_eliminate(rows, ncols):
+    """The Markowitz elimination over Q, updating in Fractions: the oracle
+    for ``exact._eliminate``.  One (row position, column, pivot) per step."""
+    rows = [dict(row) for row in rows]
+    holders = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+    queue = [(len(row), i) for i, row in enumerate(rows)]
+    heapify(queue)
+    steps = []
+    while queue and len(steps) < ncols:
+        length, r = heappop(queue)
+        pivot_row = rows[r]
+        if pivot_row is None or len(pivot_row) != length or not length:
+            continue
+        j = min(pivot_row, key=lambda k: (len(holders[k]), k))
+        rows[r] = None
+        for k in pivot_row:
+            holders[k].discard(r)
+        piv = pivot_row.pop(j)
+        for i in holders.pop(j):
+            row_i = rows[i]
+            f = row_i.pop(j)
+            if pivot_row:
+                f /= piv
+            for k, v in pivot_row.items():
+                if x := row_i.get(k, 0) - f * v:
+                    if k not in row_i:
+                        holders[k].add(i)
+                    row_i[k] = x
+                else:
+                    del row_i[k]
+                    holders[k].discard(i)
+            heappush(queue, (len(row_i), i))
+        steps.append((r, j, piv))
+    return steps
+
+
+# primes far beyond any sampled denominator, pairwise coprime
+LARGE_PRIMES = (1000000007, 998244353, 2**61 - 1, 2**89 - 1)
+small = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+large = st.builds(F, st.integers(-(2**64), 2**64).filter(bool), st.sampled_from(LARGE_PRIMES))
+
+
+@st.composite
+def sparse_rational_matrices(draw):
+    """Rows of a sparse rational matrix as {column: nonzero Fraction} maps,
+    with zero rows and with duplicate, scaled and summed copies of others."""
+    ncols = draw(st.integers(0, 6))
+    columns = st.integers(0, ncols - 1) if ncols else st.nothing()
+    entry = st.one_of(small, large)
+    rows = draw(st.lists(st.dictionaries(columns, entry, max_size=ncols), max_size=6))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        kind = draw(st.sampled_from(("duplicate", "multiple", "sum", "zero")))
+        if kind == "duplicate":
+            rows.append(dict(a))
+        elif kind == "multiple":
+            c = draw(entry)
+            rows.append({k: c * v for k, v in a.items()})
+        elif kind == "sum":
+            total = {k: a.get(k, 0) + b.get(k, 0) for k in a.keys() | b.keys()}
+            rows.append({k: v for k, v in total.items() if v})
+        else:
+            rows.append({})
+    return draw(st.permutations(rows)), ncols
+
+
+@given(sparse_rational_matrices())
+@example(([], 0))
+@example(([{}, {}], 3))
+@example(([{0: F(-3), 1: F(1)}, {0: F(1)}, {1: F(-2, 7)}], 2))
+@example(([{0: F(1, 1000000007), 1: F(2, 998244353)}, {0: F(3, 2**61 - 1), 1: F(-5, 2**89 - 1)}], 2))
+@example(([{0: F(1), 1: F(2)}, {0: F(1), 1: F(2)}, {0: F(-2), 1: F(-4)}, {}], 2))
+def test_fraction_free_kernel_matches_fraction_oracle(case):
+    rows, ncols = case
+    m = RatMatrix(rows, col_labels=[f"c{j}" for j in range(ncols)])
+    steps = _eliminate(m.numerators, m.denominators, m.ncols)
+    oracle = fraction_eliminate(m.rows, m.ncols)
+    assert [(r, j) for r, j, *_ in steps] == [(r, j) for r, j, _ in oracle]
+    assert [F(piv, den) for *_, piv, den in steps] == [piv for *_, piv in oracle]
+    # every stored row is reduced over a positive denominator
+    for row, den in zip(m.numerators, m.denominators):
+        assert den > 0 and math.gcd(den, *row.values()) == 1
+    if len(steps) == ncols:
+        sign = permutation_sign([j for _, j, _ in oracle])
+        expected = sign * math.prod((piv for *_, piv in oracle), start=F(1))
+        assert independent_rows(m) == ([m.row_labels[r] for r, *_ in oracle], expected)

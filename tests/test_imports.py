@@ -29,3 +29,19 @@ def test_unused_import_is_detected():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def bare_asserts(source: str) -> list[int]:
+    """Lines of the ``assert`` statements in a module; ``python -O`` strips
+    them, so a check the package relies on must raise instead."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_bare_assert_is_detected():
+    source = "def f(x):\n    assert x > 0, 'x'\n    return x\n"
+    assert bare_asserts(source) == [2]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_has_no_bare_assert(path):
+    assert bare_asserts(path.read_text()) == []
