@@ -28,7 +28,6 @@ from .errors import (
 )
 from .exact import RatMatrix, Rational, det, format_rational, minor, parse_rational, rank
 from .geometry import (
-    EdgeValues,
     GeometryAssignment,
     angle,
     assign_geometry,

@@ -20,9 +20,16 @@ vertex coordinates:
         block and their negatives into the head block,
     f5  the six closing sums over vertex blocks.
 
+``build_chain`` computes the geometry's one integer edge-value table
+(``geometry.edge_values``) itself and certifies the geometry with
+``geometry.ensure_nondegenerate`` before anything else, whether or not it
+also checks the chain property: a zero face circulation raises
+``DegenerateGeometryError`` naming the face.
+
 Each map is assembled in Python ints, by its nonzeros, one integer row
 at a time.  The x and y coordinates are cleared once to integers over a
-common denominator D, so before reduction the rows of f1 are over D or
+common denominator D (kappa does not enter the matrices, so D is not the
+edge table's), so before reduction the rows of f1 are over D or
 2D, those of f2 over 2D, those of f4 over 2D^2 and those of f5 over 1, D
 or D^2.  Each f3 row is the integer gradient table
 ``(den, {edge: int})`` that ``geometry.curvature`` returns, and
@@ -50,7 +57,7 @@ from math import gcd, lcm
 
 from .errors import PentachainError
 from .exact import RatMatrix, clear_denominators, format_rational, rank
-from .geometry import EdgeValues, GeometryAssignment, edge_values, omega_row
+from .geometry import GeometryAssignment, edge_values, ensure_nondegenerate, omega_row
 from .triangulation import Triangulation
 
 C0_LABELS = ("dt1", "dt2", "dt3", "dx", "dy", "dk")
@@ -98,17 +105,17 @@ class ChainComplex:
         return (self.f1, self.f2, self.f3, self.f4, self.f5)
 
 
-def build_chain(
-    tri: Triangulation,
-    g: GeometryAssignment,
-    lam: EdgeValues | None = None,
-    verify: bool = True,
-) -> ChainComplex:
-    """Assemble all five matrices at the flat point of the given geometry."""
+def build_chain(tri: Triangulation, g: GeometryAssignment, verify: bool = True) -> ChainComplex:
+    """Assemble all five matrices at the flat point of the given geometry.
+
+    Raises DegenerateGeometryError if a face circulation of the geometry is
+    zero; ``verify`` adds the exact check of the flat point and of the
+    chain property.
+    """
     nv = len(tri.vertices)
     ne = len(tri.edges)
-    if lam is None:
-        lam = edge_values(tri, g)
+    lam = edge_values(tri, g)
+    ensure_nondegenerate(tri, lam)
     vlabels = vertex_labels(nv)
     glabels = gamma_labels(nv)
     # every x and y is an integer over one common denominator d

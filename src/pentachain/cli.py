@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .exact import format_rational
-from .geometry import DEFAULT_MAX_RETRIES, assign_geometry, ensure_nondegenerate, parse_geometry, subseed
+from .geometry import DEFAULT_MAX_RETRIES, assign_geometry, parse_geometry, subseed
 from .library import load_builtin
 from .pachner import random_walk, walk_states
 from .pentagon import FivePointConfig, verify_pentagon, verify_vector_identities
@@ -247,10 +247,7 @@ def cmd_dump_chain(args) -> tuple[dict, int]:
     geometry = _geometry_override(args, tri)
     if geometry is None:
         geometry = assign_geometry(tri, subseed(args.seed, "geometry"), args.retries)
-    else:
-        ensure_nondegenerate(tri, geometry)
-    c = build_chain(tri, geometry)
-    sys.stdout.write(dump_chain(c))
+    sys.stdout.write(dump_chain(build_chain(tri, geometry)))
     return {}, 0
 
 

@@ -48,6 +48,7 @@ the rows in the matrix's own order.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from decimal import Decimal
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
@@ -68,11 +69,16 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical text form: ``p`` for integers, ``p/q`` otherwise."""
+    """Canonical text form: ``p`` for integers, ``p/q`` otherwise.
+
+    A minor grows with the triangulation and the denominators of the
+    geometry, so p and q may have any number of digits.  ``str`` of an int
+    stops at the interpreter's digit limit (4300 by default); a Decimal
+    holds the int exactly and prints every digit, leaving the limit alone.
+    """
     value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    p = str(Decimal(value.numerator))
+    return p if value.denominator == 1 else f"{p}/{Decimal(value.denominator)}"
 
 
 class RatMatrix:

@@ -18,29 +18,36 @@ identically, which is what makes the derivative matrix of the curvatures a
 chain map downstream.
 
 One routine serves triangulations and the five-point verifier alike.  It
-works on an integer value table: the denominators of the edge values are
-cleared once, to a common denominator D (the lcm of the denominators) and
-one integer numerator per key.  ``EdgeValues.table`` holds it once per
-geometry and ``pentagon.FivePointConfig.table`` once per five-point
-configuration.  For sampled geometry D divides 2 lcm(1..16)^2, about 40
-bits, whatever the size of the triangulation; explicit geometry may have
-any denominators.
+works on an integer value table ``(D, numerators)``: one integer numerator
+per key over a common denominator D, the lcm of the reduced denominators
+of the values.  ``edge_values`` is the only form of the edge values on a
+triangulation: it clears x, y and kappa once and returns the table
+directly, one table per geometry (``lambda_of`` is the paper formula it is
+checked against).  ``pentagon.FivePointConfig.table`` is the table of a
+five-point configuration.  For sampled geometry D divides 2 lcm(1..16)^2,
+about 40 bits, whatever the size of the triangulation; explicit geometry
+may have any denominators.
 
 A circulation is a plain integer: ``circulation`` sums the signed
 numerators of a triangle's three sides, each side a ``(key, sign)`` pair
 that an edge lookup ``(tail, head)`` returns, so the circulation is that
-integer over D.  ``curvature`` sums angle values built from four such
-circulations and, on request, their exact partial derivatives by the
-quotient rule, each key an independent variable.  A tetrahedron's four
-circulations share its six edges, so each edge is looked up once and its
-partial is its sign times the summed weights of the triangles it bounds.
-Everything stays in Python ints: each face circulation (``s_of_face``) is
-``Fraction(n, D)`` and a curvature is one Fraction, its terms summed over
-the lcm L of the angle denominators.  The gradient stays an integer
-table ``(den, {key: int})``, the shape of ``EdgeValues.table``, with den
-dividing L; ``omega_row`` hands it to ``chain.build_chain`` as an f3 row,
-and a single partial (``domega_dlambda``,
-``pentagon.domega_ed_dlambda_ed``) is one Fraction.
+integer over D.  A geometry is nondegenerate when no face circulation is
+zero; the sampler redraws until it is, and ``ensure_nondegenerate``, which
+``chain.build_chain`` runs on every geometry, raises otherwise.  Both read
+the integer circulations through one zero-face test.  ``s_of_face`` and
+``face_circulations`` give the circulations as Fractions ``n / D``.
+
+``curvature`` sums angle values built from four circulations and their
+exact partial derivatives by the quotient rule, each key an independent
+variable.  A tetrahedron's four circulations share its six edges, so each
+edge is looked up once and its partial is its sign times the summed
+weights of the triangles it bounds.  A curvature is one Fraction, its
+terms summed over the lcm L of the angle denominators, and the gradient
+over every key the angles touch stays an integer table ``(den, {key:
+int})`` with den dividing L.  ``omega_row`` hands it to
+``chain.build_chain`` as an f3 row; a single partial (``domega_dlambda``,
+``pentagon.domega_ed_dlambda_ed``) reads its key from it, zero if the
+angles do not touch the key.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from math import gcd, lcm
 from typing import Callable, Iterable
 
@@ -79,19 +86,6 @@ class GeometryAssignment:
     seed: int | None = None
 
 
-@dataclass(frozen=True)
-class EdgeValues:
-    """lambda per canonically oriented edge class."""
-
-    values: tuple[Fraction, ...]
-
-    @cached_property
-    def table(self) -> tuple[int, dict[int, int]]:
-        """Integer value table ``(D, numerators)``: D is the lcm of the
-        denominators and ``values[e] == numerators[e] / D``."""
-        return clear_denominators(dict(enumerate(self.values)))
-
-
 def triangle_area(ax, ay, bx, by, cx, cy) -> Fraction:
     """Oriented area of a plane triangle (half the cross product)."""
     return ((bx - ax) * (cy - ay) - (cx - ax) * (by - ay)) / 2
@@ -104,8 +98,25 @@ def lambda_of(tri: Triangulation, g: GeometryAssignment, edge_id: int) -> Fracti
     return (g.x[a] * g.y[b] - g.x[b] * g.y[a]) / 2 + g.kappa[b] - g.kappa[a]
 
 
-def edge_values(tri: Triangulation, g: GeometryAssignment) -> EdgeValues:
-    return EdgeValues(tuple(lambda_of(tri, g, e.id) for e in tri.edges))
+def edge_values(tri: Triangulation, g: GeometryAssignment) -> tuple[int, dict[int, int]]:
+    """Integer value table ``(D, numerators)`` of the edge values:
+    ``lambda_of(tri, g, e) == numerators[e] / D`` with D the lcm of their
+    reduced denominators.
+
+    x, y and kappa are cleared once to X, Y and K over one denominator c,
+    so lambda(a -> b) is X_a Y_b - X_b Y_a + 2c (K_b - K_a) over 2c^2;
+    dividing out the gcd of 2c^2 and every numerator leaves D.
+    """
+    c, cleared = clear_denominators(dict(enumerate((*g.x, *g.y, *g.kappa))))
+    nv = len(g.x)
+    xs, ys, ks = ([cleared[k * nv + v] for v in range(nv)] for k in range(3))
+    numerators = {
+        e.id: xs[e.tail] * ys[e.head] - xs[e.head] * ys[e.tail] + 2 * c * (ks[e.head] - ks[e.tail])
+        for e in tri.edges
+    }
+    den = 2 * c * c
+    common = gcd(den, *numerators.values())
+    return den // common, {key: n // common for key, n in numerators.items()}
 
 
 def circulation(edge: Callable, numerators, a, b, c) -> int:
@@ -119,15 +130,26 @@ def circulation(edge: Callable, numerators, a, b, c) -> int:
     return sum(sign * numerators[key] for key, sign in (edge(a, b), edge(b, c), edge(c, a)))
 
 
-def s_of_face(tri: Triangulation, lam: EdgeValues, face_id: int) -> Fraction:
-    """Face circulation, evaluated on the class's stored boundary order."""
+def s_of_face(tri: Triangulation, lam: tuple[int, dict], face_id: int) -> Fraction:
+    """Face circulation under the edge-value table ``lam``, evaluated on
+    the class's stored boundary order."""
     tet, slots = tri.faces[face_id].boundary
-    d, numerators = lam.table
+    d, numerators = lam
     return Fraction(circulation(partial(tri.edge_class, tet), numerators, *slots), d)
 
 
-def face_circulations(tri: Triangulation, lam: EdgeValues) -> tuple[Fraction, ...]:
+def face_circulations(tri: Triangulation, lam: tuple[int, dict]) -> tuple[Fraction, ...]:
     return tuple(s_of_face(tri, lam, f.id) for f in tri.faces)
+
+
+def _zero_face(tri: Triangulation, lam: tuple[int, dict]):
+    """The first face class whose circulation under ``lam`` is zero, or None."""
+    _, numerators = lam
+    for f in tri.faces:
+        tet, slots = f.boundary
+        if not circulation(partial(tri.edge_class, tet), numerators, *slots):
+            return f
+    return None
 
 
 def assign_geometry(
@@ -138,10 +160,11 @@ def assign_geometry(
     """Sample generic rational coordinates, rejecting degenerate draws.
 
     Numerators are uniform in [-64, 64] and denominators in [1, 16]; a draw
-    is accepted once every face circulation is nonzero.  The retry sequence
-    is a deterministic function of the seed.  An edge class joining a vertex
-    class to itself gives every face containing it zero circulation for any
-    geometry, so such input fails before the first draw.
+    is accepted once every face circulation is nonzero, each draw's edge
+    values evaluated once.  The retry sequence is a deterministic function
+    of the seed.  An edge class joining a vertex class to itself gives every
+    face containing it zero circulation for any geometry, so such input
+    fails before the first draw.
     """
     for e in tri.edges:
         if e.tail == e.head:
@@ -166,34 +189,29 @@ def assign_geometry(
             kappa=tuple(draw() for _ in range(nv)),
             seed=seed,
         )
-        lam = edge_values(tri, g)
-        if all(s != 0 for s in face_circulations(tri, lam)):
+        if _zero_face(tri, edge_values(tri, g)) is None:
             return g
     raise DegenerateGeometryError(f"no nondegenerate geometry found after {max_retries} attempts")
 
 
-def ensure_nondegenerate(tri: Triangulation, g: GeometryAssignment) -> EdgeValues:
-    """Check the nondegeneracy certificate for an explicit assignment."""
-    lam = edge_values(tri, g)
-    for f, s in zip(tri.faces, face_circulations(tri, lam)):
-        if s == 0:
-            raise DegenerateGeometryError(
-                f"face class {f.id} (vertices {f.vertices}) has zero circulation"
-            )
-    return lam
+def ensure_nondegenerate(tri: Triangulation, lam: tuple[int, dict]) -> None:
+    """The nondegeneracy certificate: raise unless every face circulation
+    under the edge-value table ``lam`` is nonzero."""
+    f = _zero_face(tri, lam)
+    if f is not None:
+        raise DegenerateGeometryError(f"face class {f.id} (vertices {f.vertices}) has zero circulation")
 
 
 # -- angle values and curvature ---------------------------------------
 
 
-def curvature(table, angles: Iterable, wrt: Iterable | None = ()) -> tuple[Fraction, tuple[int, dict]]:
-    """Sum of angle values over ``angles`` and its exact partial derivatives
-    by the value keys ``wrt`` (None: every key the angles touch; the
-    default: none), the latter as an integer table ``(den, {key: int})``
-    with each partial ``numerator / den``.
+def curvature(table, angles: Iterable) -> tuple[Fraction, tuple[int, dict]]:
+    """Sum of angle values over ``angles`` and its gradient, the exact
+    partial derivatives by every key the angles touch, as an integer table
+    ``(den, {key: int})`` with each partial ``numerator / den``.
 
     ``table`` is an integer value table ``(D, numerators)``, as
-    ``EdgeValues.table`` or ``FivePointConfig.table`` holds it.
+    ``edge_values`` returns it or ``FivePointConfig.table`` holds it.
     Each angle is (edge lookup, (P, Q), (tail, head), where), and
     ``where(opposite)`` names the face missing vertex ``opposite`` when its
     circulation, a denominator, is zero.
@@ -232,14 +250,11 @@ def curvature(table, angles: Iterable, wrt: Iterable | None = ()) -> tuple[Fract
         terms.append((2 * bb * bb, numerator * bb, sides, weights))
     common = lcm(*(denominator for denominator, *_ in terms))
     total = sum(value * (common // denominator) for denominator, value, *_ in terms)
-    every = wrt is None
-    row: dict = {} if every else dict.fromkeys(wrt, 0)
-    if every or row:
-        for denominator, _, sides, weights in terms:
-            scale = common // denominator
-            for (key, sign), weight in zip(sides, weights):
-                if every or key in row:
-                    row[key] = row.get(key, 0) + sign * scale * weight
+    row: dict = {}
+    for denominator, _, sides, weights in terms:
+        scale = common // denominator
+        for (key, sign), weight in zip(sides, weights):
+            row[key] = row.get(key, 0) + sign * scale * weight
     g = gcd(d * d, common)
     dd = d * d // g
     return Fraction(d * total, common), (common // g, {key: dd * dv for key, dv in row.items()})
@@ -259,7 +274,7 @@ def _angles(tri: Triangulation, contributions):
 
 def angle(
     tri: Triangulation,
-    lam: EdgeValues,
+    lam: tuple[int, dict],
     tet: int,
     pq: tuple[int, int],
     ed: tuple[int, int],
@@ -272,27 +287,26 @@ def angle(
     orientation, so the value also flips under a reversal of the edge.
     """
     _, direction = tri.edge_class(tet, ed[0], ed[1])
-    return direction * curvature(lam.table, _angles(tri, ((tet, pq, ed),)))[0]
+    return direction * curvature(lam, _angles(tri, ((tet, pq, ed),)))[0]
 
 
-def omega(tri: Triangulation, lam: EdgeValues, star: EdgeStar | int) -> Fraction:
+def omega(tri: Triangulation, lam: tuple[int, dict], star: EdgeStar | int) -> Fraction:
     """Curvature around an edge class: sum of angle values over its star."""
     if isinstance(star, int):
         star = tri.edge_star(star)
-    return curvature(lam.table, _angles(tri, star.contributions))[0]
+    return curvature(lam, _angles(tri, star.contributions))[0]
 
 
-def omega_row(tri: Triangulation, lam: EdgeValues, edge_id: int) -> tuple[Fraction, tuple[int, dict]]:
+def omega_row(tri: Triangulation, lam: tuple[int, dict], edge_id: int) -> tuple[Fraction, tuple[int, dict]]:
     """Curvature of an edge and its gradient over all edge values, the
     gradient as an integer table ``(den, {edge: int})``."""
-    return curvature(lam.table, _angles(tri, tri.edge_star(edge_id).contributions), wrt=None)
+    return curvature(lam, _angles(tri, tri.edge_star(edge_id).contributions))
 
 
-def domega_dlambda(tri: Triangulation, lam: EdgeValues, edge_a: int, edge_b: int) -> Fraction:
+def domega_dlambda(tri: Triangulation, lam: tuple[int, dict], edge_a: int, edge_b: int) -> Fraction:
     """Exact partial derivative of curvature a with respect to edge value b."""
-    star = tri.edge_star(edge_a).contributions
-    _, (den, row) = curvature(lam.table, _angles(tri, star), wrt=(edge_b,))
-    return Fraction(row[edge_b], den)
+    _, (den, row) = omega_row(tri, lam, edge_a)
+    return Fraction(row.get(edge_b, 0), den)
 
 
 # -- holonomy ----------------------------------------------------------

@@ -22,10 +22,10 @@ values.  The checks here are exact:
 
 The checks run on the integer path that builds the curvature derivative
 matrix for triangulations.  A configuration clears its ten values once to
-an integer table ``(D, numerators)``, the shape of ``EdgeValues.table``;
-every circulation is an integer over D, ``geometry.circulation`` on that
-table with edges looked up by label pair, and the curvature and its
-derivative are ``geometry.curvature`` on the same table.  The vector
+an integer table ``(D, numerators)``, the shape ``geometry.edge_values``
+returns; every circulation is an integer over D, ``geometry.circulation``
+on that table with edges looked up by label pair, and the curvature and
+its derivative are ``geometry.curvature`` on the same table.  The vector
 identities use one Cramer step, E->b from E->D and E->a, read off a
 configuration's circulations: for plane points (kappa zero) a circulation
 is the oriented area, and the closure runs the same step on the perturbed
@@ -124,7 +124,8 @@ class FivePointConfig:
 
     @cached_property
     def table(self) -> tuple[int, dict]:
-        """Integer value table ``(D, numerators)``, as ``EdgeValues.table``."""
+        """Integer value table ``(D, numerators)``, the shape
+        ``geometry.edge_values`` returns."""
         return clear_denominators(self.lam)
 
     def with_lambda_ed(self, lambda_ed: Fraction) -> "FivePointConfig":
@@ -175,9 +176,9 @@ def omega_ed(cfg: FivePointConfig) -> Fraction:
 
 def domega_ed_dlambda_ed(cfg: FivePointConfig) -> Fraction:
     """Exact d(omega_ED)/d(lambda_ED) via the shared quotient-rule engine."""
-    _, (den, grad) = curvature(cfg.table, ANGLES, wrt=(ED_PAIR,))
+    _, (den, grad) = curvature(cfg.table, ANGLES)
     # storage holds lambda_DE; differentiating by lambda_ED flips the sign
-    return Fraction(-grad[ED_PAIR], den)
+    return Fraction(-grad.get(ED_PAIR, 0), den)
 
 
 def verify_pentagon(cfg: FivePointConfig) -> tuple[Fraction, Fraction, bool]:

@@ -75,7 +75,6 @@ from .geometry import (
     GeometryAssignment,
     assign_geometry,
     edge_values,
-    ensure_nondegenerate,
     face_circulations,
     subseed,
 )
@@ -224,23 +223,25 @@ def invariant(
 ) -> InvariantResult:
     """Full pipeline: geometry, chain, acyclicity, torsion, normalization.
 
-    The chain property is always checked, and acyclicity is certified by
-    the partition search itself, which rests on it.  ``tau`` is the signed
-    torsion, which does not depend on the partition (see the module
-    docstring).  The absolute value of the result is independent of the
-    seed and of the sampled geometry; its sign is fixed by the geometry
+    Without ``geometry`` one is sampled from the seed.  ``build_chain``
+    computes the geometry's integer edge-value table and certifies it: an
+    explicit geometry with a zero face circulation raises
+    DegenerateGeometryError there.  The face product is the product of the
+    face circulations under the same table (``edge_values`` of the
+    geometry).  The chain property is always checked, and acyclicity is
+    certified by the partition search itself, which rests on it.  ``tau``
+    is the signed torsion, which does not depend on the partition (see the
+    module docstring).  The absolute value of the result is independent of
+    the seed and of the sampled geometry; its sign is fixed by the geometry
     but is not claimed to be a manifold invariant.
     """
     if geometry is None:
         geometry = assign_geometry(tri, subseed(seed, "geometry"), max_retries)
-        lam = edge_values(tri, geometry)
-    else:
-        lam = ensure_nondegenerate(tri, geometry)
-    c = build_chain(tri, geometry, lam=lam)
+    c = build_chain(tri, geometry)
     partition, values = select_partition(c)
     t = _signed_tau(c, partition, values)
     face_product = Fraction(1)
-    for s in face_circulations(tri, lam):
+    for s in face_circulations(tri, edge_values(tri, geometry)):
         face_product *= s
     value = t * face_product * Fraction(1, 2 ** (len(tri.vertices) + 1))
     return InvariantResult(

@@ -86,7 +86,7 @@ def test_criterion_4_derivative_minor_structure():
     rp3 = load_builtin("rp3")
     g = assign_geometry(rp3, seed=9)
     lam = edge_values(rp3, g)
-    c = build_chain(rp3, g, lam=lam)
+    c = build_chain(rp3, g)
     unprimed = tet0_edges(rp3)
     pairs = dict(opposite_edge_pairs(rp3))
     pairs.update({b: a for a, b in pairs.items()})

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from pentachain import (
+    DegenerateGeometryError,
+    GeometryAssignment,
     NotAcyclicError,
     RatMatrix,
     assign_geometry,
@@ -18,7 +20,7 @@ from pentachain import (
     select_partition,
     verify_chain,
 )
-from pentachain.geometry import ensure_nondegenerate
+from pentachain.geometry import lambda_of
 from pentachain.chain import C0_LABELS, C5_LABELS, ChainComplex, expected_ranks
 from pentachain.triangulation import Triangulation
 from test_geometry import fraction_curvature_oracle
@@ -204,7 +206,7 @@ PRIMES_40 = (
 )
 
 
-def fraction_maps(tri, g, lam):
+def fraction_maps(tri, g, values):
     """f1..f5 as {column: nonzero Fraction} rows, from the formulas of the
     ``chain`` module docstring, with f3 from the textbook quotient rule."""
     nv = len(tri.vertices)
@@ -219,7 +221,7 @@ def fraction_maps(tri, g, lam):
             row[j] = row.get(j, 0) + v
         f2.append(row)
         angles = [(partial(tri.edge_class, tet), pq, ed, None) for tet, pq, ed in tri.edge_star(e.id).contributions]
-        value, gradient = fraction_curvature_oracle(lam.values, angles)
+        value, gradient = fraction_curvature_oracle(values, angles)
         assert value == 0
         f3.append(gradient)
     f4 = [{} for _ in range(3 * nv)]
@@ -255,11 +257,21 @@ def test_integer_assembly_matches_fraction_formulas(source, s3, rp3):
     else:
         tri = s3 if source == "s3" else rp3
     g = explicit_prime_geometry(tri) if source.endswith("denominators") else assign_geometry(tri, 2)
-    lam = ensure_nondegenerate(tri, g)
-    c = build_chain(tri, g, lam=lam)
-    for m, expected in zip(c.maps, fraction_maps(tri, g, lam)):
+    values = [lambda_of(tri, g, e.id) for e in tri.edges]
+    c = build_chain(tri, g)
+    for m, expected in zip(c.maps, fraction_maps(tri, g, values)):
         assert list(m.rows) == expected
         for row, den in zip(m.numerators, m.denominators):
             assert den > 0 and math.gcd(den, *row.values()) == 1
             assert list(row) == sorted(row)
         assert RatMatrix(m.rows, m.row_labels, m.col_labels) == m
+
+
+@pytest.mark.parametrize("verify", [True, False])
+def test_build_chain_certifies_the_geometry(s3, verify):
+    # vertex classes 0, 1, 2 on a line: face class 3 has zero circulation
+    collinear = GeometryAssignment(x=(F(0), F(1), F(2), F(0)), y=(F(0), F(0), F(0), F(1)), kappa=(F(0),) * 4)
+    message = "face class 3 (vertices (0, 1, 2)) has zero circulation"
+    with pytest.raises(DegenerateGeometryError) as raised:
+        build_chain(s3, collinear, verify=verify)
+    assert str(raised.value) == message

@@ -12,6 +12,7 @@ from pentachain import MoveSite, NotAcyclicError, RatMatrix, Triangulation, appl
 import pentachain
 from pentachain import cli, geometry, torsion
 from pentachain.triangulation import FILE_MAGIC
+from test_geometry import LARGE_DENOMINATOR_GEOMETRY, prime_denominator_geometry_text
 
 
 def run(capsys, argv):
@@ -368,6 +369,38 @@ def test_invariant_large_fixture_report_pinned(capsys, monkeypatch, name):
     code, out, _ = run(capsys, ["invariant", "--file", f"benchmarks/fixtures/{name}_t80.tri", "--seed", "0", "--json"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == T80_SEED0_INVARIANT_SHA256[name]
+
+
+# explicit geometry over 10007 and 65537 on rp3, taken before build_chain
+# certified the geometry itself
+RP3_LARGE_DENOMINATORS_SHA256 = {
+    "dump-chain": "88b5cf1b7af4606003fe7fab3497595fba6d25b36abcabcb218bf413392d3d11",
+    "invariant": "a3e4a51f5d611582e82d18b7234f1043d2ff7fd8ba2577b8a651f32b85a7ca65",
+}
+
+
+@pytest.mark.parametrize("command", sorted(RP3_LARGE_DENOMINATORS_SHA256))
+def test_explicit_geometry_reports_pinned(tmp_path, capsys, command):
+    path = tmp_path / "geometry.txt"
+    path.write_text(LARGE_DENOMINATOR_GEOMETRY)
+    argv = [command, "--builtin", "rp3", "--geometry", str(path)]
+    code, out, _ = run(capsys, argv + ["--json"] if command == "invariant" else argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RP3_LARGE_DENOMINATORS_SHA256[command]
+
+
+def test_report_with_thousands_of_digits(tmp_path, capsys):
+    # 63 distinct 40-bit prime denominators on the T=80 rp3 fixture give a
+    # tau of about 11000 digits, past the interpreter's int -> str limit
+    path = tmp_path / "geometry.txt"
+    path.write_text(prime_denominator_geometry_text(len(Triangulation.from_file(RP3_T80).vertices)))
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, ["invariant", "--file", str(RP3_T80), "--geometry", str(path), "--json"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["abs_invariant"] == "64"
+    assert len(report["tau"]) > 4300
+    assert sys.get_int_max_str_digits() == limit
 
 
 @pytest.mark.parametrize(

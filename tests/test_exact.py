@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations, permutations
@@ -369,3 +370,15 @@ def test_fraction_free_kernel_matches_fraction_oracle(case):
         sign = permutation_sign([j for _, j, _ in oracle])
         expected = sign * math.prod((piv for *_, piv in oracle), start=F(1))
         assert independent_rows(m) == ([m.row_labels[r] for r, *_ in oracle], expected)
+
+
+def test_format_rational_prints_any_number_of_digits():
+    # past the interpreter's limit on int -> str conversion (4300 digits by
+    # default), which stays as it was
+    limit = sys.get_int_max_str_digits()
+    big = 10 ** 5000 + 1
+    digits = "1" + "0" * 4999 + "1"
+    assert format_rational(F(-big, 3)) == f"-{digits}/3"
+    assert format_rational(F(7, big)) == f"7/{digits}"
+    assert format_rational(big) == digits
+    assert sys.get_int_max_str_digits() == limit

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from functools import partial
@@ -13,7 +14,6 @@ from pentachain import (
     apply_move,
     assign_geometry,
     domega_dlambda,
-    EdgeValues,
     FivePointConfig,
     edge_values,
     enumerate_sites,
@@ -27,8 +27,16 @@ from pentachain import (
 from pentachain import geometry, pentagon
 from pentachain.geometry import curvature, omega_row, triangle_area
 from pentachain.errors import ParseError
+from pentachain.exact import clear_denominators
 
 F = Fraction
+
+
+def values_of(table):
+    """The values of an integer value table ``(D, numerators)`` as
+    Fractions, by key."""
+    d, numerators = table
+    return {key: F(n, d) for key, n in numerators.items()}
 
 
 def edge_id(tri, i, j):
@@ -98,9 +106,9 @@ def test_flatness_everywhere(s3, rp3):
 def test_omega_negates_under_edge_reversal(rp3, rp3_geometry):
     lam = edge_values(rp3, rp3_geometry)
     # evaluate away from the flat point so omega is nonzero
-    values = list(lam.values)
+    values = values_of(lam)
     values[0] += F(1, 3)
-    bent = type(lam)(tuple(values))
+    bent = clear_denominators(values)
     for e in rp3.edges:
         star = rp3.edge_star(e)
         total = omega(rp3, bent, star)
@@ -168,12 +176,12 @@ def omega_derivative_oracle(tri, lam, a, b):
     the fit.  Independent of the production quotient-rule assembly.
     """
     degree = 2 * len(tri.edge_star(a).contributions)
-    base = lam.values[b]
+    base = values_of(lam)[b]
 
     def omega_at(t):
-        values = list(lam.values)
+        values = values_of(lam)
         values[b] = t
-        shifted = type(lam)(tuple(values))
+        shifted = clear_denominators(values)
         return omega(tri, lam=shifted, star=a)
 
     samples = []
@@ -311,18 +319,14 @@ def gradient(table, nonzero=True):
     return {k: F(v, den) for k, v in row.items() if v or not nonzero}
 
 
-def assert_wrt_modes_match_oracle(table, values, angles, touched, absent):
-    """All three ``wrt`` modes of ``curvature`` against the oracle: the full
-    row (None), exactly the keys asked for, and no gradient (the default).
-    ``touched`` are the keys the angles touch, ``absent`` a key they do not."""
+def assert_full_row_matches_oracle(table, values, angles, touched, absent):
+    """``curvature``'s value and full gradient row against the oracle.
+    ``touched`` are the keys the angles touch, ``absent`` a key they do not:
+    the row holds no other key, and reads zero at ``absent``."""
     total, row = fraction_curvature_oracle(values, angles)
-    value, full = curvature(table, angles, wrt=None)
+    value, full = curvature(table, angles)
     assert (value, gradient(full)) == (total, row)
-    keys = sorted(touched)[::2] + [absent]
-    value, some = curvature(table, angles, wrt=keys)
-    assert (value, gradient(some, nonzero=False)) == (total, {k: row.get(k, 0) for k in keys})
-    for value, none in (curvature(table, angles), curvature(table, angles, wrt=())):
-        assert (value, gradient(none, nonzero=False)) == (total, {})
+    assert set(full[1]) <= set(touched) and full[1].get(absent, 0) == 0
 
 
 def assert_rows_match_oracle(tri, lam):
@@ -332,10 +336,10 @@ def assert_rows_match_oracle(tri, lam):
             for tet, pq, ed in tri.edge_star(e.id).contributions
         ]
         value, row = omega_row(tri, lam, e.id)
-        assert (value, gradient(row)) == fraction_curvature_oracle(lam.values, angles)
+        assert (value, gradient(row)) == fraction_curvature_oracle(values_of(lam), angles)
         touched = {edge(a, b)[0] for edge, pq, ed, _ in angles for a, b in combinations(pq + ed, 2)}
         absent = min(set(range(len(tri.edges))) - touched, default=len(tri.edges))
-        assert_wrt_modes_match_oracle(lam.table, lam.values, angles, touched, absent)
+        assert_full_row_matches_oracle(lam, values_of(lam), angles, touched, absent)
 
 
 def grown_rp3(rp3, size, seed):
@@ -357,7 +361,7 @@ def test_integer_quotient_rule_matches_fraction_oracle(s3, rp3):
             assert_rows_match_oracle(tri, edge_values(tri, assign_geometry(tri, seed)))
     # away from the flat point the curvatures themselves are nonzero
     lam = edge_values(rp3, assign_geometry(rp3, 5))
-    bent = EdgeValues((lam.values[0] + F(1, 10007),) + lam.values[1:])
+    bent = clear_denominators({**values_of(lam), 0: values_of(lam)[0] + F(1, 10007)})
     assert any(omega(rp3, bent, e.id) for e in rp3.edges)
     assert_rows_match_oracle(rp3, bent)
 
@@ -373,7 +377,7 @@ def test_integer_quotient_rule_exact_for_large_denominators(s3, rp3):
     )
     for tri in (s3, rp3):
         lam = edge_values(tri, parse_geometry(text, tri))
-        d, _ = lam.table
+        d, _ = lam
         assert d % 10007 == 0 and d % 65537 == 0
         assert_rows_match_oracle(tri, lam)
     assert any(gradient(omega_row(rp3, lam, e.id)[1]) for e in rp3.edges)
@@ -382,13 +386,79 @@ def test_integer_quotient_rule_exact_for_large_denominators(s3, rp3):
 def test_five_point_curvature_matches_fraction_oracle():
     for seed in range(12):
         cfg = FivePointConfig.random(seed)
-        value, row = curvature(cfg.table, pentagon.ANGLES, wrt=None)
+        value, row = curvature(cfg.table, pentagon.ANGLES)
         assert value == 0
         assert (value, gradient(row)) == fraction_curvature_oracle(cfg.lam, pentagon.ANGLES)
         bent = cfg.with_lambda_ed(-cfg.lam[pentagon.ED_PAIR] + F(1, 3))
-        value, row = curvature(bent.table, pentagon.ANGLES, wrt=None)
+        value, row = curvature(bent.table, pentagon.ANGLES)
         assert (value, gradient(row)) == fraction_curvature_oracle(bent.lam, pentagon.ANGLES)
         for c in (cfg, bent):
             # the local complex touches all ten pairs, so the key no angle
             # touches is one outside the table
-            assert_wrt_modes_match_oracle(c.table, c.lam, pentagon.ANGLES, pentagon.PAIRS, ("E", "F"))
+            assert_full_row_matches_oracle(c.table, c.lam, pentagon.ANGLES, pentagon.PAIRS, ("E", "F"))
+
+
+# coordinates over 10007 and 65537, far from the sampled denominators
+LARGE_DENOMINATOR_GEOMETRY = (
+    "vertex 0 1/10007 3/65537 5/7\n"
+    "vertex 1 -2/65537 7/10007 1/3\n"
+    "vertex 2 11/10007 -13/65537 2/9\n"
+    "vertex 3 17/65537 19/10007 -1/5\n"
+)
+
+
+def is_prime(n):
+    """Miller-Rabin with the twelve primes up to 37 as bases, which
+    decides primality exactly for every n below 3 * 10^23."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % p == 0 for p in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def prime_denominator_geometry_text(vertex_count):
+    """A geometry file whose 3V coordinates have distinct 40-bit prime
+    denominators (the primes after 2^39 in turn) and nonzero numerators."""
+    primes, n = [], 1 << 39
+    while len(primes) < 3 * vertex_count:
+        n += 1
+        if is_prime(n):
+            primes.append(n)
+    it = iter(primes)
+    return "".join(
+        f"vertex {v} {7 * v + 3}/{next(it)} {-5 * v - 2}/{next(it)} {v + 1}/{next(it)}\n"
+        for v in range(vertex_count)
+    )
+
+
+@pytest.mark.parametrize("source", ["sampled", "large-denominators", "prime-denominators", "kappa-shifted"])
+def test_edge_values_is_the_cleared_paper_formula(source, s3, rp3):
+    for tri in (s3, rp3):
+        if source == "large-denominators":
+            geometries = [parse_geometry(LARGE_DENOMINATOR_GEOMETRY, tri)]
+        elif source == "prime-denominators":
+            geometries = [parse_geometry(prime_denominator_geometry_text(len(tri.vertices)), tri)]
+        else:
+            geometries = [assign_geometry(tri, seed) for seed in range(4)]
+        if source == "kappa-shifted":
+            geometries = [
+                GeometryAssignment(g.x, g.y, tuple(k + F(5, 3) ** i for i, k in enumerate(g.kappa)))
+                for g in geometries
+            ]
+        for g in geometries:
+            d, numerators = edge_values(tri, g)
+            assert (d, numerators) == clear_denominators({e.id: lambda_of(tri, g, e.id) for e in tri.edges})
+            assert math.gcd(d, *numerators.values()) == 1

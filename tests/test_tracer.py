@@ -39,3 +39,7 @@ def test_tracer_covers_an_invariant_and_restores(capsys):
     assert metrics["chain.nnz"] > 0
     assert 0 < metrics["chain.density"] < 1
     assert metrics["exact.eliminations_per_invariant"] == 5
+    # the sampler's draws are the calls of geometry.edge_values; one draw
+    # suffices for s3 and no other call may count as one
+    assert metrics["geometry.sample_draws"] == 1
+    assert metrics["geometry.sample_accept_ratio"] == 1
