@@ -24,7 +24,8 @@ vertex coordinates:
 (``geometry.edge_values``) itself and certifies the geometry with
 ``geometry.ensure_nondegenerate`` before anything else, whether or not it
 also checks the chain property: a zero face circulation raises
-``DegenerateGeometryError`` naming the face.
+``DegenerateGeometryError`` naming the face.  The certified table is kept
+on the complex as ``edge_table``, so the face product reads the same one.
 
 Each map is assembled in Python ints, by its nonzeros, one integer row
 at a time.  The x and y coordinates are cleared once to integers over a
@@ -93,6 +94,8 @@ class ChainComplex:
     f5: RatMatrix
     vertex_count: int
     edge_count: int
+    # the certified integer edge-value table (D, numerators) of the geometry
+    edge_table: tuple[int, dict] | None = None
 
     @property
     def dims(self) -> tuple[int, int, int, int, int, int]:
@@ -171,6 +174,7 @@ def build_chain(tri: Triangulation, g: GeometryAssignment, verify: bool = True) 
         f5=RatMatrix.from_int_rows(f5, (1, 1, 1, d, d, d * d), C5_LABELS, glabels),
         vertex_count=nv,
         edge_count=ne,
+        edge_table=lam,
     )
     if verify:
         ok, witness = verify_chain(c)

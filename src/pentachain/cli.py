@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 import time
 from fractions import Fraction
@@ -214,10 +215,8 @@ def cmd_pachner(args) -> tuple[dict, int]:
 
 
 def cmd_pentagon(args) -> tuple[dict, int]:
-    import random as _random
-
     _check_pentagon_samples(args.seed, args.samples)
-    rng = _random.Random(subseed(args.seed, "points"))
+    rng = random.Random(subseed(args.seed, "points"))
     point_checks = 0
     for j in range(args.samples):
         pts = {

@@ -52,6 +52,7 @@ angles do not touch the key.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,8 +71,6 @@ DEFAULT_MAX_RETRIES = 100
 
 def subseed(seed: int, *tags) -> int:
     """Stable derived seed for a named sub-stream of randomness."""
-    import hashlib
-
     digest = hashlib.blake2b(repr((seed,) + tags).encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
@@ -319,10 +318,12 @@ def holonomy_generator(
     vector (x, y) and curvature derivative ``domega``: domega / 2 times
     ((-xy, x^2), (-y^2, xy)).  ``chain.build_chain`` writes its entries
     (m01, m11, -m10) at domega = 1, (x^2, xy, y^2) / 2, as the edge's f4
-    column."""
-    x, y = Fraction(edge_vector[0]), Fraction(edge_vector[1])
+    column.  The products of the coordinates are taken first, so integer
+    coordinates meet a Fraction only in the three scalings."""
+    x, y = edge_vector
     half = Fraction(domega) / 2
-    return (-x * y * half, x * x * half), (-y * y * half, x * y * half)
+    xy = x * y * half
+    return (-xy, x * x * half), (-(y * y * half), xy)
 
 
 # -- explicit geometry files -------------------------------------------

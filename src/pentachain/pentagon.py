@@ -25,12 +25,25 @@ matrix for triangulations.  A configuration clears its ten values once to
 an integer table ``(D, numerators)``, the shape ``geometry.edge_values``
 returns; every circulation is an integer over D, ``geometry.circulation``
 on that table with edges looked up by label pair, and the curvature and
-its derivative are ``geometry.curvature`` on the same table.  The vector
-identities use one Cramer step, E->b from E->D and E->a, read off a
-configuration's circulations: for plane points (kappa zero) a circulation
-is the oriented area, and the closure runs the same step on the perturbed
-values.  The holonomy generator, a 2x2 matrix, is checked by its action on
-E->D and on E->A, E->B.
+its derivative are ``geometry.curvature`` on the same table.  The flat
+lambda_ED is solved on one table of the configuration: of the six
+circulations in the bilinear relation only the three S_xDE hold
+lambda_ED, each once with sign -1, so the relation's value at
+lambda_ED = 0 and its slope are integers read off that table.
+
+The vector identities never leave the integers.  The five points are
+cleared once to integer points over L, the lcm of their denominators, so
+each vector is L times the plane vector and each value
+lambda_ab = (x_a y_b - x_b y_a) / 2 is an integer over 2 L^2: for plane
+points (kappa zero) a circulation is the oriented area, and its integer
+is the cross product of two scaled sides, 2 L^2 S.  Perturbing lambda_ED
+by delta = p / q puts the values over 2 L^2 q; only the S_ED* terms
+shift, by 2 L^2 p.  A Cramer step, E->b from E->D and E->a, reads three
+circulations of one table and keeps E->b projective, an integer numerator
+vector over an integer denominator; a uniform scale of the circulations
+cancels out of it.  Every equality is compared cross-multiplied in
+integers.  The holonomy generator, a 2x2 matrix, is checked by its action
+on E->D and on E->A, E->B.
 """
 
 from __future__ import annotations
@@ -57,8 +70,12 @@ TETRAHEDRA = (("A", "B", "E", "D"), ("B", "C", "E", "D"), ("C", "A", "E", "D"))
 ED_PAIR = ("D", "E")  # canonical storage key of the edge the move creates
 SAMPLE_DRAWS = 32  # draws FivePointConfig.random makes before giving up
 SAMPLE_BOUND = 30  # FivePointConfig.random draws numerators in [-SAMPLE_BOUND, SAMPLE_BOUND]
+# perturbations of lambda_ED under which verify_vector_identities checks the closure
+CLOSURE_DELTAS = (Fraction(1), Fraction(-3, 7))
 # curvatures at which verify_vector_identities checks the holonomy generator
 OMEGA_SAMPLES = (Fraction(0), Fraction(2), Fraction(-5, 3))
+# the Cramer steps E->b from E->D and E->a, composed in this order
+CRAMER_STEPS = (("A", "B"), ("B", "C"), ("C", "A"))
 
 
 def _key(a: str, b: str) -> tuple[tuple[str, str], int]:
@@ -115,9 +132,8 @@ class FivePointConfig:
         for attempt in range(SAMPLE_DRAWS):
             lam = {p: draw() for p in PAIRS if p != ED_PAIR}
             lam[ED_PAIR] = Fraction(0)
-            cfg = cls(lam)
             try:
-                return cfg.with_lambda_ed(solve_flat_lambda(cfg))
+                return flat_config(cls(lam))
             except DegenerateGeometryError:
                 if attempt == SAMPLE_DRAWS - 1:
                     raise
@@ -139,34 +155,48 @@ class FivePointConfig:
         return Fraction(circulation(_key, numerators, a, b, c), d)
 
 
+def _flatness_terms(numerators) -> tuple[tuple[int, int], ...]:
+    """The three products of the bilinear relation as integer pairs
+    (S_xDy, S_zDE), each circulation times the table's denominator."""
+    s = partial(circulation, _key, numerators)
+    return tuple((s(x, "D", y), s(z, "D", "E")) for x, y, z in (("A", "B", "C"), ("B", "C", "A"), ("C", "A", "B")))
+
+
 def bilinear_relation(cfg: FivePointConfig) -> Fraction:
     """Left side of the flatness relation; zero iff omega_ED vanishes."""
-    return (
-        cfg.s("A", "D", "B") * cfg.s("C", "D", "E")
-        + cfg.s("B", "D", "C") * cfg.s("A", "D", "E")
-        + cfg.s("C", "D", "A") * cfg.s("B", "D", "E")
-    )
+    d, numerators = cfg.table
+    return Fraction(sum(a * b for a, b in _flatness_terms(numerators)), d * d)
 
 
-def solve_flat_lambda(cfg: FivePointConfig) -> Fraction:
-    """The unique lambda_ED making the curvature at E->D vanish.
+def flat_config(cfg: FivePointConfig) -> FivePointConfig:
+    """``cfg`` with the unique lambda_ED making the curvature at E->D
+    vanish, checked to be flat.
 
-    The bilinear relation is affine in lambda_ED; the leading coefficient is
-    -(S_ADB + S_BDC + S_CDA) and must be nonzero.
+    Each S_xDE holds lambda_DE = -lambda_ED once, so on the table (D, n)
+    of ``cfg`` the bilinear relation is a0 / D^2 - lambda_ED * t / D, with
+    a0 the integer relation at lambda_ED = 0 (n_DE taken out of each
+    S_xDE) and t = S_ADB + S_BDC + S_CDA times D.  The leading coefficient
+    -t / D must be nonzero, and lambda_ED = a0 / (D t).
     """
-    at0 = bilinear_relation(cfg.with_lambda_ed(Fraction(0)))
-    at1 = bilinear_relation(cfg.with_lambda_ed(Fraction(1)))
-    lead = at1 - at0
+    d, numerators = cfg.table
+    terms = _flatness_terms(numerators)
+    lead = sum(a for a, _ in terms)
     if lead == 0:
         raise DegenerateGeometryError(
             "degenerate five-point configuration: the flatness relation does "
             "not determine lambda_ED (vanishing leading coefficient)"
         )
-    solution = -at0 / lead
-    solved = cfg.with_lambda_ed(solution)
+    at0 = sum(a * (b - numerators[ED_PAIR]) for a, b in terms)
+    solved = cfg.with_lambda_ed(Fraction(at0, d * lead))
     if bilinear_relation(solved) != 0 or omega_ed(solved) != 0:
         raise PentachainError("internal error: the solved lambda_ED leaves a nonzero curvature at E->D")
-    return solution
+    return solved
+
+
+def solve_flat_lambda(cfg: FivePointConfig) -> Fraction:
+    """The unique lambda_ED making the curvature at E->D vanish (see
+    ``flat_config``)."""
+    return -flat_config(cfg).lam[ED_PAIR]
 
 
 def omega_ed(cfg: FivePointConfig) -> Fraction:
@@ -197,56 +227,87 @@ def verify_pentagon(cfg: FivePointConfig) -> tuple[Fraction, Fraction, bool]:
 # -- plane-vector identities --------------------------------------------
 
 
-def cramer_step(s, ed, ea, a: str, b: str) -> tuple[Fraction, Fraction]:
-    """E->b from E->D and E->a: (S_Eba ED + S_EDb Ea) / S_EDa, with the
-    circulations read from ``s``."""
+def cramer_step(s, ed, ea, a: str, b: str) -> tuple[tuple[int, int], int]:
+    """E->b from E->D and E->a: (S_Eba ED + S_EDb Ea) / S_EDa.
+
+    ``s`` gives the integer circulations of one table (any uniform scale
+    of the circulations cancels), ``ed`` is an integer vector and ``ea`` a
+    projective one, ``(numerator vector, denominator)``.  Returns E->b in
+    the same projective form, over the denominator of ``ea`` times S_EDa,
+    without dividing.
+    """
     s_eda = s("E", "D", a)
     if s_eda == 0:
         raise DegenerateGeometryError(f"S_ED{a} vanishes: E->D and E->{a} are not a basis")
+    (x, y), d = ea
     s_eba, s_edb = s("E", b, a), s("E", "D", b)
-    return tuple((s_eba * ed[i] + s_edb * ea[i]) / s_eda for i in range(2))
+    k = s_eba * d
+    return (k * ed[0] + s_edb * x, k * ed[1] + s_edb * y), d * s_eda
 
 
 def verify_vector_identities(points: Mapping[str, tuple[Fraction, Fraction]]) -> bool:
     """Exact checks of the plane-vector identities on five generic points.
 
     Checks, in order: the Cramer step expressing EB through ED and EA and
-    its two relabelings; the closure formula after injecting a
-    perturbation of lambda_ED into the three composed steps; and, for each
-    of OMEGA_SAMPLES, that I + the holonomy generator fixes ED and sends
-    each of EA, EB to itself plus omega S_ED(aux) ED.  Raises on collinear
-    degeneracies, returns True otherwise.
+    its two relabelings; the closure formula after injecting each of
+    CLOSURE_DELTAS into lambda_ED and running the three composed steps;
+    and, for each of OMEGA_SAMPLES, that I + the holonomy generator fixes
+    ED and sends each of EA, EB to itself plus omega S_ED(aux) ED.  Raises
+    on collinear degeneracies, returns True otherwise.
+
+    The points are cleared once to integers over L, so each vector below
+    is L times the plane vector E->k and each flat value is an integer
+    over 2 L^2 (see the module docstring); every comparison is an integer
+    one, the sides cross-multiplied by their denominators.
     """
-    points = {k: (Fraction(x), Fraction(y)) for k, (x, y) in points.items()}
-    ex, ey = points["E"]
-    vec = {k: (x - ex, y - ey) for k, (x, y) in points.items()}  # E -> k
+    den, cleared = clear_denominators({(k, i): Fraction(points[k][i]) for k in LABELS for i in (0, 1)})
+    xs = {k: cleared[(k, 0)] for k in LABELS}
+    ys = {k: cleared[(k, 1)] for k in LABELS}
+    vec = {k: (xs[k] - xs["E"], ys[k] - ys["E"]) for k in LABELS}  # L (E -> k)
     ed, ea = vec["D"], vec["A"]
+    # lambda_ab = (x_a y_b - x_b y_a) / 2 is flat[(a, b)] / 2L^2
+    flat = {(a, b): xs[a] * ys[b] - xs[b] * ys[a] for a, b in PAIRS}
+    scale = 2 * den * den
 
-    # kappa is zero, so a flat circulation is an oriented area
-    flat = FivePointConfig.from_points(points)
-    if any(cramer_step(flat.s, ed, vec[a], a, b) != vec[b] for a, b in (("A", "B"), ("B", "C"), ("C", "A"))):
-        return False
+    # kappa is zero, so a flat circulation is an oriented area, 2L^2 S
+    flat_s = partial(circulation, _key, flat)
+    for a, b in CRAMER_STEPS:
+        (x, y), d = cramer_step(flat_s, ed, (vec[a], 1), a, b)
+        if (x, y) != (d * vec[b][0], d * vec[b][1]):
+            return False
 
-    # closure: perturb lambda_ED away from the flat (planar) value and run
-    # EB, EC, EA_new through the composed steps
-    for delta in (Fraction(1), Fraction(-3, 7)):
-        cfg = flat.with_lambda_ed(-flat.lam[ED_PAIR] + delta)
-        eb = cramer_step(cfg.s, ed, ea, "A", "B")
-        ec = cramer_step(cfg.s, ed, eb, "B", "C")
-        ea_new = cramer_step(cfg.s, ed, ec, "C", "A")
-        w = omega_ed(cfg)
-        s_eda = cfg.s("E", "D", "A")
-        if ea_new != tuple(ea[i] + w * s_eda * ed[i] for i in range(2)):
+    # closure: perturb lambda_ED by p / q away from the flat (planar) value,
+    # putting every value over 2L^2 q, and run EB, EC, EA_new through the
+    # composed steps
+    for delta in CLOSURE_DELTAS:
+        p, q = delta.numerator, delta.denominator
+        lam = {key: q * n for key, n in flat.items()}
+        lam[ED_PAIR] -= scale * p  # stored as lambda_DE
+        s = partial(circulation, _key, lam)
+        e = (ea, 1)
+        for a, b in CRAMER_STEPS:
+            e = cramer_step(s, ed, e, a, b)
+        (x, y), d = e
+        w = omega_ed(FivePointConfig({key: Fraction(n, scale * q) for key, n in lam.items()}))
+        # EA_new == EA + w S_EDA ED with S_EDA = s(E, D, A) / 2L^2 q; both
+        # sides times d, 2L^2 q and the denominator of w
+        big, shift = scale * q * w.denominator, w.numerator * s("E", "D", "A")
+        if any(big * n != d * (big * a + shift * b) for n, a, b in zip((x, y), ea, ed)):
             return False
 
     # the basis change depends only on the vector ED and omega: (ED, E->aux)
-    # is a basis for aux A and B, so I + the generator is fixed by its images
-    s_ed = {aux: flat.s("E", "D", aux) for aux in ("A", "B")}
+    # is a basis for aux A and B, so I + the generator is fixed by its images.
+    # The generator at L ED is L^2 times the one at ED, so on the L-scaled
+    # vectors it must send ED to 0 and E->aux to w (2L^2 S_EDaux) (L ED) / 2;
+    # both sides times 2, the denominator of w and the lcm c of the
+    # generator's denominators
+    s_ed = {"D": 0, "A": flat_s("E", "D", "A"), "B": flat_s("E", "D", "B")}
     for w in OMEGA_SAMPLES:
         (m00, m01), (m10, m11) = holonomy_generator(ed, w)
-        images = [(ed, ed)] + [
-            (vec[aux], tuple(vec[aux][i] + w * s_ed[aux] * ed[i] for i in range(2))) for aux in ("A", "B")
-        ]
-        if any((x + m00 * x + m01 * y, y + m10 * x + m11 * y) != image for (x, y), image in images):
-            return False
+        c, m = clear_denominators({0: m00, 1: m01, 2: m10, 3: m11})
+        rows, two_wq = ((m[0], m[1]), (m[2], m[3])), 2 * w.denominator
+        for aux, (x, y) in ((k, vec[k]) for k in ("D", "A", "B")):
+            shift = c * w.numerator * s_ed[aux]
+            if any(two_wq * (r0 * x + r1 * y) != shift * t for (r0, r1), t in zip(rows, ed)):
+                return False
     return True

@@ -74,7 +74,6 @@ from .geometry import (
     DEFAULT_MAX_RETRIES,
     GeometryAssignment,
     assign_geometry,
-    edge_values,
     face_circulations,
     subseed,
 )
@@ -227,8 +226,8 @@ def invariant(
     computes the geometry's integer edge-value table and certifies it: an
     explicit geometry with a zero face circulation raises
     DegenerateGeometryError there.  The face product is the product of the
-    face circulations under the same table (``edge_values`` of the
-    geometry).  The chain property is always checked, and acyclicity is
+    face circulations under the same table, the ``edge_table`` the chain
+    keeps.  The chain property is always checked, and acyclicity is
     certified by the partition search itself, which rests on it.  ``tau``
     is the signed torsion, which does not depend on the partition (see the
     module docstring).  The absolute value of the result is independent of
@@ -241,7 +240,7 @@ def invariant(
     partition, values = select_partition(c)
     t = _signed_tau(c, partition, values)
     face_product = Fraction(1)
-    for s in face_circulations(tri, edge_values(tri, geometry)):
+    for s in face_circulations(tri, c.edge_table):
         face_product *= s
     value = t * face_product * Fraction(1, 2 ** (len(tri.vertices) + 1))
     return InvariantResult(

@@ -151,6 +151,7 @@ class Triangulation:
         self._build_vertex_classes()
         self._build_edge_classes()
         self._build_face_classes()
+        self._stars: list[EdgeStar | None] = [None] * len(self.edges)
 
     # -- validation ---------------------------------------------------
 
@@ -313,7 +314,15 @@ class Triangulation:
         return int(permutation_sign(seq) != self.orientation_signs[tet])
 
     def edge_star(self, edge: EdgeClass | int) -> EdgeStar:
-        e = self.edges[edge] if isinstance(edge, int) else edge
+        """The star of an edge class, built on first use and then kept:
+        the triangulation never changes, so neither do its stars."""
+        edge_id = edge if isinstance(edge, int) else edge.id
+        star = self._stars[edge_id]
+        if star is None:
+            star = self._stars[edge_id] = self._build_star(self.edges[edge_id])
+        return star
+
+    def _build_star(self, e: EdgeClass) -> EdgeStar:
         contributions = []
         for t, (i, j) in e.members:
             rest = [s for s in range(4) if s != i and s != j]

@@ -45,3 +45,26 @@ def test_bare_assert_is_detected():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_has_no_bare_assert(path):
     assert bare_asserts(path.read_text()) == []
+
+
+def function_imports(source: str) -> list[int]:
+    """Lines of the ``import`` statements inside a function body; such an
+    import runs again on every call, so the package keeps them at module
+    level."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            lines += [
+                inner.lineno for inner in ast.walk(node) if isinstance(inner, (ast.Import, ast.ImportFrom))
+            ]
+    return sorted(set(lines))
+
+
+def test_function_import_is_detected():
+    source = "import os\n\ndef f():\n    import random as r\n    def g():\n        from math import gcd\n    return r\n"
+    assert function_imports(source) == [4, 6]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_has_no_function_import(path):
+    assert function_imports(path.read_text()) == []

@@ -1,7 +1,9 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pentachain import (
     DegenerateGeometryError,
@@ -40,7 +42,7 @@ def test_random_redraws_then_gives_up(monkeypatch):
         draws.append(cfg)
         raise DegenerateGeometryError("degenerate draw")
 
-    monkeypatch.setattr(pentagon, "solve_flat_lambda", always_degenerate)
+    monkeypatch.setattr(pentagon, "flat_config", always_degenerate)
     with pytest.raises(DegenerateGeometryError):
         FivePointConfig.random(0)
     assert len(draws) == pentagon.SAMPLE_DRAWS
@@ -72,6 +74,15 @@ def test_solver_residual_exactly_zero():
     cfg = FivePointConfig.random(7)
     assert bilinear_relation(cfg) == 0
     assert omega_ed(cfg) == 0
+
+
+def test_solver_ignores_the_current_lambda_ed():
+    for seed in range(10):
+        cfg = FivePointConfig.random(seed)
+        flat = -cfg.lam[ED_PAIR]
+        for guess in (F(0), F(5, 3), flat, -flat):
+            assert solve_flat_lambda(cfg.with_lambda_ed(guess)) == flat
+            assert pentagon.flat_config(cfg.with_lambda_ed(guess)).lam == cfg.lam
 
 
 def test_scaled_configuration_stays_equal():
@@ -189,7 +200,12 @@ def test_vector_identities_reject_wrong_curvature(monkeypatch):
 def test_vector_identities_reject_wrong_cramer_step(monkeypatch):
     pts = nondegenerate_points(10)
     real = pentagon.cramer_step
-    monkeypatch.setattr(pentagon, "cramer_step", lambda s, ed, ea, a, b: tuple(-v for v in real(s, ed, ea, a, b)))
+
+    def negated(s, ed, ea, a, b):
+        (x, y), d = real(s, ed, ea, a, b)
+        return (-x, -y), d
+
+    monkeypatch.setattr(pentagon, "cramer_step", negated)
     assert verify_vector_identities(pts) is False
 
 
@@ -197,7 +213,7 @@ def test_cramer_step_needs_a_basis():
     pts = {"A": (F(2), F(2)), "B": (F(1), F(3)), "C": (F(-1), F(2)), "D": (F(1), F(1)), "E": (F(0), F(0))}
     flat = FivePointConfig.from_points(pts)
     with pytest.raises(DegenerateGeometryError, match="S_EDA vanishes"):
-        pentagon.cramer_step(flat.s, pts["D"], pts["A"], "A", "B")
+        pentagon.cramer_step(flat.s, pts["D"], (pts["A"], 1), "A", "B")
     with pytest.raises(DegenerateGeometryError, match="S_EDA vanishes"):
         verify_vector_identities(pts)
 
@@ -217,3 +233,105 @@ def test_zero_curvature_closure_is_identity():
     ec = tuple((s("E", "C", "B") * ed[i] + s("E", "D", "C") * eb[i]) / s("E", "D", "B") for i in range(2))
     ea_new = tuple((s("E", "A", "C") * ed[i] + s("E", "D", "A") * ec[i]) / s("E", "D", "C") for i in range(2))
     assert ea_new == ea
+
+
+def test_cramer_step_is_projective():
+    # E at the origin: EB = (S_EBA ED + S_EDB EA) / S_EDA, kept over S_EDA
+    pts = {"A": (F(3), F(1)), "B": (F(1), F(2)), "C": (F(-1), F(2)), "D": (F(1), F(-1)), "E": (F(0), F(0))}
+    flat = FivePointConfig.from_points(pts)
+    (x, y), d = pentagon.cramer_step(flat.s, pts["D"], (pts["A"], 1), "A", "B")
+    assert d == flat.s("E", "D", "A") != 0
+    assert (x / d, y / d) == pts["B"]
+    # a uniform scale of the circulations and of the input denominator cancels
+    (x2, y2), d2 = pentagon.cramer_step(lambda *t: 6 * flat.s(*t), pts["D"], ((6, 2), 2), "A", "B")
+    assert (x2 / d2, y2 / d2) == pts["B"]
+
+
+# -- the Fraction verifier the integer one replaced, kept as its oracle ---
+
+
+def fraction_cramer_step(s, ed, ea, a, b):
+    s_eda = s("E", "D", a)
+    if s_eda == 0:
+        raise DegenerateGeometryError(f"S_ED{a} vanishes: E->D and E->{a} are not a basis")
+    s_eba, s_edb = s("E", b, a), s("E", "D", b)
+    return tuple((s_eba * ed[i] + s_edb * ea[i]) / s_eda for i in range(2))
+
+
+def fraction_vector_identities(points):
+    points = {k: (Fraction(x), Fraction(y)) for k, (x, y) in points.items()}
+    ex, ey = points["E"]
+    vec = {k: (x - ex, y - ey) for k, (x, y) in points.items()}  # E -> k
+    ed, ea = vec["D"], vec["A"]
+
+    flat = FivePointConfig.from_points(points)
+    if any(
+        fraction_cramer_step(flat.s, ed, vec[a], a, b) != vec[b] for a, b in (("A", "B"), ("B", "C"), ("C", "A"))
+    ):
+        return False
+
+    for delta in (Fraction(1), Fraction(-3, 7)):
+        cfg = flat.with_lambda_ed(-flat.lam[ED_PAIR] + delta)
+        eb = fraction_cramer_step(cfg.s, ed, ea, "A", "B")
+        ec = fraction_cramer_step(cfg.s, ed, eb, "B", "C")
+        ea_new = fraction_cramer_step(cfg.s, ed, ec, "C", "A")
+        w = omega_ed(cfg)
+        s_eda = cfg.s("E", "D", "A")
+        if ea_new != tuple(ea[i] + w * s_eda * ed[i] for i in range(2)):
+            return False
+
+    s_ed = {aux: flat.s("E", "D", aux) for aux in ("A", "B")}
+    for w in pentagon.OMEGA_SAMPLES:
+        (m00, m01), (m10, m11) = geometry.holonomy_generator(ed, w)
+        images = [(ed, ed)] + [
+            (vec[aux], tuple(vec[aux][i] + w * s_ed[aux] * ed[i] for i in range(2))) for aux in ("A", "B")
+        ]
+        if any((x + m00 * x + m01 * y, y + m10 * x + m11 * y) != image for (x, y), image in images):
+            return False
+    return True
+
+
+def outcome(verifier, pts):
+    try:
+        return verifier(pts)
+    except DegenerateGeometryError as exc:
+        return str(exc)
+
+
+def point_configs(numerator_bound, denominator_bound):
+    coord = st.builds(F, st.integers(-numerator_bound, numerator_bound), st.integers(1, denominator_bound))
+    return st.fixed_dictionaries({lab: st.tuples(coord, coord) for lab in LABELS})
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(point_configs(2, 2), point_configs(20, 7)))
+@example({"A": (F(2), F(2)), "B": (F(1), F(3)), "C": (F(-1), F(2)), "D": (F(1), F(1)), "E": (F(0), F(0))})
+@example({"A": (F(1), F(0)), "B": (F(0), F(1)), "C": (F(-1), F(-1)), "D": (F(1), F(1)), "E": (F(0), F(0))})
+def test_vector_identities_match_fraction_oracle(pts):
+    assert outcome(verify_vector_identities, pts) == outcome(fraction_vector_identities, pts)
+
+
+def test_vector_identities_oracle_sweep():
+    # coordinates in [-2, 2] over [1, 2] hit every S_ED* degeneracy often
+    rng = random.Random(16)
+    seen = set()
+    for i in range(600):
+        bound, den = (2, 2) if i % 2 else (20, 7)
+
+        def coord():
+            return F(rng.randint(-bound, bound), rng.randint(1, den))
+
+        pts = {lab: (coord(), coord()) for lab in LABELS}
+        result = outcome(verify_vector_identities, pts)
+        assert result == outcome(fraction_vector_identities, pts), pts
+        seen.add(result if result is True else result[:6])
+    assert seen == {True, "S_EDA ", "S_EDB ", "S_EDC "}
+
+
+def test_random_configurations_are_pinned():
+    # sha256 over the sorted values of FivePointConfig.random(i), i < 200, as
+    # the Fraction solver drew and solved them
+    h = hashlib.sha256()
+    for i in range(200):
+        h.update(repr(sorted(FivePointConfig.random(i).lam.items())).encode())
+    assert h.hexdigest() == "ba59ede88ab6a9b09e87c47397c366217e2552a550130f39865670fbd08455f5"

@@ -13,12 +13,14 @@ from pentachain import (
     canonical_form,
     isomorphic,
     load_builtin,
+    random_walk,
     walk_states,
 )
 from pentachain.exact import permutation_sign
 from pentachain.triangulation import (
     IDENTITY,
     EdgeClass,
+    EdgeStar,
     FaceClass,
     VertexClass,
     compose,
@@ -127,6 +129,27 @@ def test_edge_star_parity_invariant(s3, rp3):
                 assert tri.sequence_parity(tet, (p, q, tail, head)) == 0
                 eid, sign = tri.edge_class(tet, tail, head)
                 assert eid == e.id and sign == 1
+
+
+def fresh_star(tri, e):
+    """The star of edge class ``e`` by the ordering rule, built anew."""
+    contributions = []
+    for t, (i, j) in e.members:
+        p, q = (s for s in range(4) if s != i and s != j)
+        if tri.sequence_parity(t, (p, q, i, j)):
+            p, q = q, p
+        contributions.append((t, (p, q), (i, j)))
+    return EdgeStar(e, tuple(contributions))
+
+
+def test_edge_stars_are_kept_and_match_fresh_ones(s3, rp3):
+    walked = random_walk(rp3, 20, 3)
+    for tri in (s3, rp3, walked):
+        for e in tri.edges:
+            star = tri.edge_star(e.id)
+            assert star == fresh_star(tri, e)
+            assert tri.edge_star(e) is star
+            assert Triangulation(tri.tets).edge_star(e.id) == star
 
 
 def test_text_round_trip(s3, rp3):
