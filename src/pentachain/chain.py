@@ -38,8 +38,8 @@ or D^2.  Each f3 row is the integer gradient table
 are exactly those the same formulas give in Fractions.  ``verify_chain``
 multiplies nonzeros by nonzeros, also in ints: a row of the left factor
 is taken over its own (positive) denominator, and each column of the
-right factor is scaled by the lcm of the reduced denominators of its
-entries, which changes no zero pattern of the product.  ``dump_chain``
+right factor is scaled by the lcm of the denominators of the rows that
+hold it, which changes no zero pattern of the product.  ``dump_chain``
 lists the stored entries in column order.
 
 Each composition of consecutive maps is exactly zero; ``build_chain``
@@ -54,7 +54,7 @@ rank in the package, and it reports the ranks when that pass falls short.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 
 from .errors import PentachainError
 from .exact import RatMatrix, clear_denominators, format_rational, rank
@@ -193,21 +193,18 @@ def _composition_witness(left: RatMatrix, right: RatMatrix):
     Each row of ``left`` is taken over its own denominator, which is
     positive and so cannot make an entry of the product zero or nonzero.
     Each column of ``right`` is scaled to integers by the lcm of the
-    reduced denominators of its entries, ``den // gcd(n, den)`` for an
-    entry ``n / den``.  The factors are positive, so an entry of the
-    integer product is zero exactly when the rational one is; nonzeros are
-    multiplied by nonzeros.
+    (positive) denominators of the rows that hold it.  The factors are
+    positive, so an entry of the integer product is zero exactly when the
+    rational one is; nonzeros are multiplied by nonzeros.
     """
     scale: dict[int, int] = {}
-    reduced = []
     for row, d in zip(right.numerators, right.denominators):
-        entries = {}
-        for k, b in row.items():
-            g = gcd(b, d)
-            entries[k] = (b // g, d // g)
-            scale[k] = lcm(scale.get(k, 1), d // g)
-        reduced.append(entries)
-    right_rows = [{k: n * (scale[k] // dk) for k, (n, dk) in row.items()} for row in reduced]
+        for k in row:
+            scale[k] = lcm(scale.get(k, 1), d)
+    right_rows = [
+        {k: b * (scale[k] // d) for k, b in row.items()}
+        for row, d in zip(right.numerators, right.denominators)
+    ]
     for i, row in enumerate(left.numerators):
         acc: dict[int, int] = {}
         get = acc.get

@@ -28,9 +28,14 @@ five-point configuration.  For sampled geometry D divides 2 lcm(1..16)^2,
 about 40 bits, whatever the size of the triangulation; explicit geometry
 may have any denominators.
 
-A circulation is a plain integer: ``circulation`` sums the signed
-numerators of a triangle's three sides, each side a ``(key, sign)`` pair
-that an edge lookup ``(tail, head)`` returns, so the circulation is that
+Every formula reads sides, not edges: a side is a ``(key, sign)`` pair,
+the key of a directed edge and its sign against the key's stored
+direction.  The sides are resolved once, before any value is read: a
+triangulation resolves every face boundary and every angle when first
+asked (``Triangulation.face_sides`` and ``edge_angles``), and the
+five-point complex resolves its triangles and angles at import.  A
+circulation is a plain integer: ``circulation`` sums the signed
+numerators of a triangle's three sides, so the circulation is that
 integer over D.  A geometry is nondegenerate when no face circulation is
 zero; the sampler redraws until it is, and ``ensure_nondegenerate``, which
 ``chain.build_chain`` runs on every geometry, raises otherwise.  Both read
@@ -39,12 +44,12 @@ the integer circulations through one zero-face test.  ``s_of_face`` and
 
 ``curvature`` sums angle values built from four circulations and their
 exact partial derivatives by the quotient rule, each key an independent
-variable.  A tetrahedron's four circulations share its six edges, so each
-edge is looked up once and its partial is its sign times the summed
-weights of the triangles it bounds.  A curvature is one Fraction, its
-terms summed over the lcm L of the angle denominators, and the gradient
-over every key the angles touch stays an integer table ``(den, {key:
-int})`` with den dividing L.  ``omega_row`` hands it to
+variable.  A tetrahedron's four circulations share its six edges, so an
+angle is its six sides and each side's partial is its sign times the
+summed weights of the triangles it bounds.  A curvature is one Fraction,
+its terms summed over the lcm L of the angle denominators, and the
+gradient over every key the angles touch stays an integer table ``(den,
+{key: int})`` with den dividing L.  ``omega_row`` hands it to
 ``chain.build_chain`` as an f3 row; a single partial (``domega_dlambda``,
 ``pentagon.domega_ed_dlambda_ed``) reads its key from it, zero if the
 angles do not touch the key.
@@ -118,35 +123,35 @@ def edge_values(tri: Triangulation, g: GeometryAssignment) -> tuple[int, dict[in
     return den // common, {key: n // common for key, n in numerators.items()}
 
 
-def circulation(edge: Callable, numerators, a, b, c) -> int:
-    """Circulation of the edge values around the triangle a -> b -> c,
-    times the table's common denominator.
+def circulation(numerators, sides) -> int:
+    """Circulation of a table's values around a triangle, times the
+    table's common denominator.
 
-    ``edge(tail, head)`` gives the (key, sign) of a directed edge against
-    its stored direction, and ``numerators[key]`` the stored value times
-    the table's common denominator.
+    ``sides`` are the triangle's three sides a -> b, b -> c, c -> a, each
+    ``(key, sign)``, and ``numerators[key]`` is the stored value times the
+    table's common denominator.
     """
-    return sum(sign * numerators[key] for key, sign in (edge(a, b), edge(b, c), edge(c, a)))
+    (a, sa), (b, sb), (c, sc) = sides
+    return sa * numerators[a] + sb * numerators[b] + sc * numerators[c]
 
 
 def s_of_face(tri: Triangulation, lam: tuple[int, dict], face_id: int) -> Fraction:
     """Face circulation under the edge-value table ``lam``, evaluated on
     the class's stored boundary order."""
-    tet, slots = tri.faces[face_id].boundary
     d, numerators = lam
-    return Fraction(circulation(partial(tri.edge_class, tet), numerators, *slots), d)
+    return Fraction(circulation(numerators, tri.face_sides[face_id]), d)
 
 
 def face_circulations(tri: Triangulation, lam: tuple[int, dict]) -> tuple[Fraction, ...]:
-    return tuple(s_of_face(tri, lam, f.id) for f in tri.faces)
+    d, numerators = lam
+    return tuple(Fraction(circulation(numerators, sides), d) for sides in tri.face_sides)
 
 
 def _zero_face(tri: Triangulation, lam: tuple[int, dict]):
     """The first face class whose circulation under ``lam`` is zero, or None."""
     _, numerators = lam
-    for f in tri.faces:
-        tet, slots = f.boundary
-        if not circulation(partial(tri.edge_class, tet), numerators, *slots):
+    for f, sides in zip(tri.faces, tri.face_sides):
+        if not circulation(numerators, sides):
             return f
     return None
 
@@ -204,21 +209,23 @@ def ensure_nondegenerate(tri: Triangulation, lam: tuple[int, dict]) -> None:
 # -- angle values and curvature ---------------------------------------
 
 
-def curvature(table, angles: Iterable) -> tuple[Fraction, tuple[int, dict]]:
+def curvature(table, angles: Iterable, where: Callable) -> tuple[Fraction, tuple[int, dict]]:
     """Sum of angle values over ``angles`` and its gradient, the exact
     partial derivatives by every key the angles touch, as an integer table
     ``(den, {key: int})`` with each partial ``numerator / den``.
 
     ``table`` is an integer value table ``(D, numerators)``, as
     ``edge_values`` returns it or ``FivePointConfig.table`` holds it.
-    Each angle is (edge lookup, (P, Q), (tail, head), where), and
-    ``where(opposite)`` names the face missing vertex ``opposite`` when its
-    circulation, a denominator, is zero.
+    Each angle is (sides, contribution): the six sides ph, hq, qp, pe, eq
+    and he of its tetrahedron, and the contribution (tet, (P, Q), (tail,
+    head)) it comes from.  When a circulation in a denominator is zero,
+    ``where(contribution, opposite)`` names the face missing vertex
+    ``opposite`` for the error.
 
-    With E the tail and H the head, the six edges of the tetrahedron
-    carry the integer values ph, hq, qp, pe, eq and he, each the signed
-    numerator of its directed edge (P -> H, and so on).  The circulations
-    of the triangles N1 = PHQ, N2 = PEQ, B1 = PHE and B2 = QHE are
+    With E the tail and H the head, the six sides carry the integer
+    values ph, hq, qp, pe, eq and he, each the signed numerator of its
+    directed edge (P -> H, and so on).  The circulations of the triangles
+    N1 = PHQ, N2 = PEQ, B1 = PHE and B2 = QHE are
 
         n1 = ph + hq + qp,  n2 = pe + eq + qp,
         b1 = ph + he - pe,  b2 = he + eq - hq,
@@ -235,13 +242,13 @@ def curvature(table, angles: Iterable) -> tuple[Fraction, tuple[int, dict]]:
     """
     d, numerators = table
     terms = []
-    for edge, (p, q), (e, h), where in angles:
-        sides = (edge(p, h), edge(h, q), edge(q, p), edge(p, e), edge(e, q), edge(h, e))
-        ph, hq, qp, pe, eq, he = (sign * numerators[key] for key, sign in sides)
+    for sides, contribution in angles:
+        ph, hq, qp, pe, eq, he = [sign * numerators[key] for key, sign in sides]
         b1, b2 = ph + he - pe, he + eq - hq
         if b1 == 0 or b2 == 0:
+            _, (p, q), _ = contribution
             raise DegenerateGeometryError(
-                f"zero circulation in an angle denominator at {where(q if b1 == 0 else p)}"
+                f"zero circulation in an angle denominator at {where(contribution, q if b1 == 0 else p)}"
             )
         numerator, bb = ph + hq + pe + eq + 2 * qp, b1 * b2
         w1, w2 = -numerator * b2, -numerator * b1  # the weights of B1 and B2
@@ -259,16 +266,9 @@ def curvature(table, angles: Iterable) -> tuple[Fraction, tuple[int, dict]]:
     return Fraction(d * total, common), (common // g, {key: dd * dv for key, dv in row.items()})
 
 
-def _face_at(tri: Triangulation, tet: int, ed, opposite: int) -> str:
+def _face_at(tri: Triangulation, contribution, opposite: int) -> str:
+    tet, _, ed = contribution
     return f"face class {tri.face_class(tet, opposite)} (edge slots {ed} of tetrahedron {tet})"
-
-
-def _angles(tri: Triangulation, contributions):
-    """``curvature`` angles of (tet, (P, Q), (tail, head)) slot incidences."""
-    return (
-        (partial(tri.edge_class, tet), pq, ed, partial(_face_at, tri, tet, ed))
-        for tet, pq, ed in contributions
-    )
 
 
 def angle(
@@ -286,20 +286,20 @@ def angle(
     orientation, so the value also flips under a reversal of the edge.
     """
     _, direction = tri.edge_class(tet, ed[0], ed[1])
-    return direction * curvature(lam, _angles(tri, ((tet, pq, ed),)))[0]
+    contribution = (tet, pq, ed)
+    angles = ((tri.angle_sides(tet, pq, ed), contribution),)
+    return direction * curvature(lam, angles, partial(_face_at, tri))[0]
 
 
 def omega(tri: Triangulation, lam: tuple[int, dict], star: EdgeStar | int) -> Fraction:
     """Curvature around an edge class: sum of angle values over its star."""
-    if isinstance(star, int):
-        star = tri.edge_star(star)
-    return curvature(lam, _angles(tri, star.contributions))[0]
+    return omega_row(tri, lam, star if isinstance(star, int) else star.edge.id)[0]
 
 
 def omega_row(tri: Triangulation, lam: tuple[int, dict], edge_id: int) -> tuple[Fraction, tuple[int, dict]]:
     """Curvature of an edge and its gradient over all edge values, the
     gradient as an integer table ``(den, {edge: int})``."""
-    return curvature(lam, _angles(tri, tri.edge_star(edge_id).contributions))
+    return curvature(lam, tri.edge_angles[edge_id], partial(_face_at, tri))
 
 
 def domega_dlambda(tri: Triangulation, lam: tuple[int, dict], edge_a: int, edge_b: int) -> Fraction:

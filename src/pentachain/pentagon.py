@@ -21,11 +21,15 @@ values.  The checks here are exact:
   that depends only on the vector ED and omega.
 
 The checks run on the integer path that builds the curvature derivative
-matrix for triangulations.  A configuration clears its ten values once to
-an integer table ``(D, numerators)``, the shape ``geometry.edge_values``
-returns; every circulation is an integer over D, ``geometry.circulation``
-on that table with edges looked up by label pair, and the curvature and
-its derivative are ``geometry.curvature`` on the same table.  The flat
+matrix for triangulations.  The local complex is resolved into sides at
+import, as a triangulation resolves its own: ``TRIANGLES`` holds the three
+``(pair, sign)`` sides of every ordered triangle of labels and ``ANGLES``
+the six sides of each angle at E->D.  A configuration clears its ten
+values once to an integer table ``(D, numerators)``, the shape
+``geometry.edge_values`` returns; every circulation is an integer over D,
+``geometry.circulation`` of a triangle's sides on that table, and the
+curvature and its derivative are one ``geometry.curvature`` on the same
+table, computed once per configuration and shared.  The flat
 lambda_ED is solved on one table of the configuration: of the six
 circulations in the bilinear relation only the three S_xDE hold
 lambda_ED, each once with sign -1, so the relation's value at
@@ -52,6 +56,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import permutations
 from typing import Mapping
 
 from .errors import DegenerateGeometryError, PentachainError
@@ -78,16 +83,36 @@ OMEGA_SAMPLES = (Fraction(0), Fraction(2), Fraction(-5, 3))
 CRAMER_STEPS = (("A", "B"), ("B", "C"), ("C", "A"))
 
 
-def _key(a: str, b: str) -> tuple[tuple[str, str], int]:
+def _side(a: str, b: str) -> tuple[tuple[str, str], int]:
+    """The stored pair of a -> b and the sign of a -> b against it."""
     return ((a, b), 1) if a < b else ((b, a), -1)
 
 
-def _where(tet, opposite: str) -> str:
-    return f"face {''.join(v for v in tet if v != opposite)} of tetrahedron {''.join(tet)}"
+# the side of every directed pair of labels, and the sides a -> b, b -> c,
+# c -> a of every ordered triangle of labels
+_SIDES = {(a, b): _side(a, b) for a, b in permutations(LABELS, 2)}
+TRIANGLES = {(a, b, c): (_SIDES[a, b], _SIDES[b, c], _SIDES[c, a]) for a, b, c in permutations(LABELS, 3)}
 
 
-# the angles of the local complex at E->D, as geometry.curvature reads them
-ANGLES = tuple((_key, (p, q), (e, d), partial(_where, (p, q, e, d))) for p, q, e, d in TETRAHEDRA)
+def _where(contribution, opposite: str) -> str:
+    tet = contribution[0]
+    return f"face {''.join(v for v in tet if v != opposite)} of tetrahedron {tet}"
+
+
+# the angles of the local complex at E->D, as geometry.curvature reads them:
+# the six sides ph, hq, qp, pe, eq, he and the contribution (tet, (P, Q), (E, D))
+ANGLES = tuple(
+    (
+        tuple(_SIDES[a, b] for a, b in ((p, d), (d, q), (q, p), (p, e), (e, q), (d, e))),
+        (p + q + e + d, (p, q), (e, d)),
+    )
+    for p, q, e, d in TETRAHEDRA
+)
+
+
+def _circulation(numerators, a: str, b: str, c: str) -> int:
+    """Integer circulation around a -> b -> c of a table's numerators."""
+    return circulation(numerators, TRIANGLES[a, b, c])
 
 
 @dataclass(frozen=True)
@@ -100,7 +125,7 @@ class FivePointConfig:
     def from_lambdas(cls, values: Mapping[tuple[str, str], Fraction]) -> "FivePointConfig":
         lam = {}
         for (a, b), v in values.items():
-            key, sign = _key(a, b)
+            key, sign = _side(a, b)
             lam[key] = sign * Fraction(v)
         missing = [p for p in PAIRS if p not in lam]
         if missing:
@@ -144,6 +169,12 @@ class FivePointConfig:
         ``geometry.edge_values`` returns."""
         return clear_denominators(self.lam)
 
+    @cached_property
+    def curvature(self) -> tuple[Fraction, tuple[int, dict]]:
+        """omega_ED and its gradient table, ``geometry.curvature`` of the
+        local complex on ``table``."""
+        return curvature(self.table, ANGLES, _where)
+
     def with_lambda_ed(self, lambda_ed: Fraction) -> "FivePointConfig":
         lam = dict(self.lam)
         lam[ED_PAIR] = -Fraction(lambda_ed)  # stored as lambda_DE
@@ -152,13 +183,13 @@ class FivePointConfig:
     def s(self, a: str, b: str, c: str) -> Fraction:
         """Circulation of the values around the triangle a -> b -> c."""
         d, numerators = self.table
-        return Fraction(circulation(_key, numerators, a, b, c), d)
+        return Fraction(_circulation(numerators, a, b, c), d)
 
 
 def _flatness_terms(numerators) -> tuple[tuple[int, int], ...]:
     """The three products of the bilinear relation as integer pairs
     (S_xDy, S_zDE), each circulation times the table's denominator."""
-    s = partial(circulation, _key, numerators)
+    s = partial(_circulation, numerators)
     return tuple((s(x, "D", y), s(z, "D", "E")) for x, y, z in (("A", "B", "C"), ("B", "C", "A"), ("C", "A", "B")))
 
 
@@ -199,14 +230,18 @@ def solve_flat_lambda(cfg: FivePointConfig) -> Fraction:
     return -flat_config(cfg).lam[ED_PAIR]
 
 
-def omega_ed(cfg: FivePointConfig) -> Fraction:
-    """Curvature around E->D of the three-tetrahedron local complex."""
-    return curvature(cfg.table, ANGLES)[0]
+def omega_ed(cfg: FivePointConfig | tuple[int, dict]) -> Fraction:
+    """Curvature around E->D of the three-tetrahedron local complex, of a
+    configuration or of an integer value table ``(D, numerators)`` on the
+    ten pairs."""
+    if isinstance(cfg, FivePointConfig):
+        return cfg.curvature[0]
+    return curvature(cfg, ANGLES, _where)[0]
 
 
 def domega_ed_dlambda_ed(cfg: FivePointConfig) -> Fraction:
     """Exact d(omega_ED)/d(lambda_ED) via the shared quotient-rule engine."""
-    _, (den, grad) = curvature(cfg.table, ANGLES)
+    _, (den, grad) = cfg.curvature
     # storage holds lambda_DE; differentiating by lambda_ED flips the sign
     return Fraction(-grad.get(ED_PAIR, 0), den)
 
@@ -270,7 +305,7 @@ def verify_vector_identities(points: Mapping[str, tuple[Fraction, Fraction]]) ->
     scale = 2 * den * den
 
     # kappa is zero, so a flat circulation is an oriented area, 2L^2 S
-    flat_s = partial(circulation, _key, flat)
+    flat_s = partial(_circulation, flat)
     for a, b in CRAMER_STEPS:
         (x, y), d = cramer_step(flat_s, ed, (vec[a], 1), a, b)
         if (x, y) != (d * vec[b][0], d * vec[b][1]):
@@ -283,12 +318,12 @@ def verify_vector_identities(points: Mapping[str, tuple[Fraction, Fraction]]) ->
         p, q = delta.numerator, delta.denominator
         lam = {key: q * n for key, n in flat.items()}
         lam[ED_PAIR] -= scale * p  # stored as lambda_DE
-        s = partial(circulation, _key, lam)
+        s = partial(_circulation, lam)
         e = (ea, 1)
         for a, b in CRAMER_STEPS:
             e = cramer_step(s, ed, e, a, b)
         (x, y), d = e
-        w = omega_ed(FivePointConfig({key: Fraction(n, scale * q) for key, n in lam.items()}))
+        w = omega_ed((scale * q, lam))
         # EA_new == EA + w S_EDA ED with S_EDA = s(E, D, A) / 2L^2 q; both
         # sides times d, 2L^2 q and the denominator of w
         big, shift = scale * q * w.denominator, w.numerator * s("E", "D", "A")

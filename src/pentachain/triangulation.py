@@ -8,13 +8,26 @@ classes may well join the same pair of vertex classes.
 The orbits are traversed over integer ports kept in flat lists: ``4t+s``
 for vertex slot s of tetrahedron t, ``16t+4i+j`` for its directed edge
 (i, j) and ``4t+k`` for its face k.  A gluing of face k joins each port of
-t not involving slot k to the port it is carried to.  Classes are numbered
+t not involving slot k to the port it is carried to; the gluings are
+flattened once, on construction, into one list that sends ``16t+4k+s`` to
+the vertex port ``4t'+s'`` that the gluing of face k carries slot s to, so
+``16t+5k`` is the face port glued to face k.  Classes are numbered
 in port scan order, each filled from its first unassigned port: tetrahedra
 in order, their slots or faces in order, their edges in the order
 ``(0,1), (0,2), (0,3), (1,2), (1,3), (2,3)``.  The mirror ports (j, i) of an
 edge orbit form the reverse orbit and get the same class with sign -1; an
 orbit that contains its own mirror is rejected.  A face class is the two
 ports of one gluing.
+
+Every incidence the curvature and circulation formulas read is resolved
+once into sides, ``(edge class id, sign)`` pairs of directed edges, so that
+no formula looks an edge up again.  On first use, a single pass over the
+tetrahedra builds two tables and keeps them, like the edge stars:
+``edge_angles`` holds, per edge class, one angle per star contribution in
+star order, as its six sides (ph, hq, qp, pe, eq, he; see
+``angle_sides``) with the contribution itself, and ``face_sides`` holds,
+per face class, the three sides of its stored boundary.  (P, Q) is read
+from a table over (tail, head, orientation sign) built at import.
 
 Conventions fixed here and relied on everywhere downstream:
 
@@ -39,6 +52,7 @@ Conventions fixed here and relied on everywhere downstream:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from typing import Sequence
 
@@ -46,6 +60,9 @@ from .errors import ParseError, ValidationError
 from .exact import permutation_sign
 
 Perm = tuple[int, int, int, int]
+Side = tuple[int, int]  # (edge class id, sign of a direction vs. canonical)
+Contribution = tuple[int, tuple[int, int], tuple[int, int]]  # (tet, (P, Q), (tail, head))
+Angle = tuple[tuple[Side, ...], Contribution]  # six sides and the star contribution
 
 IDENTITY: Perm = (0, 1, 2, 3)
 
@@ -129,6 +146,49 @@ class EdgeStar:
 
 _SLOT_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
+# the offsets, within a tetrahedron's 16 entries of the flat gluing list,
+# that one orbit step reads: for vertex slot s, 4k+s over the faces k != s;
+# for the directed edge 4a+b, the pairs (4k+a, 4k+b) over the faces k != a, b
+_VERTEX_HOPS = tuple(tuple(4 * k + s for k in range(4) if k != s) for s in range(4))
+_EDGE_HOPS = tuple(
+    tuple((4 * k + a, 4 * k + b) for k in range(4) if k != a and k != b) for a in range(4) for b in range(4)
+)
+# per face k, the port offsets of its boundary sides (a, b), (b, c), (c, a)
+# over its slots a < b < c
+_FACE_PORTS = tuple(
+    (4 * a + b, 4 * b + c, 4 * c + a) for a, b, c in (tuple(s for s in range(4) if s != k) for k in range(4))
+)
+
+
+def _angle_ports(p: int, q: int, e: int, h: int) -> tuple[int, ...]:
+    """Port offsets ``4a+b`` of the six sides of the angle at e -> h with
+    off-edge slots (p, q), in the order ph, hq, qp, pe, eq, he."""
+    return tuple(4 * a + b for a, b in ((p, h), (h, q), (q, p), (p, e), (e, q), (h, e)))
+
+
+def _off_edge(sign: int, e: int, h: int) -> tuple[int, int]:
+    """The off-edge slots (P, Q) of e -> h with (P, Q, e, h) even against the
+    positive ordering of a tetrahedron with orientation sign ``sign``."""
+    p, q = (s for s in range(4) if s != e and s != h)
+    return (p, q) if permutation_sign((p, q, e, h)) == sign else (q, p)
+
+
+# (P, Q) per (orientation sign, tail, head)
+_OFF_EDGE: dict[tuple[int, int, int], tuple[int, int]] = {
+    (sign, e, h): _off_edge(sign, e, h) for sign in (1, -1) for e, h in permutations(range(4), 2)
+}
+
+# per orientation sign, each directed slot pair (tail, head) in ascending
+# port order: its port offset, (P, Q), (tail, head) and its angle's six
+# side offsets
+_STAR_SLOTS: dict[int, tuple] = {
+    sign: tuple(
+        (4 * e + h, _OFF_EDGE[sign, e, h], (e, h), _angle_ports(*_OFF_EDGE[sign, e, h], e, h))
+        for e, h in permutations(range(4), 2)
+    )
+    for sign in (1, -1)
+}
+
 
 class Triangulation:
     """Validated closed oriented glued triangulation with quotient classes.
@@ -137,7 +197,8 @@ class Triangulation:
     module docstring), derived from scratch by orbit traversal each time,
     after the gluings are checked to be involutive and coherently
     oriented.  Immutable after construction; bistellar moves build new
-    instances.
+    instances.  Edge stars and the resolved incidence tables are built on
+    first use and kept.
     """
 
     def __init__(self, tets: Sequence[Sequence[Gluing]]):
@@ -148,6 +209,12 @@ class Triangulation:
             raise ValidationError("empty triangulation")
         self._validate_gluings()
         self.orientation_signs = self._propagate_signs()
+        # 16t+4k+s -> the vertex port the gluing of face k carries slot s to
+        port_to = self._port_to = []
+        for row in self.tets:
+            for g in row:
+                base, (p0, p1, p2, p3) = 4 * g.neighbor, g.perm
+                port_to += (base + p0, base + p1, base + p2, base + p3)
         self._build_vertex_classes()
         self._build_edge_classes()
         self._build_face_classes()
@@ -201,6 +268,7 @@ class Triangulation:
 
     def _build_vertex_classes(self):
         n = len(self.tets)
+        port_to = self._port_to
         vertex_of = [-1] * (4 * n)  # class id per port 4t+s
         count = 0
         for port in range(4 * n):
@@ -209,13 +277,13 @@ class Triangulation:
             vertex_of[port] = count
             stack = [port]
             while stack:
-                t, s = divmod(stack.pop(), 4)
-                for k, g in enumerate(self.tets[t]):
-                    if k != s:
-                        q = 4 * g.neighbor + g.perm[s]
-                        if vertex_of[q] < 0:
-                            vertex_of[q] = count
-                            stack.append(q)
+                p = stack.pop()
+                base = 4 * (p & ~3)
+                for x in _VERTEX_HOPS[p & 3]:
+                    q = port_to[base + x]
+                    if vertex_of[q] < 0:
+                        vertex_of[q] = count
+                        stack.append(q)
             count += 1
         members: list[list[tuple[int, int]]] = [[] for _ in range(count)]
         for port, vid in enumerate(vertex_of):
@@ -225,6 +293,7 @@ class Triangulation:
 
     def _build_edge_classes(self):
         n = len(self.tets)
+        port_to = self._port_to
         # class id and sign vs. the canonical direction per directed port
         # 16t+4i+j; the diagonal ports i == j stay at (-1, 0)
         edge_of = [-1] * (16 * n)
@@ -238,13 +307,12 @@ class Triangulation:
                 edge_of[port], sign_of[port] = count, 1
                 orbit = [port]
                 for q in orbit:
-                    u, a, b = q >> 4, (q >> 2) & 3, q & 3
-                    for k, g in enumerate(self.tets[u]):
-                        if k != a and k != b:
-                            r = 16 * g.neighbor + 4 * g.perm[a] + g.perm[b]
-                            if edge_of[r] < 0:
-                                edge_of[r], sign_of[r] = count, 1
-                                orbit.append(r)
+                    base = q & ~15
+                    for x, y in _EDGE_HOPS[q & 15]:
+                        r = 4 * port_to[base + x] + (port_to[base + y] & 3)
+                        if edge_of[r] < 0:
+                            edge_of[r], sign_of[r] = count, 1
+                            orbit.append(r)
                 for q in orbit:
                     mirror = (q & ~15) | ((q & 3) << 2) | ((q >> 2) & 3)
                     if edge_of[mirror] >= 0:
@@ -280,11 +348,11 @@ class Triangulation:
             # a face glued to itself would fold an edge onto its reverse,
             # which the edge classes reject, so every class has two ports
             t, k = divmod(port, 4)
-            g = self.tets[t][k]
-            face_of[port] = face_of[4 * g.neighbor + g.perm[k]] = len(faces)
+            partner = self._port_to[4 * port + k]
+            face_of[port] = face_of[partner] = len(faces)
             slots = tuple(s for s in range(4) if s != k)
             verts = tuple(vertex_of[4 * t + s] for s in slots)
-            faces.append(FaceClass(len(faces), ((t, k), (g.neighbor, g.perm[k])), (t, slots), verts))
+            faces.append(FaceClass(len(faces), ((t, k), divmod(partner, 4)), (t, slots), verts))
         self._face_of = face_of
         self.faces = tuple(faces)
 
@@ -323,13 +391,50 @@ class Triangulation:
         return star
 
     def _build_star(self, e: EdgeClass) -> EdgeStar:
-        contributions = []
-        for t, (i, j) in e.members:
-            rest = [s for s in range(4) if s != i and s != j]
-            if self.sequence_parity(t, (rest[0], rest[1], i, j)):
-                rest.reverse()
-            contributions.append((t, (rest[0], rest[1]), (i, j)))
-        return EdgeStar(e, tuple(contributions))
+        signs = self.orientation_signs
+        return EdgeStar(e, tuple((t, _OFF_EDGE[signs[t], i, j], (i, j)) for t, (i, j) in e.members))
+
+    def angle_sides(self, tet: int, pq: tuple[int, int], ed: tuple[int, int]) -> tuple[Side, ...]:
+        """The six sides ph, hq, qp, pe, eq, he of the angle of tetrahedron
+        ``tet`` at the edge ``ed`` = (tail e, head h) with off-edge slots
+        ``pq``, each the (edge class id, sign) of that directed edge."""
+        base = 16 * tet
+        return tuple(
+            (self._edge_of[base + x], self._edge_sign[base + x]) for x in _angle_ports(*pq, *ed)
+        )
+
+    @property
+    def edge_angles(self) -> tuple[tuple[Angle, ...], ...]:
+        """Per edge class, its angles in star order, each ``(six sides,
+        contribution)`` with the sides as ``angle_sides`` gives them."""
+        return self._incidences[0]
+
+    @property
+    def face_sides(self) -> tuple[tuple[Side, Side, Side], ...]:
+        """Per face class, the sides of its boundary (a, b), (b, c), (c, a)."""
+        return self._incidences[1]
+
+    @cached_property
+    def _incidences(self):
+        """One pass over the tetrahedra, in port order, that resolves every
+        angle and every face boundary into sides."""
+        side = list(zip(self._edge_of, self._edge_sign))
+        edge_of, sign_of, face_of = self._edge_of, self._edge_sign, self._face_of
+        angles: list[list] = [[] for _ in self.edges]
+        faces: list[tuple[Side, Side, Side]] = []
+        for t, orientation in enumerate(self.orientation_signs):
+            base = 16 * t
+            for k in range(4):
+                # face ports are numbered in scan order, so a class's first
+                # port is reached when exactly its id faces precede it
+                if face_of[4 * t + k] == len(faces):
+                    x, y, z = _FACE_PORTS[k]
+                    faces.append((side[base + x], side[base + y], side[base + z]))
+            for offset, pq, ed, ports in _STAR_SLOTS[orientation]:
+                if sign_of[base + offset] == 1:
+                    sides = tuple([side[base + x] for x in ports])
+                    angles[edge_of[base + offset]].append((sides, (t, pq, ed)))
+        return tuple(tuple(a) for a in angles), tuple(faces)
 
     # -- serialization -------------------------------------------------
 

@@ -1,7 +1,6 @@
 import math
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -23,7 +22,7 @@ from pentachain import (
 from pentachain.geometry import lambda_of
 from pentachain.chain import C0_LABELS, C5_LABELS, ChainComplex, expected_ranks
 from pentachain.triangulation import Triangulation
-from test_geometry import fraction_curvature_oracle
+from test_geometry import fraction_curvature_oracle, lookup_angles
 
 F = Fraction
 
@@ -220,8 +219,7 @@ def fraction_maps(tri, g, values):
                      (3 * b, -g.y[a] / 2), (3 * b + 1, g.x[a] / 2), (3 * b + 2, 1)):
             row[j] = row.get(j, 0) + v
         f2.append(row)
-        angles = [(partial(tri.edge_class, tet), pq, ed, None) for tet, pq, ed in tri.edge_star(e.id).contributions]
-        value, gradient = fraction_curvature_oracle(values, angles)
+        value, gradient = fraction_curvature_oracle(values, lookup_angles(tri, e.id))
         assert value == 0
         f3.append(gradient)
     f4 = [{} for _ in range(3 * nv)]

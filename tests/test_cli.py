@@ -284,6 +284,22 @@ def test_verify_requires_input_unless_pentagon_only(capsys):
     assert exc.value.code == 2
 
 
+# the whole ``verify --builtin <name> --seed 1 --json`` report at the
+# default suite sizes, taken before circulations and curvatures read the
+# resolved sides
+VERIFY_SEED1_SHA256 = {
+    "s3": "092750a582b0a67e033dd4e824d915ed55d6988c974ed0f9b26e3facb75038de",
+    "rp3": "77cc1e809639e5dd0d3663020ccd4dc3c6bf1a05ba2e44613c885c3ed0783897",
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_SEED1_SHA256))
+def test_verify_report_pinned(capsys, name):
+    code, out, _ = run(capsys, ["verify", "--builtin", name, "--seed", "1", "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SEED1_SHA256[name]
+
+
 def test_pentagon_command(capsys):
     code, out, _ = run(capsys, ["pentagon", "--samples", "15", "--json"])
     assert code == 0

@@ -1,8 +1,6 @@
 import math
 import random
 from fractions import Fraction
-from functools import partial
-from itertools import combinations
 
 import pytest
 
@@ -288,21 +286,26 @@ def test_omega_invariant_under_unimodular_affine_map(rp3, rp3_geometry):
 
 def fraction_curvature_oracle(values, angles):
     """Textbook quotient rule in Fractions: the sum of (n1 + n2) / (2 d1 d2)
-    over ``angles`` (as ``geometry.curvature`` reads them) and its gradient
-    by every key, with each circulation a Fraction sum of signed values."""
+    over ``angles`` (as ``geometry.curvature`` reads them: the six sides
+    ph, hq, qp, pe, eq, he and the contribution) and its gradient by every
+    key, with each circulation a Fraction sum of signed values."""
 
-    def form(edge, a, b, c):
+    def form(*sides):
         value, coeffs = Fraction(0), {}
-        for tail, head in ((a, b), (b, c), (c, a)):
-            key, sign = edge(tail, head)
+        for key, sign in sides:
             value += sign * Fraction(values[key])
             coeffs[key] = coeffs.get(key, 0) + sign
         return value, coeffs
 
+    def reverse(side):
+        key, sign = side
+        return key, -sign
+
     total, row = Fraction(0), {}
-    for edge, (p, q), (e, h), _ in angles:
-        (n1, dn1), (n2, dn2) = form(edge, p, h, q), form(edge, p, e, q)
-        (d1, dd1), (d2, dd2) = form(edge, p, h, e), form(edge, q, h, e)
+    for (ph, hq, qp, pe, eq, he), _ in angles:
+        # N1 = P -> H -> Q, N2 = P -> E -> Q, B1 = P -> H -> E, B2 = Q -> H -> E
+        (n1, dn1), (n2, dn2) = form(ph, hq, qp), form(pe, eq, qp)
+        (d1, dd1), (d2, dd2) = form(ph, he, reverse(pe)), form(reverse(hq), he, eq)
         num, den = n1 + n2, 2 * d1 * d2
         total += num / den
         for key in dn1.keys() | dn2.keys() | dd1.keys() | dd2.keys():
@@ -319,25 +322,39 @@ def gradient(table, nonzero=True):
     return {k: F(v, den) for k, v in row.items() if v or not nonzero}
 
 
+def name_face(contribution, opposite):
+    """A ``where`` for ``curvature``: the face of ``contribution`` missing
+    ``opposite``."""
+    return f"the face of {contribution} missing {opposite}"
+
+
+def lookup_angles(tri, edge_id):
+    """The angles of an edge class's star, each side looked up directly by
+    ``edge_class`` in the order ph, hq, qp, pe, eq, he."""
+    angles = []
+    for tet, (p, q), (e, h) in tri.edge_star(edge_id).contributions:
+        pairs = ((p, h), (h, q), (q, p), (p, e), (e, q), (h, e))
+        angles.append((tuple(tri.edge_class(tet, a, b) for a, b in pairs), (tet, (p, q), (e, h))))
+    return tuple(angles)
+
+
 def assert_full_row_matches_oracle(table, values, angles, touched, absent):
     """``curvature``'s value and full gradient row against the oracle.
     ``touched`` are the keys the angles touch, ``absent`` a key they do not:
     the row holds no other key, and reads zero at ``absent``."""
     total, row = fraction_curvature_oracle(values, angles)
-    value, full = curvature(table, angles)
+    value, full = curvature(table, angles, name_face)
     assert (value, gradient(full)) == (total, row)
     assert set(full[1]) <= set(touched) and full[1].get(absent, 0) == 0
 
 
 def assert_rows_match_oracle(tri, lam):
     for e in tri.edges:
-        angles = [
-            (partial(tri.edge_class, tet), pq, ed, None)
-            for tet, pq, ed in tri.edge_star(e.id).contributions
-        ]
+        angles = lookup_angles(tri, e.id)
+        assert tri.edge_angles[e.id] == angles
         value, row = omega_row(tri, lam, e.id)
         assert (value, gradient(row)) == fraction_curvature_oracle(values_of(lam), angles)
-        touched = {edge(a, b)[0] for edge, pq, ed, _ in angles for a, b in combinations(pq + ed, 2)}
+        touched = {key for sides, _ in angles for key, _ in sides}
         absent = min(set(range(len(tri.edges))) - touched, default=len(tri.edges))
         assert_full_row_matches_oracle(lam, values_of(lam), angles, touched, absent)
 
@@ -386,11 +403,11 @@ def test_integer_quotient_rule_exact_for_large_denominators(s3, rp3):
 def test_five_point_curvature_matches_fraction_oracle():
     for seed in range(12):
         cfg = FivePointConfig.random(seed)
-        value, row = curvature(cfg.table, pentagon.ANGLES)
+        value, row = curvature(cfg.table, pentagon.ANGLES, name_face)
         assert value == 0
         assert (value, gradient(row)) == fraction_curvature_oracle(cfg.lam, pentagon.ANGLES)
         bent = cfg.with_lambda_ed(-cfg.lam[pentagon.ED_PAIR] + F(1, 3))
-        value, row = curvature(bent.table, pentagon.ANGLES)
+        value, row = curvature(bent.table, pentagon.ANGLES, name_face)
         assert (value, gradient(row)) == fraction_curvature_oracle(bent.lam, pentagon.ANGLES)
         for c in (cfg, bent):
             # the local complex touches all ten pairs, so the key no angle

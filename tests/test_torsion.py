@@ -28,6 +28,7 @@ from pentachain import (
 from pentachain import torsion
 from pentachain.exact import rank
 from pentachain.library import SPHERE_C1_ROWS
+from pentachain.triangulation import Triangulation
 
 F = Fraction
 
@@ -150,6 +151,24 @@ def test_invariant_runs_five_exact_dets(rp3, monkeypatch):
     monkeypatch.setattr(torsion, "minors", no_minors)
     assert invariant(rp3, seed=1).abs_invariant == 64
     assert (len(rows), len(dets)) == (4, 1)
+
+
+def test_invariant_makes_no_edge_lookup(rp3, monkeypatch):
+    """Circulations and curvatures read the resolved sides: a whole
+    invariant, on triangulations whose tables are not built yet, never
+    looks an edge class up."""
+    calls = []
+    real = Triangulation.edge_class
+
+    def counted(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(Triangulation, "edge_class", counted)
+    walked = random_walk(rp3, 12, 5)
+    for tri in (Triangulation(rp3.tets), Triangulation(walked.tets)):
+        assert invariant(tri, seed=1).abs_invariant == 64
+    assert calls == []
 
 
 @settings(max_examples=40, deadline=None)

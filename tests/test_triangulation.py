@@ -27,6 +27,7 @@ from pentachain.triangulation import (
     inverse,
     transposition,
 )
+from test_geometry import grown_rp3, lookup_angles
 
 
 def test_perm_helpers():
@@ -150,6 +151,24 @@ def test_edge_stars_are_kept_and_match_fresh_ones(s3, rp3):
             assert star == fresh_star(tri, e)
             assert tri.edge_star(e) is star
             assert Triangulation(tri.tets).edge_star(e.id) == star
+
+
+def test_resolved_tables_match_direct_lookups(s3, rp3):
+    walked = [state for _, state in walk_states(rp3, 30, 11)]
+    walked += [state for _, state in walk_states(s3, 20, 4)]
+    for tri in (s3, rp3, grown_rp3(rp3, 14, seed=3), *walked):
+        assert len(tri.edge_angles) == len(tri.edges)
+        assert len(tri.face_sides) == len(tri.faces)
+        for e in tri.edges:
+            assert tri.edge_star(e.id) == fresh_star(tri, e)
+            angles = lookup_angles(tri, e.id)
+            assert tri.edge_angles[e.id] == angles
+            assert all(tri.angle_sides(*c) == sides for sides, c in angles)
+        for f in tri.faces:
+            tet, (a, b, c) = f.boundary
+            assert tri.face_sides[f.id] == tuple(tri.edge_class(tet, x, y) for x, y in ((a, b), (b, c), (c, a)))
+        # built once and kept
+        assert tri.edge_angles is tri.edge_angles and tri.face_sides is tri.face_sides
 
 
 def test_text_round_trip(s3, rp3):
