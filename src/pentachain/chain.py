@@ -36,19 +36,34 @@ or D^2.  Each f3 row is the integer gradient table
 ``(den, {edge: int})`` that ``geometry.curvature`` returns, and
 ``RatMatrix.from_int_rows`` reduces every row, so the stored matrices
 are exactly those the same formulas give in Fractions.  ``verify_chain``
-multiplies nonzeros by nonzeros, also in ints: a row of the left factor
-is taken over its own (positive) denominator, and each column of the
-right factor is scaled by the lcm of the denominators of the rows that
-hold it, which changes no zero pattern of the product.  ``dump_chain``
-lists the stored entries in column order.
+multiplies nonzeros by nonzeros, also in ints: each row of the left
+factor is scaled by its own (positive) denominator times the lcm of the
+denominators of the right factor's rows that it meets, which changes no
+zero pattern of the product and keeps the scale to the few rows one left
+row touches.  ``dump_chain`` lists the stored entries in column order.
 
 Each composition of consecutive maps is exactly zero; ``build_chain``
-checks this by default.  Acyclicity is equivalent to the rank pattern
-(6, 3V-6, E-3V+6, 3V-6, 6) once the chain property holds.  The invariant
-decides it with ``torsion.select_partition``, whose one exact greedy pass
-both certifies it and yields the torsion's minors; ``check_acyclic`` is the
-reference rank test, run on the same sparse elimination as every other
-rank in the package, and it reports the ranks when that pass falls short.
+checks this in full by default, and it always checks that every
+curvature vanishes at the flat point.  Acyclicity is equivalent to the
+rank pattern (6, 3V-6, E-3V+6, 3V-6, 6) once the chain property holds.
+The invariant decides it with ``torsion.select_partition``, whose one
+exact pass both certifies it and yields the torsion's minors;
+``check_acyclic`` is the reference rank test, run on the same sparse
+elimination as every other rank in the package, and it reports the ranks
+when that pass falls short.
+
+The pass's nonsingular blocks also prove most of the chain property.
+Free-column lemma: suppose f_k f_{k-1} = 0 and the block f_{k-1}[R_{k-1},
+K_{k-2}] is nonsingular.  Every x in C_{k-1} is then f_{k-1} y plus a
+vector supported on K_{k-1} (solve for y on K_{k-2} to match x on
+R_{k-1}), so f_{k+1} f_k x = f_{k+1} f_k z for some z supported on K_{k-1},
+and f_{k+1} f_k vanishes as soon as it vanishes on the columns K_{k-1}.
+By induction from k = 2 (with K_0 all of C0), checking f2 f1 in full and
+f3 f2, f4 f3 and f5 f4 on the columns K1, K2 and K3 decides the chain
+property of a complex whose pass succeeded; ``verify_chain`` does that
+when it is given the free columns, and ``certify_chain`` reruns a failed
+free-column check in full, so its error always names the first nonzero
+entry of the first nonzero composition.
 """
 
 from __future__ import annotations
@@ -112,8 +127,8 @@ def build_chain(tri: Triangulation, g: GeometryAssignment, verify: bool = True) 
     """Assemble all five matrices at the flat point of the given geometry.
 
     Raises DegenerateGeometryError if a face circulation of the geometry is
-    zero; ``verify`` adds the exact check of the flat point and of the
-    chain property.
+    zero, and the internal error if a curvature is nonzero at the flat
+    point; ``verify`` adds the full exact check of the chain property.
     """
     nv = len(tri.vertices)
     ne = len(tri.edges)
@@ -144,7 +159,7 @@ def build_chain(tri: Triangulation, g: GeometryAssignment, verify: bool = True) 
     f3, f3_dens = [], []
     for e in range(ne):
         value, (den, row) = omega_row(tri, lam, e)
-        if verify and value != 0:
+        if value != 0:
             raise PentachainError(
                 f"internal error: curvature of edge class {e} is nonzero at the flat point"
             )
@@ -177,38 +192,31 @@ def build_chain(tri: Triangulation, g: GeometryAssignment, verify: bool = True) 
         edge_table=lam,
     )
     if verify:
-        ok, witness = verify_chain(c)
-        if not ok:
-            raise PentachainError(
-                f"internal error: composition f{witness[0] + 1}.f{witness[0]} "
-                f"is nonzero at ({witness[1]}, {witness[2]})"
-            )
+        certify_chain(c)
     return c
 
 
-def _composition_witness(left: RatMatrix, right: RatMatrix):
-    """First nonzero entry of left*right, in row then column order; None if
-    the product is zero.
+def _composition_witness(left: RatMatrix, right: RatMatrix, cols=None):
+    """First nonzero entry of left*right, in row then column order, on the
+    columns labeled ``cols`` (all when None); None if there is none.
 
-    Each row of ``left`` is taken over its own denominator, which is
-    positive and so cannot make an entry of the product zero or nonzero.
-    Each column of ``right`` is scaled to integers by the lcm of the
-    (positive) denominators of the rows that hold it.  The factors are
-    positive, so an entry of the integer product is zero exactly when the
-    rational one is; nonzeros are multiplied by nonzeros.
+    Each row of ``left`` is scaled to integers by its own denominator times
+    the lcm of the denominators of the rows of ``right`` that it meets.
+    Both factors are positive, so an entry of the integer product is zero
+    exactly when the rational one is; nonzeros are multiplied by nonzeros.
     """
-    scale: dict[int, int] = {}
-    for row, d in zip(right.numerators, right.denominators):
-        for k in row:
-            scale[k] = lcm(scale.get(k, 1), d)
-    right_rows = [
-        {k: b * (scale[k] // d) for k, b in row.items()}
-        for row, d in zip(right.numerators, right.denominators)
-    ]
+    dens = right.denominators
+    right_rows = right.numerators
+    if cols is not None:
+        wanted = set(cols)
+        keep = {k for k, lab in enumerate(right.col_labels) if lab in wanted}
+        right_rows = [{k: b for k, b in row.items() if k in keep} for row in right_rows]
     for i, row in enumerate(left.numerators):
+        scale = lcm(*(dens[j] for j in row))
         acc: dict[int, int] = {}
         get = acc.get
         for j, a in row.items():
+            a *= scale // dens[j]
             for k, b in right_rows[j].items():
                 acc[k] = get(k, 0) + a * b
         if any(acc.values()):
@@ -217,18 +225,33 @@ def _composition_witness(left: RatMatrix, right: RatMatrix):
     return None
 
 
-def verify_chain(c: ChainComplex) -> tuple[bool, tuple | None]:
+def verify_chain(c: ChainComplex, free_cols=None) -> tuple[bool, tuple | None]:
     """Exact check of all four compositions.
 
     Returns (True, None), or (False, (k, row_label, col_label)) locating the
-    first nonzero entry of f_{k+1} * f_k.
+    first nonzero entry of f_{k+1} * f_k.  With ``free_cols``, the column
+    labels (K1, K2, K3) of a partition whose five minors are nonzero,
+    f2 * f1 is checked in full and f3 * f2, f4 * f3 and f5 * f4 only on K1,
+    K2 and K3, which decides the same (the free-column lemma in the module
+    docstring); a witness is then the first on those columns.
     """
     pairs = ((c.f2, c.f1), (c.f3, c.f2), (c.f4, c.f3), (c.f5, c.f4))
-    for k, (left, right) in enumerate(pairs, start=1):
-        witness = _composition_witness(left, right)
+    restrict = (None, *free_cols) if free_cols is not None else (None,) * 4
+    for k, ((left, right), cols) in enumerate(zip(pairs, restrict), start=1):
+        witness = _composition_witness(left, right, cols)
         if witness is not None:
             return False, (k, witness[0], witness[1])
     return True, None
+
+
+def certify_chain(c: ChainComplex, free_cols=None) -> None:
+    """Raise the internal composition error unless the chain property
+    holds, checked as ``verify_chain(c, free_cols)`` does; a failed check
+    is rerun in full, so the error names the first nonzero entry of the
+    first nonzero composition either way."""
+    if not verify_chain(c, free_cols)[0]:
+        k, row, col = verify_chain(c)[1]
+        raise PentachainError(f"internal error: composition f{k + 1}.f{k} is nonzero at ({row}, {col})")
 
 
 def expected_ranks(vertex_count: int, edge_count: int) -> tuple[int, int, int, int, int]:

@@ -13,7 +13,11 @@ to nonzero ints, and row i is that mapping divided by
 This module is the only one that builds that layout from rationals: the
 constructor takes ``int`` and ``Fraction`` rows, ``from_int_rows`` takes
 integer rows as ``chain.build_chain`` assembles them, and ``rows``,
-``entries`` and ``entry`` are derived ``Fraction`` views.
+``entries`` and ``entry`` are derived ``Fraction`` views.  ``block``
+slices rows and columns by position, or the transpose's, straight from
+the stored integers into a ``Block``: unreduced rows with row labels and
+no label indexes, which ``rank``, ``det`` and ``independent_rows`` take
+as they take a matrix, and which ``submatrix`` reduces into one.
 
 One elimination serves every rank, row basis and determinant: a sparse
 Markowitz elimination over the integers (``_eliminate``).  Each step
@@ -52,7 +56,7 @@ from decimal import Decimal
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import PentachainError
 
@@ -176,16 +180,29 @@ class RatMatrix:
         i = self._rindex[row_label]
         return Fraction(self.numerators[i].get(self._cindex[col_label], 0), self.denominators[i])
 
+    def block(self, rows: Sequence[int], cols: Sequence[int], transpose: bool = False) -> "Block":
+        """The block on row positions ``rows`` and column positions
+        ``cols``, in the order given.  With ``transpose`` it is the block of
+        the transpose: its rows are the columns ``cols``, each over the lcm
+        of the denominators of the rows it meets, and its columns are the
+        rows ``rows``."""
+        at = {j: k for k, j in enumerate(cols)}
+        if not transpose:
+            numerators = [{at[j]: v for j, v in self.numerators[i].items() if j in at} for i in rows]
+            return Block(numerators, [self.denominators[i] for i in rows], [self.row_labels[i] for i in rows], len(at))
+        entries = [[] for _ in at]
+        for k, i in enumerate(rows):
+            for j, v in self.numerators[i].items():
+                if j in at:
+                    entries[at[j]].append((k, v, self.denominators[i]))
+        dens = [lcm(*(d for *_, d in row)) for row in entries]
+        numerators = [{k: v * (den // d) for k, v, d in row} for row, den in zip(entries, dens)]
+        return Block(numerators, dens, [self.col_labels[j] for j in cols], len(rows))
+
     def submatrix(self, row_labels: Sequence[Label], col_labels: Sequence[Label]) -> "RatMatrix":
         """Submatrix with rows/columns in the order given."""
-        ci = {self._cindex[c]: k for k, c in enumerate(col_labels)}
-        positions = [self._rindex[r] for r in row_labels]
-        return RatMatrix.from_int_rows(
-            [{ci[j]: v for j, v in self.numerators[i].items() if j in ci} for i in positions],
-            [self.denominators[i] for i in positions],
-            row_labels,
-            col_labels,
-        )
+        b = self.block([self._rindex[r] for r in row_labels], [self._cindex[c] for c in col_labels])
+        return RatMatrix.from_int_rows(b.numerators, b.denominators, row_labels, col_labels)
 
     def __eq__(self, other):
         return (
@@ -198,6 +215,23 @@ class RatMatrix:
 
     def __repr__(self):
         return f"RatMatrix({self.nrows}x{self.ncols})"
+
+
+class Block(NamedTuple):
+    """A block of a matrix as ``RatMatrix.block`` slices it: integer rows
+    over positive denominators, not necessarily reduced, with labels for
+    the rows only.  ``rank``, ``det`` and ``independent_rows`` take a block
+    as they take a ``RatMatrix``; it skips the reduction and label indexes
+    that a matrix stores."""
+
+    numerators: list
+    denominators: list
+    row_labels: list
+    ncols: int
+
+    @property
+    def nrows(self) -> int:
+        return len(self.row_labels)
 
 
 def clear_denominators(values: Mapping) -> tuple[int, dict]:
@@ -232,7 +266,8 @@ def _eliminate(numerators: Sequence[Mapping[int, int]], denominators: Sequence[i
     Each step takes the shortest remaining row and pivots on its sparsest
     column, then updates only the rows holding that column.  Ties go to
     the earlier row and the lower column, so the steps depend only on the
-    rows and their order.  The denominators must be positive.
+    rows and their order.  The rows need not be reduced; the denominators
+    must be positive.
     """
     rows = [dict(row) for row in numerators]
     dens = list(denominators)
@@ -309,11 +344,11 @@ def permutation_sign(perm: Sequence[int]) -> int:
     return -1 if transpositions & 1 else 1
 
 
-def rank(m: RatMatrix) -> int:
+def rank(m: "RatMatrix | Block") -> int:
     return len(_eliminate(m.numerators, m.denominators, m.ncols))
 
 
-def det(m: RatMatrix) -> Fraction:
+def det(m: "RatMatrix | Block") -> Fraction:
     """Exact determinant; the empty matrix has determinant 1."""
     if m.nrows != m.ncols:
         raise ValueError(f"determinant of non-square {m.nrows}x{m.ncols} matrix")
@@ -343,7 +378,7 @@ def minor(m: RatMatrix, row_labels: Iterable[Label], col_labels: Iterable[Label]
     return det(m.submatrix(rows, cols))
 
 
-def independent_rows(m: RatMatrix) -> tuple[list[Label], Fraction]:
+def independent_rows(m: "RatMatrix | Block") -> tuple[list[Label], Fraction]:
     """A maximal independent set of rows and the minor they give on all
     columns; ties of the pivot rule go to the earlier row of ``m``, so
     reordering the rows (``submatrix``) can pick a different set.

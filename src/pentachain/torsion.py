@@ -7,7 +7,7 @@ for the map on its right, and
     tau = eps * (minor f1 * minor f3 * minor f5) / (minor f2 * minor f4).
 
 Each minor is the determinant of its block with the chosen rows R_k in
-the partition's (pivot) order and the columns in label order.  The sign
+the partition's order and the columns in label order.  The sign
 eps is the product over the middle spaces C1..C4 of the sign of the
 permutation that lists R_k, then its complement K_k in label order,
 against C_k's label order.  This is the standard sign of a based torsion:
@@ -20,33 +20,49 @@ moves or a change of geometry; that would take a homology orientation
 and an Euler structure (Turaev's sign-refined torsion), which this
 package does not implement.
 
-Partitions are chosen greedily left to right in one exact pass: rows of
-f1 that span its row space become C1's left rows, the complementary labels
-become f2's columns, spanning rows of the restricted f2 become C2's left
-rows, and so on, closing with the minor of f5.  Each stage is one sparse
-Markowitz elimination (``exact.independent_rows``), which returns the
-spanning rows in pivot order together with their minor, so the pass
-yields the partition and its five minors at once: four row bases and the
-``det`` of the f5 block.
+Partitions are chosen in one exact pass that meets in the middle.  From
+the bottom, the rows R1 of f1 that span its row space become C1's left
+rows, the rest K1 f2's columns, and spanning rows R2 of f2 on K1 become
+C2's left rows, leaving K2.  From the top, columns K4 of f5 that span its
+column space become C4's right labels, the rest R4 f4's rows, and spanning
+columns K3 of f4 on R4 become C3's right labels, leaving R3.  The pass
+closes with the minor of the square block f3[R3, K2].  Each basis stage is
+one sparse Markowitz elimination (``exact.independent_rows``, on the
+transpose for a column basis), which returns the spanning rows in pivot
+order together with their minor, and the f3 block is one ``det``; so the
+pass yields the partition and its five minors at once.  No stage builds a
+matrix: each block is sliced by position from the stored integer rows
+(``RatMatrix.block``).  The based torsion does not depend on which
+compatible splitting is used (Milnor, *Whitehead torsion*, 1966; Turaev,
+*Introduction to Combinatorial Torsions*, 2001), so picking it from both
+ends changes no value, and the f3 stage eliminates no dependent rows.
 
-Given the chain property (which ``build_chain`` checks exactly), this pass
-is also the acyclicity certificate, whatever spanning rows it picks:
+The pass is also the acyclicity certificate, whatever spanning rows and
+columns it picks:
 
-- if it succeeds, every restricted f_k has full column rank and the f5
-  minor is nonzero, so rank f_k is at least the split size; f_{k+1} f_k = 0
-  caps it from above, so the ranks are exactly (6, 3V-6, E-3V+6, 3V-6, 6)
-  and the complex is exact everywhere;
-- if the complex is acyclic, the columns left for f_{k+1} span a complement
-  of the image of f_k, on which f_{k+1} is injective, so every stage reaches
-  full column rank for any choice of spanning rows.
+- if the complex is acyclic, every stage succeeds: f1 has rank 6 and f5
+  rank 6; K1 spans a complement of im f1 = ker f2, on which f2 is
+  injective, so f2 on K1 has full column rank; dually f5 is injective on
+  the coordinates K4, so ker f5 = im f4 projects injectively onto R4 and
+  f4 on R4 has full row rank.  Then K2 spans a complement of im f2 = ker
+  f3 and K3 one of ker f4 = im f3, so f3 maps the K2 coordinates
+  injectively onto a space that projects injectively onto R3: f3[R3, K2]
+  is nonsingular;
+- if every block is nonsingular and the chain property f_{k+1} f_k = 0
+  holds, rank f_k is at least the size of its block and the chain
+  property caps rank f_k + rank f_{k+1} by dim C_k, so the ranks are
+  exactly (6, 3V-6, E-3V+6, 3V-6, 6) and the complex is exact everywhere.
 
 So a stage that falls short proves the complex is not acyclic, and the
 rank test ``check_acyclic`` runs only then, to report the exact ranks.
-The Markowitz rule picks short rows and sparse columns, which keeps the
-fill-in and the minors small; the rows are a deterministic function of
-the input and the scan order, so reports stay reproducible, and the
-signed torsion does not depend on which rows were picked.
-``minors``, ``tau`` and ``partition_valid`` evaluate an arbitrary
+The nonsingular blocks also shrink the check of the chain property:
+``invariant`` checks it with ``chain.verify_chain`` on the pass's free
+columns K1, K2 and K3 only (the free-column lemma in the ``chain`` module
+docstring).  The Markowitz rule picks short rows and sparse columns,
+which keeps the fill-in and the minors small; the rows are a
+deterministic function of the input and the scan order, so reports stay
+reproducible, and the signed torsion does not depend on which rows were
+picked.  ``minors``, ``tau`` and ``partition_valid`` evaluate an arbitrary
 partition from scratch; they are the reference that the library's paper
 partitions, the tests and ``verify``'s partition-independence check use.
 
@@ -66,8 +82,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
-from .chain import ChainComplex, build_chain, check_acyclic, expected_ranks
+from .chain import ChainComplex, build_chain, certify_chain, check_acyclic, expected_ranks
 from .errors import NotAcyclicError, TorsionError
 from .exact import det, independent_rows, permutation_sign
 from .geometry import (
@@ -92,8 +109,7 @@ class BasisPartition:
     def cols(self, c: ChainComplex) -> tuple[tuple[str, ...], ...]:
         """Column label sets (K1..K4) in ambient label order."""
         return tuple(
-            _complement(m, rows)
-            for m, rows in zip(c.maps[:4], self.rows())
+            tuple(m.row_labels[j] for j in _free(m.row_labels, rows)) for m, rows in zip(c.maps[:4], self.rows())
         )
 
     def rows(self) -> tuple[tuple[str, ...], ...]:
@@ -103,17 +119,8 @@ class BasisPartition:
     def sign(self, c: ChainComplex) -> int:
         """eps: over C1..C4, the product of the signs of the permutations
         that list R_k, then K_k, against C_k's label order."""
-        eps = 1
-        for m, rows, cols in zip(c.maps[:4], self.rows(), self.cols(c)):
-            index = {lab: i for i, lab in enumerate(m.row_labels)}
-            eps *= permutation_sign([index[lab] for lab in (*rows, *cols)])
-        return eps
-
-
-def _complement(m, rows) -> tuple[str, ...]:
-    """Row labels of ``m`` not in ``rows``, in label order."""
-    chosen = set(rows)
-    return tuple(lab for lab in m.row_labels if lab not in chosen)
+        splits = zip(c.maps[:4], self.rows(), self.cols(c))
+        return prod(_sorting_sign(m.row_labels, (*rows, *cols)) for m, rows, cols in splits)
 
 
 def minors(c: ChainComplex, p: BasisPartition) -> tuple[Fraction, ...]:
@@ -167,39 +174,58 @@ def tau(c: ChainComplex, p: BasisPartition) -> Fraction:
 def select_partition(
     c: ChainComplex, seed: int | None = None
 ) -> tuple[BasisPartition, tuple[Fraction, ...]]:
-    """Greedy left-to-right pivot propagation in a single pass; returns the
-    partition and its five minors (m1..m5).
+    """One exact pass from both ends (see the module docstring); returns
+    the partition and its five minors (m1..m5).
 
-    With ``seed=None`` every stage scans its rows in label order; an integer
-    seed shuffles each stage's order, which breaks the row choice's ties
-    differently and so picks a different (equally valid) partition.  Each
-    stage's rows and minor come from one ``independent_rows`` elimination
-    and the f5 minor from ``det``, so the minors equal ``minors(c,
+    R1 and R2 are row bases of f1 and of f2 on K1, K4 a column basis of f5
+    and K3 one of f4 on the rows R4 (the rest of C4), each from one
+    ``independent_rows`` elimination; the pass closes with the ``det`` of
+    f3 on R3 (the rest of C3) and K2.  R3 and R4 are in label order.  With
+    ``seed=None`` every basis stage scans its rows (or columns) in label
+    order; an integer seed shuffles each scan, which breaks the pivot
+    rule's ties differently and so picks a different, equally valid
+    partition.  A column basis comes in pivot order, so its minor is
+    signed into label order, and the minors equal ``minors(c,
     partition)``.  Given the chain property the pass succeeds exactly when
-    the complex is acyclic (see the module docstring), so a stage that
-    falls short raises NotAcyclicError with the ranks from
-    ``check_acyclic``.
+    the complex is acyclic, so a stage that falls short raises
+    NotAcyclicError with the ranks from ``check_acyclic``.
     """
     rng = None if seed is None else random.Random(seed)
-    picked, values = [], []
-    cols = c.f1.col_labels
-    for m in (c.f1, c.f2, c.f3, c.f4):
-        order = list(m.row_labels)
+
+    def scan(n: int) -> list[int]:
+        order = list(range(n))
         if rng is not None:
             rng.shuffle(order)
-        rows, value = independent_rows(m.submatrix(order, cols))
-        if not value:
-            break
-        picked.append(tuple(rows))
-        values.append(value)
-        cols = _complement(m, rows)
-    else:
-        values.append(det(c.f5.submatrix(c.f5.row_labels, cols)))
-        if values[-1]:
-            return BasisPartition(*picked), tuple(values)
+        return order
+
+    f1, f2, f3, f4, f5 = c.maps
+    r1, m1 = independent_rows(f1.block(scan(f1.nrows), range(f1.ncols)))
+    r2, m2 = independent_rows(f2.block(scan(f2.nrows), _free(f1.row_labels, r1)))
+    k4, m5 = independent_rows(f5.block(range(f5.nrows), scan(f5.ncols), transpose=True))
+    r4 = _free(f4.row_labels, k4)
+    k3, m4 = independent_rows(f4.block(r4, scan(f4.ncols), transpose=True))
+    r3 = _free(f3.row_labels, k3)
+    # the f3 block is square once the four basis stages are full
+    if m1 and m2 and m4 and m5 and (m3 := det(f3.block(r3, _free(f2.row_labels, r2)))):
+        rows3, rows4 = (tuple(m.row_labels[i] for i in r) for m, r in ((f3, r3), (f4, r4)))
+        m4 *= _sorting_sign(f4.col_labels, k3)
+        m5 *= _sorting_sign(f5.col_labels, k4)
+        return BasisPartition(tuple(r1), tuple(r2), rows3, rows4), (m1, m2, m3, m4, m5)
     # a stage fell short, so the complex is not acyclic: report the ranks
     report = check_acyclic(c)
     raise NotAcyclicError(report.ranks, report.expected)
+
+
+def _free(labels: tuple[str, ...], picked: list[str]) -> list[int]:
+    """Positions of the labels not in ``picked``, in label order."""
+    chosen = set(picked)
+    return [j for j, lab in enumerate(labels) if lab not in chosen]
+
+
+def _sorting_sign(labels: tuple[str, ...], picked: list[str]) -> int:
+    """Sign of the permutation that puts ``picked`` into label order."""
+    position = {lab: j for j, lab in enumerate(labels)}
+    return permutation_sign(sorted(range(len(picked)), key=lambda i: position[picked[i]]))
 
 
 @dataclass(frozen=True)
@@ -225,19 +251,26 @@ def invariant(
     Without ``geometry`` one is sampled from the seed.  ``build_chain``
     computes the geometry's integer edge-value table and certifies it: an
     explicit geometry with a zero face circulation raises
-    DegenerateGeometryError there.  The face product is the product of the
-    face circulations under the same table, the ``edge_table`` the chain
-    keeps.  The chain property is always checked, and acyclicity is
-    certified by the partition search itself, which rests on it.  ``tau``
-    is the signed torsion, which does not depend on the partition (see the
-    module docstring).  The absolute value of the result is independent of
-    the seed and of the sampled geometry; its sign is fixed by the geometry
+    DegenerateGeometryError there, and a nonzero curvature at the flat
+    point raises the internal error.  The face product is the product of
+    the face circulations under the same table, the ``edge_table`` the
+    chain keeps.  ``select_partition`` certifies acyclicity and yields the
+    minors; the chain property it rests on is then checked in full for
+    f2 * f1 and on the pass's free columns for the other compositions,
+    which decides the same once the pass's blocks are nonsingular.  So a
+    chain that is both broken and short reports NotAcyclicError, and a
+    broken chain whose pass succeeds reports the internal composition
+    error with the full check's first witness.  ``tau`` is the signed
+    torsion, which does not depend on the partition (see the module
+    docstring).  The absolute value of the result is independent of the
+    seed and of the sampled geometry; its sign is fixed by the geometry
     but is not claimed to be a manifold invariant.
     """
     if geometry is None:
         geometry = assign_geometry(tri, subseed(seed, "geometry"), max_retries)
-    c = build_chain(tri, geometry)
+    c = build_chain(tri, geometry, verify=False)
     partition, values = select_partition(c)
+    certify_chain(c, partition.cols(c)[:3])
     t = _signed_tau(c, partition, values)
     face_product = Fraction(1)
     for s in face_circulations(tri, c.edge_table):

@@ -153,11 +153,13 @@ _VERTEX_HOPS = tuple(tuple(4 * k + s for k in range(4) if k != s) for s in range
 _EDGE_HOPS = tuple(
     tuple((4 * k + a, 4 * k + b) for k in range(4) if k != a and k != b) for a in range(4) for b in range(4)
 )
-# per face k, the port offsets of its boundary sides (a, b), (b, c), (c, a)
-# over its slots a < b < c
-_FACE_PORTS = tuple(
-    (4 * a + b, 4 * b + c, 4 * c + a) for a, b, c in (tuple(s for s in range(4) if s != k) for k in range(4))
+# per face k: k, the offset 5k of the port glued to it, its slots a < b < c
+# as a triple and one by one
+_FACE_SLOTS = tuple(
+    (k, 5 * k, slots, *slots) for k, slots in enumerate(tuple(s for s in range(4) if s != k) for k in range(4))
 )
+# per face k, the port offsets of its boundary sides (a, b), (b, c), (c, a)
+_FACE_PORTS = tuple((4 * a + b, 4 * b + c, 4 * c + a) for *_, a, b, c in _FACE_SLOTS)
 
 
 def _angle_ports(p: int, q: int, e: int, h: int) -> tuple[int, ...]:
@@ -338,21 +340,21 @@ class Triangulation:
         self.edges = tuple(edges)
 
     def _build_face_classes(self):
-        n = len(self.tets)
-        face_of = [-1] * (4 * n)  # class id per port 4t+k
-        vertex_of = self._vertex_of
+        port_to, vertex_of = self._port_to, self._vertex_of
+        face_of = [-1] * len(vertex_of)  # class id per port 4t+k
         faces = []
-        for port in range(4 * n):
-            if face_of[port] >= 0:
-                continue
-            # a face glued to itself would fold an edge onto its reverse,
-            # which the edge classes reject, so every class has two ports
-            t, k = divmod(port, 4)
-            partner = self._port_to[4 * port + k]
-            face_of[port] = face_of[partner] = len(faces)
-            slots = tuple(s for s in range(4) if s != k)
-            verts = tuple(vertex_of[4 * t + s] for s in slots)
-            faces.append(FaceClass(len(faces), ((t, k), divmod(partner, 4)), (t, slots), verts))
+        for t in range(len(self.tets)):
+            t4 = 4 * t
+            for k, glued, slots, a, b, c in _FACE_SLOTS:
+                if face_of[t4 + k] >= 0:
+                    continue
+                # a face glued to itself would fold an edge onto its
+                # reverse, which the edge classes reject, so every class
+                # has two ports
+                partner = port_to[4 * t4 + glued]
+                face_of[t4 + k] = face_of[partner] = fid = len(faces)
+                verts = (vertex_of[t4 + a], vertex_of[t4 + b], vertex_of[t4 + c])
+                faces.append(FaceClass(fid, ((t, k), (partner >> 2, partner & 3)), (t, slots), verts))
         self._face_of = face_of
         self.faces = tuple(faces)
 

@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -9,18 +10,21 @@ from pentachain import (
     DegenerateGeometryError,
     GeometryAssignment,
     NotAcyclicError,
+    PentachainError,
     RatMatrix,
     assign_geometry,
     build_chain,
     check_acyclic,
     dump_chain,
     holonomy_generator,
+    load_builtin,
     parse_geometry,
+    random_walk,
     select_partition,
     verify_chain,
 )
 from pentachain.geometry import lambda_of
-from pentachain.chain import C0_LABELS, C5_LABELS, ChainComplex, expected_ranks
+from pentachain.chain import C0_LABELS, C5_LABELS, ChainComplex, certify_chain, expected_ranks
 from pentachain.triangulation import Triangulation
 from test_geometry import fraction_curvature_oracle, lookup_angles
 
@@ -184,6 +188,47 @@ def test_perturbed_entry_gives_oracle_witness(rp3, name, stage):
         ok, witness = verify_chain(broken)
         assert not ok and witness[0] == stage
         assert (ok, witness) == fraction_witness_oracle(broken)
+
+
+def test_free_column_certificate_agrees_with_full_check(s3, rp3):
+    """Seeded single-entry perturbations of f1..f5, at columns inside and
+    outside the free columns of the composition the entry enters from the
+    right: wherever the pass still succeeds, the free-column certificate
+    rejects exactly when the full check does, naming the full check's
+    witness as ``build_chain(verify=True)`` does."""
+    rng = random.Random(18)
+    fixture = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures" / "rp3_t20.tri"
+    walked = [random_walk(load_builtin(name), 8, seed, 12) for name, seed in (("s3", 5), ("rp3", 6))]
+    seen = {"inside": 0, "outside": 0, "short": 0}
+    for n, tri in enumerate((s3, rp3, Triangulation.from_file(fixture), *walked)):
+        c = build_chain(tri, assign_geometry(tri, seed=n))
+        p, _ = select_partition(c)
+        free = (c.f1.col_labels, *p.cols(c))
+        for _ in range(30):
+            k = rng.randrange(1, 6)
+            m = c.maps[k - 1]
+            where = rng.choice(("inside", "outside"))
+            cols = [j for j, lab in enumerate(m.col_labels) if (lab in free[k - 1]) == (where == "inside")]
+            if not cols:
+                continue
+            broken = perturbed(c, f"f{k}", rng.randrange(m.nrows), rng.choice(cols), F(rng.randint(1, 9), 7919))
+            try:
+                q, _ = select_partition(broken)
+            except NotAcyclicError:
+                seen["short"] += 1
+                continue
+            seen[where] += 1
+            ok, witness = verify_chain(broken)
+            free_cols = q.cols(broken)[:3]
+            assert verify_chain(broken, free_cols)[0] == ok
+            if ok:
+                certify_chain(broken, free_cols)
+                continue
+            stage, row, col = witness
+            with pytest.raises(PentachainError) as raised:
+                certify_chain(broken, free_cols)
+            assert str(raised.value) == f"internal error: composition f{stage + 1}.f{stage} is nonzero at ({row}, {col})"
+    assert min(seen.values()) > 0 and seen["inside"] + seen["outside"] > 100
 
 
 def test_cancellation_across_denominators_passes():

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -228,6 +229,24 @@ def test_vanishing_f5_minor_exits_not_acyclic(capsys, monkeypatch):
     assert "complex is not acyclic: ranks (6, 6, 0, 6, 0), expected (6, 6, 0, 6, 6)" in err
 
 
+def test_broken_chain_names_the_full_check_witness(capsys, monkeypatch):
+    # f4 off by 1/7919 in one entry: the pass still succeeds, and the check
+    # on its free columns first meets f4.f3 at column dl_e8; the error names
+    # the full check's first witness, dl_e5, as build_chain(verify=True) does
+    real_build_chain = torsion.build_chain
+
+    def perturbed_f4(*args, **kwargs):
+        c = real_build_chain(*args, **kwargs)
+        rows = [dict(row) for row in c.f4.rows]
+        rows[0][0] = rows[0].get(0, 0) + Fraction(1, 7919)
+        return replace(c, f4=RatMatrix(rows, c.f4.row_labels, c.f4.col_labels))
+
+    monkeypatch.setattr(torsion, "build_chain", perturbed_f4)
+    code, out, err = run(capsys, ["invariant", "--builtin", "rp3"])
+    assert (code, out) == (1, "")
+    assert err == "error: internal error: composition f4.f3 is nonzero at (dg1_v0, dl_e5)\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [["verify", "--pentagon-only", "--samples", "1"], ["pentagon", "--samples", "1"]],
@@ -385,6 +404,28 @@ def test_invariant_large_fixture_report_pinned(capsys, monkeypatch, name):
     code, out, _ = run(capsys, ["invariant", "--file", f"benchmarks/fixtures/{name}_t80.tri", "--seed", "0", "--json"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == T80_SEED0_INVARIANT_SHA256[name]
+
+
+# whole reports on every ladder fixture at seed 1, taken before the partition
+# pass picked its splitting from both ends
+LADDER_SEED1_INVARIANT_SHA256 = {
+    "rp3_t20": "7ac98b6c0c016d4e1f4369c4ffa01f202622f027d38dbc387d2ba3e344de80bd",
+    "rp3_t40": "0a468cf8cd70d296a26afadaa212812ae2ea0e34484c2378e43371ba42f0e912",
+    "rp3_t8": "53c1d7521a2e03ce334db51566ebb0646c4b3f5a0b7e6b690c6b33f44b26471f",
+    "rp3_t80": "f6e681c51a65c5e71afc253e2ec18377b02ee9e195cded572ab6a13e1bfe42c4",
+    "s3_t20": "d350c341ddb2f39929bc0faa05e8824ba8e3571951482c9191d9e2d8f22c681d",
+    "s3_t40": "800165c05fe382ac77724e93b2cc85f1be233b187b2aed4146ebef1e85526004",
+    "s3_t8": "aea4bc7eff60fc6bb311ac64c432a8b91d87e909976ac504a72ffffd23fd3f44",
+    "s3_t80": "b57fad61e8567a39d9d13097ae04b373750c58a5304269709098469e4d26a13f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_SEED1_INVARIANT_SHA256))
+def test_ladder_reports_pinned(capsys, monkeypatch, name):
+    monkeypatch.chdir(RP3_T80.parents[2])
+    code, out, _ = run(capsys, ["invariant", "--file", f"benchmarks/fixtures/{name}.tri", "--seed", "1", "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LADDER_SEED1_INVARIANT_SHA256[name]
 
 
 # explicit geometry over 10007 and 65537 on rp3, taken before build_chain

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,8 +26,8 @@ from pentachain import (
     tau,
     tet0_edges,
 )
-from pentachain import torsion
-from pentachain.exact import rank
+from pentachain import chain, torsion
+from pentachain.exact import det, independent_rows, rank
 from pentachain.library import SPHERE_C1_ROWS
 from pentachain.triangulation import Triangulation
 
@@ -124,6 +125,59 @@ def test_pass_minors_match_reference(s3, rp3):
             taus.add(tau(c, p))
         # every partition the pass picks gives the same signed torsion
         assert len(taus) == 1
+
+
+def bottom_up_partition(c, seed=None):
+    """The greedy left-to-right pass that the meet-in-the-middle pass
+    replaced, kept as an oracle: each stage a row basis of f_k on the labels
+    the stage before left free, closing with the det of f5 on K4."""
+    rng = None if seed is None else random.Random(seed)
+    picked, cols = [], c.f1.col_labels
+    for m in (c.f1, c.f2, c.f3, c.f4):
+        order = list(m.row_labels)
+        if rng is not None:
+            rng.shuffle(order)
+        rows, value = independent_rows(m.submatrix(order, cols))
+        assert value
+        picked.append(tuple(rows))
+        cols = tuple(lab for lab in m.row_labels if lab not in set(rows))
+    assert det(c.f5.submatrix(c.f5.row_labels, cols))
+    return BasisPartition(*picked)
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures"
+
+
+def test_meet_pass_matches_bottom_up_oracle(s3, rp3):
+    walked = [random_walk(load_builtin(name), steps, seed, 12)
+              for name in ("s3", "rp3") for steps, seed in zip(range(4, 14), range(100, 110))]
+    states = [s3, rp3, grown(rp3, 20, seed=3), Triangulation.from_file(FIXTURES / "rp3_t40.tri"), *walked]
+    assert len(walked) == 20
+    for n, tri in enumerate(states):
+        c = build_chain(tri, assign_geometry(tri, seed=n))
+        for seed in (None, *range(10)):
+            p, m = select_partition(c, seed)
+            assert m == minors(c, p)
+            assert torsion._signed_tau(c, p, m) == tau(c, bottom_up_partition(c, seed))
+            # R3 and R4 are the complements of K3 and K4 in label order
+            for rows, labels in ((p.c3_rows, c.f3.row_labels), (p.c4_rows, c.f4.row_labels)):
+                assert list(rows) == [lab for lab in labels if lab in set(rows)]
+
+
+def test_invariant_checks_only_free_columns(monkeypatch):
+    """A successful invariant checks the chain property once, on the
+    partition's free columns, and never runs the full check."""
+    calls = []
+    real = chain.verify_chain
+
+    def recorded(c, free_cols=None):
+        calls.append(free_cols)
+        return real(c, free_cols)
+
+    monkeypatch.setattr(chain, "verify_chain", recorded)
+    tri = Triangulation.from_file(FIXTURES / "rp3_t80.tri")
+    assert invariant(tri, seed=1).abs_invariant == 64
+    assert len(calls) == 1 and calls[0] is not None
 
 
 def count_calls(monkeypatch, name):
