@@ -60,7 +60,6 @@ from .pentagon import (
 from .torsion import BasisPartition, InvariantResult, invariant, minors, partition_valid, select_partition, tau
 from .triangulation import (
     EdgeClass,
-    EdgeStar,
     FaceClass,
     Gluing,
     Triangulation,

@@ -27,6 +27,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
 from .chain import build_chain, check_acyclic, dump_chain, verify_chain
@@ -40,7 +41,7 @@ from .errors import (
 )
 from .exact import format_rational
 from .geometry import DEFAULT_MAX_RETRIES, assign_geometry, parse_geometry, subseed
-from .library import load_builtin
+from .library import BUILTIN_NAMES, load_builtin
 from .pachner import random_walk, walk_states
 from .pentagon import FivePointConfig, verify_pentagon, verify_vector_identities
 from .torsion import invariant, select_partition, tau
@@ -267,11 +268,14 @@ def _count(minimum: int):
 
 def _add_input_flags(parser, required=True):
     group = parser.add_mutually_exclusive_group(required=required)
-    group.add_argument("--builtin", choices=("s3", "rp3"), help="built-in triangulation")
+    group.add_argument("--builtin", choices=BUILTIN_NAMES, help="built-in triangulation")
     group.add_argument("--file", help="triangulation file path")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one, so no caller may change it."""
     parser = argparse.ArgumentParser(
         prog="pentachain",
         description="Exact torsion invariant of closed oriented 3-manifold triangulations.",

@@ -31,8 +31,8 @@ may have any denominators.
 Every formula reads sides, not edges: a side is a ``(key, sign)`` pair,
 the key of a directed edge and its sign against the key's stored
 direction.  The sides are resolved once, before any value is read: a
-triangulation resolves every face boundary and every angle when first
-asked (``Triangulation.face_sides`` and ``edge_angles``), and the
+triangulation resolves every face boundary and every angle on
+construction (``Triangulation.face_sides`` and ``edge_angles``), and the
 five-point complex resolves its triangles and angles at import.  A
 circulation is a plain integer: ``circulation`` sums the signed
 numerators of a triangle's three sides, so the circulation is that
@@ -67,7 +67,7 @@ from typing import Callable, Iterable
 
 from .errors import DegenerateGeometryError, ParseError
 from .exact import clear_denominators, parse_rational
-from .triangulation import EdgeStar, Triangulation
+from .triangulation import Triangulation
 
 SAMPLE_NUMERATOR_BOUND = 64
 SAMPLE_DENOMINATOR_BOUND = 16
@@ -87,7 +87,6 @@ class GeometryAssignment:
     x: tuple[Fraction, ...]
     y: tuple[Fraction, ...]
     kappa: tuple[Fraction, ...]
-    seed: int | None = None
 
 
 def triangle_area(ax, ay, bx, by, cx, cy) -> Fraction:
@@ -191,7 +190,6 @@ def assign_geometry(
             x=tuple(draw() for _ in range(nv)),
             y=tuple(draw() for _ in range(nv)),
             kappa=tuple(draw() for _ in range(nv)),
-            seed=seed,
         )
         if _zero_face(tri, edge_values(tri, g)) is None:
             return g
@@ -291,9 +289,9 @@ def angle(
     return direction * curvature(lam, angles, partial(_face_at, tri))[0]
 
 
-def omega(tri: Triangulation, lam: tuple[int, dict], star: EdgeStar | int) -> Fraction:
+def omega(tri: Triangulation, lam: tuple[int, dict], edge_id: int) -> Fraction:
     """Curvature around an edge class: sum of angle values over its star."""
-    return omega_row(tri, lam, star if isinstance(star, int) else star.edge.id)[0]
+    return omega_row(tri, lam, edge_id)[0]
 
 
 def omega_row(tri: Triangulation, lam: tuple[int, dict], edge_id: int) -> tuple[Fraction, tuple[int, dict]]:

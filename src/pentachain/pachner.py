@@ -159,13 +159,13 @@ def _move_2_3(tri: Triangulation, t: int, a: int) -> Triangulation:
 def _edge_cycle(tri: Triangulation, edge_id: int):
     """The cyclic order of three distinct tetrahedra around a degree-3 edge,
     or None when the star is not the standard one."""
-    if len(tri.edges[edge_id].members) != 3:
+    star = tri.edge_angles[edge_id]
+    if len(star) != 3:
         return None
-    star = tri.edge_star(edge_id)
-    tets = [c[0] for c in star.contributions]
+    tets = [tet for _, (tet, _, _) in star]
     if len(set(tets)) != 3:
         return None
-    t0, (p0, q0), (e0, d0) = star.contributions[0]
+    _, (t0, (p0, q0), (e0, d0)) = star[0]
     cycle = []
     cur = (t0, p0, q0, e0, d0)
     for _ in range(3):

@@ -20,14 +20,14 @@ orbit that contains its own mirror is rejected.  A face class is the two
 ports of one gluing.
 
 Every incidence the curvature and circulation formulas read is resolved
-once into sides, ``(edge class id, sign)`` pairs of directed edges, so that
-no formula looks an edge up again.  On first use, a single pass over the
-tetrahedra builds two tables and keeps them, like the edge stars:
-``edge_angles`` holds, per edge class, one angle per star contribution in
-star order, as its six sides (ph, hq, qp, pe, eq, he; see
-``angle_sides``) with the contribution itself, and ``face_sides`` holds,
-per face class, the three sides of its stored boundary.  (P, Q) is read
-from a table over (tail, head, orientation sign) built at import.
+once, on construction, into sides, ``(edge class id, sign)`` pairs of
+directed edges, so that no formula looks an edge up again.  The scan that
+lists each edge class's members also builds ``edge_angles``: per edge
+class, one angle per star contribution in star order, as its six sides
+(ph, hq, qp, pe, eq, he; see ``angle_sides``) with the contribution
+itself.  The face builder records ``face_sides``: per face class, the
+three sides of its stored boundary.  (P, Q) and the side offsets come from
+one table per orientation sign, built at import.
 
 Conventions fixed here and relied on everywhere downstream:
 
@@ -52,8 +52,8 @@ Conventions fixed here and relied on everywhere downstream:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import permutations
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import ParseError, ValidationError
@@ -131,19 +131,6 @@ class FaceClass:
     vertices: tuple[int, int, int]  # vertex class ids along the boundary order
 
 
-@dataclass(frozen=True)
-class EdgeStar:
-    """All incidences of tetrahedra around an edge class.
-
-    Each contribution is (tet, (P, Q), (tail_slot, head_slot)) with the
-    even-permutation ordering rule applied; a tetrahedron meeting the edge
-    class along several of its own edges appears once per incidence.
-    """
-
-    edge: EdgeClass
-    contributions: tuple[tuple[int, tuple[int, int], tuple[int, int]], ...]
-
-
 _SLOT_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 # the offsets, within a tetrahedron's 16 entries of the flat gluing list,
@@ -154,12 +141,12 @@ _EDGE_HOPS = tuple(
     tuple((4 * k + a, 4 * k + b) for k in range(4) if k != a and k != b) for a in range(4) for b in range(4)
 )
 # per face k: k, the offset 5k of the port glued to it, its slots a < b < c
-# as a triple and one by one
+# as a triple and one by one, and a getter of its boundary sides (a, b),
+# (b, c), (c, a) from the tetrahedron's 16 port sides
 _FACE_SLOTS = tuple(
-    (k, 5 * k, slots, *slots) for k, slots in enumerate(tuple(s for s in range(4) if s != k) for k in range(4))
+    (k, 5 * k, (a, b, c), a, b, c, itemgetter(4 * a + b, 4 * b + c, 4 * c + a))
+    for k, (a, b, c) in enumerate(tuple(s for s in range(4) if s != k) for k in range(4))
 )
-# per face k, the port offsets of its boundary sides (a, b), (b, c), (c, a)
-_FACE_PORTS = tuple((4 * a + b, 4 * b + c, 4 * c + a) for *_, a, b, c in _FACE_SLOTS)
 
 
 def _angle_ports(p: int, q: int, e: int, h: int) -> tuple[int, ...]:
@@ -168,27 +155,21 @@ def _angle_ports(p: int, q: int, e: int, h: int) -> tuple[int, ...]:
     return tuple(4 * a + b for a, b in ((p, h), (h, q), (q, p), (p, e), (e, q), (h, e)))
 
 
-def _off_edge(sign: int, e: int, h: int) -> tuple[int, int]:
-    """The off-edge slots (P, Q) of e -> h with (P, Q, e, h) even against the
-    positive ordering of a tetrahedron with orientation sign ``sign``."""
+def _star_slot(sign: int, e: int, h: int) -> tuple:
+    """The directed slot pair e -> h in a tetrahedron with orientation sign
+    ``sign``: its port offset, its off-edge slots (P, Q) with (P, Q, e, h)
+    even against the positive ordering, (e, h) and a getter of its angle's
+    six sides from the tetrahedron's 16 port sides."""
     p, q = (s for s in range(4) if s != e and s != h)
-    return (p, q) if permutation_sign((p, q, e, h)) == sign else (q, p)
+    if permutation_sign((p, q, e, h)) != sign:
+        p, q = q, p
+    return 4 * e + h, (p, q), (e, h), itemgetter(*_angle_ports(p, q, e, h))
 
 
-# (P, Q) per (orientation sign, tail, head)
-_OFF_EDGE: dict[tuple[int, int, int], tuple[int, int]] = {
-    (sign, e, h): _off_edge(sign, e, h) for sign in (1, -1) for e, h in permutations(range(4), 2)
-}
-
-# per orientation sign, each directed slot pair (tail, head) in ascending
-# port order: its port offset, (P, Q), (tail, head) and its angle's six
-# side offsets
+# per orientation sign, _star_slot of each directed slot pair in ascending
+# port order
 _STAR_SLOTS: dict[int, tuple] = {
-    sign: tuple(
-        (4 * e + h, _OFF_EDGE[sign, e, h], (e, h), _angle_ports(*_OFF_EDGE[sign, e, h], e, h))
-        for e, h in permutations(range(4), 2)
-    )
-    for sign in (1, -1)
+    sign: tuple(_star_slot(sign, e, h) for e, h in permutations(range(4), 2)) for sign in (1, -1)
 }
 
 
@@ -198,9 +179,9 @@ class Triangulation:
     Vertex, edge and face classes are orbits of integer ports (see the
     module docstring), derived from scratch by orbit traversal each time,
     after the gluings are checked to be involutive and coherently
-    oriented.  Immutable after construction; bistellar moves build new
-    instances.  Edge stars and the resolved incidence tables are built on
-    first use and kept.
+    oriented, together with every incidence table, so an instance holds no
+    lazy state.  Immutable after construction; bistellar moves build new
+    instances.
     """
 
     def __init__(self, tets: Sequence[Sequence[Gluing]]):
@@ -217,10 +198,9 @@ class Triangulation:
             for g in row:
                 base, (p0, p1, p2, p3) = 4 * g.neighbor, g.perm
                 port_to += (base + p0, base + p1, base + p2, base + p3)
-        self._build_vertex_classes()
-        self._build_edge_classes()
-        self._build_face_classes()
-        self._stars: list[EdgeStar | None] = [None] * len(self.edges)
+        self._vertex_of, self.vertices = self._build_vertex_classes()
+        self._sides, self.edges, self.edge_angles = self._build_edge_classes()
+        self._face_of, self.faces, self.face_sides = self._build_face_classes()
 
     # -- validation ---------------------------------------------------
 
@@ -290,8 +270,7 @@ class Triangulation:
         members: list[list[tuple[int, int]]] = [[] for _ in range(count)]
         for port, vid in enumerate(vertex_of):
             members[vid].append(divmod(port, 4))
-        self._vertex_of = vertex_of
-        self.vertices = tuple(VertexClass(i, tuple(m)) for i, m in enumerate(members))
+        return vertex_of, tuple(VertexClass(i, tuple(m)) for i, m in enumerate(members))
 
     def _build_edge_classes(self):
         n = len(self.tets)
@@ -324,39 +303,44 @@ class Triangulation:
                         )
                     edge_of[mirror], sign_of[mirror] = count, -1
                 count += 1
-        # ascending ports list each class's canonical directions sorted
+        # (class id, sign) per port, and one scan in ascending port order
+        # over each class's canonical directions: its members sorted and its
+        # angles in star order
+        side = list(zip(edge_of, sign_of))
         members: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(count)]
-        for port, sign in enumerate(sign_of):
-            if sign == 1:
-                t, rest = divmod(port, 16)
-                members[edge_of[port]].append((t, divmod(rest, 4)))
-        self._edge_of = edge_of
-        self._edge_sign = sign_of
+        angles: list[list[Angle]] = [[] for _ in range(count)]
+        for t, orientation in enumerate(self.orientation_signs):
+            local = side[16 * t:16 * t + 16]
+            for offset, pq, ed, sides_of in _STAR_SLOTS[orientation]:
+                eid, sign = local[offset]
+                if sign == 1:
+                    members[eid].append((t, ed))
+                    angles[eid].append((sides_of(local), (t, pq, ed)))
         vertex_of = self._vertex_of
         edges = []
         for eid, occ in enumerate(members):
             t0, (i0, j0) = occ[0]
             edges.append(EdgeClass(eid, tuple(occ), vertex_of[4 * t0 + i0], vertex_of[4 * t0 + j0]))
-        self.edges = tuple(edges)
+        return side, tuple(edges), tuple(tuple(a) for a in angles)
 
     def _build_face_classes(self):
-        port_to, vertex_of = self._port_to, self._vertex_of
+        port_to, vertex_of, side = self._port_to, self._vertex_of, self._sides
         face_of = [-1] * len(vertex_of)  # class id per port 4t+k
-        faces = []
+        faces, face_sides = [], []
         for t in range(len(self.tets)):
-            t4 = 4 * t
-            for k, glued, slots, a, b, c in _FACE_SLOTS:
+            t4, local = 4 * t, side[16 * t:16 * t + 16]
+            for k, glued, slots, a, b, c, boundary_sides in _FACE_SLOTS:
                 if face_of[t4 + k] >= 0:
                     continue
                 # a face glued to itself would fold an edge onto its
                 # reverse, which the edge classes reject, so every class
                 # has two ports
-                partner = port_to[4 * t4 + glued]
+                partner = port_to[16 * t + glued]
                 face_of[t4 + k] = face_of[partner] = fid = len(faces)
                 verts = (vertex_of[t4 + a], vertex_of[t4 + b], vertex_of[t4 + c])
                 faces.append(FaceClass(fid, ((t, k), (partner >> 2, partner & 3)), (t, slots), verts))
-        self._face_of = face_of
-        self.faces = tuple(faces)
+                face_sides.append(boundary_sides(local))
+        return face_of, tuple(faces), tuple(face_sides)
 
     # -- queries -------------------------------------------------------
 
@@ -369,8 +353,7 @@ class Triangulation:
 
     def edge_class(self, tet: int, tail_slot: int, head_slot: int) -> tuple[int, int]:
         """Edge class id plus +1/-1 sign of this direction vs. canonical."""
-        port = 16 * tet + 4 * tail_slot + head_slot
-        return self._edge_of[port], self._edge_sign[port]
+        return self._sides[16 * tet + 4 * tail_slot + head_slot]
 
     def face_class(self, tet: int, opposite_slot: int) -> int:
         return self._face_of[4 * tet + opposite_slot]
@@ -383,60 +366,12 @@ class Triangulation:
         is (0, 1, 2, 3) for sign +1 and one transposition away for -1."""
         return int(permutation_sign(seq) != self.orientation_signs[tet])
 
-    def edge_star(self, edge: EdgeClass | int) -> EdgeStar:
-        """The star of an edge class, built on first use and then kept:
-        the triangulation never changes, so neither do its stars."""
-        edge_id = edge if isinstance(edge, int) else edge.id
-        star = self._stars[edge_id]
-        if star is None:
-            star = self._stars[edge_id] = self._build_star(self.edges[edge_id])
-        return star
-
-    def _build_star(self, e: EdgeClass) -> EdgeStar:
-        signs = self.orientation_signs
-        return EdgeStar(e, tuple((t, _OFF_EDGE[signs[t], i, j], (i, j)) for t, (i, j) in e.members))
-
     def angle_sides(self, tet: int, pq: tuple[int, int], ed: tuple[int, int]) -> tuple[Side, ...]:
         """The six sides ph, hq, qp, pe, eq, he of the angle of tetrahedron
         ``tet`` at the edge ``ed`` = (tail e, head h) with off-edge slots
         ``pq``, each the (edge class id, sign) of that directed edge."""
         base = 16 * tet
-        return tuple(
-            (self._edge_of[base + x], self._edge_sign[base + x]) for x in _angle_ports(*pq, *ed)
-        )
-
-    @property
-    def edge_angles(self) -> tuple[tuple[Angle, ...], ...]:
-        """Per edge class, its angles in star order, each ``(six sides,
-        contribution)`` with the sides as ``angle_sides`` gives them."""
-        return self._incidences[0]
-
-    @property
-    def face_sides(self) -> tuple[tuple[Side, Side, Side], ...]:
-        """Per face class, the sides of its boundary (a, b), (b, c), (c, a)."""
-        return self._incidences[1]
-
-    @cached_property
-    def _incidences(self):
-        """One pass over the tetrahedra, in port order, that resolves every
-        angle and every face boundary into sides."""
-        side = list(zip(self._edge_of, self._edge_sign))
-        edge_of, sign_of, face_of = self._edge_of, self._edge_sign, self._face_of
-        angles: list[list] = [[] for _ in self.edges]
-        faces: list[tuple[Side, Side, Side]] = []
-        for t, orientation in enumerate(self.orientation_signs):
-            base = 16 * t
-            for k in range(4):
-                # face ports are numbered in scan order, so a class's first
-                # port is reached when exactly its id faces precede it
-                if face_of[4 * t + k] == len(faces):
-                    x, y, z = _FACE_PORTS[k]
-                    faces.append((side[base + x], side[base + y], side[base + z]))
-            for offset, pq, ed, ports in _STAR_SLOTS[orientation]:
-                if sign_of[base + offset] == 1:
-                    sides = tuple([side[base + x] for x in ports])
-                    angles[edge_of[base + offset]].append((sides, (t, pq, ed)))
-        return tuple(tuple(a) for a in angles), tuple(faces)
+        return tuple(self._sides[base + x] for x in _angle_ports(*pq, *ed))
 
     # -- serialization -------------------------------------------------
 

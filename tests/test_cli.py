@@ -506,6 +506,20 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_parser_is_built_once_and_reused(capsys):
+    """``main`` reuses one parser: a repeated call prints the same report,
+    and a usage error after a good call still exits 2 with argparse's
+    message, its choices read from ``BUILTIN_NAMES``."""
+    argv = ["invariant", "--builtin", "rp3", "--json"]
+    first, second = run(capsys, argv), run(capsys, argv)
+    assert first == second and first[0] == 0
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["invariant", "--builtin", "k3"])
+    assert exc.value.code == 2
+    assert "argument --builtin: invalid choice: 'k3' (choose from 's3', 'rp3')" in capsys.readouterr().err
+
+
 # the whole report of a 60-step rp3 walk, taken before the quotient classes
 # were built by orbit traversal; re-pinned at version 0.2.0, the version
 # line being the report's only change

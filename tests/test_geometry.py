@@ -108,11 +108,10 @@ def test_omega_negates_under_edge_reversal(rp3, rp3_geometry):
     values[0] += F(1, 3)
     bent = clear_denominators(values)
     for e in rp3.edges:
-        star = rp3.edge_star(e)
-        total = omega(rp3, bent, star)
+        total = omega(rp3, bent, e.id)
         reversed_total = sum(
             angle(rp3, bent, tet, pq, (head, tail))
-            for tet, pq, (tail, head) in star.contributions
+            for tet, pq, (tail, head) in fresh_star(rp3, e)
         )
         assert reversed_total == -total
 
@@ -173,14 +172,14 @@ def omega_derivative_oracle(tri, lam, a, b):
     linear solve, verifies the fit on held-out points, and differentiates
     the fit.  Independent of the production quotient-rule assembly.
     """
-    degree = 2 * len(tri.edge_star(a).contributions)
+    degree = 2 * tri.edges[a].degree
     base = values_of(lam)[b]
 
     def omega_at(t):
         values = values_of(lam)
         values[b] = t
         shifted = clear_denominators(values)
-        return omega(tri, lam=shifted, star=a)
+        return omega(tri, lam=shifted, edge_id=a)
 
     samples = []
     t = base
@@ -328,11 +327,23 @@ def name_face(contribution, opposite):
     return f"the face of {contribution} missing {opposite}"
 
 
+def fresh_star(tri, e):
+    """The star contributions of edge class ``e`` by the ordering rule,
+    built anew from its members: (P, Q, tail, head) even."""
+    contributions = []
+    for t, (i, j) in e.members:
+        p, q = (s for s in range(4) if s != i and s != j)
+        if tri.sequence_parity(t, (p, q, i, j)):
+            p, q = q, p
+        contributions.append((t, (p, q), (i, j)))
+    return tuple(contributions)
+
+
 def lookup_angles(tri, edge_id):
     """The angles of an edge class's star, each side looked up directly by
     ``edge_class`` in the order ph, hq, qp, pe, eq, he."""
     angles = []
-    for tet, (p, q), (e, h) in tri.edge_star(edge_id).contributions:
+    for tet, (p, q), (e, h) in fresh_star(tri, tri.edges[edge_id]):
         pairs = ((p, h), (h, q), (q, p), (p, e), (e, q), (h, e))
         angles.append((tuple(tri.edge_class(tet, a, b) for a, b in pairs), (tet, (p, q), (e, h))))
     return tuple(angles)

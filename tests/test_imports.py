@@ -1,4 +1,5 @@
 import ast
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -68,3 +69,62 @@ def test_function_import_is_detected():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_has_no_function_import(path):
     assert function_imports(path.read_text()) == []
+
+
+def private_definitions(source: str) -> dict[str, int]:
+    """Private names a module defines, with their lines: its module-level
+    functions, classes and constants, and the methods of its classes.
+    Dunder names are not private."""
+    defined = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            defined.update(
+                (item.name, item.lineno)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                defined.update((name.id, node.lineno) for name in ast.walk(target) if isinstance(name, ast.Name))
+    return {name: line for name, line in defined.items() if name.startswith("_") and not name.startswith("__")}
+
+
+def read_names(source: str) -> set[str]:
+    """Names a module reads, plainly or as attributes."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def dead_private_names(source: str, read: set[str]) -> list[str]:
+    """Private names ``source`` defines that are not in ``read``."""
+    return [f"{name} (line {line})" for name, line in private_definitions(source).items() if name not in read]
+
+
+def test_dead_private_name_is_detected():
+    source = (
+        "_USED = 1\n_UNUSED: int = 2\n\n\ndef _helper():\n    return _USED\n\n\n"
+        "class _Box:\n    def __init__(self):\n        self._kept()\n\n"
+        "    def _kept(self):\n        pass\n\n    def _orphan(self):\n        pass\n\n\n"
+        "_helper(), _Box()\n"
+    )
+    assert dead_private_names(source, read_names(source)) == ["_UNUSED (line 2)", "_orphan (line 16)"]
+
+
+@cache
+def names_read_in_package_and_tests() -> frozenset[str]:
+    sources = sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    return frozenset().union(*(read_names(path.read_text()) for path in sources))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_private_names_are_read(path):
+    """Every private function, class, constant and method of the package
+    is read somewhere in the package or its tests."""
+    assert dead_private_names(path.read_text(), names_read_in_package_and_tests()) == []

@@ -15,6 +15,7 @@ from pentachain import (
     random_walk,
     walk_states,
 )
+from test_geometry import fresh_star
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -35,7 +36,7 @@ def test_two_three_and_back(s3):
     assert grown.f_vector() == (4, 7, 6, 3)
     new_edge = [e for e in grown.edges if e.degree == 3]
     assert len(new_edge) == 1
-    assert len(grown.edge_star(new_edge[0]).contributions) == 3
+    assert len(grown.edge_angles[new_edge[0].id]) == 3
     back = apply_move(grown, MoveSite("3->2", new_edge[0].id))
     assert isomorphic(back, s3)
 
@@ -115,14 +116,15 @@ def test_walk_states_yield_valid_triangulations(s3):
 
 
 def _edge_cycle_from_full_star(tri, edge_id):
-    """3->2 site test that builds the whole star, parity included, first."""
-    star = tri.edge_star(edge_id)
-    if len(star.contributions) != 3:
+    """3->2 site test that builds the whole star, parity included, first,
+    from the edge class's members."""
+    star = fresh_star(tri, tri.edges[edge_id])
+    if len(star) != 3:
         return None
-    tets = [c[0] for c in star.contributions]
+    tets = [c[0] for c in star]
     if len(set(tets)) != 3:
         return None
-    t0, (p0, q0), (e0, d0) = star.contributions[0]
+    t0, (p0, q0), (e0, d0) = star[0]
     cycle, cur = [], (t0, p0, q0, e0, d0)
     for _ in range(3):
         cycle.append(cur)

@@ -208,9 +208,9 @@ def test_invariant_runs_five_exact_dets(rp3, monkeypatch):
 
 
 def test_invariant_makes_no_edge_lookup(rp3, monkeypatch):
-    """Circulations and curvatures read the resolved sides: a whole
-    invariant, on triangulations whose tables are not built yet, never
-    looks an edge class up."""
+    """Circulations and curvatures read the resolved sides: neither
+    building a triangulation nor a whole invariant on it looks an edge
+    class up."""
     calls = []
     real = Triangulation.edge_class
 

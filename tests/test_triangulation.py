@@ -1,3 +1,4 @@
+import hashlib
 from itertools import permutations
 from pathlib import Path
 
@@ -20,14 +21,14 @@ from pentachain.exact import permutation_sign
 from pentachain.triangulation import (
     IDENTITY,
     EdgeClass,
-    EdgeStar,
     FaceClass,
     VertexClass,
     compose,
     inverse,
     transposition,
 )
-from test_geometry import grown_rp3, lookup_angles
+from test_geometry import fresh_star, grown_rp3, lookup_angles
+from test_pachner import ONE_TET
 
 
 def test_perm_helpers():
@@ -116,41 +117,33 @@ def test_gluings_are_involutive_on_slots(s3, rp3):
                 assert compose(partner.perm, g.perm) == IDENTITY
 
 
+def star(tri, edge_id):
+    """The star contributions of an edge class, as ``edge_angles`` holds them."""
+    return tuple(contribution for _, contribution in tri.edge_angles[edge_id])
+
+
 def test_edge_star_shapes(s3, rp3):
     for e in s3.edges:
-        assert len(s3.edge_star(e).contributions) == 2
+        assert len(star(s3, e.id)) == 2
     for e in rp3.edges:
-        assert len(rp3.edge_star(e).contributions) == 4
+        assert len(star(rp3, e.id)) == 4
 
 
 def test_edge_star_parity_invariant(s3, rp3):
     for tri in (s3, rp3):
         for e in tri.edges:
-            for tet, (p, q), (tail, head) in tri.edge_star(e).contributions:
+            for tet, (p, q), (tail, head) in star(tri, e.id):
                 assert tri.sequence_parity(tet, (p, q, tail, head)) == 0
                 eid, sign = tri.edge_class(tet, tail, head)
                 assert eid == e.id and sign == 1
-
-
-def fresh_star(tri, e):
-    """The star of edge class ``e`` by the ordering rule, built anew."""
-    contributions = []
-    for t, (i, j) in e.members:
-        p, q = (s for s in range(4) if s != i and s != j)
-        if tri.sequence_parity(t, (p, q, i, j)):
-            p, q = q, p
-        contributions.append((t, (p, q), (i, j)))
-    return EdgeStar(e, tuple(contributions))
 
 
 def test_edge_stars_are_kept_and_match_fresh_ones(s3, rp3):
     walked = random_walk(rp3, 20, 3)
     for tri in (s3, rp3, walked):
         for e in tri.edges:
-            star = tri.edge_star(e.id)
-            assert star == fresh_star(tri, e)
-            assert tri.edge_star(e) is star
-            assert Triangulation(tri.tets).edge_star(e.id) == star
+            assert star(tri, e.id) == fresh_star(tri, e)
+            assert star(Triangulation(tri.tets), e.id) == fresh_star(tri, e)
 
 
 def test_resolved_tables_match_direct_lookups(s3, rp3):
@@ -160,15 +153,15 @@ def test_resolved_tables_match_direct_lookups(s3, rp3):
         assert len(tri.edge_angles) == len(tri.edges)
         assert len(tri.face_sides) == len(tri.faces)
         for e in tri.edges:
-            assert tri.edge_star(e.id) == fresh_star(tri, e)
+            assert star(tri, e.id) == fresh_star(tri, e)
             angles = lookup_angles(tri, e.id)
             assert tri.edge_angles[e.id] == angles
             assert all(tri.angle_sides(*c) == sides for sides, c in angles)
         for f in tri.faces:
             tet, (a, b, c) = f.boundary
             assert tri.face_sides[f.id] == tuple(tri.edge_class(tet, x, y) for x, y in ((a, b), (b, c), (c, a)))
-        # built once and kept
-        assert tri.edge_angles is tri.edge_angles and tri.face_sides is tri.face_sides
+        # set on construction, as plain tuples
+        assert isinstance(vars(tri)["edge_angles"], tuple) and isinstance(vars(tri)["face_sides"], tuple)
 
 
 def test_text_round_trip(s3, rp3):
@@ -446,3 +439,39 @@ def test_list_permutation_gluing_is_not_involutive():
     with pytest.raises(ValidationError) as exc:
         build(with_gluing(rp3, 0, 0, list(g.perm)))
     assert str(exc.value) == f"gluing of tetrahedron {g.neighbor} face {g.perm[0]} is not involutive"
+
+
+# sha256 of repr((edge members, edge_angles, face_sides)), taken before the
+# incidence tables moved into the constructor; a walk's digest runs over
+# its 10 states (walk_states(start, 10, seed=7)) in order
+INCIDENCE_DIGESTS = {
+    "s3": "89bf7a55e3223121355609e796ff0b521956d3d1ed8400acf0fec0090c812392",
+    "rp3": "08cad0fd57831c69c6986010cf95585cb66286ecd6c559cb726c80732aa71db2",
+    "rp3_t20": "f74ca304993b92aa46eb8701df5adc45fa331801be02622118d06ee99afe8e8a",
+    "rp3_t40": "96960de1d3b076a7772dd75811d368318ddbc666a5856e557e4fea8759a0bcc1",
+    "rp3_t8": "08cad0fd57831c69c6986010cf95585cb66286ecd6c559cb726c80732aa71db2",
+    "rp3_t80": "d8bc68116a772d6942b4bc2d70b9b6a9f3760a4d7a62e83d8cbcef0d31b49774",
+    "s3_t20": "2085bf5cdeca466883b96f99cbc7f8e1f4046e7ffe6c5949aeb09a6cb3431fb3",
+    "s3_t40": "923e5f2acedb302e23fc7e1a0bcd76994d3b1999032e5e457f8c2ab7b42bb099",
+    "s3_t8": "50e04d613c38f8f5b39b8d571e47cdef60a96b459b952af4b6186deb08ef60d6",
+    "s3_t80": "6803ae30d082ea7f78829e00878b5d9b9844e08e1f6cd88a6b2006d5ed1bf9d4",
+    "walk:s3": "3b471987ee037d2ee015aae551e1ba86dafede50202ec99d1d17db153a408ace",
+    "walk:rp3": "ae6b40a50fa91dbee41f0c4e9ddf2e3f011e4d3365a794a7e17a923894f9fcaf",
+    "walk:one_tet": "e4afad3f549ca04b1f2f0f33a42bf1aad4581b1f8961b0b3c0163ee91f642d2c",
+}
+
+
+@pytest.mark.parametrize("source", sorted(INCIDENCE_DIGESTS))
+def test_incidence_tables_pinned(source):
+    if source.startswith("walk:"):
+        name = source[len("walk:"):]
+        start = Triangulation.from_text(ONE_TET) if name == "one_tet" else load_builtin(name)
+        tris = [state for _, state in walk_states(start, 10, seed=7)]
+    elif source in ("s3", "rp3"):
+        tris = [load_builtin(source)]
+    else:
+        tris = [Triangulation.from_file(FIXTURES[0].parent / f"{source}.tri")]
+    digest = hashlib.sha256()
+    for tri in tris:
+        digest.update(repr((tuple(e.members for e in tri.edges), tri.edge_angles, tri.face_sides)).encode())
+    assert digest.hexdigest() == INCIDENCE_DIGESTS[source]
