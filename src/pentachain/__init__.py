@@ -9,7 +9,6 @@ moves do not change.
 """
 
 from .chain import (
-    AcyclicityReport,
     ChainComplex,
     build_chain,
     check_acyclic,
@@ -26,7 +25,7 @@ from .errors import (
     TorsionError,
     ValidationError,
 )
-from .exact import RatMatrix, Rational, det, format_rational, minor, parse_rational, rank
+from .exact import RatMatrix, Rational, det, format_rational, parse_rational, rank
 from .geometry import (
     GeometryAssignment,
     angle,
@@ -57,7 +56,7 @@ from .pentagon import (
     verify_pentagon,
     verify_vector_identities,
 )
-from .torsion import BasisPartition, InvariantResult, invariant, minors, partition_valid, select_partition, tau
+from .torsion import BasisPartition, InvariantResult, invariant, minors, select_partition, tau
 from .triangulation import (
     EdgeClass,
     FaceClass,

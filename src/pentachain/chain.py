@@ -22,10 +22,10 @@ vertex coordinates:
 
 ``build_chain`` computes the geometry's one integer edge-value table
 (``geometry.edge_values``) itself and certifies the geometry with
-``geometry.ensure_nondegenerate`` before anything else, whether or not it
-also checks the chain property: a zero face circulation raises
-``DegenerateGeometryError`` naming the face.  The certified table is kept
-on the complex as ``edge_table``, so the face product reads the same one.
+``geometry.ensure_nondegenerate`` before anything else: a zero face
+circulation raises ``DegenerateGeometryError`` naming the face.  The
+certified table is kept on the complex as ``edge_table``, so the face
+product reads the same one.
 
 Each map is assembled in Python ints, by its nonzeros, one integer row
 at a time.  The x and y coordinates are cleared once to integers over a
@@ -42,15 +42,17 @@ denominators of the right factor's rows that it meets, which changes no
 zero pattern of the product and keeps the scale to the few rows one left
 row touches.  ``dump_chain`` lists the stored entries in column order.
 
-Each composition of consecutive maps is exactly zero; ``build_chain``
-checks this in full by default, and it always checks that every
-curvature vanishes at the flat point.  Acyclicity is equivalent to the
-rank pattern (6, 3V-6, E-3V+6, 3V-6, 6) once the chain property holds.
-The invariant decides it with ``torsion.select_partition``, whose one
-exact pass both certifies it and yields the torsion's minors;
-``check_acyclic`` is the reference rank test, run on the same sparse
-elimination as every other rank in the package, and it reports the ranks
-when that pass falls short.
+Each composition of consecutive maps is exactly zero.  ``build_chain``
+checks only that every curvature vanishes at the flat point; the chain
+property is a separate call, ``certify_chain``, which raises the internal
+composition error (``verify_chain`` returns the witness instead).
+Acyclicity is equivalent to the rank pattern (6, 3V-6, E-3V+6, 3V-6, 6)
+once the chain property holds.  The invariant decides it with
+``torsion.select_partition``, whose one exact pass both certifies it and
+yields the torsion's minors; ``check_acyclic`` is the reference rank
+test, run on the same sparse elimination as every other rank in the
+package.  It returns the five ranks, or raises ``NotAcyclicError`` with
+them when they are not the acyclic pattern.
 
 The pass's nonsingular blocks also prove most of the chain property.
 Free-column lemma: suppose f_k f_{k-1} = 0 and the block f_{k-1}[R_{k-1},
@@ -71,7 +73,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .errors import PentachainError
+from .errors import NotAcyclicError, PentachainError
 from .exact import RatMatrix, clear_denominators, format_rational, rank
 from .geometry import GeometryAssignment, edge_values, ensure_nondegenerate, omega_row
 from .triangulation import Triangulation
@@ -123,12 +125,12 @@ class ChainComplex:
         return (self.f1, self.f2, self.f3, self.f4, self.f5)
 
 
-def build_chain(tri: Triangulation, g: GeometryAssignment, verify: bool = True) -> ChainComplex:
+def build_chain(tri: Triangulation, g: GeometryAssignment) -> ChainComplex:
     """Assemble all five matrices at the flat point of the given geometry.
 
     Raises DegenerateGeometryError if a face circulation of the geometry is
     zero, and the internal error if a curvature is nonzero at the flat
-    point; ``verify`` adds the full exact check of the chain property.
+    point.  The chain property is not checked here (``certify_chain``).
     """
     nv = len(tri.vertices)
     ne = len(tri.edges)
@@ -181,7 +183,7 @@ def build_chain(tri: Triangulation, g: GeometryAssignment, verify: bool = True) 
         f5[4][3 * v + 1], f5[4][3 * v + 2] = ya, -xa
         f5[5][3 * v], f5[5][3 * v + 1], f5[5][3 * v + 2] = ya * ya, -2 * xa * ya, xa * xa
 
-    c = ChainComplex(
+    return ChainComplex(
         f1=RatMatrix.from_int_rows(f1, (d, d, 2 * d) * nv, vlabels, C0_LABELS),
         f2=RatMatrix.from_int_rows(f2, (2 * d,) * ne, edge_labels(ne, "dl"), vlabels),
         f3=RatMatrix.from_int_rows(f3, f3_dens, edge_labels(ne, "dw"), edge_labels(ne, "dl")),
@@ -191,9 +193,6 @@ def build_chain(tri: Triangulation, g: GeometryAssignment, verify: bool = True) 
         edge_count=ne,
         edge_table=lam,
     )
-    if verify:
-        certify_chain(c)
-    return c
 
 
 def _composition_witness(left: RatMatrix, right: RatMatrix, cols=None):
@@ -259,19 +258,15 @@ def expected_ranks(vertex_count: int, edge_count: int) -> tuple[int, int, int, i
     return (6, v3 - 6, edge_count - v3 + 6, v3 - 6, 6)
 
 
-@dataclass(frozen=True)
-class AcyclicityReport:
-    acyclic: bool
-    ranks: tuple[int, int, int, int, int]
-    expected: tuple[int, int, int, int, int]
-
-
-def check_acyclic(c: ChainComplex) -> AcyclicityReport:
+def check_acyclic(c: ChainComplex) -> tuple[int, int, int, int, int]:
     """Rank test: with the chain property, acyclicity is exactly the rank
-    pattern (6, 3V-6, E-3V+6, 3V-6, 6)."""
+    pattern (6, 3V-6, E-3V+6, 3V-6, 6).  Returns the five ranks, or raises
+    NotAcyclicError with them when they differ from that pattern."""
     ranks = tuple(rank(m) for m in c.maps)
     expected = expected_ranks(c.vertex_count, c.edge_count)
-    return AcyclicityReport(ranks == expected, ranks, expected)
+    if ranks != expected:
+        raise NotAcyclicError(ranks, expected)
+    return ranks
 
 
 def dump_chain(c: ChainComplex) -> str:

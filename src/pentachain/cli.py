@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import __version__
-from .chain import build_chain, check_acyclic, dump_chain, verify_chain
+from .chain import build_chain, certify_chain, check_acyclic, dump_chain, verify_chain
 from .errors import (
     DegenerateGeometryError,
     InvarianceError,
@@ -147,19 +147,17 @@ def cmd_verify(args) -> tuple[dict, int]:
 
     for i in range(args.chain_seeds):
         g = assign_geometry(tri, subseed(args.seed, "chain", i), args.retries)
-        c = build_chain(tri, g, verify=False)
+        c = build_chain(tri, g)
         ok, witness = verify_chain(c)
         if not ok:
             raise InvarianceError(f"chain property failed at geometry seed {i}: {witness}")
-        acyclicity = check_acyclic(c)
-        if not acyclicity.acyclic:
-            raise NotAcyclicError(acyclicity.ranks, acyclicity.expected)
+        check_acyclic(c)
     checks["chain"] = f"pass ({args.chain_seeds} geometry seeds)"
     checks["acyclic"] = f"pass ({args.chain_seeds} geometry seeds)"
 
     taus = set()
     g = assign_geometry(tri, subseed(args.seed, "partition-geom"), args.retries)
-    c = build_chain(tri, g, verify=False)
+    c = build_chain(tri, g)
     for i in range(args.partition_seeds):
         p, _ = select_partition(c, subseed(args.seed, "partition", i))
         taus.add(tau(c, p))
@@ -247,7 +245,9 @@ def cmd_dump_chain(args) -> tuple[dict, int]:
     geometry = _geometry_override(args, tri)
     if geometry is None:
         geometry = assign_geometry(tri, subseed(args.seed, "geometry"), args.retries)
-    sys.stdout.write(dump_chain(build_chain(tri, geometry)))
+    c = build_chain(tri, geometry)
+    certify_chain(c)
+    sys.stdout.write(dump_chain(c))
     return {}, 0
 
 

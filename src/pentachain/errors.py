@@ -28,7 +28,12 @@ class DegenerateGeometryError(PentachainError):
 
 
 class NotAcyclicError(PentachainError):
-    """The assembled complex fails the acyclicity rank pattern."""
+    """The ranks of the assembled complex are not the acyclic pattern.
+
+    Its one source is the rank test ``chain.check_acyclic``, which a
+    short partition pass runs too, so ``ranks`` and ``expected`` always
+    differ.
+    """
 
     def __init__(self, ranks, expected):
         super().__init__(f"complex is not acyclic: ranks {ranks}, expected {expected}")

@@ -45,29 +45,37 @@ the pivot columns in column order is the sign of the pivot permutation,
 counted by cycles (``permutation_sign``), times the product of the
 pivots: one ``Fraction(sign * prod(piv), prod(den))``.  ``rank`` counts
 the steps, ``independent_rows`` returns the pivot rows and that minor,
-and ``det`` (with ``minor``, which calls it) takes the same product with
-the rows in the matrix's own order.
+and ``det`` takes the same product with the rows in the matrix's own
+order.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping
 from decimal import Decimal
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
-from typing import Hashable, Iterable, NamedTuple, Sequence
+from typing import Hashable, NamedTuple, Sequence
 
 from .errors import PentachainError
 
 Rational = Fraction
 Label = Hashable
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p`` or ``p/q`` into an exact rational."""
+    """Parse ``p`` or ``p/q`` (an optional sign, ASCII digits) into an
+    exact rational.  Decimals, exponents and ``_`` are refused, so a
+    token such as ``1e9999999`` cannot ask for a ten-million-digit
+    integer."""
+    if not _RATIONAL.fullmatch(text.strip()):
+        raise ValueError(f"bad rational literal {text!r}")
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational literal {text!r}") from exc
 
@@ -355,27 +363,6 @@ def det(m: "RatMatrix | Block") -> Fraction:
     steps = _eliminate(m.numerators, m.denominators, m.ncols)
     # a row left without a pivot reduced to zero
     return _minor(sorted(steps)) if len(steps) == m.nrows else Fraction(0)
-
-
-def minor(m: RatMatrix, row_labels: Iterable[Label], col_labels: Iterable[Label]) -> Fraction:
-    """Determinant of the square submatrix selected by label sets.
-
-    Selections are normalized to the matrix's own label order, so the result
-    is well defined for unordered label sets; an empty selection yields 1.
-    """
-    rset = set(row_labels)
-    cset = set(col_labels)
-    for lab in rset:
-        if lab not in m._rindex:
-            raise KeyError(f"unknown row label {lab!r}")
-    for lab in cset:
-        if lab not in m._cindex:
-            raise KeyError(f"unknown column label {lab!r}")
-    if len(rset) != len(cset):
-        raise ValueError(f"minor needs equal selection sizes, got {len(rset)} rows, {len(cset)} cols")
-    rows = [lab for lab in m.row_labels if lab in rset]
-    cols = [lab for lab in m.col_labels if lab in cset]
-    return det(m.submatrix(rows, cols))
 
 
 def independent_rows(m: "RatMatrix | Block") -> tuple[list[Label], Fraction]:

@@ -53,8 +53,14 @@ columns it picks:
   property caps rank f_k + rank f_{k+1} by dim C_k, so the ranks are
   exactly (6, 3V-6, E-3V+6, 3V-6, 6) and the complex is exact everywhere.
 
-So a stage that falls short proves the complex is not acyclic, and the
-rank test ``check_acyclic`` runs only then, to report the exact ranks.
+So, given the chain property, a stage that falls short proves the
+complex is not acyclic.  The pass does not assume that property, so a
+short pass looks for the true reason in order: the rank test
+``check_acyclic`` raises NotAcyclicError when the ranks are not the
+acyclic pattern; with that pattern only a broken chain makes the pass
+fall short, so ``chain.certify_chain`` then raises the internal
+composition error at the full check's first witness; and if the chain
+holds too, the pass itself is wrong, which an internal error says.
 The nonsingular blocks also shrink the check of the chain property:
 ``invariant`` checks it with ``chain.verify_chain`` on the pass's free
 columns K1, K2 and K3 only (the free-column lemma in the ``chain`` module
@@ -62,9 +68,9 @@ docstring).  The Markowitz rule picks short rows and sparse columns,
 which keeps the fill-in and the minors small; the rows are a
 deterministic function of the input and the scan order, so reports stay
 reproducible, and the signed torsion does not depend on which rows were
-picked.  ``minors``, ``tau`` and ``partition_valid`` evaluate an arbitrary
-partition from scratch; they are the reference that the library's paper
-partitions, the tests and ``verify``'s partition-independence check use.
+picked.  ``minors`` and ``tau`` evaluate an arbitrary partition from
+scratch; they are the reference that the library's paper partitions, the
+tests and ``verify``'s partition-independence check use.
 
 The manifold invariant normalizes the torsion by the product of all face
 circulations and a power of two:
@@ -85,7 +91,7 @@ from fractions import Fraction
 from math import prod
 
 from .chain import ChainComplex, build_chain, certify_chain, check_acyclic, expected_ranks
-from .errors import NotAcyclicError, TorsionError
+from .errors import PentachainError, TorsionError
 from .exact import det, independent_rows, permutation_sign
 from .geometry import (
     DEFAULT_MAX_RETRIES,
@@ -150,14 +156,6 @@ def minors(c: ChainComplex, p: BasisPartition) -> tuple[Fraction, ...]:
     return values
 
 
-def partition_valid(c: ChainComplex, p: BasisPartition) -> bool:
-    try:
-        minors(c, p)
-    except TorsionError:
-        return False
-    return True
-
-
 def _signed_tau(c: ChainComplex, p: BasisPartition, values) -> Fraction:
     """eps times the alternating product m1 * m3 * m5 / (m2 * m4) of the
     partition's minors ``values``."""
@@ -186,9 +184,11 @@ def select_partition(
     rule's ties differently and so picks a different, equally valid
     partition.  A column basis comes in pivot order, so its minor is
     signed into label order, and the minors equal ``minors(c,
-    partition)``.  Given the chain property the pass succeeds exactly when
-    the complex is acyclic, so a stage that falls short raises
-    NotAcyclicError with the ranks from ``check_acyclic``.
+    partition)``.  A stage that falls short runs ``check_acyclic``, which
+    raises NotAcyclicError unless the ranks are the acyclic pattern, then
+    ``certify_chain``, which raises the internal composition error (with
+    that pattern only a broken chain makes the pass fall short), and
+    raises an internal error if neither finds a fault.
     """
     rng = None if seed is None else random.Random(seed)
 
@@ -211,9 +211,10 @@ def select_partition(
         m4 *= _sorting_sign(f4.col_labels, k3)
         m5 *= _sorting_sign(f5.col_labels, k4)
         return BasisPartition(tuple(r1), tuple(r2), rows3, rows4), (m1, m2, m3, m4, m5)
-    # a stage fell short, so the complex is not acyclic: report the ranks
-    report = check_acyclic(c)
-    raise NotAcyclicError(report.ranks, report.expected)
+    # a stage fell short: not acyclic, or else not a chain
+    check_acyclic(c)
+    certify_chain(c)
+    raise PentachainError("internal error: the partition pass fell short on an acyclic complex")
 
 
 def _free(labels: tuple[str, ...], picked: list[str]) -> list[int]:
@@ -258,17 +259,17 @@ def invariant(
     minors; the chain property it rests on is then checked in full for
     f2 * f1 and on the pass's free columns for the other compositions,
     which decides the same once the pass's blocks are nonsingular.  So a
-    chain that is both broken and short reports NotAcyclicError, and a
-    broken chain whose pass succeeds reports the internal composition
-    error with the full check's first witness.  ``tau`` is the signed
-    torsion, which does not depend on the partition (see the module
-    docstring).  The absolute value of the result is independent of the
-    seed and of the sampled geometry; its sign is fixed by the geometry
-    but is not claimed to be a manifold invariant.
+    broken chain reports NotAcyclicError when its pass falls short and its
+    ranks are not the acyclic pattern, and otherwise the internal
+    composition error with the full check's first witness.  ``tau`` is
+    the signed torsion, which does not depend on the partition (see the
+    module docstring).  The absolute value of the result is independent of
+    the seed and of the sampled geometry; its sign is fixed by the
+    geometry but is not claimed to be a manifold invariant.
     """
     if geometry is None:
         geometry = assign_geometry(tri, subseed(seed, "geometry"), max_retries)
-    c = build_chain(tri, geometry, verify=False)
+    c = build_chain(tri, geometry)
     partition, values = select_partition(c)
     certify_chain(c, partition.cols(c)[:3])
     t = _signed_tau(c, partition, values)

@@ -206,9 +206,11 @@ class Triangulation:
 
     def _validate_gluings(self):
         n = len(self.tets)
+        # every row's length first: a partner lookup indexes another row
         for t, row in enumerate(self.tets):
             if len(row) != 4:
                 raise ValidationError(f"tetrahedron {t} must glue exactly 4 faces")
+        for t, row in enumerate(self.tets):
             for k, g in enumerate(row):
                 if not isinstance(g, Gluing):
                     raise ValidationError(f"tetrahedron {t} face {k} is not glued")

@@ -45,7 +45,7 @@ def test_sphere_chain_property(s3, sphere_geometry):
 def test_chain_property_random_seeds(s3, rp3):
     for tri in (s3, rp3):
         for seed in range(6):
-            c = build_chain(tri, assign_geometry(tri, seed), verify=False)
+            c = build_chain(tri, assign_geometry(tri, seed))
             ok, _ = verify_chain(c)
             assert ok
 
@@ -88,12 +88,8 @@ def test_mutated_entry_is_detected(s3, sphere_geometry):
 
 
 def test_acyclicity_reports(s3, rp3, sphere_geometry, rp3_geometry):
-    c = build_chain(s3, sphere_geometry)
-    report = check_acyclic(c)
-    assert report.acyclic and report.ranks == (6, 6, 0, 6, 6)
-    c = build_chain(rp3, rp3_geometry)
-    report = check_acyclic(c)
-    assert report.acyclic and report.ranks == (6, 6, 6, 6, 6)
+    assert check_acyclic(build_chain(s3, sphere_geometry)) == (6, 6, 0, 6, 6)
+    assert check_acyclic(build_chain(rp3, rp3_geometry)) == (6, 6, 6, 6, 6)
     assert expected_ranks(4, 12) == (6, 6, 6, 6, 6)
 
 
@@ -108,12 +104,12 @@ def test_zeroed_f3_breaks_acyclicity(rp3, rp3_geometry):
         f1=c.f1, f2=c.f2, f3=zero, f4=c.f4, f5=c.f5,
         vertex_count=c.vertex_count, edge_count=c.edge_count,
     )
-    report = check_acyclic(broken)
-    assert not report.acyclic
+    with pytest.raises(NotAcyclicError) as reported:
+        check_acyclic(broken)
+    assert (reported.value.ranks, reported.value.expected) == ((6, 6, 0, 6, 6), (6, 6, 6, 6, 6))
     with pytest.raises(NotAcyclicError) as caught:
         select_partition(broken)
-    assert caught.value.ranks == report.ranks
-    assert caught.value.expected == report.expected
+    assert str(caught.value) == str(reported.value)
 
 
 def test_f4_endpoint_triples_cancel(rp3, rp3_geometry):
@@ -195,11 +191,13 @@ def test_free_column_certificate_agrees_with_full_check(s3, rp3):
     outside the free columns of the composition the entry enters from the
     right: wherever the pass still succeeds, the free-column certificate
     rejects exactly when the full check does, naming the full check's
-    witness as ``build_chain(verify=True)`` does."""
+    witness as ``certify_chain`` does.  Where the pass falls short, it
+    reports the ranks only when they break the acyclic pattern, and
+    otherwise the full check's witness."""
     rng = random.Random(18)
     fixture = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures" / "rp3_t20.tri"
     walked = [random_walk(load_builtin(name), 8, seed, 12) for name, seed in (("s3", 5), ("rp3", 6))]
-    seen = {"inside": 0, "outside": 0, "short": 0}
+    seen = {"inside": 0, "outside": 0, "short ranks": 0, "short chain": 0}
     for n, tri in enumerate((s3, rp3, Triangulation.from_file(fixture), *walked)):
         c = build_chain(tri, assign_geometry(tri, seed=n))
         p, _ = select_partition(c)
@@ -212,22 +210,29 @@ def test_free_column_certificate_agrees_with_full_check(s3, rp3):
             if not cols:
                 continue
             broken = perturbed(c, f"f{k}", rng.randrange(m.nrows), rng.choice(cols), F(rng.randint(1, 9), 7919))
+            ok, witness = verify_chain(broken)
+            if not ok:
+                stage, row, col = witness
+                message = f"internal error: composition f{stage + 1}.f{stage} is nonzero at ({row}, {col})"
             try:
                 q, _ = select_partition(broken)
-            except NotAcyclicError:
-                seen["short"] += 1
+            except NotAcyclicError as short:
+                seen["short ranks"] += 1
+                assert short.ranks != short.expected
+                continue
+            except PentachainError as short:
+                seen["short chain"] += 1
+                assert not ok and str(short) == message
                 continue
             seen[where] += 1
-            ok, witness = verify_chain(broken)
             free_cols = q.cols(broken)[:3]
             assert verify_chain(broken, free_cols)[0] == ok
             if ok:
                 certify_chain(broken, free_cols)
                 continue
-            stage, row, col = witness
             with pytest.raises(PentachainError) as raised:
                 certify_chain(broken, free_cols)
-            assert str(raised.value) == f"internal error: composition f{stage + 1}.f{stage} is nonzero at ({row}, {col})"
+            assert str(raised.value) == message
     assert min(seen.values()) > 0 and seen["inside"] + seen["outside"] > 100
 
 
@@ -310,11 +315,10 @@ def test_integer_assembly_matches_fraction_formulas(source, s3, rp3):
         assert RatMatrix(m.rows, m.row_labels, m.col_labels) == m
 
 
-@pytest.mark.parametrize("verify", [True, False])
-def test_build_chain_certifies_the_geometry(s3, verify):
+def test_build_chain_certifies_the_geometry(s3):
     # vertex classes 0, 1, 2 on a line: face class 3 has zero circulation
     collinear = GeometryAssignment(x=(F(0), F(1), F(2), F(0)), y=(F(0), F(0), F(0), F(1)), kappa=(F(0),) * 4)
     message = "face class 3 (vertices (0, 1, 2)) has zero circulation"
     with pytest.raises(DegenerateGeometryError) as raised:
-        build_chain(s3, collinear, verify=verify)
+        build_chain(s3, collinear)
     assert str(raised.value) == message

@@ -232,7 +232,7 @@ def test_vanishing_f5_minor_exits_not_acyclic(capsys, monkeypatch):
 def test_broken_chain_names_the_full_check_witness(capsys, monkeypatch):
     # f4 off by 1/7919 in one entry: the pass still succeeds, and the check
     # on its free columns first meets f4.f3 at column dl_e8; the error names
-    # the full check's first witness, dl_e5, as build_chain(verify=True) does
+    # the full check's first witness, dl_e5, as certify_chain(c) does
     real_build_chain = torsion.build_chain
 
     def perturbed_f4(*args, **kwargs):
@@ -245,6 +245,57 @@ def test_broken_chain_names_the_full_check_witness(capsys, monkeypatch):
     code, out, err = run(capsys, ["invariant", "--builtin", "rp3"])
     assert (code, out) == (1, "")
     assert err == "error: internal error: composition f4.f3 is nonzero at (dg1_v0, dl_e5)\n"
+
+
+def test_short_pass_on_broken_chain_names_the_witness(capsys, monkeypatch):
+    # f3's rows rotated by one keep every rank, so the ranks are the acyclic
+    # pattern; the pass falls short only because the chain is broken, and
+    # the error names the full check's first witness, not the ranks
+    real_build_chain = torsion.build_chain
+
+    def rotated_f3(*args, **kwargs):
+        c = real_build_chain(*args, **kwargs)
+        rows = c.f3.rows
+        return replace(c, f3=RatMatrix(rows[1:] + rows[:1], c.f3.row_labels, c.f3.col_labels))
+
+    monkeypatch.setattr(torsion, "build_chain", rotated_f3)
+    code, out, err = run(capsys, ["invariant", "--builtin", "rp3"])
+    assert (code, out) == (1, "")
+    assert err == "error: internal error: composition f4.f3 is nonzero at (dg1_v0, dl_e1)\n"
+
+
+def test_short_pass_on_valid_chain_is_an_internal_error(capsys, monkeypatch):
+    # a closing det that wrongly reads 0 on a valid, acyclic chain: neither
+    # the rank test nor the chain check finds a fault, so the pass is blamed
+    monkeypatch.setattr(torsion, "det", lambda block: Fraction(0))
+    code, out, err = run(capsys, ["invariant", "--builtin", "rp3"])
+    assert (code, out) == (1, "")
+    assert err == "error: internal error: the partition pass fell short on an acyclic complex\n"
+
+
+@pytest.mark.parametrize(
+    "broken, code, message",
+    [
+        ("f4", 6, "error: chain property failed at geometry seed 0: (3, 'dg1_v0', 'dl_e5')\n"),
+        ("f3", 5, "error: complex is not acyclic: ranks (6, 6, 0, 6, 6), expected (6, 6, 6, 6, 6)\n"),
+    ],
+)
+def test_verify_chain_seed_failures(capsys, monkeypatch, broken, code, message):
+    # only verify's chain-seeds loop calls cli.build_chain; the base
+    # invariant builds through torsion.build_chain and still passes
+    real_build_chain = cli.build_chain
+
+    def broken_chain(*args, **kwargs):
+        c = real_build_chain(*args, **kwargs)
+        if broken == "f3":
+            return replace(c, f3=RatMatrix([{} for _ in c.f3.row_labels], c.f3.row_labels, c.f3.col_labels))
+        rows = [dict(row) for row in c.f4.rows]
+        rows[0][0] = rows[0].get(0, 0) + Fraction(1, 7919)
+        return replace(c, f4=RatMatrix(rows, c.f4.row_labels, c.f4.col_labels))
+
+    monkeypatch.setattr(cli, "build_chain", broken_chain)
+    argv = ["verify", "--builtin", "rp3", "--samples", "1", "--chain-seeds", "1"]
+    assert run(capsys, argv) == (code, "", message)
 
 
 @pytest.mark.parametrize(
@@ -488,6 +539,15 @@ def test_pachner_rejects_out_of_range_max_tets(capsys, value):
         cli.main(["pachner", "--builtin", "rp3", "--max-tets", value])
     assert exc.value.code == 2
     assert f"argument --max-tets: must be at least 1, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["1e3", "0.5", "1_0"])
+def test_geometry_token_outside_p_over_q_exits_parse_error(tmp_path, capsys, token):
+    path = tmp_path / "geometry.txt"
+    path.write_text(f"vertex 0 {token} 0 0\nvertex 1 1 0 0\nvertex 2 0 1 0\nvertex 3 1 1 0\n")
+    code, out, err = run(capsys, ["invariant", "--builtin", "s3", "--geometry", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: bad geometry line 'vertex 0 {token} 0 0'\n"
 
 
 def test_zero_circulation_geometry_exit_code(tmp_path, capsys):

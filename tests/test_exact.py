@@ -14,7 +14,6 @@ from pentachain.exact import (
     det,
     format_rational,
     independent_rows,
-    minor,
     parse_rational,
     permutation_sign,
     rank,
@@ -62,19 +61,21 @@ def test_row_reduce_rank_one():
 
 
 def test_minor_conventions():
+    # a minor is the det of the submatrix on its labels, in the order given
     m = RatMatrix([[F(1), F(2)], [F(3), F(4)]], ("r0", "r1"), ("c0", "c1"))
-    assert minor(m, (), ()) == 1
-    assert minor(m, ("r0", "r1"), ("c0", "c1")) == F(1) * 4 - F(2) * 3
+    assert det(m.submatrix((), ())) == 1
+    assert det(m.submatrix(("r0", "r1"), ("c0", "c1"))) == F(1) * 4 - F(2) * 3
+    assert det(m.submatrix(("r1", "r0"), ("c0", "c1"))) == F(2) * 3 - F(1) * 4
     one = RatMatrix([[F(3, 7)]])
-    assert minor(one, ("r0",), ("c0",)) == F(3, 7)
+    assert det(one.submatrix(("r0",), ("c0",))) == F(3, 7)
 
 
 def test_minor_errors():
     m = RatMatrix([[1, 2], [3, 4]])
     with pytest.raises(KeyError):
-        minor(m, ("r7",), ("c0",))
+        m.submatrix(("r7",), ("c0",))
     with pytest.raises(ValueError):
-        minor(m, ("r0", "r1"), ("c0",))
+        det(m.submatrix(("r0", "r1"), ("c0",)))
 
 
 def test_det_identity_and_repeated_row():
@@ -103,7 +104,7 @@ def test_det_equals_full_minor():
     rng = random.Random(6)
     rows = random_matrix(rng, 4, 4)
     m = RatMatrix(rows)
-    assert det(m) == minor(m, m.row_labels, m.col_labels)
+    assert det(m) == det(m.submatrix(m.row_labels, m.col_labels)) == cofactor_det(rows)
 
 
 def test_rank_is_largest_nonvanishing_minor():
@@ -235,6 +236,13 @@ def test_malformed_rows_rejected(rows, cols):
 @given(st.fractions())
 def test_rational_round_trip(q):
     assert parse_rational(format_rational(q)) == q
+
+
+@pytest.mark.parametrize("text", ["1e3", "1e10000000", "0.5", "1_0", "+-1", "3/-4", "1/", "\u0661", ""])
+def test_parse_rational_refuses_other_forms(text):
+    # Fraction would take the first four; only p and p/q are documented
+    with pytest.raises(ValueError, match="bad rational literal"):
+        parse_rational(text)
 
 
 @given(st.integers(-50, 50), st.integers(1, 30))

@@ -1,4 +1,6 @@
 import ast
+import io
+import tokenize
 from functools import cache
 from pathlib import Path
 
@@ -128,3 +130,51 @@ def test_module_private_names_are_read(path):
     """Every private function, class, constant and method of the package
     is read somewhere in the package or its tests."""
     assert dead_private_names(path.read_text(), names_read_in_package_and_tests()) == []
+
+
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING}
+
+
+def code_lines(source: str) -> int:
+    """Number of lines of ``source`` that some code token lies on.
+
+    Comments, blank lines and docstrings do not count; a docstring is any
+    statement that is one string token alone.  A token spanning several
+    lines, such as a multi-line string argument, counts on each of them.
+    """
+    lines: set[int] = set()
+    statement: list[tokenize.TokenInfo] = []
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type in (tokenize.NEWLINE, tokenize.ENDMARKER):
+            if not (len(statement) == 1 and statement[0].type == tokenize.STRING):
+                for t in statement:
+                    lines.update(range(t.start[0], t.end[0] + 1))
+            statement = []
+        elif tok.type not in NOT_CODE:
+            statement.append(tok)
+    return len(lines)
+
+
+def test_code_lines_skips_comments_blanks_and_docstrings():
+    source = '''"""Module docstring
+over two lines."""
+
+# a comment
+def f(x):  # trailing comment
+    'Docstring.'
+    text = """one
+two"""
+    return (x +
+
+            1)
+'''
+    # def, both lines of the string, and the two lines of the return
+    assert code_lines(source) == 5
+
+
+if __name__ == "__main__":
+    # code lines per module of the package, then the total
+    counts = {path.name: code_lines(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    for name, count in counts.items():
+        print(f"{count:6d}  {name}")
+    print(f"{sum(counts.values()):6d}  total")

@@ -18,7 +18,6 @@ from pentachain import (
     invariant,
     load_builtin,
     minors,
-    partition_valid,
     projective_paper_partition,
     random_walk,
     select_partition,
@@ -47,7 +46,6 @@ def test_sphere_paper_partition_ratios(s3, sphere_geometry):
     c = build_chain(s3, sphere_geometry)
     p = sphere_paper_partition(c)
     assert p.c1_rows == SPHERE_C1_ROWS
-    assert partition_valid(c, p)
     m1, m2, m3, m4, m5 = minors(c, p)
     assert abs(m1 / m2) == 8
     assert m3 == 1  # empty minor
@@ -80,7 +78,6 @@ def test_projective_paper_partition(rp3, rp3_geometry):
     unprimed = set(tet0_edges(rp3))
     assert set(p.c2_rows) == {f"dl_e{e}" for e in range(12) if e not in unprimed}
     assert set(p.c3_rows) == {f"dw_e{e}" for e in unprimed}
-    assert partition_valid(c, p)
     m = minors(c, p)
     lam = edge_values(rp3, rp3_geometry)
     s_cubed = F(1)
@@ -279,7 +276,8 @@ def test_invalid_partition_rejected(s3, sphere_geometry):
     # dk columns of f1 are only supported on the dk rows
     bad_rows = ("dx_v0", "dy_v0", "dx_v1", "dy_v1", "dx_v2", "dy_v2")
     bad = BasisPartition(bad_rows, good.c2_rows, good.c3_rows, good.c4_rows)
-    assert not partition_valid(c, bad)
+    with pytest.raises(TorsionError, match="minor of f1 vanishes"):
+        minors(c, bad)
     with pytest.raises(TorsionError):
         tau(c, bad)
     with pytest.raises(TorsionError, match="split"):

@@ -81,6 +81,10 @@ def test_orientation_incoherence_rejected():
 def test_missing_gluing_rejected():
     with pytest.raises(ValidationError):
         build([[Gluing(0, IDENTITY)] * 3])
+    # tetrahedron 0's faces point into the short row 1: every length is
+    # checked before any partner is read
+    with pytest.raises(ValidationError, match="^tetrahedron 1 must glue exactly 4 faces$"):
+        build([[Gluing(1, IDENTITY)] * 4, [Gluing(0, IDENTITY)] * 3])
 
 
 def test_classes_stable_under_tet_relabeling(rp3):
