@@ -315,9 +315,14 @@ def test_integer_assembly_matches_fraction_formulas(source, s3, rp3):
         assert RatMatrix(m.rows, m.row_labels, m.col_labels) == m
 
 
-def test_build_chain_certifies_the_geometry(s3):
-    # vertex classes 0, 1, 2 on a line: face class 3 has zero circulation
-    collinear = GeometryAssignment(x=(F(0), F(1), F(2), F(0)), y=(F(0), F(0), F(0), F(1)), kappa=(F(0),) * 4)
+@pytest.mark.parametrize("fractional", [False, True])
+def test_build_chain_certifies_the_geometry(s3, fractional):
+    # vertex classes 0, 1, 2 on a line: face class 3 has zero circulation,
+    # also when the coordinates carry a denominator to clear
+    scale = F(1, 3) if fractional else F(1)
+    x = tuple(scale * v for v in (F(0), F(1), F(2), F(0)))
+    y = tuple(scale * v for v in (F(0), F(0), F(0), F(1)))
+    collinear = GeometryAssignment(x=x, y=y, kappa=(F(0),) * 4)
     message = "face class 3 (vertices (0, 1, 2)) has zero circulation"
     with pytest.raises(DegenerateGeometryError) as raised:
         build_chain(s3, collinear)
