@@ -1,6 +1,7 @@
 import pytest
 
-from pentachain import assign_geometry, fixed_sphere_geometry, load_builtin
+from pentachain import assign_geometry, build_chain, fixed_sphere_geometry, load_builtin
+from pentachain.chain import certify_chain
 
 
 @pytest.fixture(scope="session")
@@ -21,3 +22,16 @@ def sphere_geometry():
 @pytest.fixture()
 def rp3_geometry(rp3):
     return assign_geometry(rp3, seed=42)
+
+
+@pytest.fixture(scope="session")
+def certified_chain():
+    """``build_chain`` followed by the full check of the chain property, for
+    tests that compute on a chain and must know it is one."""
+
+    def build(tri, g):
+        c = build_chain(tri, g)
+        certify_chain(c)
+        return c
+
+    return build

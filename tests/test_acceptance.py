@@ -68,10 +68,10 @@ def test_criterion_2_projective_space_value(capsys):
     report(2, f"invariant --builtin rp3 gives abs_invariant 64 in {elapsed * 1000:.0f} ms")
 
 
-def test_criterion_3_intermediate_ratios():
+def test_criterion_3_intermediate_ratios(certified_chain):
     s3 = load_builtin("s3")
     g = fixed_sphere_geometry()
-    c = build_chain(s3, g)
+    c = certified_chain(s3, g)
     p = sphere_paper_partition(c)
     m1, m2, m3, m4, m5 = minors(c, p)
     assert abs(m1 / m2) == 8
@@ -82,11 +82,11 @@ def test_criterion_3_intermediate_ratios():
     report(3, "sphere basis ratios |m1/m2| = 8 and |m5/m4| = 4/|S_ABC S_ABD S_ACD S_BCD|")
 
 
-def test_criterion_4_derivative_minor_structure():
+def test_criterion_4_derivative_minor_structure(certified_chain):
     rp3 = load_builtin("rp3")
     g = assign_geometry(rp3, seed=9)
     lam = edge_values(rp3, g)
-    c = build_chain(rp3, g)
+    c = certified_chain(rp3, g)
     unprimed = tet0_edges(rp3)
     pairs = dict(opposite_edge_pairs(rp3))
     pairs.update({b: a for a, b in pairs.items()})
@@ -125,11 +125,11 @@ def test_criterion_5_chain_property_50_seeds():
     report(5, "all four compositions vanish exactly on both builtins x 50 geometry seeds")
 
 
-def test_criterion_6_acyclicity_ranks():
+def test_criterion_6_acyclicity_ranks(certified_chain):
     expected = {"s3": (6, 6, 0, 6, 6), "rp3": (6, 6, 6, 6, 6)}
     for name, want in expected.items():
         tri = load_builtin(name)
-        c = build_chain(tri, assign_geometry(tri, seed=3))
+        c = certified_chain(tri, assign_geometry(tri, seed=3))
         ranks = check_acyclic(c)
         assert ranks == want
         v, e = len(tri.vertices), len(tri.edges)
@@ -169,13 +169,13 @@ def test_criterion_8_pachner_invariance():
     report(8, f"5 walks x 20 moves per builtin preserve the invariant exactly in {elapsed:.1f} s")
 
 
-def test_criterion_9_gauge_independence():
+def test_criterion_9_gauge_independence(certified_chain):
     for name, want in (("s3", F(1)), ("rp3", F(64))):
         tri = load_builtin(name)
         for seed in range(10):
             assert invariant(tri, seed=seed).abs_invariant == want
         g = assign_geometry(tri, seed=123)
-        c = build_chain(tri, g)
+        c = certified_chain(tri, g)
         partitions = [select_partition(c, seed=s)[0] for s in range(10)]
         assert len(set(partitions)) >= 2
         taus = [tau(c, p) for p in partitions]

@@ -31,13 +31,13 @@ from test_geometry import fraction_curvature_oracle, lookup_angles
 F = Fraction
 
 
-def test_sphere_f3_is_zero(s3, sphere_geometry):
-    c = build_chain(s3, sphere_geometry)
+def test_sphere_f3_is_zero(s3, sphere_geometry, certified_chain):
+    c = certified_chain(s3, sphere_geometry)
     assert all(v == 0 for row in c.f3.entries for v in row)
 
 
-def test_sphere_chain_property(s3, sphere_geometry):
-    c = build_chain(s3, sphere_geometry)
+def test_sphere_chain_property(s3, sphere_geometry, certified_chain):
+    c = certified_chain(s3, sphere_geometry)
     ok, witness = verify_chain(c)
     assert ok and witness is None
 
@@ -50,8 +50,8 @@ def test_chain_property_random_seeds(s3, rp3):
             assert ok
 
 
-def test_dimensions_and_labels(rp3, rp3_geometry):
-    c = build_chain(rp3, rp3_geometry)
+def test_dimensions_and_labels(rp3, rp3_geometry, certified_chain):
+    c = certified_chain(rp3, rp3_geometry)
     v, e = c.vertex_count, c.edge_count
     assert c.dims == (6, 3 * v, e, e, 3 * v, 6)
     assert sum(c.dims[::2]) == sum(c.dims[1::2])  # alternating sum vanishes
@@ -66,8 +66,8 @@ def test_dimensions_and_labels(rp3, rp3_geometry):
     assert len(all_labels) == 12 + 6 * v + 2 * e
 
 
-def test_mutated_entry_is_detected(s3, sphere_geometry):
-    c = build_chain(s3, sphere_geometry)
+def test_mutated_entry_is_detected(s3, sphere_geometry, certified_chain):
+    c = certified_chain(s3, sphere_geometry)
     rows = [list(r) for r in c.f2.entries]
     rows[2][5] += 1
     broken = type(c)(
@@ -87,14 +87,14 @@ def test_mutated_entry_is_detected(s3, sphere_geometry):
     assert col_label in C0_LABELS or col_label in c.f2.col_labels
 
 
-def test_acyclicity_reports(s3, rp3, sphere_geometry, rp3_geometry):
-    assert check_acyclic(build_chain(s3, sphere_geometry)) == (6, 6, 0, 6, 6)
-    assert check_acyclic(build_chain(rp3, rp3_geometry)) == (6, 6, 6, 6, 6)
+def test_acyclicity_reports(s3, rp3, sphere_geometry, rp3_geometry, certified_chain):
+    assert check_acyclic(certified_chain(s3, sphere_geometry)) == (6, 6, 0, 6, 6)
+    assert check_acyclic(certified_chain(rp3, rp3_geometry)) == (6, 6, 6, 6, 6)
     assert expected_ranks(4, 12) == (6, 6, 6, 6, 6)
 
 
-def test_zeroed_f3_breaks_acyclicity(rp3, rp3_geometry):
-    c = build_chain(rp3, rp3_geometry)
+def test_zeroed_f3_breaks_acyclicity(rp3, rp3_geometry, certified_chain):
+    c = certified_chain(rp3, rp3_geometry)
     zero = RatMatrix(
         [[F(0)] * len(c.f3.col_labels) for _ in c.f3.row_labels],
         c.f3.row_labels,
@@ -112,10 +112,10 @@ def test_zeroed_f3_breaks_acyclicity(rp3, rp3_geometry):
     assert str(caught.value) == str(reported.value)
 
 
-def test_f4_endpoint_triples_cancel(rp3, rp3_geometry):
+def test_f4_endpoint_triples_cancel(rp3, rp3_geometry, certified_chain):
     # rows db1..db3 of f5 sum each vertex block with weight one, so the
     # block of f5*f4 they span vanishes edge by edge
-    c = build_chain(rp3, rp3_geometry)
+    c = certified_chain(rp3, rp3_geometry)
     for r in range(3):
         for j in range(len(c.f4.col_labels)):
             total = sum(
@@ -126,14 +126,14 @@ def test_f4_endpoint_triples_cancel(rp3, rp3_geometry):
 
 
 @pytest.mark.parametrize("source", ["rp3", "rp3_t20.tri"])
-def test_f4_columns_are_holonomy_generators(source, rp3):
+def test_f4_columns_are_holonomy_generators(source, rp3, certified_chain):
     # each edge's f4 column is (m01, m11, -m10) of the holonomy generator of
     # its vector head - tail at domega = 1 in the tail block, negated in the
     # head block
     fixtures = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures"
     tri = rp3 if source == "rp3" else Triangulation.from_file(fixtures / source)
     g = assign_geometry(tri, 1)
-    c = build_chain(tri, g)
+    c = certified_chain(tri, g)
     for e in tri.edges:
         p, q = e.tail, e.head
         (_, m01), (m10, m11) = holonomy_generator((g.x[q] - g.x[p], g.y[q] - g.y[p]), F(1))
@@ -143,8 +143,8 @@ def test_f4_columns_are_holonomy_generators(source, rp3):
         assert [row[e.id] for row in c.f4.entries] == expected
 
 
-def test_dump_format(s3, sphere_geometry):
-    c = build_chain(s3, sphere_geometry)
+def test_dump_format(s3, sphere_geometry, certified_chain):
+    c = certified_chain(s3, sphere_geometry)
     dump = dump_chain(c)
     lines = dump.strip().splitlines()
     assert lines, "dump should not be empty"
@@ -153,7 +153,7 @@ def test_dump_format(s3, sphere_geometry):
         assert tag in {"f1", "f2", "f3", "f4", "f5"}
         assert "/" in value or value.lstrip("-").isdigit()
     assert not any(line.startswith("f3") for line in lines)  # f3 is zero here
-    assert dump == dump_chain(build_chain(s3, sphere_geometry))
+    assert dump == dump_chain(certified_chain(s3, sphere_geometry))
 
 
 def fraction_witness_oracle(c):
@@ -176,8 +176,8 @@ def perturbed(c, name, i, j, delta):
 
 
 @pytest.mark.parametrize("name, stage", [("f3", 2), ("f4", 3)])
-def test_perturbed_entry_gives_oracle_witness(rp3, name, stage):
-    c = build_chain(rp3, assign_geometry(rp3, 1))
+def test_perturbed_entry_gives_oracle_witness(rp3, name, stage, certified_chain):
+    c = certified_chain(rp3, assign_geometry(rp3, 1))
     m = getattr(c, name)
     for i, j in ((0, 0), (m.nrows // 2, m.ncols - 1), (m.nrows - 1, 3)):
         broken = perturbed(c, name, i, j, F(1, 7919))
@@ -186,7 +186,7 @@ def test_perturbed_entry_gives_oracle_witness(rp3, name, stage):
         assert (ok, witness) == fraction_witness_oracle(broken)
 
 
-def test_free_column_certificate_agrees_with_full_check(s3, rp3):
+def test_free_column_certificate_agrees_with_full_check(s3, rp3, certified_chain):
     """Seeded single-entry perturbations of f1..f5, at columns inside and
     outside the free columns of the composition the entry enters from the
     right: wherever the pass still succeeds, the free-column certificate
@@ -199,7 +199,7 @@ def test_free_column_certificate_agrees_with_full_check(s3, rp3):
     walked = [random_walk(load_builtin(name), 8, seed, 12) for name, seed in (("s3", 5), ("rp3", 6))]
     seen = {"inside": 0, "outside": 0, "short ranks": 0, "short chain": 0}
     for n, tri in enumerate((s3, rp3, Triangulation.from_file(fixture), *walked)):
-        c = build_chain(tri, assign_geometry(tri, seed=n))
+        c = certified_chain(tri, assign_geometry(tri, seed=n))
         p, _ = select_partition(c)
         free = (c.f1.col_labels, *p.cols(c))
         for _ in range(30):
@@ -299,14 +299,14 @@ def explicit_prime_geometry(tri):
 
 
 @pytest.mark.parametrize("source", ["s3", "rp3", "rp3_t40.tri", "rp3-prime-denominators"])
-def test_integer_assembly_matches_fraction_formulas(source, s3, rp3):
+def test_integer_assembly_matches_fraction_formulas(source, s3, rp3, certified_chain):
     if source.endswith(".tri"):
         tri = Triangulation.from_file(Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures" / source)
     else:
         tri = s3 if source == "s3" else rp3
     g = explicit_prime_geometry(tri) if source.endswith("denominators") else assign_geometry(tri, 2)
     values = [lambda_of(tri, g, e.id) for e in tri.edges]
-    c = build_chain(tri, g)
+    c = certified_chain(tri, g)
     for m, expected in zip(c.maps, fraction_maps(tri, g, values)):
         assert list(m.rows) == expected
         for row, den in zip(m.numerators, m.denominators):

@@ -11,7 +11,6 @@ from pentachain import (
     TorsionError,
     apply_move,
     assign_geometry,
-    build_chain,
     edge_values,
     enumerate_sites,
     face_circulations,
@@ -42,8 +41,8 @@ def test_sphere_reference_values(s3, sphere_geometry):
     assert result.vertex_count == 4
 
 
-def test_sphere_paper_partition_ratios(s3, sphere_geometry):
-    c = build_chain(s3, sphere_geometry)
+def test_sphere_paper_partition_ratios(s3, sphere_geometry, certified_chain):
+    c = certified_chain(s3, sphere_geometry)
     p = sphere_paper_partition(c)
     assert p.c1_rows == SPHERE_C1_ROWS
     m1, m2, m3, m4, m5 = minors(c, p)
@@ -57,8 +56,8 @@ def test_sphere_paper_partition_ratios(s3, sphere_geometry):
     assert abs(tau(c, p)) == 512
 
 
-def test_sphere_split_sizes_are_forced(s3, sphere_geometry):
-    c = build_chain(s3, sphere_geometry)
+def test_sphere_split_sizes_are_forced(s3, sphere_geometry, certified_chain):
+    c = certified_chain(s3, sphere_geometry)
     p, _ = select_partition(c, seed=0)
     assert len(p.c2_rows) == 6 and len(p.c3_rows) == 0
     k1, k2, k3, k4 = p.cols(c)
@@ -72,8 +71,8 @@ def test_projective_space_value(rp3):
         assert result.ranks == (6, 6, 6, 6, 6)
 
 
-def test_projective_paper_partition(rp3, rp3_geometry):
-    c = build_chain(rp3, rp3_geometry)
+def test_projective_paper_partition(rp3, rp3_geometry, certified_chain):
+    c = certified_chain(rp3, rp3_geometry)
     p = projective_paper_partition(c, rp3)
     unprimed = set(tet0_edges(rp3))
     assert set(p.c2_rows) == {f"dl_e{e}" for e in range(12) if e not in unprimed}
@@ -89,8 +88,8 @@ def test_projective_paper_partition(rp3, rp3_geometry):
     assert abs(tau(c, p)) == abs(tau(c, select_partition(c, seed=5)[0]))
 
 
-def test_partition_independence(rp3, rp3_geometry):
-    c = build_chain(rp3, rp3_geometry)
+def test_partition_independence(rp3, rp3_geometry, certified_chain):
+    c = certified_chain(rp3, rp3_geometry)
     partitions = [select_partition(c, seed=s)[0] for s in range(10)]
     assert len(set(partitions)) >= 2
     values = {abs(tau(c, p)) for p in partitions}
@@ -108,11 +107,11 @@ def grown(tri, size, seed):
     return tri
 
 
-def test_pass_minors_match_reference(s3, rp3):
+def test_pass_minors_match_reference(s3, rp3, certified_chain):
     big = grown(rp3, 20, seed=3)
     assert big.size == 20
     for tri in (s3, rp3, big):
-        c = build_chain(tri, assign_geometry(tri, seed=11))
+        c = certified_chain(tri, assign_geometry(tri, seed=11))
         taus = set()
         for seed in (None, *range(10)):
             p, m = select_partition(c, seed)
@@ -145,13 +144,13 @@ def bottom_up_partition(c, seed=None):
 FIXTURES = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures"
 
 
-def test_meet_pass_matches_bottom_up_oracle(s3, rp3):
+def test_meet_pass_matches_bottom_up_oracle(s3, rp3, certified_chain):
     walked = [random_walk(load_builtin(name), steps, seed, 12)
               for name in ("s3", "rp3") for steps, seed in zip(range(4, 14), range(100, 110))]
     states = [s3, rp3, grown(rp3, 20, seed=3), Triangulation.from_file(FIXTURES / "rp3_t40.tri"), *walked]
     assert len(walked) == 20
     for n, tri in enumerate(states):
-        c = build_chain(tri, assign_geometry(tri, seed=n))
+        c = certified_chain(tri, assign_geometry(tri, seed=n))
         for seed in (None, *range(10)):
             p, m = select_partition(c, seed)
             assert m == minors(c, p)
@@ -228,16 +227,16 @@ def test_invariant_makes_no_edge_lookup(rp3, monkeypatch):
     walk_seed=st.integers(0, 2**32),
     steps=st.integers(0, 10),
 )
-def test_signed_tau_is_partition_independent_on_walk_states(name, walk_seed, steps):
+def test_signed_tau_is_partition_independent_on_walk_states(name, walk_seed, steps, certified_chain):
     tri = random_walk(load_builtin(name), steps, walk_seed, 12)
-    c = build_chain(tri, assign_geometry(tri, seed=walk_seed))
+    c = certified_chain(tri, assign_geometry(tri, seed=walk_seed))
     picked = [select_partition(c, seed) for seed in (None, *range(10))]
     assert all(m == minors(c, p) for p, m in picked)
     assert len({tau(c, p) for p, _ in picked}) == 1
 
 
-def test_sign_removes_partition_dependence(rp3, rp3_geometry):
-    c = build_chain(rp3, rp3_geometry)
+def test_sign_removes_partition_dependence(rp3, rp3_geometry, certified_chain):
+    c = certified_chain(rp3, rp3_geometry)
     picked = [select_partition(c, seed) for seed in range(10)]
     # the bare alternating product of the minors takes both signs, eps
     # makes it one value, and the invariant reports that value
@@ -259,8 +258,8 @@ def test_kappa_rerandomization_preserves_invariant(s3):
     assert invariant(s3, geometry=other).abs_invariant == base.abs_invariant
 
 
-def test_selection_determinism(rp3, rp3_geometry):
-    c = build_chain(rp3, rp3_geometry)
+def test_selection_determinism(rp3, rp3_geometry, certified_chain):
+    c = certified_chain(rp3, rp3_geometry)
     for seed in (None, 4):
         assert select_partition(c, seed) == select_partition(c, seed)
         # each stage's rows span the row space of its restricted map
@@ -269,8 +268,8 @@ def test_selection_determinism(rp3, rp3_geometry):
             assert rank(m.submatrix(rows, cols)) == len(rows) == rank(m.submatrix(m.row_labels, cols))
 
 
-def test_invalid_partition_rejected(s3, sphere_geometry):
-    c = build_chain(s3, sphere_geometry)
+def test_invalid_partition_rejected(s3, sphere_geometry, certified_chain):
+    c = certified_chain(s3, sphere_geometry)
     good, _ = select_partition(c, seed=0)
     # a C1 split that misses the kappa directions cannot be completed:
     # dk columns of f1 are only supported on the dk rows
