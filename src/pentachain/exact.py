@@ -65,6 +65,7 @@ Rational = Fraction
 Label = Hashable
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_NEGATIVE = re.compile(r"-0*[1-9][0-9]*")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -78,6 +79,17 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational literal {text!r}") from exc
+
+
+def parse_integer(text: str) -> int:
+    """Parse an integer field of an input file: ASCII digits, with a minus
+    only before a nonzero value.  So every value has one spelling up to
+    leading zeros, and a negative one still reaches the range check that
+    names it, while ``+``, ``_``, ``-0`` and other decimal digits, which
+    ``int`` takes, are refused."""
+    if not (text.isascii() and text.isdigit()) and not _NEGATIVE.fullmatch(text):
+        raise ValueError(f"bad integer literal {text!r}")
+    return int(text)
 
 
 def format_rational(value: Fraction) -> str:

@@ -66,7 +66,7 @@ from math import gcd, lcm
 from typing import Callable, Iterable
 
 from .errors import DegenerateGeometryError, ParseError
-from .exact import clear_denominators, parse_rational
+from .exact import clear_denominators, parse_integer, parse_rational
 from .triangulation import Triangulation
 
 SAMPLE_NUMERATOR_BOUND = 64
@@ -241,7 +241,7 @@ def curvature(table, angles: Iterable, where: Callable) -> tuple[Fraction, tuple
     d, numerators = table
     terms = []
     for sides, contribution in angles:
-        ph, hq, qp, pe, eq, he = [sign * numerators[key] for key, sign in sides]
+        ph, hq, qp, pe, eq, he = [numerators[key] if sign > 0 else -numerators[key] for key, sign in sides]
         b1, b2 = ph + he - pe, he + eq - hq
         if b1 == 0 or b2 == 0:
             _, (p, q), _ = contribution
@@ -253,12 +253,16 @@ def curvature(table, angles: Iterable, where: Callable) -> tuple[Fraction, tuple
         weights = (bb + w1, bb - w2, 2 * bb, bb - w1, bb + w2, w1 + w2)
         terms.append((2 * bb * bb, numerator * bb, sides, weights))
     common = lcm(*(denominator for denominator, *_ in terms))
-    total = sum(value * (common // denominator) for denominator, value, *_ in terms)
+    total = 0
     row: dict = {}
-    for denominator, _, sides, weights in terms:
+    for denominator, value, sides, weights in terms:
         scale = common // denominator
+        total += value * scale
         for (key, sign), weight in zip(sides, weights):
-            row[key] = row.get(key, 0) + sign * scale * weight
+            if sign > 0:
+                row[key] = row.get(key, 0) + scale * weight
+            else:
+                row[key] = row.get(key, 0) - scale * weight
     g = gcd(d * d, common)
     dd = d * d // g
     return Fraction(d * total, common), (common // g, {key: dd * dv for key, dv in row.items()})
@@ -328,7 +332,9 @@ def holonomy_generator(
 
 
 def parse_geometry(text: str, tri: Triangulation) -> GeometryAssignment:
-    """Parse ``vertex <class-id> <x> <y> <kappa>`` lines."""
+    """Parse ``vertex <class-id> <x> <y> <kappa>`` lines: the id in ASCII
+    digits (``exact.parse_integer``), the values ``p`` or ``p/q``
+    (``exact.parse_rational``)."""
     nv = len(tri.vertices)
     xs: dict[int, Fraction] = {}
     ys: dict[int, Fraction] = {}
@@ -341,7 +347,7 @@ def parse_geometry(text: str, tri: Triangulation) -> GeometryAssignment:
         if len(fields) != 5 or fields[0] != "vertex":
             raise ParseError(f"bad geometry line {raw!r}")
         try:
-            vid = int(fields[1])
+            vid = parse_integer(fields[1])
             x, y, k = (parse_rational(f) for f in fields[2:5])
         except ValueError as exc:
             raise ParseError(f"bad geometry line {raw!r}") from exc

@@ -30,8 +30,20 @@ closes with the minor of the square block f3[R3, K2].  Each basis stage is
 one sparse Markowitz elimination (``exact.independent_rows``, on the
 transpose for a column basis), which returns the spanning rows in pivot
 order together with their minor, and the f3 block is one ``det``; so the
-pass yields the partition and its five minors at once.  No stage builds a
-matrix: each block is sliced by position from the stored integer rows
+pass yields the partition and its five minors at once.  The two stages
+that pick 6 pivots among 3V candidates, R1 from the rows of f1 and K4 from
+the columns of f5, first eliminate only the first ``BASIS_PREFIX`` = 12
+candidates of their scan order, and all 3V only when those 12 do not span
+(their minor is 0).  Any spanning rows serve, as the certificate below
+shows, so the prefix spares the Markowitz updates of the other 3V - 12
+candidates at each of the six pivots.  In label order the 12 candidates
+are the data of vertex classes 0..3, the corners of the first tetrahedron;
+each three of them bound one of its faces, whose circulation, an area, the
+geometry certificate makes nonzero, and four points with no three on a
+line give f1 rows and f5 columns of rank 6.  So only a shuffled scan can
+fall back.  The f2 and f4 stages pick 3V - 6 of E candidates, more than
+half of them, and eliminate them all.  No stage builds a matrix: each
+block is sliced by position from the stored integer rows
 (``RatMatrix.block``).  The based torsion does not depend on which
 compatible splitting is used (Milnor, *Whitehead torsion*, 1966; Turaev,
 *Introduction to Combinatorial Torsions*, 2001), so picking it from both
@@ -101,6 +113,12 @@ from .geometry import (
     subseed,
 )
 from .triangulation import Triangulation
+
+
+# the f1 and f5 stages pick their 6 pivots among this many candidates
+# first (see select_partition)
+BASIS_PREFIX = 12
+
 
 @dataclass(frozen=True)
 class BasisPartition:
@@ -176,12 +194,16 @@ def select_partition(
     the partition and its five minors (m1..m5).
 
     R1 and R2 are row bases of f1 and of f2 on K1, K4 a column basis of f5
-    and K3 one of f4 on the rows R4 (the rest of C4), each from one
-    ``independent_rows`` elimination; the pass closes with the ``det`` of
-    f3 on R3 (the rest of C3) and K2.  R3 and R4 are in label order.  With
-    ``seed=None`` every basis stage scans its rows (or columns) in label
-    order; an integer seed shuffles each scan, which breaks the pivot
-    rule's ties differently and so picks a different, equally valid
+    and K3 one of f4 on the rows R4 (the rest of C4), each from
+    ``independent_rows``; the pass closes with the ``det`` of f3 on R3 (the
+    rest of C3) and K2.  R3 and R4 are in label order.  The R1 and K4
+    stages, the only ones that pick 6 of 3V candidates, eliminate the
+    first ``BASIS_PREFIX`` candidates of their scan, and all of them only
+    when that prefix does not span: any spanning rows certify the pass,
+    and the label-order prefix always spans.  With ``seed=None`` every
+    basis stage scans its rows (or columns) in label order; an integer
+    seed shuffles each scan, which changes the prefix and breaks the pivot
+    rule's ties differently, and so picks a different, equally valid
     partition.  A column basis comes in pivot order, so its minor is
     signed into label order, and the minors equal ``minors(c,
     partition)``.  A stage that falls short runs ``check_acyclic``, which
@@ -199,9 +221,9 @@ def select_partition(
         return order
 
     f1, f2, f3, f4, f5 = c.maps
-    r1, m1 = independent_rows(f1.block(scan(f1.nrows), range(f1.ncols)))
+    r1, m1 = _six_pivots(lambda rows: f1.block(rows, range(f1.ncols)), scan(f1.nrows))
     r2, m2 = independent_rows(f2.block(scan(f2.nrows), _free(f1.row_labels, r1)))
-    k4, m5 = independent_rows(f5.block(range(f5.nrows), scan(f5.ncols), transpose=True))
+    k4, m5 = _six_pivots(lambda cols: f5.block(range(f5.nrows), cols, transpose=True), scan(f5.ncols))
     r4 = _free(f4.row_labels, k4)
     k3, m4 = independent_rows(f4.block(r4, scan(f4.ncols), transpose=True))
     r3 = _free(f3.row_labels, k3)
@@ -215,6 +237,16 @@ def select_partition(
     check_acyclic(c)
     certify_chain(c)
     raise PentachainError("internal error: the partition pass fell short on an acyclic complex")
+
+
+def _six_pivots(block, order: list[int]) -> tuple[list[str], Fraction]:
+    """``independent_rows`` of ``block(order[:BASIS_PREFIX])``, and of
+    ``block(order)`` only when that prefix does not span."""
+    if len(order) > BASIS_PREFIX:
+        picked, minor = independent_rows(block(order[:BASIS_PREFIX]))
+        if minor:
+            return picked, minor
+    return independent_rows(block(order))
 
 
 def _free(labels: tuple[str, ...], picked: list[str]) -> list[int]:
@@ -255,13 +287,15 @@ def invariant(
     DegenerateGeometryError there, and a nonzero curvature at the flat
     point raises the internal error.  The face product is the product of
     the face circulations under the same table, the ``edge_table`` the
-    chain keeps.  ``select_partition`` certifies acyclicity and yields the
-    minors; the chain property it rests on is then checked in full for
-    f2 * f1 and on the pass's free columns for the other compositions,
-    which decides the same once the pass's blocks are nonsingular.  So a
-    broken chain reports NotAcyclicError when its pass falls short and its
-    ranks are not the acyclic pattern, and otherwise the internal
-    composition error with the full check's first witness.  ``tau`` is
+    chain keeps, taken as one Fraction of the product of their numerators
+    over the product of their denominators, so that one gcd reduces it.
+    ``select_partition`` certifies acyclicity and yields the minors; the
+    chain property it rests on is then checked in full for f2 * f1 and on
+    the pass's free columns for the other compositions, which decides the
+    same once the pass's blocks are nonsingular.  So a broken chain
+    reports NotAcyclicError when its pass falls short and its ranks are
+    not the acyclic pattern, and otherwise the internal composition error
+    with the full check's first witness.  ``tau`` is
     the signed torsion, which does not depend on the partition (see the
     module docstring).  The absolute value of the result is independent of
     the seed and of the sampled geometry; its sign is fixed by the
@@ -273,9 +307,8 @@ def invariant(
     partition, values = select_partition(c)
     certify_chain(c, partition.cols(c)[:3])
     t = _signed_tau(c, partition, values)
-    face_product = Fraction(1)
-    for s in face_circulations(tri, c.edge_table):
-        face_product *= s
+    circulations = face_circulations(tri, c.edge_table)
+    face_product = Fraction(prod(s.numerator for s in circulations), prod(s.denominator for s in circulations))
     value = t * face_product * Fraction(1, 2 ** (len(tri.vertices) + 1))
     return InvariantResult(
         tau=t,

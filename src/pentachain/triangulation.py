@@ -57,7 +57,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from .errors import ParseError, ValidationError
-from .exact import permutation_sign
+from .exact import parse_integer, permutation_sign
 
 Perm = tuple[int, int, int, int]
 Side = tuple[int, int]  # (edge class id, sign of a direction vs. canonical)
@@ -85,6 +85,8 @@ def inverse(p: Perm) -> Perm:
 # validating a gluing table looks each gluing's permutation up once
 _INVERSE: dict[Perm, Perm] = {p: inverse(p) for p in permutations(range(4))}
 _SIGN: dict[Perm, int] = {p: permutation_sign(p) for p in permutations(range(4))}
+# the text of each permutation in a .tri file, "0123" and so on
+_PERM_OF_TEXT: dict[str, Perm] = {"".join(map(str, p)): p for p in permutations(range(4))}
 
 
 def transposition(a: int, b: int) -> Perm:
@@ -388,6 +390,14 @@ class Triangulation:
 
     @classmethod
     def from_text(cls, text: str) -> "Triangulation":
+        """Parse the ``to_text`` format: the header, ``tetrahedra <N>``,
+        then ``tet <t>: <neighbor>:<perm>`` with four gluing fields per
+        line; ``#`` starts a comment.  N and the neighbor ids are ASCII
+        digits (``exact.parse_integer``; a minus only before a nonzero
+        value, which the range checks then reject), and each permutation is
+        four ASCII digits spelling a permutation of 0123, looked up in a
+        table of the 24.  ``+``, ``_`` and other decimal digits are parse
+        errors, as are trailing tokens after N."""
         lines = []
         for raw in text.splitlines():
             line = raw.split("#", 1)[0].strip()
@@ -398,8 +408,9 @@ class Triangulation:
         if len(lines) < 2 or not lines[1].startswith("tetrahedra "):
             raise ParseError("missing 'tetrahedra <N>' line")
         try:
-            count = int(lines[1].split()[1])
-        except (IndexError, ValueError) as exc:
+            _, count_text = lines[1].split()
+            count = parse_integer(count_text)
+        except ValueError as exc:
             raise ParseError("bad tetrahedron count") from exc
         if count <= 0:
             raise ParseError("tetrahedron count must be positive")
@@ -417,12 +428,16 @@ class Triangulation:
             for field in fields:
                 try:
                     target, perm_text = field.split(":")
-                    neighbor = int(target)
-                    perm = tuple(int(ch) for ch in perm_text)
+                    neighbor = parse_integer(target)
                 except ValueError as exc:
                     raise ParseError(f"tet {t}: bad gluing field {field!r}") from exc
-                if len(perm) != 4 or sorted(perm) != [0, 1, 2, 3]:
-                    raise ParseError(f"tet {t}: bad permutation in {field!r}")
+                perm = _PERM_OF_TEXT.get(perm_text)
+                if perm is None:
+                    # decimal digits keep the message they had when each
+                    # went through int()
+                    if all(ch.isdecimal() for ch in perm_text):
+                        raise ParseError(f"tet {t}: bad permutation in {field!r}")
+                    raise ParseError(f"tet {t}: bad gluing field {field!r}")
                 row.append(Gluing(neighbor, perm))
             rows.append(row)
         return cls(rows)

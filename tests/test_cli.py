@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -431,7 +433,8 @@ def test_dump_chain_command(capsys):
 
 # the 100-bit f3 of the T=80 rp3 ladder fixture at geometry seed 0
 RP3_T80_SEED0_DUMP_SHA256 = "c07cba0a1386f78e5d31923fff41fe103738b7919c70bb6458c97274c1fbd171"
-RP3_T80 = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures" / "rp3_t80.tri"
+FIXTURES = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures"
+RP3_T80 = FIXTURES / "rp3_t80.tri"
 
 
 def test_dump_chain_large_fixture(capsys):
@@ -550,6 +553,39 @@ def test_geometry_token_outside_p_over_q_exits_parse_error(tmp_path, capsys, tok
     assert err == f"error: bad geometry line 'vertex 0 {token} 0 0'\n"
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("tetrahedra 2\ntet 0: 1:", "tetrahedra \u0662\ntet 0: \u0661:", "bad tetrahedron count"),
+        ("tet 0: 1:", "tet 0: \u0661:", "tet 0: bad gluing field '\u0661:0123'"),
+        ("tet 0: 1:0123", "tet 0: 1:0\u066123", "tet 0: bad permutation in '1:0\u066123'"),
+        ("tetrahedra 2", "tetrahedra 2 junk", "bad tetrahedron count"),
+    ],
+    ids=["arabic-count-and-neighbor", "arabic-neighbor", "arabic-permutation-digit", "count-then-junk"],
+)
+def test_tri_integer_outside_ascii_digits_exits_parse_error(tmp_path, capsys, old, new, message):
+    # int() read each of these as the s3 digit it stands for
+    path = tmp_path / "s3.tri"
+    text = load_builtin("s3").to_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    assert run(capsys, ["invariant", "--file", str(path), "--json"]) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "vid, meant", [("\u0660", 0), ("0_3", 3), ("+0", 0), ("-0", 0)], ids=["arabic-zero", "underscore", "plus", "minus-zero"]
+)
+def test_geometry_vertex_id_outside_ascii_digits_exits_parse_error(tmp_path, capsys, vid, meant):
+    # int() read the id as vertex class ``meant``, which made a full geometry
+    points = {0: "0 0", 1: "1 0", 2: "0 1", 3: "1 1"}
+    lines = [f"vertex {vid if v == meant else v} {xy} 0" for v, xy in points.items()]
+    path = tmp_path / "geometry.txt"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, ["invariant", "--builtin", "s3", "--geometry", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: bad geometry line {lines[meant]!r}\n"
+
+
 def test_zero_circulation_geometry_exit_code(tmp_path, capsys):
     # vertex classes 0, 1, 2 on a line
     path = tmp_path / "collinear.txt"
@@ -621,3 +657,58 @@ def test_walk_invariance_failure_carries_replayable_state(capsys, monkeypatch):
     replayed = Triangulation.from_text(err[err.index(FILE_MAGIC):])
     assert replayed.f_vector() == states[-1].f_vector()
     assert replayed.tets == states[-1].tets
+
+
+# tokens that a mutation puts in place of a field of a .tri file
+MUTANT_TOKENS = (
+    "0", "1", "2", "7", "-1", "-0", "+1", "00", "٠", "١", "²", "0_1", "x", "",
+    "0123", "1032", "3210", "0120", "01234", "0١23", "99999999999999999999", "tet", "tetrahedra", ":", "#",
+)
+
+
+def mutate(text: str, rng) -> str:
+    """One seeded token mutation of ``text``, the tokens being its runs of
+    characters other than whitespace and ':': replace a token (by a mutant
+    token or another token of the text), delete or double one, or drop a
+    line."""
+    spans = [m.span() for m in re.finditer(r"[^\s:]+", text)]
+    start, end = rng.choice(spans)
+    op = rng.randrange(5)
+    if op == 0:
+        new = rng.choice(MUTANT_TOKENS)
+    elif op == 1:
+        new = text[slice(*rng.choice(spans))]
+    elif op == 2:
+        new = ""
+    elif op == 3:
+        new = text[start:end] * 2
+    else:
+        lines = text.splitlines(keepends=True)
+        del lines[rng.randrange(len(lines))]
+        return "".join(lines)
+    return text[:start] + new + text[end:]
+
+
+def test_token_mutations_exit_with_stable_codes(tmp_path, capsys):
+    """Seeded token mutations of three inputs through the three commands
+    that read a .tri file: each run exits 0, 2 (parse), 3 (validation), 4
+    (degenerate geometry) or 5 (not acyclic), and a failure prints one
+    error line and no traceback."""
+    sources = [load_builtin("s3").to_text(), load_builtin("rp3").to_text(), (FIXTURES / "rp3_t8.tri").read_text()]
+    commands = (["invariant", "--json"], ["pachner", "--steps", "5", "--json"], ["dump-chain"])
+    path = tmp_path / "mutant.tri"
+    codes = []
+    for i in range(300):
+        rng = random.Random(i)
+        text = sources[i % 3]
+        for _ in range(rng.randint(1, 2)):
+            text = mutate(text, rng)
+        path.write_text(text)
+        command, *flags = commands[i // 3 % 3]
+        code, out, err = run(capsys, [command, "--file", str(path), *flags])
+        codes.append(code)
+        assert code in (0, 2, 3, 4, 5), (i, code, err)
+        assert (err == "") if code == 0 else (err.startswith("error: ") and not out), (i, err)
+        assert "Traceback" not in err
+    # the mutations reach past the parser
+    assert {0, 2, 3} <= set(codes)

@@ -26,8 +26,10 @@ from pentachain import (
 )
 from pentachain import chain, torsion
 from pentachain.exact import det, independent_rows, rank
+from pentachain.geometry import parse_geometry, subseed
 from pentachain.library import SPHERE_C1_ROWS
 from pentachain.triangulation import Triangulation
+from test_geometry import prime_denominator_geometry_text
 
 F = Fraction
 
@@ -177,12 +179,13 @@ def test_invariant_checks_only_free_columns(monkeypatch):
 
 
 def count_calls(monkeypatch, name):
-    """Count the calls of ``torsion.<name>`` through a pass-through wrapper."""
+    """Record the positional arguments of each call of ``torsion.<name>``
+    through a pass-through wrapper."""
     calls = []
     original = getattr(torsion, name)
 
     def wrapper(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(torsion, name, wrapper)
@@ -191,7 +194,7 @@ def count_calls(monkeypatch, name):
 
 def test_invariant_runs_five_exact_dets(rp3, monkeypatch):
     """One exact pass: four row-basis eliminations that also give m1..m4,
-    and the det of the f5 block; the minors are never recomputed."""
+    and the det of the f3 block; the minors are never recomputed."""
 
     def no_minors(*args, **kwargs):
         raise AssertionError("invariant() recomputed the minors")
@@ -201,6 +204,85 @@ def test_invariant_runs_five_exact_dets(rp3, monkeypatch):
     monkeypatch.setattr(torsion, "minors", no_minors)
     assert invariant(rp3, seed=1).abs_invariant == 64
     assert (len(rows), len(dets)) == (4, 1)
+
+
+def test_invariant_runs_five_exact_dets_through_the_prefix(monkeypatch):
+    """With 3V > 12 candidates the f1 and f5 stages eliminate only the first
+    12, and those span on a sampled geometry: still four row-basis
+    eliminations and one det."""
+    rows = count_calls(monkeypatch, "independent_rows")
+    dets = count_calls(monkeypatch, "det")
+    tri = Triangulation.from_file(FIXTURES / "rp3_t80.tri")
+    assert invariant(tri, seed=1).abs_invariant == 64
+    assert (len(rows), len(dets)) == (4, 1)
+    # f1 rows, f2 rows, f5 columns, f4 columns
+    assert rows[0][0].nrows == rows[2][0].nrows == torsion.BASIS_PREFIX < 3 * len(tri.vertices)
+
+
+def dependent_prefix_seed(c, stage):
+    """The first partition seed whose scan puts a dependent prefix first in
+    the f1 stage or the f5 stage.  ``select_partition`` shuffles its scans
+    from one Random(seed) in stage order: f1 rows, f2 rows, f5 columns, f4
+    columns.  Twelve f1 rows without a dk_v row, or twelve f5 columns
+    without a dg3_v column, leave a zero column or row, so such seeds
+    occur; the search tests the rank itself."""
+    n = torsion.BASIS_PREFIX
+    for seed in range(5000):
+        rng = random.Random(seed)
+        orders = []
+        for size in (c.f1.nrows, c.f2.nrows, c.f5.ncols):
+            orders.append(list(range(size)))
+            rng.shuffle(orders[-1])
+        if stage == "f1":
+            prefix = c.f1.block(orders[0][:n], range(c.f1.ncols))
+        else:
+            prefix = c.f5.block(range(c.f5.nrows), orders[2][:n], transpose=True)
+        if rank(prefix) < 6:
+            return seed
+    raise AssertionError("no partition seed gives a dependent prefix")
+
+
+@pytest.mark.parametrize("stage, call", [("f1", 0), ("f5", 2)])
+def test_dependent_prefix_falls_back_to_every_candidate(certified_chain, monkeypatch, stage, call):
+    tri = Triangulation.from_file(FIXTURES / "rp3_t80.tri")
+    c = certified_chain(tri, assign_geometry(tri, seed=1))
+    seed = dependent_prefix_seed(c, stage)
+    rows = count_calls(monkeypatch, "independent_rows")
+    p, m = select_partition(c, seed)
+    # the stage ran twice: on the 12 candidates, then on all 3V
+    assert [args[0].nrows for args in rows[call:call + 2]] == [torsion.BASIS_PREFIX, 3 * c.vertex_count]
+    assert len(rows) == 5
+    assert m == minors(c, p)
+    signed = torsion._signed_tau(c, p, m)
+    assert signed == tau(c, p)
+    # the same signed tau as the pass that eliminates every candidate
+    monkeypatch.setattr(torsion, "BASIS_PREFIX", 3 * c.vertex_count)
+    full_p, full_m = select_partition(c, seed)
+    assert torsion._signed_tau(c, full_p, full_m) == signed
+
+
+def face_product_oracle(tri, lam):
+    """The face product as a loop of Fraction products."""
+    product = Fraction(1)
+    for s in face_circulations(tri, lam):
+        product *= s
+    return product
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.tri")), ids=lambda p: p.stem)
+def test_face_product_matches_the_fraction_loop(path):
+    tri = Triangulation.from_file(path)
+    for seed in range(3):
+        lam = edge_values(tri, assign_geometry(tri, subseed(seed, "geometry")))
+        assert invariant(tri, seed=seed).face_product == face_product_oracle(tri, lam)
+
+
+def test_face_product_matches_the_fraction_loop_at_large_denominators():
+    tri = Triangulation.from_file(FIXTURES / "rp3_t80.tri")
+    g = parse_geometry(prime_denominator_geometry_text(len(tri.vertices)), tri)
+    product = invariant(tri, geometry=g).face_product
+    assert product == face_product_oracle(tri, edge_values(tri, g))
+    assert product.denominator.bit_length() > 1000
 
 
 def test_invariant_makes_no_edge_lookup(rp3, monkeypatch):

@@ -188,6 +188,44 @@ def test_parse_errors():
             "pentachain-tri v1\ntetrahedra 1\n"
             "tet 0: 0:0120 0:0123 0:0123 0:0123\n"
         )
+    # the integer fields take ASCII digits only, with a minus only before a
+    # nonzero value; int() also took "+", "-0", "_" and other decimal
+    # digits, and the count line a trailing token
+    s3 = load_builtin("s3").to_text()
+    assert s3.splitlines()[1:3] == ["tetrahedra 2", "tet 0: 1:0123 1:0123 1:0123 1:0123"]
+    for old, new, message in (
+        ("tetrahedra 2", "tetrahedra \u0662", "bad tetrahedron count"),
+        ("tetrahedra 2", "tetrahedra 2 junk", "bad tetrahedron count"),
+        ("tetrahedra 2", "tetrahedra +2", "bad tetrahedron count"),
+        ("tetrahedra 2", "tetrahedra 0_2", "bad tetrahedron count"),
+        ("tetrahedra 2", "tetrahedra -0", "bad tetrahedron count"),
+        ("tet 0: 1:", "tet 0: \u0661:", "tet 0: bad gluing field '\u0661:0123'"),
+        ("tet 0: 1:", "tet 0: +1:", "tet 0: bad gluing field '+1:0123'"),
+        ("tet 1: 0:", "tet 1: -0:", "tet 1: bad gluing field '-0:0123'"),
+        ("tet 0: 1:", "tet 0: 0_1:", "tet 0: bad gluing field '0_1:0123'"),
+        ("tet 0: 1:0123", "tet 0: 1:0\u066123", "tet 0: bad permutation in '1:0\u066123'"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            Triangulation.from_text(s3.replace(old, new, 1))
+        assert str(exc.value) == message
+    # what was rejected before keeps its message
+    for old, new, error, message in (
+        ("tetrahedra 2", "tetrahedra x", ParseError, "bad tetrahedron count"),
+        ("tetrahedra 2", "tetrahedra 0", ParseError, "tetrahedron count must be positive"),
+        ("tetrahedra 2", "tetrahedra -2", ParseError, "tetrahedron count must be positive"),
+        ("tet 0: 1:", "tet 0: x:", ParseError, "tet 0: bad gluing field 'x:0123'"),
+        ("tet 0: 1:0123", "tet 0: 1:01x3", ParseError, "tet 0: bad gluing field '1:01x3'"),
+        ("tet 0: 1:0123", "tet 0: 1:0\u00b923", ParseError, "tet 0: bad gluing field '1:0\u00b923'"),
+        ("tet 0: 1:0123", "tet 0: 1:0123:", ParseError, "tet 0: bad gluing field '1:0123:'"),
+        ("tet 0: 1:0123", "tet 0: 1:", ParseError, "tet 0: bad permutation in '1:'"),
+        ("tet 0: 1:0123", "tet 0: 1:01234", ParseError, "tet 0: bad permutation in '1:01234'"),
+        ("tet 0: 1:0123", "tet 0: 1:\u0660\u0661\u0662\u0660", ParseError,
+         "tet 0: bad permutation in '1:\u0660\u0661\u0662\u0660'"),
+        ("tet 0: 1:", "tet 0: -1:", ValidationError, "tetrahedron 0 face 0 glues to missing tetrahedron -1"),
+    ):
+        with pytest.raises(error) as exc:
+            Triangulation.from_text(s3.replace(old, new, 1))
+        assert str(exc.value) == message
 
 
 def test_comments_and_whitespace_ok(s3):
