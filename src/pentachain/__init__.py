@@ -1,7 +1,8 @@
 """Exact torsion invariant of closed oriented triangulated 3-manifolds.
 
-The pipeline: glue tetrahedra into a closed oriented pseudo-manifold, place
-its vertex classes at generic rational points of the plane, assemble the
+The pipeline: glue tetrahedra into a connected closed oriented
+pseudo-manifold (one gluing table, every tetrahedron reachable from the
+first), place its vertex classes at generic rational points of the plane, assemble the
 six-term complex of differentials built on edge values and curvatures,
 certify acyclicity exactly while choosing the torsion's basis partition,
 and normalize the torsion of the complex into a number that bistellar
@@ -25,37 +26,20 @@ from .errors import (
     TorsionError,
     ValidationError,
 )
-from .exact import RatMatrix, Rational, det, format_rational, parse_rational, rank
+from .exact import RatMatrix, det, format_rational, parse_rational, rank
 from .geometry import (
     GeometryAssignment,
-    angle,
     assign_geometry,
-    domega_dlambda,
     edge_values,
     face_circulations,
     holonomy_generator,
     lambda_of,
-    omega,
     parse_geometry,
-    s_of_face,
     subseed,
 )
-from .library import (
-    BUILTIN_NAMES,
-    fixed_sphere_geometry,
-    load_builtin,
-    opposite_edge_pairs,
-    projective_paper_partition,
-    sphere_paper_partition,
-    tet0_edges,
-)
+from .library import BUILTIN_NAMES, load_builtin
 from .pachner import KINDS, MoveSite, apply_move, enumerate_sites, random_walk, walk_states
-from .pentagon import (
-    FivePointConfig,
-    solve_flat_lambda,
-    verify_pentagon,
-    verify_vector_identities,
-)
+from .pentagon import FivePointConfig, verify_pentagon, verify_vector_identities
 from .torsion import BasisPartition, InvariantResult, invariant, minors, select_partition, tau
 from .triangulation import (
     EdgeClass,
@@ -63,7 +47,6 @@ from .triangulation import (
     Gluing,
     Triangulation,
     VertexClass,
-    build,
     canonical_form,
     isomorphic,
 )

@@ -115,12 +115,6 @@ class ChainComplex:
     edge_table: tuple[int, dict] | None = None
 
     @property
-    def dims(self) -> tuple[int, int, int, int, int, int]:
-        v3 = 3 * self.vertex_count
-        e = self.edge_count
-        return (6, v3, e, e, v3, 6)
-
-    @property
     def maps(self):
         return (self.f1, self.f2, self.f3, self.f4, self.f5)
 

@@ -13,6 +13,10 @@ files and argparse usage errors), 3 gluing validation error, 4 degenerate geomet
 reader of standard output goes away first, as in ``... | head -1``; that
 exit prints nothing.
 
+Integer flags (``--seed`` and every count) take the integer grammar of
+the input files, ``exact.parse_integer``: ASCII digits, with a minus only
+before a nonzero value.
+
 Reports are reproducible byte for byte for fixed (input, seed, version):
 ``--json`` output carries no timing; the human format prints wall time on
 a separate final line.
@@ -39,7 +43,7 @@ from .errors import (
     PentachainError,
     ValidationError,
 )
-from .exact import format_rational
+from .exact import format_rational, parse_integer
 from .geometry import DEFAULT_MAX_RETRIES, assign_geometry, parse_geometry, subseed
 from .library import BUILTIN_NAMES, load_builtin
 from .pachner import random_walk, walk_states
@@ -251,14 +255,20 @@ def cmd_dump_chain(args) -> tuple[dict, int]:
     return {}, 0
 
 
+def _integer(text: str) -> int:
+    """argparse type for an integer flag, in the grammar of the integer
+    fields of input files (``exact.parse_integer``)."""
+    try:
+        return parse_integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _count(minimum: int):
     """argparse type for an integer count of at least ``minimum``."""
 
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        value = _integer(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
         return value
@@ -285,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariant", help="compute the manifold invariant")
     _add_input_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--retries", type=_count(1), default=DEFAULT_MAX_RETRIES)
     p.add_argument("--geometry", help="explicit geometry file (overrides sampling)")
     p.add_argument("--json", action="store_true")
@@ -293,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification suites")
     _add_input_flags(p, required=False)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--retries", type=_count(1), default=DEFAULT_MAX_RETRIES)
     p.add_argument("--geometry", help="explicit geometry file")
     p.add_argument("--walks", type=_count(0), default=5)
@@ -311,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pachner", help="run a random bistellar walk")
     _add_input_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--steps", type=_count(0), default=20)
     p.add_argument("--max-tets", type=_count(1), default=12)
     p.add_argument("--out", help="write the resulting triangulation here")
@@ -319,14 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pachner)
 
     p = sub.add_parser("pentagon", help="five-point identity suites")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--samples", type=_count(0), default=100)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_pentagon)
 
     p = sub.add_parser("dump-chain", help="dump the five matrices, one entry per line")
     _add_input_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--retries", type=_count(1), default=DEFAULT_MAX_RETRIES)
     p.add_argument("--geometry", help="explicit geometry file")
     p.set_defaults(func=cmd_dump_chain)

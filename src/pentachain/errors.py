@@ -16,7 +16,7 @@ class ParseError(PentachainError):
 
 
 class ValidationError(PentachainError):
-    """Gluing table is not a closed oriented pseudo-manifold."""
+    """Gluing table is not a connected closed oriented pseudo-manifold."""
 
 
 class MoveError(ValidationError):

@@ -61,7 +61,6 @@ from typing import Hashable, NamedTuple, Sequence
 
 from .errors import PentachainError
 
-Rational = Fraction
 Label = Hashable
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")

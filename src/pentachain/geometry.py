@@ -39,8 +39,8 @@ numerators of a triangle's three sides, so the circulation is that
 integer over D.  A geometry is nondegenerate when no face circulation is
 zero; the sampler redraws until it is, and ``ensure_nondegenerate``, which
 ``chain.build_chain`` runs on every geometry, raises otherwise.  Both read
-the integer circulations through one zero-face test.  ``s_of_face`` and
-``face_circulations`` give the circulations as Fractions ``n / D``.
+the integer circulations through one zero-face test.
+``face_circulations`` gives the circulations as Fractions ``n / D``.
 
 ``curvature`` sums angle values built from four circulations and their
 exact partial derivatives by the quotient rule, each key an independent
@@ -50,8 +50,8 @@ summed weights of the triangles it bounds.  A curvature is one Fraction,
 its terms summed over the lcm L of the angle denominators, and the
 gradient over every key the angles touch stays an integer table ``(den,
 {key: int})`` with den dividing L.  ``omega_row`` hands it to
-``chain.build_chain`` as an f3 row; a single partial (``domega_dlambda``,
-``pentagon.domega_ed_dlambda_ed``) reads its key from it, zero if the
+``chain.build_chain`` as an f3 row; a single partial
+(``pentagon.domega_ed_dlambda_ed``) reads its key from it, zero if the
 angles do not touch the key.
 """
 
@@ -87,11 +87,6 @@ class GeometryAssignment:
     x: tuple[Fraction, ...]
     y: tuple[Fraction, ...]
     kappa: tuple[Fraction, ...]
-
-
-def triangle_area(ax, ay, bx, by, cx, cy) -> Fraction:
-    """Oriented area of a plane triangle (half the cross product)."""
-    return ((bx - ax) * (cy - ay) - (cx - ax) * (by - ay)) / 2
 
 
 def lambda_of(tri: Triangulation, g: GeometryAssignment, edge_id: int) -> Fraction:
@@ -134,14 +129,9 @@ def circulation(numerators, sides) -> int:
     return sa * numerators[a] + sb * numerators[b] + sc * numerators[c]
 
 
-def s_of_face(tri: Triangulation, lam: tuple[int, dict], face_id: int) -> Fraction:
-    """Face circulation under the edge-value table ``lam``, evaluated on
-    the class's stored boundary order."""
-    d, numerators = lam
-    return Fraction(circulation(numerators, tri.face_sides[face_id]), d)
-
-
 def face_circulations(tri: Triangulation, lam: tuple[int, dict]) -> tuple[Fraction, ...]:
+    """Circulation of each face class under the edge-value table ``lam``,
+    by class id, evaluated on the class's stored boundary order."""
     d, numerators = lam
     return tuple(Fraction(circulation(numerators, sides), d) for sides in tri.face_sides)
 
@@ -273,41 +263,10 @@ def _face_at(tri: Triangulation, contribution, opposite: int) -> str:
     return f"face class {tri.face_class(tet, opposite)} (edge slots {ed} of tetrahedron {tet})"
 
 
-def angle(
-    tri: Triangulation,
-    lam: tuple[int, dict],
-    tet: int,
-    pq: tuple[int, int],
-    ed: tuple[int, int],
-) -> Fraction:
-    """Dihedral-angle value at an oriented edge of an oriented tetrahedron.
-
-    ``pq`` are the two off-edge slots and ``ed`` the (tail, head) slots.
-    The raw circulation formula is already antisymmetric in P and Q; the
-    edge direction is signed against the edge class's canonical
-    orientation, so the value also flips under a reversal of the edge.
-    """
-    _, direction = tri.edge_class(tet, ed[0], ed[1])
-    contribution = (tet, pq, ed)
-    angles = ((tri.angle_sides(tet, pq, ed), contribution),)
-    return direction * curvature(lam, angles, partial(_face_at, tri))[0]
-
-
-def omega(tri: Triangulation, lam: tuple[int, dict], edge_id: int) -> Fraction:
-    """Curvature around an edge class: sum of angle values over its star."""
-    return omega_row(tri, lam, edge_id)[0]
-
-
 def omega_row(tri: Triangulation, lam: tuple[int, dict], edge_id: int) -> tuple[Fraction, tuple[int, dict]]:
     """Curvature of an edge and its gradient over all edge values, the
     gradient as an integer table ``(den, {edge: int})``."""
     return curvature(lam, tri.edge_angles[edge_id], partial(_face_at, tri))
-
-
-def domega_dlambda(tri: Triangulation, lam: tuple[int, dict], edge_a: int, edge_b: int) -> Fraction:
-    """Exact partial derivative of curvature a with respect to edge value b."""
-    _, (den, row) = omega_row(tri, lam, edge_a)
-    return Fraction(row.get(edge_b, 0), den)
 
 
 # -- holonomy ----------------------------------------------------------

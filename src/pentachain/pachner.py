@@ -72,13 +72,9 @@ def _surgery(tri, deleted, new_count, internal, boundary) -> Triangulation:
     table: list[list[Gluing | None]] = [[None] * 4 for _ in range(base + new_count)]
 
     for old in survivors:
-        for s in range(4):
-            g = tri.tets[old][s]
+        for s, g in enumerate(tri.tets[old]):
             if g.neighbor not in dset:
                 table[new_index[old]][s] = Gluing(new_index[g.neighbor], g.perm)
-            else:
-                nl, _, m = boundary[(g.neighbor, g.perm[s])]
-                table[new_index[old]][s] = Gluing(base + nl, compose(m, g.perm))
 
     for (i, si), (j, sj), perm in internal:
         table[base + i][si] = Gluing(base + j, perm)
@@ -88,7 +84,9 @@ def _surgery(tri, deleted, new_count, internal, boundary) -> Triangulation:
         g = tri.tets[old_t][old_s]
         out = compose(g.perm, inverse(m))  # new slots -> old partner slots
         if g.neighbor not in dset:
+            # both sides of a survivor gluing, as for the internal ones
             table[base + nl][ns] = Gluing(new_index[g.neighbor], out)
+            table[new_index[g.neighbor]][g.perm[old_s]] = Gluing(base + nl, inverse(out))
         else:
             nl2, _, m2 = boundary[(g.neighbor, g.perm[old_s])]
             table[base + nl][ns] = Gluing(base + nl2, compose(m2, out))

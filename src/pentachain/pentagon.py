@@ -122,26 +122,6 @@ class FivePointConfig:
     lam: Mapping[tuple[str, str], Fraction]
 
     @classmethod
-    def from_lambdas(cls, values: Mapping[tuple[str, str], Fraction]) -> "FivePointConfig":
-        lam = {}
-        for (a, b), v in values.items():
-            key, sign = _side(a, b)
-            lam[key] = sign * Fraction(v)
-        missing = [p for p in PAIRS if p not in lam]
-        if missing:
-            raise ValueError(f"missing edge values for pairs {missing}")
-        return cls(dict(lam))
-
-    @classmethod
-    def from_points(cls, points: Mapping[str, tuple[Fraction, Fraction]]) -> "FivePointConfig":
-        """Induce edge values from plane points (kappa identically zero)."""
-        lam = {}
-        for a, b in PAIRS:
-            (ax, ay), (bx, by) = points[a], points[b]
-            lam[(a, b)] = (Fraction(ax) * by - Fraction(bx) * ay) / 2
-        return cls(lam)
-
-    @classmethod
     def random(cls, seed: int) -> "FivePointConfig":
         """Seeded random values on the nine pairs other than D-E, with the
         tenth solved to make the configuration flat.
@@ -222,12 +202,6 @@ def flat_config(cfg: FivePointConfig) -> FivePointConfig:
     if bilinear_relation(solved) != 0 or omega_ed(solved) != 0:
         raise PentachainError("internal error: the solved lambda_ED leaves a nonzero curvature at E->D")
     return solved
-
-
-def solve_flat_lambda(cfg: FivePointConfig) -> Fraction:
-    """The unique lambda_ED making the curvature at E->D vanish (see
-    ``flat_config``)."""
-    return -flat_config(cfg).lam[ED_PAIR]
 
 
 def omega_ed(cfg: FivePointConfig | tuple[int, dict]) -> Fraction:

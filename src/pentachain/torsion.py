@@ -81,8 +81,9 @@ which keeps the fill-in and the minors small; the rows are a
 deterministic function of the input and the scan order, so reports stay
 reproducible, and the signed torsion does not depend on which rows were
 picked.  ``minors`` and ``tau`` evaluate an arbitrary partition from
-scratch; they are the reference that the library's paper partitions, the
-tests and ``verify``'s partition-independence check use.
+scratch; they are the reference that the tests (the paper's hand-chosen
+partitions among them) and ``verify``'s partition-independence check
+use.
 
 The manifold invariant normalizes the torsion by the product of all face
 circulations and a power of two:

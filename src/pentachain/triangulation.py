@@ -1,9 +1,11 @@
 """Glued-tetrahedra model of closed oriented 3-manifold triangulations.
 
 A triangulation is a list of abstract tetrahedra with all four faces glued
-in pairs.  Vertices, edges and faces of the quotient pseudo-manifold are
-orbits of local simplices under the gluing maps, so two distinct edge
-classes may well join the same pair of vertex classes.
+in pairs, connected: every tetrahedron is reached from tetrahedron 0
+across gluings, so the table describes one manifold.  Vertices, edges and
+faces of the quotient pseudo-manifold are orbits of local simplices under
+the gluing maps, so two distinct edge classes may well join the same pair
+of vertex classes.
 
 The orbits are traversed over integer ports kept in flat lists: ``4t+s``
 for vertex slot s of tetrahedron t, ``16t+4i+j`` for its directed edge
@@ -24,7 +26,7 @@ once, on construction, into sides, ``(edge class id, sign)`` pairs of
 directed edges, so that no formula looks an edge up again.  The scan that
 lists each edge class's members also builds ``edge_angles``: per edge
 class, one angle per star contribution in star order, as its six sides
-(ph, hq, qp, pe, eq, he; see ``angle_sides``) with the contribution
+(ph, hq, qp, pe, eq, he; see ``_angle_ports``) with the contribution
 itself.  The face builder records ``face_sides``: per face class, the
 three sides of its stored boundary.  (P, Q) and the side offsets come from
 one table per orientation sign, built at import.
@@ -37,9 +39,11 @@ Conventions fixed here and relied on everywhere downstream:
   neighbor's glued face.
 * Orientation signs are propagated from tetrahedron 0 (sign +1).  Across a
   gluing with permutation parity p the coherence relation
-  ``s1 * s2 * (-1)**p == -1`` must hold; the positively oriented vertex
-  ordering of a tetrahedron is its stored slot order for sign +1 and the
-  order with the first two slots swapped for sign -1.
+  ``s1 * s2 * (-1)**p == -1`` must hold, and a tetrahedron the
+  propagation does not reach makes the table disconnected, which is
+  rejected.  The positively oriented vertex ordering of a tetrahedron is
+  its stored slot order for sign +1 and the order with the first two
+  slots swapped for sign -1.
 * Every edge class carries a canonical direction: the (tail, head) slot
   direction of its first occurrence in scan order.  Directed occurrences
   are tracked so any local edge knows its sign relative to the class.
@@ -129,8 +133,7 @@ class EdgeClass:
 class FaceClass:
     id: int
     members: tuple[tuple[int, int], ...]  # (tet, opposite slot)
-    boundary: tuple[int, tuple[int, int, int]]  # first occurrence, ascending slots
-    vertices: tuple[int, int, int]  # vertex class ids along the boundary order
+    vertices: tuple[int, int, int]  # vertex class ids of members[0]'s slots, ascending
 
 
 _SLOT_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -143,10 +146,10 @@ _EDGE_HOPS = tuple(
     tuple((4 * k + a, 4 * k + b) for k in range(4) if k != a and k != b) for a in range(4) for b in range(4)
 )
 # per face k: k, the offset 5k of the port glued to it, its slots a < b < c
-# as a triple and one by one, and a getter of its boundary sides (a, b),
-# (b, c), (c, a) from the tetrahedron's 16 port sides
+# and a getter of its boundary sides (a, b), (b, c), (c, a) from the
+# tetrahedron's 16 port sides
 _FACE_SLOTS = tuple(
-    (k, 5 * k, (a, b, c), a, b, c, itemgetter(4 * a + b, 4 * b + c, 4 * c + a))
+    (k, 5 * k, a, b, c, itemgetter(4 * a + b, 4 * b + c, 4 * c + a))
     for k, (a, b, c) in enumerate(tuple(s for s in range(4) if s != k) for k in range(4))
 )
 
@@ -180,9 +183,9 @@ class Triangulation:
 
     Vertex, edge and face classes are orbits of integer ports (see the
     module docstring), derived from scratch by orbit traversal each time,
-    after the gluings are checked to be involutive and coherently
-    oriented, together with every incidence table, so an instance holds no
-    lazy state.  Immutable after construction; bistellar moves build new
+    after the gluings are checked to be involutive, coherently oriented
+    and connected, together with every incidence table, so an instance
+    holds no lazy state.  Immutable after construction; bistellar moves build new
     instances.
     """
 
@@ -228,26 +231,30 @@ class Triangulation:
                     )
 
     def _propagate_signs(self) -> tuple[int, ...]:
-        n = len(self.tets)
-        signs = [0] * n
-        for start in range(n):
-            if signs[start]:
-                continue
-            signs[start] = 1
-            stack = [start]
-            while stack:
-                t = stack.pop()
-                for g in self.tets[t]:
-                    # coherence: s_t * s_n * sign(perm) == -1
-                    needed = -signs[t] * _SIGN[g.perm]
-                    if signs[g.neighbor] == 0:
-                        signs[g.neighbor] = needed
-                        stack.append(g.neighbor)
-                    elif signs[g.neighbor] != needed:
-                        raise ValidationError(
-                            "gluing table is not orientable: orientation propagation "
-                            f"is inconsistent at tetrahedron {g.neighbor}"
-                        )
+        """Orientation signs from tetrahedron 0 across every gluing; a
+        tetrahedron left unsigned is not reachable, so the table is
+        disconnected."""
+        signs = [0] * len(self.tets)
+        signs[0] = 1
+        stack = [0]
+        while stack:
+            t = stack.pop()
+            for g in self.tets[t]:
+                # coherence: s_t * s_n * sign(perm) == -1
+                needed = -signs[t] * _SIGN[g.perm]
+                if signs[g.neighbor] == 0:
+                    signs[g.neighbor] = needed
+                    stack.append(g.neighbor)
+                elif signs[g.neighbor] != needed:
+                    raise ValidationError(
+                        "gluing table is not orientable: orientation propagation "
+                        f"is inconsistent at tetrahedron {g.neighbor}"
+                    )
+        if 0 in signs:
+            raise ValidationError(
+                f"gluing table is not connected: tetrahedron {signs.index(0)} "
+                "is not reachable from tetrahedron 0"
+            )
         return tuple(signs)
 
     # -- quotient classes ---------------------------------------------
@@ -333,7 +340,7 @@ class Triangulation:
         faces, face_sides = [], []
         for t in range(len(self.tets)):
             t4, local = 4 * t, side[16 * t:16 * t + 16]
-            for k, glued, slots, a, b, c, boundary_sides in _FACE_SLOTS:
+            for k, glued, a, b, c, boundary_sides in _FACE_SLOTS:
                 if face_of[t4 + k] >= 0:
                     continue
                 # a face glued to itself would fold an edge onto its
@@ -342,7 +349,7 @@ class Triangulation:
                 partner = port_to[16 * t + glued]
                 face_of[t4 + k] = face_of[partner] = fid = len(faces)
                 verts = (vertex_of[t4 + a], vertex_of[t4 + b], vertex_of[t4 + c])
-                faces.append(FaceClass(fid, ((t, k), (partner >> 2, partner & 3)), (t, slots), verts))
+                faces.append(FaceClass(fid, ((t, k), (partner >> 2, partner & 3)), verts))
                 face_sides.append(boundary_sides(local))
         return face_of, tuple(faces), tuple(face_sides)
 
@@ -369,13 +376,6 @@ class Triangulation:
         """Parity of a slot sequence relative to the positive ordering, which
         is (0, 1, 2, 3) for sign +1 and one transposition away for -1."""
         return int(permutation_sign(seq) != self.orientation_signs[tet])
-
-    def angle_sides(self, tet: int, pq: tuple[int, int], ed: tuple[int, int]) -> tuple[Side, ...]:
-        """The six sides ph, hq, qp, pe, eq, he of the angle of tetrahedron
-        ``tet`` at the edge ``ed`` = (tail e, head h) with off-edge slots
-        ``pq``, each the (edge class id, sign) of that directed edge."""
-        base = 16 * tet
-        return tuple(self._sides[base + x] for x in _angle_ports(*pq, *ed))
 
     # -- serialization -------------------------------------------------
 
@@ -456,18 +456,14 @@ def read_text(path) -> str:
             raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def build(gluings: Sequence[Sequence[Gluing]]) -> Triangulation:
-    """Validate a gluing table and derive all quotient data."""
-    return Triangulation(gluings)
-
-
 def canonical_form(tri: Triangulation) -> tuple:
     """Label-independent encoding of the gluing table.
 
     Relabels tetrahedra by breadth-first search and minimizes the encoding
-    over every (start tetrahedron, starting frame) choice, so two
-    triangulations are combinatorially isomorphic iff their canonical forms
-    are equal.  Intended for modest sizes; the search is O(T^2 * 24).
+    over every (start tetrahedron, starting frame) choice.  The table is
+    connected (construction rejects any other), so the search from any
+    start reaches every tetrahedron, and two triangulations are
+    combinatorially isomorphic iff their canonical forms are equal.  Intended for modest sizes; the search is O(T^2 * 24).
     """
     n = len(tri.tets)
     best = None

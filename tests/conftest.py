@@ -1,7 +1,8 @@
 import pytest
 
-from pentachain import assign_geometry, build_chain, fixed_sphere_geometry, load_builtin
+from pentachain import assign_geometry, build_chain, load_builtin
 from pentachain.chain import certify_chain
+from reference import fixed_sphere_geometry
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,135 @@
+"""Test data and oracles for the paper's hand calculations.
+
+The package computes in bulk: every face circulation, every curvature
+row, partitions chosen by the exact pass.  The paper works single values
+and fixed choices by hand, and the tests check the package against them:
+
+* the fixed sphere geometry and the sphere's and projective space's
+  hand-chosen basis partitions, with the tetrahedron-0 edge bookkeeping
+  that the projective partition reads;
+* the oriented area of a plane triangle, the oracle of a circulation;
+* a single dihedral-angle value, ``geometry.curvature`` on one angle
+  whose six sides are looked up with ``Triangulation.edge_class``;
+* five-point configurations from edge values on every ordered pair, or
+  induced by plane points.
+"""
+
+from fractions import Fraction
+
+from pentachain import BasisPartition, FivePointConfig, GeometryAssignment
+from pentachain.exact import independent_rows
+from pentachain.geometry import curvature
+from pentachain.pentagon import PAIRS
+
+# the basis choice used for the sphere's by-hand minor ratios: vertex
+# classes in slot order are A, B, C, D
+SPHERE_C1_ROWS = ("dx_v0", "dy_v0", "dk_v0", "dx_v1", "dy_v1", "dx_v2")
+
+
+def fixed_sphere_geometry():
+    """The reference assignment A(0,0), B(1,0), C(0,1), D(1,1), kappa = 0."""
+    return GeometryAssignment(
+        x=(Fraction(0), Fraction(1), Fraction(0), Fraction(1)),
+        y=(Fraction(0), Fraction(0), Fraction(1), Fraction(1)),
+        kappa=(Fraction(0),) * 4,
+    )
+
+
+def sphere_paper_partition(c):
+    """The sphere partition with the hand-calculation's C1 rows.
+
+    C2 and C3 splits are forced (E = 3V - 6 leaves the curvature minor
+    empty); the C4 rows are completed greedily.
+    """
+    c2_rows = c.f2.row_labels  # all six edge rows
+    k3 = c.f3.row_labels  # all six curvature columns feed f4
+    c4_rows = tuple(independent_rows(c.f4.submatrix(c.f4.row_labels, k3))[0])
+    return BasisPartition(SPHERE_C1_ROWS, c2_rows, (), c4_rows)
+
+
+def tet0_edges(tri):
+    """Edge classes meeting tetrahedron 0, ordered by its slot pairs.
+
+    For rp3 these are the six "unprimed" classes.
+    """
+    out = []
+    for i in range(4):
+        for j in range(i + 1, 4):
+            eid, _ = tri.edge_class(0, i, j)
+            if eid not in out:
+                out.append(eid)
+    return tuple(out)
+
+
+def opposite_edge_pairs(tri):
+    """The three pairs of opposite tetrahedron-0 edge classes."""
+    pairs = []
+    for (i, j), (k, l) in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
+        a, _ = tri.edge_class(0, i, j)
+        b, _ = tri.edge_class(0, k, l)
+        pairs.append((a, b))
+    return tuple(pairs)
+
+
+def projective_paper_partition(c, tri):
+    """The projective-space partition: primed edge rows for the f2 minor,
+    unprimed curvature rows for the f3 minor, primed curvature columns for
+    f4; C1 rows as for the sphere, C4 rows completed greedily."""
+    unprimed = set(tet0_edges(tri))
+    c2_rows = tuple(f"dl_e{e.id}" for e in tri.edges if e.id not in unprimed)
+    c3_rows = tuple(f"dw_e{e.id}" for e in tri.edges if e.id in unprimed)
+    k3 = tuple(f"dw_e{e.id}" for e in tri.edges if e.id not in unprimed)
+    c4_rows = tuple(independent_rows(c.f4.submatrix(c.f4.row_labels, k3))[0])
+    return BasisPartition(SPHERE_C1_ROWS, c2_rows, c3_rows, c4_rows)
+
+
+def triangle_area(ax, ay, bx, by, cx, cy):
+    """Oriented area of a plane triangle (half the cross product)."""
+    return ((bx - ax) * (cy - ay) - (cx - ax) * (by - ay)) / 2
+
+
+def angle_sides(tri, tet, pq, ed):
+    """The six sides ph, hq, qp, pe, eq, he of the angle of tetrahedron
+    ``tet`` at the edge ``ed`` = (tail e, head h) with off-edge slots
+    ``pq``, each the (edge class id, sign) of that directed edge."""
+    (p, q), (e, h) = pq, ed
+    return tuple(tri.edge_class(tet, a, b) for a, b in ((p, h), (h, q), (q, p), (p, e), (e, q), (h, e)))
+
+
+def angle(tri, lam, tet, pq, ed):
+    """Dihedral-angle value at an oriented edge of an oriented tetrahedron.
+
+    ``pq`` are the two off-edge slots and ``ed`` the (tail, head) slots.
+    The raw circulation formula is already antisymmetric in P and Q; the
+    edge direction is signed against the edge class's canonical
+    orientation, so the value also flips under a reversal of the edge.
+    """
+    _, direction = tri.edge_class(tet, *ed)
+
+    def where(contribution, opposite):
+        return f"face class {tri.face_class(tet, opposite)} of tetrahedron {tet}"
+
+    angles = ((angle_sides(tri, tet, pq, ed), (tet, pq, ed)),)
+    return direction * curvature(lam, angles, where)[0]
+
+
+def five_point_from_lambdas(values):
+    """The configuration with edge value ``values[(a, b)]`` on a -> b,
+    each pair given in either direction."""
+    lam = {}
+    for (a, b), v in values.items():
+        key, sign = ((a, b), 1) if a < b else ((b, a), -1)
+        lam[key] = sign * Fraction(v)
+    missing = [p for p in PAIRS if p not in lam]
+    if missing:
+        raise ValueError(f"missing edge values for pairs {missing}")
+    return FivePointConfig(lam)
+
+
+def five_point_from_points(points):
+    """Edge values induced by plane points (kappa identically zero)."""
+    lam = {}
+    for a, b in PAIRS:
+        (ax, ay), (bx, by) = points[a], points[b]
+        lam[(a, b)] = (Fraction(ax) * by - Fraction(bx) * ay) / 2
+    return FivePointConfig(lam)

@@ -20,21 +20,17 @@ from pentachain import (
     invariant,
     load_builtin,
     minors,
-    opposite_edge_pairs,
     select_partition,
-    solve_flat_lambda,
-    sphere_paper_partition,
     subseed,
     tau,
-    tet0_edges,
     verify_chain,
     verify_pentagon,
     verify_vector_identities,
     walk_states,
 )
 from pentachain import cli
-from pentachain.library import fixed_sphere_geometry
 from pentachain.pentagon import ED_PAIR, bilinear_relation, omega_ed
+from reference import fixed_sphere_geometry, opposite_edge_pairs, sphere_paper_partition, tet0_edges
 
 F = Fraction
 

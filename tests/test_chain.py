@@ -53,8 +53,9 @@ def test_chain_property_random_seeds(s3, rp3):
 def test_dimensions_and_labels(rp3, rp3_geometry, certified_chain):
     c = certified_chain(rp3, rp3_geometry)
     v, e = c.vertex_count, c.edge_count
-    assert c.dims == (6, 3 * v, e, e, 3 * v, 6)
-    assert sum(c.dims[::2]) == sum(c.dims[1::2])  # alternating sum vanishes
+    dims = (len(c.f1.col_labels), *(len(f.row_labels) for f in c.maps))
+    assert dims == (6, 3 * v, e, e, 3 * v, 6)
+    assert sum(dims[::2]) == sum(dims[1::2])  # alternating sum vanishes
     assert c.f1.col_labels == C0_LABELS
     assert c.f5.row_labels == C5_LABELS
     assert c.f2.col_labels == c.f1.row_labels

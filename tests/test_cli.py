@@ -160,6 +160,20 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert "orientable" in err
 
 
+def test_disconnected_table_exit_code(tmp_path, capsys):
+    # two copies of s3 (tetrahedra 0, 1 and 2, 3, each pair glued by the
+    # identity on all four faces); the rank check used to report them as
+    # not acyclic against a pattern with negative ranks
+    tets = "".join(f"tet {t}: {' '.join([f'{t ^ 1}:0123'] * 4)}\n" for t in range(4))
+    path = tmp_path / "two_spheres.tri"
+    path.write_text(f"{FILE_MAGIC}\ntetrahedra 4\n{tets}")
+    assert run(capsys, ["invariant", "--file", str(path), "--json"]) == (
+        3,
+        "",
+        "error: gluing table is not connected: tetrahedron 2 is not reachable from tetrahedron 0\n",
+    )
+
+
 def test_degenerate_geometry_exit_code(tmp_path, capsys, monkeypatch):
     degenerate = apply_move(load_builtin("s3"), MoveSite("2->3", (0, 0)))
     path = tmp_path / "degenerate.tri"
@@ -542,6 +556,33 @@ def test_pachner_rejects_out_of_range_max_tets(capsys, value):
         cli.main(["pachner", "--builtin", "rp3", "--max-tets", value])
     assert exc.value.code == 2
     assert f"argument --max-tets: must be at least 1, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["invariant", "--builtin", "s3"], "--seed", "\u0663"),
+        (["invariant", "--builtin", "s3"], "--seed", "-0"),
+        (["pentagon"], "--samples", "1_0"),
+        (["verify", "--builtin", "s3"], "--steps", "+2"),
+        (["pachner", "--builtin", "s3"], "--steps", "+2"),
+        (["dump-chain", "--builtin", "s3"], "--retries", " 5"),
+    ],
+    ids=["arabic-seed", "minus-zero-seed", "underscore-samples", "plus-steps", "plus-pachner-steps", "space-retries"],
+)
+def test_integer_flag_outside_ascii_digits_exits_usage_error(capsys, argv, flag, value):
+    # int() read each of these as the number it stands for
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid int value: {value!r}" in capsys.readouterr().err
+
+
+def test_negative_seed_still_runs(capsys):
+    code, out, _ = run(capsys, ["invariant", "--builtin", "s3", "--seed", "-3", "--json"])
+    assert code == 0
+    report = json.loads(out)
+    assert (report["seed"], report["abs_invariant"]) == (-3, "1")
 
 
 @pytest.mark.parametrize("token", ["1e3", "0.5", "1_0"])

@@ -34,6 +34,40 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 
 
+def package_modules_imported(source: str) -> set[str]:
+    """Modules of the package a module imports from: ``x`` for ``from .x
+    import ...``, ``from . import x`` and ``pentachain.x``, and
+    ``pentachain`` for the package itself."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [alias.name for alias in node.names]
+            for parts in (name.split(".") for name in names):
+                if parts[0] == "pentachain":
+                    found.add(parts[1] if len(parts) > 1 else "pentachain")
+    return found
+
+
+def test_package_import_is_detected():
+    source = (
+        "from __future__ import annotations\nimport os\nfrom . import cli\n"
+        "from .chain import ChainComplex\nimport pentachain.torsion\nfrom pentachain import exact\n"
+    )
+    assert package_modules_imported(source) == {"cli", "chain", "torsion", "pentachain"}
+
+
+def test_library_imports_only_errors_and_triangulation():
+    """The builtins need the gluing model and its errors, nothing of the
+    chain: the paper's partitions and geometry, which read the chain's
+    labels, are test data."""
+    assert package_modules_imported((PACKAGE / "library.py").read_text()) == {"errors", "triangulation"}
+
+
 def bare_asserts(source: str) -> list[int]:
     """Lines of the ``assert`` statements in a module; ``python -O`` strips
     them, so a check the package relies on must raise instead."""

@@ -9,12 +9,12 @@ from pentachain import (
     DegenerateGeometryError,
     FivePointConfig,
     PentachainError,
-    solve_flat_lambda,
     verify_pentagon,
     verify_vector_identities,
 )
 from pentachain import geometry, pentagon
-from pentachain.pentagon import ED_PAIR, LABELS, PAIRS, bilinear_relation, omega_ed
+from pentachain.pentagon import ED_PAIR, LABELS, PAIRS, bilinear_relation, flat_config, omega_ed
+from reference import five_point_from_lambdas, five_point_from_points
 
 F = Fraction
 
@@ -53,13 +53,13 @@ def test_planar_configuration_is_flat():
     rng = random.Random(33)
     for _ in range(20):
         pts = random_points(rng)
-        cfg = FivePointConfig.from_points(pts)
+        cfg = five_point_from_points(pts)
         if bilinear_relation(cfg) != 0:
             continue  # points hit a degeneracy guard elsewhere; flatness is the claim
         stored = -cfg.lam[ED_PAIR]  # lambda_ED induced by the points
         forgotten = cfg.with_lambda_ed(F(0))
         try:
-            solved = solve_flat_lambda(forgotten)
+            solved = -flat_config(forgotten).lam[ED_PAIR]
         except DegenerateGeometryError:
             continue
         assert solved == stored
@@ -81,8 +81,8 @@ def test_solver_ignores_the_current_lambda_ed():
         cfg = FivePointConfig.random(seed)
         flat = -cfg.lam[ED_PAIR]
         for guess in (F(0), F(5, 3), flat, -flat):
-            assert solve_flat_lambda(cfg.with_lambda_ed(guess)) == flat
-            assert pentagon.flat_config(cfg.with_lambda_ed(guess)).lam == cfg.lam
+            assert -flat_config(cfg.with_lambda_ed(guess)).lam[ED_PAIR] == flat
+            assert flat_config(cfg.with_lambda_ed(guess)).lam == cfg.lam
 
 
 def test_scaled_configuration_stays_equal():
@@ -97,7 +97,7 @@ def test_scaled_configuration_stays_equal():
 def test_bilinear_relation_under_transpositions():
     rng = random.Random(4)
     values = {p: F(rng.randint(-9, 9), rng.randint(1, 5)) for p in PAIRS}
-    cfg = FivePointConfig.from_lambdas(values)
+    cfg = five_point_from_lambdas(values)
     base = bilinear_relation(cfg)
 
     def transpose(cfg, a, b):
@@ -105,7 +105,7 @@ def test_bilinear_relation_under_transpositions():
         out = {}
         for (x, y), v in cfg.lam.items():
             out[(swap.get(x, x), swap.get(y, y))] = v
-        return FivePointConfig.from_lambdas(out)
+        return five_point_from_lambdas(out)
 
     for a, b in (("A", "B"), ("B", "C"), ("C", "D"), ("D", "E"), ("A", "E")):
         assert abs(bilinear_relation(transpose(cfg, a, b))) == abs(base)
@@ -116,19 +116,19 @@ def test_degenerate_leading_coefficient_raises():
     while True:
         values = {p: F(rng.randint(-9, 9), rng.randint(1, 5)) for p in PAIRS if p != ED_PAIR}
         values[ED_PAIR] = F(0)
-        cfg = FivePointConfig.from_lambdas(values)
+        cfg = five_point_from_lambdas(values)
         # leading coefficient of the flatness relation is -(S_ADB+S_BDC+S_CDA),
         # which is affine in lambda_AB with coefficient -1; solve it to zero
         s = cfg.s
         shift = s("A", "D", "B") + s("B", "D", "C") + s("C", "D", "A")
         tuned = dict(values)
         tuned[("A", "B")] = values[("A", "B")] + shift
-        cfg = FivePointConfig.from_lambdas(tuned)
+        cfg = five_point_from_lambdas(tuned)
         s = cfg.s
         if s("A", "D", "B") + s("B", "D", "C") + s("C", "D", "A") == 0:
             break
     with pytest.raises(DegenerateGeometryError, match="leading"):
-        solve_flat_lambda(cfg)
+        flat_config(cfg)
 
 
 def test_omega_ed_names_degenerate_tetrahedron():
@@ -136,7 +136,7 @@ def test_omega_ed_names_degenerate_tetrahedron():
     values = {p: F(rng.randint(-9, 9), rng.randint(1, 5)) for p in PAIRS}
     # S_ADE = lambda_AD + lambda_DE - lambda_AE vanishes, a denominator in ABED
     values[("A", "E")] = values[("A", "D")] + values[("D", "E")]
-    cfg = FivePointConfig.from_lambdas(values)
+    cfg = five_point_from_lambdas(values)
     assert cfg.s("A", "D", "E") == 0
     with pytest.raises(DegenerateGeometryError, match="zero circulation .* face AED of tetrahedron ABED"):
         omega_ed(cfg)
@@ -144,7 +144,7 @@ def test_omega_ed_names_degenerate_tetrahedron():
 
 def test_missing_pair_rejected():
     with pytest.raises(ValueError, match="missing"):
-        FivePointConfig.from_lambdas({("A", "B"): F(1)})
+        five_point_from_lambdas({("A", "B"): F(1)})
 
 
 def test_vector_identities_on_random_points():
@@ -187,7 +187,7 @@ def test_solve_flat_lambda_checks_its_result_without_asserts(monkeypatch):
     cfg = FivePointConfig.random(0)
     monkeypatch.setattr(pentagon, "omega_ed", lambda cfg: F(1))
     with pytest.raises(PentachainError, match="internal error: the solved lambda_ED"):
-        solve_flat_lambda(cfg)
+        flat_config(cfg)
 
 
 def test_vector_identities_reject_wrong_curvature(monkeypatch):
@@ -211,7 +211,7 @@ def test_vector_identities_reject_wrong_cramer_step(monkeypatch):
 
 def test_cramer_step_needs_a_basis():
     pts = {"A": (F(2), F(2)), "B": (F(1), F(3)), "C": (F(-1), F(2)), "D": (F(1), F(1)), "E": (F(0), F(0))}
-    flat = FivePointConfig.from_points(pts)
+    flat = five_point_from_points(pts)
     with pytest.raises(DegenerateGeometryError, match="S_EDA vanishes"):
         pentagon.cramer_step(flat.s, pts["D"], (pts["A"], 1), "A", "B")
     with pytest.raises(DegenerateGeometryError, match="S_EDA vanishes"):
@@ -222,7 +222,7 @@ def test_zero_curvature_closure_is_identity():
     # with the planar lambda_ED (omega = 0) the composed relations return EA
     rng = random.Random(5)
     pts = random_points(rng)
-    cfg = FivePointConfig.from_points(pts)
+    cfg = five_point_from_points(pts)
     s = cfg.s
 
     def vec(a, b):
@@ -238,7 +238,7 @@ def test_zero_curvature_closure_is_identity():
 def test_cramer_step_is_projective():
     # E at the origin: EB = (S_EBA ED + S_EDB EA) / S_EDA, kept over S_EDA
     pts = {"A": (F(3), F(1)), "B": (F(1), F(2)), "C": (F(-1), F(2)), "D": (F(1), F(-1)), "E": (F(0), F(0))}
-    flat = FivePointConfig.from_points(pts)
+    flat = five_point_from_points(pts)
     (x, y), d = pentagon.cramer_step(flat.s, pts["D"], (pts["A"], 1), "A", "B")
     assert d == flat.s("E", "D", "A") != 0
     assert (x / d, y / d) == pts["B"]
@@ -264,7 +264,7 @@ def fraction_vector_identities(points):
     vec = {k: (x - ex, y - ey) for k, (x, y) in points.items()}  # E -> k
     ed, ea = vec["D"], vec["A"]
 
-    flat = FivePointConfig.from_points(points)
+    flat = five_point_from_points(points)
     if any(
         fraction_cramer_step(flat.s, ed, vec[a], a, b) != vec[b] for a, b in (("A", "B"), ("B", "C"), ("C", "A"))
     ):

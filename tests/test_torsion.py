@@ -17,18 +17,15 @@ from pentachain import (
     invariant,
     load_builtin,
     minors,
-    projective_paper_partition,
     random_walk,
     select_partition,
-    sphere_paper_partition,
     tau,
-    tet0_edges,
 )
 from pentachain import chain, torsion
 from pentachain.exact import det, independent_rows, rank
 from pentachain.geometry import parse_geometry, subseed
-from pentachain.library import SPHERE_C1_ROWS
 from pentachain.triangulation import Triangulation
+from reference import SPHERE_C1_ROWS, projective_paper_partition, sphere_paper_partition, tet0_edges
 from test_geometry import prime_denominator_geometry_text
 
 F = Fraction

@@ -10,7 +10,6 @@ from pentachain import (
     ParseError,
     Triangulation,
     ValidationError,
-    build,
     canonical_form,
     isomorphic,
     load_builtin,
@@ -63,7 +62,7 @@ def test_euler_characteristic_zero(s3, rp3):
 def test_non_involutive_self_gluing_rejected():
     bad = Gluing(0, (0, 2, 3, 1))
     with pytest.raises(ValidationError, match="involutive"):
-        build([[bad, bad, bad, bad]])
+        Triangulation([[bad, bad, bad, bad]])
 
 
 def test_orientation_incoherence_rejected():
@@ -75,16 +74,40 @@ def test_orientation_incoherence_rejected():
         [Gluing(0, twist), Gluing(0, IDENTITY), Gluing(0, IDENTITY), Gluing(0, IDENTITY)],
     ]
     with pytest.raises(ValidationError, match="orientable"):
-        build(rows)
+        Triangulation(rows)
 
 
 def test_missing_gluing_rejected():
     with pytest.raises(ValidationError):
-        build([[Gluing(0, IDENTITY)] * 3])
+        Triangulation([[Gluing(0, IDENTITY)] * 3])
     # tetrahedron 0's faces point into the short row 1: every length is
     # checked before any partner is read
     with pytest.raises(ValidationError, match="^tetrahedron 1 must glue exactly 4 faces$"):
-        build([[Gluing(1, IDENTITY)] * 4, [Gluing(0, IDENTITY)] * 3])
+        Triangulation([[Gluing(1, IDENTITY)] * 4, [Gluing(0, IDENTITY)] * 3])
+
+
+def disjoint_union(a, b):
+    """The gluing table of ``a`` followed by ``b``, ``b``'s tetrahedra
+    renumbered after ``a``'s."""
+    return [list(row) for row in a.tets] + [[Gluing(g.neighbor + a.size, g.perm) for g in row] for row in b.tets]
+
+
+def test_disconnected_table_rejected(s3, rp3):
+    # both the rank pattern and canonical_form assume one component: the
+    # union of two spheres expected negative ranks, and the search from one
+    # start never saw the second component
+    for rows, unreached in (
+        (disjoint_union(s3, s3), 2),
+        (disjoint_union(rp3, s3), 8),
+        # interleaved: tetrahedra 0, 2 and 1, 3 form the two spheres
+        ([[Gluing(2, g.perm) for g in s3.tets[0]], [Gluing(3, g.perm) for g in s3.tets[0]],
+          [Gluing(0, g.perm) for g in s3.tets[1]], [Gluing(1, g.perm) for g in s3.tets[1]]], 1),
+    ):
+        with pytest.raises(ValidationError) as exc:
+            Triangulation(rows)
+        assert str(exc.value) == (
+            f"gluing table is not connected: tetrahedron {unreached} is not reachable from tetrahedron 0"
+        )
 
 
 def test_classes_stable_under_tet_relabeling(rp3):
@@ -93,7 +116,7 @@ def test_classes_stable_under_tet_relabeling(rp3):
     rows = []
     for old in perm:
         rows.append([Gluing(inv[g.neighbor], g.perm) for g in rp3.tets[old]])
-    relabeled = build(rows)
+    relabeled = Triangulation(rows)
     assert relabeled.f_vector() == rp3.f_vector()
     sig = lambda tri: (
         sorted(v.degree for v in tri.vertices),
@@ -160,9 +183,9 @@ def test_resolved_tables_match_direct_lookups(s3, rp3):
             assert star(tri, e.id) == fresh_star(tri, e)
             angles = lookup_angles(tri, e.id)
             assert tri.edge_angles[e.id] == angles
-            assert all(tri.angle_sides(*c) == sides for sides, c in angles)
         for f in tri.faces:
-            tet, (a, b, c) = f.boundary
+            tet, k = f.members[0]
+            a, b, c = (s for s in range(4) if s != k)
             assert tri.face_sides[f.id] == tuple(tri.edge_class(tet, x, y) for x, y in ((a, b), (b, c), (c, a)))
         # set on construction, as plain tuples
         assert isinstance(vars(tri)["edge_angles"], tuple) and isinstance(vars(tri)["face_sides"], tuple)
@@ -235,7 +258,7 @@ def test_comments_and_whitespace_ok(s3):
 
 def test_canonical_form_invariance(s3, rp3):
     perm = [1, 0]
-    swapped = build(
+    swapped = Triangulation(
         [[Gluing(perm[g.neighbor], g.perm) for g in s3.tets[old]] for old in perm]
     )
     assert canonical_form(swapped) == canonical_form(s3)
@@ -302,8 +325,21 @@ def union_find_classes(tets):
     and ``(t, face)``: the construction the orbit traversal replaced.
 
     Returns (vertices, edges, faces, vertex_of, edge_of, face_of) with the
-    maps keyed by (t, s), (t, i, j) and (t, k)."""
+    maps keyed by (t, s), (t, i, j) and (t, k).  A table with a tetrahedron
+    that no chain of gluings reaches from tetrahedron 0 is rejected first,
+    naming the first such tetrahedron."""
     n = len(tets)
+    reached, stack = {0}, [0]
+    while stack:
+        for g in tets[stack.pop()]:
+            if g.neighbor not in reached:
+                reached.add(g.neighbor)
+                stack.append(g.neighbor)
+    if len(reached) < n:
+        unreached = min(set(range(n)) - reached)
+        raise ValidationError(
+            f"gluing table is not connected: tetrahedron {unreached} is not reachable from tetrahedron 0"
+        )
     vertex_of, members = _number_classes(
         (
             ((t, s), (g.neighbor, g.perm[s]))
@@ -361,7 +397,7 @@ def union_find_classes(tets):
     for fid, occ in enumerate(members):
         t0, k0 = occ[0]
         slots = tuple(s for s in range(4) if s != k0)
-        faces.append(FaceClass(fid, tuple(occ), (t0, slots), tuple(vertex_of[(t0, s)] for s in slots)))
+        faces.append(FaceClass(fid, tuple(occ), tuple(vertex_of[(t0, s)] for s in slots)))
     return vertices, tuple(edges), tuple(faces), vertex_of, edge_of, face_of
 
 
@@ -435,10 +471,10 @@ def test_random_table_classes_match_union_find_oracle(n, rng):
         union_find_classes(table)
     except ValidationError as exc:
         with pytest.raises(ValidationError) as got:
-            build(table)
+            Triangulation(table)
         assert str(got.value) == str(exc)
     else:
-        assert_classes_match_oracle(build(table))
+        assert_classes_match_oracle(Triangulation(table))
 
 
 def test_self_reverse_edge_names_first_scanned_port():
@@ -452,7 +488,7 @@ def test_self_reverse_edge_names_first_scanned_port():
         union_find_classes(rows)
     assert str(exc.value).startswith("edge (1,2,3) is identified with its own reverse")
     with pytest.raises(ValidationError) as got:
-        build(rows)
+        Triangulation(rows)
     assert str(got.value) == str(exc.value)
 
 
@@ -470,7 +506,7 @@ def with_gluing(tri, t, k, perm):
 def test_non_permutation_gluing_is_named(perm):
     rows = with_gluing(load_builtin("rp3"), 0, 0, perm)
     with pytest.raises(ValidationError) as exc:
-        build(rows)
+        Triangulation(rows)
     assert str(exc.value) == f"tetrahedron 0 face 0 has invalid permutation {perm}"
 
 
@@ -479,7 +515,7 @@ def test_list_permutation_gluing_is_not_involutive():
     rp3 = load_builtin("rp3")
     g = rp3.tets[0][0]
     with pytest.raises(ValidationError) as exc:
-        build(with_gluing(rp3, 0, 0, list(g.perm)))
+        Triangulation(with_gluing(rp3, 0, 0, list(g.perm)))
     assert str(exc.value) == f"gluing of tetrahedron {g.neighbor} face {g.perm[0]} is not involutive"
 
 
