@@ -1,21 +1,25 @@
 """Command-line interface.
 
 Subcommands: ``invariant`` (full pipeline on one triangulation),
-``verify`` (chain/acyclicity/pentagon/independence/walk suites),
+``verify`` (the pentagon sample suite, then chain/acyclicity/independence/
+walk suites on one triangulation),
 ``pachner`` (seeded random walk, optionally writing the result),
 ``pentagon`` (five-point identity suites alone) and ``dump-chain``
 (diffable matrix dump).
 
 Exit codes are stable: 0 success, 2 parse error (also unreadable input
-files and argparse usage errors), 3 gluing validation error, 4 degenerate geometry after retries,
-5 non-acyclic complex, 6 invariance violation during verification, 141
+files and argparse usage errors), 3 gluing validation error, 4 degenerate
+geometry (none could be drawn in ``geometry.SAMPLE_DRAWS`` tries, or the
+explicit one has a zero face circulation), 5 non-acyclic complex, 6
+invariance violation during verification, 141
 (128 + SIGPIPE, as a shell reports a process that SIGPIPE ended) when the
 reader of standard output goes away first, as in ``... | head -1``; that
 exit prints nothing.
 
-Integer flags (``--seed`` and every count) take the integer grammar of
-the input files, ``exact.parse_integer``: ASCII digits, with a minus only
-before a nonzero value.
+Options are taken by their full names only, never by a prefix.  Integer
+flags (``--seed`` and every count) take the integer grammar of the input
+files, ``exact.parse_integer``: ASCII digits, with a minus only before a
+nonzero value.
 
 Reports are reproducible byte for byte for fixed (input, seed, version):
 ``--json`` output carries no timing; the human format prints wall time on
@@ -44,7 +48,7 @@ from .errors import (
     ValidationError,
 )
 from .exact import format_rational, parse_integer
-from .geometry import DEFAULT_MAX_RETRIES, assign_geometry, parse_geometry, subseed
+from .geometry import assign_geometry, parse_geometry, subseed
 from .library import BUILTIN_NAMES, load_builtin
 from .pachner import random_walk, walk_states
 from .pentagon import FivePointConfig, verify_pentagon, verify_vector_identities
@@ -74,7 +78,7 @@ def _load_input(args) -> tuple[str, Triangulation]:
 
 
 def _geometry_override(args, tri):
-    if getattr(args, "geometry", None):
+    if args.geometry:
         return parse_geometry(read_text(args.geometry), tri)
     return None
 
@@ -108,12 +112,7 @@ def _invariant_report(name: str, result) -> dict:
 
 def cmd_invariant(args) -> tuple[dict, int]:
     name, tri = _load_input(args)
-    result = invariant(
-        tri,
-        seed=args.seed,
-        max_retries=args.retries,
-        geometry=_geometry_override(args, tri),
-    )
+    result = invariant(tri, seed=args.seed, geometry=_geometry_override(args, tri))
     return _invariant_report(name, result), 0
 
 
@@ -134,23 +133,18 @@ def cmd_verify(args) -> tuple[dict, int]:
     _check_pentagon_samples(args.seed, args.samples)
     checks["pentagon"] = f"pass ({args.samples} samples)"
 
-    if args.pentagon_only:
-        report["input"] = None
-        return report, 0
-
     name, tri = _load_input(args)
     report["input"] = name
     report["f_vector"] = list(tri.f_vector())
 
-    geometry = _geometry_override(args, tri)
-    base = invariant(tri, seed=args.seed, max_retries=args.retries, geometry=geometry)
+    base = invariant(tri, seed=args.seed)
     report["ranks"] = list(base.ranks)
     report["acyclic"] = True
     report["tau"] = format_rational(base.tau)
     report["abs_invariant"] = format_rational(base.abs_invariant)
 
     for i in range(args.chain_seeds):
-        g = assign_geometry(tri, subseed(args.seed, "chain", i), args.retries)
+        g = assign_geometry(tri, subseed(args.seed, "chain", i))
         c = build_chain(tri, g)
         ok, witness = verify_chain(c)
         if not ok:
@@ -160,7 +154,7 @@ def cmd_verify(args) -> tuple[dict, int]:
     checks["acyclic"] = f"pass ({args.chain_seeds} geometry seeds)"
 
     taus = set()
-    g = assign_geometry(tri, subseed(args.seed, "partition-geom"), args.retries)
+    g = assign_geometry(tri, subseed(args.seed, "partition-geom"))
     c = build_chain(tri, g)
     for i in range(args.partition_seeds):
         p, _ = select_partition(c, subseed(args.seed, "partition", i))
@@ -171,7 +165,7 @@ def cmd_verify(args) -> tuple[dict, int]:
 
     values = set()
     for i in range(args.geometry_seeds):
-        r = invariant(tri, seed=subseed(args.seed, "geom", i), max_retries=args.retries)
+        r = invariant(tri, seed=subseed(args.seed, "geom", i))
         values.add(r.abs_invariant)
     if len(values) != 1:
         raise InvarianceError(f"invariant depends on the geometry: {sorted(values)}")
@@ -185,7 +179,7 @@ def cmd_verify(args) -> tuple[dict, int]:
             step += 1
             if step % args.check_every and step != args.steps:
                 continue
-            r = invariant(state, seed=subseed(walk_seed, "step", step), max_retries=args.retries)
+            r = invariant(state, seed=subseed(walk_seed, "step", step))
             if r.abs_invariant != expected:
                 raise InvarianceError(
                     f"invariant changed along walk {w} (seed {walk_seed}) at step "
@@ -248,7 +242,7 @@ def cmd_dump_chain(args) -> tuple[dict, int]:
     name, tri = _load_input(args)
     geometry = _geometry_override(args, tri)
     if geometry is None:
-        geometry = assign_geometry(tri, subseed(args.seed, "geometry"), args.retries)
+        geometry = assign_geometry(tri, subseed(args.seed, "geometry"))
     c = build_chain(tri, geometry)
     certify_chain(c)
     sys.stdout.write(dump_chain(c))
@@ -276,8 +270,8 @@ def _count(minimum: int):
     return parse
 
 
-def _add_input_flags(parser, required=True):
-    group = parser.add_mutually_exclusive_group(required=required)
+def _add_input_flags(parser):
+    group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--builtin", choices=BUILTIN_NAMES, help="built-in triangulation")
     group.add_argument("--file", help="triangulation file path")
 
@@ -289,23 +283,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pentachain",
         description="Exact torsion invariant of closed oriented 3-manifold triangulations.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
+    # options are taken by their full names only: with prefixes, verify
+    # would read a --geometry, which it does not take, as --geometry-seeds
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("invariant", help="compute the manifold invariant")
+    p = sub.add_parser("invariant", help="compute the manifold invariant", allow_abbrev=False)
     _add_input_flags(p)
     p.add_argument("--seed", type=_integer, default=0)
-    p.add_argument("--retries", type=_count(1), default=DEFAULT_MAX_RETRIES)
     p.add_argument("--geometry", help="explicit geometry file (overrides sampling)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_invariant)
 
-    p = sub.add_parser("verify", help="run the verification suites")
-    _add_input_flags(p, required=False)
+    p = sub.add_parser("verify", help="run the verification suites", allow_abbrev=False)
+    _add_input_flags(p)
     p.add_argument("--seed", type=_integer, default=0)
-    p.add_argument("--retries", type=_count(1), default=DEFAULT_MAX_RETRIES)
-    p.add_argument("--geometry", help="explicit geometry file")
     p.add_argument("--walks", type=_count(0), default=5)
     p.add_argument("--steps", type=_count(0), default=20)
     p.add_argument("--samples", type=_count(0), default=100)
@@ -315,11 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-tets", type=_count(1), default=12)
     p.add_argument("--check-every", type=_count(1), default=5,
                    help="verify the invariant every N walk steps (and at the end)")
-    p.add_argument("--pentagon-only", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("pachner", help="run a random bistellar walk")
+    p = sub.add_parser("pachner", help="run a random bistellar walk", allow_abbrev=False)
     _add_input_flags(p)
     p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--steps", type=_count(0), default=20)
@@ -328,32 +321,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_pachner)
 
-    p = sub.add_parser("pentagon", help="five-point identity suites")
+    p = sub.add_parser("pentagon", help="five-point identity suites", allow_abbrev=False)
     p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--samples", type=_count(0), default=100)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_pentagon)
 
-    p = sub.add_parser("dump-chain", help="dump the five matrices, one entry per line")
+    p = sub.add_parser("dump-chain", help="dump the five matrices, one entry per line", allow_abbrev=False)
     _add_input_flags(p)
     p.add_argument("--seed", type=_integer, default=0)
-    p.add_argument("--retries", type=_count(1), default=DEFAULT_MAX_RETRIES)
     p.add_argument("--geometry", help="explicit geometry file")
     p.set_defaults(func=cmd_dump_chain)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "pentagon_only", False) is False and args.subcommand == "verify":
-        if not (args.builtin or args.file):
-            parser.error("verify needs --builtin or --file unless --pentagon-only is given")
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         report, code = args.func(args)
         if report:
-            print(_render(report, getattr(args, "json", False), time.perf_counter() - started))
+            print(_render(report, args.json, time.perf_counter() - started))
         # a closed pipe shows up here rather than at the flush on exit
         sys.stdout.flush()
     except BrokenPipeError:

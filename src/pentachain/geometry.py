@@ -71,7 +71,7 @@ from .triangulation import Triangulation
 
 SAMPLE_NUMERATOR_BOUND = 64
 SAMPLE_DENOMINATOR_BOUND = 16
-DEFAULT_MAX_RETRIES = 100
+SAMPLE_DRAWS = 100  # draws assign_geometry makes before giving up
 
 
 def subseed(seed: int, *tags) -> int:
@@ -145,19 +145,16 @@ def _zero_face(tri: Triangulation, lam: tuple[int, dict]):
     return None
 
 
-def assign_geometry(
-    tri: Triangulation,
-    seed: int,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-) -> GeometryAssignment:
+def assign_geometry(tri: Triangulation, seed: int) -> GeometryAssignment:
     """Sample generic rational coordinates, rejecting degenerate draws.
 
     Numerators are uniform in [-64, 64] and denominators in [1, 16]; a draw
     is accepted once every face circulation is nonzero, each draw's edge
-    values evaluated once.  The retry sequence is a deterministic function
-    of the seed.  An edge class joining a vertex class to itself gives every
-    face containing it zero circulation for any geometry, so such input
-    fails before the first draw.
+    values evaluated once, and DegenerateGeometryError is raised after
+    SAMPLE_DRAWS rejected draws.  The draw sequence is a deterministic
+    function of the seed.  An edge class joining a vertex class to itself
+    gives every face containing it zero circulation for any geometry, so
+    such input fails before the first draw.
     """
     for e in tri.edges:
         if e.tail == e.head:
@@ -175,7 +172,7 @@ def assign_geometry(
             rng.randint(1, SAMPLE_DENOMINATOR_BOUND),
         )
 
-    for _ in range(max_retries):
+    for _ in range(SAMPLE_DRAWS):
         g = GeometryAssignment(
             x=tuple(draw() for _ in range(nv)),
             y=tuple(draw() for _ in range(nv)),
@@ -183,7 +180,7 @@ def assign_geometry(
         )
         if _zero_face(tri, edge_values(tri, g)) is None:
             return g
-    raise DegenerateGeometryError(f"no nondegenerate geometry found after {max_retries} attempts")
+    raise DegenerateGeometryError(f"no nondegenerate geometry found after {SAMPLE_DRAWS} attempts")
 
 
 def ensure_nondegenerate(tri: Triangulation, lam: tuple[int, dict]) -> None:

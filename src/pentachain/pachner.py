@@ -106,6 +106,13 @@ def _apply_checked(tri, deleted, new_count, internal, boundary, delta) -> Triang
     return out
 
 
+def _require(index: int, count: int, what: str) -> None:
+    """Raise unless the site's ``index`` names one of ``count`` objects;
+    a negative index would otherwise wrap around."""
+    if not 0 <= index < count:
+        raise MoveError(f"no {what} {index}")
+
+
 def _slot_map(entries: dict[int, int]) -> Perm:
     out = [None] * 4
     for k, v in entries.items():
@@ -117,8 +124,7 @@ def _slot_map(entries: dict[int, int]) -> Perm:
 
 
 def _move_1_4(tri: Triangulation, t: int) -> Triangulation:
-    if not 0 <= t < tri.size:
-        raise MoveError(f"no tetrahedron {t}")
+    _require(t, tri.size, "tetrahedron")
     internal = []
     for k in range(4):
         for j in range(k):
@@ -131,6 +137,8 @@ def _move_1_4(tri: Triangulation, t: int) -> Triangulation:
 
 
 def _move_2_3(tri: Triangulation, t: int, a: int) -> Triangulation:
+    _require(t, tri.size, "tetrahedron")
+    _require(a, 4, "face slot")
     g = tri.tets[t][a]
     other, p = g.neighbor, g.perm
     if other == t:
@@ -179,6 +187,7 @@ def _edge_cycle(tri: Triangulation, edge_id: int):
 
 
 def _move_3_2(tri: Triangulation, edge_id: int) -> Triangulation:
+    _require(edge_id, len(tri.edges), "edge class")
     cycle = _edge_cycle(tri, edge_id)
     if cycle is None:
         raise MoveError(
@@ -240,6 +249,7 @@ def _vertex_ball(tri: Triangulation, vertex_id: int):
 
 
 def _move_4_1(tri: Triangulation, vertex_id: int) -> Triangulation:
+    _require(vertex_id, len(tri.vertices), "vertex class")
     ball = _vertex_ball(tri, vertex_id)
     if ball is None:
         raise MoveError(

@@ -106,13 +106,7 @@ from math import prod
 from .chain import ChainComplex, build_chain, certify_chain, check_acyclic, expected_ranks
 from .errors import PentachainError, TorsionError
 from .exact import det, independent_rows, permutation_sign
-from .geometry import (
-    DEFAULT_MAX_RETRIES,
-    GeometryAssignment,
-    assign_geometry,
-    face_circulations,
-    subseed,
-)
+from .geometry import GeometryAssignment, assign_geometry, face_circulations, subseed
 from .triangulation import Triangulation
 
 
@@ -277,12 +271,13 @@ class InvariantResult:
 def invariant(
     tri: Triangulation,
     seed: int = 0,
-    max_retries: int = DEFAULT_MAX_RETRIES,
     geometry: GeometryAssignment | None = None,
 ) -> InvariantResult:
     """Full pipeline: geometry, chain, acyclicity, torsion, normalization.
 
-    Without ``geometry`` one is sampled from the seed.  ``build_chain``
+    Without ``geometry`` one is sampled from ``subseed(seed, "geometry")``
+    by ``assign_geometry``, which raises DegenerateGeometryError after
+    ``geometry.SAMPLE_DRAWS`` rejected draws.  ``build_chain``
     computes the geometry's integer edge-value table and certifies it: an
     explicit geometry with a zero face circulation raises
     DegenerateGeometryError there, and a nonzero curvature at the flat
@@ -303,7 +298,7 @@ def invariant(
     geometry but is not claimed to be a manifold invariant.
     """
     if geometry is None:
-        geometry = assign_geometry(tri, subseed(seed, "geometry"), max_retries)
+        geometry = assign_geometry(tri, subseed(seed, "geometry"))
     c = build_chain(tri, geometry)
     partition, values = select_partition(c)
     certify_chain(c, partition.cols(c)[:3])

@@ -181,7 +181,7 @@ def test_degenerate_geometry_exit_code(tmp_path, capsys, monkeypatch):
     draws = []
     real_edge_values = geometry.edge_values
     monkeypatch.setattr(geometry, "edge_values", lambda *a: draws.append(a) or real_edge_values(*a))
-    code, _, err = run(capsys, ["invariant", "--file", str(path), "--retries", "10"])
+    code, _, err = run(capsys, ["invariant", "--file", str(path)])
     assert code == 4
     assert "edge class 3 joins vertex class 2 to itself" in err
     assert "zero circulation for any geometry" in err
@@ -316,7 +316,8 @@ def test_verify_chain_seed_failures(capsys, monkeypatch, broken, code, message):
 
 @pytest.mark.parametrize(
     "argv",
-    [["verify", "--pentagon-only", "--samples", "1"], ["pentagon", "--samples", "1"]],
+    # verify runs its samples before it reads the input
+    [["verify", "--builtin", "s3", "--samples", "1"], ["pentagon", "--samples", "1"]],
     ids=["verify", "pentagon"],
 )
 def test_invariance_violation_exit_code(capsys, monkeypatch, argv):
@@ -358,13 +359,7 @@ def test_verify_quick(capsys):
     assert "pachner_walks" in out
 
 
-def test_verify_pentagon_only(capsys):
-    code, out, _ = run(capsys, ["verify", "--pentagon-only", "--samples", "25"])
-    assert code == 0
-    assert "pentagon" in out
-
-
-def test_verify_requires_input_unless_pentagon_only(capsys):
+def test_verify_requires_input(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify"])
     assert exc.value.code == 2
@@ -428,6 +423,20 @@ def test_pachner_command(tmp_path, capsys):
     walked = load_builtin("rp3").from_file(out_path)
     report = json.loads(out)
     assert report["f_vector_after"] == list(walked.f_vector())
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name", ["s3", "rp3"])
+def test_dump_chain_is_the_chain_invariant_certifies(capsys, monkeypatch, name, seed):
+    # both derive the geometry from subseed(seed, "geometry"), in two modules
+    chains = []
+    real_build_chain = torsion.build_chain
+    monkeypatch.setattr(torsion, "build_chain", lambda *a: chains.append(real_build_chain(*a)) or chains[-1])
+    torsion.invariant(load_builtin(name), seed)
+    assert len(chains) == 1
+    code, out, _ = run(capsys, ["dump-chain", "--builtin", name, "--seed", str(seed)])
+    assert code == 0
+    assert out == pentachain.dump_chain(chains[0])
 
 
 # every exact entry of f1..f5 for rp3 at geometry seed 1
@@ -534,7 +543,6 @@ def test_report_with_thousands_of_digits(tmp_path, capsys):
         ("--check-every", "0", 1),
         ("--partition-seeds", "0", 1),
         ("--geometry-seeds", "0", 1),
-        ("--retries", "0", 1),
         ("--samples", "-3", 0),
         ("--walks", "-1", 0),
         ("--steps", "-1", 0),
@@ -566,9 +574,9 @@ def test_pachner_rejects_out_of_range_max_tets(capsys, value):
         (["pentagon"], "--samples", "1_0"),
         (["verify", "--builtin", "s3"], "--steps", "+2"),
         (["pachner", "--builtin", "s3"], "--steps", "+2"),
-        (["dump-chain", "--builtin", "s3"], "--retries", " 5"),
+        (["dump-chain", "--builtin", "s3"], "--seed", " 5"),
     ],
-    ids=["arabic-seed", "minus-zero-seed", "underscore-samples", "plus-steps", "plus-pachner-steps", "space-retries"],
+    ids=["arabic-seed", "minus-zero-seed", "underscore-samples", "plus-steps", "plus-pachner-steps", "space-seed"],
 )
 def test_integer_flag_outside_ascii_digits_exits_usage_error(capsys, argv, flag, value):
     # int() read each of these as the number it stands for
@@ -635,6 +643,44 @@ def test_zero_circulation_geometry_exit_code(tmp_path, capsys):
         code, _, err = run(capsys, [command, "--builtin", "s3", "--geometry", str(path)])
         assert code == 4
         assert "face class 3 (vertices (0, 1, 2)) has zero circulation" in err
+
+
+# every subcommand option, in declaration order; --help and the top-level
+# --version aside
+SUBCOMMAND_OPTIONS = {
+    "invariant": ["--builtin", "--file", "--seed", "--geometry", "--json"],
+    "verify": [
+        "--builtin", "--file", "--seed", "--walks", "--steps", "--samples", "--chain-seeds",
+        "--partition-seeds", "--geometry-seeds", "--max-tets", "--check-every", "--json",
+    ],
+    "pachner": ["--builtin", "--file", "--seed", "--steps", "--max-tets", "--out", "--json"],
+    "pentagon": ["--seed", "--samples", "--json"],
+    "dump-chain": ["--builtin", "--file", "--seed", "--geometry"],
+}
+
+
+def test_subcommand_options_pinned(capsys):
+    (subcommands,) = [a for a in cli.build_parser()._actions if a.dest == "subcommand"]
+    options = {
+        name: [o for action in sub._actions for o in action.option_strings if o not in ("-h", "--help")]
+        for name, sub in subcommands.choices.items()
+    }
+    assert options == SUBCOMMAND_OPTIONS
+    assert sum(map(len, options.values())) == 31
+    # the sampler's draw bound is a constant, verify takes no geometry and
+    # the pentagon suite alone is the pentagon subcommand
+    for argv in (
+        ["invariant", "--builtin", "s3", "--retries", "5"],
+        ["verify", "--builtin", "s3", "--retries", "5"],
+        ["dump-chain", "--builtin", "s3", "--retries", "5"],
+        ["verify", "--builtin", "s3", "--pentagon-only"],
+        # a prefix of --geometry-seeds, so it must not be read as one
+        ["verify", "--builtin", "s3", "--geometry", "5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[3:])}" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

@@ -235,7 +235,7 @@ def test_structurally_degenerate_input_fails_with_hint(s3, monkeypatch):
         r"circulation for any geometry; 2->3 and 1->4 moves cannot remove this edge"
     )
     with pytest.raises(DegenerateGeometryError, match=message):
-        assign_geometry(degenerate, seed=0, max_retries=20)
+        assign_geometry(degenerate, seed=0)
     assert draws == []
 
 

@@ -82,6 +82,23 @@ def test_invalid_sites_rejected(s3):
         apply_move(s3, MoveSite("5->0", 0))
     with pytest.raises(MoveError):
         enumerate_sites(s3, "6->1")
+    # locations outside the triangulation; a negative one must not wrap
+    # around to the last edge, vertex or tetrahedron
+    grown = apply_move(s3, MoveSite("1->4", 0))
+    assert grown.f_vector() == (5, 10, 10, 5)
+    for kind, location, message in [
+        ("3->2", -1, "no edge class -1"),
+        ("4->1", -1, "no vertex class -1"),
+        ("3->2", 99, "no edge class 99"),
+        ("4->1", 99, "no vertex class 99"),
+        ("2->3", (99, 0), "no tetrahedron 99"),
+        ("2->3", (0, 7), "no face slot 7"),
+        ("2->3", (-1, 0), "no tetrahedron -1"),
+        ("1->4", -1, "no tetrahedron -1"),
+    ]:
+        with pytest.raises(MoveError) as exc:
+            apply_move(grown, MoveSite(kind, location))
+        assert str(exc.value) == message
 
 
 def test_zero_step_walk_is_input(s3):
