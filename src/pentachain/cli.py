@@ -34,8 +34,8 @@ import os
 import random
 import sys
 import time
-from fractions import Fraction
 from functools import cache
+from math import lcm
 
 from . import __version__
 from .chain import build_chain, certify_chain, check_acyclic, dump_chain, verify_chain
@@ -213,16 +213,17 @@ def cmd_pachner(args) -> tuple[dict, int]:
 
 def cmd_pentagon(args) -> tuple[dict, int]:
     _check_pentagon_samples(args.seed, args.samples)
-    rng = random.Random(subseed(args.seed, "points"))
+    randrange = random.Random(subseed(args.seed, "points")).randrange
     point_checks = 0
     for j in range(args.samples):
-        pts = {
-            lab: (Fraction(rng.randint(-20, 20), rng.randint(1, 7)),
-                  Fraction(rng.randint(-20, 20), rng.randint(1, 7)))
-            for lab in ("A", "B", "C", "D", "E")
-        }
+        # x then y of A..E, each randint(-20, 20) / randint(1, 7) drawn as
+        # lo + randrange(n), cleared to integers over the lcm of the ten
+        draws = [(randrange(41) - 20, 1 + randrange(7)) for _ in range(10)]
+        den = lcm(*(q for _, q in draws))
+        coords = [p * (den // q) for p, q in draws]
+        pts = {lab: (coords[2 * i], coords[2 * i + 1]) for i, lab in enumerate(("A", "B", "C", "D", "E"))}
         try:
-            if not verify_vector_identities(pts):
+            if not verify_vector_identities(pts, den):
                 raise InvarianceError(f"vector identities failed at point configuration {j}")
             point_checks += 1
         except DegenerateGeometryError:

@@ -24,9 +24,9 @@ of the values.  ``edge_values`` is the only form of the edge values on a
 triangulation: it clears x, y and kappa once and returns the table
 directly, one table per geometry (``lambda_of`` is the paper formula it is
 checked against).  ``pentagon.FivePointConfig.table`` is the table of a
-five-point configuration.  For sampled geometry D divides 2 lcm(1..16)^2,
-about 40 bits, whatever the size of the triangulation; explicit geometry
-may have any denominators.
+five-point configuration, over any common denominator of its values.  For
+sampled geometry D divides 2 lcm(1..16)^2, about 40 bits, whatever the
+size of the triangulation; explicit geometry may have any denominators.
 
 Every formula reads sides, not edges: a side is a ``(key, sign)`` pair,
 the key of a directed edge and its sign against the key's stored
@@ -51,7 +51,7 @@ its terms summed over the lcm L of the angle denominators, and the
 gradient over every key the angles touch stays an integer table ``(den,
 {key: int})`` with den dividing L.  ``omega_row`` hands it to
 ``chain.build_chain`` as an f3 row; a single partial
-(``pentagon.domega_ed_dlambda_ed``) reads its key from it, zero if the
+(``pentagon.verify_pentagon``) reads its key from it, zero if the
 angles do not touch the key.
 """
 
@@ -269,6 +269,15 @@ def omega_row(tri: Triangulation, lam: tuple[int, dict], edge_id: int) -> tuple[
 # -- holonomy ----------------------------------------------------------
 
 
+def holonomy_numerators(edge_vector: tuple[int, int], p: int, q: int) -> tuple[int, tuple]:
+    """Integer core of ``holonomy_generator`` at an integer edge vector
+    (x, y) and domega = p / q: the generator as an integer table ``(2q,
+    rows)``, its entries the rows p ((-xy, x^2), (-y^2, xy)) over 2q."""
+    x, y = edge_vector
+    pxy = p * x * y
+    return 2 * q, ((-pxy, p * x * x), (-(p * y * y), pxy))
+
+
 def holonomy_generator(
     edge_vector: tuple[Fraction, Fraction], domega: Fraction
 ) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
@@ -276,12 +285,12 @@ def holonomy_generator(
     vector (x, y) and curvature derivative ``domega``: domega / 2 times
     ((-xy, x^2), (-y^2, xy)).  ``chain.build_chain`` writes its entries
     (m01, m11, -m10) at domega = 1, (x^2, xy, y^2) / 2, as the edge's f4
-    column.  The products of the coordinates are taken first, so integer
-    coordinates meet a Fraction only in the three scalings."""
-    x, y = edge_vector
-    half = Fraction(domega) / 2
-    xy = x * y * half
-    return (-xy, x * x * half), (-(y * y * half), xy)
+    column.  The vector is cleared to integers over c and domega read as
+    p / q, so the entries are ``holonomy_numerators`` over 2 q c^2."""
+    c, cleared = clear_denominators(dict(enumerate(edge_vector)))
+    domega = Fraction(domega)
+    den, rows = holonomy_numerators((cleared[0], cleared[1]), domega.numerator, domega.denominator)
+    return tuple(tuple(Fraction(m, den * c * c) for m in row) for row in rows)
 
 
 # -- explicit geometry files -------------------------------------------

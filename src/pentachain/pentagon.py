@@ -24,19 +24,26 @@ The checks run on the integer path that builds the curvature derivative
 matrix for triangulations.  The local complex is resolved into sides at
 import, as a triangulation resolves its own: ``TRIANGLES`` holds the three
 ``(pair, sign)`` sides of every ordered triangle of labels and ``ANGLES``
-the six sides of each angle at E->D.  A configuration clears its ten
-values once to an integer table ``(D, numerators)``, the shape
-``geometry.edge_values`` returns; every circulation is an integer over D,
+the six sides of each angle at E->D.  A configuration is its integer value
+table ``(D, numerators)``, the shape ``geometry.edge_values`` returns;
+``FivePointConfig(lam)`` clears ten values to it once, and ``lam`` is a
+view of the table as Fractions.  Every circulation is an integer over D,
 ``geometry.circulation`` of a triangle's sides on that table, and the
 curvature and its derivative are one ``geometry.curvature`` on the same
-table, computed once per configuration and shared.  The flat
-lambda_ED is solved on one table of the configuration: of the six
-circulations in the bilinear relation only the three S_xDE hold
+table, computed once per configuration and shared.
+
+The sampler draws integers from the start: each of the nine free values is
+a numerator and a denominator drawn as integers, the nine put over the lcm
+of their denominators, and the flat lambda_ED is solved on that table: of
+the six circulations in the bilinear relation only the three S_xDE hold
 lambda_ED, each once with sign -1, so the relation's value at
-lambda_ED = 0 and its slope are integers read off that table.
+lambda_ED = 0 and its slope are integers read off that table.  The solved
+lambda_ED = p / q puts the table over D q, and the two-to-three identity
+is compared cross-multiplied in integers.
 
 The vector identities never leave the integers.  The five points are
-cleared once to integer points over L, the lcm of their denominators, so
+cleared once to integer points over L, the lcm of their denominators
+(points drawn as integers over a common denominator come cleared), so
 each vector is L times the plane vector and each value
 lambda_ab = (x_a y_b - x_b y_a) / 2 is an integer over 2 L^2: for plane
 points (kappa zero) a circulation is the oriented area, and its integer
@@ -46,22 +53,23 @@ shift, by 2 L^2 p.  A Cramer step, E->b from E->D and E->a, reads three
 circulations of one table and keeps E->b projective, an integer numerator
 vector over an integer denominator; a uniform scale of the circulations
 cancels out of it.  Every equality is compared cross-multiplied in
-integers.  The holonomy generator, a 2x2 matrix, is checked by its action
-on E->D and on E->A, E->B.
+integers.  The holonomy generator at omega = p / q, a 2x2 matrix, is
+``geometry.holonomy_numerators`` at the integer E->D, integers over 2 q,
+checked by its action on E->D and on E->A, E->B.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import permutations
+from math import lcm
 from typing import Mapping
 
 from .errors import DegenerateGeometryError, PentachainError
 from .exact import clear_denominators
-from .geometry import circulation, curvature, holonomy_generator
+from .geometry import circulation, curvature, holonomy_numerators
 
 LABELS = ("A", "B", "C", "D", "E")
 
@@ -115,39 +123,46 @@ def _circulation(numerators, a: str, b: str, c: str) -> int:
     return circulation(numerators, TRIANGLES[a, b, c])
 
 
-@dataclass(frozen=True)
 class FivePointConfig:
-    """Edge values on the ten pairs of A..E, alphabetical storage order."""
+    """Edge values on the ten pairs of A..E, alphabetical storage order,
+    held as the integer value table ``table = (D, numerators)``."""
 
-    lam: Mapping[tuple[str, str], Fraction]
+    def __init__(self, lam: Mapping[tuple[str, str], Fraction]):
+        self.table = clear_denominators(lam)
+
+    @classmethod
+    def _of_table(cls, d: int, numerators: dict) -> "FivePointConfig":
+        cfg = cls.__new__(cls)
+        cfg.table = (d, numerators)
+        return cfg
 
     @classmethod
     def random(cls, seed: int) -> "FivePointConfig":
         """Seeded random values on the nine pairs other than D-E, with the
         tenth solved to make the configuration flat.
 
+        Each value is randint(-SAMPLE_BOUND, SAMPLE_BOUND) / randint(1, 9),
+        numerator first, drawn as ``lo + randrange(n)``, the same stream.
         A degenerate draw is redrawn from the same stream, up to
         SAMPLE_DRAWS draws, so a seed whose first draw is usable keeps it.
         """
-        rng = random.Random(seed)
-
-        def draw():
-            return Fraction(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND), rng.randint(1, 9))
-
+        randrange, width = random.Random(seed).randrange, 2 * SAMPLE_BOUND + 1
         for attempt in range(SAMPLE_DRAWS):
-            lam = {p: draw() for p in PAIRS if p != ED_PAIR}
-            lam[ED_PAIR] = Fraction(0)
+            draws = {p: (randrange(width) - SAMPLE_BOUND, 1 + randrange(9)) for p in PAIRS if p != ED_PAIR}
+            d = lcm(*(q for _, q in draws.values()))
+            numerators = {pair: p * (d // q) for pair, (p, q) in draws.items()}
+            numerators[ED_PAIR] = 0
             try:
-                return flat_config(cls(lam))
+                return flat_config(cls._of_table(d, numerators))
             except DegenerateGeometryError:
                 if attempt == SAMPLE_DRAWS - 1:
                     raise
 
     @cached_property
-    def table(self) -> tuple[int, dict]:
-        """Integer value table ``(D, numerators)``, the shape
-        ``geometry.edge_values`` returns."""
-        return clear_denominators(self.lam)
+    def lam(self) -> dict[tuple[str, str], Fraction]:
+        """The values as Fractions, a view of ``table``."""
+        d, numerators = self.table
+        return {key: Fraction(n, d) for key, n in numerators.items()}
 
     @cached_property
     def curvature(self) -> tuple[Fraction, tuple[int, dict]]:
@@ -155,10 +170,14 @@ class FivePointConfig:
         local complex on ``table``."""
         return curvature(self.table, ANGLES, _where)
 
-    def with_lambda_ed(self, lambda_ed: Fraction) -> "FivePointConfig":
-        lam = dict(self.lam)
-        lam[ED_PAIR] = -Fraction(lambda_ed)  # stored as lambda_DE
-        return FivePointConfig(lam)
+    def with_lambda_ed(self, lambda_ed) -> "FivePointConfig":
+        """This configuration with lambda_ED = p / q (a Fraction or an
+        int), on the table over D q."""
+        d, numerators = self.table
+        p, q = lambda_ed.numerator, lambda_ed.denominator
+        scaled = {key: n * q for key, n in numerators.items()}
+        scaled[ED_PAIR] = -p * d  # stored as lambda_DE
+        return FivePointConfig._of_table(d * q, scaled)
 
     def s(self, a: str, b: str, c: str) -> Fraction:
         """Circulation of the values around the triangle a -> b -> c."""
@@ -173,10 +192,15 @@ def _flatness_terms(numerators) -> tuple[tuple[int, int], ...]:
     return tuple((s(x, "D", y), s(z, "D", "E")) for x, y, z in (("A", "B", "C"), ("B", "C", "A"), ("C", "A", "B")))
 
 
+def _bilinear(numerators) -> int:
+    """The bilinear relation of a table, times its denominator squared."""
+    return sum(a * b for a, b in _flatness_terms(numerators))
+
+
 def bilinear_relation(cfg: FivePointConfig) -> Fraction:
     """Left side of the flatness relation; zero iff omega_ED vanishes."""
     d, numerators = cfg.table
-    return Fraction(sum(a * b for a, b in _flatness_terms(numerators)), d * d)
+    return Fraction(_bilinear(numerators), d * d)
 
 
 def flat_config(cfg: FivePointConfig) -> FivePointConfig:
@@ -199,7 +223,7 @@ def flat_config(cfg: FivePointConfig) -> FivePointConfig:
         )
     at0 = sum(a * (b - numerators[ED_PAIR]) for a, b in terms)
     solved = cfg.with_lambda_ed(Fraction(at0, d * lead))
-    if bilinear_relation(solved) != 0 or omega_ed(solved) != 0:
+    if _bilinear(solved.table[1]) != 0 or omega_ed(solved) != 0:
         raise PentachainError("internal error: the solved lambda_ED leaves a nonzero curvature at E->D")
     return solved
 
@@ -213,24 +237,22 @@ def omega_ed(cfg: FivePointConfig | tuple[int, dict]) -> Fraction:
     return curvature(cfg, ANGLES, _where)[0]
 
 
-def domega_ed_dlambda_ed(cfg: FivePointConfig) -> Fraction:
-    """Exact d(omega_ED)/d(lambda_ED) via the shared quotient-rule engine."""
-    _, (den, grad) = cfg.curvature
-    # storage holds lambda_DE; differentiating by lambda_ED flips the sign
-    return Fraction(-grad.get(ED_PAIR, 0), den)
-
-
 def verify_pentagon(cfg: FivePointConfig) -> tuple[Fraction, Fraction, bool]:
-    """Both sides of the two-to-three consistency identity, evaluated at a
-    configuration whose lambda_ED already satisfies flatness."""
-    lhs = cfg.s("A", "B", "C")
-    rhs = (
-        cfg.s("A", "D", "E")
-        * cfg.s("B", "D", "E")
-        * cfg.s("C", "D", "E")
-        * domega_ed_dlambda_ed(cfg)
-    )
-    return lhs, rhs, lhs == rhs
+    """Both sides of the two-to-three consistency identity, S_ABC and
+    S_ADE S_BDE S_CDE d(omega_ED)/d(lambda_ED), evaluated at a
+    configuration whose lambda_ED already satisfies flatness.
+
+    On the table (D, n) the left side is an integer over D and the right
+    one an integer over D^3 times the gradient's denominator; the sides
+    are compared cross-multiplied.  The derivative by lambda_ED is minus
+    the gradient's entry for the stored lambda_DE.
+    """
+    d, numerators = cfg.table
+    _, (den, grad) = cfg.curvature
+    s = partial(_circulation, numerators)
+    lhs, rhs_den = s("A", "B", "C"), d**3 * den
+    rhs = -s("A", "D", "E") * s("B", "D", "E") * s("C", "D", "E") * grad.get(ED_PAIR, 0)
+    return Fraction(lhs, d), Fraction(rhs, rhs_den), lhs * rhs_den == rhs * d
 
 
 # -- plane-vector identities --------------------------------------------
@@ -254,22 +276,27 @@ def cramer_step(s, ed, ea, a: str, b: str) -> tuple[tuple[int, int], int]:
     return (k * ed[0] + s_edb * x, k * ed[1] + s_edb * y), d * s_eda
 
 
-def verify_vector_identities(points: Mapping[str, tuple[Fraction, Fraction]]) -> bool:
-    """Exact checks of the plane-vector identities on five generic points.
+def verify_vector_identities(points: Mapping[str, tuple], den: int = 1) -> bool:
+    """Exact checks of the plane-vector identities on five generic points,
+    the point k at ``points[k] / den``: two rational coordinates (Fractions
+    or ints) over a positive integer ``den``.
 
     Checks, in order: the Cramer step expressing EB through ED and EA and
     its two relabelings; the closure formula after injecting each of
     CLOSURE_DELTAS into lambda_ED and running the three composed steps;
     and, for each of OMEGA_SAMPLES, that I + the holonomy generator fixes
     ED and sends each of EA, EB to itself plus omega S_ED(aux) ED.  Raises
-    on collinear degeneracies, returns True otherwise.
+    DegenerateGeometryError on collinear degeneracies; returns False at
+    the first identity that fails and True when all hold.
 
     The points are cleared once to integers over L, so each vector below
     is L times the plane vector E->k and each flat value is an integer
     over 2 L^2 (see the module docstring); every comparison is an integer
-    one, the sides cross-multiplied by their denominators.
+    one, the sides cross-multiplied by their denominators.  Integer
+    coordinates over ``den`` are already cleared, with L = den.
     """
-    den, cleared = clear_denominators({(k, i): Fraction(points[k][i]) for k in LABELS for i in (0, 1)})
+    c, cleared = clear_denominators({(k, i): points[k][i] for k in LABELS for i in (0, 1)})
+    den *= c
     xs = {k: cleared[(k, 0)] for k in LABELS}
     ys = {k: cleared[(k, 1)] for k in LABELS}
     vec = {k: (xs[k] - xs["E"], ys[k] - ys["E"]) for k in LABELS}  # L (E -> k)
@@ -308,15 +335,13 @@ def verify_vector_identities(points: Mapping[str, tuple[Fraction, Fraction]]) ->
     # is a basis for aux A and B, so I + the generator is fixed by its images.
     # The generator at L ED is L^2 times the one at ED, so on the L-scaled
     # vectors it must send ED to 0 and E->aux to w (2L^2 S_EDaux) (L ED) / 2;
-    # both sides times 2, the denominator of w and the lcm c of the
-    # generator's denominators
+    # for w = p / q, both sides times 2 q and the generator's denominator
     s_ed = {"D": 0, "A": flat_s("E", "D", "A"), "B": flat_s("E", "D", "B")}
     for w in OMEGA_SAMPLES:
-        (m00, m01), (m10, m11) = holonomy_generator(ed, w)
-        c, m = clear_denominators({0: m00, 1: m01, 2: m10, 3: m11})
-        rows, two_wq = ((m[0], m[1]), (m[2], m[3])), 2 * w.denominator
+        p, q = w.numerator, w.denominator
+        gen_den, rows = holonomy_numerators(ed, p, q)
         for aux, (x, y) in ((k, vec[k]) for k in ("D", "A", "B")):
-            shift = c * w.numerator * s_ed[aux]
-            if any(two_wq * (r0 * x + r1 * y) != shift * t for (r0, r1), t in zip(rows, ed)):
+            shift = gen_den * p * s_ed[aux]
+            if any(2 * q * (r0 * x + r1 * y) != shift * t for (r0, r1), t in zip(rows, ed)):
                 return False
     return True

@@ -11,15 +11,20 @@ and fixed choices by hand, and the tests check the package against them:
 * a single dihedral-angle value, ``geometry.curvature`` on one angle
   whose six sides are looked up with ``Triangulation.edge_class``;
 * five-point configurations from edge values on every ordered pair, or
-  induced by plane points.
+  induced by plane points;
+* the seeded five-point sampler drawn with ``randint`` and solved for the
+  flat lambda_ED in Fractions, the oracle of ``FivePointConfig.random``,
+  and the holonomy generator in Fractions, the oracle of
+  ``geometry.holonomy_numerators``.
 """
 
+import random
 from fractions import Fraction
 
 from pentachain import BasisPartition, FivePointConfig, GeometryAssignment
 from pentachain.exact import independent_rows
 from pentachain.geometry import curvature
-from pentachain.pentagon import PAIRS
+from pentachain.pentagon import ED_PAIR, PAIRS, SAMPLE_BOUND, SAMPLE_DRAWS
 
 # the basis choice used for the sphere's by-hand minor ratios: vertex
 # classes in slot order are A, B, C, D
@@ -133,3 +138,42 @@ def five_point_from_points(points):
         (ax, ay), (bx, by) = points[a], points[b]
         lam[(a, b)] = (Fraction(ax) * by - Fraction(bx) * ay) / 2
     return FivePointConfig(lam)
+
+
+def fraction_random_lam(seed):
+    """The values of ``FivePointConfig.random(seed)``, drawn and solved in
+    Fractions.
+
+    Each draw gives the nine pairs other than D-E the value
+    randint(-SAMPLE_BOUND, SAMPLE_BOUND) / randint(1, 9).  The bilinear
+    relation S_ADB S_CDE + S_BDC S_ADE + S_CDA S_BDE is affine in
+    lambda_ED with slope -(S_ADB + S_BDC + S_CDA), since each S_xDE holds
+    lambda_DE = -lambda_ED once; its root is the flat value.  A draw is
+    redrawn when the slope vanishes or the root makes one of S_ADE,
+    S_BDE, S_CDE, the angle denominators at E->D, zero.
+    """
+    rng = random.Random(seed)
+    for _ in range(SAMPLE_DRAWS):
+        lam = {p: Fraction(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND), rng.randint(1, 9)) for p in PAIRS if p != ED_PAIR}
+        lam[ED_PAIR] = Fraction(0)
+
+        def s(a, b, c):
+            return sum(lam[x, y] if x < y else -lam[y, x] for x, y in ((a, b), (b, c), (c, a)))
+
+        terms = [(s(x, "D", y), s(z, "D", "E")) for x, y, z in ("ABC", "BCA", "CAB")]
+        slope = -sum(a for a, _ in terms)
+        at0 = sum(a * b for a, b in terms)
+        if slope == 0:
+            continue
+        lam[ED_PAIR] = at0 / slope  # lambda_DE = -lambda_ED
+        if all(s(x, "D", "E") for x in "ABC"):
+            return lam
+    raise ValueError(f"no flat configuration in {SAMPLE_DRAWS} draws")
+
+
+def fraction_holonomy_generator(edge_vector, domega):
+    """The holonomy generator in Fractions: domega / 2 times
+    ((-xy, x^2), (-y^2, xy)) at the edge vector (x, y)."""
+    x, y = edge_vector
+    half = Fraction(domega) / 2
+    return (-x * y * half, x * x * half), (-y * y * half, x * y * half)

@@ -406,6 +406,26 @@ def test_pentagon_reports_pinned(capsys):
         }
 
 
+# Fractions that ``pentagon --samples 10`` constructs: per sample, the
+# solved lambda_ED and the curvature of the sampler, the two sides
+# verify_pentagon returns, and the curvatures of the two closure checks
+PENTAGON_SAMPLES_10_FRACTIONS = 60
+
+
+def test_pentagon_command_stays_in_integers(capsys, monkeypatch):
+    made = []
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(cls)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    code, _, _ = run(capsys, ["pentagon", "--samples", "10"])
+    assert code == 0
+    assert len(made) == PENTAGON_SAMPLES_10_FRACTIONS
+
+
 def test_pentagon_redraws_degenerate_sample(capsys):
     # the first draw of one of seed 3's samples has a degenerate flatness relation
     code, out, _ = run(capsys, ["pentagon", "--seed", "3", "--json"])

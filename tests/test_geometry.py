@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pentachain import (
     DegenerateGeometryError,
@@ -19,10 +20,10 @@ from pentachain import (
     parse_geometry,
 )
 from pentachain import geometry, pentagon
-from pentachain.geometry import curvature, omega_row
+from pentachain.geometry import curvature, holonomy_numerators, omega_row
 from pentachain.errors import ParseError
 from pentachain.exact import clear_denominators
-from reference import angle, angle_sides, triangle_area
+from reference import angle, angle_sides, fraction_holonomy_generator, triangle_area
 
 F = Fraction
 
@@ -220,6 +221,27 @@ def test_holonomy_generator():
     assert m00 + m11 == 0 and m00 * m11 - m01 * m10 == 0
     # domega / 2 times ((-xy, x^2), (-y^2, xy))
     assert (m00, m01, m10, m11) == (F(35, 6), F(7, 9), F(-175, 4), F(-35, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
+    st.integers(-10**4, 10**4),
+    st.integers(1, 10**4),
+    st.integers(1, 10**3),
+)
+@example((3, -4), 0, 1, 1)  # omega = 0
+@example((-7, 5), -5, 3, 6)  # negative omega, the last of OMEGA_SAMPLES
+@example((0, 0), 2, 1, 1)
+def test_holonomy_numerators_match_generator(xy, p, q, c):
+    # the integer core at an integer vector over 2q, and holonomy_generator
+    # at the same vector over c, which clears it back to integers
+    den, rows = holonomy_numerators(xy, p, q)
+    assert den == 2 * q
+    want = fraction_holonomy_generator(xy, F(p, q))
+    assert tuple(tuple(F(m, den) for m in row) for row in rows) == want
+    scaled = fraction_holonomy_generator((F(xy[0], c), F(xy[1], c)), F(p, q))
+    assert holonomy_generator((F(xy[0], c), F(xy[1], c)), F(p, q)) == scaled
 
 
 def test_structurally_degenerate_input_fails_with_hint(s3, monkeypatch):

@@ -13,8 +13,9 @@ from pentachain import (
     verify_vector_identities,
 )
 from pentachain import geometry, pentagon
+from pentachain.geometry import subseed
 from pentachain.pentagon import ED_PAIR, LABELS, PAIRS, bilinear_relation, flat_config, omega_ed
-from reference import five_point_from_lambdas, five_point_from_points
+from reference import five_point_from_lambdas, five_point_from_points, fraction_holonomy_generator, fraction_random_lam
 
 F = Fraction
 
@@ -47,6 +48,36 @@ def test_random_redraws_then_gives_up(monkeypatch):
         FivePointConfig.random(0)
     assert len(draws) == pentagon.SAMPLE_DRAWS
     assert len(set(tuple(sorted(d.lam.items())) for d in draws)) == pentagon.SAMPLE_DRAWS
+
+
+def test_random_matches_fraction_oracle():
+    for seed in range(2000):
+        assert FivePointConfig.random(seed).lam == fraction_random_lam(seed), seed
+
+
+@pytest.mark.parametrize(
+    "seed, reason",
+    [
+        (subseed(963474272, "pentagon", 78), "zero circulation in an angle denominator at face BED"),
+        (subseed(98593769, "pentagon", 9), "vanishing leading coefficient"),
+    ],
+    ids=["zero-angle-denominator", "vanishing-leading-coefficient"],
+)
+def test_random_redraws_each_degenerate_reason(monkeypatch, seed, reason):
+    # the first draw of each seed is degenerate for its reason; the second is
+    # the oracle's flat configuration
+    real, reasons = pentagon.flat_config, []
+
+    def recording(cfg):
+        try:
+            return real(cfg)
+        except DegenerateGeometryError as exc:
+            reasons.append(str(exc))
+            raise
+
+    monkeypatch.setattr(pentagon, "flat_config", recording)
+    assert FivePointConfig.random(seed).lam == fraction_random_lam(seed)
+    assert len(reasons) == 1 and reason in reasons[0]
 
 
 def test_planar_configuration_is_flat():
@@ -172,17 +203,17 @@ def nondegenerate_points(seed):
 
 def test_vector_identities_reject_transposed_holonomy(monkeypatch):
     pts = nondegenerate_points(8)
-    real = geometry.holonomy_generator
+    real = geometry.holonomy_numerators
 
-    def transposed(edge_vector, domega):
-        (a, b), (c, d) = real(edge_vector, domega)
-        return (a, c), (b, d)
+    def transposed(edge_vector, p, q):
+        den, ((a, b), (c, d)) = real(edge_vector, p, q)
+        return den, ((a, c), (b, d))
 
-    monkeypatch.setattr(pentagon, "holonomy_generator", transposed)
+    monkeypatch.setattr(pentagon, "holonomy_numerators", transposed)
     assert verify_vector_identities(pts) is False
 
 
-def test_solve_flat_lambda_checks_its_result_without_asserts(monkeypatch):
+def test_flat_config_checks_its_result_without_asserts(monkeypatch):
     # the result check must survive python -O, so it raises, not asserts
     cfg = FivePointConfig.random(0)
     monkeypatch.setattr(pentagon, "omega_ed", lambda cfg: F(1))
@@ -282,7 +313,7 @@ def fraction_vector_identities(points):
 
     s_ed = {aux: flat.s("E", "D", aux) for aux in ("A", "B")}
     for w in pentagon.OMEGA_SAMPLES:
-        (m00, m01), (m10, m11) = geometry.holonomy_generator(ed, w)
+        (m00, m01), (m10, m11) = fraction_holonomy_generator(ed, w)
         images = [(ed, ed)] + [
             (vec[aux], tuple(vec[aux][i] + w * s_ed[aux] * ed[i] for i in range(2))) for aux in ("A", "B")
         ]
