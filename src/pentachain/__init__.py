@@ -32,8 +32,6 @@ from .geometry import (
     assign_geometry,
     edge_values,
     face_circulations,
-    holonomy_generator,
-    lambda_of,
     parse_geometry,
     subseed,
 )

@@ -33,9 +33,10 @@ common denominator D (kappa does not enter the matrices, so D is not the
 edge table's), so before reduction the rows of f1 are over D or
 2D, those of f2 over 2D, those of f4 over 2D^2 and those of f5 over 1, D
 or D^2.  Each f3 row is the integer gradient table
-``(den, {edge: int})`` that ``geometry.curvature`` returns, and
-``RatMatrix.from_int_rows`` reduces every row, so the stored matrices
-are exactly those the same formulas give in Fractions.  ``verify_chain``
+``(den, {edge: int})`` that ``geometry.curvature`` returns.  The
+``RatMatrix`` constructor, which takes exactly these integer rows,
+reduces every row, so the stored matrices are exactly those the same
+formulas give in Fractions.  ``verify_chain``
 multiplies nonzeros by nonzeros, also in ints: each row of the left
 factor is scaled by its own (positive) denominator times the lcm of the
 denominators of the right factor's rows that it meets, which changes no
@@ -178,11 +179,11 @@ def build_chain(tri: Triangulation, g: GeometryAssignment) -> ChainComplex:
         f5[5][3 * v], f5[5][3 * v + 1], f5[5][3 * v + 2] = ya * ya, -2 * xa * ya, xa * xa
 
     return ChainComplex(
-        f1=RatMatrix.from_int_rows(f1, (d, d, 2 * d) * nv, vlabels, C0_LABELS),
-        f2=RatMatrix.from_int_rows(f2, (2 * d,) * ne, edge_labels(ne, "dl"), vlabels),
-        f3=RatMatrix.from_int_rows(f3, f3_dens, edge_labels(ne, "dw"), edge_labels(ne, "dl")),
-        f4=RatMatrix.from_int_rows(f4, (2 * d * d,) * (3 * nv), glabels, edge_labels(ne, "dw")),
-        f5=RatMatrix.from_int_rows(f5, (1, 1, 1, d, d, d * d), C5_LABELS, glabels),
+        f1=RatMatrix(f1, (d, d, 2 * d) * nv, vlabels, C0_LABELS),
+        f2=RatMatrix(f2, (2 * d,) * ne, edge_labels(ne, "dl"), vlabels),
+        f3=RatMatrix(f3, f3_dens, edge_labels(ne, "dw"), edge_labels(ne, "dl")),
+        f4=RatMatrix(f4, (2 * d * d,) * (3 * nv), glabels, edge_labels(ne, "dw")),
+        f5=RatMatrix(f5, (1, 1, 1, d, d, d * d), C5_LABELS, glabels),
         vertex_count=nv,
         edge_count=ne,
         edge_table=lam,

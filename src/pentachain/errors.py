@@ -42,7 +42,8 @@ class NotAcyclicError(PentachainError):
 
 
 class TorsionError(PentachainError):
-    """A requested minor partition is invalid (some minor vanishes)."""
+    """A requested minor partition is invalid: a split picks the wrong
+    number of rows, or some minor vanishes."""
 
 
 class InvarianceError(PentachainError):

@@ -10,10 +10,10 @@ denominator: ``numerators[i]`` maps column positions, in ascending order,
 to nonzero ints, and row i is that mapping divided by
 ``denominators[i]``.  Every row is reduced, gcd(denominator, numerators)
 = 1, so the stored pair is unique and equal matrices store equal pairs.
-This module is the only one that builds that layout from rationals: the
-constructor takes ``int`` and ``Fraction`` rows, ``from_int_rows`` takes
-integer rows as ``chain.build_chain`` assembles them, and ``rows``,
-``entries`` and ``entry`` are derived ``Fraction`` views.  ``block``
+The one constructor takes the rows in integers, as ``chain.build_chain``
+assembles them: a numerator mapping and a nonzero denominator per row, with
+one label per row and per column.  It reduces each row, and ``rows`` and
+``entries`` are derived ``Fraction`` views.  ``block``
 slices rows and columns by position, or the transpose's, straight from
 the stored integers into a ``Block``: unreduced rows with row labels and
 no label indexes, which ``rank``, ``det`` and ``independent_rows`` take
@@ -109,51 +109,18 @@ class RatMatrix:
 
     Row i is ``numerators[i]``, a ``{column position: nonzero int}``
     mapping with keys in ascending order, over ``denominators[i] > 0``,
-    reduced so that the two share no factor.  A constructor row may be a
-    mapping from column positions or a dense sequence of length ``ncols``,
-    its entries ``int`` or ``Fraction``; zeros are dropped either way.
-    ``rows`` (one ``{column: Fraction}`` per row), ``entries`` (dense) and
-    ``entry`` are ``Fraction`` views.
+    reduced so that the two share no factor.  The constructor takes row i
+    as ``numerators[i] / denominators[i]``: a ``{column position: int}``
+    mapping, in any key order and zeros allowed, over a nonzero int.
+    ``rows`` (one ``{column: Fraction}`` per row) and ``entries`` (dense)
+    are ``Fraction`` views.
     """
 
     __slots__ = ("numerators", "denominators", "row_labels", "col_labels", "_rindex", "_cindex")
 
-    def __init__(self, rows, row_labels=None, col_labels=None):
-        rows = list(rows)
-        if row_labels is None:
-            row_labels = tuple(f"r{i}" for i in range(len(rows)))
-        row_labels = tuple(row_labels)
-        if len(row_labels) != len(rows):
-            raise ValueError("row label count does not match row count")
-        if col_labels is None:
-            width = next((len(r) for r in rows if not isinstance(r, Mapping)), 0)
-            col_labels = tuple(f"c{j}" for j in range(width))
-        col_labels = tuple(col_labels)
-        numerators, denominators = [], []
-        for label, row in zip(row_labels, rows):
-            items = _row_items(row, len(col_labels))
-            for j, v in items:
-                if not isinstance(v, (int, Fraction)):
-                    raise TypeError(
-                        f"entry at row {label!r}, column {col_labels[j]!r} is "
-                        f"{type(v).__name__} {v!r}; entries must be int or Fraction"
-                    )
-            d, row = clear_denominators(dict(items))
-            numerators.append(row)
-            denominators.append(d)
-        self._store(numerators, denominators, row_labels, col_labels)
-
-    @classmethod
-    def from_int_rows(cls, numerators, denominators, row_labels, col_labels) -> "RatMatrix":
-        """Matrix whose row i is ``numerators[i] / denominators[i]``: a
-        ``{column position: int}`` mapping, in any key order and zeros
-        allowed, over a nonzero int.  Each row is stored reduced."""
-        m = cls.__new__(cls)
-        m._store(numerators, denominators, tuple(row_labels), tuple(col_labels))
-        return m
-
-    def _store(self, numerators, denominators, row_labels, col_labels) -> None:
-        """Keep each integer row reduced over a positive denominator."""
+    def __init__(self, numerators, denominators, row_labels, col_labels):
+        row_labels, col_labels = tuple(row_labels), tuple(col_labels)
+        width = len(col_labels)
         rows, dens = [], []
         for label, row, d in zip(row_labels, numerators, denominators, strict=True):
             if not d:
@@ -164,7 +131,10 @@ class RatMatrix:
                 raise TypeError(f"row {label!r} of an integer matrix holds a non-integer: {exc}") from None
             if d < 0:
                 g = -g
-            rows.append({j: v // g for j, v in _row_items(row, len(col_labels)) if v})
+            items = sorted(row.items())
+            if items and not (0 <= items[0][0] and items[-1][0] < width):
+                raise ValueError(f"row {label!r} has a column key outside 0..{width - 1}")
+            rows.append({j: v // g for j, v in items if v})
             dens.append(d // g)
         self.numerators = tuple(rows)
         self.denominators = tuple(dens)
@@ -195,10 +165,6 @@ class RatMatrix:
         zero = Fraction(0)
         return tuple(tuple(row.get(j, zero) for j in range(self.ncols)) for row in self.rows)
 
-    def entry(self, row_label: Label, col_label: Label) -> Fraction:
-        i = self._rindex[row_label]
-        return Fraction(self.numerators[i].get(self._cindex[col_label], 0), self.denominators[i])
-
     def block(self, rows: Sequence[int], cols: Sequence[int], transpose: bool = False) -> "Block":
         """The block on row positions ``rows`` and column positions
         ``cols``, in the order given.  With ``transpose`` it is the block of
@@ -221,7 +187,7 @@ class RatMatrix:
     def submatrix(self, row_labels: Sequence[Label], col_labels: Sequence[Label]) -> "RatMatrix":
         """Submatrix with rows/columns in the order given."""
         b = self.block([self._rindex[r] for r in row_labels], [self._cindex[c] for c in col_labels])
-        return RatMatrix.from_int_rows(b.numerators, b.denominators, row_labels, col_labels)
+        return RatMatrix(b.numerators, b.denominators, row_labels, col_labels)
 
     def __eq__(self, other):
         return (
@@ -258,19 +224,6 @@ def clear_denominators(values: Mapping) -> tuple[int, dict]:
     the lcm of the denominators and ``values[k] == numerators[k] / D``."""
     d = lcm(*(v.denominator for v in values.values()))
     return d, {k: v.numerator * (d // v.denominator) for k, v in values.items()}
-
-
-def _row_items(row, width: int) -> list:
-    """(column, value) pairs in column order from a mapping or a dense row
-    of length ``width``."""
-    if isinstance(row, Mapping):
-        items = sorted(row.items())
-        if items and not (0 <= items[0][0] and items[-1][0] < width):
-            raise ValueError(f"column key outside 0..{width - 1}")
-        return items
-    if len(row) != width:
-        raise ValueError(f"dense row of length {len(row)} in a matrix with {width} columns")
-    return list(enumerate(row))
 
 
 Step = tuple[int, int, int, int]  # (row position, column, pivot numerator, pivot row's denominator)

@@ -22,8 +22,9 @@ works on an integer value table ``(D, numerators)``: one integer numerator
 per key over a common denominator D, the lcm of the reduced denominators
 of the values.  ``edge_values`` is the only form of the edge values on a
 triangulation: it clears x, y and kappa once and returns the table
-directly, one table per geometry (``lambda_of`` is the paper formula it is
-checked against).  ``pentagon.FivePointConfig.table`` is the table of a
+directly, one table per geometry; the tests check it against the paper
+formula in Fractions, kept in ``tests/reference.py``.
+``pentagon.FivePointConfig.table`` is the table of a
 five-point configuration, over any common denominator of its values.  For
 sampled geometry D divides 2 lcm(1..16)^2, about 40 bits, whatever the
 size of the triangulation; explicit geometry may have any denominators.
@@ -89,17 +90,11 @@ class GeometryAssignment:
     kappa: tuple[Fraction, ...]
 
 
-def lambda_of(tri: Triangulation, g: GeometryAssignment, edge_id: int) -> Fraction:
-    """Edge value of a canonically oriented edge class."""
-    e = tri.edges[edge_id]
-    a, b = e.tail, e.head
-    return (g.x[a] * g.y[b] - g.x[b] * g.y[a]) / 2 + g.kappa[b] - g.kappa[a]
-
-
 def edge_values(tri: Triangulation, g: GeometryAssignment) -> tuple[int, dict[int, int]]:
-    """Integer value table ``(D, numerators)`` of the edge values:
-    ``lambda_of(tri, g, e) == numerators[e] / D`` with D the lcm of their
-    reduced denominators.
+    """Integer value table ``(D, numerators)`` of the edge values: the
+    value of the canonically oriented edge class e = a -> b,
+    (x_a y_b - x_b y_a) / 2 + kappa_b - kappa_a, is ``numerators[e] / D``
+    with D the lcm of the reduced denominators of the values.
 
     x, y and kappa are cleared once to X, Y and K over one denominator c,
     so lambda(a -> b) is X_a Y_b - X_b Y_a + 2c (K_b - K_a) over 2c^2;
@@ -270,27 +265,15 @@ def omega_row(tri: Triangulation, lam: tuple[int, dict], edge_id: int) -> tuple[
 
 
 def holonomy_numerators(edge_vector: tuple[int, int], p: int, q: int) -> tuple[int, tuple]:
-    """Integer core of ``holonomy_generator`` at an integer edge vector
-    (x, y) and domega = p / q: the generator as an integer table ``(2q,
-    rows)``, its entries the rows p ((-xy, x^2), (-y^2, xy)) over 2q."""
+    """Traceless 2x2 generator of the basis change around an edge with
+    integer vector (x, y) and curvature derivative domega = p / q:
+    domega / 2 times ((-xy, x^2), (-y^2, xy)), as the integer table
+    ``(2q, rows)`` with rows p ((-xy, x^2), (-y^2, xy)).
+    ``chain.build_chain`` writes its entries (m01, m11, -m10) at
+    domega = 1, (x^2, xy, y^2) / 2, as the edge's f4 column."""
     x, y = edge_vector
     pxy = p * x * y
     return 2 * q, ((-pxy, p * x * x), (-(p * y * y), pxy))
-
-
-def holonomy_generator(
-    edge_vector: tuple[Fraction, Fraction], domega: Fraction
-) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-    """Traceless 2x2 generator of the basis change around an edge with
-    vector (x, y) and curvature derivative ``domega``: domega / 2 times
-    ((-xy, x^2), (-y^2, xy)).  ``chain.build_chain`` writes its entries
-    (m01, m11, -m10) at domega = 1, (x^2, xy, y^2) / 2, as the edge's f4
-    column.  The vector is cleared to integers over c and domega read as
-    p / q, so the entries are ``holonomy_numerators`` over 2 q c^2."""
-    c, cleared = clear_denominators(dict(enumerate(edge_vector)))
-    domega = Fraction(domega)
-    den, rows = holonomy_numerators((cleared[0], cleared[1]), domega.numerator, domega.denominator)
-    return tuple(tuple(Fraction(m, den * c * c) for m in row) for row in rows)
 
 
 # -- explicit geometry files -------------------------------------------

@@ -6,8 +6,9 @@ internal gluings, and every boundary face of the deleted cluster is mapped
 to a face of the replacement with a full slot bijection.  Gluings of the
 surrounding triangulation are rewritten through those maps, which handles
 the awkward cases where the cluster is glued to itself.  Every result is
-re-validated from scratch (involutivity, orientability) and its f-vector
-change asserted.
+re-validated from scratch (involutivity, orientability, connectivity),
+and a result whose f-vector did not change by the move's delta raises
+``MoveError``.
 
 Move sites:
 

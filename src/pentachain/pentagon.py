@@ -25,9 +25,9 @@ matrix for triangulations.  The local complex is resolved into sides at
 import, as a triangulation resolves its own: ``TRIANGLES`` holds the three
 ``(pair, sign)`` sides of every ordered triangle of labels and ``ANGLES``
 the six sides of each angle at E->D.  A configuration is its integer value
-table ``(D, numerators)``, the shape ``geometry.edge_values`` returns;
-``FivePointConfig(lam)`` clears ten values to it once, and ``lam`` is a
-view of the table as Fractions.  Every circulation is an integer over D,
+table ``(D, numerators)``, the shape ``geometry.edge_values`` returns, and
+``FivePointConfig(D, numerators)`` is its one constructor: the value of a
+pair is its numerator over D.  Every circulation is an integer over D,
 ``geometry.circulation`` of a triangle's sides on that table, and the
 curvature and its derivative are one ``geometry.curvature`` on the same
 table, computed once per configuration and shared.
@@ -41,15 +41,15 @@ lambda_ED = 0 and its slope are integers read off that table.  The solved
 lambda_ED = p / q puts the table over D q, and the two-to-three identity
 is compared cross-multiplied in integers.
 
-The vector identities never leave the integers.  The five points are
-cleared once to integer points over L, the lcm of their denominators
-(points drawn as integers over a common denominator come cleared), so
+The vector identities never leave the integers.  The five points come as
+integer points over one denominator L, as the sampler draws them, so
 each vector is L times the plane vector and each value
 lambda_ab = (x_a y_b - x_b y_a) / 2 is an integer over 2 L^2: for plane
 points (kappa zero) a circulation is the oriented area, and its integer
 is the cross product of two scaled sides, 2 L^2 S.  Perturbing lambda_ED
-by delta = p / q puts the values over 2 L^2 q; only the S_ED* terms
-shift, by 2 L^2 p.  A Cramer step, E->b from E->D and E->a, reads three
+by delta = p / q puts the values over 2 L^2 q, the configuration whose
+omega_ED the closure reads; only the S_ED* terms shift, by 2 L^2 p.  A
+Cramer step, E->b from E->D and E->a, reads three
 circulations of one table and keeps E->b projective, an integer numerator
 vector over an integer denominator; a uniform scale of the circulations
 cancels out of it.  Every equality is compared cross-multiplied in
@@ -68,7 +68,6 @@ from math import lcm
 from typing import Mapping
 
 from .errors import DegenerateGeometryError, PentachainError
-from .exact import clear_denominators
 from .geometry import circulation, curvature, holonomy_numerators
 
 LABELS = ("A", "B", "C", "D", "E")
@@ -125,16 +124,11 @@ def _circulation(numerators, a: str, b: str, c: str) -> int:
 
 class FivePointConfig:
     """Edge values on the ten pairs of A..E, alphabetical storage order,
-    held as the integer value table ``table = (D, numerators)``."""
+    held as the integer value table ``table = (D, numerators)``: the value
+    of a pair is its numerator over D > 0."""
 
-    def __init__(self, lam: Mapping[tuple[str, str], Fraction]):
-        self.table = clear_denominators(lam)
-
-    @classmethod
-    def _of_table(cls, d: int, numerators: dict) -> "FivePointConfig":
-        cfg = cls.__new__(cls)
-        cfg.table = (d, numerators)
-        return cfg
+    def __init__(self, d: int, numerators: dict):
+        self.table = (d, numerators)
 
     @classmethod
     def random(cls, seed: int) -> "FivePointConfig":
@@ -153,16 +147,10 @@ class FivePointConfig:
             numerators = {pair: p * (d // q) for pair, (p, q) in draws.items()}
             numerators[ED_PAIR] = 0
             try:
-                return flat_config(cls._of_table(d, numerators))
+                return flat_config(cls(d, numerators))
             except DegenerateGeometryError:
                 if attempt == SAMPLE_DRAWS - 1:
                     raise
-
-    @cached_property
-    def lam(self) -> dict[tuple[str, str], Fraction]:
-        """The values as Fractions, a view of ``table``."""
-        d, numerators = self.table
-        return {key: Fraction(n, d) for key, n in numerators.items()}
 
     @cached_property
     def curvature(self) -> tuple[Fraction, tuple[int, dict]]:
@@ -177,12 +165,7 @@ class FivePointConfig:
         p, q = lambda_ed.numerator, lambda_ed.denominator
         scaled = {key: n * q for key, n in numerators.items()}
         scaled[ED_PAIR] = -p * d  # stored as lambda_DE
-        return FivePointConfig._of_table(d * q, scaled)
-
-    def s(self, a: str, b: str, c: str) -> Fraction:
-        """Circulation of the values around the triangle a -> b -> c."""
-        d, numerators = self.table
-        return Fraction(_circulation(numerators, a, b, c), d)
+        return FivePointConfig(d * q, scaled)
 
 
 def _flatness_terms(numerators) -> tuple[tuple[int, int], ...]:
@@ -195,12 +178,6 @@ def _flatness_terms(numerators) -> tuple[tuple[int, int], ...]:
 def _bilinear(numerators) -> int:
     """The bilinear relation of a table, times its denominator squared."""
     return sum(a * b for a, b in _flatness_terms(numerators))
-
-
-def bilinear_relation(cfg: FivePointConfig) -> Fraction:
-    """Left side of the flatness relation; zero iff omega_ED vanishes."""
-    d, numerators = cfg.table
-    return Fraction(_bilinear(numerators), d * d)
 
 
 def flat_config(cfg: FivePointConfig) -> FivePointConfig:
@@ -228,13 +205,9 @@ def flat_config(cfg: FivePointConfig) -> FivePointConfig:
     return solved
 
 
-def omega_ed(cfg: FivePointConfig | tuple[int, dict]) -> Fraction:
-    """Curvature around E->D of the three-tetrahedron local complex, of a
-    configuration or of an integer value table ``(D, numerators)`` on the
-    ten pairs."""
-    if isinstance(cfg, FivePointConfig):
-        return cfg.curvature[0]
-    return curvature(cfg, ANGLES, _where)[0]
+def omega_ed(cfg: FivePointConfig) -> Fraction:
+    """Curvature around E->D of the three-tetrahedron local complex."""
+    return cfg.curvature[0]
 
 
 def verify_pentagon(cfg: FivePointConfig) -> tuple[Fraction, Fraction, bool]:
@@ -276,10 +249,10 @@ def cramer_step(s, ed, ea, a: str, b: str) -> tuple[tuple[int, int], int]:
     return (k * ed[0] + s_edb * x, k * ed[1] + s_edb * y), d * s_eda
 
 
-def verify_vector_identities(points: Mapping[str, tuple], den: int = 1) -> bool:
+def verify_vector_identities(points: Mapping[str, tuple[int, int]], den: int) -> bool:
     """Exact checks of the plane-vector identities on five generic points,
-    the point k at ``points[k] / den``: two rational coordinates (Fractions
-    or ints) over a positive integer ``den``.
+    the point k at ``points[k] / den``: two integer coordinates over a
+    positive integer ``den``.
 
     Checks, in order: the Cramer step expressing EB through ED and EA and
     its two relabelings; the closure formula after injecting each of
@@ -289,16 +262,13 @@ def verify_vector_identities(points: Mapping[str, tuple], den: int = 1) -> bool:
     DegenerateGeometryError on collinear degeneracies; returns False at
     the first identity that fails and True when all hold.
 
-    The points are cleared once to integers over L, so each vector below
-    is L times the plane vector E->k and each flat value is an integer
-    over 2 L^2 (see the module docstring); every comparison is an integer
-    one, the sides cross-multiplied by their denominators.  Integer
-    coordinates over ``den`` are already cleared, with L = den.
+    With L = ``den``, each vector below is L times the plane vector E->k
+    and each flat value is an integer over 2 L^2 (see the module
+    docstring); every comparison is an integer one, the sides
+    cross-multiplied by their denominators.
     """
-    c, cleared = clear_denominators({(k, i): points[k][i] for k in LABELS for i in (0, 1)})
-    den *= c
-    xs = {k: cleared[(k, 0)] for k in LABELS}
-    ys = {k: cleared[(k, 1)] for k in LABELS}
+    xs = {k: points[k][0] for k in LABELS}
+    ys = {k: points[k][1] for k in LABELS}
     vec = {k: (xs[k] - xs["E"], ys[k] - ys["E"]) for k in LABELS}  # L (E -> k)
     ed, ea = vec["D"], vec["A"]
     # lambda_ab = (x_a y_b - x_b y_a) / 2 is flat[(a, b)] / 2L^2
@@ -324,7 +294,7 @@ def verify_vector_identities(points: Mapping[str, tuple], den: int = 1) -> bool:
         for a, b in CRAMER_STEPS:
             e = cramer_step(s, ed, e, a, b)
         (x, y), d = e
-        w = omega_ed((scale * q, lam))
+        w = omega_ed(FivePointConfig(scale * q, lam))
         # EA_new == EA + w S_EDA ED with S_EDA = s(E, D, A) / 2L^2 q; both
         # sides times d, 2L^2 q and the denominator of w
         big, shift = scale * q * w.denominator, w.numerator * s("E", "D", "A")

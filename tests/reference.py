@@ -1,17 +1,27 @@
-"""Test data and oracles for the paper's hand calculations.
+"""Test data, oracles and the Fraction forms of the package's integer values.
 
-The package computes in bulk: every face circulation, every curvature
-row, partitions chosen by the exact pass.  The paper works single values
-and fixed choices by hand, and the tests check the package against them:
+The package computes in bulk and in integers: every face circulation,
+every curvature row, partitions chosen by the exact pass, and each matrix,
+five-point configuration and point set held as integers over a common
+denominator.  The paper works single values and fixed choices by hand, in
+rationals, and the tests check the package against them:
 
 * the fixed sphere geometry and the sphere's and projective space's
   hand-chosen basis partitions, with the tetrahedron-0 edge bookkeeping
   that the projective partition reads;
+* a matrix from rows of ints and Fractions, dense or by column
+  (``rat_matrix``), cleared into the integer rows ``RatMatrix`` takes, and
+  one entry of a matrix by its labels;
+* an edge value by the paper's formula (``lambda_of``), the oracle of
+  ``geometry.edge_values``;
 * the oriented area of a plane triangle, the oracle of a circulation;
 * a single dihedral-angle value, ``geometry.curvature`` on one angle
   whose six sides are looked up with ``Triangulation.edge_class``;
 * five-point configurations from edge values on every ordered pair, or
-  induced by plane points;
+  induced by plane points, cleared into the table ``FivePointConfig``
+  takes; a configuration's values, circulations and bilinear flatness
+  relation in Fractions; and rational plane points cleared to the integer
+  points over one denominator that ``verify_vector_identities`` takes;
 * the seeded five-point sampler drawn with ``randint`` and solved for the
   flat lambda_ED in Fractions, the oracle of ``FivePointConfig.random``,
   and the holonomy generator in Fractions, the oracle of
@@ -19,16 +29,47 @@ and fixed choices by hand, and the tests check the package against them:
 """
 
 import random
+from collections.abc import Mapping
 from fractions import Fraction
+from math import lcm
 
-from pentachain import BasisPartition, FivePointConfig, GeometryAssignment
-from pentachain.exact import independent_rows
+from pentachain import BasisPartition, FivePointConfig, GeometryAssignment, RatMatrix
+from pentachain.exact import clear_denominators, independent_rows
 from pentachain.geometry import curvature
 from pentachain.pentagon import ED_PAIR, PAIRS, SAMPLE_BOUND, SAMPLE_DRAWS
 
 # the basis choice used for the sphere's by-hand minor ratios: vertex
 # classes in slot order are A, B, C, D
 SPHERE_C1_ROWS = ("dx_v0", "dy_v0", "dk_v0", "dx_v1", "dy_v1", "dx_v2")
+
+
+def rat_matrix(rows, row_labels=None, col_labels=None):
+    """The matrix with the given rows of ints and Fractions, each a
+    ``{column position: value}`` mapping or a dense sequence; labels
+    default to r0, r1, ... and c0, c1, ..., as many columns as the first
+    dense row has."""
+    rows = list(rows)
+    if row_labels is None:
+        row_labels = [f"r{i}" for i in range(len(rows))]
+    if col_labels is None:
+        width = next((len(r) for r in rows if not isinstance(r, Mapping)), 0)
+        col_labels = [f"c{j}" for j in range(width)]
+    cleared = [clear_denominators(row if isinstance(row, Mapping) else dict(enumerate(row))) for row in rows]
+    return RatMatrix([n for _, n in cleared], [d for d, _ in cleared], row_labels, col_labels)
+
+
+def entry(m, row_label, col_label):
+    """The entry of ``m`` in the row and column with these labels."""
+    i, j = m.row_labels.index(row_label), m.col_labels.index(col_label)
+    return Fraction(m.numerators[i].get(j, 0), m.denominators[i])
+
+
+def lambda_of(tri, g, edge_id):
+    """Edge value of a canonically oriented edge class a -> b: the area of
+    (O, a, b) plus kappa_b - kappa_a."""
+    e = tri.edges[edge_id]
+    a, b = e.tail, e.head
+    return (g.x[a] * g.y[b] - g.x[b] * g.y[a]) / 2 + g.kappa[b] - g.kappa[a]
 
 
 def fixed_sphere_geometry():
@@ -128,7 +169,7 @@ def five_point_from_lambdas(values):
     missing = [p for p in PAIRS if p not in lam]
     if missing:
         raise ValueError(f"missing edge values for pairs {missing}")
-    return FivePointConfig(lam)
+    return FivePointConfig(*clear_denominators(lam))
 
 
 def five_point_from_points(points):
@@ -137,7 +178,33 @@ def five_point_from_points(points):
     for a, b in PAIRS:
         (ax, ay), (bx, by) = points[a], points[b]
         lam[(a, b)] = (Fraction(ax) * by - Fraction(bx) * ay) / 2
-    return FivePointConfig(lam)
+    return FivePointConfig(*clear_denominators(lam))
+
+
+def values(cfg):
+    """The values of a configuration as Fractions, by stored pair."""
+    d, numerators = cfg.table
+    return {key: Fraction(n, d) for key, n in numerators.items()}
+
+
+def circulation(cfg, a, b, c):
+    """Circulation of a configuration's values around a -> b -> c."""
+    lam = values(cfg)
+    return sum(lam[x, y] if x < y else -lam[y, x] for x, y in ((a, b), (b, c), (c, a)))
+
+
+def bilinear_relation(cfg):
+    """The flatness relation S_ADB S_CDE + S_BDC S_ADE + S_CDA S_BDE,
+    zero exactly when the curvature at E->D vanishes."""
+    return sum(circulation(cfg, x, "D", y) * circulation(cfg, z, "D", "E") for x, y, z in ("ABC", "BCA", "CAB"))
+
+
+def integer_points(points):
+    """Rational plane points as ``(integer points, L)``: each coordinate
+    times L, the lcm of their denominators."""
+    coords = [Fraction(v) for xy in points.values() for v in xy]
+    den = lcm(*(v.denominator for v in coords))
+    return {k: (int(x * den), int(y * den)) for k, (x, y) in points.items()}, den
 
 
 def fraction_random_lam(seed):

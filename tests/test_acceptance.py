@@ -29,8 +29,15 @@ from pentachain import (
     walk_states,
 )
 from pentachain import cli
-from pentachain.pentagon import ED_PAIR, bilinear_relation, omega_ed
-from reference import fixed_sphere_geometry, opposite_edge_pairs, sphere_paper_partition, tet0_edges
+from reference import (
+    bilinear_relation,
+    entry,
+    fixed_sphere_geometry,
+    integer_points,
+    opposite_edge_pairs,
+    sphere_paper_partition,
+    tet0_edges,
+)
 
 F = Fraction
 
@@ -93,14 +100,13 @@ def test_criterion_4_derivative_minor_structure(certified_chain):
     circulations = face_circulations(rp3, lam)
     s_abc = abs(circulations[rp3.face_class(0, 3)])
     s_abd = abs(circulations[rp3.face_class(0, 2)])
-    entry = c.f3.entry(f"dw_e{b}", f"dl_e{f}")
-    assert abs(entry) == 2 / (s_abc * s_abd)
+    assert abs(entry(c.f3, f"dw_e{b}", f"dl_e{f}")) == 2 / (s_abc * s_abd)
     # the six opposite-pair entries are the only nonzero entries of the
     # unprimed 6x6 minor
     nonzero = 0
     for a in unprimed:
         for bb in unprimed:
-            value = c.f3.entry(f"dw_e{a}", f"dl_e{bb}")
+            value = entry(c.f3, f"dw_e{a}", f"dl_e{bb}")
             if pairs[a] == bb:
                 assert value != 0
                 nonzero += 1
@@ -191,7 +197,7 @@ def test_criterion_10_local_identity_suite():
             for lab in ("A", "B", "C", "D", "E")
         }
         try:
-            assert verify_vector_identities(pts)
+            assert verify_vector_identities(*integer_points(pts))
         except Exception as exc:
             from pentachain import DegenerateGeometryError
 

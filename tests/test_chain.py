@@ -11,21 +11,19 @@ from pentachain import (
     GeometryAssignment,
     NotAcyclicError,
     PentachainError,
-    RatMatrix,
     assign_geometry,
     build_chain,
     check_acyclic,
     dump_chain,
-    holonomy_generator,
     load_builtin,
     parse_geometry,
     random_walk,
     select_partition,
     verify_chain,
 )
-from pentachain.geometry import lambda_of
 from pentachain.chain import C0_LABELS, C5_LABELS, ChainComplex, certify_chain, expected_ranks
 from pentachain.triangulation import Triangulation
+from reference import fraction_holonomy_generator, lambda_of, rat_matrix
 from test_geometry import fraction_curvature_oracle, lookup_angles
 
 F = Fraction
@@ -73,7 +71,7 @@ def test_mutated_entry_is_detected(s3, sphere_geometry, certified_chain):
     rows[2][5] += 1
     broken = type(c)(
         f1=c.f1,
-        f2=RatMatrix(rows, c.f2.row_labels, c.f2.col_labels),
+        f2=rat_matrix(rows, c.f2.row_labels, c.f2.col_labels),
         f3=c.f3,
         f4=c.f4,
         f5=c.f5,
@@ -96,7 +94,7 @@ def test_acyclicity_reports(s3, rp3, sphere_geometry, rp3_geometry, certified_ch
 
 def test_zeroed_f3_breaks_acyclicity(rp3, rp3_geometry, certified_chain):
     c = certified_chain(rp3, rp3_geometry)
-    zero = RatMatrix(
+    zero = rat_matrix(
         [[F(0)] * len(c.f3.col_labels) for _ in c.f3.row_labels],
         c.f3.row_labels,
         c.f3.col_labels,
@@ -137,7 +135,7 @@ def test_f4_columns_are_holonomy_generators(source, rp3, certified_chain):
     c = certified_chain(tri, g)
     for e in tri.edges:
         p, q = e.tail, e.head
-        (_, m01), (m10, m11) = holonomy_generator((g.x[q] - g.x[p], g.y[q] - g.y[p]), F(1))
+        (_, m01), (m10, m11) = fraction_holonomy_generator((g.x[q] - g.x[p], g.y[q] - g.y[p]), F(1))
         expected = [0] * len(c.f4.row_labels)
         expected[3 * p: 3 * p + 3] = m01, m11, -m10
         expected[3 * q: 3 * q + 3] = -m01, -m11, m10
@@ -173,7 +171,7 @@ def perturbed(c, name, i, j, delta):
     m = getattr(c, name)
     rows = [list(r) for r in m.entries]
     rows[i][j] += delta
-    return replace(c, **{name: RatMatrix(rows, m.row_labels, m.col_labels)})
+    return replace(c, **{name: rat_matrix(rows, m.row_labels, m.col_labels)})
 
 
 @pytest.mark.parametrize("name, stage", [("f3", 2), ("f4", 3)])
@@ -240,12 +238,12 @@ def test_free_column_certificate_agrees_with_full_check(s3, rp3, certified_chain
 def test_cancellation_across_denominators_passes():
     # 1/3 + 1/6 - 1/2 = 0 and 1/15 + 1/42 - 19/210 = 0: each product entry
     # cancels only once its terms are brought over a common denominator
-    f1 = RatMatrix([[1, F(1, 5)], [1, F(1, 7)], [1, F(19, 105)]])
-    f2 = RatMatrix([[F(1, 3), F(1, 6), F(-1, 2)]])
-    zero = RatMatrix([[0]])
+    f1 = rat_matrix([[1, F(1, 5)], [1, F(1, 7)], [1, F(19, 105)]])
+    f2 = rat_matrix([[F(1, 3), F(1, 6), F(-1, 2)]])
+    zero = rat_matrix([[0]])
     planted = ChainComplex(f1, f2, zero, zero, zero, vertex_count=0, edge_count=0)
     assert verify_chain(planted) == fraction_witness_oracle(planted) == (True, None)
-    off = replace(planted, f1=RatMatrix([[1, F(1, 5)], [1, F(1, 7)], [1, F(19, 104)]]))
+    off = replace(planted, f1=rat_matrix([[1, F(1, 5)], [1, F(1, 7)], [1, F(19, 104)]]))
     assert verify_chain(off) == fraction_witness_oracle(off) == (False, (1, "r0", "c1"))
 
 
@@ -313,7 +311,7 @@ def test_integer_assembly_matches_fraction_formulas(source, s3, rp3, certified_c
         for row, den in zip(m.numerators, m.denominators):
             assert den > 0 and math.gcd(den, *row.values()) == 1
             assert list(row) == sorted(row)
-        assert RatMatrix(m.rows, m.row_labels, m.col_labels) == m
+        assert rat_matrix(m.rows, m.row_labels, m.col_labels) == m
 
 
 @pytest.mark.parametrize("fractional", [False, True])

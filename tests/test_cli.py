@@ -11,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from pentachain import MoveSite, NotAcyclicError, RatMatrix, Triangulation, apply_move, load_builtin
+from pentachain import MoveSite, NotAcyclicError, Triangulation, apply_move, load_builtin
 import pentachain
-from pentachain import cli, geometry, torsion
+from pentachain import cli, geometry, pentagon, torsion
 from pentachain.triangulation import FILE_MAGIC
+from reference import rat_matrix
 from test_geometry import LARGE_DENOMINATOR_GEOMETRY, prime_denominator_geometry_text
 
 
@@ -204,8 +205,8 @@ def test_broken_complex_exits_not_acyclic(capsys, monkeypatch):
 
     def zeroed_f3(*args, **kwargs):
         c = real_build_chain(*args, **kwargs)
-        zero = RatMatrix([[0] * len(c.f3.col_labels) for _ in c.f3.row_labels],
-                         c.f3.row_labels, c.f3.col_labels)
+        zero = rat_matrix([[0] * len(c.f3.col_labels) for _ in c.f3.row_labels],
+                          c.f3.row_labels, c.f3.col_labels)
         return replace(c, f3=zero)
 
     monkeypatch.setattr(torsion, "build_chain", zeroed_f3)
@@ -222,7 +223,7 @@ def test_short_stage_exits_not_acyclic(capsys, monkeypatch):
     def truncated_f3(*args, **kwargs):
         c = real_build_chain(*args, **kwargs)
         rows = [row if i < 5 else {} for i, row in enumerate(c.f3.rows)]
-        return replace(c, f3=RatMatrix(rows, c.f3.row_labels, c.f3.col_labels))
+        return replace(c, f3=rat_matrix(rows, c.f3.row_labels, c.f3.col_labels))
 
     monkeypatch.setattr(torsion, "build_chain", truncated_f3)
     code, _, err = run(capsys, ["invariant", "--builtin", "rp3"])
@@ -237,7 +238,7 @@ def test_vanishing_f5_minor_exits_not_acyclic(capsys, monkeypatch):
 
     def zeroed_f5(*args, **kwargs):
         c = real_build_chain(*args, **kwargs)
-        return replace(c, f5=RatMatrix([{} for _ in c.f5.row_labels], c.f5.row_labels, c.f5.col_labels))
+        return replace(c, f5=rat_matrix([{} for _ in c.f5.row_labels], c.f5.row_labels, c.f5.col_labels))
 
     monkeypatch.setattr(torsion, "build_chain", zeroed_f5)
     code, _, err = run(capsys, ["invariant", "--builtin", "s3"])
@@ -255,7 +256,7 @@ def test_broken_chain_names_the_full_check_witness(capsys, monkeypatch):
         c = real_build_chain(*args, **kwargs)
         rows = [dict(row) for row in c.f4.rows]
         rows[0][0] = rows[0].get(0, 0) + Fraction(1, 7919)
-        return replace(c, f4=RatMatrix(rows, c.f4.row_labels, c.f4.col_labels))
+        return replace(c, f4=rat_matrix(rows, c.f4.row_labels, c.f4.col_labels))
 
     monkeypatch.setattr(torsion, "build_chain", perturbed_f4)
     code, out, err = run(capsys, ["invariant", "--builtin", "rp3"])
@@ -272,7 +273,7 @@ def test_short_pass_on_broken_chain_names_the_witness(capsys, monkeypatch):
     def rotated_f3(*args, **kwargs):
         c = real_build_chain(*args, **kwargs)
         rows = c.f3.rows
-        return replace(c, f3=RatMatrix(rows[1:] + rows[:1], c.f3.row_labels, c.f3.col_labels))
+        return replace(c, f3=rat_matrix(rows[1:] + rows[:1], c.f3.row_labels, c.f3.col_labels))
 
     monkeypatch.setattr(torsion, "build_chain", rotated_f3)
     code, out, err = run(capsys, ["invariant", "--builtin", "rp3"])
@@ -304,10 +305,10 @@ def test_verify_chain_seed_failures(capsys, monkeypatch, broken, code, message):
     def broken_chain(*args, **kwargs):
         c = real_build_chain(*args, **kwargs)
         if broken == "f3":
-            return replace(c, f3=RatMatrix([{} for _ in c.f3.row_labels], c.f3.row_labels, c.f3.col_labels))
+            return replace(c, f3=rat_matrix([{} for _ in c.f3.row_labels], c.f3.row_labels, c.f3.col_labels))
         rows = [dict(row) for row in c.f4.rows]
         rows[0][0] = rows[0].get(0, 0) + Fraction(1, 7919)
-        return replace(c, f4=RatMatrix(rows, c.f4.row_labels, c.f4.col_labels))
+        return replace(c, f4=rat_matrix(rows, c.f4.row_labels, c.f4.col_labels))
 
     monkeypatch.setattr(cli, "build_chain", broken_chain)
     argv = ["verify", "--builtin", "rp3", "--samples", "1", "--chain-seeds", "1"]
@@ -410,20 +411,30 @@ def test_pentagon_reports_pinned(capsys):
 # solved lambda_ED and the curvature of the sampler, the two sides
 # verify_pentagon returns, and the curvatures of the two closure checks
 PENTAGON_SAMPLES_10_FRACTIONS = 60
+# curvature evaluations of the same run: per sample one of the sampler's
+# flat configuration, which verify_pentagon reads from the configuration's
+# cache, and one per closure check
+PENTAGON_SAMPLES_10_CURVATURES = 30
 
 
 def test_pentagon_command_stays_in_integers(capsys, monkeypatch):
-    made = []
-    real = Fraction.__new__
+    made, curvatures = [], []
+    real, real_curvature = Fraction.__new__, pentagon.curvature
 
     def counting(cls, *args, **kwargs):
         made.append(cls)
         return real(cls, *args, **kwargs)
 
+    def counting_curvature(*args):
+        curvatures.append(args)
+        return real_curvature(*args)
+
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    monkeypatch.setattr(pentagon, "curvature", counting_curvature)
     code, _, _ = run(capsys, ["pentagon", "--samples", "10"])
     assert code == 0
     assert len(made) == PENTAGON_SAMPLES_10_FRACTIONS
+    assert len(curvatures) == PENTAGON_SAMPLES_10_CURVATURES
 
 
 def test_pentagon_redraws_degenerate_sample(capsys):

@@ -15,15 +15,13 @@ from pentachain import (
     edge_values,
     enumerate_sites,
     face_circulations,
-    holonomy_generator,
-    lambda_of,
     parse_geometry,
 )
 from pentachain import geometry, pentagon
 from pentachain.geometry import curvature, holonomy_numerators, omega_row
 from pentachain.errors import ParseError
 from pentachain.exact import clear_denominators
-from reference import angle, angle_sides, fraction_holonomy_generator, triangle_area
+from reference import angle, angle_sides, fraction_holonomy_generator, lambda_of, triangle_area
 
 F = Fraction
 
@@ -215,12 +213,13 @@ def test_derivative_against_interpolation_oracle(rp3, rp3_geometry):
 
 
 def test_holonomy_generator():
-    assert holonomy_generator((F(3), F(4)), F(0)) == ((0, 0), (0, 0))
-    assert holonomy_generator((F(1), F(0)), F(2)) == ((0, 1), (0, 0))
-    (m00, m01), (m10, m11) = holonomy_generator((F(2, 3), F(-5)), F(7, 2))
+    assert holonomy_numerators((3, 4), 0, 1) == (2, ((0, 0), (0, 0)))
+    assert holonomy_numerators((1, 0), 2, 1) == (2, ((0, 2), (0, 0)))
+    # domega / 2 times ((-xy, x^2), (-y^2, xy)), here at (2, -15) and
+    # domega = 7/2, so over 4 with rows 7 ((30, 4), (-225, -30))
+    den, ((m00, m01), (m10, m11)) = holonomy_numerators((2, -15), 7, 2)
     assert m00 + m11 == 0 and m00 * m11 - m01 * m10 == 0
-    # domega / 2 times ((-xy, x^2), (-y^2, xy))
-    assert (m00, m01, m10, m11) == (F(35, 6), F(7, 9), F(-175, 4), F(-35, 6))
+    assert (den, m00, m01, m10, m11) == (4, 210, 28, -1575, -210)
 
 
 @settings(max_examples=300, deadline=None)
@@ -234,14 +233,14 @@ def test_holonomy_generator():
 @example((-7, 5), -5, 3, 6)  # negative omega, the last of OMEGA_SAMPLES
 @example((0, 0), 2, 1, 1)
 def test_holonomy_numerators_match_generator(xy, p, q, c):
-    # the integer core at an integer vector over 2q, and holonomy_generator
-    # at the same vector over c, which clears it back to integers
+    # the integer table at an integer vector over 2q is the generator in
+    # Fractions; at the vector scaled by 1/c it is that over c^2
     den, rows = holonomy_numerators(xy, p, q)
     assert den == 2 * q
     want = fraction_holonomy_generator(xy, F(p, q))
     assert tuple(tuple(F(m, den) for m in row) for row in rows) == want
     scaled = fraction_holonomy_generator((F(xy[0], c), F(xy[1], c)), F(p, q))
-    assert holonomy_generator((F(xy[0], c), F(xy[1], c)), F(p, q)) == scaled
+    assert tuple(tuple(F(m, den * c * c) for m in row) for row in rows) == scaled
 
 
 def test_structurally_degenerate_input_fails_with_hint(s3, monkeypatch):
@@ -432,14 +431,14 @@ def test_five_point_curvature_matches_fraction_oracle():
         cfg = FivePointConfig.random(seed)
         value, row = curvature(cfg.table, pentagon.ANGLES, name_face)
         assert value == 0
-        assert (value, gradient(row)) == fraction_curvature_oracle(cfg.lam, pentagon.ANGLES)
-        bent = cfg.with_lambda_ed(-cfg.lam[pentagon.ED_PAIR] + F(1, 3))
+        assert (value, gradient(row)) == fraction_curvature_oracle(values_of(cfg.table), pentagon.ANGLES)
+        bent = cfg.with_lambda_ed(-values_of(cfg.table)[pentagon.ED_PAIR] + F(1, 3))
         value, row = curvature(bent.table, pentagon.ANGLES, name_face)
-        assert (value, gradient(row)) == fraction_curvature_oracle(bent.lam, pentagon.ANGLES)
+        assert (value, gradient(row)) == fraction_curvature_oracle(values_of(bent.table), pentagon.ANGLES)
         for c in (cfg, bent):
             # the local complex touches all ten pairs, so the key no angle
             # touches is one outside the table
-            assert_full_row_matches_oracle(c.table, c.lam, pentagon.ANGLES, pentagon.PAIRS, ("E", "F"))
+            assert_full_row_matches_oracle(c.table, values_of(c.table), pentagon.ANGLES, pentagon.PAIRS, ("E", "F"))
 
 
 # coordinates over 10007 and 65537, far from the sampled denominators

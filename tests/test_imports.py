@@ -166,6 +166,45 @@ def test_module_private_names_are_read(path):
     assert dead_private_names(path.read_text(), names_read_in_package_and_tests()) == []
 
 
+# the package's public names other than its modules; a name added or
+# dropped is a deliberate change of this list
+EXPORTS = (
+    "BUILTIN_NAMES", "BasisPartition", "ChainComplex", "DegenerateGeometryError", "EdgeClass", "FaceClass",
+    "FivePointConfig", "GeometryAssignment", "Gluing", "InvarianceError", "InvariantResult", "KINDS",
+    "MoveError", "MoveSite", "NotAcyclicError", "ParseError", "PentachainError", "RatMatrix", "TorsionError",
+    "Triangulation", "ValidationError", "VertexClass", "apply_move", "assign_geometry", "build_chain",
+    "canonical_form", "check_acyclic", "det", "dump_chain", "edge_values", "enumerate_sites",
+    "face_circulations", "format_rational", "invariant", "isomorphic", "load_builtin", "minors",
+    "parse_geometry", "parse_rational", "random_walk", "rank", "select_partition", "subseed", "tau",
+    "verify_chain", "verify_pentagon", "verify_vector_identities", "walk_states",
+)
+
+
+def exported_names(source: str) -> list[str]:
+    """Public names a package ``__init__`` binds, sorted: the names it
+    imports from its modules or assigns, not the modules."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Assign):
+            names += [target.id for target in node.targets if isinstance(target, ast.Name)]
+    return sorted(name for name in names if not name.startswith("_"))
+
+
+def test_exported_names_are_detected():
+    source = (
+        '"""Doc."""\nfrom . import cli\nfrom .chain import build_chain, _private as alias\n'
+        "from .exact import rank as matrix_rank\n__version__ = '1'\nLIMIT = 3\n"
+    )
+    assert exported_names(source) == ["LIMIT", "alias", "build_chain", "matrix_rank"]
+
+
+def test_package_exports_are_pinned():
+    assert exported_names((PACKAGE / "__init__.py").read_text()) == sorted(EXPORTS)
+    assert len(EXPORTS) == 48
+
+
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING}
 
 
@@ -212,3 +251,4 @@ if __name__ == "__main__":
     for name, count in counts.items():
         print(f"{count:6d}  {name}")
     print(f"{sum(counts.values()):6d}  total")
+    print(f"{len(exported_names((PACKAGE / '__init__.py').read_text())):6d}  exported names")

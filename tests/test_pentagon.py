@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,10 +15,25 @@ from pentachain import (
 )
 from pentachain import geometry, pentagon
 from pentachain.geometry import subseed
-from pentachain.pentagon import ED_PAIR, LABELS, PAIRS, bilinear_relation, flat_config, omega_ed
-from reference import five_point_from_lambdas, five_point_from_points, fraction_holonomy_generator, fraction_random_lam
+from pentachain.pentagon import ED_PAIR, LABELS, PAIRS, flat_config, omega_ed
+from reference import (
+    bilinear_relation,
+    circulation,
+    five_point_from_lambdas,
+    five_point_from_points,
+    fraction_holonomy_generator,
+    fraction_random_lam,
+    integer_points,
+    values,
+)
 
 F = Fraction
+
+
+def verify_points(pts):
+    """``verify_vector_identities`` on rational points, cleared to integer
+    points over one denominator."""
+    return verify_vector_identities(*integer_points(pts))
 
 
 def random_points(rng):
@@ -47,12 +63,12 @@ def test_random_redraws_then_gives_up(monkeypatch):
     with pytest.raises(DegenerateGeometryError):
         FivePointConfig.random(0)
     assert len(draws) == pentagon.SAMPLE_DRAWS
-    assert len(set(tuple(sorted(d.lam.items())) for d in draws)) == pentagon.SAMPLE_DRAWS
+    assert len(set(tuple(sorted(values(d).items())) for d in draws)) == pentagon.SAMPLE_DRAWS
 
 
 def test_random_matches_fraction_oracle():
     for seed in range(2000):
-        assert FivePointConfig.random(seed).lam == fraction_random_lam(seed), seed
+        assert values(FivePointConfig.random(seed)) == fraction_random_lam(seed), seed
 
 
 @pytest.mark.parametrize(
@@ -76,7 +92,7 @@ def test_random_redraws_each_degenerate_reason(monkeypatch, seed, reason):
             raise
 
     monkeypatch.setattr(pentagon, "flat_config", recording)
-    assert FivePointConfig.random(seed).lam == fraction_random_lam(seed)
+    assert values(FivePointConfig.random(seed)) == fraction_random_lam(seed)
     assert len(reasons) == 1 and reason in reasons[0]
 
 
@@ -87,10 +103,10 @@ def test_planar_configuration_is_flat():
         cfg = five_point_from_points(pts)
         if bilinear_relation(cfg) != 0:
             continue  # points hit a degeneracy guard elsewhere; flatness is the claim
-        stored = -cfg.lam[ED_PAIR]  # lambda_ED induced by the points
+        stored = -values(cfg)[ED_PAIR]  # lambda_ED induced by the points
         forgotten = cfg.with_lambda_ed(F(0))
         try:
-            solved = -flat_config(forgotten).lam[ED_PAIR]
+            solved = -values(flat_config(forgotten))[ED_PAIR]
         except DegenerateGeometryError:
             continue
         assert solved == stored
@@ -110,16 +126,16 @@ def test_solver_residual_exactly_zero():
 def test_solver_ignores_the_current_lambda_ed():
     for seed in range(10):
         cfg = FivePointConfig.random(seed)
-        flat = -cfg.lam[ED_PAIR]
+        flat = -values(cfg)[ED_PAIR]
         for guess in (F(0), F(5, 3), flat, -flat):
-            assert -flat_config(cfg.with_lambda_ed(guess)).lam[ED_PAIR] == flat
-            assert flat_config(cfg.with_lambda_ed(guess)).lam == cfg.lam
+            assert -values(flat_config(cfg.with_lambda_ed(guess)))[ED_PAIR] == flat
+            assert values(flat_config(cfg.with_lambda_ed(guess))) == values(cfg)
 
 
 def test_scaled_configuration_stays_equal():
     cfg = FivePointConfig.random(9)
     for c in (F(3), F(-7, 2)):
-        scaled = FivePointConfig({k: c * v for k, v in cfg.lam.items()})
+        scaled = five_point_from_lambdas({k: c * v for k, v in values(cfg).items()})
         lhs, rhs, equal = verify_pentagon(scaled)
         assert equal
         assert lhs == c * verify_pentagon(cfg)[0]
@@ -127,14 +143,13 @@ def test_scaled_configuration_stays_equal():
 
 def test_bilinear_relation_under_transpositions():
     rng = random.Random(4)
-    values = {p: F(rng.randint(-9, 9), rng.randint(1, 5)) for p in PAIRS}
-    cfg = five_point_from_lambdas(values)
+    cfg = five_point_from_lambdas({p: F(rng.randint(-9, 9), rng.randint(1, 5)) for p in PAIRS})
     base = bilinear_relation(cfg)
 
     def transpose(cfg, a, b):
         swap = {a: b, b: a}
         out = {}
-        for (x, y), v in cfg.lam.items():
+        for (x, y), v in values(cfg).items():
             out[(swap.get(x, x), swap.get(y, y))] = v
         return five_point_from_lambdas(out)
 
@@ -150,12 +165,12 @@ def test_degenerate_leading_coefficient_raises():
         cfg = five_point_from_lambdas(values)
         # leading coefficient of the flatness relation is -(S_ADB+S_BDC+S_CDA),
         # which is affine in lambda_AB with coefficient -1; solve it to zero
-        s = cfg.s
+        s = partial(circulation, cfg)
         shift = s("A", "D", "B") + s("B", "D", "C") + s("C", "D", "A")
         tuned = dict(values)
         tuned[("A", "B")] = values[("A", "B")] + shift
         cfg = five_point_from_lambdas(tuned)
-        s = cfg.s
+        s = partial(circulation, cfg)
         if s("A", "D", "B") + s("B", "D", "C") + s("C", "D", "A") == 0:
             break
     with pytest.raises(DegenerateGeometryError, match="leading"):
@@ -168,7 +183,7 @@ def test_omega_ed_names_degenerate_tetrahedron():
     # S_ADE = lambda_AD + lambda_DE - lambda_AE vanishes, a denominator in ABED
     values[("A", "E")] = values[("A", "D")] + values[("D", "E")]
     cfg = five_point_from_lambdas(values)
-    assert cfg.s("A", "D", "E") == 0
+    assert circulation(cfg, "A", "D", "E") == 0
     with pytest.raises(DegenerateGeometryError, match="zero circulation .* face AED of tetrahedron ABED"):
         omega_ed(cfg)
 
@@ -184,7 +199,7 @@ def test_vector_identities_on_random_points():
     while passed < 100:
         pts = random_points(rng)
         try:
-            assert verify_vector_identities(pts)
+            assert verify_points(pts)
         except DegenerateGeometryError:
             continue
         passed += 1
@@ -195,7 +210,7 @@ def nondegenerate_points(seed):
     while True:
         pts = random_points(rng)
         try:
-            assert verify_vector_identities(pts)
+            assert verify_points(pts)
         except DegenerateGeometryError:
             continue
         return pts
@@ -210,7 +225,7 @@ def test_vector_identities_reject_transposed_holonomy(monkeypatch):
         return den, ((a, c), (b, d))
 
     monkeypatch.setattr(pentagon, "holonomy_numerators", transposed)
-    assert verify_vector_identities(pts) is False
+    assert verify_points(pts) is False
 
 
 def test_flat_config_checks_its_result_without_asserts(monkeypatch):
@@ -225,7 +240,7 @@ def test_vector_identities_reject_wrong_curvature(monkeypatch):
     pts = nondegenerate_points(9)
     real = pentagon.omega_ed
     monkeypatch.setattr(pentagon, "omega_ed", lambda cfg: real(cfg) + 1)
-    assert verify_vector_identities(pts) is False
+    assert verify_points(pts) is False
 
 
 def test_vector_identities_reject_wrong_cramer_step(monkeypatch):
@@ -237,16 +252,16 @@ def test_vector_identities_reject_wrong_cramer_step(monkeypatch):
         return (-x, -y), d
 
     monkeypatch.setattr(pentagon, "cramer_step", negated)
-    assert verify_vector_identities(pts) is False
+    assert verify_points(pts) is False
 
 
 def test_cramer_step_needs_a_basis():
     pts = {"A": (F(2), F(2)), "B": (F(1), F(3)), "C": (F(-1), F(2)), "D": (F(1), F(1)), "E": (F(0), F(0))}
     flat = five_point_from_points(pts)
     with pytest.raises(DegenerateGeometryError, match="S_EDA vanishes"):
-        pentagon.cramer_step(flat.s, pts["D"], (pts["A"], 1), "A", "B")
+        pentagon.cramer_step(partial(circulation, flat), pts["D"], (pts["A"], 1), "A", "B")
     with pytest.raises(DegenerateGeometryError, match="S_EDA vanishes"):
-        verify_vector_identities(pts)
+        verify_points(pts)
 
 
 def test_zero_curvature_closure_is_identity():
@@ -254,7 +269,7 @@ def test_zero_curvature_closure_is_identity():
     rng = random.Random(5)
     pts = random_points(rng)
     cfg = five_point_from_points(pts)
-    s = cfg.s
+    s = partial(circulation, cfg)
 
     def vec(a, b):
         return (pts[b][0] - pts[a][0], pts[b][1] - pts[a][1])
@@ -270,11 +285,11 @@ def test_cramer_step_is_projective():
     # E at the origin: EB = (S_EBA ED + S_EDB EA) / S_EDA, kept over S_EDA
     pts = {"A": (F(3), F(1)), "B": (F(1), F(2)), "C": (F(-1), F(2)), "D": (F(1), F(-1)), "E": (F(0), F(0))}
     flat = five_point_from_points(pts)
-    (x, y), d = pentagon.cramer_step(flat.s, pts["D"], (pts["A"], 1), "A", "B")
-    assert d == flat.s("E", "D", "A") != 0
+    (x, y), d = pentagon.cramer_step(partial(circulation, flat), pts["D"], (pts["A"], 1), "A", "B")
+    assert d == circulation(flat, "E", "D", "A") != 0
     assert (x / d, y / d) == pts["B"]
     # a uniform scale of the circulations and of the input denominator cancels
-    (x2, y2), d2 = pentagon.cramer_step(lambda *t: 6 * flat.s(*t), pts["D"], ((6, 2), 2), "A", "B")
+    (x2, y2), d2 = pentagon.cramer_step(lambda *t: 6 * circulation(flat, *t), pts["D"], ((6, 2), 2), "A", "B")
     assert (x2 / d2, y2 / d2) == pts["B"]
 
 
@@ -296,22 +311,24 @@ def fraction_vector_identities(points):
     ed, ea = vec["D"], vec["A"]
 
     flat = five_point_from_points(points)
+    flat_s = partial(circulation, flat)
     if any(
-        fraction_cramer_step(flat.s, ed, vec[a], a, b) != vec[b] for a, b in (("A", "B"), ("B", "C"), ("C", "A"))
+        fraction_cramer_step(flat_s, ed, vec[a], a, b) != vec[b] for a, b in (("A", "B"), ("B", "C"), ("C", "A"))
     ):
         return False
 
     for delta in (Fraction(1), Fraction(-3, 7)):
-        cfg = flat.with_lambda_ed(-flat.lam[ED_PAIR] + delta)
-        eb = fraction_cramer_step(cfg.s, ed, ea, "A", "B")
-        ec = fraction_cramer_step(cfg.s, ed, eb, "B", "C")
-        ea_new = fraction_cramer_step(cfg.s, ed, ec, "C", "A")
+        cfg = flat.with_lambda_ed(-values(flat)[ED_PAIR] + delta)
+        s = partial(circulation, cfg)
+        eb = fraction_cramer_step(s, ed, ea, "A", "B")
+        ec = fraction_cramer_step(s, ed, eb, "B", "C")
+        ea_new = fraction_cramer_step(s, ed, ec, "C", "A")
         w = omega_ed(cfg)
-        s_eda = cfg.s("E", "D", "A")
+        s_eda = s("E", "D", "A")
         if ea_new != tuple(ea[i] + w * s_eda * ed[i] for i in range(2)):
             return False
 
-    s_ed = {aux: flat.s("E", "D", aux) for aux in ("A", "B")}
+    s_ed = {aux: flat_s("E", "D", aux) for aux in ("A", "B")}
     for w in pentagon.OMEGA_SAMPLES:
         (m00, m01), (m10, m11) = fraction_holonomy_generator(ed, w)
         images = [(ed, ed)] + [
@@ -339,7 +356,7 @@ def point_configs(numerator_bound, denominator_bound):
 @example({"A": (F(2), F(2)), "B": (F(1), F(3)), "C": (F(-1), F(2)), "D": (F(1), F(1)), "E": (F(0), F(0))})
 @example({"A": (F(1), F(0)), "B": (F(0), F(1)), "C": (F(-1), F(-1)), "D": (F(1), F(1)), "E": (F(0), F(0))})
 def test_vector_identities_match_fraction_oracle(pts):
-    assert outcome(verify_vector_identities, pts) == outcome(fraction_vector_identities, pts)
+    assert outcome(verify_points, pts) == outcome(fraction_vector_identities, pts)
 
 
 def test_vector_identities_oracle_sweep():
@@ -353,7 +370,7 @@ def test_vector_identities_oracle_sweep():
             return F(rng.randint(-bound, bound), rng.randint(1, den))
 
         pts = {lab: (coord(), coord()) for lab in LABELS}
-        result = outcome(verify_vector_identities, pts)
+        result = outcome(verify_points, pts)
         assert result == outcome(fraction_vector_identities, pts), pts
         seen.add(result if result is True else result[:6])
     assert seen == {True, "S_EDA ", "S_EDB ", "S_EDC "}
@@ -364,5 +381,5 @@ def test_random_configurations_are_pinned():
     # the Fraction solver drew and solved them
     h = hashlib.sha256()
     for i in range(200):
-        h.update(repr(sorted(FivePointConfig.random(i).lam.items())).encode())
+        h.update(repr(sorted(values(FivePointConfig.random(i)).items())).encode())
     assert h.hexdigest() == "ba59ede88ab6a9b09e87c47397c366217e2552a550130f39865670fbd08455f5"
