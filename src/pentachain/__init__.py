@@ -39,14 +39,6 @@ from .library import BUILTIN_NAMES, load_builtin
 from .pachner import KINDS, MoveSite, apply_move, enumerate_sites, random_walk, walk_states
 from .pentagon import FivePointConfig, verify_pentagon, verify_vector_identities
 from .torsion import BasisPartition, InvariantResult, invariant, minors, select_partition, tau
-from .triangulation import (
-    EdgeClass,
-    FaceClass,
-    Gluing,
-    Triangulation,
-    VertexClass,
-    canonical_form,
-    isomorphic,
-)
+from .triangulation import EdgeClass, FaceClass, Gluing, Triangulation, VertexClass
 
 __version__ = "0.2.0"

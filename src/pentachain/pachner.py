@@ -1,14 +1,37 @@
 """Bistellar moves on glued triangulations and a seeded random walk.
 
-All four moves are implemented as local surgery on the gluing table: a set
-of tetrahedra is deleted, replacement tetrahedra are created with explicit
-internal gluings, and every boundary face of the deleted cluster is mapped
-to a face of the replacement with a full slot bijection.  Gluings of the
-surrounding triangulation are rewritten through those maps, which handles
-the awkward cases where the cluster is glued to itself.  Every result is
-re-validated from scratch (involutivity, orientability, connectivity),
-and a result whose f-vector did not change by the move's delta raises
-``MoveError``.
+Every move is one surgery.  Label the vertices of a 4-simplex 0..4; its
+boundary has five facets, the tetrahedron missing label j for each j.  A
+1->4, 2->3, 3->2 or 4->1 move finds k tetrahedra glued to each other like
+k facets of that boundary and replaces them by the other 5-k facets.  A
+move only recognises its site and labels the slots of the tetrahedra it
+removes and creates; ``_bistellar`` derives every gluing from one rule.
+The face opposite label x of the tetrahedron missing label j is the
+triangle missing j and x, so it is glued to the tetrahedron missing x,
+matching slots of equal labels and pairing x with j.  When that
+tetrahedron is a removed one, the new face takes over whatever the removed
+face opposite j was glued to; when that is a removed face too (the
+cluster glued to itself), it goes on to the new tetrahedron that replaces
+it.
+
+The labels, with the removed tetrahedra first:
+
+    1->4  the tetrahedron: slots 0..3 carry 0..3; new tetrahedron k
+          carries 0..3 with 4 at slot k
+    2->3  across face a of t, with the other slots fs in positive order:
+          t carries k at fs[k] and 3 at a, its neighbour 4 at the glued
+          face and k at the image of fs[k]; new (0,1,4,3), (1,2,4,3),
+          (2,0,4,3)
+    3->2  the k-th tetrahedron of the cycle around the edge e -> d with
+          off-edge slots (p, q): k at p, k+1 mod 3 at q, 4 at e, 3 at d;
+          new (0,1,2,3), (0,1,2,4)
+    4->1  member i of the vertex star: 4 at the vertex and, at every other
+          slot, the index of the member across it; new (0,1,2,3)
+
+Survivors keep their order and the new tetrahedra follow them.  Every
+result is re-validated from scratch (involutivity, orientability,
+connectivity); a face left unglued, or an f-vector that did not change by
+the move's delta, raises ``MoveError``.
 
 Move sites:
 
@@ -16,7 +39,8 @@ Move sites:
     3->2  an edge class of degree 3 with three distinct tetrahedra whose
           cycle around the edge closes up
     1->4  any tetrahedron
-    4->1  a vertex class of degree 4 whose star is the standard ball
+    4->1  a vertex class of degree 4 whose four distinct tetrahedra are
+          glued to each other as their labels say
 
 The random walk only drives through moves that keep the geometry sampler
 solvable: a 2->3 whose new edge would join a vertex class to itself is
@@ -28,21 +52,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator
 
 from .errors import MoveError
-from .triangulation import (
-    Gluing,
-    IDENTITY,
-    Perm,
-    Triangulation,
-    compose,
-    inverse,
-    transposition,
-)
+from .triangulation import Gluing, Perm, Triangulation, compose, inverse
 
 KINDS = ("2->3", "3->2", "1->4", "4->1")
 _GROWING = {"2->3", "1->4"}
+# the f-vector change by the number of tetrahedra a move removes
+_DELTA = {1: (1, 4, 6, 3), 2: (0, 1, 2, 1), 3: (0, -1, -2, -1), 4: (-1, -4, -6, -3)}
 
 
 @dataclass(frozen=True)
@@ -58,67 +77,63 @@ class MoveSite:
     location: tuple[int, int] | int
 
 
-def _surgery(tri, deleted, new_count, internal, boundary) -> Triangulation:
-    """Replace `deleted` tetrahedra by `new_count` fresh ones.
+@cache
+def _carry(src: tuple[int, ...], dst: tuple[int, ...]) -> Perm:
+    """Slot map from the facet labelled ``src`` to the facet labelled
+    ``dst`` across their common triangle: equal labels match, and the label
+    ``dst`` lacks goes to the label ``src`` lacks."""
+    (x,) = set(src) - set(dst)
+    (j,) = set(dst) - set(src)
+    return tuple(dst.index(j if label == x else label) for label in src)
 
-    internal: ((i, si), (j, sj), perm) gluings among new tetrahedra, perm
-    mapping tet-i slots to tet-j slots.  boundary: maps each remaining port
-    (old_tet, slot) of a deleted tetrahedron to (new_local, slot, m) where
-    m is a full old-slot -> new-slot bijection with m[slot] == new slot.
-    """
-    dset = set(deleted)
-    survivors = [t for t in range(tri.size) if t not in dset]
-    new_index = {old: i for i, old in enumerate(survivors)}
+
+def _bistellar(tri: Triangulation, old: dict[int, tuple[int, ...]], new: list[tuple[int, ...]]) -> Triangulation:
+    """Replace the tetrahedra ``old`` maps to their slot labels by new
+    tetrahedra with the slot labels ``new`` (see the module docstring)."""
+    survivors = [t for t in range(tri.size) if t not in old]
+    index = {t: i for i, t in enumerate(survivors)}
     base = len(survivors)
-    table: list[list[Gluing | None]] = [[None] * 4 for _ in range(base + new_count)]
-
-    for old in survivors:
-        for s, g in enumerate(tri.tets[old]):
-            if g.neighbor not in dset:
-                table[new_index[old]][s] = Gluing(new_index[g.neighbor], g.perm)
-
-    for (i, si), (j, sj), perm in internal:
-        table[base + i][si] = Gluing(base + j, perm)
-        table[base + j][sj] = Gluing(base + i, inverse(perm))
-
-    for (old_t, old_s), (nl, ns, m) in boundary.items():
-        g = tri.tets[old_t][old_s]
-        out = compose(g.perm, inverse(m))  # new slots -> old partner slots
-        if g.neighbor not in dset:
-            # both sides of a survivor gluing, as for the internal ones
-            table[base + nl][ns] = Gluing(new_index[g.neighbor], out)
-            table[new_index[g.neighbor]][g.perm[old_s]] = Gluing(base + nl, inverse(out))
-        else:
-            nl2, _, m2 = boundary[(g.neighbor, g.perm[old_s])]
-            table[base + nl][ns] = Gluing(base + nl2, compose(m2, out))
-
+    table: list[list[Gluing | None]] = [
+        [None if g.neighbor in old else Gluing(index[g.neighbor], g.perm) for g in tri.tets[t]] for t in survivors
+    ]
+    table += [[None] * 4 for _ in new]
+    # labels sum to 10 over the 4-simplex, so a facet misses 10 - its sum
+    new_of = {10 - sum(labels): (base + k, labels) for k, labels in enumerate(new)}
+    old_of = {10 - sum(labels): (t, labels) for t, labels in old.items()}
+    for k, labels in enumerate(new):
+        j, row = 10 - sum(labels), table[base + k]
+        for s, x in enumerate(labels):
+            if x in new_of:
+                u, there = new_of[x]
+                row[s] = Gluing(u, _carry(labels, there))
+                continue
+            # the removed tetrahedron missing x hands over its face opposite j
+            t, removed = old_of[x]
+            g = tri.tets[t][removed.index(j)]
+            perm = compose(g.perm, _carry(labels, removed))
+            if g.neighbor not in old:
+                row[s] = Gluing(index[g.neighbor], perm)
+                table[index[g.neighbor]][perm[s]] = Gluing(base + k, inverse(perm))
+                continue
+            # glued to a removed face: on to the new tetrahedron replacing it
+            far = old[g.neighbor]
+            if far[perm[s]] in new_of:
+                u, there = new_of[far[perm[s]]]
+                row[s] = Gluing(u, compose(_carry(far, there), perm))
     if any(entry is None for row in table for entry in row):
         raise MoveError("surgery left an unglued face (invalid site data)")
-    return Triangulation(table)
-
-
-def _apply_checked(tri, deleted, new_count, internal, boundary, delta) -> Triangulation:
-    out = _surgery(tri, deleted, new_count, internal, boundary)
-    before = tri.f_vector()
-    after = out.f_vector()
-    got = tuple(a - b for a, b in zip(after, before))
-    if got != delta:
-        raise MoveError(f"move changed the f-vector by {got}, expected {delta}")
+    out = Triangulation(table)
+    got = tuple(a - b for a, b in zip(out.f_vector(), tri.f_vector()))
+    if got != _DELTA[len(old)]:
+        raise MoveError(f"move changed the f-vector by {got}, expected {_DELTA[len(old)]}")
     return out
 
 
 def _require(index: int, count: int, what: str) -> None:
-    """Raise unless the site's ``index`` names one of ``count`` objects;
-    a negative index would otherwise wrap around."""
-    if not 0 <= index < count:
-        raise MoveError(f"no {what} {index}")
-
-
-def _slot_map(entries: dict[int, int]) -> Perm:
-    out = [None] * 4
-    for k, v in entries.items():
-        out[k] = v
-    return tuple(out)
+    """Raise unless the site's ``index`` is an int (not a bool) naming one
+    of ``count`` objects; a negative index would otherwise wrap around."""
+    if type(index) is not int or not 0 <= index < count:
+        raise MoveError(f"no {what} {index!r}")
 
 
 # -- 1 -> 4 -------------------------------------------------------------
@@ -126,12 +141,7 @@ def _slot_map(entries: dict[int, int]) -> Perm:
 
 def _move_1_4(tri: Triangulation, t: int) -> Triangulation:
     _require(t, tri.size, "tetrahedron")
-    internal = []
-    for k in range(4):
-        for j in range(k):
-            internal.append(((k, j), (j, k), transposition(j, k)))
-    boundary = {(t, k): (k, k, IDENTITY) for k in range(4)}
-    return _apply_checked(tri, [t], 4, internal, boundary, (1, 4, 6, 3))
+    return _bistellar(tri, {t: (0, 1, 2, 3)}, [tuple(4 if s == k else s for s in range(4)) for k in range(4)])
 
 
 # -- 2 -> 3 -------------------------------------------------------------
@@ -144,20 +154,13 @@ def _move_2_3(tri: Triangulation, t: int, a: int) -> Triangulation:
     other, p = g.neighbor, g.perm
     if other == t:
         raise MoveError("2->3 needs two distinct tetrahedra sharing the face")
-    ap = p[a]
     fs = [s for s in range(4) if s != a]
     if tri.sequence_parity(t, (fs[0], fs[1], fs[2], a)):
         fs[0], fs[1] = fs[1], fs[0]
-    pairs = [(fs[0], fs[1]), (fs[1], fs[2]), (fs[2], fs[0])]
-    third = [fs[2], fs[0], fs[1]]
-    swap01 = transposition(0, 1)
-    internal = [((0, 0), (1, 1), swap01), ((1, 0), (2, 1), swap01), ((2, 0), (0, 1), swap01)]
-    boundary = {}
-    for i, (u, v) in enumerate(pairs):
-        r = third[i]
-        boundary[(t, r)] = (i, 2, _slot_map({u: 0, v: 1, a: 3, r: 2}))
-        boundary[(other, p[r])] = (i, 3, _slot_map({p[u]: 0, p[v]: 1, ap: 2, p[r]: 3}))
-    return _apply_checked(tri, [t, other], 3, internal, boundary, (0, 1, 2, 1))
+    here, there = [3] * 4, [4] * 4
+    for k, s in enumerate(fs):
+        here[s] = there[p[s]] = k
+    return _bistellar(tri, {t: tuple(here), other: tuple(there)}, [(0, 1, 4, 3), (1, 2, 4, 3), (2, 0, 4, 3)])
 
 
 # -- 3 -> 2 -------------------------------------------------------------
@@ -195,73 +198,50 @@ def _move_3_2(tri: Triangulation, edge_id: int) -> Triangulation:
             f"edge class {edge_id} is not a 3->2 site (degree 3, distinct "
             "tetrahedra, closed cycle required)"
         )
-    (t1, p1, q1, e1, d1), (t2, p2, q2, e2, d2), (t3, p3, q3, e3, d3) = cycle
-    internal = [((0, 3), (1, 3), IDENTITY)]
-    boundary = {
-        (t1, e1): (0, 2, _slot_map({p1: 0, q1: 1, d1: 3, e1: 2})),
-        (t2, e2): (0, 0, _slot_map({p2: 1, q2: 2, d2: 3, e2: 0})),
-        (t3, e3): (0, 1, _slot_map({p3: 2, q3: 0, d3: 3, e3: 1})),
-        (t1, d1): (1, 2, _slot_map({p1: 0, q1: 1, e1: 3, d1: 2})),
-        (t2, d2): (1, 0, _slot_map({p2: 1, q2: 2, e2: 3, d2: 0})),
-        (t3, d3): (1, 1, _slot_map({p3: 2, q3: 0, e3: 3, d3: 1})),
-    }
-    return _apply_checked(tri, [t1, t2, t3], 2, internal, boundary, (0, -1, -2, -1))
+    old = {}
+    for k, (t, p, q, e, d) in enumerate(cycle):
+        labels = [0] * 4
+        labels[p], labels[q], labels[e], labels[d] = k, (k + 1) % 3, 4, 3
+        old[t] = tuple(labels)
+    return _bistellar(tri, old, [(0, 1, 2, 3), (0, 1, 2, 4)])
 
 
 # -- 4 -> 1 -------------------------------------------------------------
 
 
 def _vertex_ball(tri: Triangulation, vertex_id: int):
-    """Slot maps of a standard degree-4 vertex star, or None."""
+    """Slot labels of a standard degree-4 vertex star, or None: member i
+    carries 4 at the vertex and the index of the member across each other
+    slot, and the members are glued to each other as those labels say."""
     occ = tri.vertices[vertex_id].members
     if len(occ) != 4:
         return None
-    tets = [t for t, _ in occ]
-    if len(set(tets)) != 4:
+    member = {t: i for i, (t, _) in enumerate(occ)}
+    if len(member) != 4:
         return None
-    slot_of_tet = {t: i for i, (t, _) in enumerate(occ)}
-    maps = []
+    old = {}
     for i, (t, w) in enumerate(occ):
-        m = [None] * 4
-        m[w] = i
-        for s in range(4):
-            if s == w:
-                continue
-            g = tri.tets[t][s]
-            if g.neighbor == t or g.neighbor not in slot_of_tet:
-                return None
-            m[s] = slot_of_tet[g.neighbor]
-        if sorted(m) != [0, 1, 2, 3]:
+        labels = [member.get(g.neighbor, i) for g in tri.tets[t]]
+        labels[w] = 4
+        if i in labels or len(set(labels)) != 4:
             return None
-        maps.append(tuple(m))
-    # every internal gluing must look like the face pairing of a cone over
-    # the boundary of a tetrahedron
-    for i, (t, w) in enumerate(occ):
-        for s in range(4):
-            if s == w:
-                continue
-            g = tri.tets[t][s]
-            j = slot_of_tet[g.neighbor]
-            tau = transposition(i, j)
-            mi, mj = maps[i], maps[j]
-            if any(mj[g.perm[x]] != tau[mi[x]] for x in range(4)):
+        old[t] = tuple(labels)
+    for t, labels in old.items():
+        for g, x in zip(tri.tets[t], labels):
+            if x != 4 and g.perm != _carry(labels, old[g.neighbor]):
                 return None
-    return occ, maps
+    return old
 
 
 def _move_4_1(tri: Triangulation, vertex_id: int) -> Triangulation:
     _require(vertex_id, len(tri.vertices), "vertex class")
-    ball = _vertex_ball(tri, vertex_id)
-    if ball is None:
+    old = _vertex_ball(tri, vertex_id)
+    if old is None:
         raise MoveError(
             f"vertex class {vertex_id} is not a 4->1 site (its star is not "
             "a standard four-tetrahedron ball)"
         )
-    occ, maps = ball
-    boundary = {(t, w): (0, i, maps[i]) for i, (t, w) in enumerate(occ)}
-    return _apply_checked(
-        tri, [t for t, _ in occ], 1, [], boundary, (-1, -4, -6, -3)
-    )
+    return _bistellar(tri, old, [(0, 1, 2, 3)])
 
 
 # -- public api ----------------------------------------------------------
@@ -272,8 +252,9 @@ def apply_move(tri: Triangulation, site: MoveSite) -> Triangulation:
     if site.kind == "1->4":
         return _move_1_4(tri, site.location)
     if site.kind == "2->3":
-        t, a = site.location
-        return _move_2_3(tri, t, a)
+        if not isinstance(site.location, tuple) or len(site.location) != 2:
+            raise MoveError(f"no face port {site.location!r}")
+        return _move_2_3(tri, *site.location)
     if site.kind == "3->2":
         return _move_3_2(tri, site.location)
     if site.kind == "4->1":

@@ -68,8 +68,6 @@ Side = tuple[int, int]  # (edge class id, sign of a direction vs. canonical)
 Contribution = tuple[int, tuple[int, int], tuple[int, int]]  # (tet, (P, Q), (tail, head))
 Angle = tuple[tuple[Side, ...], Contribution]  # six sides and the star contribution
 
-IDENTITY: Perm = (0, 1, 2, 3)
-
 FILE_MAGIC = "pentachain-tri v1"
 
 
@@ -91,12 +89,6 @@ _INVERSE: dict[Perm, Perm] = {p: inverse(p) for p in permutations(range(4))}
 _SIGN: dict[Perm, int] = {p: permutation_sign(p) for p in permutations(range(4))}
 # the text of each permutation in a .tri file, "0123" and so on
 _PERM_OF_TEXT: dict[str, Perm] = {"".join(map(str, p)): p for p in permutations(range(4))}
-
-
-def transposition(a: int, b: int) -> Perm:
-    out = [0, 1, 2, 3]
-    out[a], out[b] = out[b], out[a]
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -455,49 +447,3 @@ def read_text(path) -> str:
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
 
-
-def canonical_form(tri: Triangulation) -> tuple:
-    """Label-independent encoding of the gluing table.
-
-    Relabels tetrahedra by breadth-first search and minimizes the encoding
-    over every (start tetrahedron, starting frame) choice.  The table is
-    connected (construction rejects any other), so the search from any
-    start reaches every tetrahedron, and two triangulations are
-    combinatorially isomorphic iff their canonical forms are equal.  Intended for modest sizes; the search is O(T^2 * 24).
-    """
-    n = len(tri.tets)
-    best = None
-    for start in range(n):
-        for frame in permutations(range(4)):
-            table = _bfs_relabel(tri, start, frame)
-            if best is None or table < best:
-                best = table
-    return best
-
-
-def _bfs_relabel(tri: Triangulation, start: int, frame: Perm) -> tuple:
-    index = {start: 0}
-    slot_map = {start: frame}  # old slots -> new slots
-    order = [start]
-    head = 0
-    out = []
-    while head < len(order):
-        t = order[head]
-        head += 1
-        sigma = slot_map[t]
-        row = [None] * 4
-        for s in range(4):
-            g = tri.tets[t][s]
-            if g.neighbor not in index:
-                index[g.neighbor] = len(order)
-                slot_map[g.neighbor] = compose(sigma, inverse(g.perm))
-                order.append(g.neighbor)
-            row[sigma[s]] = (index[g.neighbor], compose(slot_map[g.neighbor], compose(g.perm, inverse(sigma))))
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def isomorphic(a: Triangulation, b: Triangulation) -> bool:
-    if a.size != b.size or a.f_vector() != b.f_vector():
-        return False
-    return canonical_form(a) == canonical_form(b)

@@ -25,18 +25,23 @@ rationals, and the tests check the package against them:
 * the seeded five-point sampler drawn with ``randint`` and solved for the
   flat lambda_ED in Fractions, the oracle of ``FivePointConfig.random``,
   and the holonomy generator in Fractions, the oracle of
-  ``geometry.holonomy_numerators``.
+  ``geometry.holonomy_numerators``;
+* the identity and transposition slot permutations, and a label-free
+  canonical form of a gluing table, so that tests can compare the
+  triangulations that moves and relabelings produce up to isomorphism.
 """
 
 import random
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import permutations
 from math import lcm
 
 from pentachain import BasisPartition, FivePointConfig, GeometryAssignment, RatMatrix
 from pentachain.exact import clear_denominators, independent_rows
 from pentachain.geometry import curvature
 from pentachain.pentagon import ED_PAIR, PAIRS, SAMPLE_BOUND, SAMPLE_DRAWS
+from pentachain.triangulation import compose, inverse
 
 # the basis choice used for the sphere's by-hand minor ratios: vertex
 # classes in slot order are A, B, C, D
@@ -244,3 +249,60 @@ def fraction_holonomy_generator(edge_vector, domega):
     x, y = edge_vector
     half = Fraction(domega) / 2
     return (-x * y * half, x * x * half), (-y * y * half, x * y * half)
+
+
+IDENTITY = (0, 1, 2, 3)
+
+
+def transposition(a, b):
+    """The slot permutation that swaps a and b."""
+    out = [0, 1, 2, 3]
+    out[a], out[b] = out[b], out[a]
+    return tuple(out)
+
+
+def canonical_form(tri):
+    """Label-independent encoding of the gluing table.
+
+    Relabels tetrahedra by breadth-first search and minimizes the encoding
+    over every (start tetrahedron, starting frame) choice.  The table is
+    connected (construction rejects any other), so the search from any
+    start reaches every tetrahedron, and two triangulations are
+    combinatorially isomorphic iff their canonical forms are equal.
+    Intended for modest sizes; the search is O(T^2 * 24).
+    """
+    best = None
+    for start in range(tri.size):
+        for frame in permutations(range(4)):
+            table = _bfs_relabel(tri, start, frame)
+            if best is None or table < best:
+                best = table
+    return best
+
+
+def _bfs_relabel(tri, start, frame):
+    """The gluing table renumbered in breadth-first order from ``start``,
+    whose slots ``frame`` maps to new slots."""
+    index = {start: 0}
+    slot_map = {start: frame}  # old slots -> new slots
+    order = [start]
+    out = []
+    for t in order:
+        sigma = slot_map[t]
+        row = [None] * 4
+        for s in range(4):
+            g = tri.tets[t][s]
+            if g.neighbor not in index:
+                index[g.neighbor] = len(order)
+                slot_map[g.neighbor] = compose(sigma, inverse(g.perm))
+                order.append(g.neighbor)
+            row[sigma[s]] = (index[g.neighbor], compose(slot_map[g.neighbor], compose(g.perm, inverse(sigma))))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def isomorphic(a, b):
+    """Whether two triangulations are combinatorially isomorphic."""
+    if a.size != b.size or a.f_vector() != b.f_vector():
+        return False
+    return canonical_form(a) == canonical_form(b)

@@ -173,8 +173,8 @@ EXPORTS = (
     "FivePointConfig", "GeometryAssignment", "Gluing", "InvarianceError", "InvariantResult", "KINDS",
     "MoveError", "MoveSite", "NotAcyclicError", "ParseError", "PentachainError", "RatMatrix", "TorsionError",
     "Triangulation", "ValidationError", "VertexClass", "apply_move", "assign_geometry", "build_chain",
-    "canonical_form", "check_acyclic", "det", "dump_chain", "edge_values", "enumerate_sites",
-    "face_circulations", "format_rational", "invariant", "isomorphic", "load_builtin", "minors",
+    "check_acyclic", "det", "dump_chain", "edge_values", "enumerate_sites",
+    "face_circulations", "format_rational", "invariant", "load_builtin", "minors",
     "parse_geometry", "parse_rational", "random_walk", "rank", "select_partition", "subseed", "tau",
     "verify_chain", "verify_pentagon", "verify_vector_identities", "walk_states",
 )
@@ -202,7 +202,49 @@ def test_exported_names_are_detected():
 
 def test_package_exports_are_pinned():
     assert exported_names((PACKAGE / "__init__.py").read_text()) == sorted(EXPORTS)
-    assert len(EXPORTS) == 48
+    assert len(EXPORTS) == 46
+
+
+def public_definitions(source: str) -> dict[str, int]:
+    """Public names a module defines at module level, with their lines:
+    its functions, classes and constants."""
+    defined = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                defined.update((name.id, node.lineno) for name in ast.walk(target) if isinstance(name, ast.Name))
+    return {name: line for name, line in defined.items() if not name.startswith("_")}
+
+
+def unread_public_names(source: str, read: set[str]) -> list[str]:
+    """Public names ``source`` defines that are not in ``read``."""
+    return [f"{name} (line {line})" for name, line in public_definitions(source).items() if name not in read]
+
+
+def test_unread_public_name_is_detected():
+    source = (
+        "LIMIT = 3\nLEFTOVER: int = 4\n\n\ndef helper():\n    return LIMIT\n\n\n"
+        "def exported():\n    pass\n\n\nclass Orphan:\n    pass\n\n\n_PRIVATE = 5\n"
+    )
+    read = read_names(source) | {"exported"}
+    assert unread_public_names(source, read) == ["LEFTOVER (line 2)", "helper (line 5)", "Orphan (line 13)"]
+
+
+@cache
+def names_read_or_exported_by_package() -> frozenset[str]:
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    exported = exported_names((PACKAGE / "__init__.py").read_text())
+    return frozenset().union(exported, *(read_names(source) for source in sources))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_public_names_have_a_package_reader(path):
+    """Every public module-level function, class and constant of a package
+    module is read by some package module or exported by the package; a
+    helper only tests call belongs with the tests."""
+    assert unread_public_names(path.read_text(), names_read_or_exported_by_package()) == []
 
 
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING}

@@ -4,17 +4,18 @@ from pathlib import Path
 import pytest
 
 from pentachain import (
+    Gluing,
     MoveError,
     MoveSite,
     Triangulation,
     apply_move,
-    canonical_form,
     enumerate_sites,
     invariant,
-    isomorphic,
     random_walk,
     walk_states,
 )
+from pentachain.pachner import _bistellar
+from reference import canonical_form, isomorphic, transposition
 from test_geometry import fresh_star
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -95,10 +96,31 @@ def test_invalid_sites_rejected(s3):
         ("2->3", (0, 7), "no face slot 7"),
         ("2->3", (-1, 0), "no tetrahedron -1"),
         ("1->4", -1, "no tetrahedron -1"),
+        # locations of the wrong shape; a bool is not an index
+        ("2->3", 5, "no face port 5"),
+        ("2->3", (0, 1, 2), "no face port (0, 1, 2)"),
+        ("2->3", (0, True), "no face slot True"),
+        ("1->4", (0, 0), "no tetrahedron (0, 0)"),
+        ("1->4", True, "no tetrahedron True"),
+        ("3->2", (0, 1), "no edge class (0, 1)"),
+        ("4->1", 1.0, "no vertex class 1.0"),
     ]:
         with pytest.raises(MoveError) as exc:
             apply_move(grown, MoveSite(kind, location))
         assert str(exc.value) == message
+
+
+def test_mislabelled_surgery_is_rejected(s3):
+    """Labels that do not describe facets of one 4-simplex boundary leave
+    a face unglued or change the f-vector by the wrong delta."""
+    new = [(0, 1, 3, 4), (0, 2, 3, 4), (1, 2, 3, 4)]
+    with pytest.raises(MoveError, match="surgery left an unglued face"):
+        _bistellar(s3, {0: (0, 1, 2, 3), 1: (0, 1, 4, 2)}, new)
+    # a sphere of two tetrahedra, every face glued by the same involution
+    tri = Triangulation([[Gluing(1, (2, 3, 0, 1))] * 4, [Gluing(0, (2, 3, 0, 1))] * 4])
+    with pytest.raises(MoveError) as exc:
+        _bistellar(tri, {0: (4, 2, 3, 0), 1: (0, 2, 1, 3)}, [(0, 4, 2, 1), (4, 0, 1, 3), (2, 1, 4, 3)])
+    assert str(exc.value) == "move changed the f-vector by (-2, -1, 2, 1), expected (0, 1, 2, 1)"
 
 
 def test_zero_step_walk_is_input(s3):
@@ -178,6 +200,77 @@ def test_three_two_sites_match_full_star_filter(s3, rp3):
                             distinct += 1
     # both kinds of degree-3 edge were seen
     assert repeated and distinct
+
+
+def _vertex_ball_from_cone(tri, vertex_id):
+    """4->1 site test that maps each member's slots to its own index at
+    the vertex and its neighbours' indices elsewhere, then checks every
+    gluing among the members against the face pairing of a cone over the
+    boundary of a tetrahedron."""
+    occ = tri.vertices[vertex_id].members
+    if len(occ) != 4:
+        return None
+    tets = [t for t, _ in occ]
+    if len(set(tets)) != 4:
+        return None
+    slot_of_tet = {t: i for i, (t, _) in enumerate(occ)}
+    maps = []
+    for i, (t, w) in enumerate(occ):
+        m = [None] * 4
+        m[w] = i
+        for s in range(4):
+            if s == w:
+                continue
+            g = tri.tets[t][s]
+            if g.neighbor == t or g.neighbor not in slot_of_tet:
+                return None
+            m[s] = slot_of_tet[g.neighbor]
+        if sorted(m) != [0, 1, 2, 3]:
+            return None
+        maps.append(tuple(m))
+    for i, (t, w) in enumerate(occ):
+        for s in range(4):
+            if s == w:
+                continue
+            g = tri.tets[t][s]
+            j = slot_of_tet[g.neighbor]
+            tau = transposition(i, j)
+            mi, mj = maps[i], maps[j]
+            if any(mj[g.perm[x]] != tau[mi[x]] for x in range(4)):
+                return None
+    return occ, maps
+
+
+# a pseudo-manifold whose vertex class 1 has degree 4 in four distinct
+# tetrahedra, each glued across its three other faces to the other three,
+# but with twists a cone over the boundary of a tetrahedron does not have
+TWISTED_STAR = """pentachain-tri v1
+tetrahedra 4
+tet 0: 3:0132 1:3012 2:3012 1:1302
+tet 1: 0:1230 3:3120 0:2031 2:1023
+tet 2: 3:3120 0:1230 3:0321 1:1023
+tet 3: 0:0132 1:3120 2:0321 2:3120
+"""
+
+
+def test_four_one_sites_match_cone_filter(s3, rp3):
+    twisted = Triangulation.from_text(TWISTED_STAR)
+    states = [twisted]
+    for start in (s3, rp3, Triangulation.from_text(ONE_TET)):
+        for seed in range(4):
+            states += [state for _, state in walk_states(start, 12, seed, max_tets=10)]
+    balls = other = 0
+    for state in states:
+        expected = [
+            MoveSite("4->1", v.id) for v in state.vertices if _vertex_ball_from_cone(state, v.id) is not None
+        ]
+        assert enumerate_sites(state, "4->1") == expected
+        balls += len(expected)
+        other += sum(v.degree == 4 for v in state.vertices) - len(expected)
+    # both collapsible and non-collapsible degree-4 vertices were seen
+    assert balls and other
+    with pytest.raises(MoveError, match="vertex class 1 is not a 4->1 site"):
+        apply_move(twisted, MoveSite("4->1", 1))
 
 
 def test_ladder_fixtures_regenerate_byte_identical():

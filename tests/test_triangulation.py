@@ -10,22 +10,13 @@ from pentachain import (
     ParseError,
     Triangulation,
     ValidationError,
-    canonical_form,
-    isomorphic,
     load_builtin,
     random_walk,
     walk_states,
 )
 from pentachain.exact import permutation_sign
-from pentachain.triangulation import (
-    IDENTITY,
-    EdgeClass,
-    FaceClass,
-    VertexClass,
-    compose,
-    inverse,
-    transposition,
-)
+from pentachain.triangulation import EdgeClass, FaceClass, VertexClass, compose, inverse
+from reference import IDENTITY, canonical_form, isomorphic, transposition
 from test_geometry import fresh_star, grown_rp3, lookup_angles
 from test_pachner import ONE_TET
 
