@@ -28,15 +28,15 @@ certified table is kept on the complex as ``edge_table``, so the face
 product reads the same one.
 
 Each map is assembled in Python ints, by its nonzeros, one integer row
-at a time.  The x and y coordinates are cleared once to integers over a
-common denominator D (kappa does not enter the matrices, so D is not the
-edge table's), so before reduction the rows of f1 are over D or
-2D, those of f2 over 2D, those of f4 over 2D^2 and those of f5 over 1, D
-or D^2.  Each f3 row is the integer gradient table
+at a time.  The x and y coordinates are read from the geometry's integer
+table over its common denominator D, so before reduction the rows of f1
+are over D or 2D, those of f2 over 2D, those of f4 over 2D^2 and those of
+f5 over 1, D or D^2.  Each f3 row is the integer gradient table
 ``(den, {edge: int})`` that ``geometry.curvature`` returns.  The
 ``RatMatrix`` constructor, which takes exactly these integer rows,
 reduces every row, so the stored matrices are exactly those the same
-formulas give in Fractions.  ``verify_chain``
+formulas give in Fractions, whatever common denominator the geometry
+holds.  ``verify_chain``
 multiplies nonzeros by nonzeros, also in ints: each row of the left
 factor is scaled by its own (positive) denominator times the lcm of the
 denominators of the right factor's rows that it meets, which changes no
@@ -75,7 +75,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .errors import NotAcyclicError, PentachainError
-from .exact import RatMatrix, clear_denominators, format_rational, rank
+from .exact import RatMatrix, format_rational, rank
 from .geometry import GeometryAssignment, edge_values, ensure_nondegenerate, omega_row
 from .triangulation import Triangulation
 
@@ -113,7 +113,7 @@ class ChainComplex:
     vertex_count: int
     edge_count: int
     # the certified integer edge-value table (D, numerators) of the geometry
-    edge_table: tuple[int, dict] | None = None
+    edge_table: tuple[int, dict]
 
     @property
     def maps(self):
@@ -133,10 +133,7 @@ def build_chain(tri: Triangulation, g: GeometryAssignment) -> ChainComplex:
     ensure_nondegenerate(tri, lam)
     vlabels = vertex_labels(nv)
     glabels = gamma_labels(nv)
-    # every x and y is an integer over one common denominator d
-    d, coords = clear_denominators(dict(enumerate((*g.x, *g.y))))
-    xs = [coords[v] for v in range(nv)]
-    ys = [coords[nv + v] for v in range(nv)]
+    d, xs, ys = g.den, g.x, g.y
 
     f1 = []
     for xa, ya in zip(xs, ys):

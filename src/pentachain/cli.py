@@ -35,7 +35,6 @@ import random
 import sys
 import time
 from functools import cache
-from math import lcm
 
 from . import __version__
 from .chain import build_chain, certify_chain, check_acyclic, dump_chain, verify_chain
@@ -48,7 +47,7 @@ from .errors import (
     ValidationError,
 )
 from .exact import format_rational, parse_integer
-from .geometry import assign_geometry, parse_geometry, subseed
+from .geometry import assign_geometry, draw_rationals, parse_geometry, subseed
 from .library import BUILTIN_NAMES, load_builtin
 from .pachner import random_walk, walk_states
 from .pentagon import FivePointConfig, verify_pentagon, verify_vector_identities
@@ -216,11 +215,9 @@ def cmd_pentagon(args) -> tuple[dict, int]:
     randrange = random.Random(subseed(args.seed, "points")).randrange
     point_checks = 0
     for j in range(args.samples):
-        # x then y of A..E, each randint(-20, 20) / randint(1, 7) drawn as
-        # lo + randrange(n), cleared to integers over the lcm of the ten
-        draws = [(randrange(41) - 20, 1 + randrange(7)) for _ in range(10)]
-        den = lcm(*(q for _, q in draws))
-        coords = [p * (den // q) for p, q in draws]
+        # x then y of A..E, each randint(-20, 20) / randint(1, 7), as
+        # integers over the lcm of the ten denominators
+        den, coords = draw_rationals(randrange, 10, 20, 7)
         pts = {lab: (coords[2 * i], coords[2 * i + 1]) for i, lab in enumerate(("A", "B", "C", "D", "E"))}
         try:
             if not verify_vector_identities(pts, den):

@@ -17,13 +17,24 @@ its star.  Coordinates induced this way are flat: every curvature vanishes
 identically, which is what makes the derivative matrix of the curvatures a
 chain map downstream.
 
+A geometry is its integer table from the draw to the face product:
+``GeometryAssignment(den, x, y, kappa)`` holds the x, y and kappa of each
+vertex class as integers over one positive common denominator, and any
+common denominator serves.  ``draw_rationals`` is the package's one
+sampler: it draws rationals with small numerators and denominators and
+puts them over the lcm of their denominators, for ``assign_geometry``
+(3V values, all x, then all y, then all kappa),
+``pentagon.FivePointConfig.random`` and the point sets of the
+``pentagon`` command.  ``parse_geometry`` clears the rationals of an
+explicit geometry once, on parsing.
+
 One routine serves triangulations and the five-point verifier alike.  It
 works on an integer value table ``(D, numerators)``: one integer numerator
 per key over a common denominator D, the lcm of the reduced denominators
 of the values.  ``edge_values`` is the only form of the edge values on a
-triangulation: it clears x, y and kappa once and returns the table
-directly, one table per geometry; the tests check it against the paper
-formula in Fractions, kept in ``tests/reference.py``.
+triangulation: it reads the geometry's integers as they are and returns
+the table directly, one table per geometry; the tests check it against the
+paper formula in Fractions, kept in ``tests/reference.py``.
 ``pentagon.FivePointConfig.table`` is the table of a
 five-point configuration, over any common denominator of its values.  For
 sampled geometry D divides 2 lcm(1..16)^2, about 40 bits, whatever the
@@ -37,11 +48,11 @@ construction (``Triangulation.face_sides`` and ``edge_angles``), and the
 five-point complex resolves its triangles and angles at import.  A
 circulation is a plain integer: ``circulation`` sums the signed
 numerators of a triangle's three sides, so the circulation is that
-integer over D.  A geometry is nondegenerate when no face circulation is
-zero; the sampler redraws until it is, and ``ensure_nondegenerate``, which
-``chain.build_chain`` runs on every geometry, raises otherwise.  Both read
-the integer circulations through one zero-face test.
-``face_circulations`` gives the circulations as Fractions ``n / D``.
+integer over D, and ``face_circulations`` gives every face class's as
+the table ``(D, circulations)``.  A geometry is nondegenerate when no
+face circulation is zero; the sampler redraws until 0 is not among them,
+and ``ensure_nondegenerate``, which ``chain.build_chain`` runs on every
+geometry, raises otherwise, naming the first zero face.
 
 ``curvature`` sums angle values built from four circulations and their
 exact partial derivatives by the quotient rule, each key an independent
@@ -83,11 +94,31 @@ def subseed(seed: int, *tags) -> int:
 
 @dataclass(frozen=True)
 class GeometryAssignment:
-    """Plane coordinates and kappa per vertex class."""
+    """Plane coordinates and kappa per vertex class as one integer table:
+    vertex class v sits at (x[v], y[v]) / den with kappa[v] / den, over
+    any positive common denominator ``den``."""
 
-    x: tuple[Fraction, ...]
-    y: tuple[Fraction, ...]
-    kappa: tuple[Fraction, ...]
+    den: int
+    x: tuple[int, ...]
+    y: tuple[int, ...]
+    kappa: tuple[int, ...]
+
+
+def _assignment(den: int, values) -> GeometryAssignment:
+    """The geometry whose x, then y, then kappa per vertex class are the
+    integers ``values`` over ``den``."""
+    nv = len(values) // 3
+    return GeometryAssignment(den, *(tuple(values[k * nv:(k + 1) * nv]) for k in range(3)))
+
+
+def draw_rationals(randrange, count: int, bound: int, den_bound: int) -> tuple[int, list[int]]:
+    """``count`` rationals randint(-bound, bound) / randint(1, den_bound),
+    numerator first, as ``(den, numerators)`` over the lcm of the drawn
+    denominators.  Each is drawn as ``lo + randrange(n)``, the stream
+    ``randint`` draws."""
+    draws = [(randrange(2 * bound + 1) - bound, 1 + randrange(den_bound)) for _ in range(count)]
+    den = lcm(*(q for _, q in draws))
+    return den, [p * (den // q) for p, q in draws]
 
 
 def edge_values(tri: Triangulation, g: GeometryAssignment) -> tuple[int, dict[int, int]]:
@@ -96,13 +127,12 @@ def edge_values(tri: Triangulation, g: GeometryAssignment) -> tuple[int, dict[in
     (x_a y_b - x_b y_a) / 2 + kappa_b - kappa_a, is ``numerators[e] / D``
     with D the lcm of the reduced denominators of the values.
 
-    x, y and kappa are cleared once to X, Y and K over one denominator c,
-    so lambda(a -> b) is X_a Y_b - X_b Y_a + 2c (K_b - K_a) over 2c^2;
-    dividing out the gcd of 2c^2 and every numerator leaves D.
+    With X, Y and K the integers of the geometry over c = ``g.den``,
+    lambda(a -> b) is X_a Y_b - X_b Y_a + 2c (K_b - K_a) over 2c^2;
+    dividing out the gcd of 2c^2 and every numerator leaves D, whatever
+    common denominator c is.
     """
-    c, cleared = clear_denominators(dict(enumerate((*g.x, *g.y, *g.kappa))))
-    nv = len(g.x)
-    xs, ys, ks = ([cleared[k * nv + v] for v in range(nv)] for k in range(3))
+    c, xs, ys, ks = g.den, g.x, g.y, g.kappa
     numerators = {
         e.id: xs[e.tail] * ys[e.head] - xs[e.head] * ys[e.tail] + 2 * c * (ks[e.head] - ks[e.tail])
         for e in tri.edges
@@ -124,32 +154,25 @@ def circulation(numerators, sides) -> int:
     return sa * numerators[a] + sb * numerators[b] + sc * numerators[c]
 
 
-def face_circulations(tri: Triangulation, lam: tuple[int, dict]) -> tuple[Fraction, ...]:
-    """Circulation of each face class under the edge-value table ``lam``,
-    by class id, evaluated on the class's stored boundary order."""
+def face_circulations(tri: Triangulation, lam: tuple[int, dict]) -> tuple[int, tuple[int, ...]]:
+    """Circulations of the face classes under the edge-value table ``lam``
+    as the table ``(D, circulations)``, by class id, each evaluated on the
+    class's stored boundary order and over the D of ``lam``."""
     d, numerators = lam
-    return tuple(Fraction(circulation(numerators, sides), d) for sides in tri.face_sides)
-
-
-def _zero_face(tri: Triangulation, lam: tuple[int, dict]):
-    """The first face class whose circulation under ``lam`` is zero, or None."""
-    _, numerators = lam
-    for f, sides in zip(tri.faces, tri.face_sides):
-        if not circulation(numerators, sides):
-            return f
-    return None
+    return d, tuple(circulation(numerators, sides) for sides in tri.face_sides)
 
 
 def assign_geometry(tri: Triangulation, seed: int) -> GeometryAssignment:
     """Sample generic rational coordinates, rejecting degenerate draws.
 
-    Numerators are uniform in [-64, 64] and denominators in [1, 16]; a draw
-    is accepted once every face circulation is nonzero, each draw's edge
-    values evaluated once, and DegenerateGeometryError is raised after
-    SAMPLE_DRAWS rejected draws.  The draw sequence is a deterministic
-    function of the seed.  An edge class joining a vertex class to itself
-    gives every face containing it zero circulation for any geometry, so
-    such input fails before the first draw.
+    Each draw is 3V values of ``draw_rationals``, all x, then all y, then
+    all kappa, with numerators in [-64, 64] and denominators in [1, 16]; a
+    draw is accepted once every face circulation is nonzero, each draw's
+    edge values evaluated once, and DegenerateGeometryError is raised
+    after SAMPLE_DRAWS rejected draws.  The draw sequence is a
+    deterministic function of the seed.  An edge class joining a vertex
+    class to itself gives every face containing it zero circulation for
+    any geometry, so such input fails before the first draw.
     """
     for e in tri.edges:
         if e.tail == e.head:
@@ -158,31 +181,22 @@ def assign_geometry(tri: Triangulation, seed: int) -> GeometryAssignment:
                 "face containing it has zero circulation for any geometry; 2->3 and "
                 "1->4 moves cannot remove this edge"
             )
-    rng = random.Random(seed)
-    nv = len(tri.vertices)
-
-    def draw() -> Fraction:
-        return Fraction(
-            rng.randint(-SAMPLE_NUMERATOR_BOUND, SAMPLE_NUMERATOR_BOUND),
-            rng.randint(1, SAMPLE_DENOMINATOR_BOUND),
-        )
-
+    randrange = random.Random(seed).randrange
+    count = 3 * len(tri.vertices)
     for _ in range(SAMPLE_DRAWS):
-        g = GeometryAssignment(
-            x=tuple(draw() for _ in range(nv)),
-            y=tuple(draw() for _ in range(nv)),
-            kappa=tuple(draw() for _ in range(nv)),
-        )
-        if _zero_face(tri, edge_values(tri, g)) is None:
+        g = _assignment(*draw_rationals(randrange, count, SAMPLE_NUMERATOR_BOUND, SAMPLE_DENOMINATOR_BOUND))
+        if 0 not in face_circulations(tri, edge_values(tri, g))[1]:
             return g
     raise DegenerateGeometryError(f"no nondegenerate geometry found after {SAMPLE_DRAWS} attempts")
 
 
 def ensure_nondegenerate(tri: Triangulation, lam: tuple[int, dict]) -> None:
     """The nondegeneracy certificate: raise unless every face circulation
-    under the edge-value table ``lam`` is nonzero."""
-    f = _zero_face(tri, lam)
-    if f is not None:
+    under the edge-value table ``lam`` is nonzero, naming the first zero
+    face."""
+    _, circulations = face_circulations(tri, lam)
+    if 0 in circulations:
+        f = tri.faces[circulations.index(0)]
         raise DegenerateGeometryError(f"face class {f.id} (vertices {f.vertices}) has zero circulation")
 
 
@@ -307,8 +321,5 @@ def parse_geometry(text: str, tri: Triangulation) -> GeometryAssignment:
     missing = [v for v in range(nv) if v not in xs]
     if missing:
         raise ParseError(f"geometry file misses vertex classes {missing}")
-    return GeometryAssignment(
-        x=tuple(xs[v] for v in range(nv)),
-        y=tuple(ys[v] for v in range(nv)),
-        kappa=tuple(ks[v] for v in range(nv)),
-    )
+    den, cleared = clear_denominators(dict(enumerate(table[v] for table in (xs, ys, ks) for v in range(nv))))
+    return _assignment(den, list(cleared.values()))

@@ -32,9 +32,9 @@ pair is its numerator over D.  Every circulation is an integer over D,
 curvature and its derivative are one ``geometry.curvature`` on the same
 table, computed once per configuration and shared.
 
-The sampler draws integers from the start: each of the nine free values is
-a numerator and a denominator drawn as integers, the nine put over the lcm
-of their denominators, and the flat lambda_ED is solved on that table: of
+The sampler draws integers from the start: the nine free values come from
+``geometry.draw_rationals``, the package's one sampler, over the lcm of
+their denominators, and the flat lambda_ED is solved on that table: of
 the six circulations in the bilinear relation only the three S_xDE hold
 lambda_ED, each once with sign -1, so the relation's value at
 lambda_ED = 0 and its slope are integers read off that table.  The solved
@@ -64,11 +64,10 @@ import random
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import permutations
-from math import lcm
 from typing import Mapping
 
 from .errors import DegenerateGeometryError, PentachainError
-from .geometry import circulation, curvature, holonomy_numerators
+from .geometry import circulation, curvature, draw_rationals, holonomy_numerators
 
 LABELS = ("A", "B", "C", "D", "E")
 
@@ -135,16 +134,17 @@ class FivePointConfig:
         """Seeded random values on the nine pairs other than D-E, with the
         tenth solved to make the configuration flat.
 
-        Each value is randint(-SAMPLE_BOUND, SAMPLE_BOUND) / randint(1, 9),
-        numerator first, drawn as ``lo + randrange(n)``, the same stream.
-        A degenerate draw is redrawn from the same stream, up to
-        SAMPLE_DRAWS draws, so a seed whose first draw is usable keeps it.
+        Each draw is nine values of ``geometry.draw_rationals``, in PAIRS
+        order without D-E: randint(-SAMPLE_BOUND, SAMPLE_BOUND) /
+        randint(1, 9), numerator first.  A degenerate draw is redrawn from
+        the same stream, up to SAMPLE_DRAWS draws, so a seed whose first
+        draw is usable keeps it.
         """
-        randrange, width = random.Random(seed).randrange, 2 * SAMPLE_BOUND + 1
+        randrange = random.Random(seed).randrange
         for attempt in range(SAMPLE_DRAWS):
-            draws = {p: (randrange(width) - SAMPLE_BOUND, 1 + randrange(9)) for p in PAIRS if p != ED_PAIR}
-            d = lcm(*(q for _, q in draws.values()))
-            numerators = {pair: p * (d // q) for pair, (p, q) in draws.items()}
+            d, values = draw_rationals(randrange, 9, SAMPLE_BOUND, 9)
+            # D-E is the last of PAIRS, so the nine values fill the others
+            numerators = dict(zip(PAIRS, values))
             numerators[ED_PAIR] = 0
             try:
                 return flat_config(cls(d, numerators))

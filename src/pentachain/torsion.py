@@ -283,8 +283,9 @@ def invariant(
     DegenerateGeometryError there, and a nonzero curvature at the flat
     point raises the internal error.  The face product is the product of
     the face circulations under the same table, the ``edge_table`` the
-    chain keeps, taken as one Fraction of the product of their numerators
-    over the product of their denominators, so that one gcd reduces it.
+    chain keeps: with ``face_circulations`` the integers c_f over D, it is
+    the one Fraction prod(c_f) / D^F over the F face classes, so that one
+    gcd reduces it.
     ``select_partition`` certifies acyclicity and yields the minors; the
     chain property it rests on is then checked in full for f2 * f1 and on
     the pass's free columns for the other compositions, which decides the
@@ -303,8 +304,8 @@ def invariant(
     partition, values = select_partition(c)
     certify_chain(c, partition.cols(c)[:3])
     t = _signed_tau(c, partition, values)
-    circulations = face_circulations(tri, c.edge_table)
-    face_product = Fraction(prod(s.numerator for s in circulations), prod(s.denominator for s in circulations))
+    d, circulations = face_circulations(tri, c.edge_table)
+    face_product = Fraction(prod(circulations), d ** len(circulations))
     value = t * face_product * Fraction(1, 2 ** (len(tri.vertices) + 1))
     return InvariantResult(
         tau=t,

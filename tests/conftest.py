@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from pentachain import assign_geometry, build_chain, load_builtin
@@ -36,3 +38,17 @@ def certified_chain():
         return c
 
     return build
+
+
+@pytest.fixture()
+def fractions_made(monkeypatch):
+    """The list that every Fraction the test constructs is appended to."""
+    made = []
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(cls)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    return made

@@ -12,6 +12,13 @@ rationals, and the tests check the package against them:
 * a matrix from rows of ints and Fractions, dense or by column
   (``rat_matrix``), cleared into the integer rows ``RatMatrix`` takes, and
   one entry of a matrix by its labels;
+* a geometry from rational x, y and kappa (``geometry_of``), cleared
+  into the integer table ``GeometryAssignment`` holds, and a geometry's
+  coordinates (``coordinates``) and face circulations (``face_values``)
+  as Fractions;
+* the seeded geometry sampler drawn with ``randint`` in Fractions, the
+  oracle of ``geometry.assign_geometry``, and the point sets of the
+  ``pentagon`` command drawn the same way;
 * an edge value by the paper's formula (``lambda_of``), the oracle of
   ``geometry.edge_values``;
 * the oriented area of a plane triangle, the oracle of a circulation;
@@ -39,7 +46,7 @@ from math import lcm
 
 from pentachain import BasisPartition, FivePointConfig, GeometryAssignment, RatMatrix
 from pentachain.exact import clear_denominators, independent_rows
-from pentachain.geometry import curvature
+from pentachain.geometry import SAMPLE_DRAWS as GEOMETRY_DRAWS, curvature, face_circulations, subseed
 from pentachain.pentagon import ED_PAIR, PAIRS, SAMPLE_BOUND, SAMPLE_DRAWS
 from pentachain.triangulation import compose, inverse
 
@@ -69,21 +76,73 @@ def entry(m, row_label, col_label):
     return Fraction(m.numerators[i].get(j, 0), m.denominators[i])
 
 
+def geometry_of(x, y, kappa):
+    """The geometry with the rational ``x``, ``y`` and ``kappa`` per vertex
+    class, cleared into the integer table ``GeometryAssignment`` holds."""
+    nv = len(x)
+    den, cleared = clear_denominators(dict(enumerate(Fraction(v) for v in (*x, *y, *kappa))))
+    values = [cleared[i] for i in range(3 * nv)]
+    return GeometryAssignment(den, *(tuple(values[k * nv:(k + 1) * nv]) for k in range(3)))
+
+
+def coordinates(g):
+    """The x, y and kappa of a geometry, each a tuple of Fractions."""
+    return tuple(tuple(Fraction(n, g.den) for n in values) for values in (g.x, g.y, g.kappa))
+
+
+def face_values(tri, lam):
+    """The face circulations under an edge-value table as Fractions, by
+    face class id."""
+    d, circulations = face_circulations(tri, lam)
+    return tuple(Fraction(c, d) for c in circulations)
+
+
 def lambda_of(tri, g, edge_id):
     """Edge value of a canonically oriented edge class a -> b: the area of
     (O, a, b) plus kappa_b - kappa_a."""
+    x, y, kappa = coordinates(g)
     e = tri.edges[edge_id]
     a, b = e.tail, e.head
-    return (g.x[a] * g.y[b] - g.x[b] * g.y[a]) / 2 + g.kappa[b] - g.kappa[a]
+    return (x[a] * y[b] - x[b] * y[a]) / 2 + kappa[b] - kappa[a]
+
+
+def fraction_geometry(tri, seed):
+    """The coordinates of ``assign_geometry(tri, seed)``, drawn in
+    Fractions, and the number of draws made.
+
+    Each draw gives every vertex class Fraction(randint(-64, 64),
+    randint(1, 16)) as x, then every one a y, then every one a kappa.  A
+    draw is redrawn while some face circulation, the signed sum of the
+    paper's edge values around the face's stored sides, is zero.
+    """
+    rng = random.Random(seed)
+    nv = len(tri.vertices)
+    for draws in range(1, GEOMETRY_DRAWS + 1):
+        x = tuple(Fraction(rng.randint(-64, 64), rng.randint(1, 16)) for _ in range(nv))
+        y = tuple(Fraction(rng.randint(-64, 64), rng.randint(1, 16)) for _ in range(nv))
+        kappa = tuple(Fraction(rng.randint(-64, 64), rng.randint(1, 16)) for _ in range(nv))
+        lam = {e.id: (x[e.tail] * y[e.head] - x[e.head] * y[e.tail]) / 2 + kappa[e.head] - kappa[e.tail]
+               for e in tri.edges}
+        if all(sum(sign * lam[key] for key, sign in sides) for sides in tri.face_sides):
+            return (x, y, kappa), draws
+    raise ValueError(f"no nondegenerate geometry in {GEOMETRY_DRAWS} draws")
+
+
+def fraction_pentagon_points(seed, samples):
+    """The point sets the ``pentagon`` command checks at ``seed``, drawn in
+    Fractions: per sample, x then y of A..E, each
+    Fraction(randint(-20, 20), randint(1, 7))."""
+    rng = random.Random(subseed(seed, "points"))
+    out = []
+    for _ in range(samples):
+        values = [Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(10)]
+        out.append({label: (values[2 * i], values[2 * i + 1]) for i, label in enumerate("ABCDE")})
+    return out
 
 
 def fixed_sphere_geometry():
     """The reference assignment A(0,0), B(1,0), C(0,1), D(1,1), kappa = 0."""
-    return GeometryAssignment(
-        x=(Fraction(0), Fraction(1), Fraction(0), Fraction(1)),
-        y=(Fraction(0), Fraction(0), Fraction(1), Fraction(1)),
-        kappa=(Fraction(0),) * 4,
-    )
+    return geometry_of(x=(0, 1, 0, 1), y=(0, 0, 1, 1), kappa=(0,) * 4)
 
 
 def sphere_paper_partition(c):

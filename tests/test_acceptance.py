@@ -16,7 +16,6 @@ from pentachain import (
     build_chain,
     check_acyclic,
     edge_values,
-    face_circulations,
     invariant,
     load_builtin,
     minors,
@@ -32,6 +31,7 @@ from pentachain import cli
 from reference import (
     bilinear_relation,
     entry,
+    face_values,
     fixed_sphere_geometry,
     integer_points,
     opposite_edge_pairs,
@@ -79,7 +79,7 @@ def test_criterion_3_intermediate_ratios(certified_chain):
     m1, m2, m3, m4, m5 = minors(c, p)
     assert abs(m1 / m2) == 8
     product = F(1)
-    for s in face_circulations(s3, edge_values(s3, g)):
+    for s in face_values(s3, edge_values(s3, g)):
         product *= s
     assert abs(m5 / m4) == abs(F(4) / product)
     report(3, "sphere basis ratios |m1/m2| = 8 and |m5/m4| = 4/|S_ABC S_ABD S_ACD S_BCD|")
@@ -97,7 +97,7 @@ def test_criterion_4_derivative_minor_structure(certified_chain):
     # tetrahedron 0 against its opposite C-D edge
     b = rp3.edge_class(0, 0, 1)[0]
     f = rp3.edge_class(0, 2, 3)[0]
-    circulations = face_circulations(rp3, lam)
+    circulations = face_values(rp3, lam)
     s_abc = abs(circulations[rp3.face_class(0, 3)])
     s_abd = abs(circulations[rp3.face_class(0, 2)])
     assert abs(entry(c.f3, f"dw_e{b}", f"dl_e{f}")) == 2 / (s_abc * s_abd)

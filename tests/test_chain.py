@@ -15,6 +15,8 @@ from pentachain import (
     build_chain,
     check_acyclic,
     dump_chain,
+    edge_values,
+    invariant,
     load_builtin,
     parse_geometry,
     random_walk,
@@ -23,7 +25,7 @@ from pentachain import (
 )
 from pentachain.chain import C0_LABELS, C5_LABELS, ChainComplex, certify_chain, expected_ranks
 from pentachain.triangulation import Triangulation
-from reference import fraction_holonomy_generator, lambda_of, rat_matrix
+from reference import coordinates, fraction_holonomy_generator, geometry_of, lambda_of, rat_matrix
 from test_geometry import fraction_curvature_oracle, lookup_angles
 
 F = Fraction
@@ -69,15 +71,7 @@ def test_mutated_entry_is_detected(s3, sphere_geometry, certified_chain):
     c = certified_chain(s3, sphere_geometry)
     rows = [list(r) for r in c.f2.entries]
     rows[2][5] += 1
-    broken = type(c)(
-        f1=c.f1,
-        f2=rat_matrix(rows, c.f2.row_labels, c.f2.col_labels),
-        f3=c.f3,
-        f4=c.f4,
-        f5=c.f5,
-        vertex_count=c.vertex_count,
-        edge_count=c.edge_count,
-    )
+    broken = replace(c, f2=rat_matrix(rows, c.f2.row_labels, c.f2.col_labels))
     ok, witness = verify_chain(broken)
     assert not ok
     stage, row_label, col_label = witness
@@ -99,10 +93,7 @@ def test_zeroed_f3_breaks_acyclicity(rp3, rp3_geometry, certified_chain):
         c.f3.row_labels,
         c.f3.col_labels,
     )
-    broken = type(c)(
-        f1=c.f1, f2=c.f2, f3=zero, f4=c.f4, f5=c.f5,
-        vertex_count=c.vertex_count, edge_count=c.edge_count,
-    )
+    broken = replace(c, f3=zero)
     with pytest.raises(NotAcyclicError) as reported:
         check_acyclic(broken)
     assert (reported.value.ranks, reported.value.expected) == ((6, 6, 0, 6, 6), (6, 6, 6, 6, 6))
@@ -133,9 +124,10 @@ def test_f4_columns_are_holonomy_generators(source, rp3, certified_chain):
     tri = rp3 if source == "rp3" else Triangulation.from_file(fixtures / source)
     g = assign_geometry(tri, 1)
     c = certified_chain(tri, g)
+    xs, ys, _ = coordinates(g)
     for e in tri.edges:
         p, q = e.tail, e.head
-        (_, m01), (m10, m11) = fraction_holonomy_generator((g.x[q] - g.x[p], g.y[q] - g.y[p]), F(1))
+        (_, m01), (m10, m11) = fraction_holonomy_generator((xs[q] - xs[p], ys[q] - ys[p]), F(1))
         expected = [0] * len(c.f4.row_labels)
         expected[3 * p: 3 * p + 3] = m01, m11, -m10
         expected[3 * q: 3 * q + 3] = -m01, -m11, m10
@@ -241,7 +233,7 @@ def test_cancellation_across_denominators_passes():
     f1 = rat_matrix([[1, F(1, 5)], [1, F(1, 7)], [1, F(19, 105)]])
     f2 = rat_matrix([[F(1, 3), F(1, 6), F(-1, 2)]])
     zero = rat_matrix([[0]])
-    planted = ChainComplex(f1, f2, zero, zero, zero, vertex_count=0, edge_count=0)
+    planted = ChainComplex(f1, f2, zero, zero, zero, vertex_count=0, edge_count=0, edge_table=(1, {}))
     assert verify_chain(planted) == fraction_witness_oracle(planted) == (True, None)
     off = replace(planted, f1=rat_matrix([[1, F(1, 5)], [1, F(1, 7)], [1, F(19, 104)]]))
     assert verify_chain(off) == fraction_witness_oracle(off) == (False, (1, "r0", "c1"))
@@ -258,14 +250,15 @@ def fraction_maps(tri, g, values):
     """f1..f5 as {column: nonzero Fraction} rows, from the formulas of the
     ``chain`` module docstring, with f3 from the textbook quotient rule."""
     nv = len(tri.vertices)
+    xs, ys, _ = coordinates(g)
     f1, f2, f3 = [], [], []
-    for x, y in zip(g.x, g.y):
+    for x, y in zip(xs, ys):
         f1 += [{0: y, 2: x, 3: 1}, {1: x, 2: -y, 4: 1}, {3: -y / 2, 4: x / 2, 5: 1}]
     for e in tri.edges:
         a, b = e.tail, e.head
         row = {}
-        for j, v in ((3 * a, g.y[b] / 2), (3 * a + 1, -g.x[b] / 2), (3 * a + 2, -1),
-                     (3 * b, -g.y[a] / 2), (3 * b + 1, g.x[a] / 2), (3 * b + 2, 1)):
+        for j, v in ((3 * a, ys[b] / 2), (3 * a + 1, -xs[b] / 2), (3 * a + 2, -1),
+                     (3 * b, -ys[a] / 2), (3 * b + 1, xs[a] / 2), (3 * b + 2, 1)):
             row[j] = row.get(j, 0) + v
         f2.append(row)
         value, gradient = fraction_curvature_oracle(values, lookup_angles(tri, e.id))
@@ -274,12 +267,12 @@ def fraction_maps(tri, g, values):
     f4 = [{} for _ in range(3 * nv)]
     for e in tri.edges:
         p, q = e.tail, e.head
-        x, y = g.x[q] - g.x[p], g.y[q] - g.y[p]
+        x, y = xs[q] - xs[p], ys[q] - ys[p]
         for r, v in enumerate((x * x / 2, x * y / 2, y * y / 2)):
             f4[3 * p + r][e.id] = f4[3 * p + r].get(e.id, 0) + v
             f4[3 * q + r][e.id] = f4[3 * q + r].get(e.id, 0) - v
     f5 = [{} for _ in range(6)]
-    for v, (x, y) in enumerate(zip(g.x, g.y)):
+    for v, (x, y) in enumerate(zip(xs, ys)):
         f5[0][3 * v] = f5[1][3 * v + 1] = f5[2][3 * v + 2] = F(1)
         f5[3][3 * v], f5[3][3 * v + 1] = y, -x
         f5[4][3 * v + 1], f5[4][3 * v + 2] = y, -x
@@ -314,14 +307,99 @@ def test_integer_assembly_matches_fraction_formulas(source, s3, rp3, certified_c
         assert rat_matrix(m.rows, m.row_labels, m.col_labels) == m
 
 
+def coefficients(sides):
+    """The coefficient of each key in the circulation around ``sides``,
+    zeros dropped."""
+    row = {}
+    for key, sign in sides:
+        row[key] = row.get(key, 0) + sign
+    return {key: v for key, v in row.items() if v}
+
+
+def face_edge_incidence(tri):
+    """F: per face class, the coefficients of its stored sides."""
+    return [coefficients(sides) for sides in tri.face_sides]
+
+
+def angle_face_weights(tri, lam):
+    """A: per edge class e, the partials of e's curvature by the face
+    circulations, ``{face class: Fraction}``.
+
+    An angle with tail E and head H is (N1 + N2) / (2 B1 B2) in the
+    circulations of its triangles N1 = PHQ, N2 = PEQ, B1 = PHE and
+    B2 = QHE, which lie in the faces opposite the slots of E, H, Q and P.
+    With n1, n2, b1 and b2 those circulations times D, the partials are
+    b1 b2, b1 b2, -(n1 + n2) b2 and -(n1 + n2) b1, each times D^2 / q with
+    q = 2 (b1 b2)^2, and each signed by whether the triangle's sides are
+    the face's stored sides or their negation.
+    """
+    d, numerators = lam
+    faces = face_edge_incidence(tri)
+    rows = []
+    for e in tri.edges:
+        row = {}
+        for (ph, hq, qp, pe, eq, he), (tet, (p, q), (tail, head)) in lookup_angles(tri, e.id):
+            (pe_key, pe_sign), (hq_key, hq_sign) = pe, hq
+            triangles = (
+                ((ph, hq, qp), tail),
+                ((pe, eq, qp), head),
+                ((ph, he, (pe_key, -pe_sign)), q),
+                (((hq_key, -hq_sign), he, eq), p),
+            )
+            n1, n2, b1, b2 = (sum(sign * numerators[key] for key, sign in sides) for sides, _ in triangles)
+            scale = Fraction(d * d, 2 * (b1 * b2) ** 2)
+            weights = (b1 * b2, b1 * b2, -(n1 + n2) * b2, -(n1 + n2) * b1)
+            for (sides, opposite), weight in zip(triangles, weights):
+                f = tri.face_class(tet, opposite)
+                stored, mine = faces[f], coefficients(sides)
+                assert mine in (stored, {key: -v for key, v in stored.items()})
+                sign = 1 if mine == stored else -1
+                row[f] = row.get(f, 0) + sign * weight * scale
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("source", ["s3", "rp3", "s3_t80.tri", "rp3_t80.tri"])
+def test_f3_factors_through_the_face_circulations(source, seed, s3, rp3):
+    # f3 = A F: each curvature depends on the edge values only through
+    # the face circulations of its angles' tetrahedra
+    if source.endswith(".tri"):
+        tri = Triangulation.from_file(Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures" / source)
+    else:
+        tri = s3 if source == "s3" else rp3
+    c = build_chain(tri, assign_geometry(tri, seed))
+    faces = face_edge_incidence(tri)
+    product = []
+    for row in angle_face_weights(tri, c.edge_table):
+        out = {}
+        for f, weight in row.items():
+            for key, v in faces[f].items():
+                out[key] = out.get(key, 0) + weight * v
+        product.append({key: v for key, v in sorted(out.items()) if v})
+    assert product == list(c.f3.rows)
+
+
+def test_any_common_denominator_builds_the_same_chain(s3, rp3):
+    # a geometry over a multiple of its lcm has the same edge-value table,
+    # matrices and invariant
+    for tri in (s3, rp3):
+        g = assign_geometry(tri, 5)
+        over = GeometryAssignment(7 * g.den, *(tuple(7 * n for n in values) for values in (g.x, g.y, g.kappa)))
+        assert coordinates(over) == coordinates(g)
+        assert edge_values(tri, over) == edge_values(tri, g)
+        assert dump_chain(build_chain(tri, over)) == dump_chain(build_chain(tri, g))
+        assert invariant(tri, geometry=over) == invariant(tri, geometry=g)
+
+
 @pytest.mark.parametrize("fractional", [False, True])
 def test_build_chain_certifies_the_geometry(s3, fractional):
     # vertex classes 0, 1, 2 on a line: face class 3 has zero circulation,
-    # also when the coordinates carry a denominator to clear
+    # also when the geometry is over a common denominator other than 1
     scale = F(1, 3) if fractional else F(1)
     x = tuple(scale * v for v in (F(0), F(1), F(2), F(0)))
     y = tuple(scale * v for v in (F(0), F(0), F(0), F(1)))
-    collinear = GeometryAssignment(x=x, y=y, kappa=(F(0),) * 4)
+    collinear = geometry_of(x, y, kappa=(0,) * 4)
     message = "face class 3 (vertices (0, 1, 2)) has zero circulation"
     with pytest.raises(DegenerateGeometryError) as raised:
         build_chain(s3, collinear)

@@ -15,7 +15,7 @@ from pentachain import MoveSite, NotAcyclicError, Triangulation, apply_move, loa
 import pentachain
 from pentachain import cli, geometry, pentagon, torsion
 from pentachain.triangulation import FILE_MAGIC
-from reference import rat_matrix
+from reference import fraction_pentagon_points, rat_matrix
 from test_geometry import LARGE_DENOMINATOR_GEOMETRY, prime_denominator_geometry_text
 
 
@@ -417,24 +417,47 @@ PENTAGON_SAMPLES_10_FRACTIONS = 60
 PENTAGON_SAMPLES_10_CURVATURES = 30
 
 
-def test_pentagon_command_stays_in_integers(capsys, monkeypatch):
-    made, curvatures = [], []
-    real, real_curvature = Fraction.__new__, pentagon.curvature
-
-    def counting(cls, *args, **kwargs):
-        made.append(cls)
-        return real(cls, *args, **kwargs)
+def test_pentagon_command_stays_in_integers(capsys, monkeypatch, fractions_made):
+    curvatures = []
+    real_curvature = pentagon.curvature
 
     def counting_curvature(*args):
         curvatures.append(args)
         return real_curvature(*args)
 
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
     monkeypatch.setattr(pentagon, "curvature", counting_curvature)
     code, _, _ = run(capsys, ["pentagon", "--samples", "10"])
     assert code == 0
-    assert len(made) == PENTAGON_SAMPLES_10_FRACTIONS
+    assert len(fractions_made) == PENTAGON_SAMPLES_10_FRACTIONS
     assert len(curvatures) == PENTAGON_SAMPLES_10_CURVATURES
+
+
+# Fractions that ``invariant --builtin rp3`` constructs: one curvature per
+# edge class (12); the five minors, and m4 and m5 once signed (7); the
+# signed torsion (5); the face product, the power of two, the two products
+# that normalize tau and the absolute value (5); and the four the report
+# formats.  The geometry, the edge values and the face circulations are
+# integer tables.
+INVARIANT_RP3_FRACTIONS = 33
+
+
+def test_invariant_command_keeps_the_geometry_in_integers(capsys, fractions_made):
+    code, _, _ = run(capsys, ["invariant", "--builtin", "rp3"])
+    assert code == 0
+    assert len(fractions_made) == INVARIANT_RP3_FRACTIONS
+
+
+def test_pentagon_point_draws_match_fraction_oracle(capsys, monkeypatch):
+    # the point sets the command checks are the ones drawn in Fractions
+    checked = []
+    monkeypatch.setattr(cli, "_check_pentagon_samples", lambda seed, samples: None)
+    monkeypatch.setattr(cli, "verify_vector_identities", lambda pts, den: checked.append((pts, den)) or True)
+    for seed in range(1000):
+        checked.clear()
+        code, _, _ = run(capsys, ["pentagon", "--seed", str(seed), "--samples", "3"])
+        assert code == 0
+        drawn = [{k: (Fraction(x, den), Fraction(y, den)) for k, (x, y) in pts.items()} for pts, den in checked]
+        assert drawn == fraction_pentagon_points(seed, 3)
 
 
 def test_pentagon_redraws_degenerate_sample(capsys):

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,7 +22,18 @@ from pentachain import geometry, pentagon
 from pentachain.geometry import curvature, holonomy_numerators, omega_row
 from pentachain.errors import ParseError
 from pentachain.exact import clear_denominators
-from reference import angle, angle_sides, fraction_holonomy_generator, lambda_of, triangle_area
+from pentachain.triangulation import Triangulation
+from reference import (
+    angle,
+    angle_sides,
+    coordinates,
+    face_values,
+    fraction_geometry,
+    fraction_holonomy_generator,
+    geometry_of,
+    lambda_of,
+    triangle_area,
+)
 
 F = Fraction
 
@@ -49,7 +61,7 @@ def test_fixed_sphere_lambdas(s3, sphere_geometry):
 def test_fixed_sphere_circulations(s3, sphere_geometry):
     lam = edge_values(s3, sphere_geometry)
     # face classes in first-occurrence order: BCD, ACD, ABD, ABC
-    values = face_circulations(s3, lam)
+    values = face_values(s3, lam)
     assert [abs(v) for v in values] == [F(1, 2)] * 4
     abc = s3.face_class(0, 3)
     acd = s3.face_class(0, 1)
@@ -60,10 +72,11 @@ def test_fixed_sphere_circulations(s3, sphere_geometry):
 def test_circulation_equals_area_oracle(s3, rp3):
     for tri, seed in ((s3, 3), (rp3, 4)):
         g = assign_geometry(tri, seed)
-        circulations = face_circulations(tri, edge_values(tri, g))
+        circulations = face_values(tri, edge_values(tri, g))
+        x, y, _ = coordinates(g)
         for f in tri.faces:
             a, b, c = f.vertices
-            area = triangle_area(g.x[a], g.y[a], g.x[b], g.y[b], g.x[c], g.y[c])
+            area = triangle_area(x[a], y[a], x[b], y[b], x[c], y[c])
             assert circulations[f.id] == area
 
 
@@ -72,13 +85,43 @@ def test_sampler_determinism(rp3):
     assert assign_geometry(rp3, 11) != assign_geometry(rp3, 12)
 
 
+FIXTURES = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures"
+
+
+def test_sampler_stream_matches_fraction_oracle(s3, rp3):
+    # the integer table of every draw holds the values the Fraction
+    # sampler draws, and the same draws are redrawn
+    t80 = Triangulation.from_file(FIXTURES / "rp3_t80.tri")
+    redrawn = 0
+    for tri in (s3, rp3, t80):
+        for seed in range(1000):
+            g = assign_geometry(tri, seed)
+            want, draws = fraction_geometry(tri, seed)
+            assert g.den > 0 and coordinates(g) == want
+            redrawn += draws > 1
+    # rp3_t80 redraws at 7 of these seeds, one of them twice
+    assert redrawn == 7
+
+
+def test_assign_geometry_builds_no_fraction(rp3, fractions_made):
+    t80 = Triangulation.from_file(FIXTURES / "rp3_t80.tri")
+    # seed 649 of rp3_t80 takes three draws
+    for tri, seed in ((rp3, 0), (rp3, 42), (t80, 1), (t80, 649)):
+        assign_geometry(tri, seed)
+    assert fractions_made == []
+
+
+def kappa_shifted(g):
+    """``g`` with the kappa of vertex class i shifted by (5/3)^i."""
+    x, y, kappa = coordinates(g)
+    return geometry_of(x, y, tuple(k + F(5, 3) ** i for i, k in enumerate(kappa)))
+
+
 def test_kappa_independence_of_circulations(rp3, rp3_geometry):
-    g = rp3_geometry
-    shifted = GeometryAssignment(g.x, g.y, tuple(k + F(5, 3) ** i for i, k in enumerate(g.kappa)))
-    lam1 = edge_values(rp3, g)
-    lam2 = edge_values(rp3, shifted)
+    lam1 = edge_values(rp3, rp3_geometry)
+    lam2 = edge_values(rp3, kappa_shifted(rp3_geometry))
     assert lam1 != lam2
-    assert face_circulations(rp3, lam1) == face_circulations(rp3, lam2)
+    assert face_values(rp3, lam1) == face_values(rp3, lam2)
 
 
 def test_fixed_sphere_angles(s3, sphere_geometry):
@@ -123,7 +166,7 @@ def test_projective_derivative_value(rp3, rp3_geometry):
     lam = edge_values(rp3, g)
     b = edge_id(rp3, 0, 1)
     f = edge_id(rp3, 2, 3)
-    circulations = face_circulations(rp3, lam)
+    circulations = face_values(rp3, lam)
     s_abc = abs(circulations[rp3.face_class(0, 3)])
     s_abd = abs(circulations[rp3.face_class(0, 2)])
     row = gradient(omega_row(rp3, lam, b)[1])
@@ -263,9 +306,9 @@ def test_structurally_degenerate_input_fails_with_hint(s3, monkeypatch):
 def test_omega_names_zero_circulation_face(s3):
     # vertex classes 0, 1, 2 on a line: face class 3 has zero circulation,
     # a denominator of every angle at an edge of that face
-    g = GeometryAssignment(x=(F(0), F(1), F(2), F(0)), y=(F(0), F(0), F(0), F(1)), kappa=(F(0),) * 4)
+    g = GeometryAssignment(1, x=(0, 1, 2, 0), y=(0, 0, 0, 1), kappa=(0,) * 4)
     lam = edge_values(s3, g)
-    assert face_circulations(s3, lam)[3] == 0
+    assert face_circulations(s3, lam)[1][3] == 0
     on_face = [e for e in s3.edges if {e.tail, e.head} <= {0, 1, 2}]
     assert len(on_face) == 3
     for e in on_face:
@@ -274,12 +317,9 @@ def test_omega_names_zero_circulation_face(s3):
 
 
 def test_geometry_file_parsing(s3, sphere_geometry):
-    text = "".join(
-        f"vertex {v} {x} {y} {k}\n"
-        for v, (x, y, k) in enumerate(zip(sphere_geometry.x, sphere_geometry.y, sphere_geometry.kappa))
-    )
+    text = "".join(f"vertex {v} {x} {y} {k}\n" for v, (x, y, k) in enumerate(zip(*coordinates(sphere_geometry))))
     parsed = parse_geometry(text, s3)
-    assert parsed.x == sphere_geometry.x and parsed.y == sphere_geometry.y
+    assert parsed == sphere_geometry
     with pytest.raises(ParseError, match="misses"):
         parse_geometry("vertex 0 1 2 3\n", s3)
     with pytest.raises(ParseError, match="duplicate"):
@@ -289,14 +329,13 @@ def test_geometry_file_parsing(s3, sphere_geometry):
 
 
 def test_omega_invariant_under_unimodular_affine_map(rp3, rp3_geometry):
-    g = rp3_geometry
+    xs, ys, kappa = coordinates(rp3_geometry)
     # x' = 2x + y + 5, y' = x + y - 3: determinant one, areas preserved
-    gx = tuple(2 * x + y + 5 for x, y in zip(g.x, g.y))
-    gy = tuple(x + y - 3 for x, y in zip(g.x, g.y))
-    moved = GeometryAssignment(gx, gy, g.kappa)
-    lam0 = edge_values(rp3, g)
-    lam1 = edge_values(rp3, moved)
-    assert face_circulations(rp3, lam0) == face_circulations(rp3, lam1)
+    gx = tuple(2 * x + y + 5 for x, y in zip(xs, ys))
+    gy = tuple(x + y - 3 for x, y in zip(xs, ys))
+    lam0 = edge_values(rp3, rp3_geometry)
+    lam1 = edge_values(rp3, geometry_of(gx, gy, kappa))
+    assert face_values(rp3, lam0) == face_values(rp3, lam1)
     # lambda shifts by a coboundary; curvature stays identically zero
     for e in rp3.edges:
         assert omega_row(rp3, lam1, e.id)[0] == 0
@@ -497,10 +536,7 @@ def test_edge_values_is_the_cleared_paper_formula(source, s3, rp3):
         else:
             geometries = [assign_geometry(tri, seed) for seed in range(4)]
         if source == "kappa-shifted":
-            geometries = [
-                GeometryAssignment(g.x, g.y, tuple(k + F(5, 3) ** i for i, k in enumerate(g.kappa)))
-                for g in geometries
-            ]
+            geometries = [kappa_shifted(g) for g in geometries]
         for g in geometries:
             d, numerators = edge_values(tri, g)
             assert (d, numerators) == clear_denominators({e.id: lambda_of(tri, g, e.id) for e in tri.edges})

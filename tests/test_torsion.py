@@ -7,13 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from pentachain import (
     BasisPartition,
-    GeometryAssignment,
     TorsionError,
     apply_move,
     assign_geometry,
     edge_values,
     enumerate_sites,
-    face_circulations,
     invariant,
     load_builtin,
     minors,
@@ -25,7 +23,15 @@ from pentachain import chain, torsion
 from pentachain.exact import det, independent_rows, rank
 from pentachain.geometry import parse_geometry, subseed
 from pentachain.triangulation import Triangulation
-from reference import SPHERE_C1_ROWS, projective_paper_partition, sphere_paper_partition, tet0_edges
+from reference import (
+    SPHERE_C1_ROWS,
+    coordinates,
+    face_values,
+    geometry_of,
+    projective_paper_partition,
+    sphere_paper_partition,
+    tet0_edges,
+)
 from test_geometry import prime_denominator_geometry_text
 
 F = Fraction
@@ -49,7 +55,7 @@ def test_sphere_paper_partition_ratios(s3, sphere_geometry, certified_chain):
     assert m3 == 1  # empty minor
     lam = edge_values(s3, sphere_geometry)
     s_product = F(1)
-    for s in face_circulations(s3, lam):
+    for s in face_values(s3, lam):
         s_product *= s
     assert abs(m5 / m4) == abs(4 / s_product)
     assert abs(tau(c, p)) == 512
@@ -81,7 +87,7 @@ def test_projective_paper_partition(rp3, rp3_geometry, certified_chain):
     s_cubed = F(1)
     for k in range(4):
         face = rp3.face_class(0, k)
-        s_cubed *= abs(face_circulations(rp3, lam)[face]) ** 3
+        s_cubed *= abs(face_values(rp3, lam)[face]) ** 3
     assert abs(m[2]) == 64 / s_cubed
     # the partition reproduces the same torsion magnitude as any other
     assert abs(tau(c, p)) == abs(tau(c, select_partition(c, seed=5)[0]))
@@ -261,7 +267,7 @@ def test_dependent_prefix_falls_back_to_every_candidate(certified_chain, monkeyp
 def face_product_oracle(tri, lam):
     """The face product as a loop of Fraction products."""
     product = Fraction(1)
-    for s in face_circulations(tri, lam):
+    for s in face_values(tri, lam):
         product *= s
     return product
 
@@ -333,7 +339,8 @@ def test_geometry_independence(s3, rp3):
 def test_kappa_rerandomization_preserves_invariant(s3):
     g = assign_geometry(s3, 77)
     base = invariant(s3, geometry=g)
-    other = GeometryAssignment(g.x, g.y, tuple(k + F(7, 5) for k in g.kappa))
+    x, y, kappa = coordinates(g)
+    other = geometry_of(x, y, tuple(k + F(7, 5) for k in kappa))
     assert invariant(s3, geometry=other).abs_invariant == base.abs_invariant
 
 
