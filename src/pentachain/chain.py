@@ -37,11 +37,16 @@ f5 over 1, D or D^2.  Each f3 row is the integer gradient table
 reduces every row, so the stored matrices are exactly those the same
 formulas give in Fractions, whatever common denominator the geometry
 holds.  ``verify_chain``
-multiplies nonzeros by nonzeros, also in ints: each row of the left
-factor is scaled by its own (positive) denominator times the lcm of the
-denominators of the right factor's rows that it meets, which changes no
-zero pattern of the product and keeps the scale to the few rows one left
-row touches.  ``dump_chain`` lists the stored entries in column order.
+multiplies nonzeros by nonzeros, also in ints.  It cuts the right
+factor's rows to the checked columns once per product.  Each row of the
+left factor is scaled by its own (positive) denominator times the lcm of
+the denominators of the right factor's rows that it meets, which changes
+no zero pattern of the product and keeps the scale to the few rows one
+left row touches; consecutive left rows that meet the same rows, such as
+the three f4 rows of a vertex class, share one lcm.  Each product row is
+summed into a dense list as wide as the right factor, whose first nonzero
+by index is the witness.  ``dump_chain`` lists the stored entries in
+column order.
 
 Each composition of consecutive maps is exactly zero.  ``build_chain``
 checks only that every curvature vanishes at the flat point; the chain
@@ -192,26 +197,33 @@ def _composition_witness(left: RatMatrix, right: RatMatrix, cols=None):
     columns labeled ``cols`` (all when None); None if there is none.
 
     Each row of ``left`` is scaled to integers by its own denominator times
-    the lcm of the denominators of the rows of ``right`` that it meets.
-    Both factors are positive, so an entry of the integer product is zero
-    exactly when the rational one is; nonzeros are multiplied by nonzeros.
+    the lcm of the denominators of the rows of ``right`` that it meets;
+    consecutive rows that meet the same rows share that lcm.  Both factors
+    are positive, so an entry of the integer product is zero exactly when
+    the rational one is.  The rows of ``right`` are cut to ``cols`` once,
+    and each product row is accumulated densely, nonzeros times nonzeros.
     """
     dens = right.denominators
-    right_rows = right.numerators
-    if cols is not None:
+    if cols is None:
+        right_rows = [tuple(row.items()) for row in right.numerators]
+    else:
         wanted = set(cols)
         keep = {k for k, lab in enumerate(right.col_labels) if lab in wanted}
-        right_rows = [{k: b for k, b in row.items() if k in keep} for row in right_rows]
+        right_rows = [[(k, b) for k, b in row.items() if k in keep] for row in right.numerators]
+    width = right.ncols
+    met = factor = None
     for i, row in enumerate(left.numerators):
-        scale = lcm(*(dens[j] for j in row))
-        acc: dict[int, int] = {}
-        get = acc.get
+        if row.keys() != met:
+            met = row.keys()
+            scale = lcm(*(dens[j] for j in met))
+            factor = {j: scale // dens[j] for j in met}
+        acc = [0] * width
         for j, a in row.items():
-            a *= scale // dens[j]
-            for k, b in right_rows[j].items():
-                acc[k] = get(k, 0) + a * b
-        if any(acc.values()):
-            k = min(k for k, v in acc.items() if v)
+            a *= factor[j]
+            for k, b in right_rows[j]:
+                acc[k] += a * b
+        if any(acc):
+            k = next(k for k, v in enumerate(acc) if v)
             return (left.row_labels[i], right.col_labels[k])
     return None
 

@@ -32,13 +32,17 @@ class NotAcyclicError(PentachainError):
 
     Its one source is the rank test ``chain.check_acyclic``, which a
     short partition pass runs too, so ``ranks`` and ``expected`` always
-    differ.
+    differ.  The message names the first map f_k whose rank is off, with
+    both numbers.
     """
 
     def __init__(self, ranks, expected):
-        super().__init__(f"complex is not acyclic: ranks {ranks}, expected {expected}")
         self.ranks = tuple(ranks)
         self.expected = tuple(expected)
+        k, have, want = next((k, r, e) for k, (r, e) in enumerate(zip(self.ranks, self.expected), start=1) if r != e)
+        super().__init__(
+            f"complex is not acyclic: ranks {self.ranks}, expected {self.expected}; f{k} has rank {have}, expected {want}"
+        )
 
 
 class TorsionError(PentachainError):

@@ -25,18 +25,21 @@ pivots the shortest remaining row on its sparsest column, ties going to
 the earlier row and then the lower column, and updates only the rows that
 hold that column, found through a column -> rows index.  Short rows and
 sparse columns keep the fill-in of the sparse maps small.  The update is
-fraction-free: with piv the pivot row's numerator in the pivot column and
-f row i's,
+fraction-free and cross-cancelled: with piv the pivot row's numerator in
+the pivot column, f row i's and g = gcd(piv, f),
 
-    row_i <- piv * row_i - f * pivot_row,    den_i <- piv * den_i,
+    row_i <- (|piv|/g) * row_i - sgn(piv) * (f/g) * pivot_row,
+    den_i <- (|piv|/g) * den_i,
 
-with the sign of piv moved onto f so that den_i stays positive.  This
-leaves row i's rational values what the update over Q would leave (the
-pivot row's own denominator cancels), and then row i's gcd content is
-divided out.  Equal values give equal zero patterns, so the steps are
-those of the same pivot rule over Q.  A step records the pivot row, the
-pivot column, piv and the pivot row's denominator; rows that reduce to
-zero are dependent and never pivot.
+so den_i stays positive.  This leaves row i's rational values what the
+update over Q would leave (the pivot row's own denominator cancels), and
+then row i's gcd content is divided out.  A reduced row over a positive
+denominator is unique, so the updated row does not depend on the multiple
+that scales it; dividing g out first only keeps the intermediate integers
+small.  Equal values give equal zero patterns, so the steps are those
+of the same pivot rule over Q.  A step records the pivot row, the pivot
+column, piv and the pivot row's denominator; rows that reduce to zero are
+dependent and never pivot.
 
 The pivot rows, listed in pivot order, form a block whose columns the
 pivots cover; after the updates (each adds multiples of earlier pivot
@@ -236,10 +239,11 @@ def _eliminate(numerators: Sequence[Mapping[int, int]], denominators: Sequence[i
     when every column has a pivot or no nonzero row is left.
 
     Each step takes the shortest remaining row and pivots on its sparsest
-    column, then updates only the rows holding that column.  Ties go to
-    the earlier row and the lower column, so the steps depend only on the
-    rows and their order.  The rows need not be reduced; the denominators
-    must be positive.
+    column, then updates only the rows holding that column, each scaled by
+    |piv| / gcd(piv, f) before the pivot row's multiple is taken off (see
+    the module docstring) and then reduced.  Ties go to the earlier row and
+    the lower column, so the steps depend only on the rows and their order.
+    The rows need not be reduced; the denominators must be positive.
     """
     rows = [dict(row) for row in numerators]
     dens = list(denominators)
@@ -259,22 +263,30 @@ def _eliminate(numerators: Sequence[Mapping[int, int]], denominators: Sequence[i
         pivot_row = rows[r]
         if pivot_row is None or len(pivot_row) != length or not length:
             continue
-        j = min(pivot_row, key=lambda k: (len(holders[k]), k))
+        j = best = None
+        for k in pivot_row:
+            count = len(holders[k])
+            if best is None or count < best or (count == best and k < j):
+                j, best = k, count
         rows[r] = None
         for k in pivot_row:
             holders[k].discard(r)
         piv = pivot_row.pop(j)
-        # row_i <- |piv| row_i - sgn(piv) f pivot_row keeps den_i positive
+        pivot_items = tuple(pivot_row.items())
+        # row_i <- (|piv|/g) row_i - sgn(piv) (f/g) pivot_row, g = gcd(piv, f),
+        # keeps den_i positive
         scale, sign = (piv, 1) if piv > 0 else (-piv, -1)
         for i in holders.pop(j):
             row_i = rows[i]
             f = sign * row_i.pop(j)
-            if pivot_row:  # a pivot alone in its row only clears its column
-                if scale != 1:
+            if pivot_items:  # a pivot alone in its row only clears its column
+                g = gcd(scale, f)
+                a, f = scale // g, f // g
+                if a != 1:
                     for k in row_i:
-                        row_i[k] *= scale
-                    dens[i] *= scale
-                for k, v in pivot_row.items():
+                        row_i[k] *= a
+                    dens[i] *= a
+                for k, v in pivot_items:
                     if x := row_i.get(k, 0) - f * v:
                         if k not in row_i:
                             holders[k].add(i)

@@ -51,9 +51,8 @@ circulation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import MoveError
 from .triangulation import Gluing, Perm, Triangulation, compose, inverse
@@ -64,9 +63,9 @@ _GROWING = {"2->3", "1->4"}
 _DELTA = {1: (1, 4, 6, 3), 2: (0, 1, 2, 1), 3: (0, -1, -2, -1), 4: (-1, -4, -6, -3)}
 
 
-@dataclass(frozen=True)
-class MoveSite:
-    """A location where a move applies.
+class MoveSite(NamedTuple):
+    """A location where a move applies, a named tuple like the records of
+    ``triangulation``.
 
     location meaning by kind: 2->3 a (tetrahedron, face slot) port naming
     the shared face; 3->2 an edge class id; 1->4 a tetrahedron index;

@@ -55,10 +55,9 @@ Conventions fixed here and relied on everywhere downstream:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ParseError, ValidationError
 from .exact import parse_integer, permutation_sign
@@ -91,16 +90,21 @@ _SIGN: dict[Perm, int] = {p: permutation_sign(p) for p in permutations(range(4))
 _PERM_OF_TEXT: dict[str, Perm] = {"".join(map(str, p)): p for p in permutations(range(4))}
 
 
-@dataclass(frozen=True)
-class Gluing:
-    """One face gluing: target tetrahedron and the 4-slot permutation."""
+class Gluing(NamedTuple):
+    """One face gluing: target tetrahedron and the 4-slot permutation.
+
+    This and the three class records below are named tuples, like
+    ``exact.Block``: immutable, equal and hashed by their fields, and
+    cheap to build in the bulk that parsing, validation and every move
+    create."""
 
     neighbor: int
     perm: Perm
 
 
-@dataclass(frozen=True)
-class VertexClass:
+class VertexClass(NamedTuple):
+    """A vertex class: its id and its (tet, slot) members in port order."""
+
     id: int
     members: tuple[tuple[int, int], ...]  # (tet, slot)
 
@@ -109,8 +113,10 @@ class VertexClass:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class EdgeClass:
+class EdgeClass(NamedTuple):
+    """An edge class: its id, its canonically directed members in port
+    order and the vertex classes of its canonical tail and head."""
+
     id: int
     members: tuple[tuple[int, tuple[int, int]], ...]  # (tet, (tail_slot, head_slot))
     tail: int  # vertex class ids
@@ -121,8 +127,10 @@ class EdgeClass:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class FaceClass:
+class FaceClass(NamedTuple):
+    """A face class: its id, its two (tet, opposite slot) ports and the
+    vertex classes of its first member's slots."""
+
     id: int
     members: tuple[tuple[int, int], ...]  # (tet, opposite slot)
     vertices: tuple[int, int, int]  # vertex class ids of members[0]'s slots, ascending
@@ -182,9 +190,7 @@ class Triangulation:
     """
 
     def __init__(self, tets: Sequence[Sequence[Gluing]]):
-        self.tets: tuple[tuple[Gluing, ...], ...] = tuple(
-            tuple(face for face in row) for row in tets
-        )
+        self.tets: tuple[tuple[Gluing, ...], ...] = tuple(tuple(row) for row in tets)
         if not self.tets:
             raise ValidationError("empty triangulation")
         self._validate_gluings()
@@ -192,8 +198,8 @@ class Triangulation:
         # 16t+4k+s -> the vertex port the gluing of face k carries slot s to
         port_to = self._port_to = []
         for row in self.tets:
-            for g in row:
-                base, (p0, p1, p2, p3) = 4 * g.neighbor, g.perm
+            for neighbor, (p0, p1, p2, p3) in row:
+                base = 4 * neighbor
                 port_to += (base + p0, base + p1, base + p2, base + p3)
         self._vertex_of, self.vertices = self._build_vertex_classes()
         self._sides, self.edges, self.edge_angles = self._build_edge_classes()

@@ -35,7 +35,10 @@ rationals, and the tests check the package against them:
   ``geometry.holonomy_numerators``;
 * the identity and transposition slot permutations, and a label-free
   canonical form of a gluing table, so that tests can compare the
-  triangulations that moves and relabelings produce up to isomorphism.
+  triangulations that moves and relabelings produce up to isomorphism;
+* the barycentric subdivision of a triangulation and the lens spaces
+  L(p, q), built from their gluing rules: the subdivided inputs whose
+  eliminations fill in far more than those of the grown ladder.
 """
 
 import random
@@ -44,11 +47,11 @@ from fractions import Fraction
 from itertools import permutations
 from math import lcm
 
-from pentachain import BasisPartition, FivePointConfig, GeometryAssignment, RatMatrix
+from pentachain import BasisPartition, FivePointConfig, GeometryAssignment, RatMatrix, Triangulation
 from pentachain.exact import clear_denominators, independent_rows
 from pentachain.geometry import SAMPLE_DRAWS as GEOMETRY_DRAWS, curvature, face_circulations, subseed
 from pentachain.pentagon import ED_PAIR, PAIRS, SAMPLE_BOUND, SAMPLE_DRAWS
-from pentachain.triangulation import compose, inverse
+from pentachain.triangulation import Gluing, compose, inverse
 
 # the basis choice used for the sphere's by-hand minor ratios: vertex
 # classes in slot order are A, B, C, D
@@ -365,3 +368,36 @@ def isomorphic(a, b):
     if a.size != b.size or a.f_vector() != b.f_vector():
         return False
     return canonical_form(a) == canonical_form(b)
+
+
+def barycentric(tri):
+    """The barycentric subdivision: one small tetrahedron (t, sigma) for each
+    tetrahedron t and each ordering sigma of its slots, whose slot k is the
+    barycentre of sigma[0..k].  For k < 3 its face k is glued by the
+    identity to (t, sigma with positions k and k+1 swapped); face 3 lies in
+    t's face sigma[3] and is glued by the identity to (g.neighbor, g.perm o
+    sigma), with g the gluing across that face."""
+    orders = list(permutations(range(4)))
+    index = {sigma: i for i, sigma in enumerate(orders)}
+    rows = []
+    for t, gluings in enumerate(tri.tets):
+        for sigma in orders:
+            row = [Gluing(24 * t + index[compose(sigma, transposition(k, k + 1))], IDENTITY) for k in range(3)]
+            g = gluings[sigma[3]]
+            row.append(Gluing(24 * g.neighbor + index[compose(g.perm, sigma)], IDENTITY))
+            rows.append(row)
+    return Triangulation(rows)
+
+
+def lens(p, q):
+    """The lens space L(p, q) on p tetrahedra T_0..T_{p-1}: T_i glues face 0
+    to T_{i-q} and face 1 to T_{i+q}, both by (1,0,2,3), and face 2 to
+    T_{i+1} and face 3 to T_{i-1}, both by (0,1,3,2).  Its f-vector is
+    (2, p+2, 2p, p), and its edges join a vertex class to itself, so only
+    its subdivision has a geometry."""
+    swap01, swap23 = (1, 0, 2, 3), (0, 1, 3, 2)
+    return Triangulation([
+        [Gluing((i - q) % p, swap01), Gluing((i + q) % p, swap01),
+         Gluing((i + 1) % p, swap23), Gluing((i - 1) % p, swap23)]
+        for i in range(p)
+    ])

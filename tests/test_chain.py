@@ -23,7 +23,7 @@ from pentachain import (
     select_partition,
     verify_chain,
 )
-from pentachain.chain import C0_LABELS, C5_LABELS, ChainComplex, certify_chain, expected_ranks
+from pentachain.chain import C0_LABELS, C5_LABELS, ChainComplex, _composition_witness, certify_chain, expected_ranks
 from pentachain.triangulation import Triangulation
 from reference import coordinates, fraction_holonomy_generator, geometry_of, lambda_of, rat_matrix
 from test_geometry import fraction_curvature_oracle, lookup_angles
@@ -102,6 +102,14 @@ def test_zeroed_f3_breaks_acyclicity(rp3, rp3_geometry, certified_chain):
     assert str(caught.value) == str(reported.value)
 
 
+def test_not_acyclic_names_the_first_map_off():
+    error = NotAcyclicError([6, 5, 4, 6, 6], [6, 6, 6, 6, 6])
+    assert (error.ranks, error.expected) == ((6, 5, 4, 6, 6), (6, 6, 6, 6, 6))
+    assert str(error) == (
+        "complex is not acyclic: ranks (6, 5, 4, 6, 6), expected (6, 6, 6, 6, 6); f2 has rank 5, expected 6"
+    )
+
+
 def test_f4_endpoint_triples_cancel(rp3, rp3_geometry, certified_chain):
     # rows db1..db3 of f5 sum each vertex block with weight one, so the
     # block of f5*f4 they span vanishes edge by edge
@@ -147,15 +155,23 @@ def test_dump_format(s3, sphere_geometry, certified_chain):
     assert dump == dump_chain(certified_chain(s3, sphere_geometry))
 
 
+def dense_witness(left, right, cols=None):
+    """First nonzero entry of left*right on the columns labeled ``cols``
+    (all when None), by a dense Fraction product."""
+    a, b = left.entries, right.entries
+    for i in range(left.nrows):
+        for col, label in enumerate(right.col_labels):
+            if (cols is None or label in cols) and sum(a[i][j] * b[j][col] for j in range(right.nrows)):
+                return left.row_labels[i], label
+    return None
+
+
 def fraction_witness_oracle(c):
     """First nonzero entry of some f_{k+1} * f_k by dense Fraction products."""
     pairs = ((c.f2, c.f1), (c.f3, c.f2), (c.f4, c.f3), (c.f5, c.f4))
     for k, (left, right) in enumerate(pairs, start=1):
-        a, b = left.entries, right.entries
-        for i in range(left.nrows):
-            for col in range(right.ncols):
-                if sum(a[i][j] * b[j][col] for j in range(right.nrows)) != 0:
-                    return False, (k, left.row_labels[i], right.col_labels[col])
+        if witness := dense_witness(left, right):
+            return False, (k, *witness)
     return True, None
 
 
@@ -225,6 +241,63 @@ def test_free_column_certificate_agrees_with_full_check(s3, rp3, certified_chain
                 certify_chain(broken, free_cols)
             assert str(raised.value) == message
     assert min(seen.values()) > 0 and seen["inside"] + seen["outside"] > 100
+
+
+LARGE_PRIMES = (2**61 - 1, 2**89 - 1, 1000000007, 998244353, 4294967291)
+
+
+def planted_product(rng):
+    """A random sparse pair (left, right) whose product is mostly zero.
+
+    The rows of ``right`` come in pairs, the second a rational multiple of
+    the first with a large-prime denominator, and each left row meets a pair
+    with entries that cancel; left rows come in runs of three on the same
+    columns, some rows are empty, and a few entries are nudged, so the
+    product's first nonzero entry lands anywhere or nowhere."""
+    ncols, pairs = rng.randint(1, 9), rng.randint(1, 5)
+
+    def value():
+        return F(rng.choice((-1, 1)) * rng.randint(1, 50), rng.choice((1, 2, 6, *LARGE_PRIMES)))
+
+    right, ratios = [], []
+    for _ in range(pairs):
+        row = {j: value() for j in rng.sample(range(ncols), rng.randint(0, ncols))}
+        ratios.append(value())
+        right += [row, {j: ratios[-1] * v for j, v in row.items()}]
+    left = []
+    for _ in range(rng.randint(1, 4)):
+        met = rng.sample(range(pairs), rng.randint(0, pairs))
+        for _ in range(3):
+            row = {}
+            for t in met:
+                row[2 * t] = value()
+                row[2 * t + 1] = -row[2 * t] / ratios[t]
+            left.append(row)
+    for _ in range(rng.randint(0, 2)):
+        row = rng.choice(left)
+        if row:
+            j = rng.choice(sorted(row))
+            row[j] += F(1, rng.choice(LARGE_PRIMES))
+    middle = [f"m{j}" for j in range(2 * pairs)]
+    return rat_matrix(left, col_labels=middle), rat_matrix(right, middle, [f"c{j}" for j in range(ncols)])
+
+
+def test_composition_witness_matches_dense_fraction_product():
+    rng = random.Random(28)
+    seen = {"none": 0, "witness": 0, "subset": 0, "empty row": 0, "shared columns": 0}
+    for _ in range(400):
+        left, right = planted_product(rng)
+        labels = right.col_labels
+        cols = None if rng.random() < 0.4 else rng.sample(labels, rng.randint(0, len(labels)))
+        found = _composition_witness(left, right, cols)
+        assert found == dense_witness(left, right, cols)
+        seen["witness" if found else "none"] += 1
+        seen["subset"] += cols is not None
+        seen["empty row"] += not all(left.numerators)
+        seen["shared columns"] += any(
+            a and a.keys() == b.keys() for a, b in zip(left.numerators, left.numerators[1:])
+        )
+    assert min(seen.values()) > 20, seen
 
 
 def test_cancellation_across_denominators_passes():

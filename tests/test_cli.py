@@ -212,7 +212,7 @@ def test_broken_complex_exits_not_acyclic(capsys, monkeypatch):
     monkeypatch.setattr(torsion, "build_chain", zeroed_f3)
     code, _, err = run(capsys, ["invariant", "--builtin", "rp3"])
     assert code == 5
-    assert "complex is not acyclic: ranks (6, 6, 0, 6, 6), expected (6, 6, 6, 6, 6)" in err
+    assert "complex is not acyclic: ranks (6, 6, 0, 6, 6), expected (6, 6, 6, 6, 6); f3 has rank 0, expected 6" in err
 
 
 def test_short_stage_exits_not_acyclic(capsys, monkeypatch):
@@ -228,7 +228,7 @@ def test_short_stage_exits_not_acyclic(capsys, monkeypatch):
     monkeypatch.setattr(torsion, "build_chain", truncated_f3)
     code, _, err = run(capsys, ["invariant", "--builtin", "rp3"])
     assert code == 5
-    assert "complex is not acyclic: ranks (6, 6, 5, 6, 6), expected (6, 6, 6, 6, 6)" in err
+    assert "complex is not acyclic: ranks (6, 6, 5, 6, 6), expected (6, 6, 6, 6, 6); f3 has rank 5, expected 6" in err
 
 
 def test_vanishing_f5_minor_exits_not_acyclic(capsys, monkeypatch):
@@ -243,7 +243,7 @@ def test_vanishing_f5_minor_exits_not_acyclic(capsys, monkeypatch):
     monkeypatch.setattr(torsion, "build_chain", zeroed_f5)
     code, _, err = run(capsys, ["invariant", "--builtin", "s3"])
     assert code == 5
-    assert "complex is not acyclic: ranks (6, 6, 0, 6, 0), expected (6, 6, 0, 6, 6)" in err
+    assert "complex is not acyclic: ranks (6, 6, 0, 6, 0), expected (6, 6, 0, 6, 6); f5 has rank 0, expected 6" in err
 
 
 def test_broken_chain_names_the_full_check_witness(capsys, monkeypatch):
@@ -294,7 +294,12 @@ def test_short_pass_on_valid_chain_is_an_internal_error(capsys, monkeypatch):
     "broken, code, message",
     [
         ("f4", 6, "error: chain property failed at geometry seed 0: (3, 'dg1_v0', 'dl_e5')\n"),
-        ("f3", 5, "error: complex is not acyclic: ranks (6, 6, 0, 6, 6), expected (6, 6, 6, 6, 6)\n"),
+        (
+            "f3",
+            5,
+            "error: complex is not acyclic: ranks (6, 6, 0, 6, 6), expected (6, 6, 6, 6, 6);"
+            " f3 has rank 0, expected 6\n",
+        ),
     ],
 )
 def test_verify_chain_seed_failures(capsys, monkeypatch, broken, code, message):

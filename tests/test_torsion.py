@@ -25,9 +25,11 @@ from pentachain.geometry import parse_geometry, subseed
 from pentachain.triangulation import Triangulation
 from reference import (
     SPHERE_C1_ROWS,
+    barycentric,
     coordinates,
     face_values,
     geometry_of,
+    lens,
     projective_paper_partition,
     sphere_paper_partition,
     tet0_edges,
@@ -374,3 +376,31 @@ def test_result_fields(s3, sphere_geometry):
     assert r.invariant == r.tau * r.face_product * F(1, 2 ** (r.vertex_count + 1))
     assert r.abs_invariant == abs(r.invariant)
     assert r.f_vector == (4, 6, 4, 2)
+
+
+# barycentric subdivisions of the builtins and of lens spaces: inputs whose
+# eliminations fill in far more than the grown ladder's, with their
+# f-vectors and |inv| at geometry seed 1; |inv| = p^6 for each L(p, q)'
+SUBDIVIDED_GOLDENS = {
+    "s3'": ((16, 64, 96, 48), 1),
+    "rp3'": ((40, 232, 384, 192), 64),
+    "L(2,1)'": ((12, 60, 96, 48), 64),
+    "L(3,1)'": ((16, 88, 144, 72), 729),
+    "L(5,2)'": ((24, 144, 240, 120), 15625),
+    "L(7,2)'": ((32, 200, 336, 168), 117649),
+}
+
+
+def subdivided(name):
+    if name.startswith("L("):
+        p, q = map(int, name[2:-2].split(","))
+        return barycentric(lens(p, q))
+    return barycentric(load_builtin(name[:-1]))
+
+
+@pytest.mark.parametrize("name", sorted(SUBDIVIDED_GOLDENS))
+def test_subdivided_goldens(name):
+    tri = subdivided(name)
+    f_vector, value = SUBDIVIDED_GOLDENS[name]
+    assert tri.f_vector() == f_vector
+    assert invariant(tri, geometry=assign_geometry(tri, 1)).abs_invariant == value

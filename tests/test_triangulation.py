@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pentachain import (
     Gluing,
+    MoveSite,
     ParseError,
     Triangulation,
     ValidationError,
@@ -544,3 +545,36 @@ def test_incidence_tables_pinned(source):
     for tri in tris:
         digest.update(repr((tuple(e.members for e in tri.edges), tri.edge_angles, tri.face_sides)).encode())
     assert digest.hexdigest() == INCIDENCE_DIGESTS[source]
+
+
+@pytest.mark.parametrize(
+    "record, fields, degree, text",
+    [
+        (Gluing(1, (1, 0, 2, 3)), ("neighbor", "perm"), None, "Gluing(neighbor=1, perm=(1, 0, 2, 3))"),
+        (VertexClass(0, ((0, 1), (1, 1))), ("id", "members"), 2, "VertexClass(id=0, members=((0, 1), (1, 1)))"),
+        (
+            EdgeClass(2, ((0, (0, 1)), (1, (2, 3)), (1, (1, 0))), 0, 1),
+            ("id", "members", "tail", "head"),
+            3,
+            "EdgeClass(id=2, members=((0, (0, 1)), (1, (2, 3)), (1, (1, 0))), tail=0, head=1)",
+        ),
+        (
+            FaceClass(3, ((0, 2), (1, 0)), (0, 1, 3)),
+            ("id", "members", "vertices"),
+            None,
+            "FaceClass(id=3, members=((0, 2), (1, 0)), vertices=(0, 1, 3))",
+        ),
+        (MoveSite("2->3", (0, 1)), ("kind", "location"), None, "MoveSite(kind='2->3', location=(0, 1))"),
+    ],
+)
+def test_records_keep_fields_equality_and_repr(record, fields, degree, text):
+    assert record._fields == fields
+    if degree is not None:
+        assert record.degree == degree
+    twin = type(record)(*(getattr(record, name) for name in fields))
+    assert twin == record and hash(twin) == hash(record) and twin is not record
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert repr(record) == text
+
