@@ -49,7 +49,8 @@ by index is the witness.  ``dump_chain`` lists the stored entries in
 column order.
 
 Each composition of consecutive maps is exactly zero.  ``build_chain``
-checks only that every curvature vanishes at the flat point; the chain
+checks only that every curvature vanishes at the flat point, reading the
+numerator of the integer value pair that comes with each f3 row; the chain
 property is a separate call, ``certify_chain``, which raises the internal
 composition error (``verify_chain`` returns the witness instead).
 Acyclicity is equivalent to the rank pattern (6, 3V-6, E-3V+6, 3V-6, 6)
@@ -157,8 +158,8 @@ def build_chain(tri: Triangulation, g: GeometryAssignment) -> ChainComplex:
 
     f3, f3_dens = [], []
     for e in range(ne):
-        value, (den, row) = omega_row(tri, lam, e)
-        if value != 0:
+        (value, _), (den, row) = omega_row(tri, lam, e)
+        if value:
             raise PentachainError(
                 f"internal error: curvature of edge class {e} is nonzero at the flat point"
             )

@@ -58,13 +58,19 @@ geometry, raises otherwise, naming the first zero face.
 exact partial derivatives by the quotient rule, each key an independent
 variable.  A tetrahedron's four circulations share its six edges, so an
 angle is its six sides and each side's partial is its sign times the
-summed weights of the triangles it bounds.  A curvature is one Fraction,
-its terms summed over the lcm L of the angle denominators, and the
-gradient over every key the angles touch stays an integer table ``(den,
-{key: int})`` with den dividing L.  ``omega_row`` hands it to
-``chain.build_chain`` as an f3 row; a single partial
-(``pentagon.verify_pentagon``) reads its key from it, zero if the
-angles do not touch the key.
+summed weights of the triangles it bounds.  The kernel runs in three
+stages.  ``angle_terms``, the one place the quotient rule is written,
+reads each angle's six sides once and keeps its integer terms; it raises
+on a zero circulation in a denominator.  ``curvature_value`` sums the
+terms over the lcm L of the angle denominators and returns the value as
+the integer pair ``(numerator, L)``, not reduced.  The gradient stage,
+run only by the full ``curvature``, gives the partials by every key the
+angles touch as an integer table ``(den, {key: int})`` with den dividing
+L.  ``omega_row`` hands the full call to ``chain.build_chain`` as an f3
+row; a single partial (``pentagon.verify_pentagon``) reads its key from
+it, zero if the angles do not touch the key.  A caller that reads only
+the value (the closure check of ``pentagon.verify_vector_identities``)
+runs the first two stages and builds no gradient.
 """
 
 from __future__ import annotations
@@ -203,10 +209,44 @@ def ensure_nondegenerate(tri: Triangulation, lam: tuple[int, dict]) -> None:
 # -- angle values and curvature ---------------------------------------
 
 
-def curvature(table, angles: Iterable, where: Callable) -> tuple[Fraction, tuple[int, dict]]:
-    """Sum of angle values over ``angles`` and its gradient, the exact
-    partial derivatives by every key the angles touch, as an integer table
-    ``(den, {key: int})`` with each partial ``numerator / den``.
+def angle_terms(numerators, angles: Iterable, where: Callable) -> list[tuple]:
+    """The per-angle stage of ``curvature``, the one place the quotient
+    rule is written: for each angle the tuple ``(q, v, sides, n, b1, b2)``
+    with the angle D v / q, n = n1 + n2 and b1, b2 its two denominator
+    circulations, all read from the table's ``numerators`` (see
+    ``curvature``).  When b1 or b2 is zero, ``where(contribution,
+    opposite)`` names the face missing vertex ``opposite`` for the
+    DegenerateGeometryError."""
+    terms = []
+    for sides, contribution in angles:
+        (k1, s1), (k2, s2), (k3, s3), (k4, s4), (k5, s5), (k6, s6) = sides
+        ph, hq, qp = s1 * numerators[k1], s2 * numerators[k2], s3 * numerators[k3]
+        pe, eq, he = s4 * numerators[k4], s5 * numerators[k5], s6 * numerators[k6]
+        b1, b2 = ph + he - pe, he + eq - hq
+        if b1 == 0 or b2 == 0:
+            _, (p, q), _ = contribution
+            raise DegenerateGeometryError(
+                f"zero circulation in an angle denominator at {where(contribution, q if b1 == 0 else p)}"
+            )
+        n, bb = ph + hq + pe + eq + 2 * qp, b1 * b2
+        terms.append((2 * bb * bb, n * bb, sides, n, b1, b2))
+    return terms
+
+
+def curvature_value(d: int, terms: list[tuple]) -> tuple[int, int]:
+    """The value stage: the sum of the angles ``terms`` of
+    ``angle_terms`` on a table over ``d``, as the integer pair
+    ``(d * total, L)``, its value ``d * total / L`` with L the lcm of the
+    angle denominators q and total the sum of v L / q; not reduced."""
+    common = lcm(*[t[0] for t in terms])
+    return d * sum([t[1] * (common // t[0]) for t in terms]), common
+
+
+def curvature(table, angles: Iterable, where: Callable) -> tuple[tuple[int, int], tuple[int, dict]]:
+    """Sum of angle values over ``angles`` as the integer pair of
+    ``curvature_value``, and its gradient, the exact partial derivatives
+    by every key the angles touch, as an integer table ``(den, {key:
+    int})`` with each partial ``numerator / den``.
 
     ``table`` is an integer value table ``(D, numerators)``, as
     ``edge_values`` returns it or ``FivePointConfig.table`` holds it.
@@ -229,39 +269,29 @@ def curvature(table, angles: Iterable, where: Callable) -> tuple[Fraction, tuple
     over the edges carrying that key, of the edge's sign times its weight:
     the sum of the weights of the triangles it bounds, signed by the
     direction it is crossed in, with b1 b2 for N1 and N2, -(n1 + n2) b2 for
-    B1 and -(n1 + n2) b1 for B2.  The terms are summed as integers over the
-    lcm L of the q, so the sum is one Fraction and the partials are
-    integers over the one denominator L / gcd(L, D^2); dividing that gcd
-    out once keeps the gradient small when D is large.
+    B1 and -(n1 + n2) b1 for B2.  The three stages run in turn:
+    ``angle_terms`` per angle, ``curvature_value`` over the lcm L of the
+    q, and the gradient, whose partials are integers over the one
+    denominator L / gcd(L, D^2); dividing that gcd out once keeps the
+    gradient small when D is large.  A caller that reads only the value
+    runs the first two stages alone.
     """
     d, numerators = table
-    terms = []
-    for sides, contribution in angles:
-        ph, hq, qp, pe, eq, he = [numerators[key] if sign > 0 else -numerators[key] for key, sign in sides]
-        b1, b2 = ph + he - pe, he + eq - hq
-        if b1 == 0 or b2 == 0:
-            _, (p, q), _ = contribution
-            raise DegenerateGeometryError(
-                f"zero circulation in an angle denominator at {where(contribution, q if b1 == 0 else p)}"
-            )
-        numerator, bb = ph + hq + pe + eq + 2 * qp, b1 * b2
-        w1, w2 = -numerator * b2, -numerator * b1  # the weights of B1 and B2
-        weights = (bb + w1, bb - w2, 2 * bb, bb - w1, bb + w2, w1 + w2)
-        terms.append((2 * bb * bb, numerator * bb, sides, weights))
-    common = lcm(*(denominator for denominator, *_ in terms))
-    total = 0
+    terms = angle_terms(numerators, angles, where)
+    value = curvature_value(d, terms)
+    common = value[1]
     row: dict = {}
-    for denominator, value, sides, weights in terms:
-        scale = common // denominator
-        total += value * scale
-        for (key, sign), weight in zip(sides, weights):
+    for q, _, sides, n, b1, b2 in terms:
+        scale, bb = common // q, b1 * b2
+        w1, w2 = -n * b2, -n * b1  # the weights of B1 and B2
+        for (key, sign), weight in zip(sides, (bb + w1, bb - w2, 2 * bb, bb - w1, bb + w2, w1 + w2)):
             if sign > 0:
                 row[key] = row.get(key, 0) + scale * weight
             else:
                 row[key] = row.get(key, 0) - scale * weight
     g = gcd(d * d, common)
     dd = d * d // g
-    return Fraction(d * total, common), (common // g, {key: dd * dv for key, dv in row.items()})
+    return value, (common // g, {key: dd * dv for key, dv in row.items()})
 
 
 def _face_at(tri: Triangulation, contribution, opposite: int) -> str:
@@ -269,9 +299,10 @@ def _face_at(tri: Triangulation, contribution, opposite: int) -> str:
     return f"face class {tri.face_class(tet, opposite)} (edge slots {ed} of tetrahedron {tet})"
 
 
-def omega_row(tri: Triangulation, lam: tuple[int, dict], edge_id: int) -> tuple[Fraction, tuple[int, dict]]:
-    """Curvature of an edge and its gradient over all edge values, the
-    gradient as an integer table ``(den, {edge: int})``."""
+def omega_row(tri: Triangulation, lam: tuple[int, dict], edge_id: int) -> tuple[tuple[int, int], tuple[int, dict]]:
+    """Curvature of an edge as an integer pair ``(numerator, den)`` and its
+    gradient over all edge values as an integer table ``(den, {edge:
+    int})``."""
     return curvature(lam, tri.edge_angles[edge_id], partial(_face_at, tri))
 
 

@@ -28,9 +28,12 @@ the six sides of each angle at E->D.  A configuration is its integer value
 table ``(D, numerators)``, the shape ``geometry.edge_values`` returns, and
 ``FivePointConfig(D, numerators)`` is its one constructor: the value of a
 pair is its numerator over D.  Every circulation is an integer over D,
-``geometry.circulation`` of a triangle's sides on that table, and the
-curvature and its derivative are one ``geometry.curvature`` on the same
-table, computed once per configuration and shared.
+``geometry.circulation`` of a triangle's sides on that table.  The
+curvature of a configuration, its integer value pair and its gradient,
+is one full ``geometry.curvature`` on the same table, computed once per
+configuration and shared by the sampler's flatness check and
+``verify_pentagon``; the closure check reads only the value, the first
+two stages of the same kernel, straight off its perturbed table.
 
 The sampler draws integers from the start: the nine free values come from
 ``geometry.draw_rationals``, the package's one sampler, over the lcm of
@@ -47,9 +50,10 @@ each vector is L times the plane vector and each value
 lambda_ab = (x_a y_b - x_b y_a) / 2 is an integer over 2 L^2: for plane
 points (kappa zero) a circulation is the oriented area, and its integer
 is the cross product of two scaled sides, 2 L^2 S.  Perturbing lambda_ED
-by delta = p / q puts the values over 2 L^2 q, the configuration whose
-omega_ED the closure reads; only the S_ED* terms shift, by 2 L^2 p.  A
-Cramer step, E->b from E->D and E->a, reads three
+by delta = p / q puts the values over 2 L^2 q, the table whose omega_ED
+the closure reads as an unreduced integer pair (a common factor scales
+both sides of each comparison alike); only the S_ED* terms shift, by
+2 L^2 p.  A Cramer step, E->b from E->D and E->a, reads three
 circulations of one table and keeps E->b projective, an integer numerator
 vector over an integer denominator; a uniform scale of the circulations
 cancels out of it.  Every equality is compared cross-multiplied in
@@ -67,7 +71,7 @@ from itertools import permutations
 from typing import Mapping
 
 from .errors import DegenerateGeometryError, PentachainError
-from .geometry import circulation, curvature, draw_rationals, holonomy_numerators
+from .geometry import angle_terms, circulation, curvature, curvature_value, draw_rationals, holonomy_numerators
 
 LABELS = ("A", "B", "C", "D", "E")
 
@@ -153,9 +157,10 @@ class FivePointConfig:
                     raise
 
     @cached_property
-    def curvature(self) -> tuple[Fraction, tuple[int, dict]]:
-        """omega_ED and its gradient table, ``geometry.curvature`` of the
-        local complex on ``table``."""
+    def curvature(self) -> tuple[tuple[int, int], tuple[int, dict]]:
+        """omega_ED as an integer pair ``(numerator, den)`` and its
+        gradient table, ``geometry.curvature`` of the local complex on
+        ``table``."""
         return curvature(self.table, ANGLES, _where)
 
     def with_lambda_ed(self, lambda_ed) -> "FivePointConfig":
@@ -200,14 +205,9 @@ def flat_config(cfg: FivePointConfig) -> FivePointConfig:
         )
     at0 = sum(a * (b - numerators[ED_PAIR]) for a, b in terms)
     solved = cfg.with_lambda_ed(Fraction(at0, d * lead))
-    if _bilinear(solved.table[1]) != 0 or omega_ed(solved) != 0:
+    if _bilinear(solved.table[1]) != 0 or solved.curvature[0][0] != 0:
         raise PentachainError("internal error: the solved lambda_ED leaves a nonzero curvature at E->D")
     return solved
-
-
-def omega_ed(cfg: FivePointConfig) -> Fraction:
-    """Curvature around E->D of the three-tetrahedron local complex."""
-    return cfg.curvature[0]
 
 
 def verify_pentagon(cfg: FivePointConfig) -> tuple[Fraction, Fraction, bool]:
@@ -265,7 +265,12 @@ def verify_vector_identities(points: Mapping[str, tuple[int, int]], den: int) ->
     With L = ``den``, each vector below is L times the plane vector E->k
     and each flat value is an integer over 2 L^2 (see the module
     docstring); every comparison is an integer one, the sides
-    cross-multiplied by their denominators.
+    cross-multiplied by their denominators.  The closure reads omega_ED
+    from ``geometry.angle_terms`` and ``geometry.curvature_value`` alone,
+    as an unreduced integer pair with no gradient and no configuration
+    built.  Its angles' only denominators are S_ADE, S_BDE and S_CDE,
+    which the Cramer steps on the same table have already found nonzero,
+    so the curvature cannot raise there.
     """
     xs = {k: points[k][0] for k in LABELS}
     ys = {k: points[k][1] for k in LABELS}
@@ -294,10 +299,11 @@ def verify_vector_identities(points: Mapping[str, tuple[int, int]], den: int) ->
         for a, b in CRAMER_STEPS:
             e = cramer_step(s, ed, e, a, b)
         (x, y), d = e
-        w = omega_ed(FivePointConfig(scale * q, lam))
-        # EA_new == EA + w S_EDA ED with S_EDA = s(E, D, A) / 2L^2 q; both
-        # sides times d, 2L^2 q and the denominator of w
-        big, shift = scale * q * w.denominator, w.numerator * s("E", "D", "A")
+        # omega_ED = w / w_den, the value stage alone on the perturbed table
+        w, w_den = curvature_value(scale * q, angle_terms(lam, ANGLES, _where))
+        # EA_new == EA + omega_ED S_EDA ED with S_EDA = s(E, D, A) / 2L^2 q;
+        # both sides times d, 2L^2 q and w_den
+        big, shift = scale * q * w_den, w * s("E", "D", "A")
         if any(big * n != d * (big * a + shift * b) for n, a, b in zip((x, y), ea, ed)):
             return False
 

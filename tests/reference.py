@@ -26,9 +26,10 @@ rationals, and the tests check the package against them:
   whose six sides are looked up with ``Triangulation.edge_class``;
 * five-point configurations from edge values on every ordered pair, or
   induced by plane points, cleared into the table ``FivePointConfig``
-  takes; a configuration's values, circulations and bilinear flatness
-  relation in Fractions; and rational plane points cleared to the integer
-  points over one denominator that ``verify_vector_identities`` takes;
+  takes; a configuration's values, curvature at E->D, circulations and
+  bilinear flatness relation in Fractions; and rational plane points
+  cleared to the integer points over one denominator that
+  ``verify_vector_identities`` takes;
 * the seeded five-point sampler drawn with ``randint`` and solved for the
   flat lambda_ED in Fractions, the oracle of ``FivePointConfig.random``,
   and the holonomy generator in Fractions, the oracle of
@@ -223,7 +224,7 @@ def angle(tri, lam, tet, pq, ed):
         return f"face class {tri.face_class(tet, opposite)} of tetrahedron {tet}"
 
     angles = ((angle_sides(tri, tet, pq, ed), (tet, pq, ed)),)
-    return direction * curvature(lam, angles, where)[0]
+    return direction * Fraction(*curvature(lam, angles, where)[0])
 
 
 def five_point_from_lambdas(values):
@@ -252,6 +253,12 @@ def values(cfg):
     """The values of a configuration as Fractions, by stored pair."""
     d, numerators = cfg.table
     return {key: Fraction(n, d) for key, n in numerators.items()}
+
+
+def omega_ed(cfg):
+    """Curvature around E->D of a configuration as a Fraction, read off
+    the integer value pair of its cached ``FivePointConfig.curvature``."""
+    return Fraction(*cfg.curvature[0])
 
 
 def circulation(cfg, a, b, c):

@@ -412,38 +412,63 @@ def test_pentagon_reports_pinned(capsys):
         }
 
 
+# the reports of ``pentagon --seed N --samples 20 --json`` for N = 0..39,
+# concatenated: the verdicts of the closure path and each seed's count of
+# nondegenerate configurations, as the Fraction closure check gave them
+PENTAGON_SAMPLES_20_SHA256 = "b86b81fe6328413e1b42c8020d5d93ea7717eaf8b75267201540116e934ef8fe"
+
+
+def test_pentagon_reports_over_40_seeds_pinned(capsys):
+    digest = hashlib.sha256()
+    for seed in range(40):
+        code, out, _ = run(capsys, ["pentagon", "--seed", str(seed), "--samples", "20", "--json"])
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == PENTAGON_SAMPLES_20_SHA256
+
+
 # Fractions that ``pentagon --samples 10`` constructs: per sample, the
-# solved lambda_ED and the curvature of the sampler, the two sides
-# verify_pentagon returns, and the curvatures of the two closure checks
-PENTAGON_SAMPLES_10_FRACTIONS = 60
-# curvature evaluations of the same run: per sample one of the sampler's
-# flat configuration, which verify_pentagon reads from the configuration's
-# cache, and one per closure check
-PENTAGON_SAMPLES_10_CURVATURES = 30
+# solved lambda_ED and the two sides verify_pentagon returns; every
+# curvature value is an integer pair
+PENTAGON_SAMPLES_10_FRACTIONS = 30
+# full curvature calls of the same run, each building a gradient: per
+# sample one of the sampler's flat configuration, whose flatness check and
+# verify_pentagon read it from the configuration's cache
+PENTAGON_SAMPLES_10_GRADIENTS = 10
+# value-only curvature calls: per sample one per closure check
+PENTAGON_SAMPLES_10_VALUES = 20
+
+
+def counted(monkeypatch, module, name):
+    """Patch ``module.name`` to record the arguments of every call in the
+    list returned."""
+    calls, real = [], getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def test_pentagon_command_stays_in_integers(capsys, monkeypatch, fractions_made):
-    curvatures = []
-    real_curvature = pentagon.curvature
-
-    def counting_curvature(*args):
-        curvatures.append(args)
-        return real_curvature(*args)
-
-    monkeypatch.setattr(pentagon, "curvature", counting_curvature)
+    gradients = counted(monkeypatch, pentagon, "curvature")
+    values = counted(monkeypatch, pentagon, "curvature_value")
     code, _, _ = run(capsys, ["pentagon", "--samples", "10"])
     assert code == 0
     assert len(fractions_made) == PENTAGON_SAMPLES_10_FRACTIONS
-    assert len(curvatures) == PENTAGON_SAMPLES_10_CURVATURES
+    assert len(gradients) == PENTAGON_SAMPLES_10_GRADIENTS
+    assert len(values) == PENTAGON_SAMPLES_10_VALUES
 
 
-# Fractions that ``invariant --builtin rp3`` constructs: one curvature per
-# edge class (12); the five minors, and m4 and m5 once signed (7); the
-# signed torsion (5); the face product, the power of two, the two products
-# that normalize tau and the absolute value (5); and the four the report
-# formats.  The geometry, the edge values and the face circulations are
+# Fractions that ``invariant --builtin rp3`` constructs: the five minors,
+# and m4 and m5 once signed (7); the signed torsion (5); the face product,
+# the power of two, the two products that normalize tau and the absolute
+# value (5); and the four the report formats.  The geometry, the edge
+# values, the face circulations and the curvature of every edge class are
 # integer tables.
-INVARIANT_RP3_FRACTIONS = 33
+INVARIANT_RP3_FRACTIONS = 21
 
 
 def test_invariant_command_keeps_the_geometry_in_integers(capsys, fractions_made):

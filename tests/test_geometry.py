@@ -19,19 +19,21 @@ from pentachain import (
     parse_geometry,
 )
 from pentachain import geometry, pentagon
-from pentachain.geometry import curvature, holonomy_numerators, omega_row
+from pentachain.geometry import angle_terms, curvature, curvature_value, holonomy_numerators, omega_row
 from pentachain.errors import ParseError
 from pentachain.exact import clear_denominators
 from pentachain.triangulation import Triangulation
 from reference import (
     angle,
     angle_sides,
+    barycentric,
     coordinates,
     face_values,
     fraction_geometry,
     fraction_holonomy_generator,
     geometry_of,
     lambda_of,
+    lens,
     triangle_area,
 )
 
@@ -137,7 +139,7 @@ def test_flatness_everywhere(s3, rp3):
         for seed in range(5):
             lam = edge_values(tri, assign_geometry(tri, seed))
             for e in tri.edges:
-                assert omega_row(tri, lam, e.id)[0] == 0
+                assert omega_row(tri, lam, e.id)[0][0] == 0
 
 
 def test_omega_negates_under_edge_reversal(rp3, rp3_geometry):
@@ -147,7 +149,7 @@ def test_omega_negates_under_edge_reversal(rp3, rp3_geometry):
     values[0] += F(1, 3)
     bent = clear_denominators(values)
     for e in rp3.edges:
-        total = omega_row(rp3, bent, e.id)[0]
+        total = F(*omega_row(rp3, bent, e.id)[0])
         reversed_total = sum(
             angle(rp3, bent, tet, pq, (head, tail))
             for tet, pq, (tail, head) in fresh_star(rp3, e)
@@ -219,7 +221,7 @@ def omega_derivative_oracle(tri, lam, a, b):
         values = values_of(lam)
         values[b] = t
         shifted = clear_denominators(values)
-        return omega_row(tri, shifted, a)[0]
+        return F(*omega_row(tri, shifted, a)[0])
 
     samples = []
     t = base
@@ -338,7 +340,7 @@ def test_omega_invariant_under_unimodular_affine_map(rp3, rp3_geometry):
     assert face_values(rp3, lam0) == face_values(rp3, lam1)
     # lambda shifts by a coboundary; curvature stays identically zero
     for e in rp3.edges:
-        assert omega_row(rp3, lam1, e.id)[0] == 0
+        assert omega_row(rp3, lam1, e.id)[0][0] == 0
 
 
 def fraction_curvature_oracle(values, angles):
@@ -409,7 +411,7 @@ def assert_full_row_matches_oracle(table, values, angles, touched, absent):
     the row holds no other key, and reads zero at ``absent``."""
     total, row = fraction_curvature_oracle(values, angles)
     value, full = curvature(table, angles, name_face)
-    assert (value, gradient(full)) == (total, row)
+    assert (F(*value), gradient(full)) == (total, row)
     assert set(full[1]) <= set(touched) and full[1].get(absent, 0) == 0
 
 
@@ -418,7 +420,7 @@ def assert_rows_match_oracle(tri, lam):
         angles = lookup_angles(tri, e.id)
         assert tri.edge_angles[e.id] == angles
         value, row = omega_row(tri, lam, e.id)
-        assert (value, gradient(row)) == fraction_curvature_oracle(values_of(lam), angles)
+        assert (F(*value), gradient(row)) == fraction_curvature_oracle(values_of(lam), angles)
         touched = {key for sides, _ in angles for key, _ in sides}
         absent = min(set(range(len(tri.edges))) - touched, default=len(tri.edges))
         assert_full_row_matches_oracle(lam, values_of(lam), angles, touched, absent)
@@ -444,7 +446,7 @@ def test_integer_quotient_rule_matches_fraction_oracle(s3, rp3):
     # away from the flat point the curvatures themselves are nonzero
     lam = edge_values(rp3, assign_geometry(rp3, 5))
     bent = clear_denominators({**values_of(lam), 0: values_of(lam)[0] + F(1, 10007)})
-    assert any(omega_row(rp3, bent, e.id)[0] for e in rp3.edges)
+    assert any(omega_row(rp3, bent, e.id)[0][0] for e in rp3.edges)
     assert_rows_match_oracle(rp3, bent)
 
 
@@ -469,15 +471,97 @@ def test_five_point_curvature_matches_fraction_oracle():
     for seed in range(12):
         cfg = FivePointConfig.random(seed)
         value, row = curvature(cfg.table, pentagon.ANGLES, name_face)
-        assert value == 0
-        assert (value, gradient(row)) == fraction_curvature_oracle(values_of(cfg.table), pentagon.ANGLES)
+        assert value[0] == 0
+        assert (F(*value), gradient(row)) == fraction_curvature_oracle(values_of(cfg.table), pentagon.ANGLES)
         bent = cfg.with_lambda_ed(-values_of(cfg.table)[pentagon.ED_PAIR] + F(1, 3))
         value, row = curvature(bent.table, pentagon.ANGLES, name_face)
-        assert (value, gradient(row)) == fraction_curvature_oracle(values_of(bent.table), pentagon.ANGLES)
+        assert (F(*value), gradient(row)) == fraction_curvature_oracle(values_of(bent.table), pentagon.ANGLES)
         for c in (cfg, bent):
             # the local complex touches all ten pairs, so the key no angle
             # touches is one outside the table
             assert_full_row_matches_oracle(c.table, values_of(c.table), pentagon.ANGLES, pentagon.PAIRS, ("E", "F"))
+
+
+def stage_cases(s3, rp3):
+    """(keys, angle lists) of the pentagon's local complex and of every
+    edge star of s3, rp3, the rp3_t80 fixture and the subdivided L(3,1)."""
+    t80 = Triangulation.from_file(FIXTURES / "rp3_t80.tri")
+    return [(pentagon.PAIRS, [pentagon.ANGLES])] + [
+        (range(len(tri.edges)), tri.edge_angles) for tri in (s3, rp3, t80, barycentric(lens(3, 1)))
+    ]
+
+
+# table denominators for the stage tests, up to a 61-bit prime
+STAGE_DENOMINATORS = (1, 7, 2 * 10007 * 65537, (1 << 61) - 1)
+
+
+def random_table(rng, keys, den):
+    """A seeded integer value table over ``den`` with 30-bit numerators."""
+    return den, {key: rng.randint(-(1 << 30), 1 << 30) for key in keys}
+
+
+def value_stage(table, angles):
+    """The value of ``curvature`` with no gradient: its first two stages."""
+    d, numerators = table
+    return curvature_value(d, angle_terms(numerators, angles, name_face))
+
+
+def test_value_stage_is_the_full_value(s3, rp3):
+    # the seeded tables are nondegenerate on every angle
+    rng = random.Random(29)
+    for keys, angle_lists in stage_cases(s3, rp3):
+        for den in STAGE_DENOMINATORS:
+            table = random_table(rng, keys, den)
+            for angles in angle_lists:
+                value = value_stage(table, angles)
+                assert value == curvature(table, angles, name_face)[0]
+                if den == STAGE_DENOMINATORS[-1]:
+                    assert F(*value) == fraction_curvature_oracle(values_of(table), angles)[0]
+
+
+def denominator_sides(angle, which):
+    """The three sides of ``angle``'s circulation b1 (``which`` 0) or b2
+    (``which`` 1), each with its coefficient: b1 = ph + he - pe and
+    b2 = he + eq - hq."""
+    ph, hq, _, pe, eq, he = angle[0]
+    return ((ph, 1), (he, 1), (pe, -1)) if which == 0 else ((he, 1), (eq, 1), (hq, -1))
+
+
+def denominator_circulation(numerators, angle, which):
+    return sum(c * sign * numerators[key] for (key, sign), c in denominator_sides(angle, which))
+
+
+def zero_circulation(table, angle, which):
+    """``table`` with one key of ``angle`` moved so that its circulation b1
+    (``which`` 0) or b2 (``which`` 1) is zero: the first key that enters
+    it with coefficient +-1."""
+    d, numerators = table
+    sides = denominator_sides(angle, which)
+    for (key, _), _ in sides:
+        coefficient = sum(c * sign for (k, sign), c in sides if k == key)
+        if abs(coefficient) == 1:
+            bent = {**numerators, key: 0}
+            bent[key] = -denominator_circulation(bent, angle, which) * coefficient
+            return d, bent
+    raise ValueError("no key enters the circulation with coefficient +-1")
+
+
+def test_stages_raise_the_same_degeneracy(s3, rp3):
+    # every angle of these tables can be bent to a zero b1 or b2 alone
+    rng = random.Random(30)
+    for keys, angle_lists in stage_cases(s3, rp3):
+        table = random_table(rng, keys, STAGE_DENOMINATORS[-1])
+        for angle in (a for angles in angle_lists for a in angles):
+            _, (p, q), _ = angle[1]
+            for which, opposite in ((0, q), (1, p)):
+                bent = zero_circulation(table, angle, which)
+                assert denominator_circulation(bent[1], angle, 1 - which) != 0
+                text = f"zero circulation in an angle denominator at {name_face(angle[1], opposite)}"
+                with pytest.raises(DegenerateGeometryError) as full:
+                    curvature(bent, (angle,), name_face)
+                with pytest.raises(DegenerateGeometryError) as value_only:
+                    value_stage(bent, (angle,))
+                assert str(full.value) == str(value_only.value) == text
 
 
 # coordinates over 10007 and 65537, far from the sampled denominators

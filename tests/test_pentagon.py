@@ -15,7 +15,7 @@ from pentachain import (
 )
 from pentachain import geometry, pentagon
 from pentachain.geometry import subseed
-from pentachain.pentagon import ED_PAIR, LABELS, PAIRS, flat_config, omega_ed
+from pentachain.pentagon import ED_PAIR, LABELS, PAIRS, flat_config
 from reference import (
     bilinear_relation,
     circulation,
@@ -24,6 +24,7 @@ from reference import (
     fraction_holonomy_generator,
     fraction_random_lam,
     integer_points,
+    omega_ed,
     values,
 )
 
@@ -231,15 +232,22 @@ def test_vector_identities_reject_transposed_holonomy(monkeypatch):
 def test_flat_config_checks_its_result_without_asserts(monkeypatch):
     # the result check must survive python -O, so it raises, not asserts
     cfg = FivePointConfig.random(0)
-    monkeypatch.setattr(pentagon, "omega_ed", lambda cfg: F(1))
+    real = pentagon.curvature
+    monkeypatch.setattr(pentagon, "curvature", lambda *args: ((1, 1), real(*args)[1]))
     with pytest.raises(PentachainError, match="internal error: the solved lambda_ED"):
         flat_config(cfg)
 
 
 def test_vector_identities_reject_wrong_curvature(monkeypatch):
     pts = nondegenerate_points(9)
-    real = pentagon.omega_ed
-    monkeypatch.setattr(pentagon, "omega_ed", lambda cfg: real(cfg) + 1)
+    real = pentagon.curvature_value
+
+    def plus_one(d, terms):
+        value, den = real(d, terms)
+        return value + den, den
+
+    # the closure reads omega_ED from the value stage alone
+    monkeypatch.setattr(pentagon, "curvature_value", plus_one)
     assert verify_points(pts) is False
 
 
