@@ -156,8 +156,8 @@ def cmd_verify(args) -> tuple[dict, int]:
     g = assign_geometry(tri, subseed(args.seed, "partition-geom"))
     c = build_chain(tri, g)
     for i in range(args.partition_seeds):
-        p, _ = select_partition(c, subseed(args.seed, "partition", i))
-        taus.add(tau(c, p))
+        p, values = select_partition(c, subseed(args.seed, "partition", i))
+        taus.add(tau(c, p, values))
     if len(taus) != 1:
         raise InvarianceError(f"tau depends on the partition: {sorted(taus)}")
     checks["partition_independence"] = f"pass ({args.partition_seeds} partitions)"
@@ -212,12 +212,12 @@ def cmd_pachner(args) -> tuple[dict, int]:
 
 def cmd_pentagon(args) -> tuple[dict, int]:
     _check_pentagon_samples(args.seed, args.samples)
-    randrange = random.Random(subseed(args.seed, "points")).randrange
+    getrandbits = random.Random(subseed(args.seed, "points")).getrandbits
     point_checks = 0
     for j in range(args.samples):
         # x then y of A..E, each randint(-20, 20) / randint(1, 7), as
         # integers over the lcm of the ten denominators
-        den, coords = draw_rationals(randrange, 10, 20, 7)
+        den, coords = draw_rationals(getrandbits, 10, 20, 7)
         pts = {lab: (coords[2 * i], coords[2 * i + 1]) for i, lab in enumerate(("A", "B", "C", "D", "E"))}
         try:
             if not verify_vector_identities(pts, den):

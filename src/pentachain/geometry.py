@@ -25,8 +25,15 @@ sampler: it draws rationals with small numerators and denominators and
 puts them over the lcm of their denominators, for ``assign_geometry``
 (3V values, all x, then all y, then all kappa),
 ``pentagon.FivePointConfig.random`` and the point sets of the
-``pentagon`` command.  ``parse_geometry`` clears the rationals of an
-explicit geometry once, on parsing.
+``pentagon`` command.  Each caller hands it the ``getrandbits`` of a
+``random.Random`` seeded its own way, and it draws every value below n
+by one loop: take k = bit length of n bits, and again while they are not
+below n.  That is the loop ``randrange(n)`` runs, so the draws are those
+``randint`` makes (``tests/reference.py`` keeps the ``randrange`` form
+and the tests check the two streams equal), but they rest only on
+``getrandbits``, not on how a Python version implements ``randrange``.
+``parse_geometry`` clears the rationals of an explicit geometry once, on
+parsing.
 
 One routine serves triangulations and the five-point verifier alike.  It
 works on an integer value table ``(D, numerators)``: one integer numerator
@@ -117,12 +124,29 @@ def _assignment(den: int, values) -> GeometryAssignment:
     return GeometryAssignment(den, *(tuple(values[k * nv:(k + 1) * nv]) for k in range(3)))
 
 
-def draw_rationals(randrange, count: int, bound: int, den_bound: int) -> tuple[int, list[int]]:
+def draw_rationals(getrandbits, count: int, bound: int, den_bound: int) -> tuple[int, list[int]]:
     """``count`` rationals randint(-bound, bound) / randint(1, den_bound),
     numerator first, as ``(den, numerators)`` over the lcm of the drawn
-    denominators.  Each is drawn as ``lo + randrange(n)``, the stream
-    ``randint`` draws."""
-    draws = [(randrange(2 * bound + 1) - bound, 1 + randrange(den_bound)) for _ in range(count)]
+    denominators.
+
+    ``getrandbits`` is the bound method of a ``random.Random``.  Each
+    value below n (n = 2 bound + 1 for a numerator, den_bound for a
+    denominator) is drawn by one loop: with k the bit length of n, draw
+    k bits until they are below n.  That is the loop ``randrange(n)``
+    runs, so the stream is the one ``randint`` draws, but it does not rest
+    on how a Python version implements ``randrange``.
+    """
+    pn, qn = 2 * bound + 1, den_bound
+    pk, qk = pn.bit_length(), qn.bit_length()
+    draws = []
+    for _ in range(count):
+        p = getrandbits(pk)
+        while p >= pn:
+            p = getrandbits(pk)
+        q = getrandbits(qk)
+        while q >= qn:
+            q = getrandbits(qk)
+        draws.append((p - bound, q + 1))
     den = lcm(*(q for _, q in draws))
     return den, [p * (den // q) for p, q in draws]
 
@@ -187,10 +211,10 @@ def assign_geometry(tri: Triangulation, seed: int) -> GeometryAssignment:
                 "face containing it has zero circulation for any geometry; 2->3 and "
                 "1->4 moves cannot remove this edge"
             )
-    randrange = random.Random(seed).randrange
+    getrandbits = random.Random(seed).getrandbits
     count = 3 * len(tri.vertices)
     for _ in range(SAMPLE_DRAWS):
-        g = _assignment(*draw_rationals(randrange, count, SAMPLE_NUMERATOR_BOUND, SAMPLE_DENOMINATOR_BOUND))
+        g = _assignment(*draw_rationals(getrandbits, count, SAMPLE_NUMERATOR_BOUND, SAMPLE_DENOMINATOR_BOUND))
         if 0 not in face_circulations(tri, edge_values(tri, g))[1]:
             return g
     raise DegenerateGeometryError(f"no nondegenerate geometry found after {SAMPLE_DRAWS} attempts")

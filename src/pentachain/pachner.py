@@ -261,30 +261,39 @@ def apply_move(tri: Triangulation, site: MoveSite) -> Triangulation:
     raise MoveError(f"unknown move kind {site.kind!r}")
 
 
+def _sites_2_3(tri: Triangulation) -> Iterator[MoveSite]:
+    for f in tri.faces:
+        t, k = f.members[0]
+        if tri.tets[t][k].neighbor != t:
+            yield MoveSite("2->3", (t, k))
+
+
+def _sites_3_2(tri: Triangulation) -> Iterator[MoveSite]:
+    for e in tri.edges:
+        if _edge_cycle(tri, e.id) is not None:
+            yield MoveSite("3->2", e.id)
+
+
+def _sites_1_4(tri: Triangulation) -> Iterator[MoveSite]:
+    for t in range(tri.size):
+        yield MoveSite("1->4", t)
+
+
+def _sites_4_1(tri: Triangulation) -> Iterator[MoveSite]:
+    for v in tri.vertices:
+        if _vertex_ball(tri, v.id) is not None:
+            yield MoveSite("4->1", v.id)
+
+
+# the sites of each kind, lazily, in deterministic class/index order
+_SITES = dict(zip(KINDS, (_sites_2_3, _sites_3_2, _sites_1_4, _sites_4_1)))
+
+
 def enumerate_sites(tri: Triangulation, kind: str) -> list[MoveSite]:
     """All valid sites of one kind, in deterministic class/index order."""
-    if kind == "1->4":
-        return [MoveSite(kind, t) for t in range(tri.size)]
-    if kind == "2->3":
-        out = []
-        for f in tri.faces:
-            t, k = f.members[0]
-            if tri.tets[t][k].neighbor != t:
-                out.append(MoveSite(kind, (t, k)))
-        return out
-    if kind == "3->2":
-        return [
-            MoveSite(kind, e.id)
-            for e in tri.edges
-            if _edge_cycle(tri, e.id) is not None
-        ]
-    if kind == "4->1":
-        return [
-            MoveSite(kind, v.id)
-            for v in tri.vertices
-            if _vertex_ball(tri, v.id) is not None
-        ]
-    raise MoveError(f"unknown move kind {kind!r}")
+    if kind not in KINDS:
+        raise MoveError(f"unknown move kind {kind!r}")
+    return list(_SITES[kind](tri))
 
 
 def _keeps_sampler_solvable(tri: Triangulation, site: MoveSite) -> bool:
@@ -307,27 +316,21 @@ def walk_states(
 
     Move kinds with no usable site are skipped; above ``max_tets`` the walk
     prefers shrinking moves when any apply.  A 1->4 always applies, so the
-    walk never stalls.
+    walk never stalls.  Each step draws a kind among the usable ones, in
+    sorted order, then a site among that kind's usable sites: a kind is
+    usable as soon as its first usable site turns up, and only the drawn
+    kind's sites are listed, by ``enumerate_sites``.
     """
     rng = random.Random(seed)
     current = tri
     for _ in range(steps):
-        options: dict[str, list[MoveSite]] = {}
-        for kind in KINDS:
-            sites = [
-                s
-                for s in enumerate_sites(current, kind)
-                if _keeps_sampler_solvable(current, s)
-            ]
-            if sites:
-                options[kind] = sites
-        kinds = sorted(options)
+        kinds = [k for k in sorted(KINDS) if any(_keeps_sampler_solvable(current, s) for s in _SITES[k](current))]
         if current.size > max_tets:
             shrinking = [k for k in kinds if k not in _GROWING]
             if shrinking:
                 kinds = shrinking
         kind = kinds[rng.randrange(len(kinds))]
-        sites = options[kind]
+        sites = [s for s in enumerate_sites(current, kind) if _keeps_sampler_solvable(current, s)]
         site = sites[rng.randrange(len(sites))]
         current = apply_move(current, site)
         yield site, current

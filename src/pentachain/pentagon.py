@@ -22,13 +22,16 @@ values.  The checks here are exact:
 
 The checks run on the integer path that builds the curvature derivative
 matrix for triangulations.  The local complex is resolved into sides at
-import, as a triangulation resolves its own: ``TRIANGLES`` holds the three
-``(pair, sign)`` sides of every ordered triangle of labels and ``ANGLES``
-the six sides of each angle at E->D.  A configuration is its integer value
-table ``(D, numerators)``, the shape ``geometry.edge_values`` returns, and
-``FivePointConfig(D, numerators)`` is its one constructor: the value of a
-pair is its numerator over D.  Every circulation is an integer over D,
-``geometry.circulation`` of a triangle's sides on that table.  The
+import, as a triangulation resolves its own: every triangle a check reads
+is held as its three ``(pair, sign)`` sides (the bilinear relation's
+S_xDy and S_zDE, S_ABC and the three S_xDE of the two-to-three identity,
+the three circulations of each Cramer step, S_EDA and S_EDB), and
+``ANGLES`` holds the six sides of each angle at E->D.  A configuration is
+its integer value table ``(D, numerators)``, the shape
+``geometry.edge_values`` returns, and ``FivePointConfig(D, numerators)``
+is its one constructor: the value of a pair is its numerator over D.
+Every circulation is an integer over D, ``geometry.circulation`` of a
+resolved triangle's sides on that table, called directly.  The
 curvature of a configuration, its integer value pair and its gradient,
 is one full ``geometry.curvature`` on the same table, computed once per
 configuration and shared by the sampler's flatness check and
@@ -53,8 +56,9 @@ is the cross product of two scaled sides, 2 L^2 S.  Perturbing lambda_ED
 by delta = p / q puts the values over 2 L^2 q, the table whose omega_ED
 the closure reads as an unreduced integer pair (a common factor scales
 both sides of each comparison alike); only the S_ED* terms shift, by
-2 L^2 p.  A Cramer step, E->b from E->D and E->a, reads three
-circulations of one table and keeps E->b projective, an integer numerator
+2 L^2 p.  A Cramer step, E->b from E->D and E->a, takes the three
+integers S_EDa, S_Eba and S_EDb of one table, read on its triangles
+resolved at import, and keeps E->b projective, an integer numerator
 vector over an integer denominator; a uniform scale of the circulations
 cancels out of it.  Every equality is compared cross-multiplied in
 integers.  The holonomy generator at omega = p / q, a 2x2 matrix, is
@@ -66,7 +70,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import permutations
 from typing import Mapping
 
@@ -98,10 +102,24 @@ def _side(a: str, b: str) -> tuple[tuple[str, str], int]:
     return ((a, b), 1) if a < b else ((b, a), -1)
 
 
-# the side of every directed pair of labels, and the sides a -> b, b -> c,
-# c -> a of every ordered triangle of labels
+# the side of every directed pair of labels
 _SIDES = {(a, b): _side(a, b) for a, b in permutations(LABELS, 2)}
-TRIANGLES = {(a, b, c): (_SIDES[a, b], _SIDES[b, c], _SIDES[c, a]) for a, b, c in permutations(LABELS, 3)}
+
+
+def _triangle(a: str, b: str, c: str) -> tuple:
+    """The sides a -> b, b -> c, c -> a of a triangle of labels."""
+    return _SIDES[a, b], _SIDES[b, c], _SIDES[c, a]
+
+
+# the triangles the checks read, resolved once: the bilinear relation's
+# pairs (S_xDy, S_zDE); S_ABC and S_ADE, S_BDE, S_CDE of the two-to-three
+# identity; (S_EDa, S_Eba, S_EDb) of each Cramer step, with its labels a
+# and b; and S_EDA, S_EDB
+_FLATNESS = tuple((_triangle(x, "D", y), _triangle(z, "D", "E")) for x, y, z in ("ABC", "BCA", "CAB"))
+_ABC = _triangle("A", "B", "C")
+_XDE = tuple(_triangle(x, "D", "E") for x in "ABC")
+_CRAMER = tuple((a, b, (_triangle("E", "D", a), _triangle("E", b, a), _triangle("E", "D", b))) for a, b in CRAMER_STEPS)
+_EDA, _EDB = _triangle("E", "D", "A"), _triangle("E", "D", "B")
 
 
 def _where(contribution, opposite: str) -> str:
@@ -118,11 +136,6 @@ ANGLES = tuple(
     )
     for p, q, e, d in TETRAHEDRA
 )
-
-
-def _circulation(numerators, a: str, b: str, c: str) -> int:
-    """Integer circulation around a -> b -> c of a table's numerators."""
-    return circulation(numerators, TRIANGLES[a, b, c])
 
 
 class FivePointConfig:
@@ -144,9 +157,9 @@ class FivePointConfig:
         the same stream, up to SAMPLE_DRAWS draws, so a seed whose first
         draw is usable keeps it.
         """
-        randrange = random.Random(seed).randrange
+        getrandbits = random.Random(seed).getrandbits
         for attempt in range(SAMPLE_DRAWS):
-            d, values = draw_rationals(randrange, 9, SAMPLE_BOUND, 9)
+            d, values = draw_rationals(getrandbits, 9, SAMPLE_BOUND, 9)
             # D-E is the last of PAIRS, so the nine values fill the others
             numerators = dict(zip(PAIRS, values))
             numerators[ED_PAIR] = 0
@@ -173,11 +186,10 @@ class FivePointConfig:
         return FivePointConfig(d * q, scaled)
 
 
-def _flatness_terms(numerators) -> tuple[tuple[int, int], ...]:
+def _flatness_terms(numerators) -> list[tuple[int, int]]:
     """The three products of the bilinear relation as integer pairs
     (S_xDy, S_zDE), each circulation times the table's denominator."""
-    s = partial(_circulation, numerators)
-    return tuple((s(x, "D", y), s(z, "D", "E")) for x, y, z in (("A", "B", "C"), ("B", "C", "A"), ("C", "A", "B")))
+    return [(circulation(numerators, xdy), circulation(numerators, zde)) for xdy, zde in _FLATNESS]
 
 
 def _bilinear(numerators) -> int:
@@ -222,29 +234,29 @@ def verify_pentagon(cfg: FivePointConfig) -> tuple[Fraction, Fraction, bool]:
     """
     d, numerators = cfg.table
     _, (den, grad) = cfg.curvature
-    s = partial(_circulation, numerators)
-    lhs, rhs_den = s("A", "B", "C"), d**3 * den
-    rhs = -s("A", "D", "E") * s("B", "D", "E") * s("C", "D", "E") * grad.get(ED_PAIR, 0)
+    lhs, rhs_den = circulation(numerators, _ABC), d**3 * den
+    ade, bde, cde = [circulation(numerators, t) for t in _XDE]
+    rhs = -ade * bde * cde * grad.get(ED_PAIR, 0)
     return Fraction(lhs, d), Fraction(rhs, rhs_den), lhs * rhs_den == rhs * d
 
 
 # -- plane-vector identities --------------------------------------------
 
 
-def cramer_step(s, ed, ea, a: str, b: str) -> tuple[tuple[int, int], int]:
+def cramer_step(circulations, ed, ea, a: str) -> tuple[tuple[int, int], int]:
     """E->b from E->D and E->a: (S_Eba ED + S_EDb Ea) / S_EDa.
 
-    ``s`` gives the integer circulations of one table (any uniform scale
-    of the circulations cancels), ``ed`` is an integer vector and ``ea`` a
-    projective one, ``(numerator vector, denominator)``.  Returns E->b in
-    the same projective form, over the denominator of ``ea`` times S_EDa,
-    without dividing.
+    ``circulations`` are the integers (S_EDa, S_Eba, S_EDb) of one table,
+    read on the step's triangles that the module resolves at import (any
+    uniform scale of the three cancels); ``ed`` is an integer vector and
+    ``ea`` a projective one, ``(numerator vector, denominator)``.  Returns
+    E->b in the same projective form, over the denominator of ``ea`` times
+    S_EDa, without dividing.
     """
-    s_eda = s("E", "D", a)
+    s_eda, s_eba, s_edb = circulations
     if s_eda == 0:
         raise DegenerateGeometryError(f"S_ED{a} vanishes: E->D and E->{a} are not a basis")
     (x, y), d = ea
-    s_eba, s_edb = s("E", b, a), s("E", "D", b)
     k = s_eba * d
     return (k * ed[0] + s_edb * x, k * ed[1] + s_edb * y), d * s_eda
 
@@ -281,9 +293,8 @@ def verify_vector_identities(points: Mapping[str, tuple[int, int]], den: int) ->
     scale = 2 * den * den
 
     # kappa is zero, so a flat circulation is an oriented area, 2L^2 S
-    flat_s = partial(_circulation, flat)
-    for a, b in CRAMER_STEPS:
-        (x, y), d = cramer_step(flat_s, ed, (vec[a], 1), a, b)
+    for a, b, triangles in _CRAMER:
+        (x, y), d = cramer_step([circulation(flat, t) for t in triangles], ed, (vec[a], 1), a)
         if (x, y) != (d * vec[b][0], d * vec[b][1]):
             return False
 
@@ -294,16 +305,15 @@ def verify_vector_identities(points: Mapping[str, tuple[int, int]], den: int) ->
         p, q = delta.numerator, delta.denominator
         lam = {key: q * n for key, n in flat.items()}
         lam[ED_PAIR] -= scale * p  # stored as lambda_DE
-        s = partial(_circulation, lam)
         e = (ea, 1)
-        for a, b in CRAMER_STEPS:
-            e = cramer_step(s, ed, e, a, b)
+        for a, _, triangles in _CRAMER:
+            e = cramer_step([circulation(lam, t) for t in triangles], ed, e, a)
         (x, y), d = e
         # omega_ED = w / w_den, the value stage alone on the perturbed table
         w, w_den = curvature_value(scale * q, angle_terms(lam, ANGLES, _where))
         # EA_new == EA + omega_ED S_EDA ED with S_EDA = s(E, D, A) / 2L^2 q;
         # both sides times d, 2L^2 q and w_den
-        big, shift = scale * q * w_den, w * s("E", "D", "A")
+        big, shift = scale * q * w_den, w * circulation(lam, _EDA)
         if any(big * n != d * (big * a + shift * b) for n, a, b in zip((x, y), ea, ed)):
             return False
 
@@ -312,7 +322,7 @@ def verify_vector_identities(points: Mapping[str, tuple[int, int]], den: int) ->
     # The generator at L ED is L^2 times the one at ED, so on the L-scaled
     # vectors it must send ED to 0 and E->aux to w (2L^2 S_EDaux) (L ED) / 2;
     # for w = p / q, both sides times 2 q and the generator's denominator
-    s_ed = {"D": 0, "A": flat_s("E", "D", "A"), "B": flat_s("E", "D", "B")}
+    s_ed = {"D": 0, "A": circulation(flat, _EDA), "B": circulation(flat, _EDB)}
     for w in OMEGA_SAMPLES:
         p, q = w.numerator, w.denominator
         gen_den, rows = holonomy_numerators(ed, p, q)

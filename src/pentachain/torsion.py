@@ -80,10 +80,12 @@ docstring).  The Markowitz rule picks short rows and sparse columns,
 which keeps the fill-in and the minors small; the rows are a
 deterministic function of the input and the scan order, so reports stay
 reproducible, and the signed torsion does not depend on which rows were
-picked.  ``minors`` and ``tau`` evaluate an arbitrary partition from
-scratch; they are the reference that the tests (the paper's hand-chosen
-partitions among them) and ``verify``'s partition-independence check
-use.
+picked.  ``minors`` evaluates an arbitrary partition's five minors from
+scratch, the reference that the tests (the paper's hand-chosen
+partitions among them) use.  ``tau`` gives the signed torsion from a
+partition's five minors, computing them by ``minors`` when none are
+given; ``invariant`` and ``verify``'s partition-independence check pass
+it the minors their pass returned.
 
 The manifold invariant normalizes the torsion by the product of all face
 circulations and a power of two:
@@ -169,17 +171,13 @@ def minors(c: ChainComplex, p: BasisPartition) -> tuple[Fraction, ...]:
     return values
 
 
-def _signed_tau(c: ChainComplex, p: BasisPartition, values) -> Fraction:
-    """eps times the alternating product m1 * m3 * m5 / (m2 * m4) of the
-    partition's minors ``values``."""
-    m1, m2, m3, m4, m5 = values
-    return p.sign(c) * m1 * m3 * m5 / (m2 * m4)
-
-
-def tau(c: ChainComplex, p: BasisPartition) -> Fraction:
+def tau(c: ChainComplex, p: BasisPartition, values: tuple[Fraction, ...] | None = None) -> Fraction:
     """Signed torsion of a given partition: eps times the alternating
-    product of its minors; the same for every valid partition."""
-    return _signed_tau(c, p, minors(c, p))
+    product m1 * m3 * m5 / (m2 * m4) of its five minors ``values``,
+    computed by ``minors(c, p)`` when none are given; the same for every
+    valid partition."""
+    m1, m2, m3, m4, m5 = minors(c, p) if values is None else values
+    return p.sign(c) * m1 * m3 * m5 / (m2 * m4)
 
 
 def select_partition(
@@ -303,7 +301,7 @@ def invariant(
     c = build_chain(tri, geometry)
     partition, values = select_partition(c)
     certify_chain(c, partition.cols(c)[:3])
-    t = _signed_tau(c, partition, values)
+    t = tau(c, partition, values)
     d, circulations = face_circulations(tri, c.edge_table)
     face_product = Fraction(prod(circulations), d ** len(circulations))
     value = t * face_product * Fraction(1, 2 ** (len(tri.vertices) + 1))

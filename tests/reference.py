@@ -19,6 +19,8 @@ rationals, and the tests check the package against them:
 * the seeded geometry sampler drawn with ``randint`` in Fractions, the
   oracle of ``geometry.assign_geometry``, and the point sets of the
   ``pentagon`` command drawn the same way;
+* the rational draws of ``geometry.draw_rationals`` made with
+  ``randrange``, the stream its ``getrandbits`` loop must reproduce;
 * an edge value by the paper's formula (``lambda_of``), the oracle of
   ``geometry.edge_values``;
 * the oriented area of a plane triangle, the oracle of a circulation;
@@ -37,6 +39,8 @@ rationals, and the tests check the package against them:
 * the identity and transposition slot permutations, and a label-free
   canonical form of a gluing table, so that tests can compare the
   triangulations that moves and relabelings produce up to isomorphism;
+* the seeded Pachner walk that lists every site of every kind at each
+  step, the oracle of ``pachner.walk_states``;
 * the barycentric subdivision of a triangulation and the lens spaces
   L(p, q), built from their gluing rules: the subdivided inputs whose
   eliminations fill in far more than those of the grown ladder.
@@ -49,8 +53,10 @@ from itertools import permutations
 from math import lcm
 
 from pentachain import BasisPartition, FivePointConfig, GeometryAssignment, RatMatrix, Triangulation
+from pentachain import KINDS, apply_move, enumerate_sites
 from pentachain.exact import clear_denominators, independent_rows
 from pentachain.geometry import SAMPLE_DRAWS as GEOMETRY_DRAWS, curvature, face_circulations, subseed
+from pentachain.pachner import _GROWING, _keeps_sampler_solvable
 from pentachain.pentagon import ED_PAIR, PAIRS, SAMPLE_BOUND, SAMPLE_DRAWS
 from pentachain.triangulation import Gluing, compose, inverse
 
@@ -142,6 +148,15 @@ def fraction_pentagon_points(seed, samples):
         values = [Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(10)]
         out.append({label: (values[2 * i], values[2 * i + 1]) for i, label in enumerate("ABCDE")})
     return out
+
+
+def randrange_rationals(randrange, count, bound, den_bound):
+    """``geometry.draw_rationals`` drawn with ``randrange``: each value
+    ``lo + randrange(n)``, numerator first, over the lcm of the drawn
+    denominators."""
+    draws = [(randrange(2 * bound + 1) - bound, 1 + randrange(den_bound)) for _ in range(count)]
+    den = lcm(*(q for _, q in draws))
+    return den, [p * (den // q) for p, q in draws]
 
 
 def fixed_sphere_geometry():
@@ -347,6 +362,29 @@ def canonical_form(tri):
             if best is None or table < best:
                 best = table
     return best
+
+
+def eager_walk_states(tri, steps, seed, max_tets=12):
+    """The seeded walk of ``pachner.walk_states``, listing every usable
+    site of every kind at each step before it draws a kind, then a site."""
+    rng = random.Random(seed)
+    current = tri
+    for _ in range(steps):
+        options = {}
+        for kind in KINDS:
+            sites = [s for s in enumerate_sites(current, kind) if _keeps_sampler_solvable(current, s)]
+            if sites:
+                options[kind] = sites
+        kinds = sorted(options)
+        if current.size > max_tets:
+            shrinking = [k for k in kinds if k not in _GROWING]
+            if shrinking:
+                kinds = shrinking
+        kind = kinds[rng.randrange(len(kinds))]
+        sites = options[kind]
+        site = sites[rng.randrange(len(sites))]
+        current = apply_move(current, site)
+        yield site, current
 
 
 def _bfs_relabel(tri, start, frame):

@@ -34,6 +34,7 @@ from reference import (
     geometry_of,
     lambda_of,
     lens,
+    randrange_rationals,
     triangle_area,
 )
 
@@ -103,6 +104,18 @@ def test_sampler_stream_matches_fraction_oracle(s3, rp3):
             redrawn += draws > 1
     # rp3_t80 redraws at 7 of these seeds, one of them twice
     assert redrawn == 7
+
+
+@pytest.mark.parametrize("bound, den_bound", [(64, 16), (30, 9), (20, 7), (1, 1), (2, 2)])
+def test_draw_rationals_is_the_randrange_stream(bound, den_bound):
+    # the getrandbits loop draws what randrange draws, value for value,
+    # and leaves the generator in the same state
+    for seed in range(500):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert geometry.draw_rationals(ours.getrandbits, 12, bound, den_bound) == randrange_rationals(
+            theirs.randrange, 12, bound, den_bound
+        )
+        assert ours.getstate() == theirs.getstate()
 
 
 def test_assign_geometry_builds_no_fraction(rp3, fractions_made):

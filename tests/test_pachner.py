@@ -15,7 +15,7 @@ from pentachain import (
     walk_states,
 )
 from pentachain.pachner import _bistellar
-from reference import canonical_form, isomorphic, transposition
+from reference import canonical_form, eager_walk_states, isomorphic, transposition
 from test_geometry import fresh_star
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -146,6 +146,18 @@ def test_walks_preserve_invariant(s3, rp3):
         for seed in (101, 202):
             end = random_walk(tri, 12, seed=seed, max_tets=10)
             assert invariant(end, seed=seed).abs_invariant == expect
+
+
+@pytest.mark.parametrize("max_tets", [4, 12])
+@pytest.mark.parametrize("name", ["s3", "rp3"])
+def test_walk_states_match_the_eager_walk(name, max_tets, request):
+    # checking each kind for its first usable site, and listing only the
+    # drawn kind's sites, walks where listing every kind's sites walks
+    start = request.getfixturevalue(name)
+    for seed in range(100):
+        lazy = walk_states(start, 20, seed, max_tets)
+        eager = eager_walk_states(start, 20, seed, max_tets)
+        assert [(site, state.tets) for site, state in lazy] == [(site, state.tets) for site, state in eager]
 
 
 def test_walk_states_yield_valid_triangulations(s3):

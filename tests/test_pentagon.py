@@ -255,19 +255,24 @@ def test_vector_identities_reject_wrong_cramer_step(monkeypatch):
     pts = nondegenerate_points(10)
     real = pentagon.cramer_step
 
-    def negated(s, ed, ea, a, b):
-        (x, y), d = real(s, ed, ea, a, b)
+    def negated(circulations, ed, ea, a):
+        (x, y), d = real(circulations, ed, ea, a)
         return (-x, -y), d
 
     monkeypatch.setattr(pentagon, "cramer_step", negated)
     assert verify_points(pts) is False
 
 
+def cramer_circulations(cfg, a, b):
+    """The circulations S_EDa, S_Eba, S_EDb that a Cramer step reads."""
+    return [circulation(cfg, *t) for t in (("E", "D", a), ("E", b, a), ("E", "D", b))]
+
+
 def test_cramer_step_needs_a_basis():
     pts = {"A": (F(2), F(2)), "B": (F(1), F(3)), "C": (F(-1), F(2)), "D": (F(1), F(1)), "E": (F(0), F(0))}
     flat = five_point_from_points(pts)
     with pytest.raises(DegenerateGeometryError, match="S_EDA vanishes"):
-        pentagon.cramer_step(partial(circulation, flat), pts["D"], (pts["A"], 1), "A", "B")
+        pentagon.cramer_step(cramer_circulations(flat, "A", "B"), pts["D"], (pts["A"], 1), "A")
     with pytest.raises(DegenerateGeometryError, match="S_EDA vanishes"):
         verify_points(pts)
 
@@ -293,11 +298,12 @@ def test_cramer_step_is_projective():
     # E at the origin: EB = (S_EBA ED + S_EDB EA) / S_EDA, kept over S_EDA
     pts = {"A": (F(3), F(1)), "B": (F(1), F(2)), "C": (F(-1), F(2)), "D": (F(1), F(-1)), "E": (F(0), F(0))}
     flat = five_point_from_points(pts)
-    (x, y), d = pentagon.cramer_step(partial(circulation, flat), pts["D"], (pts["A"], 1), "A", "B")
+    (x, y), d = pentagon.cramer_step(cramer_circulations(flat, "A", "B"), pts["D"], (pts["A"], 1), "A")
     assert d == circulation(flat, "E", "D", "A") != 0
     assert (x / d, y / d) == pts["B"]
     # a uniform scale of the circulations and of the input denominator cancels
-    (x2, y2), d2 = pentagon.cramer_step(lambda *t: 6 * circulation(flat, *t), pts["D"], ((6, 2), 2), "A", "B")
+    scaled = [6 * s for s in cramer_circulations(flat, "A", "B")]
+    (x2, y2), d2 = pentagon.cramer_step(scaled, pts["D"], ((6, 2), 2), "A")
     assert (x2 / d2, y2 / d2) == pts["B"]
 
 

@@ -161,7 +161,7 @@ def test_meet_pass_matches_bottom_up_oracle(s3, rp3, certified_chain):
         for seed in (None, *range(10)):
             p, m = select_partition(c, seed)
             assert m == minors(c, p)
-            assert torsion._signed_tau(c, p, m) == tau(c, bottom_up_partition(c, seed))
+            assert tau(c, p, m) == tau(c, bottom_up_partition(c, seed))
             # R3 and R4 are the complements of K3 and K4 in label order
             for rows, labels in ((p.c3_rows, c.f3.row_labels), (p.c4_rows, c.f4.row_labels)):
                 assert list(rows) == [lab for lab in labels if lab in set(rows)]
@@ -258,12 +258,12 @@ def test_dependent_prefix_falls_back_to_every_candidate(certified_chain, monkeyp
     assert [args[0].nrows for args in rows[call:call + 2]] == [torsion.BASIS_PREFIX, 3 * c.vertex_count]
     assert len(rows) == 5
     assert m == minors(c, p)
-    signed = torsion._signed_tau(c, p, m)
+    signed = tau(c, p, m)
     assert signed == tau(c, p)
     # the same signed tau as the pass that eliminates every candidate
     monkeypatch.setattr(torsion, "BASIS_PREFIX", 3 * c.vertex_count)
     full_p, full_m = select_partition(c, seed)
-    assert torsion._signed_tau(c, full_p, full_m) == signed
+    assert tau(c, full_p, full_m) == signed
 
 
 def face_product_oracle(tri, lam):
