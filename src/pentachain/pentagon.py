@@ -25,18 +25,21 @@ matrix for triangulations.  The local complex is resolved into sides at
 import, as a triangulation resolves its own: every triangle a check reads
 is held as its three ``(pair, sign)`` sides (the bilinear relation's
 S_xDy and S_zDE, S_ABC and the three S_xDE of the two-to-three identity,
-the three circulations of each Cramer step, S_EDA and S_EDB), and
-``ANGLES`` holds the six sides of each angle at E->D.  A configuration is
-its integer value table ``(D, numerators)``, the shape
-``geometry.edge_values`` returns, and ``FivePointConfig(D, numerators)``
-is its one constructor: the value of a pair is its numerator over D.
-Every circulation is an integer over D, ``geometry.circulation`` of a
-resolved triangle's sides on that table, called directly.  The
-curvature of a configuration, its integer value pair and its gradient,
-is one full ``geometry.curvature`` on the same table, computed once per
-configuration and shared by the sampler's flatness check and
-``verify_pentagon``; the closure check reads only the value, the first
-two stages of the same kernel, straight off its perturbed table.
+and the three circulations of each Cramer step, beside the sign of D-E
+among each one's sides), and ``ANGLES`` holds the six sides of each angle
+at E->D.  A configuration is its integer value table ``(D, numerators)``,
+the shape ``geometry.edge_values`` returns, and ``FivePointConfig(D,
+numerators)`` is its one constructor: the value of a pair is its
+numerator over D.  Every circulation is an integer over D,
+``geometry.circulation`` of a resolved triangle's sides on that table,
+called directly and once per table: the vector identities sum the nine of
+the Cramer steps on the flat table alone and shift them onto the
+closure's (below).  The curvature of a configuration, its integer value
+pair and its gradient, is one full ``geometry.curvature`` on the same
+table, computed once per configuration and shared by the sampler's
+flatness check and ``verify_pentagon``; the closure check reads only the
+value, the first two stages of the same kernel, straight off its
+perturbed table.
 
 The sampler draws integers from the start: the nine free values come from
 ``geometry.draw_rationals``, the package's one sampler, over the lcm of
@@ -53,17 +56,22 @@ each vector is L times the plane vector and each value
 lambda_ab = (x_a y_b - x_b y_a) / 2 is an integer over 2 L^2: for plane
 points (kappa zero) a circulation is the oriented area, and its integer
 is the cross product of two scaled sides, 2 L^2 S.  Perturbing lambda_ED
-by delta = p / q puts the values over 2 L^2 q, the table whose omega_ED
-the closure reads as an unreduced integer pair (a common factor scales
-both sides of each comparison alike); only the S_ED* terms shift, by
-2 L^2 p.  A Cramer step, E->b from E->D and E->a, takes the three
-integers S_EDa, S_Eba and S_EDb of one table, read on its triangles
-resolved at import, and keeps E->b projective, an integer numerator
-vector over an integer denominator; a uniform scale of the circulations
-cancels out of it.  Every equality is compared cross-multiplied in
-integers.  The holonomy generator at omega = p / q, a 2x2 matrix, is
-``geometry.holonomy_numerators`` at the integer E->D, integers over 2 q,
-checked by its action on E->D and on E->A, E->B.
+by delta = p / q puts the values over 2 L^2 q: the table is q times the
+flat one, less 2 L^2 p on D-E, so each circulation on it is q times the
+flat one less 2 L^2 p times the sign of D-E among the triangle's sides,
+resolved at import.  That sign is 0 without a D-E side, so only the
+S_ED* terms shift.  The closure composes the Cramer steps on these
+shifted circulations, S_EDA among them, and reads omega_ED on the table
+itself as an unreduced integer pair (a common factor scales both sides
+of each comparison alike).  A Cramer step, E->b from E->D and E->a, takes
+the three integers S_EDa, S_Eba and S_EDb of one table, read or shifted
+on its triangles resolved at import, and keeps E->b projective, an
+integer numerator vector over an integer denominator; a uniform scale of
+the circulations cancels out of it.  Every equality is compared
+cross-multiplied in integers.  The holonomy generator at omega = p / q, a
+2x2 matrix, is ``geometry.holonomy_numerators`` at the integer E->D,
+integers over 2 q, checked by its action on E->D and on E->A, E->B, with
+S_EDA and S_EDB the flat circulations of the first Cramer step.
 """
 
 from __future__ import annotations
@@ -111,15 +119,25 @@ def _triangle(a: str, b: str, c: str) -> tuple:
     return _SIDES[a, b], _SIDES[b, c], _SIDES[c, a]
 
 
+def _de_sign(triangle) -> int:
+    """The sign of the side D-E among a triangle's sides, 0 without one."""
+    return sum(sign for key, sign in triangle if key == ED_PAIR)
+
+
 # the triangles the checks read, resolved once: the bilinear relation's
 # pairs (S_xDy, S_zDE); S_ABC and S_ADE, S_BDE, S_CDE of the two-to-three
-# identity; (S_EDa, S_Eba, S_EDb) of each Cramer step, with its labels a
-# and b; and S_EDA, S_EDB
+# identity; and, for each Cramer step with its labels a and b, the
+# triangles (S_EDa, S_Eba, S_EDb) and the sign of D-E in each, by which
+# perturbing lambda_ED shifts their circulations (S_EDA and S_EDB are the
+# first and third of the A step)
 _FLATNESS = tuple((_triangle(x, "D", y), _triangle(z, "D", "E")) for x, y, z in ("ABC", "BCA", "CAB"))
 _ABC = _triangle("A", "B", "C")
 _XDE = tuple(_triangle(x, "D", "E") for x in "ABC")
-_CRAMER = tuple((a, b, (_triangle("E", "D", a), _triangle("E", b, a), _triangle("E", "D", b))) for a, b in CRAMER_STEPS)
-_EDA, _EDB = _triangle("E", "D", "A"), _triangle("E", "D", "B")
+_CRAMER = tuple(
+    (a, b, triangles, tuple(_de_sign(t) for t in triangles))
+    for a, b in CRAMER_STEPS
+    for triangles in [(_triangle("E", "D", a), _triangle("E", b, a), _triangle("E", "D", b))]
+)
 
 
 def _where(contribution, opposite: str) -> str:
@@ -247,8 +265,8 @@ def cramer_step(circulations, ed, ea, a: str) -> tuple[tuple[int, int], int]:
     """E->b from E->D and E->a: (S_Eba ED + S_EDb Ea) / S_EDa.
 
     ``circulations`` are the integers (S_EDa, S_Eba, S_EDb) of one table,
-    read on the step's triangles that the module resolves at import (any
-    uniform scale of the three cancels); ``ed`` is an integer vector and
+    read or shifted on the step's triangles that the module resolves at
+    import (any uniform scale of the three cancels); ``ed`` is an integer vector and
     ``ea`` a projective one, ``(numerator vector, denominator)``.  Returns
     E->b in the same projective form, over the denominator of ``ea`` times
     S_EDa, without dividing.
@@ -277,44 +295,56 @@ def verify_vector_identities(points: Mapping[str, tuple[int, int]], den: int) ->
     With L = ``den``, each vector below is L times the plane vector E->k
     and each flat value is an integer over 2 L^2 (see the module
     docstring); every comparison is an integer one, the sides
-    cross-multiplied by their denominators.  The closure reads omega_ED
-    from ``geometry.angle_terms`` and ``geometry.curvature_value`` alone,
-    as an unreduced integer pair with no gradient and no configuration
-    built.  Its angles' only denominators are S_ADE, S_BDE and S_CDE,
-    which the Cramer steps on the same table have already found nonzero,
-    so the curvature cannot raise there.
+    cross-multiplied by their denominators.  The nine circulations of the
+    Cramer steps are summed once, on the flat table; the closure's
+    perturbed table is q times the flat one, less 2 L^2 p on D-E, so each
+    of its circulations is q times the flat one less 2 L^2 p times the
+    sign of D-E among the triangle's sides, and S_EDA and S_EDB are read
+    off the A step.  The closure reads omega_ED from
+    ``geometry.angle_terms`` and ``geometry.curvature_value`` alone, as an
+    unreduced integer pair with no gradient and no configuration built.
+    Its angles' only denominators are S_ADE, S_BDE and S_CDE, which the
+    Cramer steps on the same table have already found nonzero, so the
+    curvature cannot raise there.
     """
-    xs = {k: points[k][0] for k in LABELS}
-    ys = {k: points[k][1] for k in LABELS}
-    vec = {k: (xs[k] - xs["E"], ys[k] - ys["E"]) for k in LABELS}  # L (E -> k)
+    ex, ey = points["E"]
+    vec = {k: (points[k][0] - ex, points[k][1] - ey) for k in LABELS}  # L (E -> k)
     ed, ea = vec["D"], vec["A"]
     # lambda_ab = (x_a y_b - x_b y_a) / 2 is flat[(a, b)] / 2L^2
-    flat = {(a, b): xs[a] * ys[b] - xs[b] * ys[a] for a, b in PAIRS}
+    flat = {}
+    for a, b in PAIRS:
+        (xa, ya), (xb, yb) = points[a], points[b]
+        flat[a, b] = xa * yb - xb * ya
     scale = 2 * den * den
 
     # kappa is zero, so a flat circulation is an oriented area, 2L^2 S
-    for a, b, triangles in _CRAMER:
-        (x, y), d = cramer_step([circulation(flat, t) for t in triangles], ed, (vec[a], 1), a)
-        if (x, y) != (d * vec[b][0], d * vec[b][1]):
+    steps = []
+    for a, b, (t1, t2, t3), signs in _CRAMER:
+        circulations = (circulation(flat, t1), circulation(flat, t2), circulation(flat, t3))
+        (x, y), d = cramer_step(circulations, ed, (vec[a], 1), a)
+        if x != d * vec[b][0] or y != d * vec[b][1]:
             return False
+        steps.append((a, circulations, signs))
+    _, (s_eda, _, s_edb), (eda_sign, _, _) = steps[0]
 
     # closure: perturb lambda_ED by p / q away from the flat (planar) value,
     # putting every value over 2L^2 q, and run EB, EC, EA_new through the
     # composed steps
     for delta in CLOSURE_DELTAS:
         p, q = delta.numerator, delta.denominator
+        shift = scale * p
         lam = {key: q * n for key, n in flat.items()}
-        lam[ED_PAIR] -= scale * p  # stored as lambda_DE
+        lam[ED_PAIR] -= shift  # stored as lambda_DE
         e = (ea, 1)
-        for a, _, triangles in _CRAMER:
-            e = cramer_step([circulation(lam, t) for t in triangles], ed, e, a)
+        for a, (c1, c2, c3), (s1, s2, s3) in steps:
+            e = cramer_step((q * c1 - s1 * shift, q * c2 - s2 * shift, q * c3 - s3 * shift), ed, e, a)
         (x, y), d = e
         # omega_ED = w / w_den, the value stage alone on the perturbed table
         w, w_den = curvature_value(scale * q, angle_terms(lam, ANGLES, _where))
         # EA_new == EA + omega_ED S_EDA ED with S_EDA = s(E, D, A) / 2L^2 q;
         # both sides times d, 2L^2 q and w_den
-        big, shift = scale * q * w_den, w * circulation(lam, _EDA)
-        if any(big * n != d * (big * a + shift * b) for n, a, b in zip((x, y), ea, ed)):
+        big, moved = scale * q * w_den, w * (q * s_eda - eda_sign * shift)
+        if big * x != d * (big * ea[0] + moved * ed[0]) or big * y != d * (big * ea[1] + moved * ed[1]):
             return False
 
     # the basis change depends only on the vector ED and omega: (ED, E->aux)
@@ -322,12 +352,13 @@ def verify_vector_identities(points: Mapping[str, tuple[int, int]], den: int) ->
     # The generator at L ED is L^2 times the one at ED, so on the L-scaled
     # vectors it must send ED to 0 and E->aux to w (2L^2 S_EDaux) (L ED) / 2;
     # for w = p / q, both sides times 2 q and the generator's denominator
-    s_ed = {"D": 0, "A": circulation(flat, _EDA), "B": circulation(flat, _EDB)}
+    tx, ty = ed
+    images = ((ed, 0), (ea, s_eda), (vec["B"], s_edb))
     for w in OMEGA_SAMPLES:
         p, q = w.numerator, w.denominator
-        gen_den, rows = holonomy_numerators(ed, p, q)
-        for aux, (x, y) in ((k, vec[k]) for k in ("D", "A", "B")):
-            shift = gen_den * p * s_ed[aux]
-            if any(2 * q * (r0 * x + r1 * y) != shift * t for (r0, r1), t in zip(rows, ed)):
+        gen_den, ((r00, r01), (r10, r11)) = holonomy_numerators(ed, p, q)
+        for (x, y), s in images:
+            moved = gen_den * p * s
+            if 2 * q * (r00 * x + r01 * y) != moved * tx or 2 * q * (r10 * x + r11 * y) != moved * ty:
                 return False
     return True

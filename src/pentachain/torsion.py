@@ -139,9 +139,12 @@ class BasisPartition:
 
     def sign(self, c: ChainComplex) -> int:
         """eps: over C1..C4, the product of the signs of the permutations
-        that list R_k, then K_k, against C_k's label order."""
-        splits = zip(c.maps[:4], self.rows(), self.cols(c))
-        return prod(_sorting_sign(m.row_labels, (*rows, *cols)) for m, rows, cols in splits)
+        that list R_k, then K_k, against C_k's label order.  Each is the
+        sign of the list of their positions in C_k, R_k's read off the row
+        index of f_k, whose rows are C_k, and K_k's the free positions in
+        order: that list is the inverse permutation, of the same sign."""
+        splits = zip(c.maps[:4], self.rows())
+        return prod(permutation_sign([m._rindex[r] for r in rows] + _free(m.row_labels, rows)) for m, rows in splits)
 
 
 def minors(c: ChainComplex, p: BasisPartition) -> tuple[Fraction, ...]:

@@ -9,6 +9,10 @@ rationals, and the tests check the package against them:
 * the fixed sphere geometry and the sphere's and projective space's
   hand-chosen basis partitions, with the tetrahedron-0 edge bookkeeping
   that the projective partition reads;
+* a partition's sign eps by sorting its labels, the oracle of
+  ``BasisPartition.sign``, and the partition-free square of the torsion
+  from the combinatorial Laplacians of the complex, with a dense
+  ``Fraction`` determinant;
 * a matrix from rows of ints and Fractions, dense or by column
   (``rat_matrix``), cleared into the integer rows ``RatMatrix`` takes, and
   one entry of a matrix by its labels;
@@ -54,7 +58,7 @@ from math import lcm
 
 from pentachain import BasisPartition, FivePointConfig, GeometryAssignment, RatMatrix, Triangulation
 from pentachain import KINDS, apply_move, enumerate_sites
-from pentachain.exact import clear_denominators, independent_rows
+from pentachain.exact import clear_denominators, independent_rows, permutation_sign
 from pentachain.geometry import SAMPLE_DRAWS as GEOMETRY_DRAWS, curvature, face_circulations, subseed
 from pentachain.pachner import _GROWING, _keeps_sampler_solvable
 from pentachain.pentagon import ED_PAIR, PAIRS, SAMPLE_BOUND, SAMPLE_DRAWS
@@ -210,6 +214,62 @@ def projective_paper_partition(c, tri):
     k3 = tuple(f"dw_e{e.id}" for e in tri.edges if e.id not in unprimed)
     c4_rows = tuple(independent_rows(c.f4.submatrix(c.f4.row_labels, k3))[0])
     return BasisPartition(SPHERE_C1_ROWS, c2_rows, c3_rows, c4_rows)
+
+
+def label_sort_sign(c, p):
+    """eps of a partition by sorting labels, the oracle of
+    ``BasisPartition.sign``: over C1..C4, the sign of the permutation that
+    puts R_k, then K_k, into C_k's label order."""
+    eps = 1
+    for m, rows, cols in zip(c.maps[:4], p.rows(), p.cols(c)):
+        position = {lab: j for j, lab in enumerate(m.row_labels)}
+        listed = (*rows, *cols)
+        eps *= permutation_sign(sorted(range(len(listed)), key=lambda i: position[listed[i]]))
+    return eps
+
+
+def fraction_det(rows):
+    """Determinant of a dense square matrix of Fractions, by elimination."""
+    a = [list(row) for row in rows]
+    out = Fraction(1)
+    for k in range(len(a)):
+        pivot = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            out = -out
+        out *= a[k][k]
+        for i in range(k + 1, len(a)):
+            if a[i][k]:
+                r = a[i][k] / a[k][k]
+                a[i] = [x - r * y for x, y in zip(a[i], a[k])]
+    return out
+
+
+def laplacian_tau_squared(c):
+    """The square of the torsion from the combinatorial Laplacians, with no
+    basis partition: with the label bases orthonormal, Delta_k = f_k f_k^T
+    + f_{k+1}^T f_{k+1} on C_k for k = 0..5, with f_0 = f_6 = 0, and
+    tau^2 = prod_k det(Delta_k)^((-1)^(k+1) k).  Each f_k is the dense
+    matrix with rows C_k and columns C_(k-1)."""
+    f = [m.entries for m in c.maps]
+    dims = [c.maps[0].ncols] + [m.nrows for m in c.maps]
+    out = Fraction(1)
+    for k, n in enumerate(dims):
+        lap = [[Fraction(0)] * n for _ in range(n)]
+        if k > 0:  # f_k f_k^T
+            for i, row_i in enumerate(f[k - 1]):
+                for j, row_j in enumerate(f[k - 1]):
+                    lap[i][j] += sum(x * y for x, y in zip(row_i, row_j))
+        if k < 5:  # f_{k+1}^T f_{k+1}
+            for row in f[k]:
+                for i in range(n):
+                    if row[i]:
+                        for j in range(n):
+                            lap[i][j] += row[i] * row[j]
+        out *= fraction_det(lap) ** ((-1) ** (k + 1) * k)
+    return out
 
 
 def triangle_area(ax, ay, bx, by, cx, cy):

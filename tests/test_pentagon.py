@@ -263,6 +263,55 @@ def test_vector_identities_reject_wrong_cramer_step(monkeypatch):
     assert verify_points(pts) is False
 
 
+def labelled_sides(*labels):
+    """The ``(pair, sign)`` sides of the triangle through ``labels``."""
+    directed = zip(labels, labels[1:] + labels[:1])
+    return tuple(((a, b), 1) if a < b else ((b, a), -1) for a, b in directed)
+
+
+def de_sign(labels):
+    """1 if the triangle through ``labels`` runs D -> E, -1 if E -> D, else 0."""
+    directed = set(zip(labels, labels[1:] + labels[:1]))
+    return (("D", "E") in directed) - (("E", "D") in directed)
+
+
+def test_closure_shifts_only_the_d_e_triangles(monkeypatch):
+    # each step's triangles (S_EDa, S_Eba, S_EDb), with S_EDA and S_EDB the
+    # A step's first and third, and the sign of D-E in each
+    triangles = [(("E", "D", a), ("E", b, a), ("E", "D", b)) for a, b in pentagon.CRAMER_STEPS]
+    assert (triangles[0][0], triangles[0][2]) == (("E", "D", "A"), ("E", "D", "B"))
+    for ts, (_, _, sides, signs) in zip(triangles, pentagon._CRAMER, strict=True):
+        assert sides == tuple(labelled_sides(*t) for t in ts)
+        assert signs == tuple(de_sign(t) for t in ts)
+    # the closure passes each step the circulations of the perturbed table
+    real, passed = pentagon.cramer_step, []
+
+    def recording(circulations, *rest):
+        passed.append(tuple(circulations))
+        return real(circulations, *rest)
+
+    monkeypatch.setattr(pentagon, "cramer_step", recording)
+    getrandbits = random.Random(subseed(0, "points")).getrandbits
+    checked = 0
+    while checked < 200:
+        den, coords = geometry.draw_rationals(getrandbits, 10, 20, 7)
+        pts = {lab: (coords[2 * i], coords[2 * i + 1]) for i, lab in enumerate(LABELS)}
+        passed.clear()
+        try:
+            assert verify_vector_identities(pts, den)
+        except DegenerateGeometryError:
+            continue
+        flat = {(a, b): pts[a][0] * pts[b][1] - pts[b][0] * pts[a][1] for a, b in PAIRS}
+        closure = iter(passed[3:])
+        for delta in pentagon.CLOSURE_DELTAS:
+            lam = {key: delta.denominator * n for key, n in flat.items()}
+            lam[ED_PAIR] -= 2 * den * den * delta.numerator
+            for ts in triangles:
+                assert next(closure) == tuple(geometry.circulation(lam, labelled_sides(*t)) for t in ts)
+        assert next(closure, None) is None
+        checked += 1
+
+
 def cramer_circulations(cfg, a, b):
     """The circulations S_EDa, S_Eba, S_EDb that a Cramer step reads."""
     return [circulation(cfg, *t) for t in (("E", "D", a), ("E", b, a), ("E", "D", b))]

@@ -10,6 +10,7 @@ from pentachain import (
     TorsionError,
     apply_move,
     assign_geometry,
+    build_chain,
     edge_values,
     enumerate_sites,
     invariant,
@@ -29,6 +30,8 @@ from reference import (
     coordinates,
     face_values,
     geometry_of,
+    label_sort_sign,
+    laplacian_tau_squared,
     lens,
     projective_paper_partition,
     sphere_paper_partition,
@@ -332,6 +335,30 @@ def test_sign_removes_partition_dependence(rp3, rp3_geometry, certified_chain):
     assert invariant(rp3, geometry=rp3_geometry).tau == tau(c, picked[0][0])
 
 
+def test_sign_matches_the_label_sort(certified_chain):
+    # the pass's partitions of rp3_t20 and of two walk states, and each with
+    # its R_k listed in reverse, the same split in another order
+    tris = [Triangulation.from_file(FIXTURES / "rp3_t20.tri")]
+    tris += [random_walk(load_builtin(name), 8, walk_seed, 12) for name, walk_seed in (("s3", 3), ("rp3", 5))]
+    seen = set()
+    for tri in tris:
+        c = certified_chain(tri, assign_geometry(tri, seed=1))
+        for seed in (None, *range(10)):
+            p, _ = select_partition(c, seed)
+            for q in (p, BasisPartition(*(tuple(reversed(rows)) for rows in p.rows()))):
+                assert q.sign(c) == label_sort_sign(c, q)
+                seen.add(q.sign(c))
+    assert seen == {1, -1}
+
+
+@pytest.mark.parametrize("name", ["s3", "rp3", "s3_t8", "rp3_t8", "rp3_t20"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tau_squared_matches_the_laplacian_oracle(name, seed):
+    tri = load_builtin(name) if name in ("s3", "rp3") else Triangulation.from_file(FIXTURES / f"{name}.tri")
+    c = build_chain(tri, assign_geometry(tri, subseed(seed, "geometry")))
+    assert laplacian_tau_squared(c) == invariant(tri, seed=seed).tau ** 2
+
+
 def test_geometry_independence(s3, rp3):
     for tri, expect in ((s3, 1), (rp3, 64)):
         for seed in range(10):
@@ -388,6 +415,11 @@ SUBDIVIDED_GOLDENS = {
     "L(3,1)'": ((16, 88, 144, 72), 729),
     "L(5,2)'": ((24, 144, 240, 120), 15625),
     "L(7,2)'": ((32, 200, 336, 168), 117649),
+    "L(4,1)'": ((20, 116, 192, 96), 4096),
+    "L(5,1)'": ((24, 144, 240, 120), 15625),
+    "L(7,1)'": ((32, 200, 336, 168), 117649),
+    "L(8,3)'": ((36, 228, 384, 192), 262144),
+    "L(11,2)'": ((48, 312, 528, 264), 1771561),
 }
 
 
