@@ -28,7 +28,14 @@ certified table is kept on the complex as ``edge_table``, so the face
 product reads the same one.
 
 Each map is assembled in Python ints, by its nonzeros, one integer row
-at a time.  The x and y coordinates are read from the geometry's integer
+at a time.  No entry is accumulated: an edge class whose tail is its
+head has value zero and puts two corners of each of its faces at one
+point, so such a face has zero circulation and the certificate rejects
+the geometry before assembly.  So the tail columns 3a..3a+2 and the head
+columns 3b..3b+2 of an f2 row are distinct, as are the rows 3p+r and
+3q+r that an f4 column writes, and each entry is written once.
+
+The x and y coordinates are read from the geometry's integer
 table over its common denominator D, so before reduction the rows of f1
 are over D or 2D, those of f2 over 2D, those of f4 over 2D^2 and those of
 f5 over 1, D or D^2.  Each f3 row is the integer gradient table
@@ -90,17 +97,11 @@ C5_LABELS = ("db1", "db2", "db3", "db4", "db5", "db6")
 
 
 def vertex_labels(n: int) -> tuple[str, ...]:
-    out = []
-    for v in range(n):
-        out += [f"dx_v{v}", f"dy_v{v}", f"dk_v{v}"]
-    return tuple(out)
+    return tuple(f"{name}_v{v}" for v in range(n) for name in ("dx", "dy", "dk"))
 
 
 def gamma_labels(n: int) -> tuple[str, ...]:
-    out = []
-    for v in range(n):
-        out += [f"dg1_v{v}", f"dg2_v{v}", f"dg3_v{v}"]
-    return tuple(out)
+    return tuple(f"{name}_v{v}" for v in range(n) for name in ("dg1", "dg2", "dg3"))
 
 
 def edge_labels(n: int, prefix: str) -> tuple[str, ...]:
@@ -137,24 +138,20 @@ def build_chain(tri: Triangulation, g: GeometryAssignment) -> ChainComplex:
     ne = len(tri.edges)
     lam = edge_values(tri, g)
     ensure_nondegenerate(tri, lam)
-    vlabels = vertex_labels(nv)
-    glabels = gamma_labels(nv)
+    vlabels, glabels = vertex_labels(nv), gamma_labels(nv)
+    llabels, wlabels = edge_labels(ne, "dl"), edge_labels(ne, "dw")
     d, xs, ys = g.den, g.x, g.y
 
     f1 = []
     for xa, ya in zip(xs, ys):
         f1 += [{0: ya, 2: xa, 3: d}, {1: xa, 2: -ya, 4: d}, {3: -ya, 4: xa, 5: 2 * d}]
 
+    # ensure_nondegenerate rejected every loop edge, so no f2 or f4 key is written twice
     f2 = []
     for e in tri.edges:
         a, b = e.tail, e.head
-        row: dict[int, int] = {}
-        for j, dv in (
-            (3 * a, ys[b]), (3 * a + 1, -xs[b]), (3 * a + 2, -2 * d),
-            (3 * b, -ys[a]), (3 * b + 1, xs[a]), (3 * b + 2, 2 * d),
-        ):
-            row[j] = row.get(j, 0) + dv
-        f2.append(row)
+        f2.append({3 * a: ys[b], 3 * a + 1: -xs[b], 3 * a + 2: -2 * d,
+                   3 * b: -ys[a], 3 * b + 1: xs[a], 3 * b + 2: 2 * d})
 
     f3, f3_dens = [], []
     for e in range(ne):
@@ -171,8 +168,8 @@ def build_chain(tri: Triangulation, g: GeometryAssignment) -> ChainComplex:
         p, q = e.tail, e.head
         x, y = xs[q] - xs[p], ys[q] - ys[p]
         for r, t in enumerate((x * x, x * y, y * y)):
-            f4[3 * p + r][e.id] = f4[3 * p + r].get(e.id, 0) + t
-            f4[3 * q + r][e.id] = f4[3 * q + r].get(e.id, 0) - t
+            f4[3 * p + r][e.id] = t
+            f4[3 * q + r][e.id] = -t
 
     f5 = [{} for _ in range(6)]
     for v, (xa, ya) in enumerate(zip(xs, ys)):
@@ -183,9 +180,9 @@ def build_chain(tri: Triangulation, g: GeometryAssignment) -> ChainComplex:
 
     return ChainComplex(
         f1=RatMatrix(f1, (d, d, 2 * d) * nv, vlabels, C0_LABELS),
-        f2=RatMatrix(f2, (2 * d,) * ne, edge_labels(ne, "dl"), vlabels),
-        f3=RatMatrix(f3, f3_dens, edge_labels(ne, "dw"), edge_labels(ne, "dl")),
-        f4=RatMatrix(f4, (2 * d * d,) * (3 * nv), glabels, edge_labels(ne, "dw")),
+        f2=RatMatrix(f2, (2 * d,) * ne, llabels, vlabels),
+        f3=RatMatrix(f3, f3_dens, wlabels, llabels),
+        f4=RatMatrix(f4, (2 * d * d,) * (3 * nv), glabels, wlabels),
         f5=RatMatrix(f5, (1, 1, 1, d, d, d * d), C5_LABELS, glabels),
         vertex_count=nv,
         edge_count=ne,
@@ -279,6 +276,6 @@ def dump_chain(c: ChainComplex) -> str:
     lines = []
     for k, m in enumerate(c.maps, start=1):
         for i, row in enumerate(m.rows):
-            for j, v in sorted(row.items()):
+            for j, v in row.items():
                 lines.append(f"f{k} {m.row_labels[i]} {m.col_labels[j]} {format_rational(v)}")
     return "\n".join(lines) + "\n"

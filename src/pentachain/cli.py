@@ -162,7 +162,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         raise InvarianceError(f"tau depends on the partition: {sorted(taus)}")
     checks["partition_independence"] = f"pass ({args.partition_seeds} partitions)"
 
-    values = set()
+    values = {base.abs_invariant}
     for i in range(args.geometry_seeds):
         r = invariant(tri, seed=subseed(args.seed, "geom", i))
         values.add(r.abs_invariant)
@@ -173,9 +173,7 @@ def cmd_verify(args) -> tuple[dict, int]:
     expected = base.abs_invariant
     for w in range(args.walks):
         walk_seed = subseed(args.seed, "walk", w)
-        step = 0
-        for site, state in walk_states(tri, args.steps, walk_seed, args.max_tets):
-            step += 1
+        for step, (site, state) in enumerate(walk_states(tri, args.steps, walk_seed, args.max_tets), start=1):
             if step % args.check_every and step != args.steps:
                 continue
             r = invariant(state, seed=subseed(walk_seed, "step", step))

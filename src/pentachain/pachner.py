@@ -166,42 +166,40 @@ def _move_2_3(tri: Triangulation, t: int, a: int) -> Triangulation:
 
 
 def _edge_cycle(tri: Triangulation, edge_id: int):
-    """The cyclic order of three distinct tetrahedra around a degree-3 edge,
-    or None when the star is not the standard one."""
+    """Slot labels {t: labels} of the three distinct tetrahedra around a
+    degree-3 edge, labelled as the 3->2 row of the module docstring says
+    while the cycle is walked from the edge's first star contribution, or
+    None when the star is not the standard one."""
     star = tri.edge_angles[edge_id]
     if len(star) != 3:
         return None
-    tets = [tet for _, (tet, _, _) in star]
-    if len(set(tets)) != 3:
+    tets = {tet for _, (tet, _, _) in star}
+    if len(tets) != 3:
         return None
     _, (t0, (p0, q0), (e0, d0)) = star[0]
-    cycle = []
-    cur = (t0, p0, q0, e0, d0)
-    for _ in range(3):
-        cycle.append(cur)
+    start = cur = (t0, p0, q0, e0, d0)
+    old = {}
+    for k in range(3):
         t, p, q, e, d = cur
+        labels = [0] * 4
+        labels[p], labels[q], labels[e], labels[d] = k, (k + 1) % 3, 4, 3
+        old[t] = tuple(labels)
         g = tri.tets[t][p]
         cur = (g.neighbor, g.perm[q], g.perm[p], g.perm[e], g.perm[d])
-    if cur != cycle[0]:
+    # a cycle that revisits a tetrahedron leaves fewer than three labelled
+    if cur != start or old.keys() != tets:
         return None
-    if sorted(c[0] for c in cycle) != sorted(tets):
-        return None
-    return cycle
+    return old
 
 
 def _move_3_2(tri: Triangulation, edge_id: int) -> Triangulation:
     _require(edge_id, len(tri.edges), "edge class")
-    cycle = _edge_cycle(tri, edge_id)
-    if cycle is None:
+    old = _edge_cycle(tri, edge_id)
+    if old is None:
         raise MoveError(
             f"edge class {edge_id} is not a 3->2 site (degree 3, distinct "
             "tetrahedra, closed cycle required)"
         )
-    old = {}
-    for k, (t, p, q, e, d) in enumerate(cycle):
-        labels = [0] * 4
-        labels[p], labels[q], labels[e], labels[d] = k, (k + 1) % 3, 4, 3
-        old[t] = tuple(labels)
     return _bistellar(tri, old, [(0, 1, 2, 3), (0, 1, 2, 4)])
 
 

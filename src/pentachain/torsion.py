@@ -83,9 +83,8 @@ reproducible, and the signed torsion does not depend on which rows were
 picked.  ``minors`` evaluates an arbitrary partition's five minors from
 scratch, the reference that the tests (the paper's hand-chosen
 partitions among them) use.  ``tau`` gives the signed torsion from a
-partition's five minors, computing them by ``minors`` when none are
-given; ``invariant`` and ``verify``'s partition-independence check pass
-it the minors their pass returned.
+partition's five minors; ``invariant`` and ``verify``'s
+partition-independence check pass it the minors their pass returned.
 
 The manifold invariant normalizes the torsion by the product of all face
 circulations and a power of two:
@@ -107,7 +106,7 @@ from math import prod
 
 from .chain import ChainComplex, build_chain, certify_chain, check_acyclic, expected_ranks
 from .errors import PentachainError, TorsionError
-from .exact import det, independent_rows, permutation_sign
+from .exact import RatMatrix, det, independent_rows, permutation_sign
 from .geometry import GeometryAssignment, assign_geometry, face_circulations, subseed
 from .triangulation import Triangulation
 
@@ -174,12 +173,12 @@ def minors(c: ChainComplex, p: BasisPartition) -> tuple[Fraction, ...]:
     return values
 
 
-def tau(c: ChainComplex, p: BasisPartition, values: tuple[Fraction, ...] | None = None) -> Fraction:
+def tau(c: ChainComplex, p: BasisPartition, values: tuple[Fraction, ...]) -> Fraction:
     """Signed torsion of a given partition: eps times the alternating
-    product m1 * m3 * m5 / (m2 * m4) of its five minors ``values``,
-    computed by ``minors(c, p)`` when none are given; the same for every
-    valid partition."""
-    m1, m2, m3, m4, m5 = minors(c, p) if values is None else values
+    product m1 * m3 * m5 / (m2 * m4) of its five minors ``values`` (those
+    ``select_partition`` returned, or ``minors(c, p)``); the same for
+    every valid partition."""
+    m1, m2, m3, m4, m5 = values
     return p.sign(c) * m1 * m3 * m5 / (m2 * m4)
 
 
@@ -226,8 +225,8 @@ def select_partition(
     # the f3 block is square once the four basis stages are full
     if m1 and m2 and m4 and m5 and (m3 := det(f3.block(r3, _free(f2.row_labels, r2)))):
         rows3, rows4 = (tuple(m.row_labels[i] for i in r) for m, r in ((f3, r3), (f4, r4)))
-        m4 *= _sorting_sign(f4.col_labels, k3)
-        m5 *= _sorting_sign(f5.col_labels, k4)
+        m4 *= _sorting_sign(f4, k3)
+        m5 *= _sorting_sign(f5, k4)
         return BasisPartition(tuple(r1), tuple(r2), rows3, rows4), (m1, m2, m3, m4, m5)
     # a stage fell short: not acyclic, or else not a chain
     check_acyclic(c)
@@ -251,10 +250,10 @@ def _free(labels: tuple[str, ...], picked: list[str]) -> list[int]:
     return [j for j, lab in enumerate(labels) if lab not in chosen]
 
 
-def _sorting_sign(labels: tuple[str, ...], picked: list[str]) -> int:
-    """Sign of the permutation that puts ``picked`` into label order."""
-    position = {lab: j for j, lab in enumerate(labels)}
-    return permutation_sign(sorted(range(len(picked)), key=lambda i: position[picked[i]]))
+def _sorting_sign(m: RatMatrix, picked: list[str]) -> int:
+    """Sign of the permutation that puts the column labels ``picked`` of
+    ``m`` into label order, read off the matrix's column index."""
+    return permutation_sign(sorted(range(len(picked)), key=lambda i: m._cindex[picked[i]]))
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,13 @@ The orbits are traversed over integer ports kept in flat lists: ``4t+s``
 for vertex slot s of tetrahedron t, ``16t+4i+j`` for its directed edge
 (i, j) and ``4t+k`` for its face k.  A gluing of face k joins each port of
 t not involving slot k to the port it is carried to; the gluings are
-flattened once, on construction, into one list that sends ``16t+4k+s`` to
-the vertex port ``4t'+s'`` that the gluing of face k carries slot s to, so
-``16t+5k`` is the face port glued to face k.  Classes are numbered
-in port scan order, each filled from its first unassigned port: tetrahedra
-in order, their slots or faces in order, their edges in the order
-``(0,1), (0,2), (0,3), (1,2), (1,3), (2,3)``.  The mirror ports (j, i) of an
+flattened while they are validated, each as soon as it passes its checks,
+into one list that sends ``16t+4k+s`` to the vertex port ``4t'+s'`` that
+the gluing of face k carries slot s to, so ``16t+5k`` is the face port
+glued to face k.  Classes are numbered in port scan order, each filled
+from its first unassigned port: tetrahedra in order, their slots or faces
+in order, their edges in the order ``(0,1), (0,2), (0,3), (1,2), (1,3),
+(2,3)``.  The mirror ports (j, i) of an
 edge orbit form the reverse orbit and get the same class with sign -1; an
 orbit that contains its own mirror is rejected.  A face class is the two
 ports of one gluing.
@@ -185,34 +186,33 @@ class Triangulation:
     module docstring), derived from scratch by orbit traversal each time,
     after the gluings are checked to be involutive, coherently oriented
     and connected, together with every incidence table, so an instance
-    holds no lazy state.  Immutable after construction; bistellar moves build new
-    instances.
+    holds no lazy state.  The scan that checks the gluings also flattens
+    them, in the same order, into the port list the traversals read.
+    Immutable after construction; bistellar moves build new instances.
     """
 
     def __init__(self, tets: Sequence[Sequence[Gluing]]):
         self.tets: tuple[tuple[Gluing, ...], ...] = tuple(tuple(row) for row in tets)
         if not self.tets:
             raise ValidationError("empty triangulation")
-        self._validate_gluings()
+        self._port_to = self._validate_gluings()
         self.orientation_signs = self._propagate_signs()
-        # 16t+4k+s -> the vertex port the gluing of face k carries slot s to
-        port_to = self._port_to = []
-        for row in self.tets:
-            for neighbor, (p0, p1, p2, p3) in row:
-                base = 4 * neighbor
-                port_to += (base + p0, base + p1, base + p2, base + p3)
         self._vertex_of, self.vertices = self._build_vertex_classes()
         self._sides, self.edges, self.edge_angles = self._build_edge_classes()
         self._face_of, self.faces, self.face_sides = self._build_face_classes()
 
     # -- validation ---------------------------------------------------
 
-    def _validate_gluings(self):
+    def _validate_gluings(self) -> list[int]:
+        """Check every gluing in scan order and flatten each one as soon as
+        it passes: the list sends 16t+4k+s to the vertex port the gluing of
+        face k carries slot s to."""
         n = len(self.tets)
         # every row's length first: a partner lookup indexes another row
         for t, row in enumerate(self.tets):
             if len(row) != 4:
                 raise ValidationError(f"tetrahedron {t} must glue exactly 4 faces")
+        port_to = []
         for t, row in enumerate(self.tets):
             for k, g in enumerate(row):
                 if not isinstance(g, Gluing):
@@ -227,6 +227,10 @@ class Triangulation:
                     raise ValidationError(
                         f"gluing of tetrahedron {t} face {k} is not involutive"
                     )
+                neighbor, (p0, p1, p2, p3) = g
+                base = 4 * neighbor
+                port_to += (base + p0, base + p1, base + p2, base + p3)
+        return port_to
 
     def _propagate_signs(self) -> tuple[int, ...]:
         """Orientation signs from tetrahedron 0 across every gluing; a

@@ -1,0 +1,67 @@
+"""Print a sha256 of each report in a fixed set, one ``sha256  argv`` line
+per report, for a byte-identity check between two versions of the code.
+
+Run from a checkout as ``python tests/report_hashes.py > hashes.txt`` on
+each version and ``diff`` the two files.  Every report is produced in
+process by ``cli.main`` and hashed from its standard output; a nonzero
+exit code is appended to its line.  The set:
+
+* ``invariant --json`` and ``dump-chain`` on s3, rp3 and the ladder
+  fixtures under ``benchmarks/fixtures``, at seeds 0-2;
+* ``verify --json`` and ``pachner --json --steps 30`` on s3 and rp3 at
+  seeds 0-2;
+* ``pentagon --json`` at seeds 0-9.
+
+The script runs from the checkout's root and passes fixture paths
+relative to it, since an ``invariant`` report names its input as given,
+so the output does not depend on where the checkout lives.  pytest does
+not collect this file (its name does not start with ``test_``).
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from pentachain import cli  # noqa: E402
+
+FIXTURES = sorted((ROOT / "benchmarks" / "fixtures").glob("*.tri"))
+BUILTINS = [["--builtin", "s3"], ["--builtin", "rp3"]]
+INPUTS = BUILTINS + [["--file", str(path.relative_to(ROOT))] for path in FIXTURES]
+SEEDS = ("0", "1", "2")
+
+
+def report_set() -> list[list[str]]:
+    """The argv of every report, in print order."""
+    out = []
+    for source in INPUTS:
+        for seed in SEEDS:
+            out.append(["invariant", *source, "--seed", seed, "--json"])
+            out.append(["dump-chain", *source, "--seed", seed])
+    for source in BUILTINS:
+        for seed in SEEDS:
+            out.append(["verify", *source, "--seed", seed, "--json"])
+            out.append(["pachner", *source, "--seed", seed, "--steps", "30", "--json"])
+    for seed in range(10):
+        out.append(["pentagon", "--seed", str(seed), "--json"])
+    return out
+
+
+def report_hash(argv: list[str]) -> str:
+    """``sha256  argv`` of one report, with its exit code when nonzero."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    line = f"{hashlib.sha256(stdout.getvalue().encode()).hexdigest()}  {' '.join(argv)}"
+    return line if code == 0 else f"{line}  exit {code}"
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    for argv in report_set():
+        print(report_hash(argv), flush=True)

@@ -180,7 +180,7 @@ def test_criterion_9_gauge_independence(certified_chain):
         c = certified_chain(tri, g)
         partitions = [select_partition(c, seed=s)[0] for s in range(10)]
         assert len(set(partitions)) >= 2
-        taus = [tau(c, p) for p in partitions]
+        taus = [tau(c, p, minors(c, p)) for p in partitions]
         assert len({abs(t) for t in taus}) == 1
         assert all(t in (taus[0], -taus[0]) for t in taus)
     report(9, "invariant constant over 10 geometry seeds and 10 partition seeds; tau varies only in sign")

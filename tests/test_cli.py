@@ -365,6 +365,24 @@ def test_verify_quick(capsys):
     assert "pachner_walks" in out
 
 
+def test_verify_checks_the_reported_invariant_against_the_geometries(capsys, monkeypatch):
+    # only the base geometry, seed 0, gives a different value
+    real_invariant = cli.invariant
+
+    def base_differs(tri, seed=0, **kwargs):
+        r = real_invariant(tri, seed=seed, **kwargs)
+        return replace(r, abs_invariant=2 * r.abs_invariant) if seed == 0 else r
+
+    monkeypatch.setattr(cli, "invariant", base_differs)
+    code, out, err = run(
+        capsys,
+        ["verify", "--builtin", "s3", "--seed", "0", "--walks", "1", "--steps", "5", "--samples", "1",
+         "--chain-seeds", "1", "--partition-seeds", "1", "--geometry-seeds", "2"],
+    )
+    assert (code, out) == (6, "")
+    assert err == "error: invariant depends on the geometry: [Fraction(1, 1), Fraction(2, 1)]\n"
+
+
 def test_verify_requires_input(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify"])

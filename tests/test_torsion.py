@@ -63,7 +63,7 @@ def test_sphere_paper_partition_ratios(s3, sphere_geometry, certified_chain):
     for s in face_values(s3, lam):
         s_product *= s
     assert abs(m5 / m4) == abs(4 / s_product)
-    assert abs(tau(c, p)) == 512
+    assert abs(tau(c, p, minors(c, p))) == 512
 
 
 def test_sphere_split_sizes_are_forced(s3, sphere_geometry, certified_chain):
@@ -95,14 +95,15 @@ def test_projective_paper_partition(rp3, rp3_geometry, certified_chain):
         s_cubed *= abs(face_values(rp3, lam)[face]) ** 3
     assert abs(m[2]) == 64 / s_cubed
     # the partition reproduces the same torsion magnitude as any other
-    assert abs(tau(c, p)) == abs(tau(c, select_partition(c, seed=5)[0]))
+    other = select_partition(c, seed=5)[0]
+    assert abs(tau(c, p, m)) == abs(tau(c, other, minors(c, other)))
 
 
 def test_partition_independence(rp3, rp3_geometry, certified_chain):
     c = certified_chain(rp3, rp3_geometry)
     partitions = [select_partition(c, seed=s)[0] for s in range(10)]
     assert len(set(partitions)) >= 2
-    values = {abs(tau(c, p)) for p in partitions}
+    values = {abs(tau(c, p, minors(c, p))) for p in partitions}
     assert len(values) == 1
 
 
@@ -128,7 +129,7 @@ def test_pass_minors_match_reference(s3, rp3, certified_chain):
             # the minors read off the pass's eliminations are the
             # reference minors of its partition
             assert m == minors(c, p)
-            taus.add(tau(c, p))
+            taus.add(tau(c, p, minors(c, p)))
         # every partition the pass picks gives the same signed torsion
         assert len(taus) == 1
 
@@ -164,7 +165,8 @@ def test_meet_pass_matches_bottom_up_oracle(s3, rp3, certified_chain):
         for seed in (None, *range(10)):
             p, m = select_partition(c, seed)
             assert m == minors(c, p)
-            assert tau(c, p, m) == tau(c, bottom_up_partition(c, seed))
+            oracle = bottom_up_partition(c, seed)
+            assert tau(c, p, m) == tau(c, oracle, minors(c, oracle))
             # R3 and R4 are the complements of K3 and K4 in label order
             for rows, labels in ((p.c3_rows, c.f3.row_labels), (p.c4_rows, c.f4.row_labels)):
                 assert list(rows) == [lab for lab in labels if lab in set(rows)]
@@ -262,7 +264,7 @@ def test_dependent_prefix_falls_back_to_every_candidate(certified_chain, monkeyp
     assert len(rows) == 5
     assert m == minors(c, p)
     signed = tau(c, p, m)
-    assert signed == tau(c, p)
+    assert signed == tau(c, p, minors(c, p))
     # the same signed tau as the pass that eliminates every candidate
     monkeypatch.setattr(torsion, "BASIS_PREFIX", 3 * c.vertex_count)
     full_p, full_m = select_partition(c, seed)
@@ -322,7 +324,7 @@ def test_signed_tau_is_partition_independent_on_walk_states(name, walk_seed, ste
     c = certified_chain(tri, assign_geometry(tri, seed=walk_seed))
     picked = [select_partition(c, seed) for seed in (None, *range(10))]
     assert all(m == minors(c, p) for p, m in picked)
-    assert len({tau(c, p) for p, _ in picked}) == 1
+    assert len({tau(c, p, minors(c, p)) for p, _ in picked}) == 1
 
 
 def test_sign_removes_partition_dependence(rp3, rp3_geometry, certified_chain):
@@ -331,8 +333,8 @@ def test_sign_removes_partition_dependence(rp3, rp3_geometry, certified_chain):
     # the bare alternating product of the minors takes both signs, eps
     # makes it one value, and the invariant reports that value
     assert {m1 * m3 * m5 / (m2 * m4) > 0 for _, (m1, m2, m3, m4, m5) in picked} == {True, False}
-    assert len({tau(c, p) for p, _ in picked}) == 1
-    assert invariant(rp3, geometry=rp3_geometry).tau == tau(c, picked[0][0])
+    assert len({tau(c, p, minors(c, p)) for p, _ in picked}) == 1
+    assert invariant(rp3, geometry=rp3_geometry).tau == tau(c, picked[0][0], minors(c, picked[0][0]))
 
 
 def test_sign_matches_the_label_sort(certified_chain):
@@ -393,7 +395,7 @@ def test_invalid_partition_rejected(s3, sphere_geometry, certified_chain):
     with pytest.raises(TorsionError, match="minor of f1 vanishes"):
         minors(c, bad)
     with pytest.raises(TorsionError):
-        tau(c, bad)
+        tau(c, bad, minors(c, bad))
     with pytest.raises(TorsionError, match="split"):
         minors(c, BasisPartition(("dx_v0",), good.c2_rows, good.c3_rows, good.c4_rows))
 

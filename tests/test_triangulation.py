@@ -1,4 +1,5 @@
 import hashlib
+import random
 from itertools import permutations
 from pathlib import Path
 
@@ -11,10 +12,13 @@ from pentachain import (
     ParseError,
     Triangulation,
     ValidationError,
+    apply_move,
+    enumerate_sites,
     load_builtin,
     random_walk,
     walk_states,
 )
+from pentachain import library
 from pentachain.exact import permutation_sign
 from pentachain.triangulation import EdgeClass, FaceClass, VertexClass, compose, inverse
 from reference import IDENTITY, canonical_form, isomorphic, transposition
@@ -49,6 +53,33 @@ def test_euler_characteristic_zero(s3, rp3):
     for tri in (s3, rp3):
         v, e, f, t = tri.f_vector()
         assert v - e + f - t == 0
+
+
+def unpaired_rp3_f_vector():
+    """Six 2->3 moves from s3, each site drawn from one Random(0): rp3's
+    f-vector (4, 12, 16, 8), with edge classes that do not pair up two per
+    vertex pair."""
+    tri, rng = load_builtin("s3"), random.Random(0)
+    for _ in range(6):
+        sites = enumerate_sites(tri, "2->3")
+        tri = apply_move(tri, sites[rng.randrange(len(sites))])
+    return tri
+
+
+@pytest.mark.parametrize(
+    "name, loaded, message",
+    [
+        ("s3", lambda: library._load("rp3"), "builtin s3 has the wrong f-vector"),
+        ("rp3", lambda: library._load("s3"), "builtin rp3 has the wrong f-vector"),
+        ("rp3", unpaired_rp3_f_vector, "builtin rp3 edge classes do not pair up two per vertex pair"),
+    ],
+    ids=["s3-f-vector", "rp3-f-vector", "rp3-pairing"],
+)
+def test_load_builtin_checks_each_builtin(monkeypatch, name, loaded, message):
+    tri = loaded()
+    monkeypatch.setattr(library, "_load", lambda _: tri)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        load_builtin(name)
 
 
 def test_non_involutive_self_gluing_rejected():
