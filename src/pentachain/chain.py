@@ -53,7 +53,7 @@ left row touches; consecutive left rows that meet the same rows, such as
 the three f4 rows of a vertex class, share one lcm.  Each product row is
 summed into a dense list as wide as the right factor, whose first nonzero
 by index is the witness.  ``dump_chain`` lists the stored entries in
-column order.
+column order, each reduced from its row's integers by one gcd.
 
 Each composition of consecutive maps is exactly zero.  ``build_chain``
 checks only that every curvature vanishes at the flat point, reading the
@@ -63,10 +63,12 @@ composition error (``verify_chain`` returns the witness instead).
 Acyclicity is equivalent to the rank pattern (6, 3V-6, E-3V+6, 3V-6, 6)
 once the chain property holds.  The invariant decides it with
 ``torsion.select_partition``, whose one exact pass both certifies it and
-yields the torsion's minors; ``check_acyclic`` is the reference rank
-test, run on the same sparse elimination as every other rank in the
-package.  It returns the five ranks, or raises ``NotAcyclicError`` with
-them when they are not the acyclic pattern.
+yields the torsion's minors, on a partition read off two shellings of
+the triangulation that the complex keeps (``triangulation``);
+``check_acyclic`` is the reference rank test, run on the same sparse
+elimination as every other rank in the package.  It returns the five
+ranks, or raises ``NotAcyclicError`` with them when they are not the
+acyclic pattern.
 
 The pass's nonsingular blocks also prove most of the chain property.
 Free-column lemma: suppose f_k f_{k-1} = 0 and the block f_{k-1}[R_{k-1},
@@ -76,7 +78,10 @@ R_{k-1}), so f_{k+1} f_k x = f_{k+1} f_k z for some z supported on K_{k-1},
 and f_{k+1} f_k vanishes as soon as it vanishes on the columns K_{k-1}.
 By induction from k = 2 (with K_0 all of C0), checking f2 f1 in full and
 f3 f2, f4 f3 and f5 f4 on the columns K1, K2 and K3 decides the chain
-property of a complex whose pass succeeded; ``verify_chain`` does that
+property of a complex whose pass succeeded.  The free columns come from
+the shellings: K1 is every vertex coordinate but the 6 rows R1 at the
+first root's corners, K2 every edge outside the first shelling's edges
+and K3 the second shelling's edges.  ``verify_chain`` does that check
 when it is given the free columns, and ``certify_chain`` reruns a failed
 free-column check in full, so its error always names the first nonzero
 entry of the first nonzero composition.
@@ -85,10 +90,10 @@ entry of the first nonzero composition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 from .errors import NotAcyclicError, PentachainError
-from .exact import RatMatrix, format_rational, rank
+from .exact import RatMatrix, format_ratio, rank
 from .geometry import GeometryAssignment, edge_values, ensure_nondegenerate, omega_row
 from .triangulation import Triangulation
 
@@ -121,6 +126,9 @@ class ChainComplex:
     edge_count: int
     # the certified integer edge-value table (D, numerators) of the geometry
     edge_table: tuple[int, dict]
+    # the triangulation the maps were built on, whose shellings pick the
+    # partition (``torsion.select_partition``)
+    triangulation: Triangulation
 
     @property
     def maps(self):
@@ -187,6 +195,7 @@ def build_chain(tri: Triangulation, g: GeometryAssignment) -> ChainComplex:
         vertex_count=nv,
         edge_count=ne,
         edge_table=lam,
+        triangulation=tri,
     )
 
 
@@ -272,10 +281,14 @@ def check_acyclic(c: ChainComplex) -> tuple[int, int, int, int, int]:
 
 
 def dump_chain(c: ChainComplex) -> str:
-    """Diffable text dump: one line per nonzero entry, `f<k> <row> <col> <p/q>`."""
+    """Diffable text dump: one line per nonzero entry, `f<k> <row> <col> <p/q>`,
+    each entry reduced from the stored integers by one gcd."""
     lines = []
     for k, m in enumerate(c.maps, start=1):
-        for i, row in enumerate(m.rows):
+        cols = m.col_labels
+        for label, row, d in zip(m.row_labels, m.numerators, m.denominators):
+            head = f"f{k} {label} "
             for j, v in row.items():
-                lines.append(f"f{k} {m.row_labels[i]} {m.col_labels[j]} {format_rational(v)}")
+                g = gcd(v, d)
+                lines.append(f"{head}{cols[j]} {format_ratio(v // g, d // g)}")
     return "\n".join(lines) + "\n"

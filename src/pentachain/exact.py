@@ -103,8 +103,17 @@ def format_rational(value: Fraction) -> str:
     holds the int exactly and prints every digit, leaving the limit alone.
     """
     value = Fraction(value)
-    p = str(Decimal(value.numerator))
-    return p if value.denominator == 1 else f"{p}/{Decimal(value.denominator)}"
+    return format_ratio(value.numerator, value.denominator)
+
+
+def format_ratio(p: int, q: int) -> str:
+    """``format_rational`` of p/q for coprime p and q > 0.  An int under
+    2000 bits has fewer than 640 digits, the least limit the interpreter
+    allows, so ``str`` prints it; a longer one goes through Decimal."""
+    text = str(p) if p.bit_length() < 2000 else str(Decimal(p))
+    if q == 1:
+        return text
+    return f"{text}/{q}" if q.bit_length() < 2000 else f"{text}/{Decimal(q)}"
 
 
 class RatMatrix:

@@ -20,55 +20,72 @@ moves or a change of geometry; that would take a homology orientation
 and an Euler structure (Turaev's sign-refined torsion), which this
 package does not implement.
 
-Partitions are chosen in one exact pass that meets in the middle.  From
-the bottom, the rows R1 of f1 that span its row space become C1's left
-rows, the rest K1 f2's columns, and spanning rows R2 of f2 on K1 become
-C2's left rows, leaving K2.  From the top, columns K4 of f5 that span its
-column space become C4's right labels, the rest R4 f4's rows, and spanning
-columns K3 of f4 on R4 become C3's right labels, leaving R3.  The pass
-closes with the minor of the square block f3[R3, K2].  Each basis stage is
-one sparse Markowitz elimination (``exact.independent_rows``, on the
-transpose for a column basis), which returns the spanning rows in pivot
-order together with their minor, and the f3 block is one ``det``; so the
-pass yields the partition and its five minors at once.  The two stages
-that pick 6 pivots among 3V candidates, R1 from the rows of f1 and K4 from
-the columns of f5, first eliminate only the first ``BASIS_PREFIX`` = 12
-candidates of their scan order, and all 3V only when those 12 do not span
-(their minor is 0).  Any spanning rows serve, as the certificate below
-shows, so the prefix spares the Markowitz updates of the other 3V - 12
-candidates at each of the six pivots.  In label order the 12 candidates
-are the data of vertex classes 0..3, the corners of the first tetrahedron;
-each three of them bound one of its faces, whose circulation, an area, the
-geometry certificate makes nonzero, and four points with no three on a
-line give f1 rows and f5 columns of rank 6.  So only a shuffled scan can
-fall back.  The f2 and f4 stages pick 3V - 6 of E candidates, more than
-half of them, and eliminate them all.  No stage builds a matrix: each
-block is sliced by position from the stored integer rows
+Partitions are read off two shellings of the triangulation the chain
+keeps (``ChainComplex.triangulation``).  A shelling
+(``Triangulation.shelling``) is a breadth-first walk over the tetrahedra
+from a root: it places the root's 4 corner classes with its 6 edges, then
+each vertex class v it first reaches with the 3 edges that join v to the
+corners u1 u2 u3 of the face it was reached across.  Shelling a is rooted
+at tetrahedron 0 and shelling b at the last tetrahedron a reaches.  R1 is
+a row basis of f1 among the 12 rows at a's corners and K4 a column basis
+of f5 among the 12 columns at b's corners, each one sparse Markowitz
+elimination (``exact.independent_rows``, on the transpose for the
+columns) that returns its rows in pivot order with their minor.  R2 is
+a's edges in shelling order and K3 b's edges; K1, K2, R3 and R4 are the
+rest of C1, C2, C3 and C4.  The pass closes with the ``det`` of the square
+block f3[R3, K2], its one elimination of a large block.  No stage builds
+a matrix: each block is sliced by position from the stored integer rows
 (``RatMatrix.block``).  The based torsion does not depend on which
 compatible splitting is used (Milnor, *Whitehead torsion*, 1966; Turaev,
-*Introduction to Combinatorial Torsions*, 2001), so picking it from both
-ends changes no value, and the f3 stage eliminates no dependent rows.
+*Introduction to Combinatorial Torsions*, 2001), so the choice of roots
+changes no value.
 
-The pass is also the acyclicity certificate, whatever spanning rows and
-columns it picks:
+Shelling lemma: m2 and m4 are products of 3x3 blocks that the geometry
+certificate proves nonzero.  An f2 row writes only the columns of its
+edge's two ends, and each later edge of a joins its vertex to earlier
+ones, so with K1 grouped by a's vertices (the root's 6 free columns, then
+each later vertex's 3) f2[R2, K1] is block lower triangular: m2 is the
+det of its 6 x 6 root block times one 3x3 det per later vertex, times the
+sign that regroups the columns into label order.  An f4 column writes
+only the rows of its edge's two ends, so f4[R4, K3] grouped by b's
+vertices is block triangular in the same way.  For v reached across u1 u2
+u3, f2's 3x3 block has the rows +-(y_u, -x_u, -2D) over 2D, and its det
+is +-2D times twice the area of u1 u2 u3; f4's has the columns +-(x^2, xy,
+y^2) of u_i - v over 2D^2, and its det is +- the product of the cross
+products of the u_i - v, twice the areas of the other three faces of that
+tetrahedron.  A face's circulation is its area, since the kappa terms
+cancel around it, and ``build_chain`` certifies every circulation
+nonzero.  The root blocks are nonsingular too: a tetrahedron with a
+nondegenerate face gives its 6 edges' f2 rows rank 6 on its 12 columns,
+and f2 f1 = 0 makes the 12 f1 rows at its corners span their kernel, so
+the 6 columns that a nonsingular f1[R1] leaves give a nonsingular block;
+dually, with nondegenerate faces its 6 f4 columns have rank 6 and f5 f4 =
+0 with a nonsingular f5[K4] leaves a nonsingular block on the other 6
+rows.  Four points with no three on a line also give the 12 candidate f1
+rows and f5 columns rank 6, so neither basis stage needs more
+candidates.  Before its product, each minor's block is checked against
+that support in O(nnz): a row outside its group's columns and earlier
+ones, which only a hand-broken chain has, makes the minor the ``det`` of
+the whole block, so it stays exact.
 
-- if the complex is acyclic, every stage succeeds: f1 has rank 6 and f5
-  rank 6; K1 spans a complement of im f1 = ker f2, on which f2 is
-  injective, so f2 on K1 has full column rank; dually f5 is injective on
-  the coordinates K4, so ker f5 = im f4 projects injectively onto R4 and
-  f4 on R4 has full row rank.  Then K2 spans a complement of im f2 = ker
-  f3 and K3 one of ker f4 = im f3, so f3 maps the K2 coordinates
-  injectively onto a space that projects injectively onto R3: f3[R3, K2]
-  is nonsingular;
+The pass is also the acyclicity certificate:
+
+- if the complex is acyclic, a partition with m2 and m4 nonzero has m3
+  nonzero: K2 spans a complement of im f2 = ker f3, since im f2 projects
+  injectively onto R2, and K3 one of ker f4 = im f3, since f4 on R4 has
+  full column rank on K3; so f3 maps the K2 coordinates injectively onto
+  a space that projects injectively onto R3, and f3[R3, K2] is
+  nonsingular.  On a chain that ``build_chain`` made, the other four
+  minors are nonzero by the shelling lemma;
 - if every block is nonsingular and the chain property f_{k+1} f_k = 0
   holds, rank f_k is at least the size of its block and the chain
   property caps rank f_k + rank f_{k+1} by dim C_k, so the ranks are
   exactly (6, 3V-6, E-3V+6, 3V-6, 6) and the complex is exact everywhere.
 
-So, given the chain property, a stage that falls short proves the
-complex is not acyclic.  The pass does not assume that property, so a
-short pass looks for the true reason in order: the rank test
-``check_acyclic`` raises NotAcyclicError when the ranks are not the
+So, given the chain property and a certified geometry, a vanishing minor
+proves the complex is not acyclic.  The pass does not assume that
+property, so a short pass looks for the true reason in order: the rank
+test ``check_acyclic`` raises NotAcyclicError when the ranks are not the
 acyclic pattern; with that pattern only a broken chain makes the pass
 fall short, so ``chain.certify_chain`` then raises the internal
 composition error at the full check's first witness; and if the chain
@@ -76,12 +93,10 @@ holds too, the pass itself is wrong, which an internal error says.
 The nonsingular blocks also shrink the check of the chain property:
 ``invariant`` checks it with ``chain.verify_chain`` on the pass's free
 columns K1, K2 and K3 only (the free-column lemma in the ``chain`` module
-docstring).  The Markowitz rule picks short rows and sparse columns,
-which keeps the fill-in and the minors small; the rows are a
-deterministic function of the input and the scan order, so reports stay
-reproducible, and the signed torsion does not depend on which rows were
-picked.  ``minors`` evaluates an arbitrary partition's five minors from
-scratch, the reference that the tests (the paper's hand-chosen
+docstring).  The partition is a deterministic function of the input and
+the seed, so reports stay reproducible, and the signed torsion does not
+depend on it.  ``minors`` evaluates an arbitrary partition's five minors
+from scratch, the reference that the tests (the paper's hand-chosen
 partitions among them) use.  ``tau`` gives the signed torsion from a
 partition's five minors; ``invariant`` and ``verify``'s
 partition-independence check pass it the minors their pass returned.
@@ -106,14 +121,9 @@ from math import prod
 
 from .chain import ChainComplex, build_chain, certify_chain, check_acyclic, expected_ranks
 from .errors import PentachainError, TorsionError
-from .exact import RatMatrix, det, independent_rows, permutation_sign
+from .exact import Block, det, independent_rows, permutation_sign
 from .geometry import GeometryAssignment, assign_geometry, face_circulations, subseed
 from .triangulation import Triangulation
-
-
-# the f1 and f5 stages pick their 6 pivots among this many candidates
-# first (see select_partition)
-BASIS_PREFIX = 12
 
 
 @dataclass(frozen=True)
@@ -129,7 +139,8 @@ class BasisPartition:
     def cols(self, c: ChainComplex) -> tuple[tuple[str, ...], ...]:
         """Column label sets (K1..K4) in ambient label order."""
         return tuple(
-            tuple(m.row_labels[j] for j in _free(m.row_labels, rows)) for m, rows in zip(c.maps[:4], self.rows())
+            tuple(m.row_labels[j] for j in _free(m.nrows, [m._rindex[r] for r in rows]))
+            for m, rows in zip(c.maps[:4], self.rows())
         )
 
     def rows(self) -> tuple[tuple[str, ...], ...]:
@@ -142,8 +153,8 @@ class BasisPartition:
         sign of the list of their positions in C_k, R_k's read off the row
         index of f_k, whose rows are C_k, and K_k's the free positions in
         order: that list is the inverse permutation, of the same sign."""
-        splits = zip(c.maps[:4], self.rows())
-        return prod(permutation_sign([m._rindex[r] for r in rows] + _free(m.row_labels, rows)) for m, rows in splits)
+        at = ([m._rindex[r] for r in rows] for m, rows in zip(c.maps[:4], self.rows()))
+        return prod(permutation_sign(rows + _free(m.nrows, rows)) for m, rows in zip(c.maps[:4], at))
 
 
 def minors(c: ChainComplex, p: BasisPartition) -> tuple[Fraction, ...]:
@@ -185,75 +196,101 @@ def tau(c: ChainComplex, p: BasisPartition, values: tuple[Fraction, ...]) -> Fra
 def select_partition(
     c: ChainComplex, seed: int | None = None
 ) -> tuple[BasisPartition, tuple[Fraction, ...]]:
-    """One exact pass from both ends (see the module docstring); returns
-    the partition and its five minors (m1..m5).
+    """One exact pass read off two shellings (see the module docstring);
+    returns the partition and its five minors (m1..m5).
 
-    R1 and R2 are row bases of f1 and of f2 on K1, K4 a column basis of f5
-    and K3 one of f4 on the rows R4 (the rest of C4), each from
-    ``independent_rows``; the pass closes with the ``det`` of f3 on R3 (the
-    rest of C3) and K2.  R3 and R4 are in label order.  The R1 and K4
-    stages, the only ones that pick 6 of 3V candidates, eliminate the
-    first ``BASIS_PREFIX`` candidates of their scan, and all of them only
-    when that prefix does not span: any spanning rows certify the pass,
-    and the label-order prefix always spans.  With ``seed=None`` every
-    basis stage scans its rows (or columns) in label order; an integer
-    seed shuffles each scan, which changes the prefix and breaks the pivot
-    rule's ties differently, and so picks a different, equally valid
-    partition.  A column basis comes in pivot order, so its minor is
-    signed into label order, and the minors equal ``minors(c,
-    partition)``.  A stage that falls short runs ``check_acyclic``, which
-    raises NotAcyclicError unless the ranks are the acyclic pattern, then
-    ``certify_chain``, which raises the internal composition error (with
-    that pattern only a broken chain makes the pass fall short), and
-    raises an internal error if neither finds a fault.
+    Shelling a is rooted at tetrahedron 0, or with an integer seed at a
+    tetrahedron drawn by ``Random(seed)``, and shelling b at the last
+    tetrahedron a reaches.  R1 is ``independent_rows`` of the 12 f1 rows
+    of a's corners and K4 of the 12 f5 columns of b's corners, scanned in
+    label order, or shuffled by the same Random with a seed.  R2 is a's
+    edges in shelling order, K3 b's edges, and the pass closes with the
+    ``det`` of f3 on R3 and K2, the rest of C3 and C2, in label order; R4
+    is the rest of C4 in label order.  m2 and m4 are products of the
+    shellings' diagonal blocks (``_shelled_minor``).  A column basis comes
+    in pivot order, so its minor is signed into label order, and the
+    minors equal ``minors(c, partition)``.  A zero minor runs
+    ``check_acyclic``, which raises NotAcyclicError unless the ranks are
+    the acyclic pattern, then ``certify_chain``, which raises the internal
+    composition error, and raises an internal error if neither finds a
+    fault.
     """
     rng = None if seed is None else random.Random(seed)
+    tri = c.triangulation
+    a = tri.shelling(0 if rng is None else rng.randrange(tri.size))
+    b = tri.shelling(a[3])
 
-    def scan(n: int) -> list[int]:
-        order = list(range(n))
+    def scan(corners) -> list[int]:
+        order = sorted(3 * v + r for v in corners for r in range(3))
         if rng is not None:
             rng.shuffle(order)
         return order
 
     f1, f2, f3, f4, f5 = c.maps
-    r1, m1 = _six_pivots(lambda rows: f1.block(rows, range(f1.ncols)), scan(f1.nrows))
-    r2, m2 = independent_rows(f2.block(scan(f2.nrows), _free(f1.row_labels, r1)))
-    k4, m5 = _six_pivots(lambda cols: f5.block(range(f5.nrows), cols, transpose=True), scan(f5.ncols))
-    r4 = _free(f4.row_labels, k4)
-    k3, m4 = independent_rows(f4.block(r4, scan(f4.ncols), transpose=True))
-    r3 = _free(f3.row_labels, k3)
-    # the f3 block is square once the four basis stages are full
-    if m1 and m2 and m4 and m5 and (m3 := det(f3.block(r3, _free(f2.row_labels, r2)))):
-        rows3, rows4 = (tuple(m.row_labels[i] for i in r) for m, r in ((f3, r3), (f4, r4)))
-        m4 *= _sorting_sign(f4, k3)
-        m5 *= _sorting_sign(f5, k4)
-        return BasisPartition(tuple(r1), tuple(r2), rows3, rows4), (m1, m2, m3, m4, m5)
-    # a stage fell short: not acyclic, or else not a chain
+    r1, m1 = independent_rows(f1.block(scan(a[0]), range(f1.ncols)))
+    k4, m5 = independent_rows(f5.block(range(f5.nrows), scan(b[0]), transpose=True))
+    if m1 and m5:
+        k4 = [f5._cindex[k] for k in k4]
+        # K1 and R4 grouped by the shellings' vertices, the roots' 6 first
+        r2, k1 = _shelled_groups(a, {f1._rindex[r] for r in r1})
+        k3, r4 = _shelled_groups(b, set(k4))
+        m2 = _shelled_minor(f2.block(r2, k1), _ascending_sign(k1))
+        m4 = _shelled_minor(f4.block(r4, k3, transpose=True), _ascending_sign(r4) * _ascending_sign(k3))
+        r3, k2 = _free(f3.nrows, k3), _free(f2.nrows, r2)
+        # the f3 block is square once the other four minors are nonzero
+        if m2 and m4 and (m3 := det(f3.block(r3, k2))):
+            rows = (tuple(m.row_labels[i] for i in r) for m, r in ((f2, r2), (f3, r3), (f4, sorted(r4))))
+            m5 *= _ascending_sign(k4)
+            return BasisPartition(tuple(r1), *rows), (m1, m2, m3, m4, m5)
+    # a minor vanished: not acyclic, or else not a chain
     check_acyclic(c)
     certify_chain(c)
     raise PentachainError("internal error: the partition pass fell short on an acyclic complex")
 
 
-def _six_pivots(block, order: list[int]) -> tuple[list[str], Fraction]:
-    """``independent_rows`` of ``block(order[:BASIS_PREFIX])``, and of
-    ``block(order)`` only when that prefix does not span."""
-    if len(order) > BASIS_PREFIX:
-        picked, minor = independent_rows(block(order[:BASIS_PREFIX]))
-        if minor:
-            return picked, minor
-    return independent_rows(block(order))
+def _shelled_groups(shelling, picked: set[int]) -> tuple[list[int], list[int]]:
+    """The edges of a shelling in its order, and the vertex coordinates
+    3v..3v+2 grouped the same way: the root corners' coordinates not in
+    ``picked`` (6 of them when ``picked`` is a basis of the 12), then each
+    later vertex's three."""
+    corners, edges, later, _ = shelling
+    coords = sorted(j for v in corners for j in range(3 * v, 3 * v + 3) if j not in picked)
+    edges = list(edges)
+    for v, own in later:
+        edges += own
+        coords += (3 * v, 3 * v + 1, 3 * v + 2)
+    return edges, coords
 
 
-def _free(labels: tuple[str, ...], picked: list[str]) -> list[int]:
-    """Positions of the labels not in ``picked``, in label order."""
+def _shelled_minor(block: Block, sign: int) -> Fraction:
+    """``sign`` times the determinant of a square block whose rows and
+    columns come in groups, 6 and then 3 at a time, with every row inside
+    its group's columns and earlier ones: the product of the diagonal
+    blocks, the first by ``det`` and each later one as a 3x3 cofactor sum
+    in ints over its rows' denominators.  A row outside that support makes
+    it ``det`` of the whole block."""
+    nums, dens = block.numerators, block.denominators
+    # row i's group ends at column 6, or past the triple that holds i
+    if any(row and max(row) >= (6 if i < 6 else i + 3 - i % 3) for i, row in enumerate(nums)):
+        return sign * det(block)
+    num, den = sign, 1
+    for i in range(6, len(nums), 3):
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = ([r.get(j, 0) for j in range(i, i + 3)] for r in nums[i:i + 3])
+        num *= a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+        den *= dens[i] * dens[i + 1] * dens[i + 2]
+    root = det(Block(nums[:6], dens[:6], block.row_labels[:6], 6))
+    return Fraction(num * root.numerator, den * root.denominator)
+
+
+def _ascending_sign(positions: list[int]) -> int:
+    """Sign of the permutation that puts ``positions`` in ascending order."""
+    return permutation_sign(sorted(range(len(positions)), key=positions.__getitem__))
+
+
+def _free(n: int, picked: list[int]) -> list[int]:
+    """The positions 0..n-1 not in ``picked``, in order."""
     chosen = set(picked)
-    return [j for j, lab in enumerate(labels) if lab not in chosen]
-
-
-def _sorting_sign(m: RatMatrix, picked: list[str]) -> int:
-    """Sign of the permutation that puts the column labels ``picked`` of
-    ``m`` into label order, read off the matrix's column index."""
-    return permutation_sign(sorted(range(len(picked)), key=lambda i: m._cindex[picked[i]]))
+    return [j for j in range(n) if j not in chosen]
 
 
 @dataclass(frozen=True)

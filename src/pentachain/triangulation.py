@@ -374,6 +374,35 @@ class Triangulation:
     def f_vector(self) -> tuple[int, int, int, int]:
         return (len(self.vertices), len(self.edges), len(self.faces), len(self.tets))
 
+    def shelling(self, start: int) -> tuple[tuple[int, ...], tuple[int, ...], list, int]:
+        """Breadth-first walk over the tetrahedra from ``start``: its 4
+        corner classes in slot order, its 6 edge classes in ``_SLOT_PAIRS``
+        order, then ``(v, (e1, e2, e3))`` for each vertex class v first
+        reached, in order, with the edge classes joining v to the corners
+        of the face it was reached across, and the last tetrahedron
+        reached.  A tetrahedron is entered across a face whose corners are
+        placed, and the table is connected, so every vertex class is
+        listed once and the edges number 3V - 6."""
+        port_to, vertex_of, sides = self._port_to, self._vertex_of, self._sides
+        corners = tuple(vertex_of[4 * start:4 * start + 4])
+        placed, later = set(corners), []
+        reached = [False] * len(self.tets)
+        reached[start] = True
+        order = [start]
+        for t in order:
+            for k in range(4):
+                # the vertex port opposite the face glued to face k
+                port = port_to[16 * t + 5 * k]
+                u, s = port >> 2, port & 3
+                if not reached[u]:
+                    reached[u] = True
+                    order.append(u)
+                    if (v := vertex_of[port]) not in placed:
+                        placed.add(v)
+                        later.append((v, tuple(sides[16 * u + 4 * s + j][0] for j in range(4) if j != s)))
+        edges = tuple(sides[16 * start + 4 * i + j][0] for i, j in _SLOT_PAIRS)
+        return corners, edges, later, order[-1]
+
     def sequence_parity(self, tet: int, seq: Sequence[int]) -> int:
         """Parity of a slot sequence relative to the positive ordering, which
         is (0, 1, 2, 3) for sign +1 and one transposition away for -1."""

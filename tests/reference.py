@@ -46,7 +46,8 @@ rationals, and the tests check the package against them:
 * the seeded Pachner walk that lists every site of every kind at each
   step, the oracle of ``pachner.walk_states``;
 * the barycentric subdivision of a triangulation and the lens spaces
-  L(p, q), built from their gluing rules: the subdivided inputs whose
+  L(p, q), built from their gluing rules, and the subdivided inputs named
+  as ``s3''`` or ``L(7,2)'``, one subdivision per prime: inputs whose
   eliminations fill in far more than those of the grown ladder.
 """
 
@@ -57,7 +58,7 @@ from itertools import permutations
 from math import lcm
 
 from pentachain import BasisPartition, FivePointConfig, GeometryAssignment, RatMatrix, Triangulation
-from pentachain import KINDS, apply_move, enumerate_sites
+from pentachain import KINDS, apply_move, enumerate_sites, load_builtin
 from pentachain.exact import clear_denominators, independent_rows, permutation_sign
 from pentachain.geometry import SAMPLE_DRAWS as GEOMETRY_DRAWS, curvature, face_circulations, subseed
 from pentachain.pachner import _GROWING, _keeps_sampler_solvable
@@ -506,3 +507,16 @@ def lens(p, q):
          Gluing((i + 1) % p, swap23), Gluing((i - 1) % p, swap23)]
         for i in range(p)
     ])
+
+
+def subdivided(name):
+    """The input a name such as ``s3''`` or ``L(7,2)'`` stands for: a
+    builtin or the lens space L(p, q), subdivided once per prime."""
+    base = name.rstrip("'")
+    if base.startswith("L("):
+        tri = lens(*map(int, base[2:-1].split(",")))
+    else:
+        tri = load_builtin(base)
+    for _ in range(len(name) - len(base)):
+        tri = barycentric(tri)
+    return tri

@@ -10,7 +10,12 @@ exit code is appended to its line.  The set:
   fixtures under ``benchmarks/fixtures``, at seeds 0-2;
 * ``verify --json`` and ``pachner --json --steps 30`` on s3 and rp3 at
   seeds 0-2;
-* ``pentagon --json`` at seeds 0-9.
+* ``pentagon --json`` at seeds 0-9;
+* the tau and invariant that ``torsion.invariant`` gives on the hard
+  inputs s3', rp3', L(7,2)' and s3'', built by ``reference.subdivided``,
+  at seeds 0-2, each printed by ``format_rational`` and hashed as
+  ``tau invariant``; these lines are labeled ``invariant <input> --seed
+  <seed>`` (no CLI command builds these inputs).
 
 The script runs from the checkout's root and passes fixture paths
 relative to it, since an ``invariant`` report names its input as given,
@@ -28,12 +33,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from pentachain import cli  # noqa: E402
+from pentachain import cli, invariant  # noqa: E402
+from pentachain.exact import format_rational  # noqa: E402
+from reference import subdivided  # noqa: E402
 
 FIXTURES = sorted((ROOT / "benchmarks" / "fixtures").glob("*.tri"))
 BUILTINS = [["--builtin", "s3"], ["--builtin", "rp3"]]
 INPUTS = BUILTINS + [["--file", str(path.relative_to(ROOT))] for path in FIXTURES]
 SEEDS = ("0", "1", "2")
+HARD_INPUTS = ("s3'", "rp3'", "L(7,2)'", "s3''")
 
 
 def report_set() -> list[list[str]]:
@@ -61,7 +69,21 @@ def report_hash(argv: list[str]) -> str:
     return line if code == 0 else f"{line}  exit {code}"
 
 
+def hard_input_hashes(name: str) -> list[str]:
+    """``sha256  invariant <name> --seed <seed>`` of each seed's tau and
+    invariant on a subdivided input."""
+    tri = subdivided(name)
+    out = []
+    for seed in SEEDS:
+        r = invariant(tri, seed=int(seed))
+        text = f"{format_rational(r.tau)} {format_rational(r.invariant)}\n"
+        out.append(f"{hashlib.sha256(text.encode()).hexdigest()}  invariant {name} --seed {seed}")
+    return out
+
+
 if __name__ == "__main__":
     os.chdir(ROOT)
     for argv in report_set():
         print(report_hash(argv), flush=True)
+    for name in HARD_INPUTS:
+        print("\n".join(hard_input_hashes(name)), flush=True)

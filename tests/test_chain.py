@@ -200,7 +200,8 @@ def test_free_column_certificate_agrees_with_full_check(s3, rp3, certified_chain
     rejects exactly when the full check does, naming the full check's
     witness as ``certify_chain`` does.  Where the pass falls short, it
     reports the ranks only when they break the acyclic pattern, and
-    otherwise the full check's witness."""
+    otherwise the full check's witness.  A zeroed row of f5 on each
+    triangulation is a short pass whose ranks break the pattern."""
     rng = random.Random(18)
     fixture = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures" / "rp3_t20.tri"
     walked = [random_walk(load_builtin(name), 8, seed, 12) for name, seed in (("s3", 5), ("rp3", 6))]
@@ -209,6 +210,7 @@ def test_free_column_certificate_agrees_with_full_check(s3, rp3, certified_chain
         c = certified_chain(tri, assign_geometry(tri, seed=n))
         p, _ = select_partition(c)
         free = (c.f1.col_labels, *p.cols(c))
+        cases = []
         for _ in range(30):
             k = rng.randrange(1, 6)
             m = c.maps[k - 1]
@@ -217,6 +219,10 @@ def test_free_column_certificate_agrees_with_full_check(s3, rp3, certified_chain
             if not cols:
                 continue
             broken = perturbed(c, f"f{k}", rng.randrange(m.nrows), rng.choice(cols), F(rng.randint(1, 9), 7919))
+            cases.append((where, broken))
+        rows = [{} if i == n % 6 else row for i, row in enumerate(c.f5.rows)]
+        cases.append(("zeroed", replace(c, f5=rat_matrix(rows, c.f5.row_labels, c.f5.col_labels))))
+        for where, broken in cases:
             ok, witness = verify_chain(broken)
             if not ok:
                 stage, row, col = witness
@@ -231,6 +237,7 @@ def test_free_column_certificate_agrees_with_full_check(s3, rp3, certified_chain
                 seen["short chain"] += 1
                 assert not ok and str(short) == message
                 continue
+            assert where != "zeroed", "the pass succeeded on an f5 of rank 5"
             seen[where] += 1
             free_cols = q.cols(broken)[:3]
             assert verify_chain(broken, free_cols)[0] == ok
@@ -306,7 +313,9 @@ def test_cancellation_across_denominators_passes():
     f1 = rat_matrix([[1, F(1, 5)], [1, F(1, 7)], [1, F(19, 105)]])
     f2 = rat_matrix([[F(1, 3), F(1, 6), F(-1, 2)]])
     zero = rat_matrix([[0]])
-    planted = ChainComplex(f1, f2, zero, zero, zero, vertex_count=0, edge_count=0, edge_table=(1, {}))
+    planted = ChainComplex(
+        f1, f2, zero, zero, zero, vertex_count=0, edge_count=0, edge_table=(1, {}), triangulation=None
+    )
     assert verify_chain(planted) == fraction_witness_oracle(planted) == (True, None)
     off = replace(planted, f1=rat_matrix([[1, F(1, 5)], [1, F(1, 7)], [1, F(19, 104)]]))
     assert verify_chain(off) == fraction_witness_oracle(off) == (False, (1, "r0", "c1"))

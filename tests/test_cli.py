@@ -481,12 +481,13 @@ def test_pentagon_command_stays_in_integers(capsys, monkeypatch, fractions_made)
 
 
 # Fractions that ``invariant --builtin rp3`` constructs: the five minors,
-# and m4 and m5 once signed (7); the signed torsion (5); the face product,
-# the power of two, the two products that normalize tau and the absolute
-# value (5); and the four the report formats.  The geometry, the edge
-# values, the face circulations and the curvature of every edge class are
-# integer tables.
-INVARIANT_RP3_FRACTIONS = 21
+# m2 and m4 once more as their root blocks' dets times the shellings'
+# 3x3 blocks, and m5 once signed (8); the signed torsion (5); the face
+# product, the power of two, the two products that normalize tau and the
+# absolute value (5); and the four the report formats.  The geometry, the
+# edge values, the face circulations and the curvature of every edge class
+# are integer tables.
+INVARIANT_RP3_FRACTIONS = 22
 
 
 def test_invariant_command_keeps_the_geometry_in_integers(capsys, fractions_made):

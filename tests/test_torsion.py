@@ -21,20 +21,20 @@ from pentachain import (
     tau,
 )
 from pentachain import chain, torsion
-from pentachain.exact import det, independent_rows, rank
+from pentachain.exact import Block, det, independent_rows, rank
 from pentachain.geometry import parse_geometry, subseed
 from pentachain.triangulation import Triangulation
 from reference import (
     SPHERE_C1_ROWS,
-    barycentric,
     coordinates,
     face_values,
+    fraction_det,
     geometry_of,
     label_sort_sign,
     laplacian_tau_squared,
-    lens,
     projective_paper_partition,
     sphere_paper_partition,
+    subdivided,
     tet0_edges,
 )
 from test_geometry import prime_denominator_geometry_text
@@ -203,8 +203,9 @@ def count_calls(monkeypatch, name):
 
 
 def test_invariant_runs_five_exact_dets(rp3, monkeypatch):
-    """One exact pass: four row-basis eliminations that also give m1..m4,
-    and the det of the f3 block; the minors are never recomputed."""
+    """One exact pass: two basis eliminations that also give m1 and m5,
+    the dets of the two shellings' root blocks and the det of the f3
+    block; the minors are never recomputed."""
 
     def no_minors(*args, **kwargs):
         raise AssertionError("invariant() recomputed the minors")
@@ -213,62 +214,91 @@ def test_invariant_runs_five_exact_dets(rp3, monkeypatch):
     dets = count_calls(monkeypatch, "det")
     monkeypatch.setattr(torsion, "minors", no_minors)
     assert invariant(rp3, seed=1).abs_invariant == 64
-    assert (len(rows), len(dets)) == (4, 1)
+    assert (len(rows), len(dets)) == (2, 3)
 
 
-def test_invariant_runs_five_exact_dets_through_the_prefix(monkeypatch):
-    """With 3V > 12 candidates the f1 and f5 stages eliminate only the first
-    12, and those span on a sampled geometry: still four row-basis
-    eliminations and one det."""
+def test_invariant_runs_five_exact_dets_through_the_root(monkeypatch):
+    """With 3V > 12 candidates the f1 and f5 stages eliminate only the 12
+    at their shelling root's corners, tetrahedron 0's for the f1 stage,
+    whose rows come first in label order: still two row-basis
+    eliminations and three dets, the root blocks' 6 x 6 and f3's."""
     rows = count_calls(monkeypatch, "independent_rows")
     dets = count_calls(monkeypatch, "det")
     tri = Triangulation.from_file(FIXTURES / "rp3_t80.tri")
     assert invariant(tri, seed=1).abs_invariant == 64
-    assert (len(rows), len(dets)) == (4, 1)
-    # f1 rows, f2 rows, f5 columns, f4 columns
-    assert rows[0][0].nrows == rows[2][0].nrows == torsion.BASIS_PREFIX < 3 * len(tri.vertices)
+    assert (len(rows), len(dets)) == (2, 3)
+    f1_block, f5_block = rows[0][0], rows[1][0]
+    assert f1_block.nrows == f5_block.nrows == 12 < 3 * len(tri.vertices)
+    assert f1_block.row_labels == list(chain.vertex_labels(4))
+    assert [args[0].nrows for args in dets[:2]] == [6, 6]
 
 
-def dependent_prefix_seed(c, stage):
-    """The first partition seed whose scan puts a dependent prefix first in
-    the f1 stage or the f5 stage.  ``select_partition`` shuffles its scans
-    from one Random(seed) in stage order: f1 rows, f2 rows, f5 columns, f4
-    columns.  Twelve f1 rows without a dk_v row, or twelve f5 columns
-    without a dg3_v column, leave a zero column or row, so such seeds
-    occur; the search tests the rank itself."""
-    n = torsion.BASIS_PREFIX
-    for seed in range(5000):
-        rng = random.Random(seed)
-        orders = []
-        for size in (c.f1.nrows, c.f2.nrows, c.f5.ncols):
-            orders.append(list(range(size)))
-            rng.shuffle(orders[-1])
-        if stage == "f1":
-            prefix = c.f1.block(orders[0][:n], range(c.f1.ncols))
-        else:
-            prefix = c.f5.block(range(c.f5.nrows), orders[2][:n], transpose=True)
-        if rank(prefix) < 6:
-            return seed
-    raise AssertionError("no partition seed gives a dependent prefix")
+def shelling_of(c, seed):
+    """The two shellings a seeded pass reads: a from the root that
+    ``Random(seed)`` draws first (tetrahedron 0 without a seed), b from
+    the last tetrahedron a reaches."""
+    tri = c.triangulation
+    a = tri.shelling(0 if seed is None else random.Random(seed).randrange(tri.size))
+    return a, tri.shelling(a[3])
 
 
-@pytest.mark.parametrize("stage, call", [("f1", 0), ("f5", 2)])
-def test_dependent_prefix_falls_back_to_every_candidate(certified_chain, monkeypatch, stage, call):
+@pytest.mark.parametrize("seed", [None, *range(10)])
+def test_corner_stages_never_fall_back(certified_chain, monkeypatch, seed):
+    """On rp3_t80 the f1 stage eliminates exactly the 12 rows at shelling
+    a's root corners and the f5 stage the 12 columns at b's, once each:
+    four points with no three on a line always give rank 6, so no scan
+    falls back to all 3V candidates.  R2 is a's edges in shelling order
+    and K3 b's edges."""
     tri = Triangulation.from_file(FIXTURES / "rp3_t80.tri")
     c = certified_chain(tri, assign_geometry(tri, seed=1))
-    seed = dependent_prefix_seed(c, stage)
     rows = count_calls(monkeypatch, "independent_rows")
     p, m = select_partition(c, seed)
-    # the stage ran twice: on the 12 candidates, then on all 3V
-    assert [args[0].nrows for args in rows[call:call + 2]] == [torsion.BASIS_PREFIX, 3 * c.vertex_count]
-    assert len(rows) == 5
+    a, b = shelling_of(c, seed)
+    assert len(rows) == 2
+    assert set(rows[0][0].row_labels) == {f"{name}_v{v}" for v in a[0] for name in ("dx", "dy", "dk")}
+    assert set(rows[1][0].row_labels) == {f"{name}_v{v}" for v in b[0] for name in ("dg1", "dg2", "dg3")}
+    assert p.c2_rows == tuple(f"dl_e{e}" for e in (*a[1], *(e for _, own in a[2] for e in own)))
+    k3 = {f"dw_e{e}" for e in (*b[1], *(e for _, own in b[2] for e in own))}
+    assert set(p.cols(c)[2]) == k3
     assert m == minors(c, p)
-    signed = tau(c, p, m)
-    assert signed == tau(c, p, minors(c, p))
-    # the same signed tau as the pass that eliminates every candidate
-    monkeypatch.setattr(torsion, "BASIS_PREFIX", 3 * c.vertex_count)
-    full_p, full_m = select_partition(c, seed)
-    assert tau(c, full_p, full_m) == signed
+
+
+def planted_groups(rng, groups, off):
+    """A square integer block in groups of 6, then 3, each row inside its
+    group's columns and earlier ones, with random nonzero entries and
+    denominators; with ``off`` one row before the last group also gets an
+    entry past its group."""
+    n = 6 + 3 * groups
+    rows, dens = [], []
+    for i in range(n):
+        end = 6 if i < 6 else i + 3 - i % 3
+        rows.append({j: rng.choice((-1, 1)) * rng.randint(1, 9) for j in range(end) if rng.random() < 0.7})
+        dens.append(rng.randint(1, 12))
+    if off:
+        i = rng.randrange(n - 3)
+        end = 6 if i < 6 else i + 3 - i % 3
+        rows[i][rng.randrange(end, n)] = rng.randint(1, 9)
+    return Block(rows, dens, [f"r{i}" for i in range(n)], n)
+
+
+def test_shelled_minor_matches_the_fraction_det(monkeypatch):
+    """The product of the diagonal blocks is the determinant, signed, and
+    only the 6 x 6 root block goes through ``det``; a row off the
+    support takes ``det`` of the whole block, still exactly."""
+    rng = random.Random(34)
+    dets = count_calls(monkeypatch, "det")
+    seen = {"zero": 0, "nonzero": 0, "off": 0}
+    for trial in range(120):
+        groups, off, sign = rng.randint(0, 4), trial % 3 == 0 and trial > 0, rng.choice((1, -1))
+        block = planted_groups(rng, max(groups, off), off)
+        rows = zip(block.numerators, block.denominators)
+        dense = [[F(row.get(j, 0), d) for j in range(block.ncols)] for row, d in rows]
+        dets.clear()
+        value = torsion._shelled_minor(block, sign)
+        assert value == sign * fraction_det(dense)
+        assert [args[0].nrows for args in dets] == [block.nrows if off else 6]
+        seen["off" if off else "nonzero" if value else "zero"] += 1
+    assert min(seen.values()) > 5, seen
 
 
 def face_product_oracle(tri, lam):
@@ -409,7 +439,8 @@ def test_result_fields(s3, sphere_geometry):
 
 # barycentric subdivisions of the builtins and of lens spaces: inputs whose
 # eliminations fill in far more than the grown ladder's, with their
-# f-vectors and |inv| at geometry seed 1; |inv| = p^6 for each L(p, q)'
+# f-vectors and |inv| at geometry seed 1; |inv| = p^6 for each L(p, q)'.
+# s3'' is subdivided twice; its f3 block is 710 x 710.
 SUBDIVIDED_GOLDENS = {
     "s3'": ((16, 64, 96, 48), 1),
     "rp3'": ((40, 232, 384, 192), 64),
@@ -422,14 +453,8 @@ SUBDIVIDED_GOLDENS = {
     "L(7,1)'": ((32, 200, 336, 168), 117649),
     "L(8,3)'": ((36, 228, 384, 192), 262144),
     "L(11,2)'": ((48, 312, 528, 264), 1771561),
+    "s3''": ((224, 1376, 2304, 1152), 1),
 }
-
-
-def subdivided(name):
-    if name.startswith("L("):
-        p, q = map(int, name[2:-2].split(","))
-        return barycentric(lens(p, q))
-    return barycentric(load_builtin(name[:-1]))
 
 
 @pytest.mark.parametrize("name", sorted(SUBDIVIDED_GOLDENS))

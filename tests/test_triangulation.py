@@ -21,9 +21,10 @@ from pentachain import (
 from pentachain import library
 from pentachain.exact import permutation_sign
 from pentachain.triangulation import EdgeClass, FaceClass, VertexClass, compose, inverse
-from reference import IDENTITY, canonical_form, isomorphic, transposition
+from reference import IDENTITY, canonical_form, isomorphic, subdivided, transposition
 from test_geometry import fresh_star, grown_rp3, lookup_angles
 from test_pachner import ONE_TET
+from test_torsion import SUBDIVIDED_GOLDENS
 
 
 def test_perm_helpers():
@@ -609,3 +610,51 @@ def test_records_keep_fields_equality_and_repr(record, fields, degree, text):
             setattr(record, name, None)
     assert repr(record) == text
 
+
+
+# -- shellings ----------------------------------------------------------------
+
+
+def assert_shelling(tri, start):
+    """The root's corners and edges in slot order, then each later vertex
+    class once, joined by 3 distinct edge classes to the corners of one
+    face class, all placed before it: 3V - 6 distinct edges in all."""
+    corners, edges, later, last = tri.shelling(start)
+    assert corners == tuple(tri.vertex_class(start, s) for s in range(4))
+    assert edges == tuple(tri.edge_class(start, i, j)[0] for i, j in SLOT_PAIRS)
+    faces = {tuple(sorted(face.vertices)) for face in tri.faces}
+    placed = set(corners)
+    for v, own in later:
+        assert v not in placed and len(set(own)) == 3
+        ends = [{tri.edges[e].tail, tri.edges[e].head} for e in own]
+        assert all(v in pair and len(pair) == 2 for pair in ends)
+        corners_of_face = sorted(u for pair in ends for u in pair if u != v)
+        assert tuple(corners_of_face) in faces and placed.issuperset(corners_of_face)
+        placed.add(v)
+    assert len(placed) == len(corners) + len(later) == len(tri.vertices)
+    tree = [*edges, *(e for _, own in later for e in own)]
+    assert len(set(tree)) == len(tree) == 3 * len(tri.vertices) - 6
+    assert 0 <= last < tri.size
+
+
+@pytest.mark.parametrize(
+    "source", ["s3", "rp3"] + [path.name for path in FIXTURES] + sorted(SUBDIVIDED_GOLDENS)
+)
+def test_shelling_places_each_vertex_once(source):
+    if source in ("s3", "rp3"):
+        tri = load_builtin(source)
+    elif source.endswith(".tri"):
+        tri = Triangulation.from_file(FIXTURES[0].parent / source)
+    else:
+        tri = subdivided(source)
+    # s3'' has 1152 tetrahedra: every 16th root keeps the test under a second
+    for start in range(0, tri.size, 16 if tri.size > 1000 else 1):
+        assert_shelling(tri, start)
+
+
+def test_shelling_places_each_vertex_once_on_walk_states():
+    rng = random.Random(34)
+    for n in range(50):
+        tri = random_walk(load_builtin(("s3", "rp3")[n % 2]), rng.randint(1, 20), rng.getrandbits(32), 16)
+        for start in range(tri.size):
+            assert_shelling(tri, start)
