@@ -230,17 +230,17 @@ def select_partition(
     r1, m1 = independent_rows(f1.block(scan(a[0]), range(f1.ncols)))
     k4, m5 = independent_rows(f5.block(range(f5.nrows), scan(b[0]), transpose=True))
     if m1 and m5:
-        k4 = [f5._cindex[k] for k in k4]
+        k4_at = [f5._cindex[k] for k in k4]
         # K1 and R4 grouped by the shellings' vertices, the roots' 6 first
         r2, k1 = _shelled_groups(a, {f1._rindex[r] for r in r1})
-        k3, r4 = _shelled_groups(b, set(k4))
+        k3, r4 = _shelled_groups(b, set(k4_at))
         m2 = _shelled_minor(f2.block(r2, k1), _ascending_sign(k1))
         m4 = _shelled_minor(f4.block(r4, k3, transpose=True), _ascending_sign(r4) * _ascending_sign(k3))
         r3, k2 = _free(f3.nrows, k3), _free(f2.nrows, r2)
         # the f3 block is square once the other four minors are nonzero
         if m2 and m4 and (m3 := det(f3.block(r3, k2))):
             rows = (tuple(m.row_labels[i] for i in r) for m, r in ((f2, r2), (f3, r3), (f4, sorted(r4))))
-            m5 *= _ascending_sign(k4)
+            m5 *= _ascending_sign(k4_at)
             return BasisPartition(tuple(r1), *rows), (m1, m2, m3, m4, m5)
     # a minor vanished: not acyclic, or else not a chain
     check_acyclic(c)
