@@ -287,6 +287,16 @@ def _ascending_sign(positions: list[int]) -> int:
     return permutation_sign(sorted(range(len(positions)), key=positions.__getitem__))
 
 
+def _tree_product(values: tuple[int, ...]) -> int:
+    """The product of integers by a balanced tree: neighbors multiplied in
+    pairs, level by level, so that each product joins two of like size; a
+    running product over thousands of factors takes quadratic time."""
+    values = list(values)
+    while len(values) > 1:
+        values = [a * b for a, b in zip(values[::2], values[1::2])] + values[len(values) & ~1:]
+    return prod(values)
+
+
 def _free(n: int, picked: list[int]) -> list[int]:
     """The positions 0..n-1 not in ``picked``, in order."""
     chosen = set(picked)
@@ -321,8 +331,8 @@ def invariant(
     point raises the internal error.  The face product is the product of
     the face circulations under the same table, the ``edge_table`` the
     chain keeps: with ``face_circulations`` the integers c_f over D, it is
-    the one Fraction prod(c_f) / D^F over the F face classes, so that one
-    gcd reduces it.
+    the one Fraction prod(c_f) / D^F over the F face classes, its
+    numerator multiplied by a balanced tree, so that one gcd reduces it.
     ``select_partition`` certifies acyclicity and yields the minors; the
     chain property it rests on is then checked in full for f2 * f1 and on
     the pass's free columns for the other compositions, which decides the
@@ -342,7 +352,7 @@ def invariant(
     certify_chain(c, partition.cols(c)[:3])
     t = tau(c, partition, values)
     d, circulations = face_circulations(tri, c.edge_table)
-    face_product = Fraction(prod(circulations), d ** len(circulations))
+    face_product = Fraction(_tree_product(circulations), d ** len(circulations))
     value = t * face_product * Fraction(1, 2 ** (len(tri.vertices) + 1))
     return InvariantResult(
         tau=t,

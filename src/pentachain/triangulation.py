@@ -17,10 +17,13 @@ the gluing of face k carries slot s to, so ``16t+5k`` is the face port
 glued to face k.  Classes are numbered in port scan order, each filled
 from its first unassigned port: tetrahedra in order, their slots or faces
 in order, their edges in the order ``(0,1), (0,2), (0,3), (1,2), (1,3),
-(2,3)``.  The mirror ports (j, i) of an
-edge orbit form the reverse orbit and get the same class with sign -1; an
-orbit that contains its own mirror is rejected.  A face class is the two
-ports of one gluing.
+(2,3)``.  An edge orbit is one walk around its edge: from (t, i, j) with
+off-edge slots (x, y), across the face opposite x to the neighbor, which
+carries i, j and y over, the image of y being the next x, until the walk
+is back at its first port.  Each port the walk passes gets sign +1 and
+its mirror (j, i) sign -1, in passing, so the mirror ports form the
+reverse orbit with the same class; an orbit that meets its own mirror is
+rejected.  A face class is the two ports of one gluing.
 
 Every incidence the curvature and circulation formulas read is resolved
 once, on construction, into sides, ``(edge class id, sign)`` pairs of
@@ -134,18 +137,16 @@ class FaceClass(NamedTuple):
 
     id: int
     members: tuple[tuple[int, int], ...]  # (tet, opposite slot)
-    vertices: tuple[int, int, int]  # vertex class ids of members[0]'s slots, ascending
+    vertices: tuple[int, int, int]  # vertex class ids of members[0]'s slots a < b < c, in slot order
 
 
 _SLOT_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 # the offsets, within a tetrahedron's 16 entries of the flat gluing list,
-# that one orbit step reads: for vertex slot s, 4k+s over the faces k != s;
-# for the directed edge 4a+b, the pairs (4k+a, 4k+b) over the faces k != a, b
+# that one vertex orbit step reads: for slot s, 4k+s over the faces k != s
 _VERTEX_HOPS = tuple(tuple(4 * k + s for k in range(4) if k != s) for s in range(4))
-_EDGE_HOPS = tuple(
-    tuple((4 * k + a, 4 * k + b) for k in range(4) if k != a and k != b) for a in range(4) for b in range(4)
-)
+# per directed slot pair 4a+b with a != b, its two off-edge slots ascending
+_OFF_SLOTS = tuple(tuple(s for s in range(4) if s != a and s != b) for a in range(4) for b in range(4))
 # per face k: k, the offset 5k of the port glued to it, its slots a < b < c
 # and a getter of its boundary sides (a, b), (b, c), (c, a) from the
 # tetrahedron's 16 port sides
@@ -166,7 +167,7 @@ def _star_slot(sign: int, e: int, h: int) -> tuple:
     ``sign``: its port offset, its off-edge slots (P, Q) with (P, Q, e, h)
     even against the positive ordering, (e, h) and a getter of its angle's
     six sides from the tetrahedron's 16 port sides."""
-    p, q = (s for s in range(4) if s != e and s != h)
+    p, q = _OFF_SLOTS[4 * e + h]
     if permutation_sign((p, q, e, h)) != sign:
         p, q = q, p
     return 4 * e + h, (p, q), (e, h), itemgetter(*_angle_ports(p, q, e, h))
@@ -290,36 +291,38 @@ class Triangulation:
         port_to = self._port_to
         # class id and sign vs. the canonical direction per directed port
         # 16t+4i+j; the diagonal ports i == j stay at (-1, 0)
-        edge_of = [-1] * (16 * n)
-        sign_of = [0] * (16 * n)
+        side: list[Side] = [(-1, 0)] * (16 * n)
         count = 0
         for t in range(n):
             for i, j in _SLOT_PAIRS:
                 port = 16 * t + 4 * i + j
-                if edge_of[port] >= 0:
+                if side[port][0] >= 0:
                     continue
-                edge_of[port], sign_of[port] = count, 1
-                orbit = [port]
-                for q in orbit:
-                    base = q & ~15
-                    for x, y in _EDGE_HOPS[q & 15]:
-                        r = 4 * port_to[base + x] + (port_to[base + y] & 3)
-                        if edge_of[r] < 0:
-                            edge_of[r], sign_of[r] = count, 1
-                            orbit.append(r)
-                for q in orbit:
+                # the signs are coherent, so a crossing keeps the sense in
+                # which the walk turns about its edge, and it meets its first
+                # port again only on closing its cycle
+                forward, backward = (count, 1), (count, -1)
+                q, (x, y) = port, _OFF_SLOTS[4 * i + j]
+                while side[q] != forward:
                     mirror = (q & ~15) | ((q & 3) << 2) | ((q >> 2) & 3)
-                    if edge_of[mirror] >= 0:
+                    # a marked mirror is a port of this walk, and a port
+                    # marked backward has one, so either way the walk has
+                    # met its own reverse
+                    if side[mirror][0] >= 0:
                         raise ValidationError(
                             f"edge ({t},{i},{j}) is identified with its own reverse; "
                             "the quotient is not an oriented manifold along this edge"
                         )
-                    edge_of[mirror], sign_of[mirror] = count, -1
+                    side[q], side[mirror] = forward, backward
+                    # across the face opposite x: the tail, the head and y
+                    # carry over, the image of y is the next x and that of
+                    # x, the face the neighbor is entered by, the next y
+                    glued = (q & ~15) | (x << 2)
+                    q = 4 * port_to[glued | ((q >> 2) & 3)] + (port_to[glued | (q & 3)] & 3)
+                    x, y = port_to[glued | y] & 3, port_to[glued | x] & 3
                 count += 1
-        # (class id, sign) per port, and one scan in ascending port order
-        # over each class's canonical directions: its members sorted and its
-        # angles in star order
-        side = list(zip(edge_of, sign_of))
+        # one scan in ascending port order over each class's canonical
+        # directions: its members sorted and its angles in star order
         members: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(count)]
         angles: list[list[Angle]] = [[] for _ in range(count)]
         for t, orientation in enumerate(self.orientation_signs):

@@ -10,9 +10,12 @@ rationals, and the tests check the package against them:
   hand-chosen basis partitions, with the tetrahedron-0 edge bookkeeping
   that the projective partition reads;
 * a partition's sign eps by sorting its labels, the oracle of
-  ``BasisPartition.sign``, and the partition-free square of the torsion
-  from the combinatorial Laplacians of the complex, with a dense
-  ``Fraction`` determinant;
+  ``BasisPartition.sign``, and the determinants of the combinatorial
+  Laplacians of the complex, with a dense ``Fraction`` determinant: a
+  partition-free acyclicity check and square of the torsion;
+* the integer cellular boundaries d1 and d2 of a triangulation, a Smith
+  normal form in plain ints, and from them H_1: its Betti number and the
+  order of its torsion;
 * a matrix from rows of ints and Fractions, dense or by column
   (``rat_matrix``), cleared into the integer rows ``RatMatrix`` takes, and
   one entry of a matrix by its labels;
@@ -55,7 +58,7 @@ import random
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import permutations
-from math import lcm
+from math import gcd, lcm, prod
 
 from pentachain import BasisPartition, FivePointConfig, GeometryAssignment, RatMatrix, Triangulation
 from pentachain import KINDS, apply_move, enumerate_sites, load_builtin
@@ -248,15 +251,15 @@ def fraction_det(rows):
     return out
 
 
-def laplacian_tau_squared(c):
-    """The square of the torsion from the combinatorial Laplacians, with no
-    basis partition: with the label bases orthonormal, Delta_k = f_k f_k^T
-    + f_{k+1}^T f_{k+1} on C_k for k = 0..5, with f_0 = f_6 = 0, and
-    tau^2 = prod_k det(Delta_k)^((-1)^(k+1) k).  Each f_k is the dense
-    matrix with rows C_k and columns C_(k-1)."""
+def laplacian_dets(c):
+    """det(Delta_k) for k = 0..5, the combinatorial Laplacians with the label
+    bases orthonormal: Delta_k = f_k f_k^T + f_{k+1}^T f_{k+1} on C_k, with
+    f_0 = f_6 = 0.  Each f_k is the dense matrix with rows C_k and columns
+    C_(k-1).  Given the chain property, Delta_k is singular exactly when
+    H_k is not zero, so the complex is acyclic when no det is zero."""
     f = [m.entries for m in c.maps]
     dims = [c.maps[0].ncols] + [m.nrows for m in c.maps]
-    out = Fraction(1)
+    dets = []
     for k, n in enumerate(dims):
         lap = [[Fraction(0)] * n for _ in range(n)]
         if k > 0:  # f_k f_k^T
@@ -269,8 +272,85 @@ def laplacian_tau_squared(c):
                     if row[i]:
                         for j in range(n):
                             lap[i][j] += row[i] * row[j]
-        out *= fraction_det(lap) ** ((-1) ** (k + 1) * k)
-    return out
+        dets.append(fraction_det(lap))
+    return tuple(dets)
+
+
+def laplacian_tau_squared(dets):
+    """The square of the torsion from the six ``laplacian_dets`` of an
+    acyclic complex, with no basis partition: tau^2 = prod_k
+    det(Delta_k)^((-1)^(k+1) k)."""
+    return prod(d ** ((-1) ** (k + 1) * k) for k, d in enumerate(dets))
+
+
+def boundary_maps(tri):
+    """The integer cellular boundaries of a triangulation as rows of ints:
+    d1, one row per edge class, -1 at its tail's vertex class and +1 at its
+    head's (a loop edge's row is zero), and d2, one row per face class, the
+    signed edge classes of its stored boundary."""
+    d1 = []
+    for edge in tri.edges:
+        row = [0] * len(tri.vertices)
+        row[edge.tail] -= 1
+        row[edge.head] += 1
+        d1.append(row)
+    d2 = []
+    for sides in tri.face_sides:
+        row = [0] * len(tri.edges)
+        for eid, sign in sides:
+            row[eid] += sign
+        d2.append(row)
+    return d1, d2
+
+
+def smith_invariants(rows):
+    """The nonzero invariant factors of an integer matrix, each dividing the
+    next: the diagonal of its Smith normal form.  Each step takes a nonzero
+    entry of least absolute value as pivot and reduces its column by row
+    operations and its row by column operations; once both are clear but
+    for the pivot, the pivot is a diagonal entry and its row and column are
+    dropped.  Any diagonal form has the same product and count as the
+    invariant factors; gcd and lcm swaps then make each divide the next."""
+    a = [list(row) for row in rows]
+    diagonal = []
+    while True:
+        nonzero = [(abs(v), i, j) for i, row in enumerate(a) for j, v in enumerate(row) if v]
+        if not nonzero:
+            break
+        _, i, j = min(nonzero)
+        pivot_row, pivot = a[i], a[i][j]
+        clear = True
+        for r, row in enumerate(a):
+            if r != i and row[j]:
+                q = row[j] // pivot
+                a[r] = row = [x - q * y for x, y in zip(row, pivot_row)]
+                clear = clear and not row[j]
+        for k, v in enumerate(pivot_row):
+            if k != j and v:
+                q = v // pivot
+                for row in a:
+                    row[k] -= q * row[j]
+                clear = clear and not pivot_row[k]
+        if clear:
+            diagonal.append(abs(pivot))
+            del a[i]
+            for row in a:
+                del row[j]
+    for x in range(len(diagonal)):
+        for y in range(x + 1, len(diagonal)):
+            g = gcd(diagonal[x], diagonal[y])
+            diagonal[x], diagonal[y] = g, diagonal[x] * diagonal[y] // g
+    return diagonal
+
+
+def first_homology(tri):
+    """H_1 of a triangulation with integer coefficients, as its Betti number
+    b1 = E - rank d1 - rank d2 and the order of its torsion, the product of
+    d2's invariant factors: the kernel of d1 is a direct summand of the edge
+    lattice, so the torsion of Z^E / im d2 is that of H_1."""
+    d1, d2 = boundary_maps(tri)
+    factors = smith_invariants(d2)
+    return len(tri.edges) - len(smith_invariants(d1)) - len(factors), prod(factors)
 
 
 def triangle_area(ax, ay, bx, by, cx, cy):

@@ -25,7 +25,7 @@ from pentachain import (
 )
 from pentachain.chain import C0_LABELS, C5_LABELS, ChainComplex, _composition_witness, certify_chain, expected_ranks
 from pentachain.triangulation import Triangulation
-from reference import coordinates, fraction_holonomy_generator, geometry_of, lambda_of, rat_matrix
+from reference import coordinates, fraction_holonomy_generator, geometry_of, lambda_of, laplacian_dets, rat_matrix
 from test_geometry import fraction_curvature_oracle, lookup_angles
 
 F = Fraction
@@ -100,6 +100,10 @@ def test_zeroed_f3_breaks_acyclicity(rp3, rp3_geometry, certified_chain):
     with pytest.raises(NotAcyclicError) as caught:
         select_partition(broken)
     assert str(caught.value) == str(reported.value)
+    # the basis-free oracle agrees: with f3 zero, H_2 and H_3 are not, and
+    # their Laplacians are singular
+    dets = laplacian_dets(broken)
+    assert [k for k, d in enumerate(dets) if d == 0] == [2, 3]
 
 
 def test_not_acyclic_names_the_first_map_off():

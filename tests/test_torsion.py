@@ -28,9 +28,11 @@ from reference import (
     SPHERE_C1_ROWS,
     coordinates,
     face_values,
+    first_homology,
     fraction_det,
     geometry_of,
     label_sort_sign,
+    laplacian_dets,
     laplacian_tau_squared,
     projective_paper_partition,
     sphere_paper_partition,
@@ -388,7 +390,9 @@ def test_sign_matches_the_label_sort(certified_chain):
 def test_tau_squared_matches_the_laplacian_oracle(name, seed):
     tri = load_builtin(name) if name in ("s3", "rp3") else Triangulation.from_file(FIXTURES / f"{name}.tri")
     c = build_chain(tri, assign_geometry(tri, subseed(seed, "geometry")))
-    assert laplacian_tau_squared(c) == invariant(tri, seed=seed).tau ** 2
+    dets = laplacian_dets(c)
+    assert 0 not in dets
+    assert laplacian_tau_squared(dets) == invariant(tri, seed=seed).tau ** 2
 
 
 def test_geometry_independence(s3, rp3):
@@ -463,3 +467,23 @@ def test_subdivided_goldens(name):
     f_vector, value = SUBDIVIDED_GOLDENS[name]
     assert tri.f_vector() == f_vector
     assert invariant(tri, geometry=assign_geometry(tri, 1)).abs_invariant == value
+
+
+def golden_base_order(name):
+    """|H_1| of the base of a subdivided golden: 1 for s3, 2 for rp3 and p
+    for L(p, q)."""
+    base = name.rstrip("'")
+    return {"s3": 1, "rp3": 2}.get(base) or int(base[2:].split(",")[0])
+
+
+@pytest.mark.parametrize("name", sorted(SUBDIVIDED_GOLDENS))
+def test_first_homology_of_each_golden_base(name):
+    order = golden_base_order(name)
+    assert first_homology(subdivided(name.rstrip("'"))) == (0, order)
+    # an observation on every input tested so far, not a law: |inv| = |H_1|^6
+    assert SUBDIVIDED_GOLDENS[name][1] == order ** 6
+
+
+@pytest.mark.parametrize("name", ["s3'", "L(2,1)'"])
+def test_first_homology_survives_a_subdivision(name):
+    assert first_homology(subdivided(name)) == (0, golden_base_order(name))
