@@ -200,8 +200,9 @@ def build_chain(tri: Triangulation, g: GeometryAssignment) -> ChainComplex:
 
 
 def _composition_witness(left: RatMatrix, right: RatMatrix, cols=None):
-    """First nonzero entry of left*right, in row then column order, on the
-    columns labeled ``cols`` (all when None); None if there is none.
+    """The labels of the first nonzero entry of left*right, in row then
+    column order, on the column positions ``cols`` (all when None); None if
+    there is none.
 
     Each row of ``left`` is scaled to integers by its own denominator times
     the lcm of the denominators of the rows of ``right`` that it meets;
@@ -214,8 +215,7 @@ def _composition_witness(left: RatMatrix, right: RatMatrix, cols=None):
     if cols is None:
         right_rows = [tuple(row.items()) for row in right.numerators]
     else:
-        wanted = set(cols)
-        keep = {k for k, lab in enumerate(right.col_labels) if lab in wanted}
+        keep = set(cols)
         right_rows = [[(k, b) for k, b in row.items() if k in keep] for row in right.numerators]
     width = right.ncols
     met = factor = None
@@ -240,7 +240,7 @@ def verify_chain(c: ChainComplex, free_cols=None) -> tuple[bool, tuple | None]:
 
     Returns (True, None), or (False, (k, row_label, col_label)) locating the
     first nonzero entry of f_{k+1} * f_k.  With ``free_cols``, the column
-    labels (K1, K2, K3) of a partition whose five minors are nonzero,
+    positions (K1, K2, K3) of a partition whose five minors are nonzero,
     f2 * f1 is checked in full and f3 * f2, f4 * f3 and f5 * f4 only on K1,
     K2 and K3, which decides the same (the free-column lemma in the module
     docstring); a witness is then the first on those columns.

@@ -24,7 +24,9 @@ class MoveError(ValidationError):
 
 
 class DegenerateGeometryError(PentachainError):
-    """No usable plane coordinates: some face circulation vanishes."""
+    """No usable plane coordinates: some face circulation vanishes or, on a
+    five-point configuration, the flatness relation's leading coefficient
+    vanishes or S_EDa = 0."""
 
 
 class NotAcyclicError(PentachainError):

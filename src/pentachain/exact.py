@@ -1,9 +1,11 @@
 """Exact rational scalars and sparse labeled matrices.
 
 Every numeric quantity in the pipeline is an exact rational, so all
-downstream equalities are exact.  Matrices carry opaque basis labels on
-both axes; minors are addressed by label so torsion bookkeeping never
-depends on positional conventions.
+downstream equalities are exact.  A based torsion depends only on the
+order of each space's basis, and that order is the row or column
+position: rows, columns, row bases and minors are all addressed by
+position.  Matrices also carry one label per row and per column, the
+names that reports and error texts print.
 
 A matrix stores each row as integer numerators over one positive row
 denominator: ``numerators[i]`` maps column positions, in ascending order,
@@ -15,9 +17,8 @@ assembles them: a numerator mapping and a nonzero denominator per row, with
 one label per row and per column.  It reduces each row, and ``rows`` and
 ``entries`` are derived ``Fraction`` views.  ``block``
 slices rows and columns by position, or the transpose's, straight from
-the stored integers into a ``Block``: unreduced rows with row labels and
-no label indexes, which ``rank``, ``det`` and ``independent_rows`` take
-as they take a matrix, and which ``submatrix`` reduces into one.
+the stored integers into a ``Block``: unreduced rows, which ``rank``,
+``det`` and ``independent_rows`` take as they take a matrix.
 
 One elimination serves every rank, row basis and determinant: a sparse
 Markowitz elimination over the integers (``_eliminate``).  Each step
@@ -46,8 +47,9 @@ pivots cover; after the updates (each adds multiples of earlier pivot
 rows) it is triangular up to the order of its columns.  So its minor on
 the pivot columns in column order is the sign of the pivot permutation,
 counted by cycles (``permutation_sign``), times the product of the
-pivots: one ``Fraction(sign * prod(piv), prod(den))``.  ``rank`` counts
-the steps, ``independent_rows`` returns the pivot rows and that minor,
+pivots: one ``Fraction(sign * prod(piv), prod(den))``, each product
+taken by a balanced tree (``tree_product``).  ``rank`` counts the steps,
+``independent_rows`` returns the pivot rows' positions and that minor,
 and ``det`` takes the same product with the rows in the matrix's own
 order.
 """
@@ -60,11 +62,9 @@ from decimal import Decimal
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
-from typing import Hashable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import PentachainError
-
-Label = Hashable
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _NEGATIVE = re.compile(r"-0*[1-9][0-9]*")
@@ -128,7 +128,7 @@ class RatMatrix:
     are ``Fraction`` views.
     """
 
-    __slots__ = ("numerators", "denominators", "row_labels", "col_labels", "_rindex", "_cindex")
+    __slots__ = ("numerators", "denominators", "row_labels", "col_labels")
 
     def __init__(self, numerators, denominators, row_labels, col_labels):
         row_labels, col_labels = tuple(row_labels), tuple(col_labels)
@@ -152,9 +152,7 @@ class RatMatrix:
         self.denominators = tuple(dens)
         self.row_labels = row_labels
         self.col_labels = col_labels
-        self._rindex = {lab: i for i, lab in enumerate(row_labels)}
-        self._cindex = {lab: j for j, lab in enumerate(col_labels)}
-        if len(self._rindex) != len(row_labels) or len(self._cindex) != len(col_labels):
+        if len(set(row_labels)) != len(row_labels) or len(set(col_labels)) != len(col_labels):
             raise ValueError("duplicate basis labels")
 
     @property
@@ -186,7 +184,7 @@ class RatMatrix:
         at = {j: k for k, j in enumerate(cols)}
         if not transpose:
             numerators = [{at[j]: v for j, v in self.numerators[i].items() if j in at} for i in rows]
-            return Block(numerators, [self.denominators[i] for i in rows], [self.row_labels[i] for i in rows], len(at))
+            return Block(numerators, [self.denominators[i] for i in rows], len(at))
         entries = [[] for _ in at]
         for k, i in enumerate(rows):
             for j, v in self.numerators[i].items():
@@ -194,12 +192,7 @@ class RatMatrix:
                     entries[at[j]].append((k, v, self.denominators[i]))
         dens = [lcm(*(d for *_, d in row)) for row in entries]
         numerators = [{k: v * (den // d) for k, v, d in row} for row, den in zip(entries, dens)]
-        return Block(numerators, dens, [self.col_labels[j] for j in cols], len(rows))
-
-    def submatrix(self, row_labels: Sequence[Label], col_labels: Sequence[Label]) -> "RatMatrix":
-        """Submatrix with rows/columns in the order given."""
-        b = self.block([self._rindex[r] for r in row_labels], [self._cindex[c] for c in col_labels])
-        return RatMatrix(b.numerators, b.denominators, row_labels, col_labels)
+        return Block(numerators, dens, len(rows))
 
     def __eq__(self, other):
         return (
@@ -216,19 +209,17 @@ class RatMatrix:
 
 class Block(NamedTuple):
     """A block of a matrix as ``RatMatrix.block`` slices it: integer rows
-    over positive denominators, not necessarily reduced, with labels for
-    the rows only.  ``rank``, ``det`` and ``independent_rows`` take a block
-    as they take a ``RatMatrix``; it skips the reduction and label indexes
-    that a matrix stores."""
+    over positive denominators, not necessarily reduced, and no labels.
+    ``rank``, ``det`` and ``independent_rows`` take a block as they take a
+    ``RatMatrix``; it skips the reduction that a matrix stores."""
 
     numerators: list
     denominators: list
-    row_labels: list
     ncols: int
 
     @property
     def nrows(self) -> int:
-        return len(self.row_labels)
+        return len(self.numerators)
 
 
 def clear_denominators(values: Mapping) -> tuple[int, dict]:
@@ -318,7 +309,17 @@ def _minor(steps: Sequence[Step]) -> Fraction:
     times the product of their pivots, the rows taken in the order of
     ``steps`` and the columns in column order."""
     sign = permutation_sign([j for _, j, _, _ in steps])
-    return Fraction(sign * prod(p for _, _, p, _ in steps), prod(d for *_, d in steps))
+    return Fraction(sign * tree_product([p for _, _, p, _ in steps]), tree_product([d for *_, d in steps]))
+
+
+def tree_product(values: Sequence[int]) -> int:
+    """The product of integers by a balanced tree: neighbors multiplied in
+    pairs, level by level, so that each product joins two of like size; a
+    running product over thousands of factors takes quadratic time."""
+    values = list(values)
+    while len(values) > 1:
+        values = [a * b for a, b in zip(values[::2], values[1::2])] + values[len(values) & ~1:]
+    return prod(values)
 
 
 def permutation_sign(perm: Sequence[int]) -> int:
@@ -350,16 +351,16 @@ def det(m: "RatMatrix | Block") -> Fraction:
     return _minor(sorted(steps)) if len(steps) == m.nrows else Fraction(0)
 
 
-def independent_rows(m: "RatMatrix | Block") -> tuple[list[Label], Fraction]:
-    """A maximal independent set of rows and the minor they give on all
-    columns; ties of the pivot rule go to the earlier row of ``m``, so
-    reordering the rows (``submatrix``) can pick a different set.
+def independent_rows(m: "RatMatrix | Block") -> tuple[list[int], Fraction]:
+    """A maximal independent set of rows, as their positions in ``m``, and
+    the minor they give on all columns; ties of the pivot rule go to the
+    earlier row of ``m``, so reordering the rows can pick a different set.
 
-    The rows come in pivot order and form a full-rank submatrix on the pivot
-    columns.  The minor is ``det(m.submatrix(rows, m.col_labels))``, read
-    off the same elimination; it is 0 when fewer than ``m.ncols`` rows are
-    independent (and 1 for a matrix with no columns).
+    The positions come in pivot order, and their rows form a full-rank
+    block on the pivot columns.  The minor is ``det`` of the block on those
+    rows, in that order, and all columns, read off the same elimination; it
+    is 0 when fewer than ``m.ncols`` rows are independent (and 1 for a
+    matrix with no columns).
     """
     steps = _eliminate(m.numerators, m.denominators, m.ncols)
-    picked = [m.row_labels[i] for i, *_ in steps]
-    return picked, _minor(steps) if len(steps) == m.ncols else Fraction(0)
+    return [i for i, *_ in steps], _minor(steps) if len(steps) == m.ncols else Fraction(0)

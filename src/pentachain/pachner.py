@@ -1,6 +1,6 @@
 """Bistellar moves on glued triangulations and a seeded random walk.
 
-Every move is one surgery.  Label the vertices of a 4-simplex 0..4; its
+Every move is one surgery.  Number the vertices of a 4-simplex 0..4; its
 boundary has five facets, the tetrahedron missing label j for each j.  A
 1->4, 2->3, 3->2 or 4->1 move finds k tetrahedra glued to each other like
 k facets of that boundary and replaces them by the other 5-k facets.  A

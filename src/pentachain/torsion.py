@@ -7,18 +7,18 @@ for the map on its right, and
     tau = eps * (minor f1 * minor f3 * minor f5) / (minor f2 * minor f4).
 
 Each minor is the determinant of its block with the chosen rows R_k in
-the partition's order and the columns in label order.  The sign
+the partition's order and the columns in ascending position.  The sign
 eps is the product over the middle spaces C1..C4 of the sign of the
-permutation that lists R_k, then its complement K_k in label order,
-against C_k's label order.  This is the standard sign of a based torsion:
-reordering R_k changes its minor and its permutation by the same sign,
-and for an acyclic complex every partition with nonzero minors gives the
-same signed value.  So tau, and with it the invariant, is a function of
-the based complex (the triangulation, its labels and the geometry) and
-not of the partition.  No claim is made that the sign survives Pachner
-moves or a change of geometry; that would take a homology orientation
-and an Euler structure (Turaev's sign-refined torsion), which this
-package does not implement.
+permutation that lists R_k, then its complement K_k in ascending
+position, against C_k's basis order.  This is the standard sign of a
+based torsion: reordering R_k changes its minor and its permutation by
+the same sign, and for an acyclic complex every partition with nonzero
+minors gives the same signed value.  So tau, and with it the invariant,
+is a function of the based complex (the triangulation, its basis order
+and the geometry) and not of the partition.  No claim is made that the
+sign survives Pachner moves or a change of geometry; that would take a
+homology orientation and an Euler structure (Turaev's sign-refined
+torsion), which this package does not implement.
 
 Partitions are read off two shellings of the triangulation the chain
 keeps (``ChainComplex.triangulation``).  A shelling
@@ -46,7 +46,7 @@ edge's two ends, and each later edge of a joins its vertex to earlier
 ones, so with K1 grouped by a's vertices (the root's 6 free columns, then
 each later vertex's 3) f2[R2, K1] is block lower triangular: m2 is the
 det of its 6 x 6 root block times one 3x3 det per later vertex, times the
-sign that regroups the columns into label order.  An f4 column writes
+sign that regroups the columns into ascending order.  An f4 column writes
 only the rows of its edge's two ends, so f4[R4, K3] grouped by b's
 vertices is block triangular in the same way.  For v reached across u1 u2
 u3, f2's 3x3 block has the rows +-(y_u, -x_u, -2D) over 2D, and its det
@@ -121,40 +121,36 @@ from math import prod
 
 from .chain import ChainComplex, build_chain, certify_chain, check_acyclic, expected_ranks
 from .errors import PentachainError, TorsionError
-from .exact import Block, det, independent_rows, permutation_sign
+from .exact import Block, det, independent_rows, permutation_sign, tree_product
 from .geometry import GeometryAssignment, assign_geometry, face_circulations, subseed
 from .triangulation import Triangulation
 
 
 @dataclass(frozen=True)
 class BasisPartition:
-    """Basis split of each middle space: labels used as rows of the left
-    map; the complement supplies columns of the right map."""
+    """Basis split of each middle space C_k, by position: ``ck_rows`` are
+    the positions in C_k, the rows of f_k, used as rows of the left map;
+    the complement supplies columns of the right map."""
 
-    c1_rows: tuple[str, ...]
-    c2_rows: tuple[str, ...]
-    c3_rows: tuple[str, ...]
-    c4_rows: tuple[str, ...]
+    c1_rows: tuple[int, ...]
+    c2_rows: tuple[int, ...]
+    c3_rows: tuple[int, ...]
+    c4_rows: tuple[int, ...]
 
-    def cols(self, c: ChainComplex) -> tuple[tuple[str, ...], ...]:
-        """Column label sets (K1..K4) in ambient label order."""
-        return tuple(
-            tuple(m.row_labels[j] for j in _free(m.nrows, [m._rindex[r] for r in rows]))
-            for m, rows in zip(c.maps[:4], self.rows())
-        )
+    def cols(self, c: ChainComplex) -> tuple[list[int], ...]:
+        """The positions K1..K4 of the complements, each ascending."""
+        return tuple(_free(m.nrows, rows) for m, rows in zip(c.maps[:4], self.rows()))
 
-    def rows(self) -> tuple[tuple[str, ...], ...]:
-        """Row label sets (R1..R4) in the partition's order."""
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The positions R1..R4 in the partition's order."""
         return (self.c1_rows, self.c2_rows, self.c3_rows, self.c4_rows)
 
     def sign(self, c: ChainComplex) -> int:
         """eps: over C1..C4, the product of the signs of the permutations
-        that list R_k, then K_k, against C_k's label order.  Each is the
-        sign of the list of their positions in C_k, R_k's read off the row
-        index of f_k, whose rows are C_k, and K_k's the free positions in
-        order: that list is the inverse permutation, of the same sign."""
-        at = ([m._rindex[r] for r in rows] for m, rows in zip(c.maps[:4], self.rows()))
-        return prod(permutation_sign(rows + _free(m.nrows, rows)) for m, rows in zip(c.maps[:4], at))
+        that list R_k, then K_k, against C_k's order.  Each is the sign of
+        the list of their positions, which is the inverse permutation, of
+        the same sign."""
+        return prod(permutation_sign([*rows, *cols]) for rows, cols in zip(self.rows(), self.cols(c)))
 
 
 def minors(c: ChainComplex, p: BasisPartition) -> tuple[Fraction, ...]:
@@ -169,14 +165,13 @@ def minors(c: ChainComplex, p: BasisPartition) -> tuple[Fraction, ...]:
                 f"C{k} split must pick {want} rows, got {len(set(have))}"
             )
     k1, k2, k3, k4 = p.cols(c)
-    # f3's row labels are dw_*, its cols dl_*; the C2/C3 splits are stated
-    # in each space's own labels
+    f1, f2, f3, f4, f5 = c.maps
     values = (
-        det(c.f1.submatrix(p.c1_rows, c.f1.col_labels)),
-        det(c.f2.submatrix(p.c2_rows, k1)),
-        det(c.f3.submatrix(p.c3_rows, k2)),
-        det(c.f4.submatrix(p.c4_rows, k3)),
-        det(c.f5.submatrix(c.f5.row_labels, k4)),
+        det(f1.block(p.c1_rows, range(f1.ncols))),
+        det(f2.block(p.c2_rows, k1)),
+        det(f3.block(p.c3_rows, k2)),
+        det(f4.block(p.c4_rows, k3)),
+        det(f5.block(range(f5.nrows), k4)),
     )
     for k, v in enumerate(values, start=1):
         if v == 0:
@@ -203,13 +198,14 @@ def select_partition(
     tetrahedron drawn by ``Random(seed)``, and shelling b at the last
     tetrahedron a reaches.  R1 is ``independent_rows`` of the 12 f1 rows
     of a's corners and K4 of the 12 f5 columns of b's corners, scanned in
-    label order, or shuffled by the same Random with a seed.  R2 is a's
-    edges in shelling order, K3 b's edges, and the pass closes with the
-    ``det`` of f3 on R3 and K2, the rest of C3 and C2, in label order; R4
-    is the rest of C4 in label order.  m2 and m4 are products of the
-    shellings' diagonal blocks (``_shelled_minor``).  A column basis comes
-    in pivot order, so its minor is signed into label order, and the
-    minors equal ``minors(c, partition)``.  A zero minor runs
+    ascending position, or shuffled by the same Random with a seed, and
+    each pick is mapped through its scan to a position.  R2 is a's edges in
+    shelling order, K3 b's edges, and the pass closes with the ``det`` of
+    f3 on R3 and K2, the rest of C3 and C2, ascending; R4 is the rest of
+    C4, ascending.  m2 and m4 are products of the shellings' diagonal
+    blocks (``_shelled_minor``).  A column basis comes in pivot order, so
+    its minor is signed into ascending order, and the minors equal
+    ``minors(c, partition)``.  A zero minor runs
     ``check_acyclic``, which raises NotAcyclicError unless the ranks are
     the acyclic pattern, then ``certify_chain``, which raises the internal
     composition error, and raises an internal error if neither finds a
@@ -227,21 +223,21 @@ def select_partition(
         return order
 
     f1, f2, f3, f4, f5 = c.maps
-    r1, m1 = independent_rows(f1.block(scan(a[0]), range(f1.ncols)))
-    k4, m5 = independent_rows(f5.block(range(f5.nrows), scan(b[0]), transpose=True))
+    r1_scan, k4_scan = scan(a[0]), scan(b[0])
+    r1, m1 = independent_rows(f1.block(r1_scan, range(f1.ncols)))
+    k4, m5 = independent_rows(f5.block(range(f5.nrows), k4_scan, transpose=True))
     if m1 and m5:
-        k4_at = [f5._cindex[k] for k in k4]
+        r1, k4 = [r1_scan[i] for i in r1], [k4_scan[i] for i in k4]
         # K1 and R4 grouped by the shellings' vertices, the roots' 6 first
-        r2, k1 = _shelled_groups(a, {f1._rindex[r] for r in r1})
-        k3, r4 = _shelled_groups(b, set(k4_at))
+        r2, k1 = _shelled_groups(a, set(r1))
+        k3, r4 = _shelled_groups(b, set(k4))
         m2 = _shelled_minor(f2.block(r2, k1), _ascending_sign(k1))
         m4 = _shelled_minor(f4.block(r4, k3, transpose=True), _ascending_sign(r4) * _ascending_sign(k3))
         r3, k2 = _free(f3.nrows, k3), _free(f2.nrows, r2)
         # the f3 block is square once the other four minors are nonzero
         if m2 and m4 and (m3 := det(f3.block(r3, k2))):
-            rows = (tuple(m.row_labels[i] for i in r) for m, r in ((f2, r2), (f3, r3), (f4, sorted(r4))))
-            m5 *= _ascending_sign(k4_at)
-            return BasisPartition(tuple(r1), *rows), (m1, m2, m3, m4, m5)
+            m5 *= _ascending_sign(k4)
+            return BasisPartition(tuple(r1), tuple(r2), tuple(r3), tuple(sorted(r4))), (m1, m2, m3, m4, m5)
     # a minor vanished: not acyclic, or else not a chain
     check_acyclic(c)
     certify_chain(c)
@@ -267,34 +263,24 @@ def _shelled_minor(block: Block, sign: int) -> Fraction:
     columns come in groups, 6 and then 3 at a time, with every row inside
     its group's columns and earlier ones: the product of the diagonal
     blocks, the first by ``det`` and each later one as a 3x3 cofactor sum
-    in ints over its rows' denominators.  A row outside that support makes
-    it ``det`` of the whole block."""
+    in ints over its rows' denominators, all multiplied by one balanced
+    tree.  A row outside that support makes it ``det`` of the whole
+    block."""
     nums, dens = block.numerators, block.denominators
     # row i's group ends at column 6, or past the triple that holds i
     if any(row and max(row) >= (6 if i < 6 else i + 3 - i % 3) for i, row in enumerate(nums)):
         return sign * det(block)
-    num, den = sign, 1
+    root = det(Block(nums[:6], dens[:6], 6))
+    factors = [sign * root.numerator]
     for i in range(6, len(nums), 3):
         (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = ([r.get(j, 0) for j in range(i, i + 3)] for r in nums[i:i + 3])
-        num *= a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
-        den *= dens[i] * dens[i + 1] * dens[i + 2]
-    root = det(Block(nums[:6], dens[:6], block.row_labels[:6], 6))
-    return Fraction(num * root.numerator, den * root.denominator)
+        factors.append(a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0))
+    return Fraction(tree_product(factors), tree_product([root.denominator, *dens[6:]]))
 
 
 def _ascending_sign(positions: list[int]) -> int:
     """Sign of the permutation that puts ``positions`` in ascending order."""
     return permutation_sign(sorted(range(len(positions)), key=positions.__getitem__))
-
-
-def _tree_product(values: tuple[int, ...]) -> int:
-    """The product of integers by a balanced tree: neighbors multiplied in
-    pairs, level by level, so that each product joins two of like size; a
-    running product over thousands of factors takes quadratic time."""
-    values = list(values)
-    while len(values) > 1:
-        values = [a * b for a, b in zip(values[::2], values[1::2])] + values[len(values) & ~1:]
-    return prod(values)
 
 
 def _free(n: int, picked: list[int]) -> list[int]:
@@ -352,7 +338,7 @@ def invariant(
     certify_chain(c, partition.cols(c)[:3])
     t = tau(c, partition, values)
     d, circulations = face_circulations(tri, c.edge_table)
-    face_product = Fraction(_tree_product(circulations), d ** len(circulations))
+    face_product = Fraction(tree_product(circulations), d ** len(circulations))
     value = t * face_product * Fraction(1, 2 ** (len(tri.vertices) + 1))
     return InvariantResult(
         tau=t,

@@ -7,9 +7,10 @@ denominator.  The paper works single values and fixed choices by hand, in
 rationals, and the tests check the package against them:
 
 * the fixed sphere geometry and the sphere's and projective space's
-  hand-chosen basis partitions, with the tetrahedron-0 edge bookkeeping
-  that the projective partition reads;
-* a partition's sign eps by sorting its labels, the oracle of
+  hand-chosen basis partitions, written with labels and converted to the
+  positions a ``BasisPartition`` holds (``positions``), with the
+  tetrahedron-0 edge bookkeeping that the projective partition reads;
+* a partition's sign eps by sorting its positions, the oracle of
   ``BasisPartition.sign``, and the determinants of the combinatorial
   Laplacians of the complex, with a dense ``Fraction`` determinant: a
   partition-free acyclicity check and square of the torsion;
@@ -71,6 +72,11 @@ from pentachain.triangulation import Gluing, compose, inverse
 # the basis choice used for the sphere's by-hand minor ratios: vertex
 # classes in slot order are A, B, C, D
 SPHERE_C1_ROWS = ("dx_v0", "dy_v0", "dk_v0", "dx_v1", "dy_v1", "dx_v2")
+
+
+def positions(labels, names):
+    """The positions of ``names`` among ``labels``, in the order given."""
+    return tuple(labels.index(name) for name in names)
 
 
 def rat_matrix(rows, row_labels=None, col_labels=None):
@@ -178,10 +184,10 @@ def sphere_paper_partition(c):
     C2 and C3 splits are forced (E = 3V - 6 leaves the curvature minor
     empty); the C4 rows are completed greedily.
     """
-    c2_rows = c.f2.row_labels  # all six edge rows
-    k3 = c.f3.row_labels  # all six curvature columns feed f4
-    c4_rows = tuple(independent_rows(c.f4.submatrix(c.f4.row_labels, k3))[0])
-    return BasisPartition(SPHERE_C1_ROWS, c2_rows, (), c4_rows)
+    c2_rows = tuple(range(c.f2.nrows))  # all six edge rows
+    k3 = range(c.f3.nrows)  # all six curvature columns feed f4
+    c4_rows = tuple(independent_rows(c.f4.block(range(c.f4.nrows), k3))[0])
+    return BasisPartition(positions(c.f1.row_labels, SPHERE_C1_ROWS), c2_rows, (), c4_rows)
 
 
 def tet0_edges(tri):
@@ -213,22 +219,21 @@ def projective_paper_partition(c, tri):
     unprimed curvature rows for the f3 minor, primed curvature columns for
     f4; C1 rows as for the sphere, C4 rows completed greedily."""
     unprimed = set(tet0_edges(tri))
-    c2_rows = tuple(f"dl_e{e.id}" for e in tri.edges if e.id not in unprimed)
-    c3_rows = tuple(f"dw_e{e.id}" for e in tri.edges if e.id in unprimed)
-    k3 = tuple(f"dw_e{e.id}" for e in tri.edges if e.id not in unprimed)
-    c4_rows = tuple(independent_rows(c.f4.submatrix(c.f4.row_labels, k3))[0])
-    return BasisPartition(SPHERE_C1_ROWS, c2_rows, c3_rows, c4_rows)
+    c2_rows = positions(c.f2.row_labels, [f"dl_e{e.id}" for e in tri.edges if e.id not in unprimed])
+    c3_rows = positions(c.f3.row_labels, [f"dw_e{e.id}" for e in tri.edges if e.id in unprimed])
+    k3 = positions(c.f3.row_labels, [f"dw_e{e.id}" for e in tri.edges if e.id not in unprimed])
+    c4_rows = tuple(independent_rows(c.f4.block(range(c.f4.nrows), k3))[0])
+    return BasisPartition(positions(c.f1.row_labels, SPHERE_C1_ROWS), c2_rows, c3_rows, c4_rows)
 
 
 def label_sort_sign(c, p):
-    """eps of a partition by sorting labels, the oracle of
+    """eps of a partition by sorting positions, the oracle of
     ``BasisPartition.sign``: over C1..C4, the sign of the permutation that
-    puts R_k, then K_k, into C_k's label order."""
+    puts R_k, then K_k, into C_k's order, the order of its labels."""
     eps = 1
-    for m, rows, cols in zip(c.maps[:4], p.rows(), p.cols(c)):
-        position = {lab: j for j, lab in enumerate(m.row_labels)}
+    for rows, cols in zip(p.rows(), p.cols(c)):
         listed = (*rows, *cols)
-        eps *= permutation_sign(sorted(range(len(listed)), key=lambda i: position[listed[i]]))
+        eps *= permutation_sign(sorted(range(len(listed)), key=listed.__getitem__))
     return eps
 
 

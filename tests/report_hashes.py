@@ -1,10 +1,14 @@
 """Print a sha256 of each report in a fixed set, one ``sha256  argv`` line
 per report, for a byte-identity check between two versions of the code.
 
-Run from a checkout as ``python tests/report_hashes.py > hashes.txt`` on
-each version and ``diff`` the two files.  Every report is produced in
-process by ``cli.main`` and hashed from its standard output; a nonzero
-exit code is appended to its line.  The set:
+``tests/report_hashes.txt`` holds the output at the current version, and
+the tier-1 test ``test_report_hashes`` recomputes every line and names
+the first that differs, so every report stays byte-identical.  A
+deliberate report change, such as a version bump, regenerates the file
+with ``python tests/report_hashes.py > tests/report_hashes.txt`` and is
+recorded in CHANGES.md.  Every report is produced in process by
+``cli.main`` and hashed from its standard output; a nonzero exit code is
+appended to its line.  The set:
 
 * ``invariant --json`` and ``dump-chain`` on s3, rp3 and the ladder
   fixtures under ``benchmarks/fixtures``, at seeds 0-2;
@@ -81,9 +85,16 @@ def hard_input_hashes(name: str) -> list[str]:
     return out
 
 
+def report_lines():
+    """Every line of the output, in print order; run from the checkout's
+    root."""
+    for argv in report_set():
+        yield report_hash(argv)
+    for name in HARD_INPUTS:
+        yield from hard_input_hashes(name)
+
+
 if __name__ == "__main__":
     os.chdir(ROOT)
-    for argv in report_set():
-        print(report_hash(argv), flush=True)
-    for name in HARD_INPUTS:
-        print("\n".join(hard_input_hashes(name)), flush=True)
+    for line in report_lines():
+        print(line, flush=True)

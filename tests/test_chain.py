@@ -160,12 +160,12 @@ def test_dump_format(s3, sphere_geometry, certified_chain):
 
 
 def dense_witness(left, right, cols=None):
-    """First nonzero entry of left*right on the columns labeled ``cols``
-    (all when None), by a dense Fraction product."""
+    """The labels of the first nonzero entry of left*right on the column
+    positions ``cols`` (all when None), by a dense Fraction product."""
     a, b = left.entries, right.entries
     for i in range(left.nrows):
         for col, label in enumerate(right.col_labels):
-            if (cols is None or label in cols) and sum(a[i][j] * b[j][col] for j in range(right.nrows)):
+            if (cols is None or col in cols) and sum(a[i][j] * b[j][col] for j in range(right.nrows)):
                 return left.row_labels[i], label
     return None
 
@@ -210,23 +210,25 @@ def test_free_column_certificate_agrees_with_full_check(s3, rp3, certified_chain
     fixture = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures" / "rp3_t20.tri"
     walked = [random_walk(load_builtin(name), 8, seed, 12) for name, seed in (("s3", 5), ("rp3", 6))]
     seen = {"inside": 0, "outside": 0, "short ranks": 0, "short chain": 0}
+    checked = set()
     for n, tri in enumerate((s3, rp3, Triangulation.from_file(fixture), *walked)):
         c = certified_chain(tri, assign_geometry(tri, seed=n))
         p, _ = select_partition(c)
-        free = (c.f1.col_labels, *p.cols(c))
+        # the column positions of f_k that the free-column check reads
+        free = [set(cols) for cols in (range(c.f1.ncols), *p.cols(c))]
         cases = []
         for _ in range(30):
             k = rng.randrange(1, 6)
             m = c.maps[k - 1]
             where = rng.choice(("inside", "outside"))
-            cols = [j for j, lab in enumerate(m.col_labels) if (lab in free[k - 1]) == (where == "inside")]
+            cols = [j for j in range(m.ncols) if (j in free[k - 1]) == (where == "inside")]
             if not cols:
                 continue
             broken = perturbed(c, f"f{k}", rng.randrange(m.nrows), rng.choice(cols), F(rng.randint(1, 9), 7919))
-            cases.append((where, broken))
+            cases.append((k, where, broken))
         rows = [{} if i == n % 6 else row for i, row in enumerate(c.f5.rows)]
-        cases.append(("zeroed", replace(c, f5=rat_matrix(rows, c.f5.row_labels, c.f5.col_labels))))
-        for where, broken in cases:
+        cases.append((5, "zeroed", replace(c, f5=rat_matrix(rows, c.f5.row_labels, c.f5.col_labels))))
+        for k, where, broken in cases:
             ok, witness = verify_chain(broken)
             if not ok:
                 stage, row, col = witness
@@ -243,6 +245,7 @@ def test_free_column_certificate_agrees_with_full_check(s3, rp3, certified_chain
                 continue
             assert where != "zeroed", "the pass succeeded on an f5 of rank 5"
             seen[where] += 1
+            checked.add((k, where))
             free_cols = q.cols(broken)[:3]
             assert verify_chain(broken, free_cols)[0] == ok
             if ok:
@@ -252,6 +255,9 @@ def test_free_column_certificate_agrees_with_full_check(s3, rp3, certified_chain
                 certify_chain(broken, free_cols)
             assert str(raised.value) == message
     assert min(seen.values()) > 0 and seen["inside"] + seen["outside"] > 100
+    # every column of f1 is free (K0 is all of C0); each later stage is
+    # checked with perturbations both inside and outside its free columns
+    assert set(checked) == {(1, "inside"), *((k, w) for k in range(2, 6) for w in ("inside", "outside"))}
 
 
 LARGE_PRIMES = (2**61 - 1, 2**89 - 1, 1000000007, 998244353, 4294967291)
@@ -298,8 +304,8 @@ def test_composition_witness_matches_dense_fraction_product():
     seen = {"none": 0, "witness": 0, "subset": 0, "empty row": 0, "shared columns": 0}
     for _ in range(400):
         left, right = planted_product(rng)
-        labels = right.col_labels
-        cols = None if rng.random() < 0.4 else rng.sample(labels, rng.randint(0, len(labels)))
+        width = right.ncols
+        cols = None if rng.random() < 0.4 else rng.sample(range(width), rng.randint(0, width))
         found = _composition_witness(left, right, cols)
         assert found == dense_witness(left, right, cols)
         seen["witness" if found else "none"] += 1

@@ -45,7 +45,7 @@ def random_matrix(rng, n, m):
 def test_row_reduce_identity():
     m = rat_matrix([[1, 0], [0, 1]])
     assert rank(m) == 2
-    assert independent_rows(m) == (["r0", "r1"], 1)
+    assert independent_rows(m) == ([0, 1], 1)
 
 
 def test_row_reduce_zero_matrix():
@@ -58,25 +58,25 @@ def test_row_reduce_rank_one():
     m = rat_matrix([[1, 2], [2, 4]])
     assert cofactor_det([[F(1), F(2)], [F(2), F(4)]]) == 0
     assert rank(m) == 1
-    assert independent_rows(m) == (["r0"], 0)
+    assert independent_rows(m) == ([0], 0)
 
 
 def test_minor_conventions():
-    # a minor is the det of the submatrix on its labels, in the order given
+    # a minor is the det of the block on its positions, in the order given
     m = rat_matrix([[F(1), F(2)], [F(3), F(4)]], ("r0", "r1"), ("c0", "c1"))
-    assert det(m.submatrix((), ())) == 1
-    assert det(m.submatrix(("r0", "r1"), ("c0", "c1"))) == F(1) * 4 - F(2) * 3
-    assert det(m.submatrix(("r1", "r0"), ("c0", "c1"))) == F(2) * 3 - F(1) * 4
+    assert det(m.block((), ())) == 1
+    assert det(m.block((0, 1), (0, 1))) == F(1) * 4 - F(2) * 3
+    assert det(m.block((1, 0), (0, 1))) == F(2) * 3 - F(1) * 4
     one = rat_matrix([[F(3, 7)]])
-    assert det(one.submatrix(("r0",), ("c0",))) == F(3, 7)
+    assert det(one.block((0,), (0,))) == F(3, 7)
 
 
 def test_minor_errors():
     m = rat_matrix([[1, 2], [3, 4]])
-    with pytest.raises(KeyError):
-        m.submatrix(("r7",), ("c0",))
+    with pytest.raises(IndexError):
+        m.block((7,), (0,))
     with pytest.raises(ValueError):
-        det(m.submatrix(("r0", "r1"), ("c0",)))
+        det(m.block((0, 1), (0,)))
 
 
 def test_det_identity_and_repeated_row():
@@ -105,7 +105,7 @@ def test_det_equals_full_minor():
     rng = random.Random(6)
     rows = random_matrix(rng, 4, 4)
     m = rat_matrix(rows)
-    assert det(m) == det(m.submatrix(m.row_labels, m.col_labels)) == cofactor_det(rows)
+    assert det(m) == det(m.block(range(4), range(4))) == cofactor_det(rows)
 
 
 def test_rank_is_largest_nonvanishing_minor():
@@ -141,21 +141,23 @@ def test_independent_rows_selects_invertible_block():
             # force rank deficiency: every row a multiple of the first
             rows = [[F(rng.randint(-3, 3), rng.randint(1, 4)) * v for v in rows[0]] for _ in rows]
         m = rat_matrix(rows, col_labels=[f"c{j}" for j in range(ncols)])
-        order = list(m.row_labels)
+        dense, order = m.entries, list(range(m.nrows))
         sparse_rng = random.Random(trial)
         for _ in range(3):
-            picked, value = independent_rows(m.submatrix(order, m.col_labels))
+            picked, value = independent_rows(m.block(order, range(ncols)))
+            # positions in the block, mapped through the scan to m's rows
+            picked = [order[i] for i in picked]
             assert len(picked) == rank(m)
             if len(picked) == ncols:
                 # the minor read off the row choice is the det of the picked block
-                assert value == det(m.submatrix(picked, m.col_labels)) != 0
-                assert value == cofactor_det([[entry(m, r, c) for c in m.col_labels] for r in picked])
+                assert value == det(m.block(picked, range(ncols))) != 0
+                assert value == cofactor_det([dense[r] for r in picked])
             else:
                 assert value == 0
             # the first ncols rows in scan order: singular when rank-deficient
             # (result 0), and a sparsified copy that moves pivots off the
             # diagonal, so the sign comes from the pivot permutation
-            block = [[entry(m, r, c) for c in m.col_labels] for r in order[:ncols]]
+            block = [list(dense[r]) for r in order[:ncols]]
             if len(block) == ncols:
                 holes = [[v if sparse_rng.random() < 0.4 else F(0) for v in row] for row in block]
                 for square in (block, holes):
@@ -168,8 +170,9 @@ def test_independent_rows_selects_invertible_block():
 def test_row_order_changes_selection_deterministically():
     rows = [[1, 0], [1, 0], [0, 1]]
     m = rat_matrix(rows)
-    assert independent_rows(m.submatrix(("r1", "r0", "r2"), m.col_labels))[0] == ["r1", "r2"]
-    assert independent_rows(m)[0] == ["r0", "r2"]
+    # positions in the block, whose rows are m's r1, r0 and r2
+    assert independent_rows(m.block((1, 0, 2), range(2)))[0] == [0, 2]
+    assert independent_rows(m)[0] == [0, 2]
 
 
 def test_independent_rows_pivot_rule():
@@ -177,17 +180,18 @@ def test_independent_rows_pivot_rule():
     # others; ties go to the earlier row, so the scan order picks among
     # equally short rows, and then to the lower of equally sparse columns
     m = rat_matrix([[1, 1, 1], [1, 0, 2], [0, 2, 0], [0, 3, 0]])
-    assert independent_rows(m)[0] == ["r2", "r0", "r1"]
-    assert independent_rows(m.submatrix(("r3", "r2", "r1", "r0"), m.col_labels))[0] == ["r3", "r1", "r0"]
+    assert independent_rows(m)[0] == [2, 0, 1]
+    # the block lists m's rows in reverse, so its positions 0, 2, 3 are r3, r1, r0
+    assert independent_rows(m.block((3, 2, 1, 0), range(3)))[0] == [0, 2, 3]
     # r0 ties on all three columns and pivots on the lowest, c0, which
     # leaves r2 = (0, 0, 1) shorter than r1 = (0, 3, 3)
-    assert independent_rows(rat_matrix([[1, 2, 1], [-1, 1, 2], [1, 2, 2]]))[0] == ["r0", "r2", "r1"]
+    assert independent_rows(rat_matrix([[1, 2, 1], [-1, 1, 2], [1, 2, 2]]))[0] == [0, 2, 1]
     # exact arithmetic keeps a rank that a small prime would drop
     # (r1 = r0 + 3 (0, 1)) and takes any denominator
-    assert independent_rows(rat_matrix([[1, 1], [1, 4]])) == (["r0", "r1"], 3)
+    assert independent_rows(rat_matrix([[1, 1], [1, 4]])) == ([0, 1], 3)
     # the shorter r1 pivots first, so the minor is that of the rows in
     # pivot order: det [[0, 1/3], [1, 1/6]] = -1/3
-    assert independent_rows(rat_matrix([[1, F(1, 6)], [0, F(1, 3)]])) == (["r1", "r0"], F(-1, 3))
+    assert independent_rows(rat_matrix([[1, F(1, 6)], [0, F(1, 3)]])) == ([1, 0], F(-1, 3))
 
 
 def test_permutation_sign_counts_inversions():
@@ -223,7 +227,7 @@ def test_mapping_rows_and_dense_view():
     assert m.rows == ({0: 1, 2: F(1, 2)}, {})
     assert list(m.rows[0]) == [0, 2]
     assert entry(m, "r0", "c1") == 0
-    assert m.submatrix(("r0",), ("c2", "c0")).entries == ((F(1, 2), 1),)
+    assert m.block((0,), (2, 0)) == ([{0: 1, 1: 2}], [2], 2)
     assert rat_matrix([[1, 0, F(1, 2)], [0, 0, 0]]) == m
 
 
@@ -279,10 +283,13 @@ def test_integer_rows_are_stored_reduced():
         RatMatrix([{0: 1}], [0], ("a",), ("x",))
 
 
-def test_submatrix_reduces_sliced_rows():
-    # 3/6 and 1/6 share the row denominator 6; alone, 3/6 is 1/2
+def test_block_slices_rows_unreduced():
+    # 3/6 and 1/6 share the row denominator 6; alone, 3/6 is 1/2, which the
+    # block leaves to its elimination and the constructor reduces
     m = rat_matrix([[F(1, 2), F(1, 6)]])
-    sub = m.submatrix(("r0",), ("c0",))
+    block = m.block((0,), (0,))
+    assert block == ([{0: 3}], [6], 1) and det(block) == F(1, 2)
+    sub = RatMatrix(block.numerators, block.denominators, ("r0",), ("c0",))
     assert (sub.numerators, sub.denominators) == (({0: 1},), (2,))
     assert sub == rat_matrix([[F(1, 2)]], ("r0",), ("c0",))
 
@@ -380,7 +387,7 @@ def test_fraction_free_kernel_matches_fraction_oracle(case):
     if len(steps) == ncols:
         sign = permutation_sign([j for _, j, _ in oracle])
         expected = sign * math.prod((piv for *_, piv in oracle), start=F(1))
-        assert independent_rows(m) == ([m.row_labels[r] for r, *_ in oracle], expected)
+        assert independent_rows(m) == ([r for r, *_ in oracle], expected)
 
 
 def test_format_rational_prints_any_number_of_digits():
