@@ -46,11 +46,15 @@ formulas give in Fractions, whatever common denominator the geometry
 holds.  ``verify_chain``
 multiplies nonzeros by nonzeros, also in ints.  It cuts the right
 factor's rows to the checked columns once per product.  Each row of the
-left factor is scaled by its own (positive) denominator times the lcm of
-the denominators of the right factor's rows that it meets, which changes
-no zero pattern of the product and keeps the scale to the few rows one
-left row touches; consecutive left rows that meet the same rows, such as
-the three f4 rows of a vertex class, share one lcm.  Each product row is
+left factor is taken as its integer numerators, its row times its own
+positive denominator.  The right factors f1, f2 and f4 are brought to
+integers once each, by the lcm of their row denominators, which divides
+2D, 2D and 2D^2 by the above.  The rows of f3 carry their own curvature
+denominators, so for f4 * f3 each row of f4 is scaled by the lcm of the
+denominators of the f3 rows it meets, which keeps the scale to the few
+rows one left row touches; consecutive left rows that meet the same
+rows, such as the three f4 rows of a vertex class, share one lcm.  No
+scale changes the zero pattern of the product.  Each product row is
 summed into a dense list as wide as the right factor, whose first nonzero
 by index is the witness.  ``dump_chain`` lists the stored entries in
 column order, each reduced from its row's integers by one gcd.
@@ -199,34 +203,37 @@ def build_chain(tri: Triangulation, g: GeometryAssignment) -> ChainComplex:
     )
 
 
-def _composition_witness(left: RatMatrix, right: RatMatrix, cols=None):
+def _composition_witness(left: RatMatrix, right: RatMatrix, cols=None, per_row=True):
     """The labels of the first nonzero entry of left*right, in row then
     column order, on the column positions ``cols`` (all when None); None if
     there is none.
 
-    Each row of ``left`` is scaled to integers by its own denominator times
-    the lcm of the denominators of the rows of ``right`` that it meets;
-    consecutive rows that meet the same rows share that lcm.  Both factors
-    are positive, so an entry of the integer product is zero exactly when
-    the rational one is.  The rows of ``right`` are cut to ``cols`` once,
-    and each product row is accumulated densely, nonzeros times nonzeros.
+    Each row of ``left`` is taken as its integer numerators, a positive
+    multiple of the row.  With ``per_row`` false, the rows of ``right``
+    are brought to integers once, by the lcm of all their denominators;
+    otherwise each row of ``left`` is scaled by the lcm of the
+    denominators of the rows of ``right`` that it meets, and consecutive
+    rows that meet the same rows share that lcm.  Every scale is positive,
+    so an entry of the integer product is zero exactly when the rational
+    one is.  The rows of ``right`` are cut to ``cols`` once, and each
+    product row is accumulated densely, nonzeros times nonzeros.
     """
     dens = right.denominators
-    if cols is None:
-        right_rows = [tuple(row.items()) for row in right.numerators]
-    else:
-        keep = set(cols)
-        right_rows = [[(k, b) for k, b in row.items() if k in keep] for row in right.numerators]
+    keep = range(right.ncols) if cols is None else set(cols)
+    common = None if per_row else lcm(*dens)
+    ups = [common // d for d in dens] if common else [1] * len(dens)
+    right_rows = [[(k, b * u) for k, b in row.items() if k in keep] for row, u in zip(right.numerators, ups)]
     width = right.ncols
     met = factor = None
     for i, row in enumerate(left.numerators):
-        if row.keys() != met:
+        if per_row and row.keys() != met:
             met = row.keys()
             scale = lcm(*(dens[j] for j in met))
             factor = {j: scale // dens[j] for j in met}
         acc = [0] * width
         for j, a in row.items():
-            a *= factor[j]
+            if factor:
+                a *= factor[j]
             for k, b in right_rows[j]:
                 acc[k] += a * b
         if any(acc):
@@ -243,12 +250,14 @@ def verify_chain(c: ChainComplex, free_cols=None) -> tuple[bool, tuple | None]:
     positions (K1, K2, K3) of a partition whose five minors are nonzero,
     f2 * f1 is checked in full and f3 * f2, f4 * f3 and f5 * f4 only on K1,
     K2 and K3, which decides the same (the free-column lemma in the module
-    docstring); a witness is then the first on those columns.
+    docstring); a witness is then the first on those columns.  The right
+    factors f1, f2 and f4 are scaled to integers once; f3, whose rows carry
+    the curvature denominators, per left row.
     """
     pairs = ((c.f2, c.f1), (c.f3, c.f2), (c.f4, c.f3), (c.f5, c.f4))
     restrict = (None, *free_cols) if free_cols is not None else (None,) * 4
     for k, ((left, right), cols) in enumerate(zip(pairs, restrict), start=1):
-        witness = _composition_witness(left, right, cols)
+        witness = _composition_witness(left, right, cols, per_row=k == 3)
         if witness is not None:
             return False, (k, witness[0], witness[1])
     return True, None

@@ -146,7 +146,7 @@ class RatMatrix:
             items = sorted(row.items())
             if items and not (0 <= items[0][0] and items[-1][0] < width):
                 raise ValueError(f"row {label!r} has a column key outside 0..{width - 1}")
-            rows.append({j: v // g for j, v in items if v})
+            rows.append({j: v for j, v in items if v} if g == 1 else {j: v // g for j, v in items if v})
             dens.append(d // g)
         self.numerators = tuple(rows)
         self.denominators = tuple(dens)

@@ -68,10 +68,13 @@ angle is its six sides and each side's partial is its sign times the
 summed weights of the triangles it bounds.  The kernel runs in three
 stages.  ``angle_terms``, the one place the quotient rule is written,
 reads each angle's six sides once and keeps its integer terms; it raises
-on a zero circulation in a denominator.  ``curvature_value`` sums the
-terms over the lcm L of the angle denominators and returns the value as
-the integer pair ``(numerator, L)``, not reduced.  The gradient stage,
-run only by the full ``curvature``, gives the partials by every key the
+on a zero circulation in a denominator.  An angle is D n / (2 b1 b2)
+with b1, b2 its denominator circulations, so with l the lcm of the b1 b2
+the lcm L of the angle denominators 2 (b1 b2)^2 is 2 l^2, and each
+angle's terms are brought over it by r = l / (b1 b2) alone.
+``curvature_value`` sums the terms over L and returns the value as the
+integer pair ``(numerator, L)``, not reduced.  The gradient stage, run
+only by the full ``curvature``, gives the partials by every key the
 angles touch as an integer table ``(den, {key: int})`` with den dividing
 L.  ``omega_row`` hands the full call to ``chain.build_chain`` as an f3
 row; a single partial (``pentagon.verify_pentagon``) reads its key from
@@ -235,10 +238,10 @@ def ensure_nondegenerate(tri: Triangulation, lam: tuple[int, dict]) -> None:
 
 def angle_terms(numerators, angles: Iterable, where: Callable) -> list[tuple]:
     """The per-angle stage of ``curvature``, the one place the quotient
-    rule is written: for each angle the tuple ``(q, v, sides, n, b1, b2)``
-    with the angle D v / q, n = n1 + n2 and b1, b2 its two denominator
-    circulations, all read from the table's ``numerators`` (see
-    ``curvature``).  When b1 or b2 is zero, ``where(contribution,
+    rule is written: for each angle the tuple ``(b1 * b2, n, sides, b1,
+    b2)`` with the angle D n / (2 b1 b2), n = n1 + n2 and b1, b2 its two
+    denominator circulations, all read from the table's ``numerators``
+    (see ``curvature``).  When b1 or b2 is zero, ``where(contribution,
     opposite)`` names the face missing vertex ``opposite`` for the
     DegenerateGeometryError."""
     terms = []
@@ -252,18 +255,25 @@ def angle_terms(numerators, angles: Iterable, where: Callable) -> list[tuple]:
             raise DegenerateGeometryError(
                 f"zero circulation in an angle denominator at {where(contribution, q if b1 == 0 else p)}"
             )
-        n, bb = ph + hq + pe + eq + 2 * qp, b1 * b2
-        terms.append((2 * bb * bb, n * bb, sides, n, b1, b2))
+        terms.append((b1 * b2, ph + hq + pe + eq + 2 * qp, sides, b1, b2))
     return terms
+
+
+def _value_over(d: int, terms: list[tuple]) -> tuple[int, int]:
+    """``curvature_value``'s numerator and the lcm l of the b1 b2."""
+    l = lcm(*[t[0] for t in terms])
+    return d * l * sum([t[1] * (l // t[0]) for t in terms]), l
 
 
 def curvature_value(d: int, terms: list[tuple]) -> tuple[int, int]:
     """The value stage: the sum of the angles ``terms`` of
     ``angle_terms`` on a table over ``d``, as the integer pair
-    ``(d * total, L)``, its value ``d * total / L`` with L the lcm of the
-    angle denominators q and total the sum of v L / q; not reduced."""
-    common = lcm(*[t[0] for t in terms])
-    return d * sum([t[1] * (common // t[0]) for t in terms]), common
+    ``(d l total, 2 l^2)`` with l the lcm of the b1 b2 and total the sum
+    of n r, r = l / (b1 b2); not reduced.  2 l^2 is the lcm L of the angle
+    denominators 2 (b1 b2)^2, as lcm(2x^2, 2y^2) = 2 lcm(x, y)^2, and
+    each angle is D n l r / L."""
+    numerator, l = _value_over(d, terms)
+    return numerator, 2 * l * l
 
 
 def curvature(table, angles: Iterable, where: Callable) -> tuple[tuple[int, int], tuple[int, dict]]:
@@ -288,34 +298,40 @@ def curvature(table, angles: Iterable, where: Callable) -> tuple[tuple[int, int]
         n1 = ph + hq + qp,  n2 = pe + eq + qp,
         b1 = ph + he - pe,  b2 = he + eq - hq,
 
-    and the angle (N1 + N2) / (2 B1 B2) is D v / q with v = (n1 + n2) b1 b2
-    and q = 2 (b1 b2)^2.  Its partial by a key is D^2 / q times the sum,
-    over the edges carrying that key, of the edge's sign times its weight:
-    the sum of the weights of the triangles it bounds, signed by the
-    direction it is crossed in, with b1 b2 for N1 and N2, -(n1 + n2) b2 for
-    B1 and -(n1 + n2) b1 for B2.  The three stages run in turn:
-    ``angle_terms`` per angle, ``curvature_value`` over the lcm L of the
-    q, and the gradient, whose partials are integers over the one
-    denominator L / gcd(L, D^2); dividing that gcd out once keeps the
-    gradient small when D is large.  A caller that reads only the value
-    runs the first two stages alone.
+    and the angle (N1 + N2) / (2 B1 B2) is D n / (2 b1 b2) with n = n1 +
+    n2.  Its partial by a key is D^2 / (2 (b1 b2)^2) times the sum, over
+    the edges carrying that key, of the edge's sign times its weight: the
+    sum of the weights of the triangles it bounds, signed by the direction
+    it is crossed in, with b1 b2 for N1 and N2, -n b2 for B1 and -n b1 for
+    B2.  The three stages run in turn: ``angle_terms`` per angle, the
+    value over the lcm l of the b1 b2 (``_value_over``, which
+    ``curvature_value`` runs too), and the gradient.
+    Over L = 2 l^2 an angle's weights scale by r^2, r = l / (b1 b2), so
+    the gradient reads them as r l for b1 b2 and r^2 n b2, r^2 n b1 for
+    the others, and its partials are integers over the one denominator
+    L / gcd(L, D^2); dividing that gcd out once keeps the gradient small
+    when D is large.  A caller that reads only the value runs the first
+    two stages alone.
     """
     d, numerators = table
     terms = angle_terms(numerators, angles, where)
-    value = curvature_value(d, terms)
-    common = value[1]
+    numerator, l = _value_over(d, terms)
+    common = 2 * l * l
     row: dict = {}
-    for q, _, sides, n, b1, b2 in terms:
-        scale, bb = common // q, b1 * b2
-        w1, w2 = -n * b2, -n * b1  # the weights of B1 and B2
-        for (key, sign), weight in zip(sides, (bb + w1, bb - w2, 2 * bb, bb - w1, bb + w2, w1 + w2)):
-            if sign > 0:
-                row[key] = row.get(key, 0) + scale * weight
-            else:
-                row[key] = row.get(key, 0) - scale * weight
+    for bb, n, sides, b1, b2 in terms:
+        r = l // bb
+        a, rn = r * l, r * r * n
+        w1, w2 = rn * b2, rn * b1  # minus the scaled weights of B1 and B2
+        (ph, s1), (hq, s2), (qp, s3), (pe, s4), (eq, s5), (he, s6) = sides
+        row[ph] = row.get(ph, 0) + s1 * (a - w1)
+        row[hq] = row.get(hq, 0) + s2 * (a + w2)
+        row[qp] = row.get(qp, 0) + s3 * 2 * a
+        row[pe] = row.get(pe, 0) + s4 * (a + w1)
+        row[eq] = row.get(eq, 0) + s5 * (a - w2)
+        row[he] = row.get(he, 0) - s6 * (w1 + w2)
     g = gcd(d * d, common)
     dd = d * d // g
-    return value, (common // g, {key: dd * dv for key, dv in row.items()})
+    return (numerator, common), (common // g, {key: dd * dv for key, dv in row.items()})
 
 
 def _face_at(tri: Triangulation, contribution, opposite: int) -> str:

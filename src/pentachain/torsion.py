@@ -156,14 +156,21 @@ class BasisPartition:
 def minors(c: ChainComplex, p: BasisPartition) -> tuple[Fraction, ...]:
     """The five compatible minors (m1..m5) of a partition.
 
-    Raises TorsionError if sizes are inconsistent or any minor vanishes.
+    Raises TorsionError, naming C_k, if a split picks the wrong number of
+    positions, one twice or one outside 0..dim C_k - 1, and if any minor
+    vanishes.
     """
     sizes = expected_ranks(c.vertex_count, c.edge_count)
-    for k, (want, have) in enumerate(zip(sizes, p.rows()), start=1):
-        if len(set(have)) != want:
-            raise TorsionError(
-                f"C{k} split must pick {want} rows, got {len(set(have))}"
-            )
+    for k, (want, have, m) in enumerate(zip(sizes, p.rows(), c.maps), start=1):
+        if len(have) != want:
+            raise TorsionError(f"C{k} split must pick {want} rows, got {len(have)}")
+        seen = set()
+        for i in have:
+            if not 0 <= i < m.nrows:
+                raise TorsionError(f"C{k} split picks position {i}, outside 0..{m.nrows - 1}")
+            if i in seen:
+                raise TorsionError(f"C{k} split picks position {i} twice")
+            seen.add(i)
     k1, k2, k3, k4 = p.cols(c)
     f1, f2, f3, f4, f5 = c.maps
     values = (

@@ -26,7 +26,7 @@ from pentachain import (
 from pentachain.chain import C0_LABELS, C5_LABELS, ChainComplex, _composition_witness, certify_chain, expected_ranks
 from pentachain.triangulation import Triangulation
 from reference import coordinates, fraction_holonomy_generator, geometry_of, lambda_of, laplacian_dets, rat_matrix
-from test_geometry import fraction_curvature_oracle, lookup_angles
+from test_geometry import fraction_curvature_oracle, lookup_angles, prime_denominator_geometry_text
 
 F = Fraction
 
@@ -186,15 +186,38 @@ def perturbed(c, name, i, j, delta):
     return replace(c, **{name: rat_matrix(rows, m.row_labels, m.col_labels)})
 
 
-@pytest.mark.parametrize("name, stage", [("f3", 2), ("f4", 3)])
+@pytest.mark.parametrize("name, stage", [("f1", 1), ("f3", 2), ("f4", 3), ("f5", 4)])
 def test_perturbed_entry_gives_oracle_witness(rp3, name, stage, certified_chain):
-    c = certified_chain(rp3, assign_geometry(rp3, 1))
+    """A perturbed entry of f_k is found at the first composition it
+    enters: f1 and f4 as the right factor that ``verify_chain`` scales to
+    integers once, f3 as the one scaled per left row.  One delta keeps the
+    row denominators dividing 2D, the other brings in 7919."""
+    g = assign_geometry(rp3, 1)
+    c = certified_chain(rp3, g)
     m = getattr(c, name)
-    for i, j in ((0, 0), (m.nrows // 2, m.ncols - 1), (m.nrows - 1, 3)):
-        broken = perturbed(c, name, i, j, F(1, 7919))
-        ok, witness = verify_chain(broken)
-        assert not ok and witness[0] == stage
-        assert (ok, witness) == fraction_witness_oracle(broken)
+    for delta in (F(1, 2 * g.den), F(1, 7919)):
+        for i, j in ((0, 0), (m.nrows // 2, m.ncols - 1), (m.nrows - 1, 3)):
+            broken = perturbed(c, name, i, j, delta)
+            ok, witness = verify_chain(broken)
+            assert not ok and witness[0] == stage
+            assert (ok, witness) == fraction_witness_oracle(broken)
+
+
+def test_right_factor_denominators_divide_one_scale(s3, rp3):
+    """The fact that lets ``verify_chain`` scale f1, f2 and f4 to integers
+    once each: every row denominator of f1, f2 and f4 divides 2D, 2D and
+    2D^2, with D the geometry's common denominator, for sampled geometry
+    and for coordinates over distinct 40-bit primes."""
+    fixtures = sorted((Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures").glob("*.tri"))
+    assert len(fixtures) == 8
+    cases = [(tri, assign_geometry(tri, seed)) for tri in (s3, rp3) for seed in range(3)]
+    cases += [(tri, assign_geometry(tri, 1)) for tri in map(Triangulation.from_file, fixtures)]
+    cases += [(tri, parse_geometry(prime_denominator_geometry_text(len(tri.vertices)), tri)) for tri in (s3, rp3)]
+    for tri, g in cases:
+        c = build_chain(tri, g)
+        d = g.den
+        for m, scale in ((c.f1, 2 * d), (c.f2, 2 * d), (c.f4, 2 * d * d)):
+            assert all(scale % den == 0 for den in m.denominators), (m.row_labels[0], d)
 
 
 def test_free_column_certificate_agrees_with_full_check(s3, rp3, certified_chain):
@@ -308,6 +331,7 @@ def test_composition_witness_matches_dense_fraction_product():
         cols = None if rng.random() < 0.4 else rng.sample(range(width), rng.randint(0, width))
         found = _composition_witness(left, right, cols)
         assert found == dense_witness(left, right, cols)
+        assert _composition_witness(left, right, cols, per_row=False) == found
         seen["witness" if found else "none"] += 1
         seen["subset"] += cols is not None
         seen["empty row"] += not all(left.numerators)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -490,6 +491,19 @@ def test_invalid_partition_rejected(s3, sphere_geometry, certified_chain):
         tau(c, bad, minors(c, bad))
     with pytest.raises(TorsionError, match="split"):
         minors(c, BasisPartition(positions(c.f1.row_labels, ("dx_v0",)), good.c2_rows, good.c3_rows, good.c4_rows))
+    # a wrong count, a position outside C_k and a repeated one are each named
+    last = c.f1.nrows - 1
+    for c1_rows, message in (
+        ((0, 0, 1, 2, 3, 4, 5), "C1 split must pick 6 rows, got 7"),
+        ((0, 1, 2, 3, 4, 99), f"C1 split picks position 99, outside 0..{last}"),
+        ((0, 1, 2, 3, 4, -1), f"C1 split picks position -1, outside 0..{last}"),
+        ((0, 1, 2, 3, 4, 0), "C1 split picks position 0 twice"),
+    ):
+        with pytest.raises(TorsionError, match=re.escape(message)):
+            minors(c, BasisPartition(c1_rows, good.c2_rows, good.c3_rows, good.c4_rows))
+    c2_rows = (good.c2_rows[0], *good.c2_rows[:-1])
+    with pytest.raises(TorsionError, match=f"C2 split picks position {c2_rows[0]} twice"):
+        minors(c, BasisPartition(good.c1_rows, c2_rows, good.c3_rows, good.c4_rows))
 
 
 def test_result_fields(s3, sphere_geometry):
