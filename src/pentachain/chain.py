@@ -9,6 +9,11 @@ Spaces and bases, in order:
     C4 (dim 3V)  dg1_v dg2_v dg3_v         per vertex class
     C5 (dim 6)   db1 .. db6
 
+The matrices hold no names: rows and columns are basis positions, and
+``basis_label(k, i)`` names position i of C_k as listed above (``dx_v2``
+is position 6 of C1, ``dl_e3`` position 3 of C2), for the witnesses and
+error texts of ``verify_chain`` and the lines of ``dump_chain``.
+
 The five maps are assembled at the flat configuration induced by the
 vertex coordinates:
 
@@ -101,25 +106,23 @@ from .exact import RatMatrix, format_ratio, rank
 from .geometry import GeometryAssignment, edge_values, ensure_nondegenerate, omega_row
 from .triangulation import Triangulation
 
-C0_LABELS = ("dt1", "dt2", "dt3", "dx", "dy", "dk")
-C5_LABELS = ("db1", "db2", "db3", "db4", "db5", "db6")
+_C0_NAMES = ("dt1", "dt2", "dt3", "dx", "dy", "dk")
+# the three basis vectors of a vertex class in C1 and in C4
+_VERTEX_NAMES = {1: ("dx", "dy", "dk"), 4: ("dg1", "dg2", "dg3")}
 
 
-def vertex_labels(n: int) -> tuple[str, ...]:
-    return tuple(f"{name}_v{v}" for v in range(n) for name in ("dx", "dy", "dk"))
-
-
-def gamma_labels(n: int) -> tuple[str, ...]:
-    return tuple(f"{name}_v{v}" for v in range(n) for name in ("dg1", "dg2", "dg3"))
-
-
-def edge_labels(n: int, prefix: str) -> tuple[str, ...]:
-    return tuple(f"{prefix}_e{e}" for e in range(n))
+def basis_label(k: int, i: int) -> str:
+    """The name of position i of C_k's basis (see the module docstring)."""
+    if k == 0:
+        return _C0_NAMES[i]
+    if k in _VERTEX_NAMES:
+        return f"{_VERTEX_NAMES[k][i % 3]}_v{i // 3}"
+    return f"db{i + 1}" if k == 5 else f"{'dl' if k == 2 else 'dw'}_e{i}"
 
 
 @dataclass(frozen=True)
 class ChainComplex:
-    """The five labeled matrices, plus the data they were built from."""
+    """The five matrices, plus the data they were built from."""
 
     f1: RatMatrix
     f2: RatMatrix
@@ -150,8 +153,6 @@ def build_chain(tri: Triangulation, g: GeometryAssignment) -> ChainComplex:
     ne = len(tri.edges)
     lam = edge_values(tri, g)
     ensure_nondegenerate(tri, lam)
-    vlabels, glabels = vertex_labels(nv), gamma_labels(nv)
-    llabels, wlabels = edge_labels(ne, "dl"), edge_labels(ne, "dw")
     d, xs, ys = g.den, g.x, g.y
 
     f1 = []
@@ -191,11 +192,11 @@ def build_chain(tri: Triangulation, g: GeometryAssignment) -> ChainComplex:
         f5[5][3 * v], f5[5][3 * v + 1], f5[5][3 * v + 2] = ya * ya, -2 * xa * ya, xa * xa
 
     return ChainComplex(
-        f1=RatMatrix(f1, (d, d, 2 * d) * nv, vlabels, C0_LABELS),
-        f2=RatMatrix(f2, (2 * d,) * ne, llabels, vlabels),
-        f3=RatMatrix(f3, f3_dens, wlabels, llabels),
-        f4=RatMatrix(f4, (2 * d * d,) * (3 * nv), glabels, wlabels),
-        f5=RatMatrix(f5, (1, 1, 1, d, d, d * d), C5_LABELS, glabels),
+        f1=RatMatrix(f1, (d, d, 2 * d) * nv, 6),
+        f2=RatMatrix(f2, (2 * d,) * ne, 3 * nv),
+        f3=RatMatrix(f3, f3_dens, ne),
+        f4=RatMatrix(f4, (2 * d * d,) * (3 * nv), ne),
+        f5=RatMatrix(f5, (1, 1, 1, d, d, d * d), 3 * nv),
         vertex_count=nv,
         edge_count=ne,
         edge_table=lam,
@@ -204,9 +205,9 @@ def build_chain(tri: Triangulation, g: GeometryAssignment) -> ChainComplex:
 
 
 def _composition_witness(left: RatMatrix, right: RatMatrix, cols=None, per_row=True):
-    """The labels of the first nonzero entry of left*right, in row then
-    column order, on the column positions ``cols`` (all when None); None if
-    there is none.
+    """The (row, column) position of the first nonzero entry of
+    left*right, in row then column order, on the column positions ``cols``
+    (all when None); None if there is none.
 
     Each row of ``left`` is taken as its integer numerators, a positive
     multiple of the row.  With ``per_row`` false, the rows of ``right``
@@ -238,7 +239,7 @@ def _composition_witness(left: RatMatrix, right: RatMatrix, cols=None, per_row=T
                 acc[k] += a * b
         if any(acc):
             k = next(k for k, v in enumerate(acc) if v)
-            return (left.row_labels[i], right.col_labels[k])
+            return i, k
     return None
 
 
@@ -246,7 +247,8 @@ def verify_chain(c: ChainComplex, free_cols=None) -> tuple[bool, tuple | None]:
     """Exact check of all four compositions.
 
     Returns (True, None), or (False, (k, row_label, col_label)) locating the
-    first nonzero entry of f_{k+1} * f_k.  With ``free_cols``, the column
+    first nonzero entry of f_{k+1} * f_k, its row named in C_{k+1} and its
+    column in C_{k-1} (``basis_label``).  With ``free_cols``, the column
     positions (K1, K2, K3) of a partition whose five minors are nonzero,
     f2 * f1 is checked in full and f3 * f2, f4 * f3 and f5 * f4 only on K1,
     K2 and K3, which decides the same (the free-column lemma in the module
@@ -259,7 +261,8 @@ def verify_chain(c: ChainComplex, free_cols=None) -> tuple[bool, tuple | None]:
     for k, ((left, right), cols) in enumerate(zip(pairs, restrict), start=1):
         witness = _composition_witness(left, right, cols, per_row=k == 3)
         if witness is not None:
-            return False, (k, witness[0], witness[1])
+            i, j = witness
+            return False, (k, basis_label(k + 1, i), basis_label(k - 1, j))
     return True, None
 
 
@@ -294,9 +297,9 @@ def dump_chain(c: ChainComplex) -> str:
     each entry reduced from the stored integers by one gcd."""
     lines = []
     for k, m in enumerate(c.maps, start=1):
-        cols = m.col_labels
-        for label, row, d in zip(m.row_labels, m.numerators, m.denominators):
-            head = f"f{k} {label} "
+        cols = [basis_label(k - 1, j) for j in range(m.ncols)]
+        for i, (row, d) in enumerate(zip(m.numerators, m.denominators)):
+            head = f"f{k} {basis_label(k, i)} "
             for j, v in row.items():
                 g = gcd(v, d)
                 lines.append(f"{head}{cols[j]} {format_ratio(v // g, d // g)}")

@@ -7,17 +7,18 @@ walk suites on one triangulation),
 ``pentagon`` (five-point identity suites alone) and ``dump-chain``
 (diffable matrix dump).
 
-Exit codes are stable: 0 success, 2 parse error (also unreadable input
-files and argparse usage errors), 3 gluing validation error, 4 degenerate
-geometry, 5 non-acyclic complex, 6 invariance violation during
-verification, 141 (128 + SIGPIPE, as a shell reports a process that
-SIGPIPE ended) when the reader of standard output goes away first, as in
-``... | head -1``; that exit prints nothing.  Exit 4 has four causes:
-an edge class that joins a vertex class to itself, raised before any
-geometry is drawn; no nondegenerate draw in ``geometry.SAMPLE_DRAWS``
-tries; an explicit geometry with a zero face circulation; and a
-five-point sample of ``verify`` or ``pentagon`` that stays degenerate
-for ``pentagon.SAMPLE_DRAWS`` draws.
+Exit codes are stable: 0 success, 2 parse error (also argparse usage
+errors and any ``OSError``, such as an unreadable input file or a
+``pachner --out`` path that cannot be written), 3 gluing validation
+error, 4 degenerate geometry, 5 non-acyclic complex, 6 invariance
+violation during verification, 141 (128 + SIGPIPE, as a shell reports a
+process that SIGPIPE ended) when the reader of standard output goes away
+first, as in ``... | head -1``; that exit prints nothing.  Exit 4 has
+four causes: an edge class that joins a vertex class to itself, raised
+before any geometry is drawn; no nondegenerate draw in
+``geometry.SAMPLE_DRAWS`` tries; an explicit geometry with a zero face
+circulation; and a five-point sample of ``verify`` or ``pentagon`` that
+stays degenerate for ``pentagon.SAMPLE_DRAWS`` draws.
 
 Options are taken by their full names only, never by a prefix.  Integer
 flags (``--seed`` and every count) take the integer grammar of the input

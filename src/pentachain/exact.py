@@ -1,11 +1,11 @@
-"""Exact rational scalars and sparse labeled matrices.
+"""Exact rational scalars and sparse integer matrices.
 
 Every numeric quantity in the pipeline is an exact rational, so all
 downstream equalities are exact.  A based torsion depends only on the
 order of each space's basis, and that order is the row or column
 position: rows, columns, row bases and minors are all addressed by
-position.  Matrices also carry one label per row and per column, the
-names that reports and error texts print.
+position, and a matrix holds no names.  The names that reports and error
+texts print belong to the chain (``chain.basis_label``).
 
 A matrix stores each row as integer numerators over one positive row
 denominator: ``numerators[i]`` maps column positions, in ascending order,
@@ -13,8 +13,8 @@ to nonzero ints, and row i is that mapping divided by
 ``denominators[i]``.  Every row is reduced, gcd(denominator, numerators)
 = 1, so the stored pair is unique and equal matrices store equal pairs.
 The one constructor takes the rows in integers, as ``chain.build_chain``
-assembles them: a numerator mapping and a nonzero denominator per row, with
-one label per row and per column.  It reduces each row, and ``rows`` and
+assembles them: a numerator mapping and a nonzero denominator per row,
+and the column count.  It reduces each row, and ``rows`` and
 ``entries`` are derived ``Fraction`` views.  ``block``
 slices rows and columns by position, or the transpose's, straight from
 the stored integers into a ``Block``: unreduced rows, which ``rank``,
@@ -117,7 +117,7 @@ def format_ratio(p: int, q: int) -> str:
 
 
 class RatMatrix:
-    """Immutable sparse matrix of rationals with labeled rows and columns.
+    """Immutable sparse matrix of rationals, ``ncols`` columns wide.
 
     Row i is ``numerators[i]``, a ``{column position: nonzero int}``
     mapping with keys in ascending order, over ``denominators[i] > 0``,
@@ -125,43 +125,34 @@ class RatMatrix:
     as ``numerators[i] / denominators[i]``: a ``{column position: int}``
     mapping, in any key order and zeros allowed, over a nonzero int.
     ``rows`` (one ``{column: Fraction}`` per row) and ``entries`` (dense)
-    are ``Fraction`` views.
+    are ``Fraction`` views.  Errors name a row by its position.
     """
 
-    __slots__ = ("numerators", "denominators", "row_labels", "col_labels")
+    __slots__ = ("numerators", "denominators", "ncols")
 
-    def __init__(self, numerators, denominators, row_labels, col_labels):
-        row_labels, col_labels = tuple(row_labels), tuple(col_labels)
-        width = len(col_labels)
+    def __init__(self, numerators, denominators, ncols):
         rows, dens = [], []
-        for label, row, d in zip(row_labels, numerators, denominators, strict=True):
+        for i, (row, d) in enumerate(zip(numerators, denominators, strict=True)):
             if not d:
-                raise ValueError(f"row {label!r} has denominator zero")
+                raise ValueError(f"row {i} has denominator zero")
             try:
                 g = gcd(d, *row.values())
             except TypeError as exc:  # gcd takes integers only
-                raise TypeError(f"row {label!r} of an integer matrix holds a non-integer: {exc}") from None
+                raise TypeError(f"row {i} of an integer matrix holds a non-integer: {exc}") from None
             if d < 0:
                 g = -g
             items = sorted(row.items())
-            if items and not (0 <= items[0][0] and items[-1][0] < width):
-                raise ValueError(f"row {label!r} has a column key outside 0..{width - 1}")
+            if items and not (0 <= items[0][0] and items[-1][0] < ncols):
+                raise ValueError(f"row {i} has a column key outside 0..{ncols - 1}")
             rows.append({j: v for j, v in items if v} if g == 1 else {j: v // g for j, v in items if v})
             dens.append(d // g)
         self.numerators = tuple(rows)
         self.denominators = tuple(dens)
-        self.row_labels = row_labels
-        self.col_labels = col_labels
-        if len(set(row_labels)) != len(row_labels) or len(set(col_labels)) != len(col_labels):
-            raise ValueError("duplicate basis labels")
+        self.ncols = ncols
 
     @property
     def nrows(self) -> int:
-        return len(self.row_labels)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.col_labels)
+        return len(self.numerators)
 
     @property
     def rows(self) -> tuple[dict[int, Fraction], ...]:
@@ -197,10 +188,9 @@ class RatMatrix:
     def __eq__(self, other):
         return (
             isinstance(other, RatMatrix)
+            and self.ncols == other.ncols
             and self.numerators == other.numerators
             and self.denominators == other.denominators
-            and self.row_labels == other.row_labels
-            and self.col_labels == other.col_labels
         )
 
     def __repr__(self):
@@ -209,7 +199,7 @@ class RatMatrix:
 
 class Block(NamedTuple):
     """A block of a matrix as ``RatMatrix.block`` slices it: integer rows
-    over positive denominators, not necessarily reduced, and no labels.
+    over positive denominators, not necessarily reduced.
     ``rank``, ``det`` and ``independent_rows`` take a block as they take a
     ``RatMatrix``; it skips the reduction that a matrix stores."""
 

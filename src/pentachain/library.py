@@ -12,8 +12,8 @@ Two closed oriented manifolds ship with the package:
 
 Both are stored as data files and validated on load.  The module holds
 the builtins only: the paper's hand-computed geometry and basis
-partitions, which read the chain's labels, are test data and live with
-the tests.
+partitions, written with the chain's basis names (``chain.basis_label``),
+are test data and live with the tests.
 """
 
 from __future__ import annotations

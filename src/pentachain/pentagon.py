@@ -99,8 +99,9 @@ SAMPLE_DRAWS = 32  # draws FivePointConfig.random makes before giving up
 SAMPLE_BOUND = 30  # FivePointConfig.random draws numerators in [-SAMPLE_BOUND, SAMPLE_BOUND]
 # perturbations of lambda_ED under which verify_vector_identities checks the closure
 CLOSURE_DELTAS = (Fraction(1), Fraction(-3, 7))
-# curvatures at which verify_vector_identities checks the holonomy generator
-OMEGA_SAMPLES = (Fraction(0), Fraction(2), Fraction(-5, 3))
+# curvatures at which verify_vector_identities checks the holonomy generator;
+# none is 0, where the generator is zero and its checks would read 0 == 0
+OMEGA_SAMPLES = (Fraction(1), Fraction(2), Fraction(-5, 3))
 # the Cramer steps E->b from E->D and E->a, composed in this order
 CRAMER_STEPS = (("A", "B"), ("B", "C"), ("C", "A"))
 

@@ -7,8 +7,9 @@ denominator.  The paper works single values and fixed choices by hand, in
 rationals, and the tests check the package against them:
 
 * the fixed sphere geometry and the sphere's and projective space's
-  hand-chosen basis partitions, written with labels and converted to the
-  positions a ``BasisPartition`` holds (``positions``), with the
+  hand-chosen basis partitions, written with the chain's basis names
+  (``chain.basis_label``) and converted to the positions a
+  ``BasisPartition`` holds (``positions``), with the
   tetrahedron-0 edge bookkeeping that the projective partition reads;
 * a partition's sign eps by sorting its positions, the oracle of
   ``BasisPartition.sign``, and the determinants of the combinatorial
@@ -19,7 +20,7 @@ rationals, and the tests check the package against them:
   order of its torsion;
 * a matrix from rows of ints and Fractions, dense or by column
   (``rat_matrix``), cleared into the integer rows ``RatMatrix`` takes, and
-  one entry of a matrix by its labels;
+  one entry of a matrix as a Fraction (``entry``);
 * a geometry from rational x, y and kappa (``geometry_of``), cleared
   into the integer table ``GeometryAssignment`` holds, and a geometry's
   coordinates (``coordinates``) and face circulations (``face_values``)
@@ -63,6 +64,7 @@ from math import gcd, lcm, prod
 
 from pentachain import BasisPartition, FivePointConfig, GeometryAssignment, RatMatrix, Triangulation
 from pentachain import KINDS, apply_move, enumerate_sites, load_builtin
+from pentachain.chain import basis_label
 from pentachain.exact import clear_denominators, independent_rows, permutation_sign
 from pentachain.geometry import SAMPLE_DRAWS as GEOMETRY_DRAWS, curvature, face_circulations, subseed
 from pentachain.pachner import _GROWING, _keeps_sampler_solvable
@@ -74,29 +76,26 @@ from pentachain.triangulation import Gluing, compose, inverse
 SPHERE_C1_ROWS = ("dx_v0", "dy_v0", "dk_v0", "dx_v1", "dy_v1", "dx_v2")
 
 
-def positions(labels, names):
-    """The positions of ``names`` among ``labels``, in the order given."""
+def positions(k, dim, names):
+    """The positions in C_k, of dimension ``dim``, of the basis vectors
+    ``names``, in the order given."""
+    labels = [basis_label(k, i) for i in range(dim)]
     return tuple(labels.index(name) for name in names)
 
 
-def rat_matrix(rows, row_labels=None, col_labels=None):
+def rat_matrix(rows, ncols=None):
     """The matrix with the given rows of ints and Fractions, each a
-    ``{column position: value}`` mapping or a dense sequence; labels
-    default to r0, r1, ... and c0, c1, ..., as many columns as the first
-    dense row has."""
+    ``{column position: value}`` mapping or a dense sequence, ``ncols``
+    columns wide: by default as many as the first dense row has."""
     rows = list(rows)
-    if row_labels is None:
-        row_labels = [f"r{i}" for i in range(len(rows))]
-    if col_labels is None:
-        width = next((len(r) for r in rows if not isinstance(r, Mapping)), 0)
-        col_labels = [f"c{j}" for j in range(width)]
+    if ncols is None:
+        ncols = next((len(r) for r in rows if not isinstance(r, Mapping)), 0)
     cleared = [clear_denominators(row if isinstance(row, Mapping) else dict(enumerate(row))) for row in rows]
-    return RatMatrix([n for _, n in cleared], [d for d, _ in cleared], row_labels, col_labels)
+    return RatMatrix([n for _, n in cleared], [d for d, _ in cleared], ncols)
 
 
-def entry(m, row_label, col_label):
-    """The entry of ``m`` in the row and column with these labels."""
-    i, j = m.row_labels.index(row_label), m.col_labels.index(col_label)
+def entry(m, i, j):
+    """The entry of ``m`` at row position i and column position j."""
     return Fraction(m.numerators[i].get(j, 0), m.denominators[i])
 
 
@@ -187,7 +186,7 @@ def sphere_paper_partition(c):
     c2_rows = tuple(range(c.f2.nrows))  # all six edge rows
     k3 = range(c.f3.nrows)  # all six curvature columns feed f4
     c4_rows = tuple(independent_rows(c.f4.block(range(c.f4.nrows), k3))[0])
-    return BasisPartition(positions(c.f1.row_labels, SPHERE_C1_ROWS), c2_rows, (), c4_rows)
+    return BasisPartition(positions(1, c.f1.nrows, SPHERE_C1_ROWS), c2_rows, (), c4_rows)
 
 
 def tet0_edges(tri):
@@ -219,17 +218,18 @@ def projective_paper_partition(c, tri):
     unprimed curvature rows for the f3 minor, primed curvature columns for
     f4; C1 rows as for the sphere, C4 rows completed greedily."""
     unprimed = set(tet0_edges(tri))
-    c2_rows = positions(c.f2.row_labels, [f"dl_e{e.id}" for e in tri.edges if e.id not in unprimed])
-    c3_rows = positions(c.f3.row_labels, [f"dw_e{e.id}" for e in tri.edges if e.id in unprimed])
-    k3 = positions(c.f3.row_labels, [f"dw_e{e.id}" for e in tri.edges if e.id not in unprimed])
+    ne = c.f2.nrows
+    c2_rows = positions(2, ne, [f"dl_e{e.id}" for e in tri.edges if e.id not in unprimed])
+    c3_rows = positions(3, ne, [f"dw_e{e.id}" for e in tri.edges if e.id in unprimed])
+    k3 = positions(3, ne, [f"dw_e{e.id}" for e in tri.edges if e.id not in unprimed])
     c4_rows = tuple(independent_rows(c.f4.block(range(c.f4.nrows), k3))[0])
-    return BasisPartition(positions(c.f1.row_labels, SPHERE_C1_ROWS), c2_rows, c3_rows, c4_rows)
+    return BasisPartition(positions(1, c.f1.nrows, SPHERE_C1_ROWS), c2_rows, c3_rows, c4_rows)
 
 
 def label_sort_sign(c, p):
     """eps of a partition by sorting positions, the oracle of
     ``BasisPartition.sign``: over C1..C4, the sign of the permutation that
-    puts R_k, then K_k, into C_k's order, the order of its labels."""
+    puts R_k, then K_k, into C_k's order, ascending positions."""
     eps = 1
     for rows, cols in zip(p.rows(), p.cols(c)):
         listed = (*rows, *cols)
@@ -257,9 +257,9 @@ def fraction_det(rows):
 
 
 def laplacian_dets(c):
-    """det(Delta_k) for k = 0..5, the combinatorial Laplacians with the label
-    bases orthonormal: Delta_k = f_k f_k^T + f_{k+1}^T f_{k+1} on C_k, with
-    f_0 = f_6 = 0.  Each f_k is the dense matrix with rows C_k and columns
+    """det(Delta_k) for k = 0..5, the combinatorial Laplacians with the
+    bases of C0..C5 orthonormal: Delta_k = f_k f_k^T + f_{k+1}^T f_{k+1}
+    on C_k, with f_0 = f_6 = 0.  Each f_k is the dense matrix with rows C_k and columns
     C_(k-1).  Given the chain property, Delta_k is singular exactly when
     H_k is not zero, so the complex is acyclic when no det is zero."""
     f = [m.entries for m in c.maps]

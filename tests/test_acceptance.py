@@ -100,13 +100,13 @@ def test_criterion_4_derivative_minor_structure(certified_chain):
     circulations = face_values(rp3, lam)
     s_abc = abs(circulations[rp3.face_class(0, 3)])
     s_abd = abs(circulations[rp3.face_class(0, 2)])
-    assert abs(entry(c.f3, f"dw_e{b}", f"dl_e{f}")) == 2 / (s_abc * s_abd)
+    assert abs(entry(c.f3, b, f)) == 2 / (s_abc * s_abd)
     # the six opposite-pair entries are the only nonzero entries of the
     # unprimed 6x6 minor
     nonzero = 0
     for a in unprimed:
         for bb in unprimed:
-            value = entry(c.f3, f"dw_e{a}", f"dl_e{bb}")
+            value = entry(c.f3, a, bb)
             if pairs[a] == bb:
                 assert value != 0
                 nonzero += 1

@@ -23,7 +23,7 @@ from pentachain import (
     select_partition,
     verify_chain,
 )
-from pentachain.chain import C0_LABELS, C5_LABELS, ChainComplex, _composition_witness, certify_chain, expected_ranks
+from pentachain.chain import ChainComplex, _composition_witness, basis_label, certify_chain, expected_ranks
 from pentachain.triangulation import Triangulation
 from reference import coordinates, fraction_holonomy_generator, geometry_of, lambda_of, laplacian_dets, rat_matrix
 from test_geometry import fraction_curvature_oracle, lookup_angles, prime_denominator_geometry_text
@@ -53,31 +53,33 @@ def test_chain_property_random_seeds(s3, rp3):
 def test_dimensions_and_labels(rp3, rp3_geometry, certified_chain):
     c = certified_chain(rp3, rp3_geometry)
     v, e = c.vertex_count, c.edge_count
-    dims = (len(c.f1.col_labels), *(len(f.row_labels) for f in c.maps))
+    dims = (c.f1.ncols, *(f.nrows for f in c.maps))
     assert dims == (6, 3 * v, e, e, 3 * v, 6)
     assert sum(dims[::2]) == sum(dims[1::2])  # alternating sum vanishes
-    assert c.f1.col_labels == C0_LABELS
-    assert c.f5.row_labels == C5_LABELS
-    assert c.f2.col_labels == c.f1.row_labels
-    assert c.f3.col_labels == c.f2.row_labels
-    assert c.f4.col_labels == c.f3.row_labels
-    assert c.f5.col_labels == c.f4.row_labels
-    # every differential symbol appears as exactly one basis label
-    all_labels = set(C0_LABELS) | set(c.f1.row_labels) | set(c.f2.row_labels) | set(c.f3.row_labels) | set(c.f4.row_labels) | set(C5_LABELS)
-    assert len(all_labels) == 12 + 6 * v + 2 * e
+    # f_k maps C_{k-1} to C_k: its columns are the rows of f_{k-1}
+    assert all(right.nrows == left.ncols for right, left in zip(c.maps, c.maps[1:]))
+    names = [[basis_label(k, i) for i in range(dim)] for k, dim in enumerate(dims)]
+    assert names[0] == ["dt1", "dt2", "dt3", "dx", "dy", "dk"]
+    assert names[5] == ["db1", "db2", "db3", "db4", "db5", "db6"]
+    assert names[1][3:6] == ["dx_v1", "dy_v1", "dk_v1"] and names[4][-1] == f"dg3_v{v - 1}"
+    assert (names[2][-1], names[3][0]) == (f"dl_e{e - 1}", "dw_e0")
+    # every differential symbol appears as exactly one basis name
+    assert len({name for space in names for name in space}) == 12 + 6 * v + 2 * e
 
 
 def test_mutated_entry_is_detected(s3, sphere_geometry, certified_chain):
     c = certified_chain(s3, sphere_geometry)
     rows = [list(r) for r in c.f2.entries]
     rows[2][5] += 1
-    broken = replace(c, f2=rat_matrix(rows, c.f2.row_labels, c.f2.col_labels))
+    broken = replace(c, f2=rat_matrix(rows, c.f2.ncols))
     ok, witness = verify_chain(broken)
     assert not ok
     stage, row_label, col_label = witness
     assert stage in (1, 2)
-    assert row_label in c.f2.row_labels or row_label in c.f3.row_labels
-    assert col_label in C0_LABELS or col_label in c.f2.col_labels
+    # f2.f1 has rows in C2 and columns in C0, f3.f2 rows in C3 and columns in C1
+    rows_in, cols_in = (c.f2.nrows, c.f1.ncols) if stage == 1 else (c.f3.nrows, c.f1.nrows)
+    assert row_label in {basis_label(stage + 1, i) for i in range(rows_in)}
+    assert col_label in {basis_label(stage - 1, j) for j in range(cols_in)}
 
 
 def test_acyclicity_reports(s3, rp3, sphere_geometry, rp3_geometry, certified_chain):
@@ -88,11 +90,7 @@ def test_acyclicity_reports(s3, rp3, sphere_geometry, rp3_geometry, certified_ch
 
 def test_zeroed_f3_breaks_acyclicity(rp3, rp3_geometry, certified_chain):
     c = certified_chain(rp3, rp3_geometry)
-    zero = rat_matrix(
-        [[F(0)] * len(c.f3.col_labels) for _ in c.f3.row_labels],
-        c.f3.row_labels,
-        c.f3.col_labels,
-    )
+    zero = rat_matrix([[F(0)] * c.f3.ncols for _ in range(c.f3.nrows)])
     broken = replace(c, f3=zero)
     with pytest.raises(NotAcyclicError) as reported:
         check_acyclic(broken)
@@ -119,10 +117,10 @@ def test_f4_endpoint_triples_cancel(rp3, rp3_geometry, certified_chain):
     # block of f5*f4 they span vanishes edge by edge
     c = certified_chain(rp3, rp3_geometry)
     for r in range(3):
-        for j in range(len(c.f4.col_labels)):
+        for j in range(c.f4.ncols):
             total = sum(
                 c.f5.entries[r][k] * c.f4.entries[k][j]
-                for k in range(len(c.f4.row_labels))
+                for k in range(c.f4.nrows)
             )
             assert total == 0
 
@@ -140,7 +138,7 @@ def test_f4_columns_are_holonomy_generators(source, rp3, certified_chain):
     for e in tri.edges:
         p, q = e.tail, e.head
         (_, m01), (m10, m11) = fraction_holonomy_generator((xs[q] - xs[p], ys[q] - ys[p]), F(1))
-        expected = [0] * len(c.f4.row_labels)
+        expected = [0] * c.f4.nrows
         expected[3 * p: 3 * p + 3] = m01, m11, -m10
         expected[3 * q: 3 * q + 3] = -m01, -m11, m10
         assert [row[e.id] for row in c.f4.entries] == expected
@@ -160,22 +158,25 @@ def test_dump_format(s3, sphere_geometry, certified_chain):
 
 
 def dense_witness(left, right, cols=None):
-    """The labels of the first nonzero entry of left*right on the column
-    positions ``cols`` (all when None), by a dense Fraction product."""
+    """The (row, column) position of the first nonzero entry of left*right
+    on the column positions ``cols`` (all when None), by a dense Fraction
+    product."""
     a, b = left.entries, right.entries
     for i in range(left.nrows):
-        for col, label in enumerate(right.col_labels):
+        for col in range(right.ncols):
             if (cols is None or col in cols) and sum(a[i][j] * b[j][col] for j in range(right.nrows)):
-                return left.row_labels[i], label
+                return i, col
     return None
 
 
 def fraction_witness_oracle(c):
-    """First nonzero entry of some f_{k+1} * f_k by dense Fraction products."""
+    """First nonzero entry of some f_{k+1} * f_k by dense Fraction products,
+    its row named in C_{k+1} and its column in C_{k-1}."""
     pairs = ((c.f2, c.f1), (c.f3, c.f2), (c.f4, c.f3), (c.f5, c.f4))
     for k, (left, right) in enumerate(pairs, start=1):
         if witness := dense_witness(left, right):
-            return False, (k, *witness)
+            i, j = witness
+            return False, (k, basis_label(k + 1, i), basis_label(k - 1, j))
     return True, None
 
 
@@ -183,7 +184,7 @@ def perturbed(c, name, i, j, delta):
     m = getattr(c, name)
     rows = [list(r) for r in m.entries]
     rows[i][j] += delta
-    return replace(c, **{name: rat_matrix(rows, m.row_labels, m.col_labels)})
+    return replace(c, **{name: rat_matrix(rows, m.ncols)})
 
 
 @pytest.mark.parametrize("name, stage", [("f1", 1), ("f3", 2), ("f4", 3), ("f5", 4)])
@@ -216,8 +217,8 @@ def test_right_factor_denominators_divide_one_scale(s3, rp3):
     for tri, g in cases:
         c = build_chain(tri, g)
         d = g.den
-        for m, scale in ((c.f1, 2 * d), (c.f2, 2 * d), (c.f4, 2 * d * d)):
-            assert all(scale % den == 0 for den in m.denominators), (m.row_labels[0], d)
+        for name, scale in (("f1", 2 * d), ("f2", 2 * d), ("f4", 2 * d * d)):
+            assert all(scale % den == 0 for den in getattr(c, name).denominators), (name, d)
 
 
 def test_free_column_certificate_agrees_with_full_check(s3, rp3, certified_chain):
@@ -250,7 +251,7 @@ def test_free_column_certificate_agrees_with_full_check(s3, rp3, certified_chain
             broken = perturbed(c, f"f{k}", rng.randrange(m.nrows), rng.choice(cols), F(rng.randint(1, 9), 7919))
             cases.append((k, where, broken))
         rows = [{} if i == n % 6 else row for i, row in enumerate(c.f5.rows)]
-        cases.append((5, "zeroed", replace(c, f5=rat_matrix(rows, c.f5.row_labels, c.f5.col_labels))))
+        cases.append((5, "zeroed", replace(c, f5=rat_matrix(rows, c.f5.ncols))))
         for k, where, broken in cases:
             ok, witness = verify_chain(broken)
             if not ok:
@@ -318,8 +319,7 @@ def planted_product(rng):
         if row:
             j = rng.choice(sorted(row))
             row[j] += F(1, rng.choice(LARGE_PRIMES))
-    middle = [f"m{j}" for j in range(2 * pairs)]
-    return rat_matrix(left, col_labels=middle), rat_matrix(right, middle, [f"c{j}" for j in range(ncols)])
+    return rat_matrix(left, 2 * pairs), rat_matrix(right, ncols)
 
 
 def test_composition_witness_matches_dense_fraction_product():
@@ -352,7 +352,8 @@ def test_cancellation_across_denominators_passes():
     )
     assert verify_chain(planted) == fraction_witness_oracle(planted) == (True, None)
     off = replace(planted, f1=rat_matrix([[1, F(1, 5)], [1, F(1, 7)], [1, F(19, 104)]]))
-    assert verify_chain(off) == fraction_witness_oracle(off) == (False, (1, "r0", "c1"))
+    # the witness at row 0 and column 1 of f2.f1 is named in C2 and C0
+    assert verify_chain(off) == fraction_witness_oracle(off) == (False, (1, "dl_e0", "dt2"))
 
 
 # distinct primes of about 40 bits, one per denominator of the explicit geometry
@@ -420,7 +421,7 @@ def test_integer_assembly_matches_fraction_formulas(source, s3, rp3, certified_c
         for row, den in zip(m.numerators, m.denominators):
             assert den > 0 and math.gcd(den, *row.values()) == 1
             assert list(row) == sorted(row)
-        assert rat_matrix(m.rows, m.row_labels, m.col_labels) == m
+        assert rat_matrix(m.rows, m.ncols) == m
 
 
 def coefficients(sides):

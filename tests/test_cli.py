@@ -130,6 +130,14 @@ def test_missing_file_exit_code(capsys):
     assert code == 2
 
 
+def test_unwritable_output_exit_code(tmp_path, capsys):
+    # an OSError writing --out exits 2, as one reading an input does
+    out = tmp_path / "missing" / "x.tri"
+    code, stdout, err = run(capsys, ["pachner", "--builtin", "s3", "--steps", "1", "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and str(out) in err
+
+
 @pytest.mark.parametrize(
     "flag, content",
     [("--file", None), ("--file", b"pentachain-tri v1\n\xff\xfe\n"),
@@ -205,8 +213,7 @@ def test_broken_complex_exits_not_acyclic(capsys, monkeypatch):
 
     def zeroed_f3(*args, **kwargs):
         c = real_build_chain(*args, **kwargs)
-        zero = rat_matrix([[0] * len(c.f3.col_labels) for _ in c.f3.row_labels],
-                          c.f3.row_labels, c.f3.col_labels)
+        zero = rat_matrix([[0] * c.f3.ncols for _ in range(c.f3.nrows)])
         return replace(c, f3=zero)
 
     monkeypatch.setattr(torsion, "build_chain", zeroed_f3)
@@ -223,7 +230,7 @@ def test_short_stage_exits_not_acyclic(capsys, monkeypatch):
     def truncated_f3(*args, **kwargs):
         c = real_build_chain(*args, **kwargs)
         rows = [row if i < 5 else {} for i, row in enumerate(c.f3.rows)]
-        return replace(c, f3=rat_matrix(rows, c.f3.row_labels, c.f3.col_labels))
+        return replace(c, f3=rat_matrix(rows, c.f3.ncols))
 
     monkeypatch.setattr(torsion, "build_chain", truncated_f3)
     code, _, err = run(capsys, ["invariant", "--builtin", "rp3"])
@@ -238,7 +245,7 @@ def test_vanishing_f5_minor_exits_not_acyclic(capsys, monkeypatch):
 
     def zeroed_f5(*args, **kwargs):
         c = real_build_chain(*args, **kwargs)
-        return replace(c, f5=rat_matrix([{} for _ in c.f5.row_labels], c.f5.row_labels, c.f5.col_labels))
+        return replace(c, f5=rat_matrix([{}] * c.f5.nrows, c.f5.ncols))
 
     monkeypatch.setattr(torsion, "build_chain", zeroed_f5)
     code, _, err = run(capsys, ["invariant", "--builtin", "s3"])
@@ -256,7 +263,7 @@ def test_broken_chain_names_the_full_check_witness(capsys, monkeypatch):
         c = real_build_chain(*args, **kwargs)
         rows = [dict(row) for row in c.f4.rows]
         rows[0][0] = rows[0].get(0, 0) + Fraction(1, 7919)
-        return replace(c, f4=rat_matrix(rows, c.f4.row_labels, c.f4.col_labels))
+        return replace(c, f4=rat_matrix(rows, c.f4.ncols))
 
     monkeypatch.setattr(torsion, "build_chain", perturbed_f4)
     code, out, err = run(capsys, ["invariant", "--builtin", "rp3"])
@@ -273,7 +280,7 @@ def test_short_pass_on_broken_chain_names_the_witness(capsys, monkeypatch):
     def rotated_f3(*args, **kwargs):
         c = real_build_chain(*args, **kwargs)
         rows = c.f3.rows
-        return replace(c, f3=rat_matrix(rows[1:] + rows[:1], c.f3.row_labels, c.f3.col_labels))
+        return replace(c, f3=rat_matrix(rows[1:] + rows[:1], c.f3.ncols))
 
     monkeypatch.setattr(torsion, "build_chain", rotated_f3)
     code, out, err = run(capsys, ["invariant", "--builtin", "rp3"])
@@ -310,10 +317,10 @@ def test_verify_chain_seed_failures(capsys, monkeypatch, broken, code, message):
     def broken_chain(*args, **kwargs):
         c = real_build_chain(*args, **kwargs)
         if broken == "f3":
-            return replace(c, f3=rat_matrix([{} for _ in c.f3.row_labels], c.f3.row_labels, c.f3.col_labels))
+            return replace(c, f3=rat_matrix([{}] * c.f3.nrows, c.f3.ncols))
         rows = [dict(row) for row in c.f4.rows]
         rows[0][0] = rows[0].get(0, 0) + Fraction(1, 7919)
-        return replace(c, f4=rat_matrix(rows, c.f4.row_labels, c.f4.col_labels))
+        return replace(c, f4=rat_matrix(rows, c.f4.ncols))
 
     monkeypatch.setattr(cli, "build_chain", broken_chain)
     argv = ["verify", "--builtin", "rp3", "--samples", "1", "--chain-seeds", "1"]

@@ -63,7 +63,7 @@ def test_row_reduce_rank_one():
 
 def test_minor_conventions():
     # a minor is the det of the block on its positions, in the order given
-    m = rat_matrix([[F(1), F(2)], [F(3), F(4)]], ("r0", "r1"), ("c0", "c1"))
+    m = rat_matrix([[F(1), F(2)], [F(3), F(4)]])
     assert det(m.block((), ())) == 1
     assert det(m.block((0, 1), (0, 1))) == F(1) * 4 - F(2) * 3
     assert det(m.block((1, 0), (0, 1))) == F(2) * 3 - F(1) * 4
@@ -140,7 +140,7 @@ def test_independent_rows_selects_invertible_block():
         if rows and trial % 3 == 0:
             # force rank deficiency: every row a multiple of the first
             rows = [[F(rng.randint(-3, 3), rng.randint(1, 4)) * v for v in rows[0]] for _ in rows]
-        m = rat_matrix(rows, col_labels=[f"c{j}" for j in range(ncols)])
+        m = rat_matrix(rows, ncols)
         dense, order = m.entries, list(range(m.nrows))
         sparse_rng = random.Random(trial)
         for _ in range(3):
@@ -161,10 +161,10 @@ def test_independent_rows_selects_invertible_block():
             if len(block) == ncols:
                 holes = [[v if sparse_rng.random() < 0.4 else F(0) for v in row] for row in block]
                 for square in (block, holes):
-                    assert det(rat_matrix(square, col_labels=m.col_labels)) == cofactor_det(square)
+                    assert det(rat_matrix(square, ncols)) == cofactor_det(square)
             rng.shuffle(order)
     # no columns: the empty minor is 1
-    assert independent_rows(rat_matrix([[], []], col_labels=())) == ([], 1)
+    assert independent_rows(rat_matrix([[], []], 0)) == ([], 1)
 
 
 def test_row_order_changes_selection_deterministically():
@@ -201,47 +201,33 @@ def test_permutation_sign_counts_inversions():
             assert permutation_sign(perm) == (-1) ** inversions
 
 
-def test_duplicate_labels_rejected():
-    with pytest.raises(ValueError, match="duplicate basis labels"):
-        RatMatrix([{0: 1}, {0: 2}], [1, 1], ("a", "a"), ("c",))
-    with pytest.raises(ValueError, match="duplicate basis labels"):
-        RatMatrix([{0: 1, 1: 2}], [1], ("a",), ("c", "c"))
-
-
-def test_label_and_row_counts_must_match():
-    # the rows, their denominators and the row labels are zipped strictly
+def test_row_and_denominator_counts_must_match():
+    # the rows and their denominators are zipped strictly
     with pytest.raises(ValueError, match="zip"):
-        RatMatrix([{0: 1}, {0: 2}], [1, 1], ("a",), ("c",))
+        RatMatrix([{0: 1}], [1, 1], 1)
     with pytest.raises(ValueError, match="zip"):
-        RatMatrix([{0: 1}], [1, 1], ("a", "b"), ("c",))
-    with pytest.raises(ValueError, match="zip"):
-        RatMatrix([{0: 1}, {0: 2}], [1], ("a", "b"), ("c",))
+        RatMatrix([{0: 1}, {0: 2}], [1], 1)
 
 
 def test_mapping_rows_and_dense_view():
-    m = RatMatrix([{2: 1, 0: 2, 1: 0}, {}], [2, 5], ("r0", "r1"), ("c0", "c1", "c2"))
+    m = RatMatrix([{2: 1, 0: 2, 1: 0}, {}], [2, 5], 3)
     # the dense view has every entry, zeros included, as a Fraction
     assert m.entries == ((1, 0, F(1, 2)), (0, 0, 0))
     assert all(type(v) is Fraction for row in m.entries for v in row)
     # the sparse view keeps nonzeros only, in column order
     assert m.rows == ({0: 1, 2: F(1, 2)}, {})
     assert list(m.rows[0]) == [0, 2]
-    assert entry(m, "r0", "c1") == 0
+    assert entry(m, 0, 1) == 0
     assert m.block((0,), (2, 0)) == ([{0: 1, 1: 2}], [2], 2)
     assert rat_matrix([[1, 0, F(1, 2)], [0, 0, 0]]) == m
+    # equal rows in a wider matrix are a different matrix
+    assert rat_matrix(m.rows, 4) != m
 
 
-@pytest.mark.parametrize(
-    "rows, cols",
-    [
-        ([{3: 1}], ("c0", "c1", "c2")),
-        ([{-1: 1}], ("c0", "c1", "c2")),
-    ],
-    ids=["key-past-last-column", "negative-key"],
-)
-def test_malformed_rows_rejected(rows, cols):
-    with pytest.raises(ValueError, match=r"row 'r0' has a column key outside 0\.\.2"):
-        RatMatrix(rows, [1], ("r0",), cols)
+@pytest.mark.parametrize("rows", [[{3: 1}], [{-1: 1}]], ids=["key-past-last-column", "negative-key"])
+def test_malformed_rows_rejected(rows):
+    with pytest.raises(ValueError, match=r"row 0 has a column key outside 0\.\.2"):
+        RatMatrix(rows, [1], 3)
 
 
 @given(st.fractions())
@@ -265,22 +251,22 @@ def test_parse_canonical_form(num, den):
 
 def test_non_rational_entries_rejected():
     # the rows are integers over integers; a Fraction, a float or a string
-    # is refused, and the error names the row
+    # is refused, and the error names the row by its position
     for bad in (F(1, 2), 0.5, 2.0, "1/3"):
-        with pytest.raises(TypeError, match="row 'b' of an integer matrix holds a non-integer"):
-            RatMatrix([{0: 1}, {1: bad}], [1, 1], ("a", "b"), ("x", "y"))
-    with pytest.raises(TypeError, match="row 'a' of an integer matrix holds a non-integer"):
-        RatMatrix([{0: 1}], [F(1, 2)], ("a",), ("x",))
+        with pytest.raises(TypeError, match="row 1 of an integer matrix holds a non-integer"):
+            RatMatrix([{0: 1}, {1: bad}], [1, 1], 2)
+    with pytest.raises(TypeError, match="row 0 of an integer matrix holds a non-integer"):
+        RatMatrix([{0: 1}], [F(1, 2)], 1)
 
 
 def test_integer_rows_are_stored_reduced():
-    m = RatMatrix([{2: 6, 0: -4, 1: 0}, {}, {1: 3}], [-10, 7, 3], ("a", "b", "c"), ("x", "y", "z"))
+    m = RatMatrix([{2: 6, 0: -4, 1: 0}, {}, {1: 3}], [-10, 7, 3], 3)
     assert m.numerators == ({0: 2, 2: -3}, {}, {1: 1})
     assert m.denominators == (5, 1, 1)
     assert list(m.numerators[0]) == [0, 2]
-    assert m == rat_matrix([[F(2, 5), 0, F(-3, 5)], [0, 0, 0], [0, 1, 0]], ("a", "b", "c"), ("x", "y", "z"))
-    with pytest.raises(ValueError, match="row 'a' has denominator zero"):
-        RatMatrix([{0: 1}], [0], ("a",), ("x",))
+    assert m == rat_matrix([[F(2, 5), 0, F(-3, 5)], [0, 0, 0], [0, 1, 0]])
+    with pytest.raises(ValueError, match="row 1 has denominator zero"):
+        RatMatrix([{0: 1}, {0: 1}], [1, 0], 1)
 
 
 def test_block_slices_rows_unreduced():
@@ -289,9 +275,9 @@ def test_block_slices_rows_unreduced():
     m = rat_matrix([[F(1, 2), F(1, 6)]])
     block = m.block((0,), (0,))
     assert block == ([{0: 3}], [6], 1) and det(block) == F(1, 2)
-    sub = RatMatrix(block.numerators, block.denominators, ("r0",), ("c0",))
+    sub = RatMatrix(block.numerators, block.denominators, block.ncols)
     assert (sub.numerators, sub.denominators) == (({0: 1},), (2,))
-    assert sub == rat_matrix([[F(1, 2)]], ("r0",), ("c0",))
+    assert sub == rat_matrix([[F(1, 2)]])
 
 
 def test_elimination_needs_positive_denominators():
@@ -376,7 +362,7 @@ def sparse_rational_matrices(draw):
 @example(([{0: F(1), 1: F(2)}, {0: F(1), 1: F(2)}, {0: F(-2), 1: F(-4)}, {}], 2))
 def test_fraction_free_kernel_matches_fraction_oracle(case):
     rows, ncols = case
-    m = rat_matrix(rows, col_labels=[f"c{j}" for j in range(ncols)])
+    m = rat_matrix(rows, ncols)
     steps = _eliminate(m.numerators, m.denominators, m.ncols)
     oracle = fraction_eliminate(m.rows, m.ncols)
     assert [(r, j) for r, j, *_ in steps] == [(r, j) for r, j, _ in oracle]

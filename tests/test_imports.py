@@ -63,8 +63,8 @@ def test_package_import_is_detected():
 
 def test_library_imports_only_errors_and_triangulation():
     """The builtins need the gluing model and its errors, nothing of the
-    chain: the paper's partitions and geometry, which read the chain's
-    labels, are test data."""
+    chain: the paper's partitions and geometry, written with the chain's
+    basis names, are test data."""
     assert package_modules_imported((PACKAGE / "library.py").read_text()) == {"errors", "triangulation"}
 
 

@@ -218,6 +218,9 @@ def nondegenerate_points(seed):
 
 
 def test_vector_identities_reject_transposed_holonomy(monkeypatch):
+    """Each curvature sample, checked alone, passes the true holonomy
+    generator and rejects a transposed, a zeroed and a doubled one; at
+    omega = 0 the generator is zero and none of them could fail."""
     pts = nondegenerate_points(8)
     real = geometry.holonomy_numerators
 
@@ -225,8 +228,20 @@ def test_vector_identities_reject_transposed_holonomy(monkeypatch):
         den, ((a, b), (c, d)) = real(edge_vector, p, q)
         return den, ((a, c), (b, d))
 
-    monkeypatch.setattr(pentagon, "holonomy_numerators", transposed)
-    assert verify_points(pts) is False
+    def zeroed(edge_vector, p, q):
+        return real(edge_vector, p, q)[0], ((0, 0), (0, 0))
+
+    def doubled(edge_vector, p, q):
+        den, rows = real(edge_vector, p, q)
+        return den, tuple(tuple(2 * m for m in row) for row in rows)
+
+    for w in pentagon.OMEGA_SAMPLES:
+        monkeypatch.setattr(pentagon, "OMEGA_SAMPLES", (w,))
+        monkeypatch.setattr(pentagon, "holonomy_numerators", real)
+        assert verify_points(pts) is True
+        for broken in (transposed, zeroed, doubled):
+            monkeypatch.setattr(pentagon, "holonomy_numerators", broken)
+            assert verify_points(pts) is False, (w, broken.__name__)
 
 
 def test_flat_config_checks_its_result_without_asserts(monkeypatch):

@@ -60,7 +60,7 @@ def test_sphere_reference_values(s3, sphere_geometry):
 def test_sphere_paper_partition_ratios(s3, sphere_geometry, certified_chain):
     c = certified_chain(s3, sphere_geometry)
     p = sphere_paper_partition(c)
-    assert tuple(c.f1.row_labels[i] for i in p.c1_rows) == SPHERE_C1_ROWS
+    assert tuple(chain.basis_label(1, i) for i in p.c1_rows) == SPHERE_C1_ROWS
     m1, m2, m3, m4, m5 = minors(c, p)
     assert abs(m1 / m2) == 8
     assert m3 == 1  # empty minor
@@ -91,8 +91,8 @@ def test_projective_paper_partition(rp3, rp3_geometry, certified_chain):
     c = certified_chain(rp3, rp3_geometry)
     p = projective_paper_partition(c, rp3)
     unprimed = set(tet0_edges(rp3))
-    assert {c.f2.row_labels[i] for i in p.c2_rows} == {f"dl_e{e}" for e in range(12) if e not in unprimed}
-    assert {c.f3.row_labels[i] for i in p.c3_rows} == {f"dw_e{e}" for e in unprimed}
+    assert {chain.basis_label(2, i) for i in p.c2_rows} == {f"dl_e{e}" for e in range(12) if e not in unprimed}
+    assert {chain.basis_label(3, i) for i in p.c3_rows} == {f"dw_e{e}" for e in unprimed}
     m = minors(c, p)
     lam = edge_values(rp3, rp3_geometry)
     s_cubed = F(1)
@@ -227,7 +227,7 @@ def test_invariant_runs_five_exact_dets(rp3, monkeypatch):
 def test_invariant_runs_five_exact_dets_through_the_root(monkeypatch):
     """With 3V > 12 candidates the f1 and f5 stages eliminate only the 12
     at their shelling root's corners, tetrahedron 0's for the f1 stage,
-    whose rows come first in label order: still two row-basis
+    whose rows come first in basis order: still two row-basis
     eliminations and three dets, the root blocks' 6 x 6 and f3's."""
     rows = count_calls(monkeypatch, "independent_rows")
     dets = count_calls(monkeypatch, "det")
@@ -236,10 +236,12 @@ def test_invariant_runs_five_exact_dets_through_the_root(monkeypatch):
     assert (len(rows), len(dets)) == (2, 3)
     f1_block, f5_block = rows[0][0], rows[1][0]
     assert f1_block.nrows == f5_block.nrows == 12 < 3 * len(tri.vertices)
-    # the f1 rows of vertex classes 0..3, dx_v0 .. dk_v3, in label order
+    # the f1 rows of vertex classes 0..3, dx_v0 .. dk_v3, in basis order
     f1 = build_chain(tri, assign_geometry(tri, subseed(1, "geometry"))).f1
     assert f1_block == f1.block(range(12), range(f1.ncols))
-    assert [f1.row_labels[i] for i in range(12)] == list(chain.vertex_labels(4))
+    assert [chain.basis_label(1, i) for i in range(12)] == [
+        f"{name}_v{v}" for v in range(4) for name in ("dx", "dy", "dk")
+    ]
     assert [args[0].nrows for args in dets[:2]] == [6, 6]
 
 
@@ -277,16 +279,16 @@ def test_corner_stages_never_fall_back(certified_chain, monkeypatch, seed):
     assert len(rows) == 2
     # the scanned blocks hold the corner rows of f1 and columns of f5, in scan order
     a_corners, b_corners = corner_positions(a[0]), corner_positions(b[0])
-    assert {c.f1.row_labels[i] for i in a_corners} == {f"{name}_v{v}" for v in a[0] for name in ("dx", "dy", "dk")}
-    assert {c.f5.col_labels[j] for j in b_corners} == {f"{name}_v{v}" for v in b[0] for name in ("dg1", "dg2", "dg3")}
+    assert {chain.basis_label(1, i) for i in a_corners} == {f"{name}_v{v}" for v in a[0] for name in ("dx", "dy", "dk")}
+    assert {chain.basis_label(4, j) for j in b_corners} == {f"{name}_v{v}" for v in b[0] for name in ("dg1", "dg2", "dg3")}
     assert row_multiset(rows[0][0]) == row_multiset(c.f1.block(a_corners, range(c.f1.ncols)))
     assert row_multiset(rows[1][0]) == row_multiset(c.f5.block(range(c.f5.nrows), b_corners, transpose=True))
     assert set(p.c1_rows) <= set(a_corners)
-    assert tuple(c.f2.row_labels[i] for i in p.c2_rows) == tuple(
+    assert tuple(chain.basis_label(2, i) for i in p.c2_rows) == tuple(
         f"dl_e{e}" for e in (*a[1], *(e for _, own in a[2] for e in own))
     )
     k3 = {f"dw_e{e}" for e in (*b[1], *(e for _, own in b[2] for e in own))}
-    assert {c.f3.row_labels[j] for j in p.cols(c)[2]} == k3
+    assert {chain.basis_label(3, j) for j in p.cols(c)[2]} == k3
     assert m == minors(c, p)
 
 
@@ -483,14 +485,14 @@ def test_invalid_partition_rejected(s3, sphere_geometry, certified_chain):
     good, _ = select_partition(c, seed=0)
     # a C1 split that misses the kappa directions cannot be completed:
     # dk columns of f1 are only supported on the dk rows
-    bad_rows = positions(c.f1.row_labels, ("dx_v0", "dy_v0", "dx_v1", "dy_v1", "dx_v2", "dy_v2"))
+    bad_rows = positions(1, c.f1.nrows, ("dx_v0", "dy_v0", "dx_v1", "dy_v1", "dx_v2", "dy_v2"))
     bad = BasisPartition(bad_rows, good.c2_rows, good.c3_rows, good.c4_rows)
     with pytest.raises(TorsionError, match="minor of f1 vanishes"):
         minors(c, bad)
     with pytest.raises(TorsionError):
         tau(c, bad, minors(c, bad))
     with pytest.raises(TorsionError, match="split"):
-        minors(c, BasisPartition(positions(c.f1.row_labels, ("dx_v0",)), good.c2_rows, good.c3_rows, good.c4_rows))
+        minors(c, BasisPartition(positions(1, c.f1.nrows, ("dx_v0",)), good.c2_rows, good.c3_rows, good.c4_rows))
     # a wrong count, a position outside C_k and a repeated one are each named
     last = c.f1.nrows - 1
     for c1_rows, message in (
