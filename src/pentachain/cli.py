@@ -28,6 +28,12 @@ nonzero value.
 Reports are reproducible byte for byte for fixed (input, seed, version):
 ``--json`` output carries no timing; the human format prints wall time on
 a separate final line.
+
+``verify`` spreads its independent checks over the usable cores (Linux)
+and prints the same report as a serial run.  After any failure it reruns
+the checks in order, so the first failure reported is the serial one.
+Memory adds up across its processes, and the benchmark's ``peak_rss_mb``
+and ``--trace 1`` see only the parent.
 """
 
 from __future__ import annotations
@@ -36,9 +42,10 @@ import argparse
 import json
 import os
 import random
+import signal
 import sys
 import time
-from functools import cache
+from functools import cache, partial
 
 from . import __version__
 from .chain import build_chain, certify_chain, check_acyclic, dump_chain, verify_chain
@@ -128,67 +135,163 @@ def _check_pentagon_samples(seed: int, samples: int) -> None:
             raise InvarianceError(f"pentagon identity failed at sample {i}: {lhs} != {rhs}")
 
 
-def cmd_verify(args) -> tuple[dict, int]:
-    report: dict = {"command": "verify", "version": __version__, "seed": args.seed}
-    checks: dict = {}
-    report["checks"] = checks
+def _format_values(values) -> str:
+    """Sorted values as a list, each in ``format_rational``'s form, which
+    prints every digit of a value past the interpreter's digit limit."""
+    return "[" + ", ".join(map(format_rational, sorted(values))) + "]"
 
-    _check_pentagon_samples(args.seed, args.samples)
-    checks["pentagon"] = f"pass ({args.samples} samples)"
 
-    name, tri = _load_input(args)
-    report["input"] = name
-    report["f_vector"] = list(tri.f_vector())
+def _check_chain_seed(tri, seed: int, i: int) -> None:
+    c = build_chain(tri, assign_geometry(tri, subseed(seed, "chain", i)))
+    ok, witness = verify_chain(c)
+    if not ok:
+        raise InvarianceError(f"chain property failed at geometry seed {i}: {witness}")
+    check_acyclic(c)
 
-    base = invariant(tri, seed=args.seed)
-    report["ranks"] = list(base.ranks)
-    report["acyclic"] = True
-    report["tau"] = format_rational(base.tau)
-    report["abs_invariant"] = format_rational(base.abs_invariant)
 
-    for i in range(args.chain_seeds):
-        g = assign_geometry(tri, subseed(args.seed, "chain", i))
-        c = build_chain(tri, g)
-        ok, witness = verify_chain(c)
-        if not ok:
-            raise InvarianceError(f"chain property failed at geometry seed {i}: {witness}")
-        check_acyclic(c)
-    checks["chain"] = f"pass ({args.chain_seeds} geometry seeds)"
-    checks["acyclic"] = f"pass ({args.chain_seeds} geometry seeds)"
-
+def _check_partitions(tri, seed: int, count: int) -> None:
+    c = build_chain(tri, assign_geometry(tri, subseed(seed, "partition-geom")))
     taus = set()
-    g = assign_geometry(tri, subseed(args.seed, "partition-geom"))
-    c = build_chain(tri, g)
-    for i in range(args.partition_seeds):
-        p, values = select_partition(c, subseed(args.seed, "partition", i))
+    for i in range(count):
+        p, values = select_partition(c, subseed(seed, "partition", i))
         taus.add(tau(c, p, values))
     if len(taus) != 1:
-        raise InvarianceError(f"tau depends on the partition: {sorted(taus)}")
-    checks["partition_independence"] = f"pass ({args.partition_seeds} partitions)"
+        raise InvarianceError(f"tau depends on the partition: {_format_values(taus)}")
 
-    values = {base.abs_invariant}
-    for i in range(args.geometry_seeds):
-        r = invariant(tri, seed=subseed(args.seed, "geom", i))
-        values.add(r.abs_invariant)
+
+def _check_geometries(tri, seed: int, count: int, expected) -> None:
+    values = {expected}
+    for i in range(count):
+        values.add(invariant(tri, seed=subseed(seed, "geom", i)).abs_invariant)
     if len(values) != 1:
-        raise InvarianceError(f"invariant depends on the geometry: {sorted(values)}")
-    checks["geometry_independence"] = f"pass ({args.geometry_seeds} geometries)"
+        raise InvarianceError(f"invariant depends on the geometry: {_format_values(values)}")
+
+
+def _check_walk(tri, args, w: int, expected) -> None:
+    walk_seed = subseed(args.seed, "walk", w)
+    for step, (site, state) in enumerate(walk_states(tri, args.steps, walk_seed, args.max_tets), start=1):
+        if step % args.check_every and step != args.steps:
+            continue
+        r = invariant(state, seed=subseed(walk_seed, "step", step))
+        if r.abs_invariant != expected:
+            raise InvarianceError(
+                f"invariant changed along walk {w} (seed {walk_seed}) at step {step} ({site.kind}): "
+                f"{format_rational(r.abs_invariant)} != {format_rational(expected)}",
+                state=state.to_text(),
+            )
+
+
+def _passes(checks) -> bool:
+    try:
+        for check in checks:
+            check()
+    except Exception:
+        return False
+    return True
+
+
+def _reap(pids, kill: bool) -> bool:
+    """Wait for every child, each sent SIGKILL first if ``kill``; True when
+    all exited 0.  An interrupt during a wait kills the rest before it
+    propagates."""
+    if kill:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+    exited_0 = True
+    for k, pid in enumerate(pids):
+        try:
+            exited_0 = os.waitpid(pid, 0)[1] == 0 and exited_0
+        except BaseException:
+            if not kill:
+                _reap(pids[k:], kill=True)
+            raise
+    return exited_0
+
+
+def _run_checks(checks) -> None:
+    """Run independent zero-argument checks as if one after another in
+    order: the first failure raises.
+
+    With n usable cores (n = 1 where ``os.sched_getaffinity`` is missing),
+    child i of n - 1 forked ones runs ``checks[i::n]`` and this process
+    runs ``checks[0::n]``.  A child reports only its exit status, so no
+    result crosses a process boundary.  If any check fails anywhere, every
+    check runs again here, in order, and the first failure is the one a
+    serial run raises.
+    """
+    n = min(len(os.sched_getaffinity(0)), len(checks)) if hasattr(os, "sched_getaffinity") else 1
+    pids = []
+    passed = False
+    try:
+        try:
+            for i in range(1, n):
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        os._exit(0 if _passes(checks[i::n]) else 1)
+                    finally:
+                        os._exit(1)  # an interrupt
+                pids.append(pid)
+        except OSError:
+            pass  # no process to spare: passed stays False, so all run here
+        else:
+            passed = _passes(checks[0::n])
+    finally:
+        # after a failure here every check reruns below, so the children's
+        # work is moot; an interrupt must not leave them running
+        passed = _reap(pids, kill=not passed) and passed
+    if not passed:
+        for check in checks:
+            check()
+
+
+def cmd_verify(args) -> tuple[dict, int]:
+    """Run the pentagon samples and the chain, partition, geometry and walk
+    checks on one input; the first failure raises.
+
+    The checks are independent, so ``_run_checks`` spreads them over the
+    usable cores (Linux) and the report is the same as a serial run's.
+    After any failure it reruns them in order, so the failure reported is
+    the serial one.  Each process holds its own copy of what it builds, so
+    memory adds up across processes; the benchmark's ``peak_rss_mb`` and
+    its ``--trace 1`` see only this one.
+    """
+    samples = partial(_check_pentagon_samples, args.seed, args.samples)
+    try:
+        name, tri = _load_input(args)
+        base = invariant(tri, seed=args.seed)
+    except Exception:
+        # a serial run checks the samples before it reads the input
+        samples()
+        raise
 
     expected = base.abs_invariant
-    for w in range(args.walks):
-        walk_seed = subseed(args.seed, "walk", w)
-        for step, (site, state) in enumerate(walk_states(tri, args.steps, walk_seed, args.max_tets), start=1):
-            if step % args.check_every and step != args.steps:
-                continue
-            r = invariant(state, seed=subseed(walk_seed, "step", step))
-            if r.abs_invariant != expected:
-                raise InvarianceError(
-                    f"invariant changed along walk {w} (seed {walk_seed}) at step "
-                    f"{step} ({site.kind}): {r.abs_invariant} != {expected}",
-                    state=state.to_text(),
-                )
-    checks["pachner_walks"] = f"pass ({args.walks} walks x {args.steps} steps)"
-    return report, 0
+    checks = [samples]
+    checks += [partial(_check_chain_seed, tri, args.seed, i) for i in range(args.chain_seeds)]
+    checks.append(partial(_check_partitions, tri, args.seed, args.partition_seeds))
+    checks.append(partial(_check_geometries, tri, args.seed, args.geometry_seeds, expected))
+    checks += [partial(_check_walk, tri, args, w, expected) for w in range(args.walks)]
+    _run_checks(checks)
+
+    return {
+        "command": "verify",
+        "version": __version__,
+        "seed": args.seed,
+        "checks": {
+            "pentagon": f"pass ({args.samples} samples)",
+            "chain": f"pass ({args.chain_seeds} geometry seeds)",
+            "acyclic": f"pass ({args.chain_seeds} geometry seeds)",
+            "partition_independence": f"pass ({args.partition_seeds} partitions)",
+            "geometry_independence": f"pass ({args.geometry_seeds} geometries)",
+            "pachner_walks": f"pass ({args.walks} walks x {args.steps} steps)",
+        },
+        "input": name,
+        "f_vector": list(tri.f_vector()),
+        "ranks": list(base.ranks),
+        "acyclic": True,
+        "tau": format_rational(base.tau),
+        "abs_invariant": format_rational(expected),
+    }, 0
 
 
 def cmd_pachner(args) -> tuple[dict, int]:

@@ -1,10 +1,13 @@
 import hashlib
+import itertools
 import json
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -387,7 +390,7 @@ def test_verify_checks_the_reported_invariant_against_the_geometries(capsys, mon
          "--chain-seeds", "1", "--partition-seeds", "1", "--geometry-seeds", "2"],
     )
     assert (code, out) == (6, "")
-    assert err == "error: invariant depends on the geometry: [Fraction(1, 1), Fraction(2, 1)]\n"
+    assert err == "error: invariant depends on the geometry: [1, 2]\n"
 
 
 def test_verify_requires_input(capsys):
@@ -410,6 +413,209 @@ def test_verify_report_pinned(capsys, name):
     code, out, _ = run(capsys, ["verify", "--builtin", name, "--seed", "1", "--json"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SEED1_SHA256[name]
+
+
+def use_cpus(monkeypatch, count):
+    """Make ``count`` cores usable to verify, which runs on as many processes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("name", sorted(VERIFY_SEED1_SHA256))
+def test_verify_report_pinned_on_each_core_count(capsys, monkeypatch, name, cpus):
+    use_cpus(monkeypatch, cpus)
+    code, out, _ = run(capsys, ["verify", "--builtin", name, "--seed", "1", "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SEED1_SHA256[name]
+    assert_no_child_left()
+
+
+def test_verify_runs_its_checks_here_when_no_process_can_be_forked(capsys, monkeypatch):
+    def no_fork():
+        raise BlockingIOError("Resource temporarily unavailable")
+
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    code, out, _ = run(capsys, ["verify", "--builtin", "s3", "--seed", "1", "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SEED1_SHA256["s3"]
+
+
+# its checks in order: the samples, chain seeds 0 and 1, the partitions, the
+# geometries, walks 0 and 1.  On 2 cores a child runs chain seed 0 and walk
+# 0, and the calling process chain seed 1 and walk 1.
+SMALL_VERIFY = [
+    "verify", "--builtin", "s3", "--samples", "1", "--chain-seeds", "2", "--partition-seeds", "2",
+    "--geometry-seeds", "2", "--walks", "2", "--steps", "5",
+]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_verify_spreads_its_checks_over_the_usable_cores(capsys, monkeypatch, tmp_path, cpus):
+    # each walk writes down the process that runs it
+    log = tmp_path / "pids"
+    real_walk_states = cli.walk_states
+
+    def logged(*args):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return real_walk_states(*args)
+
+    use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(cli, "walk_states", logged)
+    code, _, _ = run(capsys, SMALL_VERIFY)
+    assert code == 0
+    pids = log.read_text().split()
+    assert len(pids) == 2 and str(os.getpid()) in pids
+    assert len(set(pids)) == cpus
+    assert_no_child_left()
+
+
+def break_checks(monkeypatch, failing):
+    """Make SMALL_VERIFY's chain seeds and walks named in ``failing`` fail:
+    a chain seed with a broken f4, a walk with a wrong value at step 5."""
+    bad_geometries = {geometry.subseed(0, "chain", i) for kind, i in failing if kind == "chain"}
+    bad_steps = {
+        geometry.subseed(geometry.subseed(0, "walk", w), "step", 5) for kind, w in failing if kind == "walk"
+    }
+    real_assign, real_build, real_invariant = cli.assign_geometry, cli.build_chain, cli.invariant
+    drawn = []
+
+    def assign(tri, seed):
+        drawn.append(seed)
+        return real_assign(tri, seed)
+
+    def build(tri, g):
+        c = real_build(tri, g)
+        if drawn[-1] not in bad_geometries:
+            return c
+        rows = [dict(row) for row in c.f4.rows]
+        rows[0][0] = rows[0].get(0, 0) + Fraction(1, 7919)
+        return replace(c, f4=rat_matrix(rows, c.f4.ncols))
+
+    def wrong_on_walk(tri, seed=0, **kwargs):
+        r = real_invariant(tri, seed=seed, **kwargs)
+        return replace(r, abs_invariant=r.abs_invariant + 1) if seed in bad_steps else r
+
+    monkeypatch.setattr(cli, "assign_geometry", assign)
+    monkeypatch.setattr(cli, "build_chain", build)
+    monkeypatch.setattr(cli, "invariant", wrong_on_walk)
+
+
+@pytest.mark.parametrize(
+    "failing, first",
+    [
+        ([("chain", 0)], "chain property failed at geometry seed 0: "),
+        ([("chain", 1)], "chain property failed at geometry seed 1: "),
+        ([("walk", 0)], "invariant changed along walk 0 "),
+        ([("walk", 1)], "invariant changed along walk 1 "),
+        ([("walk", 0), ("chain", 1)], "chain property failed at geometry seed 1: "),
+        ([("walk", 1), ("walk", 0)], "invariant changed along walk 0 "),
+    ],
+    ids=["chain0", "chain1", "walk0", "walk1", "walk0+chain1", "walk1+walk0"],
+)
+def test_verify_reports_the_serial_failure_on_each_core_count(capsys, monkeypatch, failing, first):
+    break_checks(monkeypatch, failing)
+    results = []
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        results.append(run(capsys, SMALL_VERIFY))
+        assert_no_child_left()
+    assert results[0] == results[1]
+    code, out, err = results[0]
+    assert (code, out) == (6, "")
+    assert err.startswith("error: " + first)
+
+
+@pytest.mark.parametrize("during", ["check", "wait"])
+def test_an_interrupted_verify_leaves_no_child(monkeypatch, during):
+    # walk 0 sleeps in the child; this process is interrupted in walk 1 or,
+    # its own checks done, while it waits for the child
+    real_walk_states = cli.walk_states
+
+    def walk_states(tri, steps, seed, max_tets):
+        if seed == geometry.subseed(0, "walk", 0):
+            time.sleep(30)
+        elif during == "check":
+            raise KeyboardInterrupt
+        return real_walk_states(tri, steps, seed, max_tets)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli, "walk_states", walk_states)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    started = time.monotonic()
+    try:
+        if during == "wait":
+            signal.setitimer(signal.ITIMER_REAL, 2)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(SMALL_VERIFY)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - started < 20
+    assert_no_child_left()
+
+
+# 5000 digits, past the interpreter's default limit of 4300 for str of an int
+HUGE = 10**4999
+# the flags and error of each check of verify that lists values
+VALUE_ERRORS = {
+    "partition": (["--partition-seeds", "2"], r"tau depends on the partition: \[(\d+), (\d+)\]\n"),
+    "geometry": (["--walks", "0"], r"invariant depends on the geometry: \[(\d+), (\d+)\]\n"),
+    "walk": (["--walks", "1", "--steps", "1"], r"invariant changed along walk 0 .*: (\d+) != (\d+)\n"),
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("check", sorted(VALUE_ERRORS))
+def test_verify_lists_values_past_the_digit_limit(capsys, monkeypatch, cpus, check):
+    real_invariant = cli.invariant
+
+    def huge(tri, seed=0, **kwargs):
+        r = real_invariant(tri, seed=seed, **kwargs)
+        # the base invariant (seed 0) differs from the other geometries;
+        # every Pachner move changes the number of tetrahedra
+        offset = seed == 0 if check == "geometry" else len(tri.tets)
+        return replace(r, abs_invariant=Fraction(HUGE + offset))
+
+    if check == "partition":
+        count = itertools.count()
+        monkeypatch.setattr(cli, "tau", lambda c, p, values: Fraction(HUGE + next(count)))
+    else:
+        monkeypatch.setattr(cli, "invariant", huge)
+    use_cpus(monkeypatch, cpus)
+    argv, error = VALUE_ERRORS[check]
+    code, out, err = run(capsys, ["verify", "--builtin", "s3", *argv])
+    assert (code, out) == (6, "")
+    match = re.search(error, err)
+    assert err.startswith("error: ") and match
+    assert {len(value) for value in match.groups()} == {5000}
+    assert match[1] != match[2]
+
+
+def test_verify_checks_its_samples_before_a_missing_input(capsys, monkeypatch, tmp_path):
+    real_verify_pentagon = cli.verify_pentagon
+    samples = []
+    monkeypatch.setattr(cli, "verify_pentagon", lambda cfg: samples.append(cfg) or real_verify_pentagon(cfg))
+    code, out, err = run(capsys, ["verify", "--file", str(tmp_path / "missing.tri")])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "missing.tri" in err
+    assert len(samples) == 100
+
+
+def test_verify_reports_a_failing_sample_before_a_missing_input(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "verify_pentagon", lambda cfg: (0, 1, False))
+    code, out, err = run(capsys, ["verify", "--file", str(tmp_path / "missing.tri")])
+    assert (code, out) == (6, "")
+    assert err == "error: pentagon identity failed at sample 0: 0 != 1\n"
 
 
 def test_pentagon_command(capsys):
