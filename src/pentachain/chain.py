@@ -73,9 +73,18 @@ Acyclicity is equivalent to the rank pattern (6, 3V-6, E-3V+6, 3V-6, 6)
 once the chain property holds.  The invariant decides it with
 ``torsion.select_partition``, whose one exact pass both certifies it and
 yields the torsion's minors, on a partition read off two shellings of
-the triangulation that the complex keeps (``triangulation``);
-``check_acyclic`` is the reference rank test, run on the same sparse
-elimination as every other rank in the package.  It returns the five
+the triangulation that the complex keeps (``triangulation``).  Its apex
+rule picks R1 and K4 at the shellings' root corners: with one corner as
+the apex, the other three's dk rows of f1, or their dg3 (else dg1)
+columns of f5, then the first trio of their other positions with a
+nonzero 3x3 block, apexes and candidates tried in order (shuffled with a
+seed) and a root where every candidate vanishes taking
+``exact.independent_rows`` of its 12 instead.  The minors of f1, f2, f4
+and f5 are then products of 3x3 blocks, after an O(nnz) check that the
+grouped block is block triangular, which takes the ``det`` of the whole
+block when it fails, and the ``det`` of the f3 block is the pass's one
+elimination.  ``check_acyclic`` is the reference rank test, run on the
+same sparse elimination as every other rank in the package.  It returns the five
 ranks, or raises ``NotAcyclicError`` with them when they are not the
 acyclic pattern.
 

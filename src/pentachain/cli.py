@@ -217,9 +217,14 @@ def _run_checks(checks) -> None:
     runs ``checks[0::n]``.  A child reports only its exit status, so no
     result crosses a process boundary.  If any check fails anywhere, every
     check runs again here, in order, and the first failure is the one a
-    serial run raises.
+    serial run raises.  With n = 1 nothing is forked and the checks run
+    here once, in order.
     """
     n = min(len(os.sched_getaffinity(0)), len(checks)) if hasattr(os, "sched_getaffinity") else 1
+    if n <= 1:
+        for check in checks:
+            check()
+        return
     pids = []
     passed = False
     try:

@@ -27,46 +27,71 @@ from a root: it places the root's 4 corner classes with its 6 edges, then
 each vertex class v it first reaches with the 3 edges that join v to the
 corners u1 u2 u3 of the face it was reached across.  Shelling a is rooted
 at tetrahedron 0 and shelling b at the last tetrahedron a reaches.  R1 is
-a row basis of f1 among the 12 rows at a's corners and K4 a column basis
-of f5 among the 12 columns at b's corners, each one sparse Markowitz
-elimination (``exact.independent_rows``, on the transpose for the
-columns) that returns its rows in pivot order with their minor.  R2 is
-a's edges in shelling order and K3 b's edges; K1, K2, R3 and R4 are the
-rest of C1, C2, C3 and C4.  The pass closes with the ``det`` of the square
-block f3[R3, K2], its one elimination of a large block.  No stage builds
-a matrix: each block is sliced by position from the stored integer rows
-(``RatMatrix.block``).  The based torsion does not depend on which
-compatible splitting is used (Milnor, *Whitehead torsion*, 1966; Turaev,
-*Introduction to Combinatorial Torsions*, 2001), so the choice of roots
-changes no value.
+six of the 12 f1 rows at a's corners and K4 six of the 12 f5 columns at
+b's, both picked by the apex rule below.  R2 is a's edges and K3 b's
+edges; K1, K2, R3 and R4 are the rest of C1, C2, C3 and C4.  m1, m2, m4
+and m5 are products of 3x3 determinants read straight from the stored
+integer rows, and the pass closes with the ``det`` of the square block
+f3[R3, K2], its one elimination.  The based torsion does not depend on
+which compatible splitting is used (Milnor, *Whitehead torsion*, 1966;
+Turaev, *Introduction to Combinatorial Torsions*, 2001), so the choice of
+roots, apexes and trios changes no value.
 
-Shelling lemma: m2 and m4 are products of 3x3 blocks that the geometry
-certificate proves nonzero.  An f2 row writes only the columns of its
-edge's two ends, and each later edge of a joins its vertex to earlier
-ones, so with K1 grouped by a's vertices (the root's 6 free columns, then
-each later vertex's 3) f2[R2, K1] is block lower triangular: m2 is the
-det of its 6 x 6 root block times one 3x3 det per later vertex, times the
-sign that regroups the columns into ascending order.  An f4 column writes
-only the rows of its edge's two ends, so f4[R4, K3] grouped by b's
-vertices is block triangular in the same way.  For v reached across u1 u2
-u3, f2's 3x3 block has the rows +-(y_u, -x_u, -2D) over 2D, and its det
-is +-2D times twice the area of u1 u2 u3; f4's has the columns +-(x^2, xy,
-y^2) of u_i - v over 2D^2, and its det is +- the product of the cross
-products of the u_i - v, twice the areas of the other three faces of that
-tetrahedron.  A face's circulation is its area, since the kappa terms
-cancel around it, and ``build_chain`` certifies every circulation
-nonzero.  The root blocks are nonsingular too: a tetrahedron with a
-nondegenerate face gives its 6 edges' f2 rows rank 6 on its 12 columns,
-and f2 f1 = 0 makes the 12 f1 rows at its corners span their kernel, so
-the 6 columns that a nonsingular f1[R1] leaves give a nonsingular block;
-dually, with nondegenerate faces its 6 f4 columns have rank 6 and f5 f4 =
-0 with a nonsingular f5[K4] leaves a nonsingular block on the other 6
-rows.  Four points with no three on a line also give the 12 candidate f1
-rows and f5 columns rank 6, so neither basis stage needs more
-candidates.  Before its product, each minor's block is checked against
-that support in O(nnz): a row outside its group's columns and earlier
-ones, which only a hand-broken chain has, makes the minor the ``det`` of
-the whole block, so it stays exact.
+Apex rule: one root corner is the apex and the other three are the inner
+corners.  f1's dk rows live on the columns dx, dy, dk, where the inner
+corners' three rows (-y_u, x_u, 2D) over 2D have a det of +-2D times
+twice the area of the face they span, which ``build_chain``'s face
+certificate proves nonzero.  R1 is those three rows, then the first trio
+of the inner corners' dx and dy rows whose block on dt1..dt3 is nonzero;
+the rows there are (y_u, 0, x_u) and (0, x_u, -y_u) over D, of rank 3 at
+any three points not on a line.  With the dk rows grouped first and the
+columns dx, dy, dk first, f1[R1] is block lower triangular, and m1 is the
+two blocks' product.  K4 comes the same way from f5's columns: the inner
+corners' dg3 columns live on db3, db5, db6, where their block is a
+Vandermonde in x, nonzero when the three x differ; else their dg1 columns,
+on db1, db4, db6, a Vandermonde in y.  Then the first trio of the inner
+corners' other six columns with a nonzero block on the other three rows
+completes K4.  The apexes are tried in slot order and each one's
+candidates in position order (the trios in ``itertools.combinations``
+order); a seeded pass shuffles the apexes and each candidate list with
+the same Random that drew its root.  When every candidate vanishes the
+next corner becomes the apex.  A root where all four fail, such as four
+corners at a unit square (any three repeat an x and a y, so no f5
+Vandermonde survives), takes ``exact.independent_rows`` of its 12
+candidates instead: a sparse Markowitz elimination that returns its rows
+in pivot order with their minor, so the value stays exact.
+
+Shelling lemma: m2 and m4 are products of 3x3 blocks too.  K1's root part
+is the inner corners' three coordinates that R1 leaves and the apex's
+three.  An f2 row writes only the columns of its edge's two ends, so with
+R2 in the order of the three root edges that miss the apex, then the
+apex's three, then each later vertex's three, and K1 grouped the same
+way (the inner corners' three, the apex's, each later vertex's),
+f2[R2, K1] is block lower triangular: m2 is the product of its 3x3
+diagonal blocks, times the sign that regroups the columns into ascending
+order.  An f4 column writes only the rows of its edge's two ends, so
+f4[R4, K3], grouped the same way by b's vertices, is block upper
+triangular.  For v reached across u1 u2 u3, and for the apex over the
+inner corners, f2's 3x3 block has the rows +-(y_u, -x_u, -2D) over 2D,
+and its det is +-2D times twice the area of u1 u2 u3; f4's has the
+columns +-(x^2, xy, y^2) of u_i - v over 2D^2, and its det is +- the
+product of the cross products of the u_i - v, twice the areas of the
+other three faces of that tetrahedron.  A face's circulation is its area,
+since the kappa terms cancel around it, and ``build_chain`` certifies
+every circulation nonzero.  The inner corners' blocks are nonsingular
+too: a tetrahedron with a nondegenerate face gives its 6 edges' f2 rows
+rank 6 on its 12 columns, and f2 f1 = 0 makes the 12 f1 rows at its
+corners span their kernel, so the 6 columns that a nonsingular f1[R1]
+leaves give a nonsingular root block, the product of the inner block and
+the apex's; dually, f5 f4 = 0 with a nonsingular f5[K4] leaves a
+nonsingular f4 root block.  Before its product, each of the four blocks
+is checked against that support in O(nnz) (``_grouped_minor``): a row
+outside its group's columns and earlier ones (later ones for f4 and f5),
+which only a hand-broken chain has, makes the minor the ``det`` of the
+whole block, so it stays exact.  A root that took the fallback has no
+apex: its 6 coordinates left free are grouped in ascending position, and
+the same check decides whether the product or the whole ``det`` gives its
+minor.
 
 The pass is also the acyclicity certificate:
 
@@ -76,7 +101,7 @@ The pass is also the acyclicity certificate:
   full column rank on K3; so f3 maps the K2 coordinates injectively onto
   a space that projects injectively onto R3, and f3[R3, K2] is
   nonsingular.  On a chain that ``build_chain`` made, the other four
-  minors are nonzero by the shelling lemma;
+  minors are nonzero by the apex rule and the shelling lemma;
 - if every block is nonsingular and the chain property f_{k+1} f_k = 0
   holds, rank f_k is at least the size of its block and the chain
   property caps rank f_k + rank f_{k+1} by dim C_k, so the ranks are
@@ -117,11 +142,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import prod
 
 from .chain import ChainComplex, build_chain, certify_chain, check_acyclic, expected_ranks
 from .errors import PentachainError, TorsionError
-from .exact import Block, det, independent_rows, permutation_sign, tree_product
+from .exact import RatMatrix, det, independent_rows, permutation_sign, tree_product
 from .geometry import GeometryAssignment, assign_geometry, face_circulations, subseed
 from .triangulation import Triangulation
 
@@ -203,16 +229,20 @@ def select_partition(
 
     Shelling a is rooted at tetrahedron 0, or with an integer seed at a
     tetrahedron drawn by ``Random(seed)``, and shelling b at the last
-    tetrahedron a reaches.  R1 is ``independent_rows`` of the 12 f1 rows
-    of a's corners and K4 of the 12 f5 columns of b's corners, scanned in
-    ascending position, or shuffled by the same Random with a seed, and
-    each pick is mapped through its scan to a position.  R2 is a's edges in
-    shelling order, K3 b's edges, and the pass closes with the ``det`` of
-    f3 on R3 and K2, the rest of C3 and C2, ascending; R4 is the rest of
-    C4, ascending.  m2 and m4 are products of the shellings' diagonal
-    blocks (``_shelled_minor``).  A column basis comes in pivot order, so
-    its minor is signed into ascending order, and the minors equal
-    ``minors(c, partition)``.  A zero minor runs
+    tetrahedron a reaches.  R1 is the apex rule's pick among the f1 rows
+    at a's corners and K4 its pick among the f5 columns at b's
+    (``_root_split``); with a seed the same Random shuffles the apexes and
+    the candidates.  A root where every candidate vanishes has no apex and
+    takes ``independent_rows`` of its 12 positions instead
+    (``_corner_scan``), in ascending order or shuffled with a seed, which
+    gives R1 in pivot order with m1, or K4 with m5.  R2 is a's edges and
+    K3 b's, each grouped by three with the vertex coordinates they meet
+    (``_shelled_groups``); the pass closes with the ``det`` of f3 on R3
+    and K2, the rest of C3 and C2, ascending, its one elimination.  R4 is
+    the rest of C4, ascending.  The other minors are products of 3x3
+    blocks, or the ``det`` of the whole block where the support check
+    fails (``_grouped_minor``), each signed into the minor's order, so
+    they equal ``minors(c, partition)``.  A zero minor runs
     ``check_acyclic``, which raises NotAcyclicError unless the ranks are
     the acyclic pattern, then ``certify_chain``, which raises the internal
     composition error, and raises an internal error if neither finds a
@@ -222,28 +252,27 @@ def select_partition(
     tri = c.triangulation
     a = tri.shelling(0 if rng is None else rng.randrange(tri.size))
     b = tri.shelling(a[3])
-
-    def scan(corners) -> list[int]:
-        order = sorted(3 * v + r for v in corners for r in range(3))
-        if rng is not None:
-            rng.shuffle(order)
-        return order
-
     f1, f2, f3, f4, f5 = c.maps
-    r1_scan, k4_scan = scan(a[0]), scan(b[0])
-    r1, m1 = independent_rows(f1.block(r1_scan, range(f1.ncols)))
-    k4, m5 = independent_rows(f5.block(range(f5.nrows), k4_scan, transpose=True))
+    if split := _root_split(a[0], _F1_SPLITS, lambda i, j: f1.numerators[i].get(j, 0), rng):
+        apex_a, r1, order = split
+        m1 = _grouped_minor(f1, r1, order, _ascending_sign(order))
+    else:
+        apex_a, (r1, m1) = None, _corner_scan(f1, a[0], rng)
+    if split := _root_split(b[0], _F5_SPLITS, lambda i, j: f5.numerators[j].get(i, 0), rng):
+        apex_b, k4, order = split
+        m5 = _grouped_minor(f5, order, k4, _ascending_sign(order) * _ascending_sign(k4), upper=True)
+    else:
+        apex_b, (k4, m5) = None, _corner_scan(f5, b[0], rng, transpose=True)
+        m5 *= _ascending_sign(k4)
     if m1 and m5:
-        r1, k4 = [r1_scan[i] for i in r1], [k4_scan[i] for i in k4]
-        # K1 and R4 grouped by the shellings' vertices, the roots' 6 first
-        r2, k1 = _shelled_groups(a, set(r1))
-        k3, r4 = _shelled_groups(b, set(k4))
-        m2 = _shelled_minor(f2.block(r2, k1), _ascending_sign(k1))
-        m4 = _shelled_minor(f4.block(r4, k3, transpose=True), _ascending_sign(r4) * _ascending_sign(k3))
+        # K1 and R4 grouped by the shellings' vertices, the roots' first
+        r2, k1 = _shelled_groups(tri, a, apex_a, r1)
+        k3, r4 = _shelled_groups(tri, b, apex_b, k4)
+        m2 = _grouped_minor(f2, r2, k1, _ascending_sign(k1))
+        m4 = _grouped_minor(f4, r4, k3, _ascending_sign(r4) * _ascending_sign(k3), upper=True)
         r3, k2 = _free(f3.nrows, k3), _free(f2.nrows, r2)
         # the f3 block is square once the other four minors are nonzero
         if m2 and m4 and (m3 := det(f3.block(r3, k2))):
-            m5 *= _ascending_sign(k4)
             return BasisPartition(tuple(r1), tuple(r2), tuple(r3), tuple(sorted(r4))), (m1, m2, m3, m4, m5)
     # a minor vanished: not acyclic, or else not a chain
     check_acyclic(c)
@@ -251,38 +280,108 @@ def select_partition(
     raise PentachainError("internal error: the partition pass fell short on an acyclic complex")
 
 
-def _shelled_groups(shelling, picked: set[int]) -> tuple[list[int], list[int]]:
-    """The edges of a shelling in its order, and the vertex coordinates
-    3v..3v+2 grouped the same way: the root corners' coordinates not in
-    ``picked`` (6 of them when ``picked`` is a basis of the 12), then each
-    later vertex's three."""
-    corners, edges, later, _ = shelling
-    coords = sorted(j for v in corners for j in range(3 * v, 3 * v + 3) if j not in picked)
-    edges = list(edges)
+# The splits a root's six picked positions may take, tried in order:
+# (the vertex type whose three inner-corner positions form the first trio,
+# the C0 or C5 positions of that trio's block, the positions left for the
+# second trio).  f1's dk rows live on dx, dy, dk; f5's dg3 columns on db3,
+# db5, db6 and its dg1 columns on db1, db4, db6.
+_F1_SPLITS = ((2, (3, 4, 5), (0, 1, 2)),)
+_F5_SPLITS = ((2, (2, 4, 5), (0, 1, 3)), (0, (0, 3, 5), (1, 2, 4)))
+
+
+def _root_split(corners, splits, entry, rng):
+    """The apex rule at a root with corner classes ``corners``: for each
+    corner as the apex, in slot order or shuffled by ``rng``, and each
+    split (kind, first, second) of ``splits``, the inner corners'
+    positions 3u + kind if their block on ``first`` is nonzero, then the
+    first trio of the inner corners' other six positions, in order or
+    shuffled by ``rng``, whose block on ``second`` is nonzero.  Returns
+    the apex's class, the six picked positions in that order and
+    ``first + second``, or None when every candidate vanishes.
+    ``entry(i, j)`` is the stored numerator of candidate i at position j;
+    a row's denominator scales a block by a positive factor, so the
+    numerators decide which blocks vanish."""
+    slots = [0, 1, 2, 3]
+    if rng is not None:
+        rng.shuffle(slots)
+    for s in slots:
+        inner = corners[:s] + corners[s + 1:]
+        for kind, first, second in splits:
+            picked = [3 * u + kind for u in inner]
+            if not _det3([[entry(i, j) for j in first] for i in picked]):
+                continue
+            others = [3 * u + r for u in inner for r in range(3) if r != kind]
+            if rng is not None:
+                rng.shuffle(others)
+            for trio in combinations(others, 3):
+                if _det3([[entry(i, j) for j in second] for i in trio]):
+                    return corners[s], picked + list(trio), first + second
+    return None
+
+
+def _corner_scan(m, corners, rng, transpose=False) -> tuple[list[int], Fraction]:
+    """The fallback for a root where every candidate vanishes:
+    ``independent_rows`` of the 12 rows of ``m`` (its columns with
+    ``transpose``) at ``corners``, in ascending position or shuffled by
+    ``rng``; returns the picked positions in pivot order and their minor,
+    with the columns (rows) in ascending order."""
+    order = sorted(3 * v + r for v in corners for r in range(3))
+    if rng is not None:
+        rng.shuffle(order)
+    block = m.block(range(m.nrows), order, transpose=True) if transpose else m.block(order, range(m.ncols))
+    picked, minor = independent_rows(block)
+    return [order[i] for i in picked], minor
+
+
+def _shelled_groups(tri, shelling, apex, picked) -> tuple[list[int], list[int]]:
+    """The edges of a shelling and the vertex coordinates 3v..3v+2 in
+    matching groups of three: the root edges that miss the ``apex`` class
+    with the inner corners' coordinates outside ``picked``, then the
+    apex's edges with its coordinates, then each later vertex's edges with
+    its coordinates.  With no apex (the fallback) the root's 6 edges come
+    in shelling order and its 6 coordinates outside ``picked``
+    ascending."""
+    corners, root_edges, later, _ = shelling
+    ends = tri.edges
+    edges = sorted(root_edges, key=lambda e: apex in (ends[e].tail, ends[e].head))
+    picked = set(picked)
+    coords = sorted((j for v in corners for j in range(3 * v, 3 * v + 3) if j not in picked),
+                    key=lambda j: (j // 3 == apex, j))
     for v, own in later:
         edges += own
         coords += (3 * v, 3 * v + 1, 3 * v + 2)
     return edges, coords
 
 
-def _shelled_minor(block: Block, sign: int) -> Fraction:
-    """``sign`` times the determinant of a square block whose rows and
-    columns come in groups, 6 and then 3 at a time, with every row inside
-    its group's columns and earlier ones: the product of the diagonal
-    blocks, the first by ``det`` and each later one as a 3x3 cofactor sum
-    in ints over its rows' denominators, all multiplied by one balanced
-    tree.  A row outside that support makes it ``det`` of the whole
-    block."""
-    nums, dens = block.numerators, block.denominators
-    # row i's group ends at column 6, or past the triple that holds i
-    if any(row and max(row) >= (6 if i < 6 else i + 3 - i % 3) for i, row in enumerate(nums)):
-        return sign * det(block)
-    root = det(Block(nums[:6], dens[:6], 6))
-    factors = [sign * root.numerator]
-    for i in range(6, len(nums), 3):
-        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = ([r.get(j, 0) for j in range(i, i + 3)] for r in nums[i:i + 3])
-        factors.append(a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0))
-    return Fraction(tree_product(factors), tree_product([root.denominator, *dens[6:]]))
+def _grouped_minor(m: RatMatrix, rows: list[int], cols: list[int], sign: int, upper: bool = False) -> Fraction:
+    """``sign`` times the determinant of ``m`` on the row positions
+    ``rows`` and column positions ``cols``, in the order given, both in
+    groups of three.  When every row meets only its own group's columns
+    and earlier ones (later ones with ``upper``), which one pass over the
+    rows' stored nonzeros checks, it is the product of the 3x3 diagonal
+    blocks, each a cofactor sum in ints, over the product of the rows'
+    denominators, both products by a balanced tree.  A row outside that
+    support makes it ``det`` of the whole block."""
+    nums = m.numerators
+    # each column's group, negated with ``upper``, so that a row is off its
+    # support when its largest exceeds its own; other columns never are
+    step = -1 if upper else 1
+    group = [-len(cols)] * m.ncols
+    for k, j in enumerate(cols):
+        group[j] = step * (k // 3)
+    if any(max(map(group.__getitem__, nums[i]), default=-len(cols)) > step * (k // 3) for k, i in enumerate(rows)):
+        return sign * det(m.block(rows, cols))
+    factors = [sign]
+    for k in range(0, len(rows), 3):
+        factors.append(_det3([[nums[i].get(j, 0) for j in cols[k:k + 3]] for i in rows[k:k + 3]]))
+    dens = m.denominators
+    return Fraction(tree_product(factors), tree_product([dens[i] for i in rows]))
+
+
+def _det3(block) -> int:
+    """The determinant of a 3x3 integer block, by cofactors."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = block
+    return a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
 
 
 def _ascending_sign(positions: list[int]) -> int:

@@ -14,6 +14,8 @@ appended to its line.  The set:
   fixtures under ``benchmarks/fixtures``, at seeds 0-2;
 * ``verify --json`` and ``pachner --json --steps 30`` on s3 and rp3 at
   seeds 0-2;
+* ``verify --json`` on the fixtures s3_t8, rp3_t8, s3_t20 and rp3_t20 at
+  seed 0;
 * ``pentagon --json`` at seeds 0-9;
 * the tau and invariant that ``torsion.invariant`` gives on the hard
   inputs s3', rp3', L(7,2)' and s3'', built by ``reference.subdivided``,
@@ -45,6 +47,7 @@ FIXTURES = sorted((ROOT / "benchmarks" / "fixtures").glob("*.tri"))
 BUILTINS = [["--builtin", "s3"], ["--builtin", "rp3"]]
 INPUTS = BUILTINS + [["--file", str(path.relative_to(ROOT))] for path in FIXTURES]
 SEEDS = ("0", "1", "2")
+VERIFIED_FIXTURES = ("s3_t8", "rp3_t8", "s3_t20", "rp3_t20")
 HARD_INPUTS = ("s3'", "rp3'", "L(7,2)'", "s3''")
 
 
@@ -59,6 +62,8 @@ def report_set() -> list[list[str]]:
         for seed in SEEDS:
             out.append(["verify", *source, "--seed", seed, "--json"])
             out.append(["pachner", *source, "--seed", seed, "--steps", "30", "--json"])
+    for name in VERIFIED_FIXTURES:
+        out.append(["verify", "--file", f"benchmarks/fixtures/{name}.tri", "--seed", "0", "--json"])
     for seed in range(10):
         out.append(["pentagon", "--seed", str(seed), "--json"])
     return out

@@ -221,6 +221,22 @@ def test_right_factor_denominators_divide_one_scale(s3, rp3):
             assert all(scale % den == 0 for den in getattr(c, name).denominators), (name, d)
 
 
+def steered_short_pass(s3, certified_chain):
+    """A broken s3 chain whose pass falls short with the acyclic ranks.
+
+    Shelling a's first inner corner u sits at x = 0, so the first trio of
+    f1 rows that the apex rule tries, dx_u, dy_u and dx of the next corner,
+    is singular on dt1..dt3.  One entry put at (dy_u, dt2) makes that trio
+    nonsingular in the broken f1 only, so the rule picks it, and f2, whose
+    root block on the rows left free is singular for the true f1, gives m2
+    = 0.  f1 keeps rank 6 and the other maps are untouched."""
+    corners = s3.shelling(0)[0]
+    points = dict(zip(corners, ((2, 5), (0, 2), (3, 1), (-1, -2))))
+    x, y = zip(*(points[v] for v in range(4)))
+    c = certified_chain(s3, geometry_of(x, y, (0,) * 4))
+    return perturbed(c, "f1", 3 * corners[1] + 1, 1, F(1, 7919))
+
+
 def test_free_column_certificate_agrees_with_full_check(s3, rp3, certified_chain):
     """Seeded single-entry perturbations of f1..f5, at columns inside and
     outside the free columns of the composition the entry enters from the
@@ -229,7 +245,8 @@ def test_free_column_certificate_agrees_with_full_check(s3, rp3, certified_chain
     witness as ``certify_chain`` does.  Where the pass falls short, it
     reports the ranks only when they break the acyclic pattern, and
     otherwise the full check's witness.  A zeroed row of f5 on each
-    triangulation is a short pass whose ranks break the pattern."""
+    triangulation is a short pass whose ranks break the pattern, and the
+    steered s3 chain one whose ranks keep it."""
     rng = random.Random(18)
     fixture = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures" / "rp3_t20.tri"
     walked = [random_walk(load_builtin(name), 8, seed, 12) for name, seed in (("s3", 5), ("rp3", 6))]
@@ -252,6 +269,8 @@ def test_free_column_certificate_agrees_with_full_check(s3, rp3, certified_chain
             cases.append((k, where, broken))
         rows = [{} if i == n % 6 else row for i, row in enumerate(c.f5.rows)]
         cases.append((5, "zeroed", replace(c, f5=rat_matrix(rows, c.f5.ncols))))
+        if n == 0:
+            cases.append((1, "steered", steered_short_pass(tri, certified_chain)))
         for k, where, broken in cases:
             ok, witness = verify_chain(broken)
             if not ok:
@@ -267,7 +286,7 @@ def test_free_column_certificate_agrees_with_full_check(s3, rp3, certified_chain
                 seen["short chain"] += 1
                 assert not ok and str(short) == message
                 continue
-            assert where != "zeroed", "the pass succeeded on an f5 of rank 5"
+            assert where not in ("zeroed", "steered"), f"the pass succeeded on the {where} case"
             seen[where] += 1
             checked.add((k, where))
             free_cols = q.cols(broken)[:3]

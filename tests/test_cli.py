@@ -599,6 +599,9 @@ def test_verify_lists_values_past_the_digit_limit(capsys, monkeypatch, cpus, che
     assert err.startswith("error: ") and match
     assert {len(value) for value in match.groups()} == {5000}
     assert match[1] != match[2]
+    if check == "partition" and cpus == 1:
+        # with nothing forked the checks run once: the two partitions' taus
+        assert next(count) == 2
 
 
 def test_verify_checks_its_samples_before_a_missing_input(capsys, monkeypatch, tmp_path):
@@ -694,13 +697,11 @@ def test_pentagon_command_stays_in_integers(capsys, monkeypatch, fractions_made)
 
 
 # Fractions that ``invariant --builtin rp3`` constructs: the five minors,
-# m2 and m4 once more as their root blocks' dets times the shellings'
-# 3x3 blocks, and m5 once signed (8); the signed torsion (5); the face
-# product, the power of two, the two products that normalize tau and the
-# absolute value (5); and the four the report formats.  The geometry, the
-# edge values, the face circulations and the curvature of every edge class
-# are integer tables.
-INVARIANT_RP3_FRACTIONS = 22
+# each once (5); the signed torsion (5); the face product, the power of
+# two, the two products that normalize tau and the absolute value (5); and
+# the four the report formats.  The geometry, the edge values, the face
+# circulations and the curvature of every edge class are integer tables.
+INVARIANT_RP3_FRACTIONS = 19
 
 
 def test_invariant_command_keeps_the_geometry_in_integers(capsys, fractions_made):

@@ -24,7 +24,7 @@ from pentachain import (
     tau,
 )
 from pentachain import chain, torsion
-from pentachain.exact import Block, det, independent_rows, rank
+from pentachain.exact import RatMatrix, det, independent_rows, rank
 from pentachain.geometry import parse_geometry, subseed
 from pentachain.triangulation import Triangulation
 from reference import (
@@ -163,10 +163,16 @@ FIXTURES = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures"
 
 
 def test_meet_pass_matches_bottom_up_oracle(s3, rp3, certified_chain):
+    """The pass's five minors are ``minors(c, p)`` of its partition, and
+    its tau is the bottom-up oracle's, at partition seeds None and 0-9, on
+    the builtins, a grown rp3, 20 walk states, the 8 ladder fixtures and
+    three subdivided inputs."""
     walked = [random_walk(load_builtin(name), steps, seed, 12)
               for name in ("s3", "rp3") for steps, seed in zip(range(4, 14), range(100, 110))]
     states = [s3, rp3, grown(rp3, 20, seed=3), Triangulation.from_file(FIXTURES / "rp3_t40.tri"), *walked]
-    assert len(walked) == 20
+    states += [load_input(path.stem) for path in sorted(FIXTURES.glob("*.tri")) if path.stem != "rp3_t40"]
+    states += [subdivided(name) for name in ("s3'", "rp3'", "L(7,2)'")]
+    assert len(walked) == 20 and len(states) == 34
     for n, tri in enumerate(states):
         c = certified_chain(tri, assign_geometry(tri, seed=n))
         for seed in (None, *range(10)):
@@ -209,10 +215,21 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-def test_invariant_runs_five_exact_dets(rp3, monkeypatch):
-    """One exact pass: two basis eliminations that also give m1 and m5,
-    the dets of the two shellings' root blocks and the det of the f3
-    block; the minors are never recomputed."""
+def load_input(name):
+    """A builtin, a ladder fixture or a ``reference.subdivided`` input."""
+    if name in ("s3", "rp3"):
+        return load_builtin(name)
+    if name.endswith("'"):
+        return subdivided(name)
+    return Triangulation.from_file(FIXTURES / f"{name}.tri")
+
+
+def test_invariant_runs_one_exact_det(monkeypatch):
+    """The pass's one elimination is the det of the f3 block: on s3, rp3,
+    rp3_t80 and s3' at geometry seeds 0-2, an ``invariant`` call and a
+    seeded pass (None, 0-9) each call ``det`` once, on f3's block, and
+    ``independent_rows`` never; ``invariant`` never recomputes the
+    minors."""
 
     def no_minors(*args, **kwargs):
         raise AssertionError("invariant() recomputed the minors")
@@ -220,29 +237,39 @@ def test_invariant_runs_five_exact_dets(rp3, monkeypatch):
     rows = count_calls(monkeypatch, "independent_rows")
     dets = count_calls(monkeypatch, "det")
     monkeypatch.setattr(torsion, "minors", no_minors)
-    assert invariant(rp3, seed=1).abs_invariant == 64
-    assert (len(rows), len(dets)) == (2, 3)
+    for name in ("s3", "rp3", "rp3_t80", "s3'"):
+        tri = load_input(name)
+        for seed in range(3):
+            c = build_chain(tri, assign_geometry(tri, subseed(seed, "geometry")))
+            f3_rows = c.edge_count - 3 * c.vertex_count + 6
+            dets.clear()
+            invariant(tri, seed=seed)
+            assert [args[0].nrows for args in dets] == [f3_rows]
+            for partition_seed in (None, *range(10)):
+                dets.clear()
+                select_partition(c, partition_seed)
+                assert [args[0].nrows for args in dets] == [f3_rows], (name, seed, partition_seed)
+    assert rows == []
 
 
-def test_invariant_runs_five_exact_dets_through_the_root(monkeypatch):
-    """With 3V > 12 candidates the f1 and f5 stages eliminate only the 12
-    at their shelling root's corners, tetrahedron 0's for the f1 stage,
-    whose rows come first in basis order: still two row-basis
-    eliminations and three dets, the root blocks' 6 x 6 and f3's."""
+def test_invariant_runs_one_exact_det_through_the_root(monkeypatch):
+    """With 3V > 12 candidates R1 still comes from the 12 f1 rows at its
+    shelling root's corners, tetrahedron 0's: the dk rows of three of
+    them, then three of their dx and dy rows, read with no elimination;
+    the one ``det`` is f3's."""
     rows = count_calls(monkeypatch, "independent_rows")
     dets = count_calls(monkeypatch, "det")
+    passes = []
+    real = torsion.select_partition
+    monkeypatch.setattr(torsion, "select_partition", lambda c, seed=None: passes.append(real(c, seed)) or passes[-1])
     tri = Triangulation.from_file(FIXTURES / "rp3_t80.tri")
     assert invariant(tri, seed=1).abs_invariant == 64
-    assert (len(rows), len(dets)) == (2, 3)
-    f1_block, f5_block = rows[0][0], rows[1][0]
-    assert f1_block.nrows == f5_block.nrows == 12 < 3 * len(tri.vertices)
-    # the f1 rows of vertex classes 0..3, dx_v0 .. dk_v3, in basis order
-    f1 = build_chain(tri, assign_geometry(tri, subseed(1, "geometry"))).f1
-    assert f1_block == f1.block(range(12), range(f1.ncols))
-    assert [chain.basis_label(1, i) for i in range(12)] == [
-        f"{name}_v{v}" for v in range(4) for name in ("dx", "dy", "dk")
-    ]
-    assert [args[0].nrows for args in dets[:2]] == [6, 6]
+    assert rows == [] and len(dets) == 1 and len(passes) == 1
+    c1_rows = passes[0][0].c1_rows
+    inner = [i // 3 for i in c1_rows[:3]]
+    assert 12 < 3 * len(tri.vertices) and len(set(inner)) == 3 and set(inner) < set(tri.shelling(0)[0])
+    assert [i % 3 for i in c1_rows[:3]] == [2, 2, 2]
+    assert all(i // 3 in inner and i % 3 != 2 for i in c1_rows[3:])
 
 
 def shelling_of(c, seed):
@@ -264,32 +291,96 @@ def row_multiset(block):
     return sorted((sorted(row.items()), d) for row, d in zip(block.numerators, block.denominators))
 
 
+def apex_of(corners, picked, kinds):
+    """The apex that the apex rule's pick ``picked`` (positions in C1 or
+    C4) leaves out: the pick holds 3u + kind for the three other corners u,
+    for one of ``kinds``, and three of their other positions."""
+    inner = {j // 3 for j in picked}
+    assert len(picked) == 6 and len(inner) == 3 and inner < set(corners)
+    assert any(all(3 * u + kind in picked for u in inner) for kind in kinds)
+    (apex,) = set(corners) - inner
+    return apex
+
+
+def grouped_edges(c, shelling, apex):
+    """A shelling's edges as the pass groups them: the root edges that miss
+    ``apex``, the apex's root edges, then the later vertices' edges."""
+    ends = c.triangulation.edges
+    root = [(apex in (ends[e].tail, ends[e].head), e) for e in shelling[1]]
+    return [e for _, e in sorted(root, key=lambda t: t[0])] + [e for _, own in shelling[2] for e in own]
+
+
 @pytest.mark.parametrize("seed", [None, *range(10)])
 def test_corner_stages_never_fall_back(certified_chain, monkeypatch, seed):
-    """On rp3_t80 the f1 stage eliminates exactly the 12 rows at shelling
-    a's root corners and the f5 stage the 12 columns at b's, once each:
-    four points with no three on a line always give rank 6, so no scan
-    falls back to all 3V candidates.  R2 is a's edges in shelling order
-    and K3 b's edges."""
+    """On rp3_t80 the apex rule picks R1 among the 12 rows of f1 at
+    shelling a's root corners and K4 among the 12 columns of f5 at b's,
+    with no elimination: R1 is three corners' dk rows, then three of their
+    dx and dy rows; K4 holds three corners' dg3 (else dg1) columns and
+    three of their other columns.  R2 is a's edges, the root edges that
+    miss a's apex first, then the apex's, then the later ones in shelling
+    order, and K3 b's edges; the one ``det`` is f3's."""
     tri = Triangulation.from_file(FIXTURES / "rp3_t80.tri")
     c = certified_chain(tri, assign_geometry(tri, seed=1))
     rows = count_calls(monkeypatch, "independent_rows")
+    dets = count_calls(monkeypatch, "det")
     p, m = select_partition(c, seed)
     a, b = shelling_of(c, seed)
-    assert len(rows) == 2
-    # the scanned blocks hold the corner rows of f1 and columns of f5, in scan order
-    a_corners, b_corners = corner_positions(a[0]), corner_positions(b[0])
-    assert {chain.basis_label(1, i) for i in a_corners} == {f"{name}_v{v}" for v in a[0] for name in ("dx", "dy", "dk")}
-    assert {chain.basis_label(4, j) for j in b_corners} == {f"{name}_v{v}" for v in b[0] for name in ("dg1", "dg2", "dg3")}
-    assert row_multiset(rows[0][0]) == row_multiset(c.f1.block(a_corners, range(c.f1.ncols)))
-    assert row_multiset(rows[1][0]) == row_multiset(c.f5.block(range(c.f5.nrows), b_corners, transpose=True))
-    assert set(p.c1_rows) <= set(a_corners)
-    assert tuple(chain.basis_label(2, i) for i in p.c2_rows) == tuple(
-        f"dl_e{e}" for e in (*a[1], *(e for _, own in a[2] for e in own))
-    )
-    k3 = {f"dw_e{e}" for e in (*b[1], *(e for _, own in b[2] for e in own))}
-    assert {chain.basis_label(3, j) for j in p.cols(c)[2]} == k3
+    assert rows == [] and len(dets) == 1
+    apex = apex_of(a[0], p.c1_rows, (2,))
+    assert [i % 3 for i in p.c1_rows[:3]] == [2, 2, 2]
+    assert {chain.basis_label(1, i)[:2] for i in p.c1_rows[3:]} <= {"dx", "dy"}
+    assert list(p.c2_rows) == grouped_edges(c, a, apex)
+    apex_of(b[0], p.cols(c)[3], (2, 0))
+    k3 = {e for e in (*b[1], *(e for _, own in b[2] for e in own))}
+    assert set(p.cols(c)[2]) == k3
     assert m == minors(c, p)
+
+
+@pytest.mark.parametrize("inner, apex_slot, kind", [
+    # b's inner corners share an x: the dg3 Vandermonde vanishes, the dg1 one does not
+    (((1, 2), (1, -3), (4, 1)), 0, 0),
+    # they share an x and a y: both vanish, and the apex moves to the next slot
+    (((0, 0), (1, 0), (0, 1)), 1, 2),
+])
+def test_f5_rule_skips_vanishing_candidates(s3, certified_chain, monkeypatch, inner, apex_slot, kind):
+    """With b's first apex (slot 0, unseeded) at (3, 5) and its inner
+    corners planted, the rule takes the first split and apex whose blocks
+    do not vanish, with no fallback: K4 holds the inner corners' positions
+    3u + kind.  The minors and tau stay those of the oracles."""
+    a = s3.shelling(0)
+    b = s3.shelling(a[3])
+    points = dict(zip(b[0], ((3, 5), *inner)))
+    x, y = zip(*(points[v] for v in range(4)))
+    c = certified_chain(s3, geometry_of(x, y, (0, 1, 0, -1)))
+    rows = count_calls(monkeypatch, "independent_rows")
+    p, m = select_partition(c)
+    assert rows == []
+    apex = b[0][apex_slot]
+    assert {3 * u + kind for u in b[0] if u != apex} <= set(p.cols(c)[3])
+    assert apex_of(b[0], p.cols(c)[3], (kind,)) == apex
+    assert m == minors(c, p)
+    oracle = bottom_up_partition(c)
+    assert tau(c, p, m) == tau(c, oracle, minors(c, oracle))
+
+
+def test_unit_square_takes_the_corner_scan(s3, sphere_geometry, certified_chain, monkeypatch):
+    """At the corners of a unit square any three vertex classes repeat an
+    x and a y, so every f5 candidate vanishes at every apex and K4 comes
+    from ``independent_rows`` of b's 12 columns, once per pass; the f1
+    side still needs no scan.  The minors and tau stay those of the
+    oracles."""
+    c = certified_chain(s3, sphere_geometry)
+    rows = count_calls(monkeypatch, "independent_rows")
+    for seed in (None, *range(10)):
+        rows.clear()
+        p, m = select_partition(c, seed)
+        b = shelling_of(c, seed)[1]
+        (scanned,) = (args[0] for args in rows)
+        assert row_multiset(scanned) == row_multiset(c.f5.block(range(6), corner_positions(b[0]), transpose=True))
+        assert m == minors(c, p)
+        oracle = bottom_up_partition(c, seed)
+        assert tau(c, p, m) == tau(c, oracle, minors(c, oracle))
+    assert abs(invariant(s3, geometry=sphere_geometry).tau) == 512
 
 
 def doubled_area(xs, ys, p, q, r):
@@ -326,40 +417,50 @@ def test_root_blocks_give_m1_and_m5(name):
             assert abs(m5 * areas) == 64 * abs(det(c.f4.block(root_r4, b[1])))
 
 
-def planted_groups(rng, groups, off):
-    """A square integer block in groups of 6, then 3, each row inside its
-    group's columns and earlier ones, with random nonzero entries and
-    denominators; with ``off`` one row before the last group also gets an
-    entry past its group."""
-    n = 6 + 3 * groups
+def planted_groups(rng, groups, upper, off):
+    """A square integer block in groups of three, each row inside its
+    group's columns and earlier ones (later ones with ``upper``), with
+    random nonzero entries, as rows and denominators; with ``off`` one row
+    also gets an entry outside that support."""
+    n = 3 * groups
     rows, dens = [], []
     for i in range(n):
-        end = 6 if i < 6 else i + 3 - i % 3
-        rows.append({j: rng.choice((-1, 1)) * rng.randint(1, 9) for j in range(end) if rng.random() < 0.7})
+        support = range(i - i % 3, n) if upper else range(i - i % 3 + 3)
+        rows.append({j: rng.choice((-1, 1)) * rng.randint(1, 9) for j in support if rng.random() < 0.7})
         dens.append(rng.randint(1, 12))
     if off:
-        i = rng.randrange(n - 3)
-        end = 6 if i < 6 else i + 3 - i % 3
-        rows[i][rng.randrange(end, n)] = rng.randint(1, 9)
-    return Block(rows, dens, n)
+        i = rng.randrange(3, n) if upper else rng.randrange(n - 3)
+        rows[i][rng.randrange(i - i % 3) if upper else rng.randrange(i - i % 3 + 3, n)] = rng.randint(1, 9)
+    return rows, dens
 
 
 def test_shelled_minor_matches_the_fraction_det(monkeypatch):
-    """The product of the diagonal blocks is the determinant, signed, and
-    only the 6 x 6 root block goes through ``det``; a row off the
-    support takes ``det`` of the whole block, still exactly."""
+    """The product of the 3x3 diagonal blocks is the determinant, signed,
+    for blocks triangular either way and placed at scattered positions of
+    a wider matrix, and no ``det`` runs; a row off the support takes
+    ``det`` of the whole block, still exactly.  Entries in columns outside
+    the block never count as off it."""
     rng = random.Random(34)
     dets = count_calls(monkeypatch, "det")
     seen = {"zero": 0, "nonzero": 0, "off": 0}
     for trial in range(120):
-        groups, off, sign = rng.randint(0, 4), trial % 3 == 0 and trial > 0, rng.choice((1, -1))
-        block = planted_groups(rng, max(groups, off), off)
-        rows = zip(block.numerators, block.denominators)
-        dense = [[F(row.get(j, 0), d) for j in range(block.ncols)] for row, d in rows]
+        off, upper, sign = trial % 3 == 0, rng.random() < 0.5, rng.choice((1, -1))
+        groups = rng.randint(2 if off else 1, 5)
+        planted, dens = planted_groups(rng, groups, upper, off)
+        n = 3 * groups
+        row_at, col_at = rng.sample(range(n + 2), n), rng.sample(range(n + 2), n)
+        extra = [j for j in range(n + 2) if j not in col_at]
+        numerators = [{j: rng.randint(1, 9) for j in extra} for _ in range(n + 2)]
+        denominators = [rng.randint(1, 12) for _ in range(n + 2)]
+        for k, (row, d) in enumerate(zip(planted, dens)):
+            numerators[row_at[k]].update({col_at[j]: v for j, v in row.items()})
+            denominators[row_at[k]] = d
+        m = RatMatrix(numerators, denominators, n + 2)
+        dense = [[F(m.numerators[i].get(j, 0), m.denominators[i]) for j in col_at] for i in row_at]
         dets.clear()
-        value = torsion._shelled_minor(block, sign)
+        value = torsion._grouped_minor(m, row_at, col_at, sign, upper)
         assert value == sign * fraction_det(dense)
-        assert [args[0].nrows for args in dets] == [block.nrows if off else 6]
+        assert [args[0].nrows for args in dets] == ([n] if off else [])
         seen["off" if off else "nonzero" if value else "zero"] += 1
     assert min(seen.values()) > 5, seen
 
