@@ -32,8 +32,10 @@ a separate final line.
 ``verify`` spreads its independent checks over the usable cores (Linux)
 and prints the same report as a serial run.  After any failure it reruns
 the checks in order, so the first failure reported is the serial one.
-Memory adds up across its processes, and the benchmark's ``peak_rss_mb``
-and ``--trace 1`` see only the parent.
+``pentagon`` spreads its two suites the same way, and after a failure
+reruns them in the order vector identities, then pentagon samples.
+Memory adds up across the processes of either command, and the
+benchmark's ``peak_rss_mb`` and ``--trace 1`` see only this process.
 """
 
 from __future__ import annotations
@@ -133,6 +135,26 @@ def _check_pentagon_samples(seed: int, samples: int) -> None:
         lhs, rhs, equal = verify_pentagon(cfg)
         if not equal:
             raise InvarianceError(f"pentagon identity failed at sample {i}: {lhs} != {rhs}")
+
+
+def _check_vector_identities(seed: int, samples: int) -> int:
+    """Check the plane-vector identities on seeded point configurations,
+    naming a failing one, and return how many were nondegenerate: a
+    degenerate configuration is skipped."""
+    getrandbits = random.Random(subseed(seed, "points")).getrandbits
+    point_checks = 0
+    for j in range(samples):
+        # x then y of A..E, each randint(-20, 20) / randint(1, 7), as
+        # integers over the lcm of the ten denominators
+        den, coords = draw_rationals(getrandbits, 10, 20, 7)
+        pts = {lab: (coords[2 * i], coords[2 * i + 1]) for i, lab in enumerate(("A", "B", "C", "D", "E"))}
+        try:
+            if not verify_vector_identities(pts, den):
+                raise InvarianceError(f"vector identities failed at point configuration {j}")
+            point_checks += 1
+        except DegenerateGeometryError:
+            continue
+    return point_checks
 
 
 def _format_values(values) -> str:
@@ -321,27 +343,28 @@ def cmd_pachner(args) -> tuple[dict, int]:
 
 
 def cmd_pentagon(args) -> tuple[dict, int]:
-    _check_pentagon_samples(args.seed, args.samples)
-    getrandbits = random.Random(subseed(args.seed, "points")).getrandbits
-    point_checks = 0
-    for j in range(args.samples):
-        # x then y of A..E, each randint(-20, 20) / randint(1, 7), as
-        # integers over the lcm of the ten denominators
-        den, coords = draw_rationals(getrandbits, 10, 20, 7)
-        pts = {lab: (coords[2 * i], coords[2 * i + 1]) for i, lab in enumerate(("A", "B", "C", "D", "E"))}
-        try:
-            if not verify_vector_identities(pts, den):
-                raise InvarianceError(f"vector identities failed at point configuration {j}")
-            point_checks += 1
-        except DegenerateGeometryError:
-            continue
+    """Run the vector identities, then the pentagon samples; the first
+    failure raises.
+
+    ``_run_checks`` spreads the two suites as it does ``verify``'s checks:
+    with two usable cores this process runs the vector identities and
+    keeps their count while a forked child checks the samples; otherwise
+    both run here, in that order.  After any failure both rerun here in
+    order, so a run where both fail reports the vector failure.
+    """
+    counts = []  # a failure reruns the vectors, so the report reads the last
+
+    def vectors():
+        counts.append(_check_vector_identities(args.seed, args.samples))
+
+    _run_checks([vectors, partial(_check_pentagon_samples, args.seed, args.samples)])
     report = {
         "command": "pentagon",
         "version": __version__,
         "seed": args.seed,
         "samples": args.samples,
         "pentagon_identity": "pass",
-        "vector_identities": f"pass ({point_checks} nondegenerate configurations)",
+        "vector_identities": f"pass ({counts[-1]} nondegenerate configurations)",
     }
     return report, 0
 

@@ -49,7 +49,8 @@ class NotAcyclicError(PentachainError):
 
 class TorsionError(PentachainError):
     """A requested minor partition is invalid: a split picks the wrong
-    number of rows, or some minor vanishes."""
+    number of rows, a position twice or one outside C_k, or some minor
+    vanishes."""
 
 
 class InvarianceError(PentachainError):

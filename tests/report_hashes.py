@@ -27,8 +27,16 @@ The script runs from the checkout's root and passes fixture paths
 relative to it, since an ``invariant`` report names its input as given,
 so the output does not depend on where the checkout lives.  pytest does
 not collect this file (its name does not start with ``test_``).
+
+``python tests/report_hashes.py --hard`` prints, instead, the same tau
+and invariant lines for the slow inputs rp3'' at seeds 0-2 and s3''' at
+seed 1, outside tier-1 (29 s and 341 MB peak RSS on a 2-core x86_64
+host).  Its output at the current version is
+``tests/report_hashes_hard.txt``; a change to the exact kernels reruns
+it and compares.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -49,6 +57,7 @@ INPUTS = BUILTINS + [["--file", str(path.relative_to(ROOT))] for path in FIXTURE
 SEEDS = ("0", "1", "2")
 VERIFIED_FIXTURES = ("s3_t8", "rp3_t8", "s3_t20", "rp3_t20")
 HARD_INPUTS = ("s3'", "rp3'", "L(7,2)'", "s3''")
+SLOW_INPUTS = (("rp3''", SEEDS), ("s3'''", ("1",)))
 
 
 def report_set() -> list[list[str]]:
@@ -78,12 +87,12 @@ def report_hash(argv: list[str]) -> str:
     return line if code == 0 else f"{line}  exit {code}"
 
 
-def hard_input_hashes(name: str) -> list[str]:
+def hard_input_hashes(name: str, seeds=SEEDS) -> list[str]:
     """``sha256  invariant <name> --seed <seed>`` of each seed's tau and
     invariant on a subdivided input."""
     tri = subdivided(name)
     out = []
-    for seed in SEEDS:
+    for seed in seeds:
         r = invariant(tri, seed=int(seed))
         text = f"{format_rational(r.tau)} {format_rational(r.invariant)}\n"
         out.append(f"{hashlib.sha256(text.encode()).hexdigest()}  invariant {name} --seed {seed}")
@@ -99,7 +108,16 @@ def report_lines():
         yield from hard_input_hashes(name)
 
 
+def slow_lines():
+    """The ``--hard`` output: hard-input lines on the slow inputs."""
+    for name, seeds in SLOW_INPUTS:
+        yield from hard_input_hashes(name, seeds)
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Print one sha256 line per report.")
+    parser.add_argument("--hard", action="store_true", help="hash the slow inputs rp3'' and s3''' instead")
+    lines = slow_lines() if parser.parse_args().hard else report_lines()
     os.chdir(ROOT)
-    for line in report_lines():
+    for line in lines:
         print(line, flush=True)

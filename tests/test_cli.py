@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from pentachain import MoveSite, NotAcyclicError, Triangulation, apply_move, load_builtin
+from pentachain import DegenerateGeometryError, MoveSite, NotAcyclicError, Triangulation, apply_move, load_builtin
 import pentachain
 from pentachain import cli, geometry, pentagon, torsion
 from pentachain.triangulation import FILE_MAGIC
@@ -632,18 +632,129 @@ def test_pentagon_command(capsys):
 PENTAGON_POINT_CHECKS = (100, 100, 99, 99, 100, 99, 100, 99, 98, 100)
 
 
-def test_pentagon_reports_pinned(capsys):
-    for seed, checks in enumerate(PENTAGON_POINT_CHECKS):
-        code, out, _ = run(capsys, ["pentagon", "--seed", str(seed), "--json"])
-        assert code == 0
-        assert json.loads(out) == {
-            "command": "pentagon",
-            "version": pentachain.__version__,
-            "seed": seed,
-            "samples": 100,
-            "pentagon_identity": "pass",
-            "vector_identities": f"pass ({checks} nondegenerate configurations)",
-        }
+def pentagon_report(seed):
+    """The report of ``pentagon --seed <seed> --json``, seed 0..9."""
+    return {
+        "command": "pentagon",
+        "version": pentachain.__version__,
+        "seed": seed,
+        "samples": 100,
+        "pentagon_identity": "pass",
+        "vector_identities": f"pass ({PENTAGON_POINT_CHECKS[seed]} nondegenerate configurations)",
+    }
+
+
+def test_pentagon_reports_pinned(capsys, monkeypatch):
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        for seed in range(len(PENTAGON_POINT_CHECKS)):
+            code, out, _ = run(capsys, ["pentagon", "--seed", str(seed), "--json"])
+            assert code == 0
+            assert json.loads(out) == pentagon_report(seed), cpus
+        assert_no_child_left()
+
+
+def test_pentagon_runs_its_suites_here_when_no_process_can_be_forked(capsys, monkeypatch):
+    def no_fork():
+        raise BlockingIOError("Resource temporarily unavailable")
+
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    code, out, _ = run(capsys, ["pentagon", "--seed", "0", "--json"])
+    assert code == 0
+    assert json.loads(out) == pentagon_report(0)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_pentagon_spreads_its_suites_over_the_usable_cores(capsys, monkeypatch, tmp_path, cpus):
+    # each suite's checks write down the process that runs them
+    log = tmp_path / "pids"
+    real_samples, real_vectors = cli.verify_pentagon, cli.verify_vector_identities
+
+    def logged(suite, real):
+        def check(*args):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{suite} {os.getpid()}\n")
+            return real(*args)
+
+        return check
+
+    use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(cli, "verify_pentagon", logged("samples", real_samples))
+    monkeypatch.setattr(cli, "verify_vector_identities", logged("vectors", real_vectors))
+    code, _, _ = run(capsys, ["pentagon", "--samples", "3"])
+    assert code == 0
+    pids = dict(line.split() for line in log.read_text().splitlines())
+    assert pids["vectors"] == str(os.getpid())
+    assert (pids["samples"] == pids["vectors"]) == (cpus == 1)
+    assert_no_child_left()
+
+
+def fail_at_sample_3(monkeypatch):
+    """Make ``verify_pentagon`` fail on sample 3 of seed 0 alone, in
+    whichever process checks it."""
+    tables, real = [], cli.verify_pentagon
+    monkeypatch.setattr(cli, "verify_pentagon", lambda cfg: tables.append(cfg.table) or real(cfg))
+    cli._check_pentagon_samples(0, 4)
+    monkeypatch.setattr(cli, "verify_pentagon", lambda cfg: (0, 1, False) if cfg.table == tables[3] else real(cfg))
+
+
+def fail_at_configuration_2(monkeypatch):
+    """Make ``verify_vector_identities`` fail on point configuration 2 of
+    seed 0 alone, however often it is checked."""
+    drawn, real = [], cli.verify_vector_identities
+    monkeypatch.setattr(cli, "verify_vector_identities", lambda pts, den: drawn.append((pts, den)) or True)
+    cli._check_vector_identities(0, 3)
+    monkeypatch.setattr(cli, "verify_vector_identities", lambda pts, den: (pts, den) != drawn[2] and real(pts, den))
+
+
+def degenerate_at_sample_3(monkeypatch):
+    """Make every draw of sample 3 of seed 0 degenerate, so
+    ``FivePointConfig.random`` gives up on it."""
+    draws, real = [], pentagon.flat_config
+
+    def record(cfg):
+        draws.append(cfg.table)
+        raise DegenerateGeometryError("recorded")
+
+    monkeypatch.setattr(pentagon, "flat_config", record)
+    with pytest.raises(DegenerateGeometryError):
+        pentagon.FivePointConfig.random(geometry.subseed(0, "pentagon", 3))
+    assert len(draws) == pentagon.SAMPLE_DRAWS
+
+    def degenerate(cfg):
+        if cfg.table in draws:
+            raise DegenerateGeometryError("planted degenerate draw")
+        return real(cfg)
+
+    monkeypatch.setattr(pentagon, "flat_config", degenerate)
+
+
+# the failures planted in ``pentagon --seed 0 --samples 5``, with the exit
+# code and standard error a serial run gives
+PENTAGON_FAILURES = {
+    "sample": ((fail_at_sample_3,), 6, "error: pentagon identity failed at sample 3: 0 != 1\n"),
+    "configuration": ((fail_at_configuration_2,), 6, "error: vector identities failed at point configuration 2\n"),
+    # the vector identities run first
+    "both": (
+        (fail_at_sample_3, fail_at_configuration_2),
+        6,
+        "error: vector identities failed at point configuration 2\n",
+    ),
+    "degenerate": ((degenerate_at_sample_3,), 4, "error: planted degenerate draw\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PENTAGON_FAILURES))
+def test_pentagon_failure_is_the_serial_one_on_each_core_count(capsys, monkeypatch, case):
+    plants, code, err = PENTAGON_FAILURES[case]
+    for plant in plants:
+        plant(monkeypatch)
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        assert run(capsys, ["pentagon", "--seed", "0", "--samples", "5", "--json"]) == (code, "", err), cpus
+        assert_no_child_left()
 
 
 # the reports of ``pentagon --seed N --samples 20 --json`` for N = 0..39,
@@ -652,13 +763,16 @@ def test_pentagon_reports_pinned(capsys):
 PENTAGON_SAMPLES_20_SHA256 = "b86b81fe6328413e1b42c8020d5d93ea7717eaf8b75267201540116e934ef8fe"
 
 
-def test_pentagon_reports_over_40_seeds_pinned(capsys):
-    digest = hashlib.sha256()
-    for seed in range(40):
-        code, out, _ = run(capsys, ["pentagon", "--seed", str(seed), "--samples", "20", "--json"])
-        assert code == 0
-        digest.update(out.encode())
-    assert digest.hexdigest() == PENTAGON_SAMPLES_20_SHA256
+def test_pentagon_reports_over_40_seeds_pinned(capsys, monkeypatch):
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        digest = hashlib.sha256()
+        for seed in range(40):
+            code, out, _ = run(capsys, ["pentagon", "--seed", str(seed), "--samples", "20", "--json"])
+            assert code == 0
+            digest.update(out.encode())
+        assert digest.hexdigest() == PENTAGON_SAMPLES_20_SHA256, cpus
+        assert_no_child_left()
 
 
 # Fractions that ``pentagon --samples 10`` constructs: per sample, the
@@ -687,6 +801,8 @@ def counted(monkeypatch, module, name):
 
 
 def test_pentagon_command_stays_in_integers(capsys, monkeypatch, fractions_made):
+    # on one core, since the counters see only this process
+    use_cpus(monkeypatch, 1)
     gradients = counted(monkeypatch, pentagon, "curvature")
     values = counted(monkeypatch, pentagon, "curvature_value")
     code, _, _ = run(capsys, ["pentagon", "--samples", "10"])
@@ -711,7 +827,9 @@ def test_invariant_command_keeps_the_geometry_in_integers(capsys, fractions_made
 
 
 def test_pentagon_point_draws_match_fraction_oracle(capsys, monkeypatch):
-    # the point sets the command checks are the ones drawn in Fractions
+    # the point sets the command checks are the ones drawn in Fractions;
+    # on one core, so that no run forks
+    use_cpus(monkeypatch, 1)
     checked = []
     monkeypatch.setattr(cli, "_check_pentagon_samples", lambda seed, samples: None)
     monkeypatch.setattr(cli, "verify_vector_identities", lambda pts, den: checked.append((pts, den)) or True)
