@@ -78,8 +78,9 @@ rule picks R1 and K4 at the shellings' root corners: with one corner as
 the apex, the other three's dk rows of f1, or their dg3 (else dg1)
 columns of f5, then the first trio of their other positions with a
 nonzero 3x3 block, apexes and candidates tried in order (shuffled with a
-seed) and a root where every candidate vanishes taking
-``exact.independent_rows`` of its 12 instead.  The minors of f1, f2, f4
+seed).  A certified geometry always gives f1 an apex, so only f5's root,
+where every candidate may vanish, takes ``exact.independent_rows`` of
+its 12 instead.  The minors of f1, f2, f4
 and f5 are then products of 3x3 blocks, after an O(nnz) check that the
 grouped block is block triangular, which takes the ``det`` of the whole
 block when it fails, and the ``det`` of the f3 block is the pass's one

@@ -74,12 +74,16 @@ def parse_rational(text: str) -> Fraction:
     """Parse ``p`` or ``p/q`` (an optional sign, ASCII digits) into an
     exact rational.  Decimals, exponents and ``_`` are refused, so a
     token such as ``1e9999999`` cannot ask for a ten-million-digit
-    integer."""
+    integer.  The digit strings go through Decimal, as ``format_ratio``'s
+    long ints do, since ``Fraction`` of a string stops at the
+    interpreter's digit limit (4300 by default) and so would refuse a
+    literal that ``format_rational`` prints."""
     if not _RATIONAL.fullmatch(text.strip()):
         raise ValueError(f"bad rational literal {text!r}")
+    num, _, den = text.strip().partition("/")
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
+    except ZeroDivisionError as exc:
         raise ValueError(f"bad rational literal {text!r}") from exc
 
 

@@ -211,11 +211,6 @@ def _flatness_terms(numerators) -> list[tuple[int, int]]:
     return [(circulation(numerators, xdy), circulation(numerators, zde)) for xdy, zde in _FLATNESS]
 
 
-def _bilinear(numerators) -> int:
-    """The bilinear relation of a table, times its denominator squared."""
-    return sum(a * b for a, b in _flatness_terms(numerators))
-
-
 def flat_config(cfg: FivePointConfig) -> FivePointConfig:
     """``cfg`` with the unique lambda_ED making the curvature at E->D
     vanish, checked to be flat.
@@ -224,7 +219,9 @@ def flat_config(cfg: FivePointConfig) -> FivePointConfig:
     of ``cfg`` the bilinear relation is a0 / D^2 - lambda_ED * t / D, with
     a0 the integer relation at lambda_ED = 0 (n_DE taken out of each
     S_xDE) and t = S_ADB + S_BDC + S_CDA times D.  The leading coefficient
-    -t / D must be nonzero, and lambda_ED = a0 / (D t).
+    -t / D must be nonzero, and lambda_ED = a0 / (D t).  The result is
+    checked by its curvature at E->D alone, which vanishes iff the
+    relation holds.
     """
     d, numerators = cfg.table
     terms = _flatness_terms(numerators)
@@ -236,7 +233,7 @@ def flat_config(cfg: FivePointConfig) -> FivePointConfig:
         )
     at0 = sum(a * (b - numerators[ED_PAIR]) for a, b in terms)
     solved = cfg.with_lambda_ed(Fraction(at0, d * lead))
-    if _bilinear(solved.table[1]) != 0 or solved.curvature[0][0] != 0:
+    if solved.curvature[0][0] != 0:
         raise PentachainError("internal error: the solved lambda_ED leaves a nonzero curvature at E->D")
     return solved
 

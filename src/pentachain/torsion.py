@@ -55,11 +55,19 @@ completes K4.  The apexes are tried in slot order and each one's
 candidates in position order (the trios in ``itertools.combinations``
 order); a seeded pass shuffles the apexes and each candidate list with
 the same Random that drew its root.  When every candidate vanishes the
-next corner becomes the apex.  A root where all four fail, such as four
-corners at a unit square (any three repeat an x and a y, so no f5
-Vandermonde survives), takes ``exact.independent_rows`` of its 12
-candidates instead: a sparse Markowitz elimination that returns its rows
-in pivot order with their minor, so the value stays exact.
+next corner becomes the apex.  At a's root on a chain that
+``build_chain`` made, the first apex always succeeds: the face
+certificate rejects a loop edge, so the four corner classes are
+distinct; the inner corners span a face whose circulation, its area, is
+certified nonzero, so their dk block is nonsingular; and three points
+off a line give their dx and dy rows rank 3.  So R1 has no fallback, and
+a hand-made f1 where the rule finds nothing sends the pass to its
+diagnostics below, as a vanishing minor does.  Only b's root can fail at
+all four apexes, as at four corners of a unit square (any three repeat
+an x and a y, so no f5 Vandermonde survives); it takes
+``exact.independent_rows`` of the transpose of its 12 f5 columns
+instead: a sparse Markowitz elimination that returns them in pivot order
+with their minor, so m5 stays exact.
 
 Shelling lemma: m2 and m4 are products of 3x3 blocks too.  K1's root part
 is the inner corners' three coordinates that R1 leaves and the apex's
@@ -88,10 +96,10 @@ nonsingular f4 root block.  Before its product, each of the four blocks
 is checked against that support in O(nnz) (``_grouped_minor``): a row
 outside its group's columns and earlier ones (later ones for f4 and f5),
 which only a hand-broken chain has, makes the minor the ``det`` of the
-whole block, so it stays exact.  A root that took the fallback has no
-apex: its 6 coordinates left free are grouped in ascending position, and
-the same check decides whether the product or the whole ``det`` gives its
-minor.
+whole block, so it stays exact.  A b root that took the fallback has
+no apex: its 6 coordinates left free are grouped in ascending position,
+and the same check decides whether the product or the whole ``det``
+gives m4.
 
 The pass is also the acyclicity certificate:
 
@@ -232,39 +240,37 @@ def select_partition(
     tetrahedron a reaches.  R1 is the apex rule's pick among the f1 rows
     at a's corners and K4 its pick among the f5 columns at b's
     (``_root_split``); with a seed the same Random shuffles the apexes and
-    the candidates.  A root where every candidate vanishes has no apex and
-    takes ``independent_rows`` of its 12 positions instead
-    (``_corner_scan``), in ascending order or shuffled with a seed, which
-    gives R1 in pivot order with m1, or K4 with m5.  R2 is a's edges and
-    K3 b's, each grouped by three with the vertex coordinates they meet
-    (``_shelled_groups``); the pass closes with the ``det`` of f3 on R3
-    and K2, the rest of C3 and C2, ascending, its one elimination.  R4 is
-    the rest of C4, ascending.  The other minors are products of 3x3
-    blocks, or the ``det`` of the whole block where the support check
-    fails (``_grouped_minor``), each signed into the minor's order, so
-    they equal ``minors(c, partition)``.  A zero minor runs
+    the candidates.  R1 has no fallback: a certified chain always has an
+    apex at a's root, so finding none goes to the diagnostics below.  A b
+    root where every f5 candidate vanishes takes ``independent_rows`` of
+    its 12 columns instead (``_corner_scan``), in ascending order or
+    shuffled with a seed, which gives K4 in pivot order with m5.  R2 is
+    a's edges and K3 b's, each grouped by three with the vertex
+    coordinates they meet (``_shelled_groups``); the pass closes with the
+    ``det`` of f3 on R3 and K2, the rest of C3 and C2, ascending, its one
+    elimination.  R4 is the rest of C4, ascending.  The other minors are
+    products of 3x3 blocks, or the ``det`` of the whole block where the
+    support check fails (``_grouped_minor``), each signed into the minor's
+    order, so they equal ``minors(c, partition)``.  A zero minor runs
     ``check_acyclic``, which raises NotAcyclicError unless the ranks are
     the acyclic pattern, then ``certify_chain``, which raises the internal
     composition error, and raises an internal error if neither finds a
-    fault.
+    fault; so does an f1 with no apex at a's root.
     """
     rng = None if seed is None else random.Random(seed)
     tri = c.triangulation
     a = tri.shelling(0 if rng is None else rng.randrange(tri.size))
     b = tri.shelling(a[3])
     f1, f2, f3, f4, f5 = c.maps
-    if split := _root_split(a[0], _F1_SPLITS, lambda i, j: f1.numerators[i].get(j, 0), rng):
-        apex_a, r1, order = split
-        m1 = _grouped_minor(f1, r1, order, _ascending_sign(order))
-    else:
-        apex_a, (r1, m1) = None, _corner_scan(f1, a[0], rng)
+    split_a = _root_split(a[0], _F1_SPLITS, lambda i, j: f1.numerators[i].get(j, 0), rng)
     if split := _root_split(b[0], _F5_SPLITS, lambda i, j: f5.numerators[j].get(i, 0), rng):
         apex_b, k4, order = split
         m5 = _grouped_minor(f5, order, k4, _ascending_sign(order) * _ascending_sign(k4), upper=True)
     else:
-        apex_b, (k4, m5) = None, _corner_scan(f5, b[0], rng, transpose=True)
-        m5 *= _ascending_sign(k4)
-    if m1 and m5:
+        apex_b, (k4, m5) = None, _corner_scan(f5, b[0], rng)
+    if split_a and m5:
+        apex_a, r1, order = split_a
+        m1 = _grouped_minor(f1, r1, order, _ascending_sign(order))
         # K1 and R4 grouped by the shellings' vertices, the roots' first
         r2, k1 = _shelled_groups(tri, a, apex_a, r1)
         k3, r4 = _shelled_groups(tri, b, apex_b, k4)
@@ -272,7 +278,7 @@ def select_partition(
         m4 = _grouped_minor(f4, r4, k3, _ascending_sign(r4) * _ascending_sign(k3), upper=True)
         r3, k2 = _free(f3.nrows, k3), _free(f2.nrows, r2)
         # the f3 block is square once the other four minors are nonzero
-        if m2 and m4 and (m3 := det(f3.block(r3, k2))):
+        if m1 and m2 and m4 and (m3 := det(f3.block(r3, k2))):
             return BasisPartition(tuple(r1), tuple(r2), tuple(r3), tuple(sorted(r4))), (m1, m2, m3, m4, m5)
     # a minor vanished: not acyclic, or else not a chain
     check_acyclic(c)
@@ -319,18 +325,19 @@ def _root_split(corners, splits, entry, rng):
     return None
 
 
-def _corner_scan(m, corners, rng, transpose=False) -> tuple[list[int], Fraction]:
-    """The fallback for a root where every candidate vanishes:
-    ``independent_rows`` of the 12 rows of ``m`` (its columns with
-    ``transpose``) at ``corners``, in ascending position or shuffled by
-    ``rng``; returns the picked positions in pivot order and their minor,
-    with the columns (rows) in ascending order."""
+def _corner_scan(f5, corners, rng) -> tuple[list[int], Fraction]:
+    """The fallback for b's root when every f5 candidate vanishes:
+    ``independent_rows`` of the transpose of the 12 columns of ``f5`` at
+    ``corners``, in ascending position or shuffled by ``rng``.  Returns
+    K4, the picked positions in pivot order, and m5, the minor on K4's
+    columns in ascending order: the pivot-order minor times the sign that
+    sorts K4."""
     order = sorted(3 * v + r for v in corners for r in range(3))
     if rng is not None:
         rng.shuffle(order)
-    block = m.block(range(m.nrows), order, transpose=True) if transpose else m.block(order, range(m.ncols))
-    picked, minor = independent_rows(block)
-    return [order[i] for i in picked], minor
+    picked, minor = independent_rows(f5.block(range(f5.nrows), order, transpose=True))
+    k4 = [order[i] for i in picked]
+    return k4, minor * _ascending_sign(k4)
 
 
 def _shelled_groups(tri, shelling, apex, picked) -> tuple[list[int], list[int]]:
@@ -338,9 +345,9 @@ def _shelled_groups(tri, shelling, apex, picked) -> tuple[list[int], list[int]]:
     matching groups of three: the root edges that miss the ``apex`` class
     with the inner corners' coordinates outside ``picked``, then the
     apex's edges with its coordinates, then each later vertex's edges with
-    its coordinates.  With no apex (the fallback) the root's 6 edges come
-    in shelling order and its 6 coordinates outside ``picked``
-    ascending."""
+    its coordinates.  With no apex (b's root after the fallback) the
+    root's 6 edges come in shelling order and its 6 coordinates outside
+    ``picked`` ascending."""
     corners, root_edges, later, _ = shelling
     ends = tri.edges
     edges = sorted(root_edges, key=lambda e: apex in (ends[e].tail, ends[e].head))

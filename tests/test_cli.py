@@ -1037,6 +1037,25 @@ def test_geometry_token_outside_p_over_q_exits_parse_error(tmp_path, capsys, tok
     assert err == f"error: bad geometry line 'vertex 0 {token} 0 0'\n"
 
 
+def test_geometry_literal_past_the_digit_limit_computes(tmp_path, capsys):
+    # a valid line whose denominator has 5000 digits, past the
+    # interpreter's int <-> str limit
+    path = tmp_path / "geometry.txt"
+    path.write_text(f"vertex 0 1/{'7' * 5000} 0 0\nvertex 1 1 0 0\nvertex 2 0 1 0\nvertex 3 1 1 0\n")
+    code, out, err = run(capsys, ["invariant", "--builtin", "s3", "--geometry", str(path), "--json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["abs_invariant"] == "1"
+
+
+@pytest.mark.parametrize("token", [f"1/{'0' * 5000}", f"1/{'7' * 5000}x"], ids=["zero-denominator", "trailing-letter"])
+def test_long_invalid_geometry_literal_exits_parse_error(tmp_path, capsys, token):
+    path = tmp_path / "geometry.txt"
+    path.write_text(f"vertex 0 {token} 0 0\nvertex 1 1 0 0\nvertex 2 0 1 0\nvertex 3 1 1 0\n")
+    code, out, err = run(capsys, ["invariant", "--builtin", "s3", "--geometry", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: bad geometry line 'vertex 0 {token} 0 0'\n"
+
+
 @pytest.mark.parametrize(
     "old, new, message",
     [

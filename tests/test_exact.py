@@ -242,6 +242,15 @@ def test_parse_rational_refuses_other_forms(text):
         parse_rational(text)
 
 
+def test_parse_rational_reads_past_the_digit_limit():
+    # 5000 digits is past the interpreter's int <-> str limit, and
+    # format_rational prints such a value in full
+    sevens = (10**5000 - 1) // 9 * 7
+    q = parse_rational(f"-1/{'7' * 5000}")
+    assert q == F(-1, sevens)
+    assert parse_rational(format_rational(F(sevens, 3))) == F(sevens, 3)
+
+
 @given(st.integers(-50, 50), st.integers(1, 30))
 def test_parse_canonical_form(num, den):
     q = parse_rational(f"{num}/{den}")

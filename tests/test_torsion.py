@@ -1,7 +1,8 @@
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import prod
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from pentachain import (
     BasisPartition,
+    NotAcyclicError,
     TorsionError,
     apply_move,
     assign_geometry,
@@ -381,6 +383,101 @@ def test_unit_square_takes_the_corner_scan(s3, sphere_geometry, certified_chain,
         oracle = bottom_up_partition(c, seed)
         assert tau(c, p, m) == tau(c, oracle, minors(c, oracle))
     assert abs(invariant(s3, geometry=sphere_geometry).tau) == 512
+
+
+def f1_root_split(c, seed):
+    """The apex rule at shelling a's root on f1, as the pass with ``seed``
+    runs it: the same Random draws the root, then shuffles the apexes and
+    the candidates."""
+    rng = None if seed is None else random.Random(seed)
+    tri = c.triangulation
+    a = tri.shelling(0 if rng is None else rng.randrange(tri.size))
+    return torsion._root_split(a[0], torsion._F1_SPLITS, lambda i, j: c.f1.numerators[i].get(j, 0), rng)
+
+
+def no_three_collinear(points):
+    xs, ys = zip(*points)
+    return all(doubled_area(xs, ys, *trio) for trio in combinations(range(len(points)), 3))
+
+
+COORDINATE = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+# four plane points with no three on a line: from a small grid, so that
+# they often share an x or a y, or at the corners of an axis-parallel
+# rectangle, where any three share both
+FOUR_POINTS = st.one_of(
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=4, max_size=4, unique=True),
+    st.tuples(COORDINATE, COORDINATE, COORDINATE, COORDINATE)
+    .filter(lambda t: t[0] != t[1] and t[2] != t[3])
+    .flatmap(lambda t: st.permutations(list(product(t[:2], t[2:])))),
+).filter(no_three_collinear)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(("s3", "rp3")),
+    points=st.one_of(st.none(), FOUR_POINTS),
+    kappa=st.lists(st.integers(-5, 5), min_size=4, max_size=4),
+    geometry_seed=st.integers(0, 2**32),
+    partition_seed=st.integers(0, 2**32),
+)
+def test_f1_root_always_has_an_apex(name, points, kappa, geometry_seed, partition_seed):
+    """On a certified chain the apex rule never fails at a's root: its four
+    corner classes are distinct, the inner corners span a face of nonzero
+    area, so their dk block is nonsingular, and three points off a line
+    give their dx and dy rows rank 3.  s3 and rp3 have four vertex classes,
+    placed by the sampler or at four points with no three on a line; the
+    pass's R1 is the rule's pick, unseeded and seeded."""
+    tri = load_builtin(name)
+    if points is None:
+        g = assign_geometry(tri, geometry_seed)
+    else:
+        g = geometry_of(*zip(*points), kappa)
+    c = build_chain(tri, g)
+    for seed in (None, partition_seed):
+        split = f1_root_split(c, seed)
+        assert split is not None
+        assert select_partition(c, seed)[0].c1_rows == tuple(split[1])
+
+
+def test_only_f5_takes_the_corner_scan(sphere_geometry, monkeypatch):
+    """On the builtins, the 8 ladder fixtures and s3' and rp3' at geometry
+    seed 0, and on s3 at the unit square, a pass at seeds None and 0-9
+    calls ``independent_rows`` only on the transpose of f5's 12 columns
+    at b's root: f1's root never falls back.  Only the unit square's 11
+    passes scan."""
+    names = ["s3", "rp3", *sorted(path.stem for path in FIXTURES.glob("*.tri")), "s3'", "rp3'"]
+    assert len(names) == 12
+    chains = [build_chain(tri, assign_geometry(tri, subseed(0, "geometry"))) for tri in map(load_input, names)]
+    chains.append(build_chain(load_builtin("s3"), sphere_geometry))
+    rows = count_calls(monkeypatch, "independent_rows")
+    scans = 0
+    for c in chains:
+        for seed in (None, *range(10)):
+            rows.clear()
+            select_partition(c, seed)
+            b = shelling_of(c, seed)[1]
+            f5_columns = row_multiset(c.f5.block(range(c.f5.nrows), corner_positions(b[0]), transpose=True))
+            assert all(row_multiset(args[0]) == f5_columns for args in rows)
+            scans += len(rows)
+    assert scans == 11
+
+
+def test_f1_root_without_an_apex_reaches_the_diagnostics(s3, sphere_geometry, certified_chain):
+    """A hand-made f1 whose dk rows at a's root corners are zero leaves the
+    apex rule no candidate there.  The pass then runs its diagnostics, as
+    for a vanishing minor: the rank test finds f1 of rank 5."""
+    c = certified_chain(s3, sphere_geometry)
+    dk = {3 * u + 2 for u in s3.shelling(0)[0]}
+    f1 = c.f1
+    zeroed = [{} if i in dk else row for i, row in enumerate(f1.numerators)]
+    broken = replace(c, f1=RatMatrix(zeroed, f1.denominators, f1.ncols))
+    for seed in (None, *range(3)):
+        assert f1_root_split(broken, seed) is None
+        with pytest.raises(NotAcyclicError) as caught:
+            select_partition(broken, seed)
+        assert str(caught.value) == (
+            "complex is not acyclic: ranks (5, 6, 0, 6, 6), expected (6, 6, 0, 6, 6); f1 has rank 5, expected 6"
+        )
 
 
 def doubled_area(xs, ys, p, q, r):
