@@ -27,8 +27,9 @@ vertex coordinates:
 
 ``build_chain`` computes the geometry's one integer edge-value table
 (``geometry.edge_values``) itself and certifies the geometry with
-``geometry.ensure_nondegenerate`` before anything else: a zero face
-circulation raises ``DegenerateGeometryError`` naming the face.  The
+``geometry.ensure_nondegenerate`` before anything else: a loop edge or
+a zero face circulation raises ``DegenerateGeometryError`` naming the
+edge or the face.  The
 certified table is kept on the complex as ``edge_table``, so the face
 product reads the same one.
 
@@ -75,16 +76,18 @@ once the chain property holds.  The invariant decides it with
 yields the torsion's minors, on a partition read off two shellings of
 the triangulation that the complex keeps (``triangulation``).  Its apex
 rule picks R1 and K4 at the shellings' root corners: with one corner as
-the apex, the other three's dk rows of f1, or their dg3 (else dg1)
-columns of f5, then the first trio of their other positions with a
-nonzero 3x3 block, apexes and candidates tried in order (shuffled with a
-seed).  A certified geometry always gives f1 an apex, so only f5's root,
-where every candidate may vanish, takes ``exact.independent_rows`` of
-its 12 instead.  The minors of f1, f2, f4
-and f5 are then products of 3x3 blocks, after an O(nnz) check that the
-grouped block is block triangular, which takes the ``det`` of the whole
-block when it fails, and the ``det`` of the f3 block is the pass's one
-elimination.  ``check_acyclic`` is the reference rank test, run on the
+the apex (slot 0, or a seeded draw), the other three's dk rows of f1, or
+their dg3 columns of f5, then the first trio of their other positions
+with a nonzero 3x3 block.  A certified geometry always gives f1 its
+pick; where f5's dg3 block vanishes (two of those corners share an x),
+the pass keeps the apex and completes K4 from the first of them and a
+trio that ``exact.independent_rows`` picks from a 6x3 Schur block, of
+rank 3 on a certified chain by the rank-6 lemma in the ``torsion``
+module docstring, and m5 is the ``det`` of those six columns.  The other
+minors of f1, f2, f4 and f5 are products of 3x3 blocks, after an O(nnz)
+check that the grouped block is block triangular, which takes the
+``det`` of the whole block when it fails, and the ``det`` of the f3
+block is the pass's one elimination.  ``check_acyclic`` is the reference rank test, run on the
 same sparse elimination as every other rank in the package.  It returns the five
 ranks, or raises ``NotAcyclicError`` with them when they are not the
 acyclic pattern.

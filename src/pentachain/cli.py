@@ -15,7 +15,8 @@ violation during verification, 141 (128 + SIGPIPE, as a shell reports a
 process that SIGPIPE ended) when the reader of standard output goes away
 first, as in ``... | head -1``; that exit prints nothing.  Exit 4 has
 four causes: an edge class that joins a vertex class to itself, raised
-before any geometry is drawn; no nondegenerate draw in
+before any geometry is drawn and before an explicit one is certified,
+with the same text either way; no nondegenerate draw in
 ``geometry.SAMPLE_DRAWS`` tries; an explicit geometry with a zero face
 circulation; and a five-point sample of ``verify`` or ``pentagon`` that
 stays degenerate for ``pentagon.SAMPLE_DRAWS`` draws.

@@ -16,9 +16,11 @@ The one constructor takes the rows in integers, as ``chain.build_chain``
 assembles them: a numerator mapping and a nonzero denominator per row,
 and the column count.  It reduces each row, and ``rows`` and
 ``entries`` are derived ``Fraction`` views.  ``block``
-slices rows and columns by position, or the transpose's, straight from
-the stored integers into a ``Block``: unreduced rows, which ``rank``,
-``det`` and ``independent_rows`` take as they take a matrix.
+slices rows and columns by position straight from the stored integers
+into a ``Block``: unreduced rows, which ``rank``, ``det`` and
+``independent_rows`` take as they take a matrix.  A caller may build a
+``Block`` of its own integer rows too, as the partition pass does for
+its Schur fallback.
 
 One elimination serves every rank, row basis and determinant: a sparse
 Markowitz elimination over the integers (``_eliminate``).  Each step
@@ -170,24 +172,12 @@ class RatMatrix:
         zero = Fraction(0)
         return tuple(tuple(row.get(j, zero) for j in range(self.ncols)) for row in self.rows)
 
-    def block(self, rows: Sequence[int], cols: Sequence[int], transpose: bool = False) -> "Block":
+    def block(self, rows: Sequence[int], cols: Sequence[int]) -> "Block":
         """The block on row positions ``rows`` and column positions
-        ``cols``, in the order given.  With ``transpose`` it is the block of
-        the transpose: its rows are the columns ``cols``, each over the lcm
-        of the denominators of the rows it meets, and its columns are the
-        rows ``rows``."""
+        ``cols``, in the order given."""
         at = {j: k for k, j in enumerate(cols)}
-        if not transpose:
-            numerators = [{at[j]: v for j, v in self.numerators[i].items() if j in at} for i in rows]
-            return Block(numerators, [self.denominators[i] for i in rows], len(at))
-        entries = [[] for _ in at]
-        for k, i in enumerate(rows):
-            for j, v in self.numerators[i].items():
-                if j in at:
-                    entries[at[j]].append((k, v, self.denominators[i]))
-        dens = [lcm(*(d for *_, d in row)) for row in entries]
-        numerators = [{k: v * (den // d) for k, v, d in row} for row, den in zip(entries, dens)]
-        return Block(numerators, dens, len(rows))
+        numerators = [{at[j]: v for j, v in self.numerators[i].items() if j in at} for i in rows]
+        return Block(numerators, [self.denominators[i] for i in rows], len(at))
 
     def __eq__(self, other):
         return (

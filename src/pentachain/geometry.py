@@ -59,7 +59,10 @@ integer over D, and ``face_circulations`` gives every face class's as
 the table ``(D, circulations)``.  A geometry is nondegenerate when no
 face circulation is zero; the sampler redraws until 0 is not among them,
 and ``ensure_nondegenerate``, which ``chain.build_chain`` runs on every
-geometry, raises otherwise, naming the first zero face.
+geometry, raises otherwise, naming the first zero face.  A loop edge, an
+edge class whose ends are one vertex class, makes every geometry
+degenerate; the sampler and the certificate both name it first, with one
+text.
 
 ``curvature`` sums angle values built from four circulations and their
 exact partial derivatives by the quotient rule, each key an independent
@@ -203,17 +206,10 @@ def assign_geometry(tri: Triangulation, seed: int) -> GeometryAssignment:
     draw is accepted once every face circulation is nonzero, each draw's
     edge values evaluated once, and DegenerateGeometryError is raised
     after SAMPLE_DRAWS rejected draws.  The draw sequence is a
-    deterministic function of the seed.  An edge class joining a vertex
-    class to itself gives every face containing it zero circulation for
-    any geometry, so such input fails before the first draw.
+    deterministic function of the seed.  A loop edge fails before the
+    first draw (``_reject_loop_edges``).
     """
-    for e in tri.edges:
-        if e.tail == e.head:
-            raise DegenerateGeometryError(
-                f"edge class {e.id} joins vertex class {e.tail} to itself, so every "
-                "face containing it has zero circulation for any geometry; 2->3 and "
-                "1->4 moves cannot remove this edge"
-            )
+    _reject_loop_edges(tri)
     getrandbits = random.Random(seed).getrandbits
     count = 3 * len(tri.vertices)
     for _ in range(SAMPLE_DRAWS):
@@ -223,10 +219,25 @@ def assign_geometry(tri: Triangulation, seed: int) -> GeometryAssignment:
     raise DegenerateGeometryError(f"no nondegenerate geometry found after {SAMPLE_DRAWS} attempts")
 
 
+def _reject_loop_edges(tri: Triangulation) -> None:
+    """An edge class joining a vertex class to itself gives every face
+    containing it zero circulation for any geometry: raise, naming the
+    first such edge, so that a sampled and an explicit geometry fail
+    with the same text."""
+    for e in tri.edges:
+        if e.tail == e.head:
+            raise DegenerateGeometryError(
+                f"edge class {e.id} joins vertex class {e.tail} to itself, so every "
+                "face containing it has zero circulation for any geometry; 2->3 and "
+                "1->4 moves cannot remove this edge"
+            )
+
+
 def ensure_nondegenerate(tri: Triangulation, lam: tuple[int, dict]) -> None:
     """The nondegeneracy certificate: raise unless every face circulation
-    under the edge-value table ``lam`` is nonzero, naming the first zero
-    face."""
+    under the edge-value table ``lam`` is nonzero, naming a loop edge
+    first (``_reject_loop_edges``) and otherwise the first zero face."""
+    _reject_loop_edges(tri)
     _, circulations = face_circulations(tri, lam)
     if 0 in circulations:
         f = tri.faces[circulations.index(0)]

@@ -32,42 +32,64 @@ b's, both picked by the apex rule below.  R2 is a's edges and K3 b's
 edges; K1, K2, R3 and R4 are the rest of C1, C2, C3 and C4.  m1, m2, m4
 and m5 are products of 3x3 determinants read straight from the stored
 integer rows, and the pass closes with the ``det`` of the square block
-f3[R3, K2], its one elimination.  The based torsion does not depend on
+f3[R3, K2], its one elimination; only a b root that takes the Schur
+fallback below adds one, a 6x3 ``independent_rows``, and gets m5 from a
+6x6 ``det``.  The based torsion does not depend on
 which compatible splitting is used (Milnor, *Whitehead torsion*, 1966;
 Turaev, *Introduction to Combinatorial Torsions*, 2001), so the choice of
 roots, apexes and trios changes no value.
 
-Apex rule: one root corner is the apex and the other three are the inner
-corners.  f1's dk rows live on the columns dx, dy, dk, where the inner
-corners' three rows (-y_u, x_u, 2D) over 2D have a det of +-2D times
-twice the area of the face they span, which ``build_chain``'s face
+Apex rule: each root has one apex, its corner in slot 0 or, with a seed,
+the slot that the pass's Random draws, and the other three corners are
+the inner corners.  f1's dk rows live on the columns dx, dy, dk, where
+the inner corners' three rows (-y_u, x_u, 2D) over 2D have a det of +-2D
+times twice the area of the face they span, which ``build_chain``'s face
 certificate proves nonzero.  R1 is those three rows, then the first trio
 of the inner corners' dx and dy rows whose block on dt1..dt3 is nonzero;
 the rows there are (y_u, 0, x_u) and (0, x_u, -y_u) over D, of rank 3 at
 any three points not on a line.  With the dk rows grouped first and the
-columns dx, dy, dk first, f1[R1] is block lower triangular, and m1 is the
-two blocks' product.  K4 comes the same way from f5's columns: the inner
-corners' dg3 columns live on db3, db5, db6, where their block is a
-Vandermonde in x, nonzero when the three x differ; else their dg1 columns,
-on db1, db4, db6, a Vandermonde in y.  Then the first trio of the inner
-corners' other six columns with a nonzero block on the other three rows
-completes K4.  The apexes are tried in slot order and each one's
-candidates in position order (the trios in ``itertools.combinations``
-order); a seeded pass shuffles the apexes and each candidate list with
-the same Random that drew its root.  When every candidate vanishes the
-next corner becomes the apex.  At a's root on a chain that
-``build_chain`` made, the first apex always succeeds: the face
-certificate rejects a loop edge, so the four corner classes are
-distinct; the inner corners span a face whose circulation, its area, is
-certified nonzero, so their dk block is nonsingular; and three points
-off a line give their dx and dy rows rank 3.  So R1 has no fallback, and
-a hand-made f1 where the rule finds nothing sends the pass to its
-diagnostics below, as a vanishing minor does.  Only b's root can fail at
-all four apexes, as at four corners of a unit square (any three repeat
-an x and a y, so no f5 Vandermonde survives); it takes
-``exact.independent_rows`` of the transpose of its 12 f5 columns
-instead: a sparse Markowitz elimination that returns them in pivot order
-with their minor, so m5 stays exact.
+columns dx, dy, dk first, f1[R1] is block lower triangular, and m1 is
+the two blocks' product.  K4 comes the same way from f5's columns: the
+inner corners' dg3 columns live on db3, db5, db6, where their block is a
+Vandermonde in x, nonzero when the three x differ, and then the first
+trio of their dg1 and dg2 columns with a nonzero block on db1, db2, db4
+completes K4.  The trio candidates come in position order
+(``itertools.combinations`` order), or shuffled by a seeded pass's
+Random.  At a's root on a chain that ``build_chain`` made, the rule
+always succeeds: the face certificate rejects a loop edge, so the four
+corner classes are distinct; the inner corners span a face whose
+circulation, its area, is certified nonzero, so their dk block is
+nonsingular; and three points off a line give their dx and dy rows rank
+3.  So R1 has no fallback, and a hand-made f1 where the rule finds
+nothing sends the pass to its diagnostics below, as a vanishing minor
+does.  At b's root the Vandermonde vanishes when two inner corners share
+an x, as any three corners of a unit square do, and the Schur fallback
+keeps the apex: the first inner corner u's three columns are the
+identity on db1..db3, so they and a trio of the other two corners' six
+columns are independent exactly when the trio's Schur complements on
+db4..db6, column 3v + r less column 3u + r, are.
+``exact.independent_rows`` of that 6x3 integer block picks the trio, and
+m5 is the ``det`` of f5 on the six columns, which is exact on any chain,
+or 0 when fewer than three rows are independent, which sends the pass to
+its diagnostics.
+
+Rank-6 lemma: the nine f5 columns at three points off a line have rank
+6, so on a certified chain the Schur block has rank 3 and the fallback
+finds its trio.  A row vector w on db1..db6 that annihilates the nine
+columns satisfies, at each of the three points (x, y) and in values,
+w1 + w4 y + w6 y^2 = 0 (dg1), w2 - w4 x + w5 y - 2 w6 x y = 0 (dg2)
+and w3 - w5 x + w6 x^2 = 0 (dg3).  If w6 = 0, the dg1 equations give
+w4 = 0 unless the three y coincide and the dg3 ones w5 = 0 unless the
+three x do; either would put the points on a line, so w1 = w3 = 0, then
+w2 = 0, and w = 0.  If w6 = 1, each y is a root of y^2 + w4 y + w1 and
+each x one of x^2 - w5 x + w3, so the points are three corners of a grid
+{s1, s2} x {r1, r2}, with s1 != s2 and r1 != r2 since they are off a
+line.  Then w4 = -(r1 + r2) and w5 = s1 + s2, and the dg2 equation reads
+w2 + (r1 + r2) x + (s1 + s2) y - 2 x y = 0, whose left side is
+w2 + s1 r2 + s2 r1 at both corners of the diagonal (s1, r1), (s2, r2) and
+w2 + s1 r1 + s2 r2 at both of the other.  The two values differ by
+(r2 - r1)(s1 - s2), which is not 0, and any three corners meet both
+diagonals, so no nonzero w exists.
 
 Shelling lemma: m2 and m4 are products of 3x3 blocks too.  K1's root part
 is the inner corners' three coordinates that R1 leaves and the apex's
@@ -96,10 +118,8 @@ nonsingular f4 root block.  Before its product, each of the four blocks
 is checked against that support in O(nnz) (``_grouped_minor``): a row
 outside its group's columns and earlier ones (later ones for f4 and f5),
 which only a hand-broken chain has, makes the minor the ``det`` of the
-whole block, so it stays exact.  A b root that took the fallback has
-no apex: its 6 coordinates left free are grouped in ascending position,
-and the same check decides whether the product or the whole ``det``
-gives m4.
+whole block, so it stays exact.  The Schur fallback keeps K4 in b's
+inner corners too, so on a certified chain m4 is always the product.
 
 The pass is also the acyclicity certificate:
 
@@ -109,7 +129,8 @@ The pass is also the acyclicity certificate:
   full column rank on K3; so f3 maps the K2 coordinates injectively onto
   a space that projects injectively onto R3, and f3[R3, K2] is
   nonsingular.  On a chain that ``build_chain`` made, the other four
-  minors are nonzero by the apex rule and the shelling lemma;
+  minors are nonzero by the apex rule, the rank-6 lemma and the shelling
+  lemma;
 - if every block is nonsingular and the chain property f_{k+1} f_k = 0
   holds, rank f_k is at least the size of its block and the chain
   property caps rank f_k + rank f_{k+1} by dim C_k, so the ranks are
@@ -155,7 +176,7 @@ from math import prod
 
 from .chain import ChainComplex, build_chain, certify_chain, check_acyclic, expected_ranks
 from .errors import PentachainError, TorsionError
-from .exact import RatMatrix, det, independent_rows, permutation_sign, tree_product
+from .exact import Block, RatMatrix, det, independent_rows, permutation_sign, tree_product
 from .geometry import GeometryAssignment, assign_geometry, face_circulations, subseed
 from .triangulation import Triangulation
 
@@ -237,40 +258,39 @@ def select_partition(
 
     Shelling a is rooted at tetrahedron 0, or with an integer seed at a
     tetrahedron drawn by ``Random(seed)``, and shelling b at the last
-    tetrahedron a reaches.  R1 is the apex rule's pick among the f1 rows
-    at a's corners and K4 its pick among the f5 columns at b's
-    (``_root_split``); with a seed the same Random shuffles the apexes and
-    the candidates.  R1 has no fallback: a certified chain always has an
-    apex at a's root, so finding none goes to the diagnostics below.  A b
-    root where every f5 candidate vanishes takes ``independent_rows`` of
-    its 12 columns instead (``_corner_scan``), in ascending order or
-    shuffled with a seed, which gives K4 in pivot order with m5.  R2 is
-    a's edges and K3 b's, each grouped by three with the vertex
+    tetrahedron a reaches.  Each root has one apex, its corner in slot 0
+    or, with a seed, the slot the same Random draws.  R1 is the apex
+    rule's pick among the f1 rows at a's inner corners and K4 its pick
+    among the f5 columns at b's (``_root_split``), the candidates of the
+    second trio shuffled with a seed.  R1 has no fallback: a certified
+    chain always gives it a pick, so finding none goes to the diagnostics
+    below.  When b's dg3 Vandermonde vanishes, K4 comes from the same
+    inner corners by ``_schur_fallback``, whose m5 is the ``det`` of f5 on
+    K4.  R2 is a's edges and K3 b's, each grouped by three with the vertex
     coordinates they meet (``_shelled_groups``); the pass closes with the
-    ``det`` of f3 on R3 and K2, the rest of C3 and C2, ascending, its one
-    elimination.  R4 is the rest of C4, ascending.  The other minors are
-    products of 3x3 blocks, or the ``det`` of the whole block where the
-    support check fails (``_grouped_minor``), each signed into the minor's
-    order, so they equal ``minors(c, partition)``.  A zero minor runs
-    ``check_acyclic``, which raises NotAcyclicError unless the ranks are
-    the acyclic pattern, then ``certify_chain``, which raises the internal
-    composition error, and raises an internal error if neither finds a
-    fault; so does an f1 with no apex at a's root.
+    ``det`` of f3 on R3 and K2, the rest of C3 and C2, ascending.  R4 is
+    the rest of C4, ascending.  The other minors are products of 3x3
+    blocks, or the ``det`` of the whole block where the support check
+    fails, which no certified chain makes (``_grouped_minor``), each
+    signed into the minor's order, so they equal ``minors(c,
+    partition)``.  A zero minor, or no pick for R1, runs ``check_acyclic``,
+    which raises NotAcyclicError unless the ranks are the acyclic pattern,
+    then ``certify_chain``, which raises the internal composition error,
+    and raises an internal error if neither finds a fault.
     """
     rng = None if seed is None else random.Random(seed)
     tri = c.triangulation
     a = tri.shelling(0 if rng is None else rng.randrange(tri.size))
     b = tri.shelling(a[3])
     f1, f2, f3, f4, f5 = c.maps
-    split_a = _root_split(a[0], _F1_SPLITS, lambda i, j: f1.numerators[i].get(j, 0), rng)
-    if split := _root_split(b[0], _F5_SPLITS, lambda i, j: f5.numerators[j].get(i, 0), rng):
-        apex_b, k4, order = split
-        m5 = _grouped_minor(f5, order, k4, _ascending_sign(order) * _ascending_sign(k4), upper=True)
+    apex_a, _, r1 = _root_split(a[0], _F1_ORDER, lambda i, j: f1.numerators[i].get(j, 0), rng)
+    apex_b, inner_b, k4 = _root_split(b[0], _F5_ORDER, lambda i, j: f5.numerators[j].get(i, 0), rng)
+    if k4:
+        m5 = _grouped_minor(f5, _F5_ORDER, k4, _ascending_sign(_F5_ORDER) * _ascending_sign(k4), upper=True)
     else:
-        apex_b, (k4, m5) = None, _corner_scan(f5, b[0], rng)
-    if split_a and m5:
-        apex_a, r1, order = split_a
-        m1 = _grouped_minor(f1, r1, order, _ascending_sign(order))
+        k4, m5 = _schur_fallback(f5, inner_b, rng)
+    if r1 and m5:
+        m1 = _grouped_minor(f1, r1, _F1_ORDER, _ascending_sign(_F1_ORDER))
         # K1 and R4 grouped by the shellings' vertices, the roots' first
         r2, k1 = _shelled_groups(tri, a, apex_a, r1)
         k3, r4 = _shelled_groups(tri, b, apex_b, k4)
@@ -286,58 +306,62 @@ def select_partition(
     raise PentachainError("internal error: the partition pass fell short on an acyclic complex")
 
 
-# The splits a root's six picked positions may take, tried in order:
-# (the vertex type whose three inner-corner positions form the first trio,
-# the C0 or C5 positions of that trio's block, the positions left for the
-# second trio).  f1's dk rows live on dx, dy, dk; f5's dg3 columns on db3,
-# db5, db6 and its dg1 columns on db1, db4, db6.
-_F1_SPLITS = ((2, (3, 4, 5), (0, 1, 2)),)
-_F5_SPLITS = ((2, (2, 4, 5), (0, 1, 3)), (0, (0, 3, 5), (1, 2, 4)))
+# The C0 or C5 positions a root's split reads: first the three that the
+# inner corners' positions 3u + 2 live on (f1's dk rows on dx, dy, dk,
+# f5's dg3 columns on db3, db5, db6), then the three left for the trio.
+_F1_ORDER = (3, 4, 5, 0, 1, 2)
+_F5_ORDER = (2, 4, 5, 0, 1, 3)
 
 
-def _root_split(corners, splits, entry, rng):
-    """The apex rule at a root with corner classes ``corners``: for each
-    corner as the apex, in slot order or shuffled by ``rng``, and each
-    split (kind, first, second) of ``splits``, the inner corners'
-    positions 3u + kind if their block on ``first`` is nonzero, then the
-    first trio of the inner corners' other six positions, in order or
-    shuffled by ``rng``, whose block on ``second`` is nonzero.  Returns
-    the apex's class, the six picked positions in that order and
-    ``first + second``, or None when every candidate vanishes.
-    ``entry(i, j)`` is the stored numerator of candidate i at position j;
-    a row's denominator scales a block by a positive factor, so the
-    numerators decide which blocks vanish."""
-    slots = [0, 1, 2, 3]
+def _root_split(corners, order, entry, rng):
+    """The apex rule at a root with corner classes ``corners``: the corner
+    in slot 0, or in the slot ``rng`` draws, is the apex and the other
+    three are the inner corners.  The pick is the inner corners'
+    positions 3u + 2, if their block on ``order[:3]`` is nonzero, then
+    the first trio of their other six positions, in order or shuffled by
+    ``rng``, whose block on ``order[3:]`` is nonzero.  Returns the apex's
+    class, the inner corners' classes and the six picked positions in
+    that order, or None for the pick when no trio survives.  ``entry(i,
+    j)`` is the stored numerator of candidate i at position j; a row's
+    denominator scales a block by a positive factor, so the numerators
+    decide which blocks vanish."""
+    s = 0 if rng is None else rng.randrange(4)
+    inner = corners[:s] + corners[s + 1:]
+    picked = [3 * u + 2 for u in inner]
+    others = [3 * u + r for u in inner for r in (0, 1)]
     if rng is not None:
-        rng.shuffle(slots)
-    for s in slots:
-        inner = corners[:s] + corners[s + 1:]
-        for kind, first, second in splits:
-            picked = [3 * u + kind for u in inner]
-            if not _det3([[entry(i, j) for j in first] for i in picked]):
-                continue
-            others = [3 * u + r for u in inner for r in range(3) if r != kind]
-            if rng is not None:
-                rng.shuffle(others)
-            for trio in combinations(others, 3):
-                if _det3([[entry(i, j) for j in second] for i in trio]):
-                    return corners[s], picked + list(trio), first + second
-    return None
+        rng.shuffle(others)
+    if _det3([[entry(i, j) for j in order[:3]] for i in picked]):
+        for trio in combinations(others, 3):
+            if _det3([[entry(i, j) for j in order[3:]] for i in trio]):
+                return corners[s], inner, picked + list(trio)
+    return corners[s], inner, None
 
 
-def _corner_scan(f5, corners, rng) -> tuple[list[int], Fraction]:
-    """The fallback for b's root when every f5 candidate vanishes:
-    ``independent_rows`` of the transpose of the 12 columns of ``f5`` at
-    ``corners``, in ascending position or shuffled by ``rng``.  Returns
-    K4, the picked positions in pivot order, and m5, the minor on K4's
-    columns in ascending order: the pivot-order minor times the sign that
-    sorts K4."""
-    order = sorted(3 * v + r for v in corners for r in range(3))
+def _schur_fallback(f5, inner, rng) -> tuple[list[int], Fraction]:
+    """K4 at b's root when the dg3 Vandermonde vanishes, from the same
+    apex's ``inner`` corners.  The first inner corner u's three columns
+    are the identity on db1..db3, so a trio of the other two corners' six
+    columns completes K4 exactly when its Schur complements on db4..db6,
+    column 3v + r less column 3u + r there, are independent.  Each stored
+    row is its values times its positive denominator, so the differences
+    of the stored numerators form a 6x3 integer block of the same rank,
+    and ``independent_rows`` of it, the candidates in ascending position
+    or shuffled by ``rng``, picks the trio.  Returns K4, u's three
+    positions then the trio, and m5, the ``det`` of f5 on K4 in ascending
+    order, or 0 when fewer than three rows are independent; the nine
+    columns at three points off a line have rank 6 (the module
+    docstring), so a certified chain always gets three."""
+    u = inner[0]
+    candidates = [3 * v + r for v in inner[1:] for r in range(3)]
     if rng is not None:
-        rng.shuffle(order)
-    picked, minor = independent_rows(f5.block(range(f5.nrows), order, transpose=True))
-    k4 = [order[i] for i in picked]
-    return k4, minor * _ascending_sign(k4)
+        rng.shuffle(candidates)
+    low = f5.numerators[3:]
+    schur = [{i: s for i, row in enumerate(low) if (s := row.get(j, 0) - row.get(3 * u + j % 3, 0))}
+             for j in candidates]
+    picked, _ = independent_rows(Block(schur, [1] * len(schur), 3))
+    k4 = [3 * u, 3 * u + 1, 3 * u + 2, *(candidates[i] for i in picked)]
+    return k4, det(f5.block(range(6), sorted(k4))) if len(picked) == 3 else Fraction(0)
 
 
 def _shelled_groups(tri, shelling, apex, picked) -> tuple[list[int], list[int]]:
@@ -345,9 +369,8 @@ def _shelled_groups(tri, shelling, apex, picked) -> tuple[list[int], list[int]]:
     matching groups of three: the root edges that miss the ``apex`` class
     with the inner corners' coordinates outside ``picked``, then the
     apex's edges with its coordinates, then each later vertex's edges with
-    its coordinates.  With no apex (b's root after the fallback) the
-    root's 6 edges come in shelling order and its 6 coordinates outside
-    ``picked`` ascending."""
+    its coordinates.  ``picked`` lies in the inner corners' coordinates,
+    so three of them are left, the first group."""
     corners, root_edges, later, _ = shelling
     ends = tri.edges
     edges = sorted(root_edges, key=lambda e: apex in (ends[e].tail, ends[e].head))

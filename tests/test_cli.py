@@ -201,6 +201,25 @@ def test_degenerate_geometry_exit_code(tmp_path, capsys, monkeypatch):
     assert draws == []
 
 
+@pytest.mark.parametrize("command", ["invariant", "dump-chain"])
+def test_loop_edge_with_explicit_geometry_names_the_edge(tmp_path, capsys, command):
+    # the loop-edge input above with a --geometry that puts its four vertex
+    # classes at distinct points: the certificate names the loop edge, as
+    # the sampler does, not the first face it makes degenerate
+    degenerate = apply_move(load_builtin("s3"), MoveSite("2->3", (0, 0)))
+    tri_path, geometry_path = tmp_path / "degenerate.tri", tmp_path / "points.geom"
+    tri_path.write_text(degenerate.to_text())
+    points = ((0, 0), (1, 0), (0, 1), (2, 3))
+    assert len(degenerate.vertices) == len(points)
+    geometry_path.write_text("".join(f"vertex {v} {x} {y} {v}\n" for v, (x, y) in enumerate(points)))
+    code, out, err = run(capsys, [command, "--file", str(tri_path), "--geometry", str(geometry_path)])
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: edge class 3 joins vertex class 2 to itself, so every face containing it has zero "
+        "circulation for any geometry; 2->3 and 1->4 moves cannot remove this edge\n"
+    )
+
+
 def test_not_acyclic_exit_code(capsys, monkeypatch):
     def fake_invariant(*args, **kwargs):
         raise NotAcyclicError((6, 6, 5, 6, 6), (6, 6, 6, 6, 6))

@@ -41,6 +41,7 @@ from reference import (
     laplacian_tau_squared,
     positions,
     projective_paper_partition,
+    rat_matrix,
     sphere_paper_partition,
     subdivided,
     tet0_edges,
@@ -288,18 +289,13 @@ def corner_positions(corners):
     return sorted(3 * v + r for v in corners for r in range(3))
 
 
-def row_multiset(block):
-    """The rows of a block, each with its denominator, in sorted order."""
-    return sorted((sorted(row.items()), d) for row, d in zip(block.numerators, block.denominators))
-
-
-def apex_of(corners, picked, kinds):
+def apex_of(corners, picked):
     """The apex that the apex rule's pick ``picked`` (positions in C1 or
-    C4) leaves out: the pick holds 3u + kind for the three other corners u,
-    for one of ``kinds``, and three of their other positions."""
+    C4) leaves out: the pick holds 3u + 2 for the three other corners u,
+    and three of their other positions."""
     inner = {j // 3 for j in picked}
     assert len(picked) == 6 and len(inner) == 3 and inner < set(corners)
-    assert any(all(3 * u + kind in picked for u in inner) for kind in kinds)
+    assert all(3 * u + 2 in picked for u in inner)
     (apex,) = set(corners) - inner
     return apex
 
@@ -317,8 +313,8 @@ def test_corner_stages_never_fall_back(certified_chain, monkeypatch, seed):
     """On rp3_t80 the apex rule picks R1 among the 12 rows of f1 at
     shelling a's root corners and K4 among the 12 columns of f5 at b's,
     with no elimination: R1 is three corners' dk rows, then three of their
-    dx and dy rows; K4 holds three corners' dg3 (else dg1) columns and
-    three of their other columns.  R2 is a's edges, the root edges that
+    dx and dy rows; K4 holds three corners' dg3 columns and three of their
+    other columns.  R2 is a's edges, the root edges that
     miss a's apex first, then the apex's, then the later ones in shelling
     order, and K3 b's edges; the one ``det`` is f3's."""
     tri = Triangulation.from_file(FIXTURES / "rp3_t80.tri")
@@ -328,71 +324,99 @@ def test_corner_stages_never_fall_back(certified_chain, monkeypatch, seed):
     p, m = select_partition(c, seed)
     a, b = shelling_of(c, seed)
     assert rows == [] and len(dets) == 1
-    apex = apex_of(a[0], p.c1_rows, (2,))
+    apex = apex_of(a[0], p.c1_rows)
     assert [i % 3 for i in p.c1_rows[:3]] == [2, 2, 2]
     assert {chain.basis_label(1, i)[:2] for i in p.c1_rows[3:]} <= {"dx", "dy"}
     assert list(p.c2_rows) == grouped_edges(c, a, apex)
-    apex_of(b[0], p.cols(c)[3], (2, 0))
+    apex_of(b[0], p.cols(c)[3])
     k3 = {e for e in (*b[1], *(e for _, own in b[2] for e in own))}
     assert set(p.cols(c)[2]) == k3
     assert m == minors(c, p)
 
 
-@pytest.mark.parametrize("inner, apex_slot, kind", [
-    # b's inner corners share an x: the dg3 Vandermonde vanishes, the dg1 one does not
-    (((1, 2), (1, -3), (4, 1)), 0, 0),
-    # they share an x and a y: both vanish, and the apex moves to the next slot
-    (((0, 0), (1, 0), (0, 1)), 1, 2),
-])
-def test_f5_rule_skips_vanishing_candidates(s3, certified_chain, monkeypatch, inner, apex_slot, kind):
-    """With b's first apex (slot 0, unseeded) at (3, 5) and its inner
-    corners planted, the rule takes the first split and apex whose blocks
-    do not vanish, with no fallback: K4 holds the inner corners' positions
-    3u + kind.  The minors and tau stay those of the oracles."""
+@pytest.mark.parametrize("inner", [
+    # b's inner corners share an x: the dg3 Vandermonde vanishes
+    ((1, 2), (1, -3), (4, 1)),
+    # they share an x and a y, three corners of a unit square
+    ((0, 0), (1, 0), (0, 1)),
+], ids=["shared-x", "shared-x-and-y"])
+def test_f5_fallback_keeps_the_apex(s3, certified_chain, monkeypatch, inner):
+    """With b's apex (slot 0, unseeded) at (3, 5) and its inner corners
+    planted so that two share an x, the dg3 Vandermonde vanishes and K4
+    comes from the Schur fallback at the same apex."""
     a = s3.shelling(0)
     b = s3.shelling(a[3])
     points = dict(zip(b[0], ((3, 5), *inner)))
     x, y = zip(*(points[v] for v in range(4)))
     c = certified_chain(s3, geometry_of(x, y, (0, 1, 0, -1)))
-    rows = count_calls(monkeypatch, "independent_rows")
-    p, m = select_partition(c)
-    assert rows == []
-    apex = b[0][apex_slot]
-    assert {3 * u + kind for u in b[0] if u != apex} <= set(p.cols(c)[3])
-    assert apex_of(b[0], p.cols(c)[3], (kind,)) == apex
-    assert m == minors(c, p)
-    oracle = bottom_up_partition(c)
-    assert tau(c, p, m) == tau(c, oracle, minors(c, oracle))
+    assert_schur_fallback(c, None, monkeypatch)
 
 
-def test_unit_square_takes_the_corner_scan(s3, sphere_geometry, certified_chain, monkeypatch):
+def test_unit_square_takes_the_schur_fallback(s3, sphere_geometry, certified_chain, monkeypatch):
     """At the corners of a unit square any three vertex classes repeat an
-    x and a y, so every f5 candidate vanishes at every apex and K4 comes
-    from ``independent_rows`` of b's 12 columns, once per pass; the f1
-    side still needs no scan.  The minors and tau stay those of the
-    oracles."""
+    x, so b's dg3 Vandermonde vanishes whatever the apex, and every pass,
+    unseeded and at seeds 0-9, takes the Schur fallback; the f1 side still
+    needs none."""
     c = certified_chain(s3, sphere_geometry)
-    rows = count_calls(monkeypatch, "independent_rows")
     for seed in (None, *range(10)):
-        rows.clear()
-        p, m = select_partition(c, seed)
-        b = shelling_of(c, seed)[1]
-        (scanned,) = (args[0] for args in rows)
-        assert row_multiset(scanned) == row_multiset(c.f5.block(range(6), corner_positions(b[0]), transpose=True))
-        assert m == minors(c, p)
-        oracle = bottom_up_partition(c, seed)
-        assert tau(c, p, m) == tau(c, oracle, minors(c, oracle))
+        assert_schur_fallback(c, seed, monkeypatch)
     assert abs(invariant(s3, geometry=sphere_geometry).tau) == 512
 
 
+def assert_schur_fallback(c, seed, monkeypatch):
+    """The pass at ``seed`` took the Schur fallback at b's root: one
+    ``independent_rows`` call, on a 6x3 block; K4 inside three of b's
+    corners, the apex's inner ones (b[0][1:] without a seed), and all three
+    positions of one of them; the dets are the fallback's 6x6 and f3's, so
+    m4 is the product of 3x3 blocks; the minors are ``minors(c, p)`` and
+    tau the bottom-up oracle's."""
+    rows = count_calls(monkeypatch, "independent_rows")
+    dets = count_calls(monkeypatch, "det")
+    p, m = select_partition(c, seed)
+    monkeypatch.undo()
+    b = shelling_of(c, seed)[1]
+    assert [(args[0].nrows, args[0].ncols) for args in rows] == [(6, 3)]
+    assert [args[0].nrows for args in dets] == [6, len(p.c3_rows)]
+    k4 = p.cols(c)[3]
+    inner = {j // 3 for j in k4}
+    assert len(inner) == 3 and inner < set(b[0])
+    if seed is None:
+        assert inner == set(b[0][1:])
+    assert any({3 * u, 3 * u + 1, 3 * u + 2} <= set(k4) for u in inner)
+    assert m == minors(c, p)
+    oracle = bottom_up_partition(c, seed)
+    assert tau(c, p, m) == tau(c, oracle, minors(c, oracle))
+
+
+def unit_square_root_geometry(tri, seed):
+    """The sampled geometry of ``tri`` at ``seed`` with the corner classes
+    of the unseeded pass's b root moved to (0, 0), (1, 0), (0, 1), (1, 1)."""
+    a = tri.shelling(0)
+    x, y, kappa = (list(values) for values in coordinates(assign_geometry(tri, seed)))
+    for v, (px, py) in zip(tri.shelling(a[3])[0], product((0, 1), repeat=2)):
+        x[v], y[v] = F(px), F(py)
+    return geometry_of(x, y, kappa)
+
+
+def test_subdivided_unit_square_root_keeps_the_grouped_m4(certified_chain, monkeypatch):
+    """rp3' (40 vertex classes) with b's root corners at a unit square:
+    the fallback keeps the apex, so m4 is a product of 3x3 blocks, not
+    the det of the whole 114x114 f4 block, and the pass's only dets are
+    the fallback's 6x6 and f3's 118x118."""
+    tri = subdivided("rp3'")
+    c = certified_chain(tri, unit_square_root_geometry(tri, 0))
+    assert c.f3.nrows - 3 * c.vertex_count + 6 == 118
+    assert_schur_fallback(c, None, monkeypatch)
+
+
 def f1_root_split(c, seed):
-    """The apex rule at shelling a's root on f1, as the pass with ``seed``
-    runs it: the same Random draws the root, then shuffles the apexes and
-    the candidates."""
+    """The apex rule's pick at shelling a's root on f1, as the pass with
+    ``seed`` runs it: the same Random draws the root, then the apex, then
+    shuffles the candidates; None when it finds none."""
     rng = None if seed is None else random.Random(seed)
     tri = c.triangulation
     a = tri.shelling(0 if rng is None else rng.randrange(tri.size))
-    return torsion._root_split(a[0], torsion._F1_SPLITS, lambda i, j: c.f1.numerators[i].get(j, 0), rng)
+    return torsion._root_split(a[0], torsion._F1_ORDER, lambda i, j: c.f1.numerators[i].get(j, 0), rng)[2]
 
 
 def no_three_collinear(points):
@@ -436,30 +460,75 @@ def test_f1_root_always_has_an_apex(name, points, kappa, geometry_seed, partitio
     for seed in (None, partition_seed):
         split = f1_root_split(c, seed)
         assert split is not None
-        assert select_partition(c, seed)[0].c1_rows == tuple(split[1])
+        assert select_partition(c, seed)[0].c1_rows == tuple(split)
 
 
-def test_only_f5_takes_the_corner_scan(sphere_geometry, monkeypatch):
+def three_points_off_a_line(points):
+    (x0, y0), (x1, y1), (x2, y2) = points
+    return (x1 - x0) * (y2 - y0) != (y1 - y0) * (x2 - x0)
+
+
+# three plane points off a line: from a small grid, three corners of an
+# axis-parallel rectangle (the unit square among them), or sampled rationals
+THREE_POINTS = st.one_of(
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=3, max_size=3, unique=True),
+    st.tuples(COORDINATE, COORDINATE, COORDINATE, COORDINATE)
+    .filter(lambda t: t[0] != t[1] and t[2] != t[3])
+    .flatmap(lambda t: st.permutations(list(product(t[:2], t[2:]))))
+    .map(lambda corners: corners[:3]),
+    st.just([(0, 0), (1, 0), (0, 1)]),
+    st.lists(st.tuples(COORDINATE, COORDINATE), min_size=3, max_size=3),
+).filter(three_points_off_a_line)
+
+
+@settings(max_examples=150, deadline=None)
+@given(points=THREE_POINTS, seed=st.one_of(st.none(), st.integers(0, 2**32)))
+def test_f5_columns_at_three_points_have_rank_6(points, seed):
+    """The rank-6 lemma: the nine f5 columns at three points off a line
+    have rank 6, so the Schur complements of the other two points' six
+    columns against the first's, on db4..db6 and in Fractions, have rank
+    3, and the fallback picks a K4 there with m5 its nonzero det.  The
+    three points are vertex classes 0-2 of s3, the fourth sits on a
+    parabola, off every line through two of them."""
+    fourth = next(q for q in ((t, t * t) for t in range(10, 17))
+                  if all(three_points_off_a_line([*pair, q]) for pair in combinations(points, 2)))
+    x, y = zip(*points, fourth)
+    f5 = build_chain(load_builtin("s3"), geometry_of(x, y, (0, 0, 0, 0))).f5
+    assert rank(f5.block(range(6), range(9))) == 6
+    columns = list(zip(*(row[:9] for row in f5.entries)))
+    # the first point's columns are the identity on db1..db3
+    schur = [[column[i] - sum(columns[j][i] * column[j] for j in range(3)) for i in range(3, 6)]
+             for column in columns[3:]]
+    assert rank(rat_matrix(schur, 3)) == 3
+    k4, m5 = torsion._schur_fallback(f5, (0, 1, 2), None if seed is None else random.Random(seed))
+    assert k4[:3] == [0, 1, 2] and len(set(k4[3:])) == 3 and set(k4[3:]) < set(range(3, 9))
+    assert m5 and m5 == det(f5.block(range(6), sorted(k4)))
+
+
+def test_only_f5_takes_the_schur_fallback(sphere_geometry, monkeypatch):
     """On the builtins, the 8 ladder fixtures and s3' and rp3' at geometry
     seed 0, and on s3 at the unit square, a pass at seeds None and 0-9
-    calls ``independent_rows`` only on the transpose of f5's 12 columns
-    at b's root: f1's root never falls back.  Only the unit square's 11
-    passes scan."""
+    calls ``independent_rows`` only for f5's Schur fallback, on a 6x3
+    block, and ``det`` only there, on a 6x6 block, and on f3's: f1's root
+    never falls back, and no grouped minor takes the ``det`` of a whole
+    block.  Only the unit square's 11 passes fall back."""
     names = ["s3", "rp3", *sorted(path.stem for path in FIXTURES.glob("*.tri")), "s3'", "rp3'"]
     assert len(names) == 12
     chains = [build_chain(tri, assign_geometry(tri, subseed(0, "geometry"))) for tri in map(load_input, names)]
     chains.append(build_chain(load_builtin("s3"), sphere_geometry))
     rows = count_calls(monkeypatch, "independent_rows")
-    scans = 0
+    dets = count_calls(monkeypatch, "det")
+    fallbacks = 0
     for c in chains:
         for seed in (None, *range(10)):
             rows.clear()
-            select_partition(c, seed)
-            b = shelling_of(c, seed)[1]
-            f5_columns = row_multiset(c.f5.block(range(c.f5.nrows), corner_positions(b[0]), transpose=True))
-            assert all(row_multiset(args[0]) == f5_columns for args in rows)
-            scans += len(rows)
-    assert scans == 11
+            dets.clear()
+            p, _ = select_partition(c, seed)
+            fallback = [(6, 3)] if rows else []
+            assert [(args[0].nrows, args[0].ncols) for args in rows] == fallback
+            assert [args[0].nrows for args in dets] == [6] * len(fallback) + [len(p.c3_rows)]
+            fallbacks += len(rows)
+    assert fallbacks == 11
 
 
 def test_f1_root_without_an_apex_reaches_the_diagnostics(s3, sphere_geometry, certified_chain):
