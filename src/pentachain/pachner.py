@@ -3,16 +3,23 @@
 Every move is one surgery.  Number the vertices of a 4-simplex 0..4; its
 boundary has five facets, the tetrahedron missing label j for each j.  A
 1->4, 2->3, 3->2 or 4->1 move finds k tetrahedra glued to each other like
-k facets of that boundary and replaces them by the other 5-k facets.  A
-move only recognises its site and labels the slots of the tetrahedra it
-removes and creates; ``_bistellar`` derives every gluing from one rule.
-The face opposite label x of the tetrahedron missing label j is the
-triangle missing j and x, so it is glued to the tetrahedron missing x,
-matching slots of equal labels and pairing x with j.  When that
-tetrahedron is a removed one, the new face takes over whatever the removed
-face opposite j was glued to; when that is a removed face too (the
-cluster glued to itself), it goes on to the new tetrahedron that replaces
-it.
+k facets of that boundary and replaces them by the other 5-k facets.
+
+Each kind has one rule in ``_RULES``: a function that labels the slots of
+the tetrahedra the move removes at a location, or returns None where the
+move does not apply, with the kind's candidate locations, the constant
+labels of the new tetrahedra and the kind's refusal text.  ``apply_move``
+checks that a location names an object, labels it and hands the labels to
+``_bistellar``; ``enumerate_sites`` and the walk keep the candidate
+locations that label, so a site is listed exactly where the move applies.
+
+``_bistellar`` derives every gluing from one rule.  The face opposite
+label x of the tetrahedron missing label j is the triangle missing j and
+x, so it is glued to the tetrahedron missing x, matching slots of equal
+labels and pairing x with j.  When that tetrahedron is a removed one, the
+new face takes over whatever the removed face opposite j was glued to;
+when that is a removed face too (the cluster glued to itself), it goes on
+to the new tetrahedron that replaces it.
 
 The labels, with the removed tetrahedra first:
 
@@ -33,14 +40,15 @@ result is re-validated from scratch (involutivity, orientability,
 connectivity); a face left unglued, or an f-vector that did not change by
 the move's delta, raises ``MoveError``.
 
-Move sites:
+Candidate locations, in search order, and where each rule labels:
 
-    2->3  a face class whose two sides lie in distinct tetrahedra
-    3->2  an edge class of degree 3 with three distinct tetrahedra whose
+    2->3  the port f.members[0] of each face class: its two sides lie in
+          distinct tetrahedra
+    3->2  each edge class id: degree 3, three distinct tetrahedra, and the
           cycle around the edge closes up
-    1->4  any tetrahedron
-    4->1  a vertex class of degree 4 whose four distinct tetrahedra are
-          glued to each other as their labels say
+    1->4  each tetrahedron: always
+    4->1  each vertex class id: degree 4, four distinct tetrahedra glued to
+          each other as their labels say
 
 The random walk only drives through moves that keep the geometry sampler
 solvable: a 2->3 whose new edge would join a vertex class to itself is
@@ -52,20 +60,22 @@ from __future__ import annotations
 
 import random
 from functools import cache
-from typing import Iterator, NamedTuple
+from itertools import product
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import MoveError
+from .exact import permutation_sign
 from .triangulation import Gluing, Perm, Triangulation, compose, inverse
 
-KINDS = ("2->3", "3->2", "1->4", "4->1")
 _GROWING = {"2->3", "1->4"}
 # the f-vector change by the number of tetrahedra a move removes
 _DELTA = {1: (1, 4, 6, 3), 2: (0, 1, 2, 1), 3: (0, -1, -2, -1), 4: (-1, -4, -6, -3)}
 
 
 class MoveSite(NamedTuple):
-    """A location where a move applies, a named tuple like the records of
-    ``triangulation``.
+    """A move kind and a location, a named tuple like the records of
+    ``triangulation``; ``enumerate_sites`` lists those where the kind's
+    rule labels, and ``apply_move`` refuses the others.
 
     location meaning by kind: 2->3 a (tetrahedron, face slot) port naming
     the shared face; 3->2 an edge class id; 1->4 a tetrahedron index;
@@ -135,41 +145,41 @@ def _require(index: int, count: int, what: str) -> None:
         raise MoveError(f"no {what} {index!r}")
 
 
-# -- 1 -> 4 -------------------------------------------------------------
+# -- the rules: the slot labels of the tetrahedra a move removes, or None
 
 
-def _move_1_4(tri: Triangulation, t: int) -> Triangulation:
-    _require(t, tri.size, "tetrahedron")
-    return _bistellar(tri, {t: (0, 1, 2, 3)}, [tuple(4 if s == k else s for s in range(4)) for k in range(4)])
-
-
-# -- 2 -> 3 -------------------------------------------------------------
-
-
-def _move_2_3(tri: Triangulation, t: int, a: int) -> Triangulation:
-    _require(t, tri.size, "tetrahedron")
-    _require(a, 4, "face slot")
-    g = tri.tets[t][a]
-    other, p = g.neighbor, g.perm
-    if other == t:
-        raise MoveError("2->3 needs two distinct tetrahedra sharing the face")
+def _positive_face(sign: int, a: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The slots fs of face a in positive order, so that (fs[0], fs[1],
+    fs[2], a) has orientation sign ``sign``, and the 2->3 labels of the
+    tetrahedron on that side: k at fs[k] and 3 at a."""
     fs = [s for s in range(4) if s != a]
-    if tri.sequence_parity(t, (fs[0], fs[1], fs[2], a)):
+    if permutation_sign((*fs, a)) != sign:
         fs[0], fs[1] = fs[1], fs[0]
-    here, there = [3] * 4, [4] * 4
-    for k, s in enumerate(fs):
-        here[s] = there[p[s]] = k
-    return _bistellar(tri, {t: tuple(here), other: tuple(there)}, [(0, 1, 4, 3), (1, 2, 4, 3), (2, 0, 4, 3)])
+    return tuple(fs), tuple(fs.index(s) if s != a else 3 for s in range(4))
 
 
-# -- 3 -> 2 -------------------------------------------------------------
+# per (orientation sign, face slot), so that labelling a face, which listing
+# the 2->3 sites does for every face, reads no parity
+_FACE_ORDER = {key: _positive_face(*key) for key in product((1, -1), range(4))}
+
+
+def _face_labels(tri: Triangulation, port: tuple[int, int]):
+    """2->3: a face whose two sides lie in distinct tetrahedra; the other
+    side carries k at the image of fs[k] and 4 at the glued face."""
+    t, a = port
+    other, p = tri.tets[t][a]
+    if other == t:
+        return None
+    (f0, f1, f2), here = _FACE_ORDER[tri.orientation_signs[t], a]
+    there = [4, 4, 4, 4]
+    there[p[f0]], there[p[f1]], there[p[f2]] = 0, 1, 2
+    return {t: here, other: tuple(there)}
 
 
 def _edge_cycle(tri: Triangulation, edge_id: int):
-    """Slot labels {t: labels} of the three distinct tetrahedra around a
-    degree-3 edge, labelled as the 3->2 row of the module docstring says
-    while the cycle is walked from the edge's first star contribution, or
-    None when the star is not the standard one."""
+    """3->2: the three distinct tetrahedra around a degree-3 edge,
+    labelled while the cycle is walked from the edge's first star
+    contribution, or None when the star is not the standard one."""
     star = tri.edge_angles[edge_id]
     if len(star) != 3:
         return None
@@ -192,24 +202,9 @@ def _edge_cycle(tri: Triangulation, edge_id: int):
     return old
 
 
-def _move_3_2(tri: Triangulation, edge_id: int) -> Triangulation:
-    _require(edge_id, len(tri.edges), "edge class")
-    old = _edge_cycle(tri, edge_id)
-    if old is None:
-        raise MoveError(
-            f"edge class {edge_id} is not a 3->2 site (degree 3, distinct "
-            "tetrahedra, closed cycle required)"
-        )
-    return _bistellar(tri, old, [(0, 1, 2, 3), (0, 1, 2, 4)])
-
-
-# -- 4 -> 1 -------------------------------------------------------------
-
-
 def _vertex_ball(tri: Triangulation, vertex_id: int):
-    """Slot labels of a standard degree-4 vertex star, or None: member i
-    carries 4 at the vertex and the index of the member across each other
-    slot, and the members are glued to each other as those labels say."""
+    """4->1: a standard degree-4 vertex star, whose members are glued to
+    each other as their labels say, or None."""
     occ = tri.vertices[vertex_id].members
     if len(occ) != 4:
         return None
@@ -230,15 +225,36 @@ def _vertex_ball(tri: Triangulation, vertex_id: int):
     return old
 
 
-def _move_4_1(tri: Triangulation, vertex_id: int) -> Triangulation:
-    _require(vertex_id, len(tri.vertices), "vertex class")
-    old = _vertex_ball(tri, vertex_id)
-    if old is None:
-        raise MoveError(
-            f"vertex class {vertex_id} is not a 4->1 site (its star is not "
-            "a standard four-tetrahedron ball)"
-        )
-    return _bistellar(tri, old, [(0, 1, 2, 3)])
+class _Rule(NamedTuple):
+    """One move kind: its candidate locations in search order, what an
+    index among them names (None for a face port), the labelling of the
+    tetrahedra it removes, the labels of the new ones and its refusal,
+    formatted with the location (a 1->4 is never refused)."""
+
+    locations: Callable[[Triangulation], Iterable]
+    what: str | None
+    labels: Callable[[Triangulation, Any], dict[int, tuple[int, ...]] | None]
+    new: tuple[tuple[int, ...], ...]
+    refusal: str
+
+
+_RULES = {
+    "2->3": _Rule(lambda tri: (f.members[0] for f in tri.faces), None, _face_labels,
+                  ((0, 1, 4, 3), (1, 2, 4, 3), (2, 0, 4, 3)), "2->3 needs two distinct tetrahedra sharing the face"),
+    "3->2": _Rule(lambda tri: range(len(tri.edges)), "edge class", _edge_cycle, ((0, 1, 2, 3), (0, 1, 2, 4)),
+                  "edge class {} is not a 3->2 site (degree 3, distinct tetrahedra, closed cycle required)"),
+    "1->4": _Rule(lambda tri: range(tri.size), "tetrahedron", lambda tri, t: {t: (0, 1, 2, 3)},
+                  ((4, 1, 2, 3), (0, 4, 2, 3), (0, 1, 4, 3), (0, 1, 2, 4)), ""),
+    "4->1": _Rule(lambda tri: range(len(tri.vertices)), "vertex class", _vertex_ball, ((0, 1, 2, 3),),
+                  "vertex class {} is not a 4->1 site (its star is not a standard four-tetrahedron ball)"),
+}
+KINDS = tuple(_RULES)
+
+
+def _rule(kind: str) -> _Rule:
+    if kind not in _RULES:
+        raise MoveError(f"unknown move kind {kind!r}")
+    return _RULES[kind]
 
 
 # -- public api ----------------------------------------------------------
@@ -246,52 +262,28 @@ def _move_4_1(tri: Triangulation, vertex_id: int) -> Triangulation:
 
 def apply_move(tri: Triangulation, site: MoveSite) -> Triangulation:
     """Apply one bistellar move; the input triangulation is untouched."""
-    if site.kind == "1->4":
-        return _move_1_4(tri, site.location)
-    if site.kind == "2->3":
-        if not isinstance(site.location, tuple) or len(site.location) != 2:
-            raise MoveError(f"no face port {site.location!r}")
-        return _move_2_3(tri, *site.location)
-    if site.kind == "3->2":
-        return _move_3_2(tri, site.location)
-    if site.kind == "4->1":
-        return _move_4_1(tri, site.location)
-    raise MoveError(f"unknown move kind {site.kind!r}")
+    rule, location = _rule(site.kind), site.location
+    if rule.what:
+        _require(location, len(rule.locations(tri)), rule.what)
+    elif not isinstance(location, tuple) or len(location) != 2:
+        raise MoveError(f"no face port {location!r}")
+    else:
+        _require(location[0], tri.size, "tetrahedron")
+        _require(location[1], 4, "face slot")
+    if (old := rule.labels(tri, location)) is None:
+        raise MoveError(rule.refusal.format(location))
+    return _bistellar(tri, old, rule.new)
 
 
-def _sites_2_3(tri: Triangulation) -> Iterator[MoveSite]:
-    for f in tri.faces:
-        t, k = f.members[0]
-        if tri.tets[t][k].neighbor != t:
-            yield MoveSite("2->3", (t, k))
-
-
-def _sites_3_2(tri: Triangulation) -> Iterator[MoveSite]:
-    for e in tri.edges:
-        if _edge_cycle(tri, e.id) is not None:
-            yield MoveSite("3->2", e.id)
-
-
-def _sites_1_4(tri: Triangulation) -> Iterator[MoveSite]:
-    for t in range(tri.size):
-        yield MoveSite("1->4", t)
-
-
-def _sites_4_1(tri: Triangulation) -> Iterator[MoveSite]:
-    for v in tri.vertices:
-        if _vertex_ball(tri, v.id) is not None:
-            yield MoveSite("4->1", v.id)
-
-
-# the sites of each kind, lazily, in deterministic class/index order
-_SITES = dict(zip(KINDS, (_sites_2_3, _sites_3_2, _sites_1_4, _sites_4_1)))
+def _sites(tri: Triangulation, kind: str) -> Iterator[MoveSite]:
+    """The sites of one kind, lazily: the candidate locations that label."""
+    locations, _, labels, _, _ = _rule(kind)
+    return (MoveSite(kind, loc) for loc in locations(tri) if labels(tri, loc) is not None)
 
 
 def enumerate_sites(tri: Triangulation, kind: str) -> list[MoveSite]:
     """All valid sites of one kind, in deterministic class/index order."""
-    if kind not in KINDS:
-        raise MoveError(f"unknown move kind {kind!r}")
-    return list(_SITES[kind](tri))
+    return list(_sites(tri, kind))
 
 
 def _keeps_sampler_solvable(tri: Triangulation, site: MoveSite) -> bool:
@@ -322,7 +314,7 @@ def walk_states(
     rng = random.Random(seed)
     current = tri
     for _ in range(steps):
-        kinds = [k for k in sorted(KINDS) if any(_keeps_sampler_solvable(current, s) for s in _SITES[k](current))]
+        kinds = [k for k in sorted(KINDS) if any(_keeps_sampler_solvable(current, s) for s in _sites(current, k))]
         if current.size > max_tets:
             shrinking = [k for k in kinds if k not in _GROWING]
             if shrinking:

@@ -207,13 +207,14 @@ class Triangulation:
     def _validate_gluings(self) -> list[int]:
         """Check every gluing in scan order and flatten each one as soon as
         it passes: the list sends 16t+4k+s to the vertex port the gluing of
-        face k carries slot s to."""
+        face k carries slot s to.  A permutation given as another sequence,
+        a list say, is then stored as a tuple."""
         n = len(self.tets)
         # every row's length first: a partner lookup indexes another row
         for t, row in enumerate(self.tets):
             if len(row) != 4:
                 raise ValidationError(f"tetrahedron {t} must glue exactly 4 faces")
-        port_to = []
+        port_to, loose = [], False
         for t, row in enumerate(self.tets):
             for k, g in enumerate(row):
                 if not isinstance(g, Gluing):
@@ -225,12 +226,15 @@ class Triangulation:
                     raise ValidationError(f"tetrahedron {t} face {k} has invalid permutation {g.perm}")
                 partner = self.tets[g.neighbor][g.perm[k]]
                 if not isinstance(partner, Gluing) or partner.neighbor != t or partner.perm != inv:
-                    raise ValidationError(
-                        f"gluing of tetrahedron {t} face {k} is not involutive"
-                    )
+                    # every gluing is some gluing's partner, so each list is met here
+                    loose = isinstance(partner, Gluing) and partner.neighbor == t and tuple(partner.perm) == inv
+                    if not loose:
+                        raise ValidationError(f"gluing of tetrahedron {t} face {k} is not involutive")
                 neighbor, (p0, p1, p2, p3) = g
                 base = 4 * neighbor
                 port_to += (base + p0, base + p1, base + p2, base + p3)
+        if loose:
+            self.tets = tuple(tuple(Gluing(neighbor, tuple(perm)) for neighbor, perm in row) for row in self.tets)
         return port_to
 
     def _propagate_signs(self) -> tuple[int, ...]:

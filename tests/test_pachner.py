@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from pentachain import (
+    KINDS,
     Gluing,
     MoveError,
     MoveSite,
@@ -75,39 +76,84 @@ def test_moves_preserve_euler_and_validate(rp3):
 
 
 def test_invalid_sites_rejected(s3):
-    with pytest.raises(MoveError):
-        apply_move(s3, MoveSite("3->2", 0))  # edges of s3 have degree 2
-    with pytest.raises(MoveError):
-        apply_move(s3, MoveSite("4->1", 0))  # vertices of s3 have degree 2
-    with pytest.raises(MoveError):
-        apply_move(s3, MoveSite("5->0", 0))
-    with pytest.raises(MoveError):
-        enumerate_sites(s3, "6->1")
     # locations outside the triangulation; a negative one must not wrap
     # around to the last edge, vertex or tetrahedron
     grown = apply_move(s3, MoveSite("1->4", 0))
     assert grown.f_vector() == (5, 10, 10, 5)
-    for kind, location, message in [
-        ("3->2", -1, "no edge class -1"),
-        ("4->1", -1, "no vertex class -1"),
-        ("3->2", 99, "no edge class 99"),
-        ("4->1", 99, "no vertex class 99"),
-        ("2->3", (99, 0), "no tetrahedron 99"),
-        ("2->3", (0, 7), "no face slot 7"),
-        ("2->3", (-1, 0), "no tetrahedron -1"),
-        ("1->4", -1, "no tetrahedron -1"),
+    one_tet = Triangulation.from_text(ONE_TET)
+    for tri, kind, location, message in [
+        (grown, "3->2", -1, "no edge class -1"),
+        (grown, "4->1", -1, "no vertex class -1"),
+        (grown, "3->2", 99, "no edge class 99"),
+        (grown, "4->1", 99, "no vertex class 99"),
+        (grown, "2->3", (99, 0), "no tetrahedron 99"),
+        (grown, "2->3", (0, 7), "no face slot 7"),
+        (grown, "2->3", (-1, 0), "no tetrahedron -1"),
+        (grown, "1->4", -1, "no tetrahedron -1"),
         # locations of the wrong shape; a bool is not an index
-        ("2->3", 5, "no face port 5"),
-        ("2->3", (0, 1, 2), "no face port (0, 1, 2)"),
-        ("2->3", (0, True), "no face slot True"),
-        ("1->4", (0, 0), "no tetrahedron (0, 0)"),
-        ("1->4", True, "no tetrahedron True"),
-        ("3->2", (0, 1), "no edge class (0, 1)"),
-        ("4->1", 1.0, "no vertex class 1.0"),
+        (grown, "2->3", 5, "no face port 5"),
+        (grown, "2->3", (0, 1, 2), "no face port (0, 1, 2)"),
+        (grown, "2->3", (0, True), "no face slot True"),
+        (grown, "1->4", (0, 0), "no tetrahedron (0, 0)"),
+        (grown, "1->4", True, "no tetrahedron True"),
+        (grown, "3->2", (0, 1), "no edge class (0, 1)"),
+        (grown, "4->1", 1.0, "no vertex class 1.0"),
+        # locations where the move does not apply
+        (one_tet, "2->3", (0, 0), "2->3 needs two distinct tetrahedra sharing the face"),
+        (s3, "3->2", 0, "edge class 0 is not a 3->2 site (degree 3, distinct tetrahedra, closed cycle required)"),
+        (s3, "4->1", 0, "vertex class 0 is not a 4->1 site (its star is not a standard four-tetrahedron ball)"),
+        (s3, "5->0", 0, "unknown move kind '5->0'"),
     ]:
         with pytest.raises(MoveError) as exc:
-            apply_move(grown, MoveSite(kind, location))
+            apply_move(tri, MoveSite(kind, location))
         assert str(exc.value) == message
+    with pytest.raises(MoveError) as exc:
+        enumerate_sites(s3, "6->1")
+    assert str(exc.value) == "unknown move kind '6->1'"
+
+
+# each kind's refusal where a location names an object but the move does
+# not apply there; a 1->4 applies to every tetrahedron
+REFUSALS = {
+    "2->3": "2->3 needs two distinct tetrahedra sharing the face",
+    "3->2": "edge class {} is not a 3->2 site (degree 3, distinct tetrahedra, closed cycle required)",
+    "4->1": "vertex class {} is not a 4->1 site (its star is not a standard four-tetrahedron ball)",
+}
+
+
+def candidate_locations(tri, kind):
+    """Every location of one kind the site search looks at: one port per
+    face class, every edge class, tetrahedron and vertex class."""
+    if kind == "2->3":
+        return [f.members[0] for f in tri.faces]
+    return range({"3->2": len(tri.edges), "1->4": tri.size, "4->1": len(tri.vertices)}[kind])
+
+
+def test_site_search_agrees_with_the_move(s3, rp3):
+    """At every candidate location of every kind, ``enumerate_sites`` lists
+    the location exactly when ``apply_move`` succeeds there, and otherwise
+    ``apply_move`` refuses with the kind's text."""
+    fixtures = ROOT / "benchmarks" / "fixtures"
+    states = [s3, rp3, Triangulation.from_text(ONE_TET)]
+    states += [Triangulation.from_file(fixtures / name) for name in ("s3_t8.tri", "rp3_t8.tri")]
+    for start in (s3, rp3):
+        for seed in (0, 1):
+            states += [state for _, state in walk_states(start, 12, seed, max_tets=10)]
+    applied = refused = 0
+    for state in states:
+        for kind in KINDS:
+            listed = {site.location for site in enumerate_sites(state, kind)}
+            for location in candidate_locations(state, kind):
+                try:
+                    apply_move(state, MoveSite(kind, location))
+                except MoveError as exc:
+                    assert location not in listed, (kind, location)
+                    assert str(exc) == REFUSALS[kind].format(location)
+                    refused += 1
+                else:
+                    assert location in listed, (kind, location)
+                    applied += 1
+    assert applied and refused
 
 
 def test_mislabelled_surgery_is_rejected(s3):

@@ -14,6 +14,7 @@ from pentachain import (
     ValidationError,
     apply_move,
     enumerate_sites,
+    invariant,
     load_builtin,
     random_walk,
     walk_states,
@@ -534,13 +535,20 @@ def test_non_permutation_gluing_is_named(perm):
     assert str(exc.value) == f"tetrahedron 0 face 0 has invalid permutation {perm}"
 
 
-def test_list_permutation_gluing_is_not_involutive():
-    # a list never equals the tuple inverse its partner checks it against
+def test_list_permutation_gluing_is_stored_as_a_tuple():
+    # a valid table written with list permutations is the same triangulation
+    s3 = load_builtin("s3")
+    rebuilt = Triangulation([[Gluing(g.neighbor, list(g.perm)) for g in row] for row in s3.tets])
+    assert rebuilt.tets == s3.tets
+    assert all(type(g.perm) is tuple for row in rebuilt.tets for g in row)
+    assert rebuilt.f_vector() == s3.f_vector()
+    assert rebuilt.to_text() == s3.to_text()
+    assert invariant(rebuilt, seed=1).abs_invariant == 1
+    doubled = Triangulation([[Gluing(1, [0, 1, 2, 3])] * 4, [Gluing(0, [0, 1, 2, 3])] * 4])
+    assert doubled.tets == ((Gluing(1, (0, 1, 2, 3)),) * 4, (Gluing(0, (0, 1, 2, 3)),) * 4)
+    # one list among tuples
     rp3 = load_builtin("rp3")
-    g = rp3.tets[0][0]
-    with pytest.raises(ValidationError) as exc:
-        Triangulation(with_gluing(rp3, 0, 0, list(g.perm)))
-    assert str(exc.value) == f"gluing of tetrahedron {g.neighbor} face {g.perm[0]} is not involutive"
+    assert Triangulation(with_gluing(rp3, 0, 0, list(rp3.tets[0][0].perm))).tets == rp3.tets
 
 
 # sha256 of repr((edge members, edge_angles, face_sides)), taken before the
