@@ -7,19 +7,21 @@ walk suites on one triangulation),
 ``pentagon`` (five-point identity suites alone) and ``dump-chain``
 (diffable matrix dump).
 
-Exit codes are stable: 0 success, 2 parse error (also argparse usage
-errors and any ``OSError``, such as an unreadable input file or a
-``pachner --out`` path that cannot be written), 3 gluing validation
-error, 4 degenerate geometry, 5 non-acyclic complex, 6 invariance
-violation during verification, 141 (128 + SIGPIPE, as a shell reports a
-process that SIGPIPE ended) when the reader of standard output goes away
-first, as in ``... | head -1``; that exit prints nothing.  Exit 4 has
-four causes: an edge class that joins a vertex class to itself, raised
-before any geometry is drawn and before an explicit one is certified,
-with the same text either way; no nondegenerate draw in
-``geometry.SAMPLE_DRAWS`` tries; an explicit geometry with a zero face
-circulation; and a five-point sample of ``verify`` or ``pentagon`` that
-stays degenerate for ``pentagon.SAMPLE_DRAWS`` draws.
+Exit codes are stable.  A failure exits with the ``exit_code`` its error
+class carries (see ``errors``): 2 parse error (also argparse usage errors
+and any ``OSError``, such as an unreadable input file or a ``pachner
+--out`` path that cannot be written), 3 gluing validation error, 4
+degenerate geometry, 5 non-acyclic complex, 6 invariance violation during
+verification and 1 any other package error.  Success exits 0.  A run
+whose reader of standard output goes away first, as in ``... | head -1``,
+exits 141 (128 + SIGPIPE, as a shell reports a process that SIGPIPE
+ended) and prints nothing.  Exit 4 has four causes: an edge class that
+joins a vertex class to itself, raised before any geometry is drawn and
+before an explicit one is certified, with the same text either way; no
+nondegenerate draw in ``geometry.SAMPLE_DRAWS`` tries; an explicit
+geometry with a zero face circulation; and a five-point sample of
+``verify`` or ``pentagon`` that stays degenerate for
+``pentagon.SAMPLE_DRAWS`` draws.
 
 Options are taken by their full names only, never by a prefix.  Integer
 flags (``--seed`` and every count) take the integer grammar of the input
@@ -52,14 +54,7 @@ from functools import cache, partial
 
 from . import __version__
 from .chain import build_chain, certify_chain, check_acyclic, dump_chain, verify_chain
-from .errors import (
-    DegenerateGeometryError,
-    InvarianceError,
-    NotAcyclicError,
-    ParseError,
-    PentachainError,
-    ValidationError,
-)
+from .errors import DegenerateGeometryError, InvarianceError, ParseError, PentachainError
 from .exact import format_rational, parse_integer
 from .geometry import assign_geometry, draw_rationals, parse_geometry, subseed
 from .library import BUILTIN_NAMES, load_builtin
@@ -68,20 +63,7 @@ from .pentagon import FivePointConfig, verify_pentagon, verify_vector_identities
 from .torsion import invariant, select_partition, tau
 from .triangulation import Triangulation, read_text
 
-EXIT_PARSE = 2
-EXIT_VALIDATION = 3
-EXIT_DEGENERATE = 4
-EXIT_NOT_ACYCLIC = 5
-EXIT_INVARIANCE = 6
 EXIT_BROKEN_PIPE = 141
-
-_EXIT_CODES = (
-    (ParseError, EXIT_PARSE),
-    (ValidationError, EXIT_VALIDATION),
-    (DegenerateGeometryError, EXIT_DEGENERATE),
-    (NotAcyclicError, EXIT_NOT_ACYCLIC),
-    (InvarianceError, EXIT_INVARIANCE),
-)
 
 
 def _load_input(args) -> tuple[str, Triangulation]:
@@ -123,10 +105,10 @@ def _invariant_report(name: str, result) -> dict:
     }
 
 
-def cmd_invariant(args) -> tuple[dict, int]:
+def cmd_invariant(args) -> dict:
     name, tri = _load_input(args)
     result = invariant(tri, seed=args.seed, geometry=_geometry_override(args, tri))
-    return _invariant_report(name, result), 0
+    return _invariant_report(name, result)
 
 
 def _check_pentagon_samples(seed: int, samples: int) -> None:
@@ -273,7 +255,7 @@ def _run_checks(checks) -> None:
             check()
 
 
-def cmd_verify(args) -> tuple[dict, int]:
+def cmd_verify(args) -> dict:
     """Run the pentagon samples and the chain, partition, geometry and walk
     checks on one input; the first failure raises.
 
@@ -319,10 +301,10 @@ def cmd_verify(args) -> tuple[dict, int]:
         "acyclic": True,
         "tau": format_rational(base.tau),
         "abs_invariant": format_rational(expected),
-    }, 0
+    }
 
 
-def cmd_pachner(args) -> tuple[dict, int]:
+def cmd_pachner(args) -> dict:
     name, tri = _load_input(args)
     end = random_walk(tri, args.steps, args.seed, args.max_tets)
     report = {
@@ -340,10 +322,10 @@ def cmd_pachner(args) -> tuple[dict, int]:
         report["out"] = args.out
     else:
         report["triangulation"] = end.to_text().splitlines()
-    return report, 0
+    return report
 
 
-def cmd_pentagon(args) -> tuple[dict, int]:
+def cmd_pentagon(args) -> dict:
     """Run the vector identities, then the pentagon samples; the first
     failure raises.
 
@@ -367,10 +349,10 @@ def cmd_pentagon(args) -> tuple[dict, int]:
         "pentagon_identity": "pass",
         "vector_identities": f"pass ({counts[-1]} nondegenerate configurations)",
     }
-    return report, 0
+    return report
 
 
-def cmd_dump_chain(args) -> tuple[dict, int]:
+def cmd_dump_chain(args) -> dict:
     name, tri = _load_input(args)
     geometry = _geometry_override(args, tri)
     if geometry is None:
@@ -378,7 +360,7 @@ def cmd_dump_chain(args) -> tuple[dict, int]:
     c = build_chain(tri, geometry)
     certify_chain(c)
     sys.stdout.write(dump_chain(c))
-    return {}, 0
+    return {}
 
 
 def _integer(text: str) -> int:
@@ -471,7 +453,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        report, code = args.func(args)
+        report = args.func(args)
         if report:
             print(_render(report, args.json, time.perf_counter() - started))
         # a closed pipe shows up here rather than at the flush on exit
@@ -484,11 +466,11 @@ def main(argv=None) -> int:
         return EXIT_BROKEN_PIPE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return ParseError.exit_code
     except PentachainError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return next((code for klass, code in _EXIT_CODES if isinstance(exc, klass)), 1)
-    return code
+        return exc.exit_code
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
-The command line maps these onto stable exit codes, so new failure modes
-should reuse an existing class when they describe the same kind of problem.
+Each class carries the stable exit code the command line returns for it,
+``exit_code``, and a subclass inherits its parent's code, so new failure
+modes should reuse an existing class when they describe the same kind of
+problem.
 """
 
 from __future__ import annotations
@@ -10,13 +12,22 @@ from __future__ import annotations
 class PentachainError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 1
+
 
 class ParseError(PentachainError):
     """Malformed triangulation or geometry input text."""
 
+    exit_code = 2
+
 
 class ValidationError(PentachainError):
-    """Gluing table is not a connected closed oriented pseudo-manifold."""
+    """Gluing table is not a connected closed oriented pseudo-manifold, or
+    one of its entries is malformed: a row without four entries, an entry
+    that is not a ``Gluing``, a neighbor that is not an int naming a
+    tetrahedron or a permutation that is not one of the 24."""
+
+    exit_code = 3
 
 
 class MoveError(ValidationError):
@@ -28,6 +39,8 @@ class DegenerateGeometryError(PentachainError):
     five-point configuration, the flatness relation's leading coefficient
     vanishes or S_EDa = 0."""
 
+    exit_code = 4
+
 
 class NotAcyclicError(PentachainError):
     """The ranks of the assembled complex are not the acyclic pattern.
@@ -37,6 +50,8 @@ class NotAcyclicError(PentachainError):
     differ.  The message names the first map f_k whose rank is off, with
     both numbers.
     """
+
+    exit_code = 5
 
     def __init__(self, ranks, expected):
         self.ranks = tuple(ranks)
@@ -60,6 +75,8 @@ class InvarianceError(PentachainError):
     was seen on a walk state; the message then ends with it, so the state
     can be saved and rerun with ``--file``.
     """
+
+    exit_code = 6
 
     def __init__(self, message, state=None):
         if state is not None:

@@ -10,11 +10,14 @@ of vertex classes.
 The orbits are traversed over integer ports kept in flat lists: ``4t+s``
 for vertex slot s of tetrahedron t, ``16t+4i+j`` for its directed edge
 (i, j) and ``4t+k`` for its face k.  A gluing of face k joins each port of
-t not involving slot k to the port it is carried to; the gluings are
-flattened while they are validated, each as soon as it passes its checks,
-into one list that sends ``16t+4k+s`` to the vertex port ``4t'+s'`` that
-the gluing of face k carries slot s to, so ``16t+5k`` is the face port
-glued to face k.  Classes are numbered in port scan order, each filled
+t not involving slot k to the port it is carried to.  Each gluing is
+checked once and kept in the form it was checked in: a first scan checks
+every row's length, then each entry's form, and stores it with an int
+neighbor and one of the 24 permutation tuples; a second scan reads only
+stored gluings, checks that each is involutive and flattens it into one
+list that sends ``16t+4k+s`` to the vertex port ``4t'+s'`` that the
+gluing of face k carries slot s to, so ``16t+5k`` is the face port glued
+to face k.  Classes are numbered in port scan order, each filled
 from its first unassigned port: tetrahedra in order, their slots or faces
 in order, their edges in the order ``(0,1), (0,2), (0,3), (1,2), (1,3),
 (2,3)``.  An edge orbit is one walk around its edge: from (t, i, j) with
@@ -59,9 +62,10 @@ Conventions fixed here and relied on everywhere downstream:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import permutations
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import ParseError, ValidationError
 from .exact import parse_integer, permutation_sign
@@ -74,24 +78,24 @@ Angle = tuple[tuple[Side, ...], Contribution]  # six sides and the star contribu
 FILE_MAGIC = "pentachain-tri v1"
 
 
+# the 24 slot permutations by their text in a .tri file, "0123" and so
+# on, and each keyed by itself, so that a lookup with any key equal to one
+# returns that one tuple: a parsed table is already in stored form
+_PERM_OF_TEXT: dict[str, Perm] = {"".join(map(str, p)): p for p in permutations(range(4))}
+_PERMS: dict[Perm, Perm] = {p: p for p in _PERM_OF_TEXT.values()}
+_INVERSE: dict[Perm, Perm] = {p: _PERMS[tuple(map(p.index, range(4)))] for p in _PERMS}
+_SIGN: dict[Perm, int] = {p: permutation_sign(p) for p in _PERMS}
+
+
 def compose(p: Perm, q: Perm) -> Perm:
-    """Composition p after q: (p∘q)[i] = p[q[i]]."""
-    return (p[q[0]], p[q[1]], p[q[2]], p[q[3]])
+    """Composition p after q: (p∘q)[i] = p[q[i]], as one of the 24 stored
+    tuples."""
+    return _PERMS[(p[q[0]], p[q[1]], p[q[2]], p[q[3]])]
 
 
 def inverse(p: Perm) -> Perm:
-    out = [0, 0, 0, 0]
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
-
-# the 24 slot permutations with their inverses and signs, so that
-# validating a gluing table looks each gluing's permutation up once
-_INVERSE: dict[Perm, Perm] = {p: inverse(p) for p in permutations(range(4))}
-_SIGN: dict[Perm, int] = {p: permutation_sign(p) for p in permutations(range(4))}
-# the text of each permutation in a .tri file, "0123" and so on
-_PERM_OF_TEXT: dict[str, Perm] = {"".join(map(str, p)): p for p in permutations(range(4))}
+    """The inverse of one of the 24 permutations, as a stored tuple."""
+    return _INVERSE[p]
 
 
 class Gluing(NamedTuple):
@@ -180,23 +184,55 @@ _STAR_SLOTS: dict[int, tuple] = {
 }
 
 
+def _stored_row(t: int, row: Sequence[Gluing], n: int) -> tuple[Gluing, ...]:
+    """The gluings of tetrahedron t in stored form, each entry's form
+    checked in order: a ``Gluing`` whose neighbor is an int naming one of
+    the n tetrahedra, not a bool, which ``to_text`` would write as a word,
+    and whose permutation is the one of the 24 tuples of ``_PERMS`` it
+    equals.  A list or another sequence is looked up as a tuple, one
+    lookup per entry; an entry that already holds one of the 24 tuples is
+    kept as it is."""
+    stored = []
+    for k, g in enumerate(row):
+        if not isinstance(g, Gluing):
+            raise ValidationError(f"tetrahedron {t} face {k} is not glued")
+        neighbor, perm = g
+        if type(neighbor) is not int or not 0 <= neighbor < n:
+            raise ValidationError(f"tetrahedron {t} face {k} glues to missing tetrahedron {neighbor}")
+        try:
+            form = _PERMS[perm if isinstance(perm, tuple) or not isinstance(perm, Sequence) else tuple(perm)]
+        except (KeyError, TypeError):  # not one of the 24, or an unhashable item
+            raise ValidationError(f"tetrahedron {t} face {k} has invalid permutation {perm}") from None
+        stored.append(g if form is perm else Gluing(neighbor, form))
+    return tuple(stored)
+
+
 class Triangulation:
     """Validated closed oriented glued triangulation with quotient classes.
 
     Vertex, edge and face classes are orbits of integer ports (see the
     module docstring), derived from scratch by orbit traversal each time,
-    after the gluings are checked to be involutive, coherently oriented
-    and connected, together with every incidence table, so an instance
-    holds no lazy state.  The scan that checks the gluings also flattens
-    them, in the same order, into the port list the traversals read.
-    Immutable after construction; bistellar moves build new instances.
+    after the gluings are checked to be well formed, involutive,
+    coherently oriented and connected, together with every incidence
+    table, so an instance holds no lazy state.  ``tets`` holds each gluing
+    in the one form it was checked in: an int neighbor and one of the 24
+    permutation tuples, so it writes a text that ``from_text`` reads back
+    to the same table.  The scan that checks the involutions also
+    flattens the gluings, in the same order, into the port list the
+    traversals read.  Immutable after construction; bistellar moves build
+    new instances.
     """
 
     def __init__(self, tets: Sequence[Sequence[Gluing]]):
-        self.tets: tuple[tuple[Gluing, ...], ...] = tuple(tuple(row) for row in tets)
-        if not self.tets:
+        n = len(tets)
+        if not n:
             raise ValidationError("empty triangulation")
-        self._port_to = self._validate_gluings()
+        # every row's length first, so a short row is named before any entry
+        for t, row in enumerate(tets):
+            if not hasattr(row, "__len__") or len(row) != 4:
+                raise ValidationError(f"tetrahedron {t} must glue exactly 4 faces")
+        self.tets = tuple(_stored_row(t, row, n) for t, row in enumerate(tets))
+        self._port_to = self._flatten_gluings()
         self.orientation_signs = self._propagate_signs()
         self._vertex_of, self.vertices = self._build_vertex_classes()
         self._sides, self.edges, self.edge_angles = self._build_edge_classes()
@@ -204,37 +240,17 @@ class Triangulation:
 
     # -- validation ---------------------------------------------------
 
-    def _validate_gluings(self) -> list[int]:
-        """Check every gluing in scan order and flatten each one as soon as
-        it passes: the list sends 16t+4k+s to the vertex port the gluing of
-        face k carries slot s to.  A permutation given as another sequence,
-        a list say, is then stored as a tuple."""
-        n = len(self.tets)
-        # every row's length first: a partner lookup indexes another row
-        for t, row in enumerate(self.tets):
-            if len(row) != 4:
-                raise ValidationError(f"tetrahedron {t} must glue exactly 4 faces")
-        port_to, loose = [], False
-        for t, row in enumerate(self.tets):
-            for k, g in enumerate(row):
-                if not isinstance(g, Gluing):
-                    raise ValidationError(f"tetrahedron {t} face {k} is not glued")
-                if not 0 <= g.neighbor < n:
-                    raise ValidationError(f"tetrahedron {t} face {k} glues to missing tetrahedron {g.neighbor}")
-                inv = _INVERSE.get(tuple(g.perm))
-                if inv is None:
-                    raise ValidationError(f"tetrahedron {t} face {k} has invalid permutation {g.perm}")
-                partner = self.tets[g.neighbor][g.perm[k]]
-                if not isinstance(partner, Gluing) or partner.neighbor != t or partner.perm != inv:
-                    # every gluing is some gluing's partner, so each list is met here
-                    loose = isinstance(partner, Gluing) and partner.neighbor == t and tuple(partner.perm) == inv
-                    if not loose:
-                        raise ValidationError(f"gluing of tetrahedron {t} face {k} is not involutive")
-                neighbor, (p0, p1, p2, p3) = g
+    def _flatten_gluings(self) -> list[int]:
+        """Check in scan order that every stored gluing is involutive and
+        flatten each as soon as it passes: the list sends 16t+4k+s to the
+        vertex port the gluing of face k carries slot s to."""
+        tets, port_to = self.tets, []
+        for t, row in enumerate(tets):
+            for k, (neighbor, perm) in enumerate(row):
+                if tets[neighbor][perm[k]] != (t, _INVERSE[perm]):
+                    raise ValidationError(f"gluing of tetrahedron {t} face {k} is not involutive")
                 base = 4 * neighbor
-                port_to += (base + p0, base + p1, base + p2, base + p3)
-        if loose:
-            self.tets = tuple(tuple(Gluing(neighbor, tuple(perm)) for neighbor, perm in row) for row in self.tets)
+                port_to += (base + perm[0], base + perm[1], base + perm[2], base + perm[3])
         return port_to
 
     def _propagate_signs(self) -> tuple[int, ...]:

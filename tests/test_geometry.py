@@ -91,6 +91,16 @@ def test_sampler_determinism(rp3):
 FIXTURES = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures"
 
 
+def test_sampler_gives_up_after_sample_draws(monkeypatch):
+    # the first draw of seed 13 on s3_t80 is degenerate, and a later one is not
+    t80 = Triangulation.from_file(FIXTURES / "s3_t80.tri")
+    geometry.ensure_nondegenerate(t80, edge_values(t80, assign_geometry(t80, 13)))
+    monkeypatch.setattr(geometry, "SAMPLE_DRAWS", 1)
+    with pytest.raises(DegenerateGeometryError) as exc:
+        assign_geometry(t80, 13)
+    assert str(exc.value) == "no nondegenerate geometry found after 1 attempts"
+
+
 def test_sampler_stream_matches_fraction_oracle(s3, rp3):
     # the integer table of every draw holds the values the Fraction
     # sampler draws, and the same draws are redrawn
@@ -341,6 +351,17 @@ def test_geometry_file_parsing(s3, sphere_geometry):
         parse_geometry(text + "vertex 0 1 2 3\n", s3)
     with pytest.raises(ParseError):
         parse_geometry("vertex 0 1/0 2 3\n", s3)
+    # comments and blank lines are skipped
+    assert parse_geometry("# sphere\n\n" + text.replace("\n", "  # vertex\n", 1) + "\n", s3) == sphere_geometry
+    for line, message in (
+        ("vertex 0 1 2", "bad geometry line 'vertex 0 1 2'"),
+        ("vertex 0 1 2 3 4", "bad geometry line 'vertex 0 1 2 3 4'"),
+        ("point 0 1 2 3", "bad geometry line 'point 0 1 2 3'"),
+        ("vertex 4 1 2 3", "geometry line names unknown vertex class 4"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_geometry(text + line + "\n", s3)
+        assert str(exc.value) == message
 
 
 def test_omega_invariant_under_unimodular_affine_map(rp3, rp3_geometry):

@@ -102,6 +102,17 @@ def test_orientation_incoherence_rejected():
         Triangulation(rows)
 
 
+def test_empty_table_rejected():
+    with pytest.raises(ValidationError, match="^empty triangulation$"):
+        Triangulation([])
+
+
+def test_unknown_builtin_is_named():
+    with pytest.raises(KeyError) as exc:
+        load_builtin("nope")
+    assert exc.value.args == ("unknown builtin 'nope'; available: s3, rp3",)
+
+
 def test_missing_gluing_rejected():
     with pytest.raises(ValidationError):
         Triangulation([[Gluing(0, IDENTITY)] * 3])
@@ -499,7 +510,9 @@ def test_random_table_classes_match_union_find_oracle(n, rng):
             Triangulation(table)
         assert str(got.value) == str(exc)
     else:
-        assert_classes_match_oracle(Triangulation(table))
+        tri = Triangulation(table)
+        assert_classes_match_oracle(tri)
+        assert Triangulation.from_text(tri.to_text()).tets == tri.tets
 
 
 def test_self_reverse_edge_names_first_scanned_port():
@@ -535,6 +548,38 @@ def test_non_permutation_gluing_is_named(perm):
     assert str(exc.value) == f"tetrahedron 0 face 0 has invalid permutation {perm}"
 
 
+TWO = [Gluing(0, IDENTITY)] * 4  # a row of the two-tetrahedron identity table
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[Gluing(True, IDENTITY)] * 4, [Gluing(False, IDENTITY)] * 4],
+         "tetrahedron 0 face 0 glues to missing tetrahedron True"),
+        ([[Gluing(1.0, IDENTITY)] * 4, TWO], "tetrahedron 0 face 0 glues to missing tetrahedron 1.0"),
+        ([[Gluing(1, 5)] * 4, TWO], "tetrahedron 0 face 0 has invalid permutation 5"),
+        ([[Gluing(1, None)] * 4, TWO], "tetrahedron 0 face 0 has invalid permutation None"),
+        ([[Gluing(1, [[0], [1], [2], [3]])] * 4, TWO],
+         "tetrahedron 0 face 0 has invalid permutation [[0], [1], [2], [3]]"),
+        ([[Gluing(1, {0, 1, 2, 3})] * 4, TWO], "tetrahedron 0 face 0 has invalid permutation {0, 1, 2, 3}"),
+        # a valid gluing of face 0 whose partner is malformed
+        ([[Gluing(1, IDENTITY)] * 4, [Gluing(0, 5)] + TWO[1:]], "tetrahedron 1 face 0 has invalid permutation 5"),
+        ([5, TWO], "tetrahedron 0 must glue exactly 4 faces"),
+        # a form error anywhere comes before an involution error at an
+        # earlier gluing: tetrahedron 0 face 0 is not involutive
+        ([[Gluing(1, transposition(0, 1))] + [Gluing(1, IDENTITY)] * 3, TWO[:3] + [Gluing(0, (0, 1, 2, 4))]],
+         "tetrahedron 1 face 3 has invalid permutation (0, 1, 2, 4)"),
+    ],
+    ids=["bool", "float-neighbor", "int-perm", "none-perm", "nested-list-perm", "set-perm", "partner-perm",
+         "int-row", "form-before-involution"],
+)
+def test_malformed_entry_is_named(rows, message):
+    # any other exception, a TypeError say, fails the type check
+    with pytest.raises(Exception) as exc:
+        Triangulation(rows)
+    assert (exc.type, str(exc.value)) == (ValidationError, message)
+
+
 def test_list_permutation_gluing_is_stored_as_a_tuple():
     # a valid table written with list permutations is the same triangulation
     s3 = load_builtin("s3")
@@ -549,6 +594,13 @@ def test_list_permutation_gluing_is_stored_as_a_tuple():
     # one list among tuples
     rp3 = load_builtin("rp3")
     assert Triangulation(with_gluing(rp3, 0, 0, list(rp3.tets[0][0].perm))).tets == rp3.tets
+    # float slots are stored as the int tuple they equal
+    floats = Triangulation([[Gluing(1, (0.0, 1, 2, 3))] * 4, [Gluing(0, [0, 1.0, 2, 3])] * 4])
+    assert floats.tets == doubled.tets
+    assert all(type(x) is int for row in floats.tets for g in row for x in (g.neighbor, *g.perm))
+    assert floats.to_text() == s3.to_text()
+    # a table already in stored form is kept entry for entry
+    assert all(a is b for old, new in zip(rp3.tets, Triangulation(rp3.tets).tets) for a, b in zip(old, new))
 
 
 # sha256 of repr((edge members, edge_angles, face_sides)), taken before the
