@@ -15,21 +15,19 @@ to nonzero ints, and row i is that mapping divided by
 The one constructor takes the rows in integers, as ``chain.build_chain``
 assembles them: a numerator mapping and a nonzero denominator per row,
 and the column count.  It reduces each row, and ``rows`` and
-``entries`` are derived ``Fraction`` views.  ``block``
-slices rows and columns by position straight from the stored integers
-into a ``Block``: unreduced rows, which ``rank``, ``det`` and
-``independent_rows`` take as they take a matrix.  A caller may build a
-``Block`` of its own integer rows too, as the partition pass does for
-its Schur fallback.
+``entries`` are derived ``Fraction`` views.  ``block`` slices rows and
+columns by position straight from the stored integers into a new
+``RatMatrix``, so a block's rows are reduced like any other matrix's.
 
 One elimination serves every rank, row basis and determinant: a sparse
-Markowitz elimination over the integers (``_eliminate``).  Each step
-pivots the shortest remaining row on its sparsest column, ties going to
-the earlier row and then the lower column, and updates only the rows that
-hold that column, found through a column -> rows index.  Short rows and
-sparse columns keep the fill-in of the sparse maps small.  The update is
-fraction-free and cross-cancelled: with piv the pivot row's numerator in
-the pivot column, f row i's and g = gcd(piv, f),
+Markowitz elimination over the integers (``_eliminate``), which reads
+one ``RatMatrix``.  Each step pivots the shortest remaining row on its
+sparsest column, ties going to the earlier row and then the lower
+column, and updates only the rows that hold that column, found through a
+column -> rows index.  Short rows and sparse columns keep the fill-in of
+the sparse maps small.  The update is fraction-free and cross-cancelled:
+with piv the pivot row's numerator in the pivot column, f row i's and
+g = gcd(piv, f),
 
     row_i <- (|piv|/g) * row_i - sgn(piv) * (f/g) * pivot_row,
     den_i <- (|piv|/g) * den_i,
@@ -64,9 +62,7 @@ from decimal import Decimal
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
-from typing import NamedTuple, Sequence
-
-from .errors import PentachainError
+from typing import Sequence
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _NEGATIVE = re.compile(r"-0*[1-9][0-9]*")
@@ -172,12 +168,12 @@ class RatMatrix:
         zero = Fraction(0)
         return tuple(tuple(row.get(j, zero) for j in range(self.ncols)) for row in self.rows)
 
-    def block(self, rows: Sequence[int], cols: Sequence[int]) -> "Block":
+    def block(self, rows: Sequence[int], cols: Sequence[int]) -> RatMatrix:
         """The block on row positions ``rows`` and column positions
-        ``cols``, in the order given."""
+        ``cols``, in the order given, as a ``RatMatrix``."""
         at = {j: k for k, j in enumerate(cols)}
         numerators = [{at[j]: v for j, v in self.numerators[i].items() if j in at} for i in rows]
-        return Block(numerators, [self.denominators[i] for i in rows], len(at))
+        return RatMatrix(numerators, [self.denominators[i] for i in rows], len(at))
 
     def __eq__(self, other):
         return (
@@ -191,21 +187,6 @@ class RatMatrix:
         return f"RatMatrix({self.nrows}x{self.ncols})"
 
 
-class Block(NamedTuple):
-    """A block of a matrix as ``RatMatrix.block`` slices it: integer rows
-    over positive denominators, not necessarily reduced.
-    ``rank``, ``det`` and ``independent_rows`` take a block as they take a
-    ``RatMatrix``; it skips the reduction that a matrix stores."""
-
-    numerators: list
-    denominators: list
-    ncols: int
-
-    @property
-    def nrows(self) -> int:
-        return len(self.numerators)
-
-
 def clear_denominators(values: Mapping) -> tuple[int, dict]:
     """Integer form of a mapping of rationals: ``(D, numerators)`` with D
     the lcm of the denominators and ``values[k] == numerators[k] / D``."""
@@ -216,23 +197,21 @@ def clear_denominators(values: Mapping) -> tuple[int, dict]:
 Step = tuple[int, int, int, int]  # (row position, column, pivot numerator, pivot row's denominator)
 
 
-def _eliminate(numerators: Sequence[Mapping[int, int]], denominators: Sequence[int], ncols: int) -> list[Step]:
-    """Fraction-free sparse Markowitz elimination on copies of the rows
-    ``numerators[i] / denominators[i]``: one (row position, column, pivot
-    numerator, pivot row denominator) per step, in pivot order, stopping
-    when every column has a pivot or no nonzero row is left.
+def _eliminate(m: RatMatrix) -> list[Step]:
+    """Fraction-free sparse Markowitz elimination on copies of the rows of
+    ``m``: one (row position, column, pivot numerator, pivot row
+    denominator) per step, in pivot order, stopping when every column has
+    a pivot or no nonzero row is left.
 
     Each step takes the shortest remaining row and pivots on its sparsest
     column, then updates only the rows holding that column, each scaled by
     |piv| / gcd(piv, f) before the pivot row's multiple is taken off (see
     the module docstring) and then reduced.  Ties go to the earlier row and
     the lower column, so the steps depend only on the rows and their order.
-    The rows need not be reduced; the denominators must be positive.
+    The update keeps each denominator positive, as ``RatMatrix`` stores it.
     """
-    rows = [dict(row) for row in numerators]
-    dens = list(denominators)
-    if any(d <= 0 for d in dens):
-        raise PentachainError("internal error: elimination needs positive row denominators")
+    rows = [dict(row) for row in m.numerators]
+    dens = list(m.denominators)
     holders: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for j in row:
@@ -242,7 +221,7 @@ def _eliminate(numerators: Sequence[Mapping[int, int]], denominators: Sequence[i
     queue = [(len(row), i) for i, row in enumerate(rows)]
     heapify(queue)
     steps: list[Step] = []
-    while queue and len(steps) < ncols:
+    while queue and len(steps) < m.ncols:
         length, r = heappop(queue)
         pivot_row = rows[r]
         if pivot_row is None or len(pivot_row) != length or not length:
@@ -322,20 +301,20 @@ def permutation_sign(perm: Sequence[int]) -> int:
     return -1 if transpositions & 1 else 1
 
 
-def rank(m: "RatMatrix | Block") -> int:
-    return len(_eliminate(m.numerators, m.denominators, m.ncols))
+def rank(m: RatMatrix) -> int:
+    return len(_eliminate(m))
 
 
-def det(m: "RatMatrix | Block") -> Fraction:
+def det(m: RatMatrix) -> Fraction:
     """Exact determinant; the empty matrix has determinant 1."""
     if m.nrows != m.ncols:
         raise ValueError(f"determinant of non-square {m.nrows}x{m.ncols} matrix")
-    steps = _eliminate(m.numerators, m.denominators, m.ncols)
+    steps = _eliminate(m)
     # a row left without a pivot reduced to zero
     return _minor(sorted(steps)) if len(steps) == m.nrows else Fraction(0)
 
 
-def independent_rows(m: "RatMatrix | Block") -> tuple[list[int], Fraction]:
+def independent_rows(m: RatMatrix) -> tuple[list[int], Fraction]:
     """A maximal independent set of rows, as their positions in ``m``, and
     the minor they give on all columns; ties of the pivot rule go to the
     earlier row of ``m``, so reordering the rows can pick a different set.
@@ -346,5 +325,5 @@ def independent_rows(m: "RatMatrix | Block") -> tuple[list[int], Fraction]:
     is 0 when fewer than ``m.ncols`` rows are independent (and 1 for a
     matrix with no columns).
     """
-    steps = _eliminate(m.numerators, m.denominators, m.ncols)
+    steps = _eliminate(m)
     return [i for i, *_ in steps], _minor(steps) if len(steps) == m.ncols else Fraction(0)

@@ -176,7 +176,7 @@ from math import prod
 
 from .chain import ChainComplex, build_chain, certify_chain, check_acyclic, expected_ranks
 from .errors import PentachainError, TorsionError
-from .exact import Block, RatMatrix, det, independent_rows, permutation_sign, tree_product
+from .exact import RatMatrix, det, independent_rows, permutation_sign, tree_product
 from .geometry import GeometryAssignment, assign_geometry, face_circulations, subseed
 from .triangulation import Triangulation
 
@@ -345,9 +345,9 @@ def _schur_fallback(f5, inner, rng) -> tuple[list[int], Fraction]:
     columns completes K4 exactly when its Schur complements on db4..db6,
     column 3v + r less column 3u + r there, are independent.  Each stored
     row is its values times its positive denominator, so the differences
-    of the stored numerators form a 6x3 integer block of the same rank,
-    and ``independent_rows`` of it, the candidates in ascending position
-    or shuffled by ``rng``, picks the trio.  Returns K4, u's three
+    of the stored numerators form a 6x3 integer ``RatMatrix`` of the same
+    rank, and ``independent_rows`` of it, the candidates in ascending
+    position or shuffled by ``rng``, picks the trio.  Returns K4, u's three
     positions then the trio, and m5, the ``det`` of f5 on K4 in ascending
     order, or 0 when fewer than three rows are independent; the nine
     columns at three points off a line have rank 6 (the module
@@ -359,7 +359,7 @@ def _schur_fallback(f5, inner, rng) -> tuple[list[int], Fraction]:
     low = f5.numerators[3:]
     schur = [{i: s for i, row in enumerate(low) if (s := row.get(j, 0) - row.get(3 * u + j % 3, 0))}
              for j in candidates]
-    picked, _ = independent_rows(Block(schur, [1] * len(schur), 3))
+    picked, _ = independent_rows(RatMatrix(schur, [1] * len(schur), 3))
     k4 = [3 * u, 3 * u + 1, 3 * u + 2, *(candidates[i] for i in picked)]
     return k4, det(f5.block(range(6), sorted(k4))) if len(picked) == 3 else Fraction(0)
 

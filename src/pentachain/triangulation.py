@@ -101,10 +101,9 @@ def inverse(p: Perm) -> Perm:
 class Gluing(NamedTuple):
     """One face gluing: target tetrahedron and the 4-slot permutation.
 
-    This and the three class records below are named tuples, like
-    ``exact.Block``: immutable, equal and hashed by their fields, and
-    cheap to build in the bulk that parsing, validation and every move
-    create."""
+    This and the three class records below are named tuples: immutable,
+    equal and hashed by their fields, and cheap to build in the bulk that
+    parsing, validation and every move create."""
 
     neighbor: int
     perm: Perm
@@ -224,6 +223,8 @@ class Triangulation:
     """
 
     def __init__(self, tets: Sequence[Sequence[Gluing]]):
+        if not hasattr(tets, "__len__"):
+            raise ValidationError(f"gluing table must be a sequence of tetrahedra, not {type(tets).__name__}")
         n = len(tets)
         if not n:
             raise ValidationError("empty triangulation")
@@ -426,11 +427,6 @@ class Triangulation:
         edges = tuple(sides[16 * start + 4 * i + j][0] for i, j in _SLOT_PAIRS)
         return corners, edges, later, order[-1]
 
-    def sequence_parity(self, tet: int, seq: Sequence[int]) -> int:
-        """Parity of a slot sequence relative to the positive ordering, which
-        is (0, 1, 2, 3) for sign +1 and one transposition away for -1."""
-        return int(permutation_sign(seq) != self.orientation_signs[tet])
-
     # -- serialization -------------------------------------------------
 
     def to_text(self) -> str:
@@ -502,8 +498,9 @@ class Triangulation:
 
 
 def read_text(path) -> str:
-    """Contents of a UTF-8 input file; other bytes are a ParseError."""
-    with open(path, "r", encoding="utf-8") as handle:
+    """Contents of a UTF-8 input file, less a leading byte order mark;
+    other bytes are a ParseError."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             return handle.read()
         except UnicodeDecodeError as exc:

@@ -491,6 +491,13 @@ def transposition(a, b):
     return tuple(out)
 
 
+def sequence_parity(tri, tet, seq):
+    """Parity of a slot sequence of tetrahedron ``tet`` relative to its
+    positive ordering, which is (0, 1, 2, 3) for sign +1 and one
+    transposition away for -1."""
+    return int(permutation_sign(seq) != tri.orientation_signs[tet])
+
+
 def canonical_form(tri):
     """Label-independent encoding of the gluing table.
 

@@ -977,6 +977,20 @@ def test_explicit_geometry_reports_pinned(tmp_path, capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == RP3_LARGE_DENOMINATORS_SHA256[command]
 
 
+def test_byte_order_mark_is_not_read_as_text(tmp_path, capsys):
+    # a UTF-8 byte order mark, which some editors write first, is neither
+    # part of the header line nor of the first vertex line
+    bom = b"\xef\xbb\xbf"
+    tri_path, geometry_path = tmp_path / "s3_bom.tri", tmp_path / "geometry_bom.txt"
+    tri_path.write_bytes(bom + load_builtin("s3").to_text().encode())
+    geometry_path.write_bytes(bom + LARGE_DENOMINATOR_GEOMETRY.encode())
+    code, out, _ = run(capsys, ["invariant", "--file", str(tri_path)])
+    assert code == 0 and "abs_invariant: 1" in out
+    code, out, _ = run(capsys, ["invariant", "--builtin", "rp3", "--geometry", str(geometry_path), "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RP3_LARGE_DENOMINATORS_SHA256["invariant"]
+
+
 def test_report_with_thousands_of_digits(tmp_path, capsys):
     # 63 distinct 40-bit prime denominators on the T=80 rp3 fixture give a
     # tau of about 11000 digits, past the interpreter's int -> str limit

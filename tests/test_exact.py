@@ -7,7 +7,6 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import example, given, strategies as st
 
-from pentachain.errors import PentachainError
 from pentachain.exact import (
     RatMatrix,
     _eliminate,
@@ -18,7 +17,7 @@ from pentachain.exact import (
     permutation_sign,
     rank,
 )
-from reference import entry, rat_matrix
+from reference import entry, fraction_det, rat_matrix
 
 F = Fraction
 
@@ -77,6 +76,9 @@ def test_minor_errors():
         m.block((7,), (0,))
     with pytest.raises(ValueError):
         det(m.block((0, 1), (0,)))
+    # a repeated column leaves a key past the block's width
+    with pytest.raises(ValueError, match=r"^row 0 has a column key outside 0\.\.0$"):
+        m.block((0,), (0, 0))
 
 
 def test_det_identity_and_repeated_row():
@@ -218,7 +220,7 @@ def test_mapping_rows_and_dense_view():
     assert m.rows == ({0: 1, 2: F(1, 2)}, {})
     assert list(m.rows[0]) == [0, 2]
     assert entry(m, 0, 1) == 0
-    assert m.block((0,), (2, 0)) == ([{0: 1, 1: 2}], [2], 2)
+    assert m.block((0,), (2, 0)) == RatMatrix([{0: 1, 1: 2}], [2], 2)
     assert rat_matrix([[1, 0, F(1, 2)], [0, 0, 0]]) == m
     # equal rows in a wider matrix are a different matrix
     assert rat_matrix(m.rows, 4) != m
@@ -276,22 +278,6 @@ def test_integer_rows_are_stored_reduced():
     assert m == rat_matrix([[F(2, 5), 0, F(-3, 5)], [0, 0, 0], [0, 1, 0]])
     with pytest.raises(ValueError, match="row 1 has denominator zero"):
         RatMatrix([{0: 1}, {0: 1}], [1, 0], 1)
-
-
-def test_block_slices_rows_unreduced():
-    # 3/6 and 1/6 share the row denominator 6; alone, 3/6 is 1/2, which the
-    # block leaves to its elimination and the constructor reduces
-    m = rat_matrix([[F(1, 2), F(1, 6)]])
-    block = m.block((0,), (0,))
-    assert block == ([{0: 3}], [6], 1) and det(block) == F(1, 2)
-    sub = RatMatrix(block.numerators, block.denominators, block.ncols)
-    assert (sub.numerators, sub.denominators) == (({0: 1},), (2,))
-    assert sub == rat_matrix([[F(1, 2)]])
-
-
-def test_elimination_needs_positive_denominators():
-    with pytest.raises(PentachainError, match="positive row denominators"):
-        _eliminate([{0: 1}], [-1], 1)
 
 
 def fraction_eliminate(rows, ncols):
@@ -372,7 +358,7 @@ def sparse_rational_matrices(draw):
 def test_fraction_free_kernel_matches_fraction_oracle(case):
     rows, ncols = case
     m = rat_matrix(rows, ncols)
-    steps = _eliminate(m.numerators, m.denominators, m.ncols)
+    steps = _eliminate(m)
     oracle = fraction_eliminate(m.rows, m.ncols)
     assert [(r, j) for r, j, *_ in steps] == [(r, j) for r, j, _ in oracle]
     assert [F(piv, den) for *_, piv, den in steps] == [piv for *_, piv in oracle]
@@ -383,6 +369,35 @@ def test_fraction_free_kernel_matches_fraction_oracle(case):
         sign = permutation_sign([j for _, j, _ in oracle])
         expected = sign * math.prod((piv for *_, piv in oracle), start=F(1))
         assert independent_rows(m) == ([r for r, *_ in oracle], expected)
+
+
+@st.composite
+def sliced_matrices(draw):
+    """A matrix from ``sparse_rational_matrices``, with distinct row and
+    column positions to slice it on, each in a drawn order; half the time
+    as many rows as columns."""
+    rows, ncols = draw(sparse_rational_matrices())
+    order, cols = draw(st.permutations(range(len(rows)))), draw(st.permutations(range(ncols)))
+    nr, nc = draw(st.integers(0, len(rows))), draw(st.integers(0, ncols))
+    if draw(st.booleans()):
+        nr = nc = min(nr, nc)
+    return rows, ncols, order[:nr], cols[:nc]
+
+
+@given(sliced_matrices())
+# 3/6 and 1/6 share the row denominator 6; alone, 3/6 is stored as 1/2
+@example(([{0: F(1, 2), 1: F(1, 6)}], 2, [0], [0]))
+@example(([{0: F(1), 1: F(2)}, {0: F(3), 1: F(4)}], 2, [1, 0], [1, 0]))
+def test_block_is_the_reduced_slice(case):
+    rows, ncols, picked, cols = case
+    m = rat_matrix(rows, ncols)
+    block = m.block(picked, cols)
+    dense = [[entry(m, i, j) for j in cols] for i in picked]
+    assert type(block) is RatMatrix and block == rat_matrix(dense, len(cols))
+    if len(picked) == len(cols):
+        assert det(block) == fraction_det(dense)
+    oracle = fraction_eliminate([{k: v for k, v in enumerate(row) if v} for row in dense], len(cols))
+    assert independent_rows(block)[0] == [r for r, *_ in oracle]
 
 
 def test_format_rational_prints_any_number_of_digits():

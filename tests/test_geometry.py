@@ -35,6 +35,7 @@ from reference import (
     lambda_of,
     lens,
     randrange_rationals,
+    sequence_parity,
     triangle_area,
 )
 
@@ -427,7 +428,7 @@ def fresh_star(tri, e):
     contributions = []
     for t, (i, j) in e.members:
         p, q = (s for s in range(4) if s != i and s != j)
-        if tri.sequence_parity(t, (p, q, i, j)):
+        if sequence_parity(tri, t, (p, q, i, j)):
             p, q = q, p
         contributions.append((t, (p, q), (i, j)))
     return tuple(contributions)

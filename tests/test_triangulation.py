@@ -22,7 +22,7 @@ from pentachain import (
 from pentachain import library
 from pentachain.exact import permutation_sign
 from pentachain.triangulation import EdgeClass, FaceClass, VertexClass, compose, inverse
-from reference import IDENTITY, canonical_form, isomorphic, subdivided, transposition
+from reference import IDENTITY, canonical_form, isomorphic, sequence_parity, subdivided, transposition
 from test_geometry import fresh_star, grown_rp3, lookup_angles
 from test_pachner import ONE_TET
 from test_torsion import SUBDIVIDED_GOLDENS
@@ -105,6 +105,15 @@ def test_orientation_incoherence_rejected():
 def test_empty_table_rejected():
     with pytest.raises(ValidationError, match="^empty triangulation$"):
         Triangulation([])
+
+
+def test_unsized_table_rejected():
+    # the table's own length is checked before any row's
+    tets = load_builtin("s3").tets
+    tables = ((iter(tets), "tuple_iterator"), ((row for row in tets), "generator"), (None, "NoneType"), (5, "int"))
+    for table, kind in tables:
+        with pytest.raises(ValidationError, match=f"^gluing table must be a sequence of tetrahedra, not {kind}$"):
+            Triangulation(table)
 
 
 def test_unknown_builtin_is_named():
@@ -196,7 +205,7 @@ def test_edge_star_parity_invariant(s3, rp3):
     for tri in (s3, rp3):
         for e in tri.edges:
             for tet, (p, q), (tail, head) in star(tri, e.id):
-                assert tri.sequence_parity(tet, (p, q, tail, head)) == 0
+                assert sequence_parity(tri, tet, (p, q, tail, head)) == 0
                 eid, sign = tri.edge_class(tet, tail, head)
                 assert eid == e.id and sign == 1
 
