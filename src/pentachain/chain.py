@@ -61,9 +61,11 @@ denominators of the f3 rows it meets, which keeps the scale to the few
 rows one left row touches; consecutive left rows that meet the same
 rows, such as the three f4 rows of a vertex class, share one lcm.  No
 scale changes the zero pattern of the product.  Each product row is
-summed into a dense list as wide as the right factor, whose first nonzero
-by index is the witness.  ``dump_chain`` lists the stored entries in
-column order, each reduced from its row's integers by one gcd.
+summed into one dense list as wide as the right factor, allocated once
+per product: a zero row leaves it all zero for the next, and the first
+nonzero row's first nonzero by index is the witness.  ``dump_chain``
+lists the stored entries in column order, each reduced from its row's
+integers by one gcd.
 
 Each composition of consecutive maps is exactly zero.  ``build_chain``
 checks only that every curvature vanishes at the flat point, reading the
@@ -230,21 +232,21 @@ def _composition_witness(left: RatMatrix, right: RatMatrix, cols=None, per_row=T
     rows that meet the same rows share that lcm.  Every scale is positive,
     so an entry of the integer product is zero exactly when the rational
     one is.  The rows of ``right`` are cut to ``cols`` once, and each
-    product row is accumulated densely, nonzeros times nonzeros.
+    product row is accumulated, nonzeros times nonzeros, into one dense
+    list per product, which a zero row leaves all zero for the next.
     """
     dens = right.denominators
     keep = range(right.ncols) if cols is None else set(cols)
     common = None if per_row else lcm(*dens)
     ups = [common // d for d in dens] if common else [1] * len(dens)
     right_rows = [[(k, b * u) for k, b in row.items() if k in keep] for row, u in zip(right.numerators, ups)]
-    width = right.ncols
+    acc = [0] * right.ncols
     met = factor = None
     for i, row in enumerate(left.numerators):
         if per_row and row.keys() != met:
             met = row.keys()
             scale = lcm(*(dens[j] for j in met))
             factor = {j: scale // dens[j] for j in met}
-        acc = [0] * width
         for j, a in row.items():
             if factor:
                 a *= factor[j]

@@ -30,13 +30,15 @@ rejected.  A face class is the two ports of one gluing.
 
 Every incidence the curvature and circulation formulas read is resolved
 once, on construction, into sides, ``(edge class id, sign)`` pairs of
-directed edges, so that no formula looks an edge up again.  The scan that
-lists each edge class's members also builds ``edge_angles``: per edge
-class, one angle per star contribution in star order, as its six sides
-(ph, hq, qp, pe, eq, he; see ``_angle_ports``) with the contribution
-itself.  The face builder records ``face_sides``: per face class, the
-three sides of its stored boundary.  (P, Q) and the side offsets come from
-one table per orientation sign, built at import.
+directed edges, so that no formula looks an edge up again.  After the
+edge walk, one scan over the tetrahedra builds ``edge_angles`` and the
+face classes.  ``edge_angles`` holds, per edge class, one angle per star
+contribution in star order, as its six sides (ph, hq, qp, pe, eq, he; see
+``_angle_ports``) with the contribution itself; the star is the class's
+members, and its first contribution gives the class's tail and head.
+``face_sides`` holds, per face class, the three sides of its stored
+boundary.  (P, Q) and the side offsets come from one table per
+orientation sign, built at import.
 
 Conventions fixed here and relied on everywhere downstream:
 
@@ -121,17 +123,14 @@ class VertexClass(NamedTuple):
 
 
 class EdgeClass(NamedTuple):
-    """An edge class: its id, its canonically directed members in port
-    order and the vertex classes of its canonical tail and head."""
+    """An edge class: its id and the vertex classes of its canonical tail
+    and head.  Its members and degree are its star's: the (tet, (tail
+    slot, head slot)) of each contribution in ``edge_angles[id]``, and
+    their number."""
 
     id: int
-    members: tuple[tuple[int, tuple[int, int]], ...]  # (tet, (tail_slot, head_slot))
     tail: int  # vertex class ids
     head: int
-
-    @property
-    def degree(self) -> int:
-        return len(self.members)
 
 
 class FaceClass(NamedTuple):
@@ -236,8 +235,8 @@ class Triangulation:
         self._port_to = self._flatten_gluings()
         self.orientation_signs = self._propagate_signs()
         self._vertex_of, self.vertices = self._build_vertex_classes()
-        self._sides, self.edges, self.edge_angles = self._build_edge_classes()
-        self._face_of, self.faces, self.face_sides = self._build_face_classes()
+        (self._sides, self.edges, self.edge_angles,
+         self._face_of, self.faces, self.face_sides) = self._build_edge_and_face_classes()
 
     # -- validation ---------------------------------------------------
 
@@ -307,7 +306,7 @@ class Triangulation:
             members[vid].append(divmod(port, 4))
         return vertex_of, tuple(VertexClass(i, tuple(m)) for i, m in enumerate(members))
 
-    def _build_edge_classes(self):
+    def _build_edge_and_face_classes(self):
         n = len(self.tets)
         port_to = self._port_to
         # class id and sign vs. the canonical direction per directed port
@@ -342,42 +341,36 @@ class Triangulation:
                     q = 4 * port_to[glued | ((q >> 2) & 3)] + (port_to[glued | (q & 3)] & 3)
                     x, y = port_to[glued | y] & 3, port_to[glued | x] & 3
                 count += 1
-        # one scan in ascending port order over each class's canonical
-        # directions: its members sorted and its angles in star order
-        members: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(count)]
+        # one scan in ascending port order: per tetrahedron, the angles of
+        # each class's canonical directions in star order, then the face
+        # classes first met, each with the three sides of its boundary
+        vertex_of = self._vertex_of
         angles: list[list[Angle]] = [[] for _ in range(count)]
+        face_of = [-1] * (4 * n)  # class id per port 4t+k
+        faces, face_sides = [], []
         for t, orientation in enumerate(self.orientation_signs):
-            local = side[16 * t:16 * t + 16]
+            t4, local = 4 * t, side[16 * t:16 * t + 16]
             for offset, pq, ed, sides_of in _STAR_SLOTS[orientation]:
                 eid, sign = local[offset]
                 if sign == 1:
-                    members[eid].append((t, ed))
                     angles[eid].append((sides_of(local), (t, pq, ed)))
-        vertex_of = self._vertex_of
-        edges = []
-        for eid, occ in enumerate(members):
-            t0, (i0, j0) = occ[0]
-            edges.append(EdgeClass(eid, tuple(occ), vertex_of[4 * t0 + i0], vertex_of[4 * t0 + j0]))
-        return side, tuple(edges), tuple(tuple(a) for a in angles)
-
-    def _build_face_classes(self):
-        port_to, vertex_of, side = self._port_to, self._vertex_of, self._sides
-        face_of = [-1] * len(vertex_of)  # class id per port 4t+k
-        faces, face_sides = [], []
-        for t in range(len(self.tets)):
-            t4, local = 4 * t, side[16 * t:16 * t + 16]
             for k, glued, a, b, c, boundary_sides in _FACE_SLOTS:
                 if face_of[t4 + k] >= 0:
                     continue
                 # a face glued to itself would fold an edge onto its
-                # reverse, which the edge classes reject, so every class
+                # reverse, which the edge walk rejects, so every class
                 # has two ports
                 partner = port_to[16 * t + glued]
                 face_of[t4 + k] = face_of[partner] = fid = len(faces)
                 verts = (vertex_of[t4 + a], vertex_of[t4 + b], vertex_of[t4 + c])
                 faces.append(FaceClass(fid, ((t, k), (partner >> 2, partner & 3)), verts))
                 face_sides.append(boundary_sides(local))
-        return face_of, tuple(faces), tuple(face_sides)
+        edges = []
+        for eid, star in enumerate(angles):
+            _, (t, _, (e, h)) = star[0]
+            edges.append(EdgeClass(eid, vertex_of[4 * t + e], vertex_of[4 * t + h]))
+        stars = tuple(tuple(a) for a in angles)
+        return side, tuple(edges), stars, face_of, tuple(faces), tuple(face_sides)
 
     # -- queries -------------------------------------------------------
 

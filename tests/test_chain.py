@@ -23,6 +23,7 @@ from pentachain import (
     select_partition,
     verify_chain,
 )
+from pentachain import chain, cli
 from pentachain.chain import ChainComplex, _composition_witness, basis_label, certify_chain, expected_ranks
 from pentachain.triangulation import Triangulation
 from reference import coordinates, fraction_holonomy_generator, geometry_of, lambda_of, laplacian_dets, rat_matrix
@@ -526,6 +527,25 @@ def test_any_common_denominator_builds_the_same_chain(s3, rp3):
         assert edge_values(tri, over) == edge_values(tri, g)
         assert dump_chain(build_chain(tri, over)) == dump_chain(build_chain(tri, g))
         assert invariant(tri, geometry=over) == invariant(tri, geometry=g)
+
+
+def test_curvature_off_at_the_flat_point_is_an_internal_error(s3, monkeypatch, capsys):
+    # a curvature row that is nonzero where every curvature vanishes is a
+    # fault of the curvature code, not of the input, and is named as one
+    real = chain.omega_row
+
+    def bent(tri, lam, e):
+        (value, den), gradient = real(tri, lam, e)
+        return ((1 if e == 0 else value), den), gradient
+
+    monkeypatch.setattr(chain, "omega_row", bent)
+    message = "internal error: curvature of edge class 0 is nonzero at the flat point"
+    with pytest.raises(PentachainError) as raised:
+        build_chain(s3, assign_geometry(s3, 1))
+    assert (raised.type, str(raised.value)) == (PentachainError, message)
+    assert cli.main(["invariant", "--builtin", "s3"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("fractional", [False, True])

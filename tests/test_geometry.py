@@ -238,7 +238,7 @@ def omega_derivative_oracle(tri, lam, a, b):
     linear solve, verifies the fit on held-out points, and differentiates
     the fit.  Independent of the production quotient-rule assembly.
     """
-    degree = 2 * tri.edges[a].degree
+    degree = 2 * len(tri.edge_angles[a])
     base = values_of(lam)[b]
 
     def omega_at(t):
@@ -424,9 +424,10 @@ def name_face(contribution, opposite):
 
 def fresh_star(tri, e):
     """The star contributions of edge class ``e`` by the ordering rule,
-    built anew from its members: (P, Q, tail, head) even."""
+    built anew from the (tet, (tail, head)) of each contribution of its
+    kept star: (P, Q, tail, head) even."""
     contributions = []
-    for t, (i, j) in e.members:
+    for _, (t, _, (i, j)) in tri.edge_angles[e.id]:
         p, q = (s for s in range(4) if s != i and s != j)
         if sequence_parity(tri, t, (p, q, i, j)):
             p, q = q, p

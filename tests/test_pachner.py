@@ -36,9 +36,8 @@ def test_one_four_arithmetic(s3):
 def test_two_three_and_back(s3):
     grown = apply_move(s3, MoveSite("2->3", (0, 0)))
     assert grown.f_vector() == (4, 7, 6, 3)
-    new_edge = [e for e in grown.edges if e.degree == 3]
+    new_edge = [e for e in grown.edges if len(grown.edge_angles[e.id]) == 3]
     assert len(new_edge) == 1
-    assert len(grown.edge_angles[new_edge[0].id]) == 3
     back = apply_move(grown, MoveSite("3->2", new_edge[0].id))
     assert isomorphic(back, s3)
 
@@ -214,7 +213,7 @@ def test_walk_states_yield_valid_triangulations(s3):
 
 def _edge_cycle_from_full_star(tri, edge_id):
     """3->2 site test that builds the whole star, parity included, first,
-    from the edge class's members."""
+    from the edge class's kept star."""
     star = fresh_star(tri, tri.edges[edge_id])
     if len(star) != 3:
         return None
@@ -251,8 +250,8 @@ def test_three_two_sites_match_full_star_filter(s3, rp3):
                 ]
                 assert enumerate_sites(state, "3->2") == expected
                 for e in state.edges:
-                    if e.degree == 3:
-                        if len({t for t, _ in e.members}) < 3:
+                    if len(state.edge_angles[e.id]) == 3:
+                        if len({t for _, (t, _, _) in state.edge_angles[e.id]}) < 3:
                             repeated += 1
                         else:
                             distinct += 1

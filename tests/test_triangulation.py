@@ -165,7 +165,7 @@ def test_classes_stable_under_tet_relabeling(rp3):
     assert relabeled.f_vector() == rp3.f_vector()
     sig = lambda tri: (
         sorted(v.degree for v in tri.vertices),
-        sorted(e.degree for e in tri.edges),
+        sorted(map(len, tri.edge_angles)),
         sorted(len(f.members) for f in tri.faces),
     )
     assert sig(relabeled) == sig(rp3)
@@ -192,6 +192,12 @@ def test_gluings_are_involutive_on_slots(s3, rp3):
 def star(tri, edge_id):
     """The star contributions of an edge class, as ``edge_angles`` holds them."""
     return tuple(contribution for _, contribution in tri.edge_angles[edge_id])
+
+
+def members(tri, edge_id):
+    """The canonically directed members of an edge class, read from its
+    star: (tet, (tail slot, head slot)) per contribution, in star order."""
+    return tuple((tet, ends) for tet, _, ends in star(tri, edge_id))
 
 
 def test_edge_star_shapes(s3, rp3):
@@ -313,13 +319,13 @@ def test_canonical_form_invariance(s3, rp3):
 
 def test_vertex_edge_face_lookup_consistency(rp3):
     for e in rp3.edges:
-        t, (i, j) = e.members[0]
-        assert rp3.vertex_class(t, i) == e.tail
-        assert rp3.vertex_class(t, j) == e.head
-        eid, sign = rp3.edge_class(t, i, j)
-        assert (eid, sign) == (e.id, 1)
-        eid, sign = rp3.edge_class(t, j, i)
-        assert (eid, sign) == (e.id, -1)
+        for t, (i, j) in members(rp3, e.id):
+            assert rp3.vertex_class(t, i) == e.tail
+            assert rp3.vertex_class(t, j) == e.head
+            eid, sign = rp3.edge_class(t, i, j)
+            assert (eid, sign) == (e.id, 1)
+            eid, sign = rp3.edge_class(t, j, i)
+            assert (eid, sign) == (e.id, -1)
     for f in rp3.faces:
         for t, k in f.members:
             assert rp3.face_class(t, k) == f.id
@@ -370,9 +376,10 @@ def union_find_classes(tets):
     and ``(t, face)``: the construction the orbit traversal replaced.
 
     Returns (vertices, edges, faces, vertex_of, edge_of, face_of) with the
-    maps keyed by (t, s), (t, i, j) and (t, k).  A table with a tetrahedron
-    that no chain of gluings reaches from tetrahedron 0 is rejected first,
-    naming the first such tetrahedron."""
+    maps keyed by (t, s), (t, i, j) and (t, k), and each edge as
+    ``(EdgeClass, members)``, its members canonically directed and sorted.
+    A table with a tetrahedron that no chain of gluings reaches from
+    tetrahedron 0 is rejected first, naming the first such tetrahedron."""
     n = len(tets)
     reached, stack = {0}, [0]
     while stack:
@@ -432,7 +439,7 @@ def union_find_classes(tets):
     for eid, occ in enumerate(occurrences):
         occ.sort()
         t0, (i0, j0) = occ[0]
-        edges.append(EdgeClass(eid, tuple(occ), vertex_of[(t0, i0)], vertex_of[(t0, j0)]))
+        edges.append((EdgeClass(eid, vertex_of[(t0, i0)], vertex_of[(t0, j0)]), tuple(occ)))
 
     face_of, members = _number_classes(
         (((t, k), (g.neighbor, g.perm[k])) for t, row in enumerate(tets) for k, g in enumerate(row)),
@@ -449,7 +456,7 @@ def union_find_classes(tets):
 def assert_classes_match_oracle(tri):
     vertices, edges, faces, vertex_of, edge_of, face_of = union_find_classes(tri.tets)
     assert tri.vertices == vertices
-    assert tri.edges == edges
+    assert tuple((e, members(tri, e.id)) for e in tri.edges) == edges
     assert tri.faces == faces
     for t in range(tri.size):
         for s in range(4):
@@ -574,19 +581,71 @@ TWO = [Gluing(0, IDENTITY)] * 4  # a row of the two-tetrahedron identity table
         # a valid gluing of face 0 whose partner is malformed
         ([[Gluing(1, IDENTITY)] * 4, [Gluing(0, 5)] + TWO[1:]], "tetrahedron 1 face 0 has invalid permutation 5"),
         ([5, TWO], "tetrahedron 0 must glue exactly 4 faces"),
+        # an entry that is not a Gluing, though it holds a valid one's fields
+        ([[(1, IDENTITY)] * 4, TWO], "tetrahedron 0 face 0 is not glued"),
+        ([[None] * 4, TWO], "tetrahedron 0 face 0 is not glued"),
         # a form error anywhere comes before an involution error at an
         # earlier gluing: tetrahedron 0 face 0 is not involutive
         ([[Gluing(1, transposition(0, 1))] + [Gluing(1, IDENTITY)] * 3, TWO[:3] + [Gluing(0, (0, 1, 2, 4))]],
          "tetrahedron 1 face 3 has invalid permutation (0, 1, 2, 4)"),
     ],
     ids=["bool", "float-neighbor", "int-perm", "none-perm", "nested-list-perm", "set-perm", "partner-perm",
-         "int-row", "form-before-involution"],
+         "int-row", "plain-tuple-entry", "none-entry", "form-before-involution"],
 )
 def test_malformed_entry_is_named(rows, message):
     # any other exception, a TypeError say, fails the type check
     with pytest.raises(Exception) as exc:
         Triangulation(rows)
     assert (exc.type, str(exc.value)) == (ValidationError, message)
+
+
+PERMS = list(permutations(range(4)))
+# hashable leaves, with neighbors and permutations that a valid table holds
+HASHABLE = st.one_of(
+    st.integers(-1, 3), st.integers(), st.booleans(), st.floats(), st.none(), st.text(max_size=4),
+    st.sampled_from(PERMS), st.builds(Gluing, st.integers(0, 3), st.sampled_from(PERMS)),
+)
+JUNK = st.recursive(
+    HASHABLE,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.lists(children, max_size=5).map(iter),
+        st.sets(HASHABLE, max_size=5),
+        st.dictionaries(HASHABLE, children, max_size=5),
+        st.builds(Gluing, children, children),
+    ),
+    max_leaves=20,
+)
+
+
+@st.composite
+def near_tables(draw):
+    """A builtin table as lists, with up to two entries replaced by
+    arbitrary values or by equal forms of the same gluing, and then maybe
+    one row replaced by an arbitrary value."""
+    stored = load_builtin(draw(st.sampled_from(["s3", "rp3"]))).tets
+    rows = [list(row) for row in stored]
+    tets = st.integers(0, len(rows) - 1)
+    for _ in range(draw(st.integers(0, 2))):
+        t, k = draw(tets), draw(st.integers(0, 3))
+        neighbor, perm = stored[t][k]
+        equal = [Gluing(neighbor, list(perm)), Gluing(neighbor, tuple(map(float, perm)))]
+        rows[t][k] = draw(st.one_of(JUNK, st.sampled_from(equal)))
+    if draw(st.booleans()):
+        rows[draw(tets)] = draw(JUNK)
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(JUNK, near_tables()))
+def test_any_value_is_refused_or_reads_back(table):
+    # any other exception, a TypeError say, fails the test
+    try:
+        tri = Triangulation(table)
+    except ValidationError:
+        return
+    assert Triangulation.from_text(tri.to_text()).tets == tri.tets
 
 
 def test_list_permutation_gluing_is_stored_as_a_tuple():
@@ -644,7 +703,8 @@ def test_incidence_tables_pinned(source):
         tris = [Triangulation.from_file(FIXTURES[0].parent / f"{source}.tri")]
     digest = hashlib.sha256()
     for tri in tris:
-        digest.update(repr((tuple(e.members for e in tri.edges), tri.edge_angles, tri.face_sides)).encode())
+        edge_members = tuple(members(tri, e.id) for e in tri.edges)
+        digest.update(repr((edge_members, tri.edge_angles, tri.face_sides)).encode())
     assert digest.hexdigest() == INCIDENCE_DIGESTS[source]
 
 
@@ -653,12 +713,7 @@ def test_incidence_tables_pinned(source):
     [
         (Gluing(1, (1, 0, 2, 3)), ("neighbor", "perm"), None, "Gluing(neighbor=1, perm=(1, 0, 2, 3))"),
         (VertexClass(0, ((0, 1), (1, 1))), ("id", "members"), 2, "VertexClass(id=0, members=((0, 1), (1, 1)))"),
-        (
-            EdgeClass(2, ((0, (0, 1)), (1, (2, 3)), (1, (1, 0))), 0, 1),
-            ("id", "members", "tail", "head"),
-            3,
-            "EdgeClass(id=2, members=((0, (0, 1)), (1, (2, 3)), (1, (1, 0))), tail=0, head=1)",
-        ),
+        (EdgeClass(2, 0, 1), ("id", "tail", "head"), None, "EdgeClass(id=2, tail=0, head=1)"),
         (
             FaceClass(3, ((0, 2), (1, 0)), (0, 1, 3)),
             ("id", "members", "vertices"),
