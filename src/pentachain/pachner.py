@@ -7,9 +7,10 @@ k facets of that boundary and replaces them by the other 5-k facets.
 
 Each kind has one rule in ``_RULES``: a function that labels the slots of
 the tetrahedra the move removes at a location, or returns None where the
-move does not apply, with the kind's candidate locations, the constant
-labels of the new tetrahedra and the kind's refusal text.  ``apply_move``
-checks that a location names an object, labels it and hands the labels to
+move does not apply, with the number of the kind's candidate locations,
+the constant labels of the new tetrahedra and the kind's refusal text.
+Every location is an index below that number.  ``apply_move`` checks that
+a location names an object, labels it and hands the labels to
 ``_bistellar``; ``enumerate_sites`` and the walk keep the candidate
 locations that label, so a site is listed exactly where the move applies.
 
@@ -25,10 +26,10 @@ The labels, with the removed tetrahedra first:
 
     1->4  the tetrahedron: slots 0..3 carry 0..3; new tetrahedron k
           carries 0..3 with 4 at slot k
-    2->3  across face a of t, with the other slots fs in positive order:
-          t carries k at fs[k] and 3 at a, its neighbour 4 at the glued
-          face and k at the image of fs[k]; new (0,1,4,3), (1,2,4,3),
-          (2,0,4,3)
+    2->3  across face a of t, the face class's first port, with the
+          other slots fs in positive order: t carries k at fs[k] and 3 at
+          a, its neighbour 4 at the glued face and k at the image of
+          fs[k]; new (0,1,4,3), (1,2,4,3), (2,0,4,3)
     3->2  the k-th tetrahedron of the cycle around the edge e -> d with
           off-edge slots (p, q): k at p, k+1 mod 3 at q, 4 at e, 3 at d;
           new (0,1,2,3), (0,1,2,4)
@@ -42,10 +43,9 @@ the move's delta, raises ``MoveError``.
 
 Candidate locations, in search order, and where each rule labels:
 
-    2->3  the port f.members[0] of each face class: its two sides lie in
-          distinct tetrahedra
-    3->2  each edge class id: degree 3, three distinct tetrahedra, and the
-          cycle around the edge closes up
+    2->3  each face class id: its two sides lie in distinct tetrahedra
+    3->2  each edge class id: degree 3 and three distinct tetrahedra,
+          around which the cycle always closes up
     1->4  each tetrahedron: always
     4->1  each vertex class id: degree 4, four distinct tetrahedra glued to
           each other as their labels say
@@ -61,7 +61,7 @@ from __future__ import annotations
 import random
 from functools import cache
 from itertools import product
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import MoveError
 from .exact import permutation_sign
@@ -77,13 +77,13 @@ class MoveSite(NamedTuple):
     ``triangulation``; ``enumerate_sites`` lists those where the kind's
     rule labels, and ``apply_move`` refuses the others.
 
-    location meaning by kind: 2->3 a (tetrahedron, face slot) port naming
-    the shared face; 3->2 an edge class id; 1->4 a tetrahedron index;
-    4->1 a vertex class id.
+    Every location is an index: 2->3 a face class id naming the shared
+    face; 3->2 an edge class id; 1->4 a tetrahedron index; 4->1 a vertex
+    class id.
     """
 
     kind: str
-    location: tuple[int, int] | int
+    location: int
 
 
 @cache
@@ -163,13 +163,13 @@ def _positive_face(sign: int, a: int) -> tuple[tuple[int, ...], tuple[int, ...]]
 _FACE_ORDER = {key: _positive_face(*key) for key in product((1, -1), range(4))}
 
 
-def _face_labels(tri: Triangulation, port: tuple[int, int]):
+def _face_labels(tri: Triangulation, face_id: int):
     """2->3: a face whose two sides lie in distinct tetrahedra; the other
     side carries k at the image of fs[k] and 4 at the glued face."""
-    t, a = port
-    other, p = tri.tets[t][a]
+    (t, a), (other, _) = tri.faces[face_id].members
     if other == t:
         return None
+    p = tri.tets[t][a].perm
     (f0, f1, f2), here = _FACE_ORDER[tri.orientation_signs[t], a]
     there = [4, 4, 4, 4]
     there[p[f0]], there[p[f1]], there[p[f2]] = 0, 1, 2
@@ -183,22 +183,18 @@ def _edge_cycle(tri: Triangulation, edge_id: int):
     star = tri.edge_angles[edge_id]
     if len(star) != 3:
         return None
-    tets = {tet for _, (tet, _, _) in star}
-    if len(tets) != 3:
+    if len({tet for _, (tet, _, _) in star}) != 3:
         return None
-    _, (t0, (p0, q0), (e0, d0)) = star[0]
-    start = cur = (t0, p0, q0, e0, d0)
+    _, (t, (p, q), (e, d)) = star[0]
     old = {}
+    # the walk always closes: each step enters the next member of the star
+    # and never turns back, so three steps label each of three members once
     for k in range(3):
-        t, p, q, e, d = cur
         labels = [0] * 4
         labels[p], labels[q], labels[e], labels[d] = k, (k + 1) % 3, 4, 3
         old[t] = tuple(labels)
         g = tri.tets[t][p]
-        cur = (g.neighbor, g.perm[q], g.perm[p], g.perm[e], g.perm[d])
-    # a cycle that revisits a tetrahedron leaves fewer than three labelled
-    if cur != start or old.keys() != tets:
-        return None
+        t, p, q, e, d = g.neighbor, g.perm[q], g.perm[p], g.perm[e], g.perm[d]
     return old
 
 
@@ -226,35 +222,37 @@ def _vertex_ball(tri: Triangulation, vertex_id: int):
 
 
 class _Rule(NamedTuple):
-    """One move kind: its candidate locations in search order, what an
-    index among them names (None for a face port), the labelling of the
-    tetrahedra it removes, the labels of the new ones and its refusal,
-    formatted with the location (a 1->4 is never refused)."""
+    """One move kind: the number of its candidate locations, which are the
+    indices below it in search order, what such an index names, the
+    labelling of the tetrahedra it removes, the labels of the new ones and
+    its refusal, formatted with the location (a 1->4 is never refused)."""
 
-    locations: Callable[[Triangulation], Iterable]
-    what: str | None
-    labels: Callable[[Triangulation, Any], dict[int, tuple[int, ...]] | None]
+    count: Callable[[Triangulation], int]
+    what: str
+    labels: Callable[[Triangulation, int], dict[int, tuple[int, ...]] | None]
     new: tuple[tuple[int, ...], ...]
     refusal: str
 
 
 _RULES = {
-    "2->3": _Rule(lambda tri: (f.members[0] for f in tri.faces), None, _face_labels,
+    "2->3": _Rule(lambda tri: len(tri.faces), "face class", _face_labels,
                   ((0, 1, 4, 3), (1, 2, 4, 3), (2, 0, 4, 3)), "2->3 needs two distinct tetrahedra sharing the face"),
-    "3->2": _Rule(lambda tri: range(len(tri.edges)), "edge class", _edge_cycle, ((0, 1, 2, 3), (0, 1, 2, 4)),
+    "3->2": _Rule(lambda tri: len(tri.edges), "edge class", _edge_cycle, ((0, 1, 2, 3), (0, 1, 2, 4)),
                   "edge class {} is not a 3->2 site (degree 3, distinct tetrahedra, closed cycle required)"),
-    "1->4": _Rule(lambda tri: range(tri.size), "tetrahedron", lambda tri, t: {t: (0, 1, 2, 3)},
+    "1->4": _Rule(lambda tri: tri.size, "tetrahedron", lambda tri, t: {t: (0, 1, 2, 3)},
                   ((4, 1, 2, 3), (0, 4, 2, 3), (0, 1, 4, 3), (0, 1, 2, 4)), ""),
-    "4->1": _Rule(lambda tri: range(len(tri.vertices)), "vertex class", _vertex_ball, ((0, 1, 2, 3),),
+    "4->1": _Rule(lambda tri: len(tri.vertices), "vertex class", _vertex_ball, ((0, 1, 2, 3),),
                   "vertex class {} is not a 4->1 site (its star is not a standard four-tetrahedron ball)"),
 }
 KINDS = tuple(_RULES)
 
 
 def _rule(kind: str) -> _Rule:
-    if kind not in _RULES:
-        raise MoveError(f"unknown move kind {kind!r}")
-    return _RULES[kind]
+    # an unhashable kind is as unknown as any other
+    try:
+        return _RULES[kind]
+    except (KeyError, TypeError):
+        raise MoveError(f"unknown move kind {kind!r}") from None
 
 
 # -- public api ----------------------------------------------------------
@@ -263,13 +261,7 @@ def _rule(kind: str) -> _Rule:
 def apply_move(tri: Triangulation, site: MoveSite) -> Triangulation:
     """Apply one bistellar move; the input triangulation is untouched."""
     rule, location = _rule(site.kind), site.location
-    if rule.what:
-        _require(location, len(rule.locations(tri)), rule.what)
-    elif not isinstance(location, tuple) or len(location) != 2:
-        raise MoveError(f"no face port {location!r}")
-    else:
-        _require(location[0], tri.size, "tetrahedron")
-        _require(location[1], 4, "face slot")
+    _require(location, rule.count(tri), rule.what)
     if (old := rule.labels(tri, location)) is None:
         raise MoveError(rule.refusal.format(location))
     return _bistellar(tri, old, rule.new)
@@ -277,8 +269,8 @@ def apply_move(tri: Triangulation, site: MoveSite) -> Triangulation:
 
 def _sites(tri: Triangulation, kind: str) -> Iterator[MoveSite]:
     """The sites of one kind, lazily: the candidate locations that label."""
-    locations, _, labels, _, _ = _rule(kind)
-    return (MoveSite(kind, loc) for loc in locations(tri) if labels(tri, loc) is not None)
+    count, _, labels, _, _ = _rule(kind)
+    return (MoveSite(kind, i) for i in range(count(tri)) if labels(tri, i) is not None)
 
 
 def enumerate_sites(tri: Triangulation, kind: str) -> list[MoveSite]:
@@ -291,9 +283,8 @@ def _keeps_sampler_solvable(tri: Triangulation, site: MoveSite) -> bool:
     # edge joins the two apexes)
     if site.kind != "2->3":
         return True
-    t, a = site.location
-    g = tri.tets[t][a]
-    return tri.vertex_class(t, a) != tri.vertex_class(g.neighbor, g.perm[a])
+    (t, a), (u, b) = tri.faces[site.location].members
+    return tri.vertex_class(t, a) != tri.vertex_class(u, b)
 
 
 def walk_states(

@@ -20,6 +20,7 @@ from pentachain import cli, geometry, pentagon, torsion
 from pentachain.triangulation import FILE_MAGIC
 from reference import fraction_pentagon_points, rat_matrix
 from test_geometry import LARGE_DENOMINATOR_GEOMETRY, prime_denominator_geometry_text
+from test_triangulation import random_orientable_table
 
 
 def run(capsys, argv):
@@ -187,7 +188,7 @@ def test_disconnected_table_exit_code(tmp_path, capsys):
 
 
 def test_degenerate_geometry_exit_code(tmp_path, capsys, monkeypatch):
-    degenerate = apply_move(load_builtin("s3"), MoveSite("2->3", (0, 0)))
+    degenerate = apply_move(load_builtin("s3"), MoveSite("2->3", 0))
     path = tmp_path / "degenerate.tri"
     path.write_text(degenerate.to_text())
     draws = []
@@ -206,7 +207,7 @@ def test_loop_edge_with_explicit_geometry_names_the_edge(tmp_path, capsys, comma
     # the loop-edge input above with a --geometry that puts its four vertex
     # classes at distinct points: the certificate names the loop edge, as
     # the sampler does, not the first face it makes degenerate
-    degenerate = apply_move(load_builtin("s3"), MoveSite("2->3", (0, 0)))
+    degenerate = apply_move(load_builtin("s3"), MoveSite("2->3", 0))
     tri_path, geometry_path = tmp_path / "degenerate.tri", tmp_path / "points.geom"
     tri_path.write_text(degenerate.to_text())
     points = ((0, 0), (1, 0), (0, 1), (2, 3))
@@ -1286,3 +1287,83 @@ def test_token_mutations_exit_with_stable_codes(tmp_path, capsys):
         assert "Traceback" not in err
     # the mutations reach past the parser
     assert {0, 2, 3} <= set(codes)
+
+
+# bytes that a byte mutation writes: digits, separators, comment and
+# sign characters, letters, a stray UTF-8 byte and the byte order mark's
+MUTANT_BYTES = b"0123456789:#-+/ \n\tatx\xff\xef\xbb\xbf"
+
+
+def mutate_bytes(data: bytes, rng) -> bytes:
+    """One to three seeded byte mutations of ``data``: overwrite, insert or
+    delete a byte, put another digit in place of a digit, or swap a digit
+    with the byte after it (which keeps a permutation a permutation)."""
+    data = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        op, i = rng.randrange(5), rng.randrange(len(data))
+        if op == 0:
+            data[i] = rng.choice(MUTANT_BYTES)
+        elif op == 1:
+            data.insert(i, rng.choice(MUTANT_BYTES))
+        elif op == 2:
+            del data[i]
+        else:
+            j = rng.choice([k for k, b in enumerate(data[:-1]) if chr(b).isdigit()])
+            if op == 3:
+                data[j] = rng.choice(b"0123456789")
+            else:
+                data[j], data[j + 1] = data[j + 1], data[j]
+    return bytes(data)
+
+
+def table_text(table) -> str:
+    """A gluing table in the .tri format, written without validating it."""
+    rows = (" ".join(f"{g.neighbor}:{''.join(map(str, g.perm))}" for g in row) for row in table)
+    return f"{FILE_MAGIC}\ntetrahedra {len(table)}\n" + "".join(f"tet {t}: {row}\n" for t, row in enumerate(rows))
+
+
+def test_inputs_fuzzed_through_main_exit_with_stable_codes(tmp_path, capsys):
+    """Seeded fuzz of every input path of ``invariant``, ``pachner`` and
+    ``dump-chain`` through ``cli.main``: byte mutations of the builtin and
+    small fixture texts, byte and token mutations of geometry files,
+    random orientable closed tables, and ``pachner --out`` paths that
+    cannot be written.  Each run exits 0, 2, 3, 4 or 5; a failure prints
+    exactly one ``error:`` line and nothing on stdout, and a report is
+    JSON that parses."""
+    sources = [load_builtin(name).to_text().encode() for name in ("s3", "rp3")]
+    sources += [(FIXTURES / f"{name}.tri").read_bytes() for name in ("s3_t8", "rp3_t8", "s3_t20", "rp3_t20")]
+    commands = (["invariant", "--json"], ["pachner", "--steps", "3", "--json"], ["dump-chain"])
+    tri_path, geometry_path = tmp_path / "in.tri", tmp_path / "in.geom"
+    (tmp_path / "file").write_text("")
+    bad_outs = [tmp_path, tmp_path / "missing" / "out.tri", tmp_path / "file" / "out.tri", tmp_path / ("x" * 300)]
+    histogram = {}
+    for i in range(1200):
+        rng = random.Random(i)
+        case = i % 4
+        # pachner takes no --geometry, and only pachner takes --out
+        command, *flags = commands[rng.choice(((0, 1, 2), (0, 2), (0, 1, 2), (1,))[case])]
+        if case == 0:
+            tri_path.write_bytes(mutate_bytes(rng.choice(sources), rng))
+            argv = [command, "--file", str(tri_path), *flags]
+        elif case == 1:
+            name = rng.choice(("s3", "rp3"))
+            g = geometry.assign_geometry(load_builtin(name), rng.randrange(100))
+            text = "".join(f"vertex {v} {x}/{g.den} {y}/{g.den} {k}/{g.den}\n" for v, (x, y, k) in
+                           enumerate(zip(g.x, g.y, g.kappa)))
+            data = mutate_bytes(text.encode(), rng) if rng.random() < 0.5 else mutate(text, rng).encode()
+            geometry_path.write_bytes(data)
+            argv = [command, "--builtin", name, "--geometry", str(geometry_path), *flags]
+        elif case == 2:
+            tri_path.write_text(table_text(random_orientable_table(rng, rng.randint(1, 5))))
+            argv = [command, "--file", str(tri_path), *flags]
+        else:
+            argv = [command, "--builtin", rng.choice(("s3", "rp3")), f"--out={rng.choice(bad_outs)}", *flags]
+        code, out, err = run(capsys, argv)
+        histogram[code] = histogram.get(code, 0) + 1
+        assert code in (0, 2, 3, 4, 5), (i, code, err)
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1 and not out, (i, err)
+        elif command != "dump-chain":
+            json.loads(out)
+    # the fuzz reaches past the parser and the validator
+    assert {0, 2, 3, 4} <= histogram.keys(), histogram

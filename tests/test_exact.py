@@ -224,6 +224,8 @@ def test_mapping_rows_and_dense_view():
     assert rat_matrix([[1, 0, F(1, 2)], [0, 0, 0]]) == m
     # equal rows in a wider matrix are a different matrix
     assert rat_matrix(m.rows, 4) != m
+    # the repr names the shape only
+    assert repr(m) == "RatMatrix(2x3)"
 
 
 @pytest.mark.parametrize("rows", [[{3: 1}], [{-1: 1}]], ids=["key-past-last-column", "negative-key"])

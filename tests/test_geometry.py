@@ -315,7 +315,7 @@ def test_holonomy_numerators_match_generator(xy, p, q, c):
 def test_structurally_degenerate_input_fails_with_hint(s3, monkeypatch):
     # a 2->3 across any face of the sphere joins the two copies of the
     # apex vertex class: the new edge has identified endpoints
-    degenerate = apply_move(s3, MoveSite("2->3", (0, 0)))
+    degenerate = apply_move(s3, MoveSite("2->3", 0))
     loops = [e for e in degenerate.edges if e.tail == e.head]
     assert [(e.id, e.tail) for e in loops] == [(3, 2)]
     draws = []

@@ -34,7 +34,7 @@ def test_one_four_arithmetic(s3):
 
 
 def test_two_three_and_back(s3):
-    grown = apply_move(s3, MoveSite("2->3", (0, 0)))
+    grown = apply_move(s3, MoveSite("2->3", 0))
     assert grown.f_vector() == (4, 7, 6, 3)
     new_edge = [e for e in grown.edges if len(grown.edge_angles[e.id]) == 3]
     assert len(new_edge) == 1
@@ -85,30 +85,32 @@ def test_invalid_sites_rejected(s3):
         (grown, "4->1", -1, "no vertex class -1"),
         (grown, "3->2", 99, "no edge class 99"),
         (grown, "4->1", 99, "no vertex class 99"),
-        (grown, "2->3", (99, 0), "no tetrahedron 99"),
-        (grown, "2->3", (0, 7), "no face slot 7"),
-        (grown, "2->3", (-1, 0), "no tetrahedron -1"),
+        (grown, "2->3", 99, "no face class 99"),
+        (grown, "2->3", -1, "no face class -1"),
         (grown, "1->4", -1, "no tetrahedron -1"),
-        # locations of the wrong shape; a bool is not an index
-        (grown, "2->3", 5, "no face port 5"),
-        (grown, "2->3", (0, 1, 2), "no face port (0, 1, 2)"),
-        (grown, "2->3", (0, True), "no face slot True"),
+        # locations of the wrong shape, a (tetrahedron, face slot) port
+        # among them; a bool is not an index
+        (grown, "2->3", (0, 0), "no face class (0, 0)"),
+        (grown, "2->3", True, "no face class True"),
         (grown, "1->4", (0, 0), "no tetrahedron (0, 0)"),
         (grown, "1->4", True, "no tetrahedron True"),
         (grown, "3->2", (0, 1), "no edge class (0, 1)"),
         (grown, "4->1", 1.0, "no vertex class 1.0"),
         # locations where the move does not apply
-        (one_tet, "2->3", (0, 0), "2->3 needs two distinct tetrahedra sharing the face"),
+        (one_tet, "2->3", 0, "2->3 needs two distinct tetrahedra sharing the face"),
         (s3, "3->2", 0, "edge class 0 is not a 3->2 site (degree 3, distinct tetrahedra, closed cycle required)"),
         (s3, "4->1", 0, "vertex class 0 is not a 4->1 site (its star is not a standard four-tetrahedron ball)"),
         (s3, "5->0", 0, "unknown move kind '5->0'"),
+        # an unhashable kind is unknown too, not a TypeError
+        (s3, ["2->3"], 0, "unknown move kind ['2->3']"),
     ]:
         with pytest.raises(MoveError) as exc:
             apply_move(tri, MoveSite(kind, location))
         assert str(exc.value) == message
-    with pytest.raises(MoveError) as exc:
-        enumerate_sites(s3, "6->1")
-    assert str(exc.value) == "unknown move kind '6->1'"
+    for kind in ("6->1", ["x"]):
+        with pytest.raises(MoveError) as exc:
+            enumerate_sites(s3, kind)
+        assert str(exc.value) == f"unknown move kind {kind!r}"
 
 
 # each kind's refusal where a location names an object but the move does
@@ -121,11 +123,9 @@ REFUSALS = {
 
 
 def candidate_locations(tri, kind):
-    """Every location of one kind the site search looks at: one port per
-    face class, every edge class, tetrahedron and vertex class."""
-    if kind == "2->3":
-        return [f.members[0] for f in tri.faces]
-    return range({"3->2": len(tri.edges), "1->4": tri.size, "4->1": len(tri.vertices)}[kind])
+    """Every location of one kind the site search looks at: every face
+    class, edge class, tetrahedron and vertex class."""
+    return range({"2->3": len(tri.faces), "3->2": len(tri.edges), "1->4": tri.size, "4->1": len(tri.vertices)}[kind])
 
 
 def test_site_search_agrees_with_the_move(s3, rp3):

@@ -720,7 +720,7 @@ def test_incidence_tables_pinned(source):
             None,
             "FaceClass(id=3, members=((0, 2), (1, 0)), vertices=(0, 1, 3))",
         ),
-        (MoveSite("2->3", (0, 1)), ("kind", "location"), None, "MoveSite(kind='2->3', location=(0, 1))"),
+        (MoveSite("2->3", 1), ("kind", "location"), None, "MoveSite(kind='2->3', location=1)"),
     ],
 )
 def test_records_keep_fields_equality_and_repr(record, fields, degree, text):
