@@ -113,8 +113,8 @@ entry of the first nonzero composition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import NotAcyclicError, PentachainError
 from .exact import RatMatrix, format_ratio, rank
@@ -135,8 +135,7 @@ def basis_label(k: int, i: int) -> str:
     return f"db{i + 1}" if k == 5 else f"{'dl' if k == 2 else 'dw'}_e{i}"
 
 
-@dataclass(frozen=True)
-class ChainComplex:
+class ChainComplex(NamedTuple):
     """The five matrices, plus the data they were built from."""
 
     f1: RatMatrix

@@ -26,7 +26,8 @@ geometry with a zero face circulation; and a five-point sample of
 Options are taken by their full names only, never by a prefix.  Integer
 flags (``--seed`` and every count) take the integer grammar of the input
 files, ``exact.parse_integer``: ASCII digits, with a minus only before a
-nonzero value.
+nonzero value.  A path flag (``--file``, ``--geometry`` and ``--out``)
+that is empty or holds a NUL byte is a usage error.
 
 Reports are reproducible byte for byte for fixed (input, seed, version):
 ``--json`` output carries no timing; the human format prints wall time on
@@ -73,7 +74,7 @@ def _load_input(args) -> tuple[str, Triangulation]:
 
 
 def _geometry_override(args, tri):
-    if args.geometry:
+    if args.geometry is not None:
         return parse_geometry(read_text(args.geometry), tri)
     return None
 
@@ -316,7 +317,7 @@ def cmd_pachner(args) -> dict:
         "f_vector_before": list(tri.f_vector()),
         "f_vector_after": list(end.f_vector()),
     }
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(end.to_text())
         report["out"] = args.out
@@ -384,10 +385,18 @@ def _count(minimum: int):
     return parse
 
 
+def _path(text: str) -> str:
+    """argparse type for a path flag: the empty text names no file, and no
+    system call takes a path holding a NUL byte."""
+    if not text or "\0" in text:
+        raise argparse.ArgumentTypeError(f"invalid path: {text!r}")
+    return text
+
+
 def _add_input_flags(parser):
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--builtin", choices=BUILTIN_NAMES, help="built-in triangulation")
-    group.add_argument("--file", help="triangulation file path")
+    group.add_argument("--file", type=_path, help="triangulation file path")
 
 
 @cache
@@ -407,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariant", help="compute the manifold invariant", allow_abbrev=False)
     _add_input_flags(p)
     p.add_argument("--seed", type=_integer, default=0)
-    p.add_argument("--geometry", help="explicit geometry file (overrides sampling)")
+    p.add_argument("--geometry", type=_path, help="explicit geometry file (overrides sampling)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_invariant)
 
@@ -431,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--steps", type=_count(0), default=20)
     p.add_argument("--max-tets", type=_count(1), default=12)
-    p.add_argument("--out", help="write the resulting triangulation here")
+    p.add_argument("--out", type=_path, help="write the resulting triangulation here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_pachner)
 
@@ -444,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dump-chain", help="dump the five matrices, one entry per line", allow_abbrev=False)
     _add_input_flags(p)
     p.add_argument("--seed", type=_integer, default=0)
-    p.add_argument("--geometry", help="explicit geometry file")
+    p.add_argument("--geometry", type=_path, help="explicit geometry file")
     p.set_defaults(func=cmd_dump_chain)
     return parser
 

@@ -90,11 +90,10 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import DegenerateGeometryError, ParseError
 from .exact import clear_denominators, parse_integer, parse_rational
@@ -111,8 +110,7 @@ def subseed(seed: int, *tags) -> int:
     return int.from_bytes(digest, "big")
 
 
-@dataclass(frozen=True)
-class GeometryAssignment:
+class GeometryAssignment(NamedTuple):
     """Plane coordinates and kappa per vertex class as one integer table:
     vertex class v sits at (x[v], y[v]) / den with kappa[v] / den, over
     any positive common denominator ``den``."""

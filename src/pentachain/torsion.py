@@ -169,10 +169,10 @@ invariant.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import prod
+from typing import NamedTuple
 
 from .chain import ChainComplex, build_chain, certify_chain, check_acyclic, expected_ranks
 from .errors import PentachainError, TorsionError
@@ -181,8 +181,7 @@ from .geometry import GeometryAssignment, assign_geometry, face_circulations, su
 from .triangulation import Triangulation
 
 
-@dataclass(frozen=True)
-class BasisPartition:
+class BasisPartition(NamedTuple):
     """Basis split of each middle space C_k, by position: ``ck_rows`` are
     the positions in C_k, the rows of f_k, used as rows of the left map;
     the complement supplies columns of the right map."""
@@ -425,8 +424,7 @@ def _free(n: int, picked: list[int]) -> list[int]:
     return [j for j in range(n) if j not in chosen]
 
 
-@dataclass(frozen=True)
-class InvariantResult:
+class InvariantResult(NamedTuple):
     tau: Fraction
     face_product: Fraction
     vertex_count: int

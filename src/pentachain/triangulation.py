@@ -103,9 +103,10 @@ def inverse(p: Perm) -> Perm:
 class Gluing(NamedTuple):
     """One face gluing: target tetrahedron and the 4-slot permutation.
 
-    This and the three class records below are named tuples: immutable,
-    equal and hashed by their fields, and cheap to build in the bulk that
-    parsing, validation and every move create."""
+    Every record of the package is a named tuple, as this one and the
+    three class records below are: immutable, equal and hashed by their
+    fields, cheap to build in the bulk that parsing, validation and every
+    move create, and cheap to define at import."""
 
     neighbor: int
     perm: Perm

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -72,7 +71,7 @@ def test_mutated_entry_is_detected(s3, sphere_geometry, certified_chain):
     c = certified_chain(s3, sphere_geometry)
     rows = [list(r) for r in c.f2.entries]
     rows[2][5] += 1
-    broken = replace(c, f2=rat_matrix(rows, c.f2.ncols))
+    broken = c._replace(f2=rat_matrix(rows, c.f2.ncols))
     ok, witness = verify_chain(broken)
     assert not ok
     stage, row_label, col_label = witness
@@ -92,7 +91,7 @@ def test_acyclicity_reports(s3, rp3, sphere_geometry, rp3_geometry, certified_ch
 def test_zeroed_f3_breaks_acyclicity(rp3, rp3_geometry, certified_chain):
     c = certified_chain(rp3, rp3_geometry)
     zero = rat_matrix([[F(0)] * c.f3.ncols for _ in range(c.f3.nrows)])
-    broken = replace(c, f3=zero)
+    broken = c._replace(f3=zero)
     with pytest.raises(NotAcyclicError) as reported:
         check_acyclic(broken)
     assert (reported.value.ranks, reported.value.expected) == ((6, 6, 0, 6, 6), (6, 6, 6, 6, 6))
@@ -185,7 +184,7 @@ def perturbed(c, name, i, j, delta):
     m = getattr(c, name)
     rows = [list(r) for r in m.entries]
     rows[i][j] += delta
-    return replace(c, **{name: rat_matrix(rows, m.ncols)})
+    return c._replace(**{name: rat_matrix(rows, m.ncols)})
 
 
 @pytest.mark.parametrize("name, stage", [("f1", 1), ("f3", 2), ("f4", 3), ("f5", 4)])
@@ -269,7 +268,7 @@ def test_free_column_certificate_agrees_with_full_check(s3, rp3, certified_chain
             broken = perturbed(c, f"f{k}", rng.randrange(m.nrows), rng.choice(cols), F(rng.randint(1, 9), 7919))
             cases.append((k, where, broken))
         rows = [{} if i == n % 6 else row for i, row in enumerate(c.f5.rows)]
-        cases.append((5, "zeroed", replace(c, f5=rat_matrix(rows, c.f5.ncols))))
+        cases.append((5, "zeroed", c._replace(f5=rat_matrix(rows, c.f5.ncols))))
         if n == 0:
             cases.append((1, "steered", steered_short_pass(tri, certified_chain)))
         for k, where, broken in cases:
@@ -371,7 +370,7 @@ def test_cancellation_across_denominators_passes():
         f1, f2, zero, zero, zero, vertex_count=0, edge_count=0, edge_table=(1, {}), triangulation=None
     )
     assert verify_chain(planted) == fraction_witness_oracle(planted) == (True, None)
-    off = replace(planted, f1=rat_matrix([[1, F(1, 5)], [1, F(1, 7)], [1, F(19, 104)]]))
+    off = planted._replace(f1=rat_matrix([[1, F(1, 5)], [1, F(1, 7)], [1, F(19, 104)]]))
     # the witness at row 0 and column 1 of f2.f1 is named in C2 and C0
     assert verify_chain(off) == fraction_witness_oracle(off) == (False, (1, "dl_e0", "dt2"))
 

@@ -8,7 +8,6 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -237,7 +236,7 @@ def test_broken_complex_exits_not_acyclic(capsys, monkeypatch):
     def zeroed_f3(*args, **kwargs):
         c = real_build_chain(*args, **kwargs)
         zero = rat_matrix([[0] * c.f3.ncols for _ in range(c.f3.nrows)])
-        return replace(c, f3=zero)
+        return c._replace(f3=zero)
 
     monkeypatch.setattr(torsion, "build_chain", zeroed_f3)
     code, _, err = run(capsys, ["invariant", "--builtin", "rp3"])
@@ -253,7 +252,7 @@ def test_short_stage_exits_not_acyclic(capsys, monkeypatch):
     def truncated_f3(*args, **kwargs):
         c = real_build_chain(*args, **kwargs)
         rows = [row if i < 5 else {} for i, row in enumerate(c.f3.rows)]
-        return replace(c, f3=rat_matrix(rows, c.f3.ncols))
+        return c._replace(f3=rat_matrix(rows, c.f3.ncols))
 
     monkeypatch.setattr(torsion, "build_chain", truncated_f3)
     code, _, err = run(capsys, ["invariant", "--builtin", "rp3"])
@@ -268,7 +267,7 @@ def test_vanishing_f5_minor_exits_not_acyclic(capsys, monkeypatch):
 
     def zeroed_f5(*args, **kwargs):
         c = real_build_chain(*args, **kwargs)
-        return replace(c, f5=rat_matrix([{}] * c.f5.nrows, c.f5.ncols))
+        return c._replace(f5=rat_matrix([{}] * c.f5.nrows, c.f5.ncols))
 
     monkeypatch.setattr(torsion, "build_chain", zeroed_f5)
     code, _, err = run(capsys, ["invariant", "--builtin", "s3"])
@@ -286,7 +285,7 @@ def test_broken_chain_names_the_full_check_witness(capsys, monkeypatch):
         c = real_build_chain(*args, **kwargs)
         rows = [dict(row) for row in c.f4.rows]
         rows[0][0] = rows[0].get(0, 0) + Fraction(1, 7919)
-        return replace(c, f4=rat_matrix(rows, c.f4.ncols))
+        return c._replace(f4=rat_matrix(rows, c.f4.ncols))
 
     monkeypatch.setattr(torsion, "build_chain", perturbed_f4)
     code, out, err = run(capsys, ["invariant", "--builtin", "rp3"])
@@ -303,7 +302,7 @@ def test_short_pass_on_broken_chain_names_the_witness(capsys, monkeypatch):
     def rotated_f3(*args, **kwargs):
         c = real_build_chain(*args, **kwargs)
         rows = c.f3.rows
-        return replace(c, f3=rat_matrix(rows[1:] + rows[:1], c.f3.ncols))
+        return c._replace(f3=rat_matrix(rows[1:] + rows[:1], c.f3.ncols))
 
     monkeypatch.setattr(torsion, "build_chain", rotated_f3)
     code, out, err = run(capsys, ["invariant", "--builtin", "rp3"])
@@ -340,10 +339,10 @@ def test_verify_chain_seed_failures(capsys, monkeypatch, broken, code, message):
     def broken_chain(*args, **kwargs):
         c = real_build_chain(*args, **kwargs)
         if broken == "f3":
-            return replace(c, f3=rat_matrix([{}] * c.f3.nrows, c.f3.ncols))
+            return c._replace(f3=rat_matrix([{}] * c.f3.nrows, c.f3.ncols))
         rows = [dict(row) for row in c.f4.rows]
         rows[0][0] = rows[0].get(0, 0) + Fraction(1, 7919)
-        return replace(c, f4=rat_matrix(rows, c.f4.ncols))
+        return c._replace(f4=rat_matrix(rows, c.f4.ncols))
 
     monkeypatch.setattr(cli, "build_chain", broken_chain)
     argv = ["verify", "--builtin", "rp3", "--samples", "1", "--chain-seeds", "1"]
@@ -401,7 +400,7 @@ def test_verify_checks_the_reported_invariant_against_the_geometries(capsys, mon
 
     def base_differs(tri, seed=0, **kwargs):
         r = real_invariant(tri, seed=seed, **kwargs)
-        return replace(r, abs_invariant=2 * r.abs_invariant) if seed == 0 else r
+        return r._replace(abs_invariant=2 * r.abs_invariant) if seed == 0 else r
 
     monkeypatch.setattr(cli, "invariant", base_differs)
     code, out, err = run(
@@ -516,11 +515,11 @@ def break_checks(monkeypatch, failing):
             return c
         rows = [dict(row) for row in c.f4.rows]
         rows[0][0] = rows[0].get(0, 0) + Fraction(1, 7919)
-        return replace(c, f4=rat_matrix(rows, c.f4.ncols))
+        return c._replace(f4=rat_matrix(rows, c.f4.ncols))
 
     def wrong_on_walk(tri, seed=0, **kwargs):
         r = real_invariant(tri, seed=seed, **kwargs)
-        return replace(r, abs_invariant=r.abs_invariant + 1) if seed in bad_steps else r
+        return r._replace(abs_invariant=r.abs_invariant + 1) if seed in bad_steps else r
 
     monkeypatch.setattr(cli, "assign_geometry", assign)
     monkeypatch.setattr(cli, "build_chain", build)
@@ -604,7 +603,7 @@ def test_verify_lists_values_past_the_digit_limit(capsys, monkeypatch, cpus, che
         # the base invariant (seed 0) differs from the other geometries;
         # every Pachner move changes the number of tetrahedra
         offset = seed == 0 if check == "geometry" else len(tri.tets)
-        return replace(r, abs_invariant=Fraction(HUGE + offset))
+        return r._replace(abs_invariant=Fraction(HUGE + offset))
 
     if check == "partition":
         count = itertools.count()
@@ -1055,6 +1054,28 @@ def test_integer_flag_outside_ascii_digits_exits_usage_error(capsys, argv, flag,
     assert f"argument {flag}: invalid int value: {value!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariant", "--file"],
+        ["invariant", "--builtin", "s3", "--geometry"],
+        ["pachner", "--builtin", "s3", "--steps", "1", "--json", "--out"],
+        ["dump-chain", "--builtin", "s3", "--geometry"],
+    ],
+    ids=["invariant-file", "invariant-geometry", "pachner-out", "dump-chain-geometry"],
+)
+@pytest.mark.parametrize("value", ["", "a\0b"], ids=["empty", "nul"])
+def test_bad_path_flag_exits_usage_error(capsys, argv, value):
+    # refused by the parser, before an empty --geometry or --out could be
+    # read as no flag or a NUL byte could reach open
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, value])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: argument {argv[-1]}: invalid path: {value!r}\n" in err
+
+
 def test_negative_seed_still_runs(capsys):
     code, out, _ = run(capsys, ["invariant", "--builtin", "s3", "--seed", "-3", "--json"])
     assert code == 0
@@ -1217,7 +1238,7 @@ def test_walk_invariance_failure_carries_replayable_state(capsys, monkeypatch):
         elif tri is not inputs[0]:
             states.append(tri)
             if len(states) == 2:
-                return replace(result, abs_invariant=result.abs_invariant + 1)
+                return result._replace(abs_invariant=result.abs_invariant + 1)
         return result
 
     monkeypatch.setattr(cli, "invariant", wrong_on_second_walk_state)

@@ -1,5 +1,7 @@
 import ast
 import io
+import subprocess
+import sys
 import tokenize
 from functools import cache
 from pathlib import Path
@@ -245,6 +247,23 @@ def test_module_public_names_have_a_package_reader(path):
     module is read by some package module or exported by the package; a
     helper only tests call belongs with the tests."""
     assert unread_public_names(path.read_text(), names_read_or_exported_by_package()) == []
+
+
+# run in a fresh interpreter that can import the package: the CLI's
+# start-up loads neither module (dataclasses brings inspect, ast and dis
+# with it), which CI also asserts of the installed package
+STARTUP_CHECK = (
+    "import sys, pentachain.cli\n"
+    "loaded = sorted({'dataclasses', 'inspect'} & sys.modules.keys())\n"
+    "assert not loaded, loaded\n"
+)
+
+
+def test_cli_start_up_imports_neither_dataclasses_nor_inspect():
+    # -S: no site module, so only the standard library and src are importable
+    source = f"import sys\nsys.path.insert(0, {str(PACKAGE.parent)!r})\n" + STARTUP_CHECK
+    result = subprocess.run([sys.executable, "-S", "-c", source], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING}

@@ -13,11 +13,13 @@ from pentachain import (
     enumerate_sites,
     invariant,
     random_walk,
+    subseed,
     walk_states,
 )
 from pentachain.pachner import _bistellar
-from reference import canonical_form, eager_walk_states, isomorphic, transposition
+from reference import canonical_form, eager_walk_states, isomorphic, subdivided, transposition
 from test_geometry import fresh_star
+from test_torsion import SUBDIVIDED_GOLDENS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -191,6 +193,25 @@ def test_walks_preserve_invariant(s3, rp3):
         for seed in (101, 202):
             end = random_walk(tri, 12, seed=seed, max_tets=10)
             assert invariant(end, seed=seed).abs_invariant == expect
+
+
+def test_walks_off_s3_and_rp3_preserve_invariant():
+    """Pachner walks from four lens spaces and from s3 and rp3, each
+    subdivided once: a growing walk (``max_tets`` above T) and a shrinking
+    one (below T, so 3->2 and 4->1 moves run) per input.  |inv| at a
+    geometry seed of its own on every fifth state and the last is the
+    input's golden; the walks make every kind of move."""
+    kinds, steps = set(), 15
+    for name in ("L(2,1)'", "L(5,2)'", "L(7,2)'", "L(8,3)'", "s3'", "rp3'"):
+        tri, (_, expected) = subdivided(name), SUBDIVIDED_GOLDENS[name]
+        for w, max_tets in enumerate((tri.size + 20, tri.size - 20)):
+            seed = subseed(24, name, w)
+            for step, (site, state) in enumerate(walk_states(tri, steps, seed, max_tets), start=1):
+                kinds.add(site.kind)
+                if step % 5 == 0 or step == steps:
+                    value = invariant(state, seed=step).abs_invariant
+                    assert value == expected, f"{name}: walk seed {seed}, step {step} (its geometry seed): {value}"
+    assert kinds == set(KINDS)
 
 
 @pytest.mark.parametrize("max_tets", [4, 12])

@@ -1,6 +1,5 @@
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
@@ -539,7 +538,7 @@ def test_f1_root_without_an_apex_reaches_the_diagnostics(s3, sphere_geometry, ce
     dk = {3 * u + 2 for u in s3.shelling(0)[0]}
     f1 = c.f1
     zeroed = [{} if i in dk else row for i, row in enumerate(f1.numerators)]
-    broken = replace(c, f1=RatMatrix(zeroed, f1.denominators, f1.ncols))
+    broken = c._replace(f1=RatMatrix(zeroed, f1.denominators, f1.ncols))
     for seed in (None, *range(3)):
         assert f1_root_split(broken, seed) is None
         with pytest.raises(NotAcyclicError) as caught:
