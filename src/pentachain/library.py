@@ -18,7 +18,7 @@ are test data and live with the tests.
 
 from __future__ import annotations
 
-from importlib import resources
+import os
 
 from .errors import ValidationError
 from .triangulation import Triangulation
@@ -27,8 +27,11 @@ BUILTIN_NAMES = ("s3", "rp3")
 
 
 def _load(name: str) -> Triangulation:
-    text = resources.files("pentachain.data").joinpath(f"{name}.tri").read_text()
-    return Triangulation.from_text(text)
+    # the module's own loader reads the file, as pkgutil.get_data does:
+    # importlib.resources imports inspect (and with it ast and dis) on
+    # Python 3.12 and later
+    path = os.path.join(os.path.dirname(__file__), "data", f"{name}.tri")
+    return Triangulation.from_text(__spec__.loader.get_data(path).decode("utf-8"))
 
 
 def load_builtin(name: str) -> Triangulation:

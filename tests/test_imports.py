@@ -250,10 +250,12 @@ def test_module_public_names_have_a_package_reader(path):
 
 
 # run in a fresh interpreter that can import the package: the CLI's
-# start-up loads neither module (dataclasses brings inspect, ast and dis
-# with it), which CI also asserts of the installed package
+# start-up and a builtin load bring in neither module (dataclasses brings
+# inspect, ast and dis with it, and so does importlib.resources on Python
+# 3.12 and later), which CI also asserts of the installed package
 STARTUP_CHECK = (
     "import sys, pentachain.cli\n"
+    "pentachain.cli.load_builtin('rp3')\n"
     "loaded = sorted({'dataclasses', 'inspect'} & sys.modules.keys())\n"
     "assert not loaded, loaded\n"
 )
