@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: ``invariant`` (full pipeline on one triangulation),
-``verify`` (the pentagon sample suite, then chain/acyclicity/independence/
-walk suites on one triangulation),
+``verify`` (the invariant of one triangulation, then the pentagon sample,
+chain/acyclicity, independence and walk suites),
 ``pachner`` (seeded random walk, optionally writing the result),
 ``pentagon`` (five-point identity suites alone) and ``dump-chain``
 (diffable matrix dump).
@@ -60,7 +60,7 @@ from .exact import format_rational, parse_integer
 from .geometry import assign_geometry, draw_rationals, parse_geometry, subseed
 from .library import BUILTIN_NAMES, load_builtin
 from .pachner import random_walk, walk_states
-from .pentagon import FivePointConfig, verify_pentagon, verify_vector_identities
+from .pentagon import LABELS, FivePointConfig, verify_pentagon, verify_vector_identities
 from .torsion import invariant, select_partition, tau
 from .triangulation import Triangulation, read_text
 
@@ -131,7 +131,7 @@ def _check_vector_identities(seed: int, samples: int) -> int:
         # x then y of A..E, each randint(-20, 20) / randint(1, 7), as
         # integers over the lcm of the ten denominators
         den, coords = draw_rationals(getrandbits, 10, 20, 7)
-        pts = {lab: (coords[2 * i], coords[2 * i + 1]) for i, lab in enumerate(("A", "B", "C", "D", "E"))}
+        pts = {lab: (coords[2 * i], coords[2 * i + 1]) for i, lab in enumerate(LABELS)}
         try:
             if not verify_vector_identities(pts, den):
                 raise InvarianceError(f"vector identities failed at point configuration {j}")
@@ -257,8 +257,9 @@ def _run_checks(checks) -> None:
 
 
 def cmd_verify(args) -> dict:
-    """Run the pentagon samples and the chain, partition, geometry and walk
-    checks on one input; the first failure raises.
+    """Read the input and compute its invariant, then run the pentagon
+    samples and the chain, partition, geometry and walk checks; the first
+    failure raises.
 
     The checks are independent, so ``_run_checks`` spreads them over the
     usable cores (Linux) and the report is the same as a serial run's.
@@ -267,17 +268,10 @@ def cmd_verify(args) -> dict:
     memory adds up across processes; the benchmark's ``peak_rss_mb`` and
     its ``--trace 1`` see only this one.
     """
-    samples = partial(_check_pentagon_samples, args.seed, args.samples)
-    try:
-        name, tri = _load_input(args)
-        base = invariant(tri, seed=args.seed)
-    except Exception:
-        # a serial run checks the samples before it reads the input
-        samples()
-        raise
-
+    name, tri = _load_input(args)
+    base = invariant(tri, seed=args.seed)
     expected = base.abs_invariant
-    checks = [samples]
+    checks = [partial(_check_pentagon_samples, args.seed, args.samples)]
     checks += [partial(_check_chain_seed, tri, args.seed, i) for i in range(args.chain_seeds)]
     checks.append(partial(_check_partitions, tri, args.seed, args.partition_seeds))
     checks.append(partial(_check_geometries, tri, args.seed, args.geometry_seeds, expected))
@@ -393,12 +387,6 @@ def _path(text: str) -> str:
     return text
 
 
-def _add_input_flags(parser):
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--builtin", choices=BUILTIN_NAMES, help="built-in triangulation")
-    group.add_argument("--file", type=_path, help="triangulation file path")
-
-
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared by every
@@ -413,16 +401,23 @@ def build_parser() -> argparse.ArgumentParser:
     # would read a --geometry, which it does not take, as --geometry-seeds
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("invariant", help="compute the manifold invariant", allow_abbrev=False)
-    _add_input_flags(p)
-    p.add_argument("--seed", type=_integer, default=0)
+    def command(name, func, help, reads_input=True):
+        """A subcommand running ``func``, with the input flags when it
+        ``reads_input`` and always ``--seed``."""
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        if reads_input:
+            group = p.add_mutually_exclusive_group(required=True)
+            group.add_argument("--builtin", choices=BUILTIN_NAMES, help="built-in triangulation")
+            group.add_argument("--file", type=_path, help="triangulation file path")
+        p.add_argument("--seed", type=_integer, default=0)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("invariant", cmd_invariant, "compute the manifold invariant")
     p.add_argument("--geometry", type=_path, help="explicit geometry file (overrides sampling)")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_invariant)
 
-    p = sub.add_parser("verify", help="run the verification suites", allow_abbrev=False)
-    _add_input_flags(p)
-    p.add_argument("--seed", type=_integer, default=0)
+    p = command("verify", cmd_verify, "run the verification suites")
     p.add_argument("--walks", type=_count(0), default=5)
     p.add_argument("--steps", type=_count(0), default=20)
     p.add_argument("--samples", type=_count(0), default=100)
@@ -433,28 +428,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-every", type=_count(1), default=5,
                    help="verify the invariant every N walk steps (and at the end)")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("pachner", help="run a random bistellar walk", allow_abbrev=False)
-    _add_input_flags(p)
-    p.add_argument("--seed", type=_integer, default=0)
+    p = command("pachner", cmd_pachner, "run a random bistellar walk")
     p.add_argument("--steps", type=_count(0), default=20)
     p.add_argument("--max-tets", type=_count(1), default=12)
     p.add_argument("--out", type=_path, help="write the resulting triangulation here")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_pachner)
 
-    p = sub.add_parser("pentagon", help="five-point identity suites", allow_abbrev=False)
-    p.add_argument("--seed", type=_integer, default=0)
+    p = command("pentagon", cmd_pentagon, "five-point identity suites", reads_input=False)
     p.add_argument("--samples", type=_count(0), default=100)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_pentagon)
 
-    p = sub.add_parser("dump-chain", help="dump the five matrices, one entry per line", allow_abbrev=False)
-    _add_input_flags(p)
-    p.add_argument("--seed", type=_integer, default=0)
+    p = command("dump-chain", cmd_dump_chain, "dump the five matrices, one entry per line")
     p.add_argument("--geometry", type=_path, help="explicit geometry file")
-    p.set_defaults(func=cmd_dump_chain)
     return parser
 
 

@@ -477,11 +477,7 @@ class Triangulation:
                     raise ParseError(f"tet {t}: bad gluing field {field!r}") from exc
                 perm = _PERM_OF_TEXT.get(perm_text)
                 if perm is None:
-                    # decimal digits keep the message they had when each
-                    # went through int()
-                    if all(ch.isdecimal() for ch in perm_text):
-                        raise ParseError(f"tet {t}: bad permutation in {field!r}")
-                    raise ParseError(f"tet {t}: bad gluing field {field!r}")
+                    raise ParseError(f"tet {t}: bad permutation in {field!r}")
                 row.append(Gluing(neighbor, perm))
             rows.append(row)
         return cls(rows)

@@ -351,7 +351,7 @@ def test_verify_chain_seed_failures(capsys, monkeypatch, broken, code, message):
 
 @pytest.mark.parametrize(
     "argv",
-    # verify runs its samples before it reads the input
+    # a valid input, so verify reads it and reaches its samples
     [["verify", "--builtin", "s3", "--samples", "1"], ["pentagon", "--samples", "1"]],
     ids=["verify", "pentagon"],
 )
@@ -623,21 +623,35 @@ def test_verify_lists_values_past_the_digit_limit(capsys, monkeypatch, cpus, che
         assert next(count) == 2
 
 
-def test_verify_checks_its_samples_before_a_missing_input(capsys, monkeypatch, tmp_path):
-    real_verify_pentagon = cli.verify_pentagon
-    samples = []
-    monkeypatch.setattr(cli, "verify_pentagon", lambda cfg: samples.append(cfg) or real_verify_pentagon(cfg))
-    code, out, err = run(capsys, ["verify", "--file", str(tmp_path / "missing.tri")])
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and "missing.tri" in err
-    assert len(samples) == 100
+@pytest.mark.parametrize(
+    "name, code, message, fail_samples",
+    [
+        ("missing", 2, "missing.tri", False),
+        ("missing", 2, "missing.tri", True),
+        # the loop-edge input of test_degenerate_geometry_exit_code
+        ("loop-edge", 4, "edge class 3 joins vertex class 2 to itself", False),
+    ],
+    ids=["missing", "missing-failing-sample", "loop-edge"],
+)
+def test_verify_reads_its_input_before_its_samples(capsys, monkeypatch, tmp_path, name, code, message, fail_samples):
+    path = tmp_path / f"{name}.tri"
+    if name == "loop-edge":
+        path.write_text(apply_move(load_builtin("s3"), MoveSite("2->3", 0)).to_text())
+    expected = run(capsys, ["invariant", "--file", str(path)])
+    assert expected[0] == code and message in expected[2]
+    samples, forks = [], []
+    check = (lambda cfg: (0, 1, False)) if fail_samples else cli.verify_pentagon
 
+    def no_fork():
+        forks.append(1)
+        raise BlockingIOError("Resource temporarily unavailable")
 
-def test_verify_reports_a_failing_sample_before_a_missing_input(capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr(cli, "verify_pentagon", lambda cfg: (0, 1, False))
-    code, out, err = run(capsys, ["verify", "--file", str(tmp_path / "missing.tri")])
-    assert (code, out) == (6, "")
-    assert err == "error: pentagon identity failed at sample 0: 0 != 1\n"
+    monkeypatch.setattr(cli, "verify_pentagon", lambda cfg: samples.append(cfg) or check(cfg))
+    monkeypatch.setattr(os, "fork", no_fork)
+    use_cpus(monkeypatch, 2)
+    assert run(capsys, ["verify", "--file", str(path)]) == expected
+    assert (samples, forks) == ([], [])
+    assert_no_child_left()
 
 
 def test_pentagon_command(capsys):

@@ -282,14 +282,15 @@ def test_parse_errors():
         with pytest.raises(ParseError) as exc:
             Triangulation.from_text(s3.replace(old, new, 1))
         assert str(exc.value) == message
-    # what was rejected before keeps its message
+    # what was rejected before still is; every permutation text outside
+    # the 24 is a bad permutation, whatever characters it holds
     for old, new, error, message in (
         ("tetrahedra 2", "tetrahedra x", ParseError, "bad tetrahedron count"),
         ("tetrahedra 2", "tetrahedra 0", ParseError, "tetrahedron count must be positive"),
         ("tetrahedra 2", "tetrahedra -2", ParseError, "tetrahedron count must be positive"),
         ("tet 0: 1:", "tet 0: x:", ParseError, "tet 0: bad gluing field 'x:0123'"),
-        ("tet 0: 1:0123", "tet 0: 1:01x3", ParseError, "tet 0: bad gluing field '1:01x3'"),
-        ("tet 0: 1:0123", "tet 0: 1:0\u00b923", ParseError, "tet 0: bad gluing field '1:0\u00b923'"),
+        ("tet 0: 1:0123", "tet 0: 1:01x3", ParseError, "tet 0: bad permutation in '1:01x3'"),
+        ("tet 0: 1:0123", "tet 0: 1:0\u00b923", ParseError, "tet 0: bad permutation in '1:0\u00b923'"),
         ("tet 0: 1:0123", "tet 0: 1:0123:", ParseError, "tet 0: bad gluing field '1:0123:'"),
         ("tet 0: 1:0123", "tet 0: 1:", ParseError, "tet 0: bad permutation in '1:'"),
         ("tet 0: 1:0123", "tet 0: 1:01234", ParseError, "tet 0: bad permutation in '1:01234'"),
