@@ -80,10 +80,14 @@ integer pair ``(numerator, L)``, not reduced.  The gradient stage, run
 only by the full ``curvature``, gives the partials by every key the
 angles touch as an integer table ``(den, {key: int})`` with den dividing
 L.  ``omega_row`` hands the full call to ``chain.build_chain`` as an f3
-row; a single partial (``pentagon.verify_pentagon``) reads its key from
-it, zero if the angles do not touch the key.  A caller that reads only
-the value (the closure check of ``pentagon.verify_vector_identities``)
-runs the first two stages and builds no gradient.
+row.  The five-point verifier builds no gradient: it keeps a
+configuration's angle terms and runs on them the value stage
+(``curvature_value``, the sampler's flatness check) and
+``he_partial``, the gradient stage's entry for the one key that sits
+only on each angle's side he, as ``pentagon.verify_pentagon`` reads
+d(omega_ED)/d(lambda_ED).  The closure check of
+``pentagon.verify_vector_identities`` runs ``angle_terms`` once on the
+flat table and shifts the terms onto each perturbed one itself.
 """
 
 from __future__ import annotations
@@ -341,6 +345,19 @@ def curvature(table, angles: Iterable, where: Callable) -> tuple[tuple[int, int]
     g = gcd(d * d, common)
     dd = d * d // g
     return (numerator, common), (common // g, {key: dd * dv for key, dv in row.items()})
+
+
+def he_partial(d: int, terms: list[tuple]) -> tuple[int, int]:
+    """The gradient stage's entry for the key of the side he alone, on
+    angles where no other side carries that key: the integer pair ``(D^2
+    total, 2 l^2)``, not reduced, with total the sum of -s r^2 n (b1 + b2),
+    s the sign of he, as ``curvature`` sums it."""
+    l = lcm(*[t[0] for t in terms])
+    total = 0
+    for bb, n, sides, b1, b2 in terms:
+        r = l // bb
+        total -= sides[5][1] * r * r * n * (b1 + b2)
+    return d * d * total, 2 * l * l
 
 
 def _face_at(tri: Triangulation, contribution, opposite: int) -> str:

@@ -24,22 +24,23 @@ The checks run on the integer path that builds the curvature derivative
 matrix for triangulations.  The local complex is resolved into sides at
 import, as a triangulation resolves its own: every triangle a check reads
 is held as its three ``(pair, sign)`` sides (the bilinear relation's
-S_xDy and S_zDE, S_ABC and the three S_xDE of the two-to-three identity,
-and the three circulations of each Cramer step, beside the sign of D-E
-among each one's sides), and ``ANGLES`` holds the six sides of each angle
-at E->D.  A configuration is its integer value table ``(D, numerators)``,
-the shape ``geometry.edge_values`` returns, and ``FivePointConfig(D,
-numerators)`` is its one constructor: the value of a pair is its
-numerator over D.  Every circulation is an integer over D,
-``geometry.circulation`` of a resolved triangle's sides on that table,
-called directly and once per table: the vector identities sum the nine of
-the Cramer steps on the flat table alone and shift them onto the
-closure's (below).  The curvature of a configuration, its integer value
-pair and its gradient, is one full ``geometry.curvature`` on the same
-table, computed once per configuration and shared by the sampler's
-flatness check and ``verify_pentagon``; the closure check reads only the
-value, the first two stages of the same kernel, straight off its
-perturbed table.
+S_xDy and S_zDE, S_ABC of the two-to-three identity, and the three
+circulations of each Cramer step, beside the sign of D-E among each one's
+sides), and ``ANGLES`` holds the six sides of each angle at E->D, D-E
+being the side he of each and of no other side.  A configuration is its
+integer value table ``(D, numerators)``, the shape ``geometry.edge_values``
+returns, and ``FivePointConfig(D, numerators)`` is its one constructor:
+the value of a pair is its numerator over D.  Every circulation is an
+integer over D, ``geometry.circulation`` of a resolved triangle's sides on
+that table, called directly and once per table: the vector identities sum
+the nine of the Cramer steps on the flat table alone and shift them onto
+the closure's (below).  Every configuration goes through the quotient rule
+once: ``geometry.angle_terms`` of the local complex on its table, which a
+configuration caches as ``terms``.  The sampler's flatness check reads the
+value stage off them, and ``verify_pentagon`` the one partial it needs,
+the gradient stage's entry for D-E (``geometry.he_partial``); no full
+gradient is built.  The closure check takes the flat table's terms once
+and shifts them onto each perturbed table, as it shifts the circulations.
 
 The sampler draws integers from the start: the nine free values come from
 ``geometry.draw_rationals``, the package's one sampler, over the lcm of
@@ -47,8 +48,8 @@ their denominators, and the flat lambda_ED is solved on that table: of
 the six circulations in the bilinear relation only the three S_xDE hold
 lambda_ED, each once with sign -1, so the relation's value at
 lambda_ED = 0 and its slope are integers read off that table.  The solved
-lambda_ED = p / q puts the table over D q, and the two-to-three identity
-is compared cross-multiplied in integers.
+lambda_ED = p / q, reduced by one gcd, puts the table over D q, and the
+two-to-three identity is compared cross-multiplied in integers.
 
 The vector identities never leave the integers.  The five points come as
 integer points over one denominator L, as the sampler draws them, so
@@ -61,17 +62,20 @@ flat one, less 2 L^2 p on D-E, so each circulation on it is q times the
 flat one less 2 L^2 p times the sign of D-E among the triangle's sides,
 resolved at import.  That sign is 0 without a D-E side, so only the
 S_ED* terms shift.  The closure composes the Cramer steps on these
-shifted circulations, S_EDA among them, and reads omega_ED on the table
-itself as an unreduced integer pair (a common factor scales both sides
-of each comparison alike).  A Cramer step, E->b from E->D and E->a, takes
-the three integers S_EDa, S_Eba and S_EDb of one table, read or shifted
-on its triangles resolved at import, and keeps E->b projective, an
-integer numerator vector over an integer denominator; a uniform scale of
-the circulations cancels out of it.  Every equality is compared
-cross-multiplied in integers.  The holonomy generator at omega = p / q, a
-2x2 matrix, is ``geometry.holonomy_numerators`` at the integer E->D,
-integers over 2 q, checked by its action on E->D and on E->A, E->B, with
-S_EDA and S_EDB the flat circulations of the first Cramer step.
+shifted circulations, S_EDA among them, and reads omega_ED as an
+unreduced integer pair (a common factor scales both sides of each
+comparison alike) off the flat angle terms shifted the same way: each n
+holds no D-E side and becomes q n, and each denominator circulation b1,
+b2 is an S_xDE and becomes q b - 2 L^2 p s, s the sign of D-E in it.  A
+Cramer step, E->b from E->D and E->a, takes the three integers S_EDa,
+S_Eba and S_EDb of one table, read or shifted on its triangles resolved
+at import, and keeps E->b projective, an integer numerator vector over an
+integer denominator; a uniform scale of the circulations cancels out of
+it.  Every equality is compared cross-multiplied in integers.  The
+holonomy generator at omega = p / q, a 2x2 matrix, is
+``geometry.holonomy_numerators`` at the integer E->D, integers over 2 q,
+checked by its action on E->D and on E->A, E->B, with S_EDA and S_EDB the
+flat circulations of the first Cramer step.
 """
 
 from __future__ import annotations
@@ -80,10 +84,11 @@ import random
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
+from math import gcd
 from typing import Mapping
 
 from .errors import DegenerateGeometryError, PentachainError
-from .geometry import angle_terms, circulation, curvature, curvature_value, draw_rationals, holonomy_numerators
+from .geometry import angle_terms, circulation, curvature_value, draw_rationals, he_partial, holonomy_numerators
 
 LABELS = ("A", "B", "C", "D", "E")
 
@@ -126,14 +131,12 @@ def _de_sign(triangle) -> int:
 
 
 # the triangles the checks read, resolved once: the bilinear relation's
-# pairs (S_xDy, S_zDE); S_ABC and S_ADE, S_BDE, S_CDE of the two-to-three
-# identity; and, for each Cramer step with its labels a and b, the
-# triangles (S_EDa, S_Eba, S_EDb) and the sign of D-E in each, by which
-# perturbing lambda_ED shifts their circulations (S_EDA and S_EDB are the
-# first and third of the A step)
+# pairs (S_xDy, S_zDE); S_ABC of the two-to-three identity; and, for each
+# Cramer step with its labels a and b, the triangles (S_EDa, S_Eba, S_EDb)
+# and the sign of D-E in each, by which perturbing lambda_ED shifts their
+# circulations (S_EDA and S_EDB are the first and third of the A step)
 _FLATNESS = tuple((_triangle(x, "D", y), _triangle(z, "D", "E")) for x, y, z in ("ABC", "BCA", "CAB"))
 _ABC = _triangle("A", "B", "C")
-_XDE = tuple(_triangle(x, "D", "E") for x in "ABC")
 _CRAMER = tuple(
     (a, b, triangles, tuple(_de_sign(t) for t in triangles))
     for a, b in CRAMER_STEPS
@@ -160,7 +163,9 @@ ANGLES = tuple(
 class FivePointConfig:
     """Edge values on the ten pairs of A..E, alphabetical storage order,
     held as the integer value table ``table = (D, numerators)``: the value
-    of a pair is its numerator over D > 0."""
+    of a pair is its numerator over D > 0.  ``terms``, its angle terms at
+    E->D, is computed on first use and cached; the sampler's flatness
+    check and ``verify_pentagon`` both read it."""
 
     def __init__(self, d: int, numerators: dict):
         self.table = (d, numerators)
@@ -189,17 +194,19 @@ class FivePointConfig:
                     raise
 
     @cached_property
-    def curvature(self) -> tuple[tuple[int, int], tuple[int, dict]]:
-        """omega_ED as an integer pair ``(numerator, den)`` and its
-        gradient table, ``geometry.curvature`` of the local complex on
-        ``table``."""
-        return curvature(self.table, ANGLES, _where)
+    def terms(self) -> list[tuple]:
+        """``geometry.angle_terms`` of the local complex at E->D on
+        ``table``, one tuple per angle of ``ANGLES``."""
+        return angle_terms(self.table[1], ANGLES, _where)
 
     def with_lambda_ed(self, lambda_ed) -> "FivePointConfig":
         """This configuration with lambda_ED = p / q (a Fraction or an
         int), on the table over D q."""
+        return self._with_ed(lambda_ed.numerator, lambda_ed.denominator)
+
+    def _with_ed(self, p: int, q: int) -> "FivePointConfig":
+        """``with_lambda_ed`` at p / q, in lowest terms with q > 0."""
         d, numerators = self.table
-        p, q = lambda_ed.numerator, lambda_ed.denominator
         scaled = {key: n * q for key, n in numerators.items()}
         scaled[ED_PAIR] = -p * d  # stored as lambda_DE
         return FivePointConfig(d * q, scaled)
@@ -219,9 +226,10 @@ def flat_config(cfg: FivePointConfig) -> FivePointConfig:
     of ``cfg`` the bilinear relation is a0 / D^2 - lambda_ED * t / D, with
     a0 the integer relation at lambda_ED = 0 (n_DE taken out of each
     S_xDE) and t = S_ADB + S_BDC + S_CDA times D.  The leading coefficient
-    -t / D must be nonzero, and lambda_ED = a0 / (D t).  The result is
-    checked by its curvature at E->D alone, which vanishes iff the
-    relation holds.
+    -t / D must be nonzero, and lambda_ED = a0 / (D t), reduced by one
+    gcd over a positive denominator.  The result is checked by its
+    curvature at E->D alone, the value stage on its cached ``terms``,
+    which vanishes iff the relation holds.
     """
     d, numerators = cfg.table
     terms = _flatness_terms(numerators)
@@ -232,8 +240,9 @@ def flat_config(cfg: FivePointConfig) -> FivePointConfig:
             "not determine lambda_ED (vanishing leading coefficient)"
         )
     at0 = sum(a * (b - numerators[ED_PAIR]) for a, b in terms)
-    solved = cfg.with_lambda_ed(Fraction(at0, d * lead))
-    if solved.curvature[0][0] != 0:
+    g = gcd(at0, d * lead) if lead > 0 else -gcd(at0, d * lead)
+    solved = cfg._with_ed(at0 // g, d * lead // g)
+    if curvature_value(solved.table[0], solved.terms)[0] != 0:
         raise PentachainError("internal error: the solved lambda_ED leaves a nonzero curvature at E->D")
     return solved
 
@@ -244,15 +253,18 @@ def verify_pentagon(cfg: FivePointConfig) -> tuple[Fraction, Fraction, bool]:
     configuration whose lambda_ED already satisfies flatness.
 
     On the table (D, n) the left side is an integer over D and the right
-    one an integer over D^3 times the gradient's denominator; the sides
+    one an integer over D^3 times the partial's denominator; the sides
     are compared cross-multiplied.  The derivative by lambda_ED is minus
-    the gradient's entry for the stored lambda_DE.
+    the partial by the stored lambda_DE, the side he of every angle and
+    of no other side: ``geometry.he_partial`` on the cached ``terms``,
+    whose b1 are S_ADE, S_BDE and S_CDE in ``ANGLES`` order.
     """
     d, numerators = cfg.table
-    _, (den, grad) = cfg.curvature
+    terms = cfg.terms
+    partial, den = he_partial(d, terms)
     lhs, rhs_den = circulation(numerators, _ABC), d**3 * den
-    ade, bde, cde = [circulation(numerators, t) for t in _XDE]
-    rhs = -ade * bde * cde * grad.get(ED_PAIR, 0)
+    ade, bde, cde = [t[3] for t in terms]
+    rhs = -ade * bde * cde * partial
     return Fraction(lhs, d), Fraction(rhs, rhs_den), lhs * rhs_den == rhs * d
 
 
@@ -299,11 +311,13 @@ def verify_vector_identities(points: Mapping[str, tuple[int, int]], den: int) ->
     of its circulations is q times the flat one less 2 L^2 p times the
     sign of D-E among the triangle's sides, and S_EDA and S_EDB are read
     off the A step.  The closure reads omega_ED from
-    ``geometry.angle_terms`` and ``geometry.curvature_value`` alone, as an
-    unreduced integer pair with no gradient and no configuration built.
-    Its angles' only denominators are S_ADE, S_BDE and S_CDE, which the
-    Cramer steps on the same table have already found nonzero, so the
-    curvature cannot raise there.
+    ``geometry.curvature_value`` alone, as an unreduced integer pair, on
+    ``geometry.angle_terms`` of the flat table, taken once after the
+    Cramer steps and shifted the same way per perturbation: no perturbed
+    table, no gradient and no configuration is built.  The angles' only
+    denominators are S_ADE, S_BDE and S_CDE, which the Cramer steps on the
+    flat and on each perturbed table have already found nonzero, so
+    neither stage can fail there.
     """
     ex, ey = points["E"]
     vec = {k: (points[k][0] - ex, points[k][1] - ey) for k in LABELS}  # L (E -> k)
@@ -324,6 +338,8 @@ def verify_vector_identities(points: Mapping[str, tuple[int, int]], den: int) ->
             return False
         steps.append((a, circulations, signs))
     _, (s_eda, _, s_edb), (eda_sign, _, _) = steps[0]
+    # the steps found S_EDA, S_EDB and S_EDC nonzero, so this cannot raise
+    flat_terms = angle_terms(flat, ANGLES, _where)
 
     # closure: perturb lambda_ED by p / q away from the flat (planar) value,
     # putting every value over 2L^2 q, and run EB, EC, EA_new through the
@@ -331,14 +347,18 @@ def verify_vector_identities(points: Mapping[str, tuple[int, int]], den: int) ->
     for delta in CLOSURE_DELTAS:
         p, q = delta.numerator, delta.denominator
         shift = scale * p
-        lam = {key: q * n for key, n in flat.items()}
-        lam[ED_PAIR] -= shift  # stored as lambda_DE
         e = (ea, 1)
         for a, (c1, c2, c3), (s1, s2, s3) in steps:
             e = cramer_step((q * c1 - s1 * shift, q * c2 - s2 * shift, q * c3 - s3 * shift), ed, e, a)
         (x, y), d = e
-        # omega_ED = w / w_den, the value stage alone on the perturbed table
-        w, w_den = curvature_value(scale * q, angle_terms(lam, ANGLES, _where))
+        # omega_ED = w / w_den, the value stage alone on the flat terms
+        # shifted as the circulations are: D-E is the side he alone
+        terms = []
+        for _, n, sides, b1, b2 in flat_terms:
+            s = sides[5][1] * shift
+            b1, b2 = q * b1 - s, q * b2 - s
+            terms.append((b1 * b2, q * n, sides, b1, b2))
+        w, w_den = curvature_value(scale * q, terms)
         # EA_new == EA + omega_ED S_EDA ED with S_EDA = s(E, D, A) / 2L^2 q;
         # both sides times d, 2L^2 q and w_den
         big, moved = scale * q * w_den, w * (q * s_eda - eda_sign * shift)

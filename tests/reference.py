@@ -68,7 +68,7 @@ from pentachain.chain import basis_label
 from pentachain.exact import clear_denominators, independent_rows, permutation_sign
 from pentachain.geometry import SAMPLE_DRAWS as GEOMETRY_DRAWS, curvature, face_circulations, subseed
 from pentachain.pachner import _GROWING, _keeps_sampler_solvable
-from pentachain.pentagon import ED_PAIR, PAIRS, SAMPLE_BOUND, SAMPLE_DRAWS
+from pentachain.pentagon import ANGLES, ED_PAIR, PAIRS, SAMPLE_BOUND, SAMPLE_DRAWS, _where
 from pentachain.triangulation import Gluing, compose, inverse
 
 # the basis choice used for the sphere's by-hand minor ratios: vertex
@@ -418,8 +418,8 @@ def values(cfg):
 
 def omega_ed(cfg):
     """Curvature around E->D of a configuration as a Fraction, read off
-    the integer value pair of its cached ``FivePointConfig.curvature``."""
-    return Fraction(*cfg.curvature[0])
+    the integer value pair of ``geometry.curvature`` on its table."""
+    return Fraction(*curvature(cfg.table, ANGLES, _where)[0])
 
 
 def circulation(cfg, a, b, c):

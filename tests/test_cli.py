@@ -809,15 +809,19 @@ def test_pentagon_reports_over_40_seeds_pinned(capsys, monkeypatch):
 
 
 # Fractions that ``pentagon --samples 10`` constructs: per sample, the
-# solved lambda_ED and the two sides verify_pentagon returns; every
-# curvature value is an integer pair
-PENTAGON_SAMPLES_10_FRACTIONS = 30
-# full curvature calls of the same run, each building a gradient: per
-# sample one of the sampler's flat configuration, whose flatness check and
-# verify_pentagon read it from the configuration's cache
-PENTAGON_SAMPLES_10_GRADIENTS = 10
-# value-only curvature calls: per sample one per closure check
-PENTAGON_SAMPLES_10_VALUES = 20
+# two sides verify_pentagon returns; the solved lambda_ED and every
+# curvature value are integer pairs
+PENTAGON_SAMPLES_10_FRACTIONS = 20
+# full curvature calls of the same run, each building a gradient: none,
+# since verify_pentagon reads its one partial off the angle terms
+PENTAGON_SAMPLES_10_GRADIENTS = 0
+# angle_terms calls: per sample one on the sampler's flat configuration,
+# cached for verify_pentagon, and one per point set on its flat table,
+# shifted onto each closure check
+PENTAGON_SAMPLES_10_TERMS = 20
+# value-only curvature calls: per sample one by the flatness check and one
+# per closure check
+PENTAGON_SAMPLES_10_VALUES = 30
 
 
 def counted(monkeypatch, module, name):
@@ -836,12 +840,16 @@ def counted(monkeypatch, module, name):
 def test_pentagon_command_stays_in_integers(capsys, monkeypatch, fractions_made):
     # on one core, since the counters see only this process
     use_cpus(monkeypatch, 1)
-    gradients = counted(monkeypatch, pentagon, "curvature")
+    # pentagon holds no name of the full kernel that the count could miss
+    assert not hasattr(pentagon, "curvature")
+    gradients = counted(monkeypatch, geometry, "curvature")
+    terms = counted(monkeypatch, pentagon, "angle_terms")
     values = counted(monkeypatch, pentagon, "curvature_value")
     code, _, _ = run(capsys, ["pentagon", "--samples", "10"])
     assert code == 0
     assert len(fractions_made) == PENTAGON_SAMPLES_10_FRACTIONS
     assert len(gradients) == PENTAGON_SAMPLES_10_GRADIENTS
+    assert len(terms) == PENTAGON_SAMPLES_10_TERMS
     assert len(values) == PENTAGON_SAMPLES_10_VALUES
 
 

@@ -247,8 +247,8 @@ def test_vector_identities_reject_transposed_holonomy(monkeypatch):
 def test_flat_config_checks_its_result_without_asserts(monkeypatch):
     # the result check must survive python -O, so it raises, not asserts
     cfg = FivePointConfig.random(0)
-    real = pentagon.curvature
-    monkeypatch.setattr(pentagon, "curvature", lambda *args: ((1, 1), real(*args)[1]))
+    # the check reads the value stage on the solved table's angle terms
+    monkeypatch.setattr(pentagon, "curvature_value", lambda d, terms: (1, 1))
     with pytest.raises(PentachainError, match="internal error: the solved lambda_ED"):
         flat_config(cfg)
 
@@ -298,33 +298,64 @@ def test_closure_shifts_only_the_d_e_triangles(monkeypatch):
     for ts, (_, _, sides, signs) in zip(triangles, pentagon._CRAMER, strict=True):
         assert sides == tuple(labelled_sides(*t) for t in ts)
         assert signs == tuple(de_sign(t) for t in ts)
-    # the closure passes each step the circulations of the perturbed table
+    # the closure passes each step the circulations of the perturbed table,
+    # and the value stage that table's angle terms, both shifted from the
+    # flat table's
     real, passed = pentagon.cramer_step, []
+    real_value, valued = pentagon.curvature_value, []
 
     def recording(circulations, *rest):
         passed.append(tuple(circulations))
         return real(circulations, *rest)
 
+    def recording_value(d, terms):
+        valued.append((d, terms))
+        return real_value(d, terms)
+
     monkeypatch.setattr(pentagon, "cramer_step", recording)
+    monkeypatch.setattr(pentagon, "curvature_value", recording_value)
     getrandbits = random.Random(subseed(0, "points")).getrandbits
     checked = 0
     while checked < 200:
         den, coords = geometry.draw_rationals(getrandbits, 10, 20, 7)
         pts = {lab: (coords[2 * i], coords[2 * i + 1]) for i, lab in enumerate(LABELS)}
         passed.clear()
+        valued.clear()
         try:
             assert verify_vector_identities(pts, den)
         except DegenerateGeometryError:
             continue
         flat = {(a, b): pts[a][0] * pts[b][1] - pts[b][0] * pts[a][1] for a, b in PAIRS}
-        closure = iter(passed[3:])
+        closure, values_read = iter(passed[3:]), iter(valued)
         for delta in pentagon.CLOSURE_DELTAS:
             lam = {key: delta.denominator * n for key, n in flat.items()}
             lam[ED_PAIR] -= 2 * den * den * delta.numerator
             for ts in triangles:
                 assert next(closure) == tuple(geometry.circulation(lam, labelled_sides(*t)) for t in ts)
-        assert next(closure, None) is None
+            terms = geometry.angle_terms(lam, pentagon.ANGLES, pentagon._where)
+            assert next(values_read) == (2 * den * den * delta.denominator, terms)
+        assert next(closure, None) is None and next(values_read, None) is None
         checked += 1
+
+
+def test_verify_pentagon_partial_is_the_gradient_entry(monkeypatch):
+    # the one partial verify_pentagon reads is the D-E entry of the full
+    # gradient of geometry.curvature on the same table, over its denominator
+    real, read = pentagon.he_partial, []
+    monkeypatch.setattr(pentagon, "he_partial", lambda d, terms: read.append(real(d, terms)) or read[-1])
+    checked = 0
+    for seed in range(60):
+        cfg = FivePointConfig.random(seed)
+        scaled = [five_point_from_lambdas({k: c * v for k, v in values(cfg).items()}) for c in (F(3), F(-7, 2))]
+        bent = cfg.with_lambda_ed(-values(cfg)[ED_PAIR] + F(2, 5))  # off the flat value
+        for c in [cfg, *scaled, bent]:
+            read.clear()
+            verify_pentagon(c)
+            (partial_de, den), = read
+            _, (grad_den, grad) = geometry.curvature(c.table, pentagon.ANGLES, pentagon._where)
+            assert F(partial_de, den) == F(grad[ED_PAIR], grad_den), seed
+            checked += 1
+    assert checked >= 200
 
 
 def cramer_circulations(cfg, a, b):
